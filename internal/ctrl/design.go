@@ -44,10 +44,10 @@ type DesignOptions struct {
 	Swarm pso.Options // PSO budget; zero-value uses pso defaults
 	Sim   SimOptions  // simulation grid; Horizon <= 0 defaults to 2.5x deadline
 	// GainScale multiplies the warm-start gain magnitudes to form the PSO
-	// search box (default 8).
+	// search box (default 4).
 	GainScale float64
 	// WarmStartRadii are closed-loop pole radii used to generate Ackermann
-	// warm starts (default 0.2, 0.4, 0.6, 0.8).
+	// warm starts (default 0.2, 0.4, 0.6, 0.8, 0.9, 0.96).
 	WarmStartRadii []float64
 	// PerModeFeedforward selects the paper's per-mode Eq. (17) feedforward
 	// instead of the default holistic (periodic-orbit) feedforward; the
@@ -143,13 +143,13 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	// phases and the polish); the pools get an independent instance per
 	// worker so every worker's gain buffers and workspaces stay private and
 	// cache-hot. All instances are bit-identical to the allocating
-	// reference objective.
+	// reference objective below their cutoff.
 	eval := newDesignEval(plan, modes, cons, opt.PerModeFeedforward)
-	newObjective := func() func([]float64) float64 {
-		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).objective
+	newObjective := func() func([]float64, float64) float64 {
+		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).cost
 	}
-	newShared := func() func([]float64) float64 {
-		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).sharedObjective
+	newShared := func() func([]float64, float64) float64 {
+		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).sharedCost
 	}
 
 	// Phase 1: search a single gain shared by all modes (dimension l).
@@ -175,7 +175,7 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	}
 	res1, err := pso.Minimize(pso.Problem{
 		Dim: l, Lower: lower1, Upper: upper1,
-		Objective: eval.sharedObjective, NewObjective: newShared,
+		Objective: eval.sharedCost, NewObjective: newShared,
 	}, swarm1)
 	if err != nil {
 		return nil, err
@@ -196,7 +196,7 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	opt.Swarm.Seeds = append([][]float64{tile(res1.X)}, seeds...)
 	res, err := pso.Minimize(pso.Problem{
 		Dim: dim, Lower: lower, Upper: upper,
-		Objective: eval.objective, NewObjective: newObjective,
+		Objective: eval.cost, NewObjective: newObjective,
 	}, opt.Swarm)
 	if err != nil {
 		return nil, err
@@ -212,7 +212,7 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	// Phase 3: deterministic compass-search polish. PSO leaves plateau
 	// noise on the staircase-shaped settling objective; a shrinking
 	// coordinate descent from the incumbent removes it cheaply.
-	best, _, pEvals := polish(best, bestVal, lower, upper, eval.objective)
+	best, _, pEvals := polish(best, bestVal, lower, upper, eval.cost)
 	evals += pEvals
 
 	g, err := gainsFromVectorFF(best, modes, m, l, opt.PerModeFeedforward)
@@ -261,8 +261,10 @@ func EvaluateDesign(plant *lti.System, modes []Mode, g Gains, cons Constraints, 
 
 // polish runs a bounded compass (pattern) search from x0: probe +/- step
 // along every coordinate, move to the best improvement, halve the step when
-// none improves. Deterministic, at most ~40*dim objective evaluations.
-func polish(x0 []float64, v0 float64, lower, upper []float64, objective func([]float64) float64) ([]float64, float64, int) {
+// none improves. Deterministic, at most ~40*dim objective evaluations. Each
+// probe gets the incumbent value as its cutoff (the pso contract): polish
+// only asks whether a probe beats it.
+func polish(x0 []float64, v0 float64, lower, upper []float64, objective func([]float64, float64) float64) ([]float64, float64, int) {
 	dim := len(x0)
 	x := append([]float64(nil), x0...)
 	v := v0
@@ -281,7 +283,7 @@ func polish(x0 []float64, v0 float64, lower, upper []float64, objective func([]f
 				if probe[i] == x[i] {
 					continue
 				}
-				pv := objective(probe)
+				pv := objective(probe, v)
 				evals++
 				if pv < v {
 					v = pv
@@ -309,11 +311,26 @@ func clampTo(x, lo, hi float64) float64 {
 	return x
 }
 
+// divergedScore is the design cost of a simulation that fails (diverges).
+const divergedScore = 1e5
+
+// settledCost is the design cost of a run that settles at settle with
+// normalized ITAE itae, before penalties. The early-exit bound of the
+// streaming run (metricsAcc.instant) composes its terms through this same
+// helper, so bound and cost round identically on every GOARCH, whether or
+// not the compiler fuses the multiply-add.
+func settledCost(settle, horizon, itae float64) float64 {
+	return settle + 0.25*horizon*itae
+}
+
 // monodromyScore turns a stability verdict plus the streaming simulation
 // metrics into the scalar design cost; shared by designEval and the
 // allocating reference path of the tests (designObjective in
-// objective_test.go) so the two paths cannot drift.
-func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho float64, err error) float64 {
+// objective_test.go) so the two paths cannot drift. It honours the pso
+// cutoff contract: once the simulation's admissible lower bound on the
+// cost reaches cutoff, the run stops and the bound (>= cutoff) is
+// returned; below the cutoff the cost is exact.
+func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho float64, err error, cutoff float64) float64 {
 	if err != nil || math.IsNaN(rho) {
 		return 1e6
 	}
@@ -324,13 +341,16 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 	horizon := plan.Horizon()
 	// Design against a slightly tighter band than the reported one so the
 	// final 2% measurement has margin instead of riding the band edge.
-	met, err := plan.Metrics(g, cons.Ref, 0.9*cons.Band, horizon/2, 0.9*cons.Band)
-	if err != nil {
-		return 1e5
+	acc := plan.newMetricsAcc(cons.Ref, 0.9*cons.Band, horizon/2, 0.9*cons.Band, cutoff)
+	if err := plan.run(g, cons.Ref, nil, &acc); err == errCutoff {
+		return acc.lb
+	} else if err != nil {
+		return divergedScore
 	}
+	met := acc.finalize()
 	// The sampled settling time is a staircase in gain space; the smooth
 	// ITAE term gives the swarm a gradient across its plateaus.
-	obj := met.SettlingTime + 0.25*horizon*met.ITAE
+	obj := settledCost(met.SettlingTime, horizon, met.ITAE)
 	if !met.Settled {
 		// Shape the landscape for nearly settling designs: reward staying
 		// mostly inside the band over the second half of the horizon.

@@ -160,21 +160,22 @@ func (e *designEval) stableMonodromy() (bool, float64, error) {
 	return rho < 1, rho, nil
 }
 
-// objective evaluates the full per-mode decision vector; it equals the
-// reference designObjective over gainsFromVectorFF bit for bit.
-func (e *designEval) objective(x []float64) float64 {
+// cost evaluates the full per-mode decision vector under the pso cutoff
+// contract: below cutoff it equals the reference designObjective over
+// gainsFromVectorFF bit for bit, otherwise it is some value >= cutoff.
+func (e *designEval) cost(x []float64, cutoff float64) float64 {
 	if err := e.setGains(x); err != nil {
 		return 1e6
 	}
 	stable, rho, err := e.stableMonodromy()
-	return monodromyScore(e.plan, e.g, e.cons, stable, rho, err)
+	return monodromyScore(e.plan, e.g, e.cons, stable, rho, err, cutoff)
 }
 
-// sharedObjective evaluates a single gain tiled across all modes (the
-// phase-1 pre-solve of DesignHolistic).
-func (e *designEval) sharedObjective(k []float64) float64 {
+// sharedCost evaluates a single gain tiled across all modes (the phase-1
+// pre-solve of DesignHolistic).
+func (e *designEval) sharedCost(k []float64, cutoff float64) float64 {
 	for j := 0; j < e.m; j++ {
 		copy(e.tile[j*e.l:(j+1)*e.l], k)
 	}
-	return e.objective(e.tile)
+	return e.cost(e.tile, cutoff)
 }

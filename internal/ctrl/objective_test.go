@@ -12,7 +12,7 @@ import (
 
 // objectiveFixture compiles a two-mode design problem on a second-order
 // plant, mirroring the case-study geometry the search exercises.
-func objectiveFixture(t *testing.T) (*SimPlan, []Mode, Constraints) {
+func objectiveFixture(t testing.TB) (*SimPlan, []Mode, Constraints) {
 	t.Helper()
 	plant := &lti.System{
 		A: mat.NewFromRows([][]float64{{0, 1}, {-4, -1.2}}),
@@ -47,8 +47,13 @@ func objectiveFixture(t *testing.T) (*SimPlan, []Mode, Constraints) {
 // designEval, whose per-worker scratch computes the same value bit for bit.
 func designObjective(plan *SimPlan, modes []Mode, g Gains, cons Constraints) float64 {
 	stable, rho, err := StableMonodromy(modes, g)
-	return monodromyScore(plan, g, cons, stable, rho, err)
+	return monodromyScore(plan, g, cons, stable, rho, err, math.Inf(1))
 }
+
+// objective and sharedObjective are designEval's exact costs: no cutoff.
+func (e *designEval) objective(x []float64) float64 { return e.cost(x, math.Inf(1)) }
+
+func (e *designEval) sharedObjective(k []float64) float64 { return e.sharedCost(k, math.Inf(1)) }
 
 // TestDesignEvalMatchesReference pins the per-worker scratch objective
 // against the allocating reference path (gainsFromVectorFF +

@@ -114,9 +114,9 @@ func TestMaxDenseDeviationAfter(t *testing.T) {
 
 func TestPolishImprovesOrKeeps(t *testing.T) {
 	// Polish must never return a worse point than its start.
-	obj := func(x []float64) float64 { return (x[0]-0.3)*(x[0]-0.3) + math.Abs(x[1]) }
+	obj := func(x []float64, _ float64) float64 { return (x[0]-0.3)*(x[0]-0.3) + math.Abs(x[1]) }
 	x0 := []float64{-1, 1}
-	v0 := obj(x0)
+	v0 := obj(x0, math.Inf(1))
 	x, v, evals := polish(x0, v0, []float64{-2, -2}, []float64{2, 2}, obj)
 	if v > v0 {
 		t.Errorf("polish made it worse: %g -> %g", v0, v)

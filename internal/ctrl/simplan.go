@@ -26,10 +26,13 @@ import (
 // Two evaluation modes run on the same core loop and therefore produce
 // bit-identical dynamics: Simulate records the dense trajectory for
 // reporting (Fig. 6, response dumps), Metrics streams the design-objective
-// statistics without materializing any per-sample storage.
+// statistics without materializing any per-sample storage. The design
+// objective's streaming run may also stop early, once an admissible lower
+// bound on its score reaches the caller's cutoff (see metricsAcc.instant).
 type SimPlan struct {
 	m, l    int
 	horizon float64
+	finalT  float64     // time of the last dense sample, the same for every run
 	gap     []segment   // initial idle-gap segments (held input applies)
 	plans   [][]segment // per-mode propagation segments
 	cRow    []float64
@@ -61,6 +64,7 @@ type simScratch struct {
 var (
 	errNoModes  = errors.New("ctrl: no modes to simulate")
 	errDiverged = errors.New("ctrl: control input diverged to non-finite value")
+	errCutoff   = errors.New("ctrl: score lower bound reached the cutoff")
 )
 
 // discretizer memoizes the ZOH discretization by step length: the gap and
@@ -164,6 +168,7 @@ func CompileSimPlan(plant *lti.System, modes []Mode, opt SimOptions) (*SimPlan, 
 	for _, segs := range p.plans {
 		bindArena(d.arena, l, segs)
 	}
+	p.finalT = p.endTime()
 	p.scratch.New = func() any {
 		sc := &simScratch{
 			x:     make([]float64, p.l),
@@ -181,6 +186,22 @@ func CompileSimPlan(plant *lti.System, modes []Mode, opt SimOptions) (*SimPlan, 
 
 // Horizon returns the simulated duration the plan was compiled for.
 func (p *SimPlan) Horizon() float64 { return p.horizon }
+
+// endTime replays run's clock — the same float64 additions in the same
+// order, which do not depend on the gains — and returns the time of the
+// last dense sample of every run that does not stop early.
+func (p *SimPlan) endTime() float64 {
+	t := 0.0
+	for i := range p.gap {
+		t += p.gap[i].dt
+	}
+	for j := 0; t < p.horizon; j = (j + 1) % p.m {
+		for i := range p.plans[j] {
+			t += p.plans[j][i].dt
+		}
+	}
+	return t
+}
 
 func dotVec(a, b []float64) float64 {
 	if len(a) == 2 {
@@ -282,8 +303,8 @@ func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error
 			tr.Times = append(tr.Times, rs.t)
 			tr.Outputs = append(tr.Outputs, yi)
 			tr.Inputs = append(tr.Inputs, u)
-		} else if acc != nil {
-			acc.instant(rs.t, yi, u)
+		} else if acc != nil && acc.instant(rs.t, yi, u) {
+			return errCutoff
 		}
 		segs := p.plans[j]
 		for i := range segs {
@@ -337,6 +358,15 @@ type metricsAcc struct {
 	violFrom  float64
 	violDelta float64
 
+	// Early exit: after each sampling instant lb is an admissible lower
+	// bound on monodromyScore of the finished run, and the run stops once
+	// it reaches cutoff (+Inf: never).
+	cutoff  float64
+	horizon float64
+	norm    float64 // finalize's ITAE norm |r|·T²/2, known from the plan
+	floor   float64 // least score of a run that ends unsettled or diverges
+	lb      float64
+
 	candT float64 // time of the current candidate settling instant
 	cand  bool
 
@@ -372,7 +402,23 @@ func (a *metricsAcc) dense(t, y float64) {
 	}
 }
 
-func (a *metricsAcc) instant(t, y, u float64) {
+// instant records the sampling instant at t and reports whether the run
+// can stop because its score lower bound a.lb has reached a.cutoff. The
+// bound settledCost(c, h, itaeSum/norm), capped at floor, is admissible:
+//
+//   - c is candT while in band, else t. The run cannot end settled
+//     before c: a candidate only ever moves to a later instant, and one
+//     after an out-of-band instant t comes after t.
+//   - itaeSum grows by terms t·|y-r|·dt that are never negative, and
+//     float64 addition, division by the fixed norm and settledCost are
+//     monotone, so itaeSum/norm only grows towards finalize's ITAE.
+//   - A run that ends unsettled scores horizon·(1.5 + ...) >= floor, a
+//     diverged one divergedScore >= floor; the penalties monodromyScore
+//     adds to either branch are never negative.
+//
+// The bound never falls from one instant to the next, so the first
+// instant where it reaches the cutoff is where the run stops.
+func (a *metricsAcc) instant(t, y, u float64) bool {
 	a.nInst++
 	a.lastInstT = t
 	if y > a.peakOut {
@@ -393,6 +439,15 @@ func (a *metricsAcc) instant(t, y, u float64) {
 	} else {
 		a.cand = false
 	}
+	c := t
+	if a.cand {
+		c = a.candT
+	}
+	a.lb = settledCost(c, a.horizon, a.itaeSum/a.norm)
+	if a.lb > a.floor {
+		a.lb = a.floor
+	}
+	return a.lb >= a.cutoff
 }
 
 func (a *metricsAcc) finalize() SimMetrics {
@@ -442,15 +497,25 @@ func (a *metricsAcc) finalize() SimMetrics {
 // the band-violation window. Values equal those derived from a recorded
 // Trajectory bit for bit.
 func (p *SimPlan) Metrics(g Gains, r, band, violFrom, violBand float64) (SimMetrics, error) {
-	acc := metricsAcc{
-		r:         r,
-		delta:     band * math.Abs(r),
-		violFrom:  violFrom,
-		violDelta: violBand * math.Abs(r),
-		peakOut:   math.Inf(-1),
-	}
+	acc := p.newMetricsAcc(r, band, violFrom, violBand, math.Inf(1))
 	if err := p.run(g, r, nil, &acc); err != nil {
 		return SimMetrics{}, err
 	}
 	return acc.finalize(), nil
+}
+
+// newMetricsAcc returns the accumulator of one streaming run (Metrics'
+// parameters) that stops once its score lower bound reaches cutoff.
+func (p *SimPlan) newMetricsAcc(r, band, violFrom, violBand, cutoff float64) metricsAcc {
+	return metricsAcc{
+		r:         r,
+		delta:     band * math.Abs(r),
+		violFrom:  violFrom,
+		violDelta: violBand * math.Abs(r),
+		cutoff:    cutoff,
+		horizon:   p.horizon,
+		norm:      math.Abs(r) * p.finalT * p.finalT / 2,
+		floor:     min(1.5*p.horizon, divergedScore),
+		peakOut:   math.Inf(-1),
+	}
 }

@@ -23,6 +23,17 @@
 // no token in a round simply sits it out while the caller's goroutine
 // evaluates inline, so a loaded box degrades to serial instead of
 // oversubscribing.
+//
+// Objectives take a cutoff. A call may stop as soon as it proves its true
+// value is >= cutoff, and then return any value >= cutoff (an early-exit
+// bound, the value itself, ...); below the cutoff it must return the exact
+// value. Minimize passes +Inf in the initial round and each particle's
+// personal best after that, which is safe because the swarm only ever asks
+// values[i] < pbestVal[i] and values[i] < gbestVal (gbestVal <= pbestVal[i]):
+// a value >= the cutoff loses both comparisons whatever it is, so every
+// decision, and with it the Result, is bit-identical to exact evaluation.
+// Only exact values reach gbest, so Result.Value is exact too. Cut calls
+// still count as evaluations.
 package pso
 
 import (
@@ -38,16 +49,18 @@ import (
 
 // Problem describes a box-constrained minimization problem.
 type Problem struct {
-	Dim       int
-	Lower     []float64 // len Dim
-	Upper     []float64 // len Dim
-	Objective func(x []float64) float64
+	Dim   int
+	Lower []float64 // len Dim
+	Upper []float64 // len Dim
+	// Objective evaluates x; see the package comment for the cutoff
+	// contract.
+	Objective func(x []float64, cutoff float64) float64
 	// NewObjective, when non-nil, supplies an independent objective
 	// instance per pool worker (typically a closure over private evaluation
 	// scratch). Every instance must compute exactly the same function as
 	// Objective; Minimize calls it once per worker it starts and uses
 	// Objective itself on the calling goroutine.
-	NewObjective func() func(x []float64) float64
+	NewObjective func() func(x []float64, cutoff float64) float64
 }
 
 // Validate checks the problem definition.
@@ -79,10 +92,10 @@ type Options struct {
 	Social       float64 // c2 (default 1.8)
 	Seed         int64   // RNG seed (default 1)
 	Workers      int     // parallel objective evaluations (default GOMAXPROCS)
-	Seeds        [][]float64
 	// Seeds optionally injects known-good starting positions (e.g. warm
 	// starts from an analytic design); each must have length Dim and is
 	// clamped to the bounds.
+	Seeds      [][]float64
 	StallLimit int // stop early after this many non-improving iterations (default: no early stop)
 }
 
@@ -135,6 +148,9 @@ func Minimize(p Problem, o Options) (*Result, error) {
 	vel := make([][]float64, n)
 	pbest := make([][]float64, n)
 	pbestVal := make([]float64, n)
+	for i := range pbestVal {
+		pbestVal[i] = math.Inf(1) // the initial round's cutoff
+	}
 	vmax := make([]float64, d)
 	for j := 0; j < d; j++ {
 		vmax[j] = 0.5 * (p.Upper[j] - p.Lower[j])
@@ -162,7 +178,7 @@ func Minimize(p Problem, o Options) (*Result, error) {
 
 	evals := 0
 	values := make([]float64, n)
-	pool := newEvalPool(p, o, pos, values)
+	pool := newEvalPool(p, o, pos, pbestVal, values)
 	defer pool.stop()
 	evaluate := func() {
 		pool.run()
@@ -250,8 +266,9 @@ func clamp(x, lo, hi float64) float64 {
 type evalPool struct {
 	n       int
 	pos     [][]float64
+	cutoffs []float64 // the personal bests, written between rounds only
 	values  []float64
-	obj     func([]float64) float64 // the caller's instance
+	obj     func([]float64, float64) float64 // the caller's instance
 	next    atomic.Int64
 	helpers int
 	start   chan struct{}
@@ -259,8 +276,8 @@ type evalPool struct {
 	exec    *parallel.Executor
 }
 
-func newEvalPool(p Problem, o Options, pos [][]float64, values []float64) *evalPool {
-	ep := &evalPool{n: len(pos), pos: pos, values: values, obj: p.Objective, exec: parallel.Default()}
+func newEvalPool(p Problem, o Options, pos [][]float64, cutoffs, values []float64) *evalPool {
+	ep := &evalPool{n: len(pos), pos: pos, cutoffs: cutoffs, values: values, obj: p.Objective, exec: parallel.Default()}
 	workers := o.Workers
 	if workers > ep.n {
 		workers = ep.n
@@ -277,7 +294,7 @@ func newEvalPool(p Problem, o Options, pos [][]float64, values []float64) *evalP
 			// built lazily on the first round this helper actually joins:
 			// on a token-saturated box a helper that only ever sits rounds
 			// out costs one idle goroutine and nothing else.
-			var obj func([]float64) float64
+			var obj func([]float64, float64) float64
 			for range ep.start {
 				// One governor token per participating helper per round:
 				// with none to spare this round runs on the caller alone.
@@ -294,19 +311,20 @@ func newEvalPool(p Problem, o Options, pos [][]float64, values []float64) *evalP
 				}
 				ep.done <- struct{}{}
 			}
+			ep.done <- struct{}{} // exited: see stop
 		}()
 	}
 	return ep
 }
 
 // work claims particles until the round's counter is exhausted.
-func (ep *evalPool) work(obj func([]float64) float64) {
+func (ep *evalPool) work(obj func([]float64, float64) float64) {
 	for {
 		i := int(ep.next.Add(1)) - 1
 		if i >= ep.n {
 			return
 		}
-		ep.values[i] = obj(ep.pos[i])
+		ep.values[i] = obj(ep.pos[i], ep.cutoffs[i])
 	}
 }
 
@@ -322,9 +340,15 @@ func (ep *evalPool) run() {
 	}
 }
 
-// stop terminates the helper goroutines.
+// stop terminates the helper goroutines and waits for them to exit, so no
+// helper (nor the objective scratch it holds) outlives the Minimize call
+// and the next call's helpers reuse the exited goroutines.
 func (ep *evalPool) stop() {
-	if ep.start != nil {
-		close(ep.start)
+	if ep.start == nil {
+		return
+	}
+	close(ep.start)
+	for w := 0; w < ep.helpers; w++ {
+		<-ep.done
 	}
 }

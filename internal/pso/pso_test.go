@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func sphere(x []float64) float64 {
+func sphere(x []float64, _ float64) float64 {
 	s := 0.0
 	for _, v := range x {
 		s += v * v
@@ -13,7 +13,7 @@ func sphere(x []float64) float64 {
 	return s
 }
 
-func rosenbrock(x []float64) float64 {
+func rosenbrock(x []float64, _ float64) float64 {
 	s := 0.0
 	for i := 0; i+1 < len(x); i++ {
 		a := x[i+1] - x[i]*x[i]
@@ -98,8 +98,8 @@ func TestDeterministicForSeed(t *testing.T) {
 func TestSeedsWarmStart(t *testing.T) {
 	// With an exact seed at the optimum, the result can never be worse.
 	l, u := bounds(2, -10, 10)
-	p := Problem{Dim: 2, Lower: l, Upper: u, Objective: func(x []float64) float64 {
-		return sphere([]float64{x[0] - 3, x[1] + 2})
+	p := Problem{Dim: 2, Lower: l, Upper: u, Objective: func(x []float64, cutoff float64) float64 {
+		return sphere([]float64{x[0] - 3, x[1] + 2}, cutoff)
 	}}
 	res, err := Minimize(p, Options{Seeds: [][]float64{{3, -2}}, Iterations: 5, Particles: 5, Seed: 9})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestBoundsRespected(t *testing.T) {
 
 func TestStallLimitStopsEarly(t *testing.T) {
 	l, u := bounds(2, -1, 1)
-	res, err := Minimize(Problem{Dim: 2, Lower: l, Upper: u, Objective: func(x []float64) float64 { return 1 }},
+	res, err := Minimize(Problem{Dim: 2, Lower: l, Upper: u, Objective: func([]float64, float64) float64 { return 1 }},
 		Options{Iterations: 500, StallLimit: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
