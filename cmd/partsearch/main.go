@@ -95,14 +95,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-resume requires -store")
 	}
 
-	var obj engine.Objective
-	switch *objective {
-	case "timing":
-		obj = engine.ObjectiveTiming
-	case "design":
-		obj = engine.ObjectiveDesign
-	default:
-		return fmt.Errorf("unknown objective %q (want timing or design)", *objective)
+	obj, err := engine.ParseObjective(*objective)
+	if err != nil {
+		return err
 	}
 
 	if *platform == "" && obj == engine.ObjectiveTiming {

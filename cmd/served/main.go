@@ -15,6 +15,7 @@
 //	                    [&jitter=0.2&arrival_seed=7&arrival_cycles=64]      sporadic releases
 //	                    [&l2_lines=512&l2_ways=4&l2_hit=10&l2_exclusive=1]  L1+L2 hierarchy
 //	POST /v1/sweep                    {"n": 10, "apps": 3, "seed": 1, ...}
+//	                                  (a fabric.JobSpec plus "workers", under the job caps)
 //	GET  /v1/table/{I|II|III|IV}      rendered paper tables (III/IV accept budget/maxm/tol)
 //	GET/PUT /v1/store/{key}           the persistent store over HTTP (requires -store)
 //	POST /v1/shards/...               distributed-sweep lease protocol (requires -store)
@@ -59,7 +60,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,8 +69,10 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -85,6 +87,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fabric"
 	"repro/internal/parallel"
+	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/store/httpstore"
@@ -127,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage
 	}
-	if !validBudget(*budget) {
+	if !exp.KnownBudget(*budget) {
 		return fmt.Errorf("served: unknown budget %q", *budget)
 	}
 	// Crash-schedule injection (CHAOS_CRASH): lets the recovery test matrix
@@ -235,14 +238,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "served: shut down cleanly")
 	return nil
-}
-
-func validBudget(name string) bool {
-	switch name {
-	case "tiny", "quick", "paper", "deep":
-		return true
-	}
-	return false
 }
 
 // validTol accepts convergence tolerances the searches can actually use: a
@@ -449,43 +444,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "store": true, "probe": seq})
 }
 
-// bufferedResponse captures a compute handler's full response so the
-// deadline race in compute has a winner: either the buffered response is
-// flushed whole, or the timeout answer goes out and the buffer is dropped
-// — never interleaved bytes from both.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-func (b *bufferedResponse) flush(w http.ResponseWriter) {
-	h := w.Header()
-	for k, vs := range b.header {
-		h[k] = vs
-	}
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	w.WriteHeader(b.code)
-	w.Write(b.body.Bytes())
-}
-
 // compute wraps a compute handler with the degradation envelope:
 //
 //   - Load shedding: with -max-queue set and the executor queue already
@@ -512,7 +470,9 @@ func (s *server) compute(h http.HandlerFunc) http.HandlerFunc {
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 		defer cancel()
-		buf := &bufferedResponse{header: make(http.Header)}
+		// The handler writes into a buffer, so either its whole response or
+		// the timeout answer goes out — never interleaved bytes from both.
+		buf := &resilience.ResponseBuffer{}
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -520,7 +480,7 @@ func (s *server) compute(h http.HandlerFunc) http.HandlerFunc {
 		}()
 		select {
 		case <-done:
-			buf.flush(w)
+			buf.Flush(w)
 		case <-ctx.Done():
 			// The handler goroutine keeps running into the buffer (dropped on
 			// completion); its side effects — cache fills, checkpoints — are
@@ -787,7 +747,7 @@ func (s *server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		req.Ways = q.Get("ways")
 		req.Budget = q.Get("budget")
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := resilience.DecodeJSON(w, r, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad JSON body: %v", err)
 			return
 		}
@@ -806,7 +766,7 @@ func (s *server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	if req.Budget == "" {
 		req.Budget = s.defaultBudget
 	}
-	if !validBudget(req.Budget) {
+	if !exp.KnownBudget(req.Budget) {
 		writeErr(w, http.StatusBadRequest, "unknown budget %q", req.Budget)
 		return
 	}
@@ -897,30 +857,46 @@ func (s *server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// sweepRequest mirrors cmd/sweep's flags; the GET form uses identically
-// named query parameters.
-type sweepRequest struct {
-	N          int     `json:"n"`
-	Apps       int     `json:"apps"`
-	Seed       int64   `json:"seed"`
-	MaxM       int     `json:"maxm"`
-	Starts     int     `json:"starts"`
-	Tol        float64 `json:"tol"`
-	Objective  string  `json:"objective"`
-	Budget     string  `json:"budget"`
-	Platforms  int     `json:"platforms"`
-	Exhaustive bool    `json:"exhaustive"`
-	Workers    int     `json:"workers"`
-
-	// Arrival and hierarchy axes (engine.Grid's fields; see cmd/sweep's
-	// -jitter/-l2-* flags).
-	Jitter        float64 `json:"jitter"`
-	ArrivalSeed   int64   `json:"arrival_seed"`
-	ArrivalCycles int     `json:"arrival_cycles"`
-	L2Lines       int     `json:"l2_lines"`
-	L2Ways        int     `json:"l2_ways"`
-	L2Hit         int     `json:"l2_hit"`
-	L2Exclusive   bool    `json:"l2_exclusive"`
+// parseQuery overlays query parameters onto the JSON-named fields of the
+// struct v points to (embedded structs included), so a GET request takes
+// exactly the names its POST body does.
+func parseQuery(q url.Values, v any) error {
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, sf := rv.Field(i), rv.Type().Field(i)
+		if sf.Anonymous {
+			if err := parseQuery(q, f.Addr().Interface()); err != nil {
+				return err
+			}
+			continue
+		}
+		name, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		text := q.Get(name)
+		if text == "" {
+			continue
+		}
+		var err error
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			var n int64
+			n, err = strconv.ParseInt(text, 10, 64)
+			f.SetInt(n)
+		case reflect.Float64:
+			var x float64
+			x, err = strconv.ParseFloat(text, 64)
+			f.SetFloat(x)
+		case reflect.Bool:
+			var b bool
+			b, err = strconv.ParseBool(text)
+			f.SetBool(b)
+		case reflect.String:
+			f.SetString(text)
+		}
+		if err != nil {
+			return fmt.Errorf("bad %s=%q", name, text)
+		}
+	}
+	return nil
 }
 
 type sweepRow struct {
@@ -939,124 +915,58 @@ type sweepRow struct {
 // Request bounds: the service is long-lived and must survive any single
 // request, so batch sizes and search-space dimensions are capped — larger
 // workloads belong in cmd/sweep shards sharing the same store.
+// The sweep grid itself is capped by fabric.JobSpec.Validate, the same
+// check a submitted cluster job passes.
 const (
-	maxDesignBatch    = 64    // schedules per /v1/design request
-	maxSweepScenarios = 10000 // n per /v1/sweep request
-	maxSweepApps      = 8     // apps per scenario (box grows as maxm^apps)
-	maxSweepMaxM      = 12    // burst-length cap
-	maxSweepStarts    = 16    // hybrid starts per scenario
-	maxSweepWorkers   = 32    // scenario-level workers
+	maxDesignBatch  = 64 // schedules per /v1/design request
+	maxSweepWorkers = 32 // scenario-level workers
 )
 
+// handleSweep runs one randomized sweep. The request is a fabric.JobSpec —
+// the POST body, or the same names as GET query parameters — plus the
+// local-only workers count; it passes the job caps a cluster submission
+// does, and its defaults (n=10, seed=1) are the service's own.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req := sweepRequest{N: 10, Seed: 1, Tol: 0.01, Objective: "timing", Workers: 4}
+	var req struct {
+		fabric.JobSpec
+		Workers int `json:"workers"`
+	}
+	req.N, req.Seed, req.Tol, req.Workers = 10, 1, 0.01, 4
+	var err error
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query()
-		qi := func(name string, dst *int) bool {
-			if v := q.Get(name); v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					writeErr(w, http.StatusBadRequest, "bad %s=%q", name, v)
-					return false
-				}
-				*dst = n
-			}
-			return true
-		}
-		for name, dst := range map[string]*int{
-			"n": &req.N, "apps": &req.Apps, "maxm": &req.MaxM,
-			"starts": &req.Starts, "platforms": &req.Platforms, "workers": &req.Workers,
-			"arrival_cycles": &req.ArrivalCycles,
-			"l2_lines":       &req.L2Lines, "l2_ways": &req.L2Ways, "l2_hit": &req.L2Hit,
-		} {
-			if !qi(name, dst) {
-				return
-			}
-		}
-		for name, dst := range map[string]*int64{"seed": &req.Seed, "arrival_seed": &req.ArrivalSeed} {
-			if v := q.Get(name); v != "" {
-				n, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					writeErr(w, http.StatusBadRequest, "bad %s=%q", name, v)
-					return
-				}
-				*dst = n
-			}
-		}
-		for name, dst := range map[string]*float64{"tol": &req.Tol, "jitter": &req.Jitter} {
-			if v := q.Get(name); v != "" {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					writeErr(w, http.StatusBadRequest, "bad %s=%q", name, v)
-					return
-				}
-				*dst = f
-			}
-		}
-		if v := q.Get("objective"); v != "" {
-			req.Objective = v
-		}
-		req.Budget = q.Get("budget")
-		req.Exhaustive = q.Get("exhaustive") == "1" || q.Get("exhaustive") == "true"
-		req.L2Exclusive = q.Get("l2_exclusive") == "1" || q.Get("l2_exclusive") == "true"
+		err = parseQuery(r.URL.Query(), &req)
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad JSON body: %v", err)
-			return
+		if err = resilience.DecodeJSON(w, r, &req); err != nil {
+			err = fmt.Errorf("bad JSON body: %w", err)
 		}
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
-	if req.N < 1 || req.N > maxSweepScenarios {
-		writeErr(w, http.StatusBadRequest, "n must be in [1, %d]", maxSweepScenarios)
+	if err == nil {
+		err = req.Validate()
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	for _, bound := range []struct {
-		name string
-		val  int
-		max  int
-	}{
-		{"apps", req.Apps, maxSweepApps},
-		{"maxm", req.MaxM, maxSweepMaxM},
-		{"starts", req.Starts, maxSweepStarts},
-		{"workers", req.Workers, maxSweepWorkers},
-	} {
-		if bound.val < 0 || bound.val > bound.max {
-			writeErr(w, http.StatusBadRequest, "%s must be in [0, %d] (0 = default)", bound.name, bound.max)
-			return
-		}
+	if req.Workers < 0 || req.Workers > maxSweepWorkers {
+		writeErr(w, http.StatusBadRequest, "workers must be in [0, %d] (0 = default)", maxSweepWorkers)
+		return
 	}
+	// Tol defaults above, so a zero here was sent explicitly.
 	if !validTol(req.Tol) {
 		writeErr(w, http.StatusBadRequest, "tol must be a finite positive number")
-		return
-	}
-	var obj engine.Objective
-	switch req.Objective {
-	case "timing":
-		obj = engine.ObjectiveTiming
-	case "design":
-		obj = engine.ObjectiveDesign
-	default:
-		writeErr(w, http.StatusBadRequest, "unknown objective %q", req.Objective)
 		return
 	}
 	if req.Budget == "" {
 		req.Budget = s.defaultBudget
 	}
-	if !validBudget(req.Budget) {
-		writeErr(w, http.StatusBadRequest, "unknown budget %q", req.Budget)
+	grid, err := req.Grid()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-
-	grid := engine.Grid{
-		N: req.N, Apps: req.Apps, Seed: req.Seed, MaxM: req.MaxM,
-		Starts: req.Starts, Tol: req.Tol, Objective: obj,
-		Budget: exp.Budget(req.Budget), Platforms: req.Platforms,
-		Exhaustive: req.Exhaustive,
-		Jitter:     req.Jitter, ArrivalSeed: req.ArrivalSeed, ArrivalCycles: req.ArrivalCycles,
-		L2Lines: req.L2Lines, L2Ways: req.L2Ways, L2Hit: req.L2Hit, L2Exclusive: req.L2Exclusive,
 	}
 	scenarios, err := grid.Scenarios()
 	if err != nil {
@@ -1176,7 +1086,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if budget == "" {
 		budget = s.defaultBudget
 	}
-	if !validBudget(budget) {
+	if !exp.KnownBudget(budget) {
 		writeErr(w, http.StatusBadRequest, "unknown budget %q", budget)
 		return
 	}
@@ -1185,8 +1095,8 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 		// Table IV runs a maxm^apps search: maxm obeys the same cap as
 		// /v1/sweep or a single request could take the service down.
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > maxSweepMaxM {
-			writeErr(w, http.StatusBadRequest, "maxm must be in [1, %d]", maxSweepMaxM)
+		if err != nil || n < 1 || n > fabric.MaxMaxM {
+			writeErr(w, http.StatusBadRequest, "maxm must be in [1, %d]", fabric.MaxMaxM)
 			return
 		}
 		maxM = n

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
+	"repro/internal/resilience"
 	"repro/internal/store"
 )
 
@@ -453,4 +458,82 @@ func TestServedFabricEndpointsRequireStore(t *testing.T) {
 	if sub.Job == "" || sub.Shards != 2 {
 		t.Fatalf("submit response %+v", sub)
 	}
+}
+
+// TestServedSweepSpecParity pins that a sweep spec gets one verdict at the
+// service edge: GET /v1/sweep, POST /v1/sweep and a cluster job submission
+// (POST /v1/shards/jobs) all validate through fabric.JobSpec, so a spec one
+// of them refuses cannot run through another.
+func TestServedSweepSpecParity(t *testing.T) {
+	_, hs := testServer(t, t.TempDir())
+	for _, tc := range []struct {
+		name   string
+		params map[string]any
+		ok     bool
+	}{
+		{"in cap", map[string]any{"n": 1, "seed": 5}, true},
+		{"l2 lines over cap", map[string]any{"n": 1, "l2_lines": 131072, "l2_ways": 2}, false},
+		{"l2 ways over cap", map[string]any{"n": 1, "l2_lines": 1024, "l2_ways": 128}, false},
+		{"arrival cycles over cap", map[string]any{"n": 1, "jitter": 0.1, "arrival_cycles": 5000}, false},
+		{"no scenarios", map[string]any{"n": 0}, false},
+		{"apps over cap", map[string]any{"n": 1, "apps": 9}, false},
+		{"maxm over cap", map[string]any{"n": 1, "maxm": 13}, false},
+		{"unknown objective", map[string]any{"n": 1, "objective": "psychic"}, false},
+		{"unknown budget", map[string]any{"n": 1, "budget": "nope"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := url.Values{}
+			for k, v := range tc.params {
+				q.Set(k, fmt.Sprint(v))
+			}
+			body, err := json.Marshal(tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := http.StatusBadRequest
+			if tc.ok {
+				want = http.StatusOK
+			}
+			if code := getJSON(t, hs.URL+"/v1/sweep?"+q.Encode(), nil); code != want {
+				t.Errorf("GET /v1/sweep status %d, want %d", code, want)
+			}
+			for _, path := range []string{"/v1/sweep", "/v1/shards/jobs"} {
+				if code := postJSON(t, hs.URL+path, body); code != want {
+					t.Errorf("POST %s status %d, want %d", path, code, want)
+				}
+			}
+		})
+	}
+}
+
+// TestServedBodyLimit pins the request-body cap on every JSON-decoding
+// handler: a well-formed body padded past resilience.MaxBodyBytes with an
+// unknown field is refused instead of being read whole.
+func TestServedBodyLimit(t *testing.T) {
+	_, hs := testServer(t, t.TempDir())
+	pad := strings.Repeat("x", resilience.MaxBodyBytes)
+	for path, body := range map[string]string{
+		"/v1/design":      `{"schedules": ["1,1,1"], "budget": "tiny"`,
+		"/v1/sweep":       `{"n": 1, "seed": 5`,
+		"/v1/shards/jobs": `{"n": 1, "seed": 5`,
+	} {
+		if code := postJSON(t, hs.URL+path, []byte(body+"}")); code != http.StatusOK {
+			t.Errorf("POST %s status %d, want 200", path, code)
+		}
+		if code := postJSON(t, hs.URL+path, []byte(body+`, "pad": "`+pad+`"}`)); code != http.StatusBadRequest {
+			t.Errorf("POST %s padded past the cap: status %d, want 400", path, code)
+		}
+	}
+}
+
+// postJSON posts a JSON body and returns the status code.
+func postJSON(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
 }

@@ -50,14 +50,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/fabric"
 	"repro/internal/prof"
 	"repro/internal/resilience"
@@ -143,9 +141,7 @@ func run(args []string, stdout io.Writer) error {
 	if *scrubRepair {
 		return fmt.Errorf("sweep: -scrub-repair requires -scrub")
 	}
-	if *n < 1 {
-		return fmt.Errorf("sweep: -n must be at least 1")
-	}
+	// A spec reads platforms 0 as the default; the flag already defaults.
 	if max := len(engine.PlatformVariants()); *platforms < 1 || *platforms > max {
 		return fmt.Errorf("sweep: -platforms must be in [1, %d]", max)
 	}
@@ -155,35 +151,18 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer stopProf()
 
-	var obj engine.Objective
-	switch *objective {
-	case "timing":
-		obj = engine.ObjectiveTiming
-	case "design":
-		obj = engine.ObjectiveDesign
-	default:
-		return fmt.Errorf("sweep: unknown objective %q", *objective)
+	// One spec for both paths: a local run expands it here, a -remote run
+	// submits it and its workers expand it the same way.
+	spec := fabric.JobSpec{
+		N: *n, Apps: *nApps, Seed: *seed, MaxM: *maxM, Starts: *starts,
+		Tol: *tol, Objective: *objective, Budget: *budget,
+		Platforms: *platforms, Exhaustive: *exhaustive, Shards: *shards,
+		Jitter: *jitter, ArrivalSeed: *arrivalSeed, ArrivalCycles: *arrivalCycles,
+		L2Lines: *l2Lines, L2Ways: *l2Ways, L2Hit: *l2Hit, L2Exclusive: *l2Exclusive,
 	}
-
-	grid := engine.Grid{
-		N:          *n,
-		Apps:       *nApps,
-		Seed:       *seed,
-		MaxM:       *maxM,
-		Starts:     *starts,
-		Tol:        *tol,
-		Objective:  obj,
-		Budget:     exp.Budget(*budget),
-		Platforms:  *platforms,
-		Exhaustive: *exhaustive,
-
-		Jitter:        *jitter,
-		ArrivalSeed:   *arrivalSeed,
-		ArrivalCycles: *arrivalCycles,
-		L2Lines:       *l2Lines,
-		L2Ways:        *l2Ways,
-		L2Hit:         *l2Hit,
-		L2Exclusive:   *l2Exclusive,
+	grid, err := spec.Grid()
+	if err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	scenarios, err := grid.Scenarios()
 	if err != nil {
@@ -195,13 +174,6 @@ func run(args []string, stdout io.Writer) error {
 			// The coordinator owns the store in a remote run; mixing in local
 			// persistence flags would silently split results across stores.
 			return fmt.Errorf("sweep: -remote excludes -store, -resume, and -shard")
-		}
-		spec := fabric.JobSpec{
-			N: *n, Apps: *nApps, Seed: *seed, MaxM: *maxM, Starts: *starts,
-			Tol: *tol, Objective: *objective, Budget: *budget,
-			Platforms: *platforms, Exhaustive: *exhaustive, Shards: *shards,
-			Jitter: *jitter, ArrivalSeed: *arrivalSeed, ArrivalCycles: *arrivalCycles,
-			L2Lines: *l2Lines, L2Ways: *l2Ways, L2Hit: *l2Hit, L2Exclusive: *l2Exclusive,
 		}
 		results, err := runRemote(*remote, spec, scenarios, *workers, *remotePoll, *remoteTimeout)
 		if err != nil {
@@ -263,18 +235,6 @@ func run(args []string, stdout io.Writer) error {
 // the slow-progress case, which only the overall -remote-timeout bounds.
 const maxUnreachablePolls = 8
 
-// jitterSeed folds a job ID into a deterministic seed for the poll jitter,
-// so concurrent drivers watching different jobs desynchronize.
-func jitterSeed(jobID string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(jobID))
-	seed := int64(h.Sum64())
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
-}
-
 // runRemote submits the grid as a cluster job, waits for the coordinator's
 // workers to finish every shard, then assembles the results through the
 // coordinator's HTTP store: a resume-mode sweep that loads each scenario's
@@ -295,7 +255,7 @@ func runRemote(base string, spec fabric.JobSpec, scenarios []engine.Scenario, wo
 	}
 	fmt.Fprintf(os.Stderr, "sweep: job %s submitted to %s\n", jobID, base)
 	deadline := time.Now().Add(timeout)
-	jit := resilience.NewJitter(poll, 3*poll, jitterSeed(jobID))
+	jit := resilience.NewJitter(poll, 3*poll, resilience.SeedOf(jobID))
 	lastDone := -1
 	unreachable := 0
 	for {

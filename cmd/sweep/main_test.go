@@ -97,6 +97,16 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownBudget pins that the CLI checks budget names
+// against the list the service and the coordinator use, instead of
+// running an unknown name as the quick budget.
+func TestRunRejectsUnknownBudget(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-n", "1", "-budget", "nope"}, &sb); err == nil {
+		t.Errorf("-budget nope accepted:\n%s", sb.String())
+	}
+}
+
 // TestRunScenarioAxisFlags drives the arrival and hierarchy flags end to
 // end: each axis changes the report, stays deterministic across worker
 // counts, and invalid axis values fail flag validation.

@@ -1,8 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"net/http"
+
+	"repro/internal/resilience"
 )
 
 // Middleware wraps an http.Handler with seeded fault injection: per the
@@ -44,36 +45,10 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Serve the real response with its body mangled. Buffer it so the
 	// corruption flips a mid-payload byte regardless of how the inner
 	// handler chunked its writes.
-	rec := &bufferingWriter{header: make(http.Header), code: http.StatusOK}
-	m.next.ServeHTTP(rec, r)
+	var rec resilience.ResponseBuffer
+	m.next.ServeHTTP(&rec, r)
 	m.corruptions.Add(1)
-	for k, vs := range rec.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(rec.code)
-	w.Write(mangle(rec.body.Bytes()))
-}
-
-// bufferingWriter captures a response for post-hoc corruption.
-type bufferingWriter struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-	wrote  bool
-}
-
-func (b *bufferingWriter) Header() http.Header { return b.header }
-
-func (b *bufferingWriter) WriteHeader(code int) {
-	if !b.wrote {
-		b.code = code
-		b.wrote = true
-	}
-}
-
-func (b *bufferingWriter) Write(p []byte) (int, error) {
-	b.wrote = true
-	return b.body.Write(p)
+	body := rec.Bytes()
+	copy(body, mangle(body))
+	rec.Flush(w)
 }

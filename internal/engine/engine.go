@@ -73,6 +73,18 @@ func (o Objective) String() string {
 	}
 }
 
+// ParseObjective is the inverse of Objective.String: the one mapping from
+// an objective's name, as the CLIs and the HTTP service spell it, to its
+// value.
+func ParseObjective(name string) (Objective, error) {
+	for _, o := range []Objective{ObjectiveTiming, ObjectiveDesign} {
+		if o.String() == name {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown objective %q (want timing or design)", name)
+}
+
 // Scenario describes one sweep unit: a taskset, a platform, and a schedule
 // search over it. The zero value plus a Seed is a valid randomized
 // three-app scenario on the paper platform.

@@ -746,22 +746,33 @@ func TinyBudget() ctrl.DesignOptions {
 	return opt
 }
 
-// Budget maps a CLI budget name to design options (default quick). It is
-// the single source of the name-to-options mapping for every command.
-func Budget(name string) ctrl.DesignOptions {
-	switch name {
-	case "paper":
-		return PaperBudget()
-	case "tiny":
-		return TinyBudget()
-	case "deep":
+// budgets is the one list of design budget names every command and the
+// HTTP service accept.
+var budgets = map[string]func() ctrl.DesignOptions{
+	"tiny":  TinyBudget,
+	"quick": QuickBudget,
+	"paper": PaperBudget,
+	"deep": func() ctrl.DesignOptions {
 		var opt ctrl.DesignOptions
 		opt.Swarm.Particles = 64
 		opt.Swarm.Iterations = 150
 		return opt
-	default:
-		return QuickBudget()
+	},
+}
+
+// KnownBudget reports whether name is a budget Budget maps.
+func KnownBudget(name string) bool {
+	_, ok := budgets[name]
+	return ok
+}
+
+// Budget maps a CLI budget name to design options (default quick). It is
+// the single source of the name-to-options mapping for every command.
+func Budget(name string) ctrl.DesignOptions {
+	if b, ok := budgets[name]; ok {
+		return b()
 	}
+	return QuickBudget()
 }
 
 // PaperBudget returns the full experiment design budget.

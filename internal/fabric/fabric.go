@@ -53,9 +53,10 @@ import (
 	"repro/internal/sched"
 )
 
-// Request bounds for one job, mirroring cmd/served's per-request caps: the
-// coordinator is long-lived and a single submitted spec must not be able to
-// take the cluster down.
+// Request bounds of one JobSpec, the only caps on a randomized sweep that
+// arrives over HTTP: the coordinator enforces them on submitted jobs and
+// cmd/served on /v1/sweep requests (and on /v1/table's maxm). Both are
+// long-lived, and a single request must not be able to take them down.
 const (
 	MaxScenarios = 10000 // n per job
 	MaxApps      = 8     // apps per scenario (box grows as maxm^apps)
@@ -85,12 +86,14 @@ var (
 	ErrJournal    = errors.New("fabric: journal write failed")
 )
 
-// JobSpec declares one distributed sweep: the randomized-grid parameters of
-// engine.Grid in their wire form (objective and budget by name, exactly the
-// vocabulary cmd/sweep and /v1/sweep use) plus the shard count to split it
-// into. The zero values of the optional fields mean "engine default", so a
-// spec maps onto the same Grid a local CLI run would build — which is what
-// keeps distributed store keys identical to local ones.
+// JobSpec is the one wire form of a randomized sweep: the parameters of
+// engine.Grid with objective and budget by name, plus the shard count a
+// distributed job is split into. cmd/sweep builds one from its flags (for
+// local and -remote runs alike), /v1/sweep decodes one from its query or
+// body, and the coordinator takes one per submitted job; each expands it
+// with Grid. The zero values of the optional fields mean "engine default",
+// so every path builds the same scenarios — which is what keeps
+// distributed store keys identical to local ones.
 type JobSpec struct {
 	N          int     `json:"n"`
 	Apps       int     `json:"apps,omitempty"`
@@ -157,27 +160,32 @@ func (s JobSpec) normalized() JobSpec {
 	// Axis fields: resolve defaults when the axis is active, clear them when
 	// it is not — the grid ignores inactive-axis parameters, so specs that
 	// differ only in them expand to the same scenarios and must share an ID.
-	if s.Jitter > 0 {
+	// An invalid activating value (negative, NaN) is left as is, so Grid
+	// still rejects it in runs that skip Validate.
+	switch {
+	case s.Jitter > 0:
 		if s.ArrivalCycles == 0 {
 			s.ArrivalCycles = sched.DefaultArrivalCycles
 		}
-	} else {
-		s.Jitter, s.ArrivalSeed, s.ArrivalCycles = 0, 0, 0
+	case s.Jitter == 0:
+		s.ArrivalSeed, s.ArrivalCycles = 0, 0
 	}
-	if s.L2Lines > 0 {
+	switch {
+	case s.L2Lines > 0:
 		if s.L2Ways == 0 {
 			s.L2Ways = 4
 		}
 		if s.L2Hit == 0 {
 			s.L2Hit = 10
 		}
-	} else {
-		s.L2Lines, s.L2Ways, s.L2Hit, s.L2Exclusive = 0, 0, 0, false
+	case s.L2Lines == 0:
+		s.L2Ways, s.L2Hit, s.L2Exclusive = 0, 0, false
 	}
 	return s
 }
 
-// Validate bounds-checks the spec against the job caps.
+// Validate bounds-checks the spec against the job caps and checks that it
+// expands (known objective and budget names).
 func (s JobSpec) Validate() error {
 	if s.N < 1 || s.N > MaxScenarios {
 		return fmt.Errorf("fabric: n must be in [1, %d]", MaxScenarios)
@@ -201,16 +209,6 @@ func (s JobSpec) Validate() error {
 	if s.Tol < 0 || math.IsInf(s.Tol, 1) || math.IsNaN(s.Tol) {
 		return fmt.Errorf("fabric: tol must be finite and non-negative (0 = default)")
 	}
-	switch s.Objective {
-	case "", "timing", "design":
-	default:
-		return fmt.Errorf("fabric: unknown objective %q", s.Objective)
-	}
-	switch s.Budget {
-	case "", "tiny", "quick", "paper", "deep":
-	default:
-		return fmt.Errorf("fabric: unknown budget %q", s.Budget)
-	}
 	if max := len(engine.PlatformVariants()); s.Platforms < 0 || s.Platforms > max {
 		return fmt.Errorf("fabric: platforms must be in [0, %d]", max)
 	}
@@ -229,7 +227,8 @@ func (s JobSpec) Validate() error {
 	if s.L2Hit < 0 {
 		return fmt.Errorf("fabric: l2_hit must be non-negative (0 = default)")
 	}
-	return nil
+	_, err := s.Grid()
+	return err
 }
 
 // Grid expands the spec into the engine.Grid every participant — workers
@@ -238,14 +237,12 @@ func (s JobSpec) Validate() error {
 // equal content-hashed store keys on every machine.
 func (s JobSpec) Grid() (engine.Grid, error) {
 	s = s.normalized()
-	var obj engine.Objective
-	switch s.Objective {
-	case "timing":
-		obj = engine.ObjectiveTiming
-	case "design":
-		obj = engine.ObjectiveDesign
-	default:
-		return engine.Grid{}, fmt.Errorf("fabric: unknown objective %q", s.Objective)
+	obj, err := engine.ParseObjective(s.Objective)
+	if err != nil {
+		return engine.Grid{}, fmt.Errorf("fabric: %w", err)
+	}
+	if !exp.KnownBudget(s.Budget) {
+		return engine.Grid{}, fmt.Errorf("fabric: unknown budget %q", s.Budget)
 	}
 	return engine.Grid{
 		N: s.N, Apps: s.Apps, Seed: s.Seed, MaxM: s.MaxM,

@@ -1,14 +1,10 @@
 package fabric
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/resilience"
@@ -54,7 +50,7 @@ func Handler(m *Manager) http.Handler {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 	}
 	decode := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(v); err != nil {
+		if err := resilience.DecodeJSON(w, r, v); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 			return false
 		}
@@ -140,28 +136,6 @@ func Handler(m *Manager) http.Handler {
 	return mux
 }
 
-// DefaultOpTimeout is the per-attempt deadline of one protocol call when
-// ClientOptions leaves OpTimeout zero. Lease traffic is tiny JSON bodies;
-// an attempt slower than this is a dead coordinator, and the retry budget
-// absorbs restarts.
-const DefaultOpTimeout = 5 * time.Second
-
-// ClientOptions configures a protocol client's resilience envelope. The
-// zero value of every field resolves to a sane default.
-type ClientOptions struct {
-	// HTTPClient issues the requests; nil uses a default client with no
-	// client-wide timeout (deadlines are per-operation).
-	HTTPClient *http.Client
-	// OpTimeout is the per-attempt deadline of one protocol call
-	// (0 = DefaultOpTimeout, negative = no deadline).
-	OpTimeout time.Duration
-	// Policy is the retry policy for transient failures (zero value =
-	// resilience defaults).
-	Policy resilience.Policy
-	// Breaker guards the coordinator edge; nil installs a default breaker.
-	Breaker *resilience.Breaker
-}
-
 // protocolError carries a manager sentinel together with its HTTP status
 // classification: errors.Is still matches ErrUnknownJob/ErrLeaseLost for
 // callers, while the retry layer sees a definitive 4xx StatusError and
@@ -174,148 +148,75 @@ type protocolError struct {
 func (e *protocolError) Error() string   { return e.sentinel.Error() }
 func (e *protocolError) Unwrap() []error { return []error{e.sentinel, e.status} }
 
-// Client speaks the lease protocol against a coordinator. Transient
-// failures (transport errors, 5xx, 429) are retried on a seeded-jitter
-// backoff schedule under per-operation deadlines, and a circuit breaker
-// fails calls fast while the coordinator is down. Protocol verdicts —
-// ErrUnknownJob (404), ErrLeaseLost (409) — are definitive: returned
-// immediately, never retried, never counted against the breaker. The zero
-// value is unusable; construct with NewClient or NewClientWithOptions.
+// Client speaks the lease protocol against a coordinator through a
+// resilience.Endpoint: transient failures (transport errors, 5xx, 429) are
+// retried on a seeded-jitter backoff schedule under per-attempt deadlines,
+// and a circuit breaker fails calls fast while the coordinator is down.
+// Protocol verdicts — ErrUnknownJob (404), ErrLeaseLost (409) — are
+// definitive: returned immediately, never retried, never counted against
+// the breaker. The zero value is unusable; construct with NewClient or
+// NewClientWithOptions.
 type Client struct {
-	base      string
-	hc        *http.Client
-	opTimeout time.Duration
-	retry     *resilience.Retryer
+	*resilience.Endpoint
 }
 
 // NewClient returns a protocol client for the coordinator at baseURL with
 // the default resilience envelope. httpClient may be nil for a default.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
-	return NewClientWithOptions(baseURL, ClientOptions{HTTPClient: httpClient})
+	return NewClientWithOptions(baseURL, resilience.Options{HTTPClient: httpClient})
 }
 
 // NewClientWithOptions returns a protocol client with an explicit
 // resilience envelope.
-func NewClientWithOptions(baseURL string, o ClientOptions) *Client {
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
-	}
-	if o.OpTimeout == 0 {
-		o.OpTimeout = DefaultOpTimeout
-	}
-	if o.Breaker == nil {
-		o.Breaker = resilience.NewBreaker(0, 0)
-	}
-	return &Client{
-		base:      strings.TrimRight(baseURL, "/"),
-		hc:        o.HTTPClient,
-		opTimeout: o.OpTimeout,
-		retry:     resilience.NewRetryer(o.Policy, o.Breaker),
-	}
+func NewClientWithOptions(baseURL string, o resilience.Options) *Client {
+	return &Client{resilience.NewEndpoint(baseURL, o)}
 }
 
-// Retryer exposes the client's retry loop (tests replace its sleep to pin
-// schedules without waiting them out).
-func (c *Client) Retryer() *resilience.Retryer { return c.retry }
-
-// Breaker exposes the circuit breaker guarding this client's coordinator
-// edge.
-func (c *Client) Breaker() *resilience.Breaker { return c.retry.Breaker() }
-
-// opCtx builds one attempt's deadline context.
-func (c *Client) opCtx() (context.Context, context.CancelFunc) {
-	if c.opTimeout > 0 {
-		return context.WithTimeout(context.Background(), c.opTimeout)
-	}
-	return context.Background(), func() {}
-}
-
-// post sends body as JSON and decodes a JSON response into out (when
-// non-nil and the status has a body), retrying transient failures.
-// Protocol statuses are mapped back to the manager's sentinel errors.
-func (c *Client) post(path string, body, out any) (int, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+// call sends body (nil = none) as JSON and decodes a 200 JSON response
+// into out (when non-nil), retrying transient failures. It returns the
+// final status; protocol statuses map back to the manager's sentinels.
+func (c *Client) call(method, path string, body, out any) (int, error) {
+	var data []byte
+	if body != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			return 0, err
+		}
 	}
 	var code int
-	err = c.retry.Do(context.Background(), func() error {
-		code = 0
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
+	err := c.Do(method, path, data, func(resp *http.Response) error {
 		code = resp.StatusCode
 		switch resp.StatusCode {
 		case http.StatusOK:
 			if out != nil {
 				return json.NewDecoder(resp.Body).Decode(out)
 			}
+			return nil
 		case http.StatusNoContent:
+			return nil
 		case http.StatusNotFound:
-			io.Copy(io.Discard, resp.Body)
 			return &protocolError{sentinel: ErrUnknownJob, status: resilience.NewStatusError(resp.StatusCode, "")}
 		case http.StatusConflict:
-			io.Copy(io.Discard, resp.Body)
 			return &protocolError{sentinel: ErrLeaseLost, status: resilience.NewStatusError(resp.StatusCode, "")}
-		default:
-			var e struct {
-				Error string `json:"error"`
-			}
-			json.NewDecoder(resp.Body).Decode(&e)
-			if e.Error == "" {
-				e.Error = resp.Status
-			}
-			return fmt.Errorf("fabric: %s: %s: %w", path, e.Error,
-				resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After")))
 		}
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	})
-	return code, err
-}
-
-// get fetches path and decodes the 200 JSON body into out, retrying
-// transient failures.
-func (c *Client) get(path string, out any) error {
-	return c.retry.Do(context.Background(), func() error {
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return err
+		var e struct {
+			Error string `json:"error"`
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return err
+		json.NewDecoder(resp.Body).Decode(&e)
+		if e.Error == "" {
+			e.Error = resp.Status
 		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return json.NewDecoder(resp.Body).Decode(out)
-		case http.StatusNotFound:
-			io.Copy(io.Discard, resp.Body)
-			return &protocolError{sentinel: ErrUnknownJob, status: resilience.NewStatusError(resp.StatusCode, "")}
-		}
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("fabric: %s: %s: %w", path, resp.Status,
+		return fmt.Errorf("fabric: %s: %s: %w", path, e.Error,
 			resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After")))
 	})
+	return code, err
 }
 
 // Submit registers spec and returns its job ID. Safe to retry: job IDs are
 // content-hashed, so a resubmission after a lost response is idempotent.
 func (c *Client) Submit(spec JobSpec) (string, error) {
 	var resp submitResponse
-	if _, err := c.post("/v1/shards/jobs", spec, &resp); err != nil {
+	if _, err := c.call(http.MethodPost, "/v1/shards/jobs", spec, &resp); err != nil {
 		return "", err
 	}
 	return resp.Job, nil
@@ -326,7 +227,7 @@ func (c *Client) Jobs() ([]JobStatus, error) {
 	var body struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
-	if err := c.get("/v1/shards/jobs", &body); err != nil {
+	if _, err := c.call(http.MethodGet, "/v1/shards/jobs", nil, &body); err != nil {
 		return nil, err
 	}
 	return body.Jobs, nil
@@ -335,7 +236,7 @@ func (c *Client) Jobs() ([]JobStatus, error) {
 // Status fetches one job's snapshot.
 func (c *Client) Status(jobID string) (JobStatus, error) {
 	var st JobStatus
-	if err := c.get("/v1/shards/jobs/"+jobID, &st); err != nil {
+	if _, err := c.call(http.MethodGet, "/v1/shards/jobs/"+jobID, nil, &st); err != nil {
 		return JobStatus{}, err
 	}
 	return st, nil
@@ -347,7 +248,7 @@ func (c *Client) Status(jobID string) (JobStatus, error) {
 // and is re-stolen.
 func (c *Client) Acquire(jobID, worker string, ttl time.Duration) (Lease, bool, error) {
 	var lease Lease
-	code, err := c.post("/v1/shards/acquire",
+	code, err := c.call(http.MethodPost, "/v1/shards/acquire",
 		acquireRequest{Job: jobID, Worker: worker, TTLMS: ttl.Milliseconds()}, &lease)
 	if err != nil {
 		return Lease{}, false, err
@@ -358,14 +259,14 @@ func (c *Client) Acquire(jobID, worker string, ttl time.Duration) (Lease, bool, 
 // Heartbeat renews a lease; ErrLeaseLost means the shard was stolen or
 // finished elsewhere and the worker should abandon it.
 func (c *Client) Heartbeat(l Lease, worker string, ttl time.Duration) error {
-	_, err := c.post("/v1/shards/heartbeat",
+	_, err := c.call(http.MethodPost, "/v1/shards/heartbeat",
 		shardRequest{Job: l.Job, Shard: l.Shard, Worker: worker, TTLMS: ttl.Milliseconds()}, nil)
 	return err
 }
 
 // Complete marks the leased shard done (idempotent server-side).
 func (c *Client) Complete(l Lease, worker string) error {
-	_, err := c.post("/v1/shards/complete",
+	_, err := c.call(http.MethodPost, "/v1/shards/complete",
 		shardRequest{Job: l.Job, Shard: l.Shard, Worker: worker}, nil)
 	return err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"time"
@@ -73,32 +72,6 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// sleep pauses for d or until ctx is cancelled.
-func sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-// nameSeed folds a worker name into a deterministic per-worker seed for
-// jitter and retry streams, so two workers never share a schedule but each
-// worker's own schedule is reproducible.
-func nameSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	seed := int64(h.Sum64())
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
-}
-
 // Run executes the lease loop until ctx is cancelled (returning ctx.Err())
 // or, with Drain set, until the coordinator reports no available work
 // (returning nil). Transport errors are retried — a worker outlives
@@ -119,18 +92,15 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 	if errLimit <= 0 {
 		errLimit = 10
 	}
-	seed := nameSeed(w.Name)
+	seed := resilience.SeedOf(w.Name)
 	// Idle waits draw from a decorrelated-jitter schedule: nominally poll,
 	// stretching toward 3x under sustained idleness, reset by useful work.
 	jit := resilience.NewJitter(poll, 3*poll, seed)
-	cl := NewClientWithOptions(w.Coordinator, ClientOptions{
-		HTTPClient: w.HTTPClient,
-		Policy:     resilience.Policy{Seed: seed},
-	})
-	backend := httpstore.NewWithOptions(w.Coordinator, httpstore.Options{
-		HTTPClient: w.HTTPClient,
-		Policy:     resilience.Policy{Seed: seed},
-	})
+	// One envelope per client: a store outage must not open the lease
+	// edge's breaker, nor the other way round.
+	opts := resilience.Options{HTTPClient: w.HTTPClient, Policy: resilience.Policy{Seed: seed}}
+	cl := NewClientWithOptions(w.Coordinator, opts)
+	backend := httpstore.NewWithOptions(w.Coordinator, opts)
 
 	consecutiveErrs := 0
 	for {
@@ -144,7 +114,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 			if w.Drain && consecutiveErrs >= errLimit {
 				return stats, fmt.Errorf("fabric: worker %s: coordinator unreachable: %w", w.Name, err)
 			}
-			sleep(ctx, jit.Next())
+			resilience.Sleep(ctx, jit.Next())
 			continue
 		}
 		if !ok {
@@ -162,7 +132,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 					if consecutiveErrs >= errLimit {
 						return stats, fmt.Errorf("fabric: worker %s: coordinator unreachable: %w", w.Name, jerr)
 					}
-					sleep(ctx, jit.Next())
+					resilience.Sleep(ctx, jit.Next())
 					continue
 				}
 				consecutiveErrs = 0
@@ -178,7 +148,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 				}
 			}
 			consecutiveErrs = 0
-			sleep(ctx, jit.Next())
+			resilience.Sleep(ctx, jit.Next())
 			continue
 		}
 		consecutiveErrs = 0
@@ -207,7 +177,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 			}
 			w.logf("worker %s: %s shard %d/%d failed after %d scenario(s): %v",
 				w.Name, lease.Job, lease.Shard, lease.Shards, ran, err)
-			sleep(ctx, jit.Next()) // a poisoned shard must not hot-loop
+			resilience.Sleep(ctx, jit.Next()) // a poisoned shard must not hot-loop
 			continue
 		}
 		// Crash point: every record of the range is published, the lease
@@ -315,7 +285,7 @@ func (w *Worker) runShard(ctx context.Context, cl *Client, backend *httpstore.Cl
 			return ran, err
 		}
 		ran++
-		sleep(shardCtx, w.Throttle)
+		resilience.Sleep(shardCtx, w.Throttle)
 	}
 	return ran, nil
 }

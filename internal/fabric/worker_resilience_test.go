@@ -17,7 +17,7 @@ import (
 // fastClient returns a protocol client with millisecond backoff so
 // exhaustion tests don't wait out real schedules.
 func fastClient(baseURL string) *Client {
-	return NewClientWithOptions(baseURL, ClientOptions{
+	return NewClientWithOptions(baseURL, resilience.Options{
 		Policy: resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 	})
 }

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -21,6 +22,18 @@ type Jitter struct {
 	cap  time.Duration
 	prev time.Duration
 	rng  *rand.Rand
+}
+
+// SeedOf folds a name (a worker identity, a job ID) into a deterministic,
+// non-zero seed for jitter and retry streams: two names never share a
+// schedule, and each name's schedule is reproducible.
+func SeedOf(name string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	if seed := int64(h.Sum64()); seed != 0 {
+		return seed
+	}
+	return 1
 }
 
 // NewJitter builds a decorrelated-jitter source: intervals start at base

@@ -28,6 +28,12 @@
 // Determinism: jitter draws from a seeded stream per call slot, never from
 // global randomness, so tests pin exact backoff sequences and two runs of
 // a seeded chaos scenario retry on identical schedules.
+//
+// Endpoint is the one client envelope every HTTP client of the fabric
+// embeds: per-attempt deadlines, this retry policy and a breaker around
+// each request, with only the mapping of response statuses left to the
+// protocol client. The server side of the same edges shares DecodeJSON's
+// body cap and ResponseBuffer.
 package resilience
 
 import (
@@ -194,14 +200,14 @@ type Retryer struct {
 
 // NewRetryer builds a Retryer from a policy and an optional breaker.
 func NewRetryer(p Policy, b *Breaker) *Retryer {
-	return &Retryer{policy: p.withDefaults(), breaker: b, sleep: sleepCtx}
+	return &Retryer{policy: p.withDefaults(), breaker: b, sleep: Sleep}
 }
 
 // SetSleep replaces the delay primitive (test hook). Passing nil restores
 // the real clock.
 func (r *Retryer) SetSleep(sleep func(ctx context.Context, d time.Duration)) {
 	if sleep == nil {
-		sleep = sleepCtx
+		sleep = Sleep
 	}
 	r.sleep = sleep
 }
@@ -219,7 +225,8 @@ func (r *Retryer) Stats() Stats {
 	}
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) {
+// Sleep pauses for d or until ctx is cancelled, whichever comes first.
+func Sleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
 	}

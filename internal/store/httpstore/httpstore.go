@@ -34,8 +34,6 @@
 package httpstore
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -43,7 +41,6 @@ import (
 	"net/url"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/resilience"
 	"repro/internal/store"
@@ -57,12 +54,6 @@ const pathPrefix = "/v1/store/"
 // JSON envelopes (checkpoints, outcomes, rendered tables); anything near
 // this limit is a broken or hostile client.
 const maxPayload = 8 << 20
-
-// DefaultOpTimeout is the per-attempt deadline of one Get/Put when Options
-// leaves OpTimeout zero. Store traffic is small records on a fast link; an
-// attempt that takes longer is a dead or wedged coordinator, and the retry
-// budget (not a long timeout) absorbs restarts.
-const DefaultOpTimeout = 5 * time.Second
 
 // errBadPayload marks a response that arrived with an unusable body (empty
 // or over maxPayload) — response-level corruption, counted in
@@ -80,24 +71,6 @@ func escapeKey(key string) string {
 	return strings.Join(segs, "/")
 }
 
-// Options configures a Client's resilience envelope. The zero value of
-// every field resolves to a sane default.
-type Options struct {
-	// HTTPClient issues the requests; nil uses a default client with no
-	// client-wide timeout (deadlines are per-operation).
-	HTTPClient *http.Client
-	// OpTimeout is the per-attempt deadline of one Get/Put
-	// (0 = DefaultOpTimeout, negative = no deadline).
-	OpTimeout time.Duration
-	// Policy is the retry policy for transient failures (zero value =
-	// resilience defaults: 4 attempts, 50ms..2s backoff).
-	Policy resilience.Policy
-	// Breaker guards the coordinator edge; nil installs a default breaker
-	// (open after 5 consecutive transient failures, 5s cooldown). Tests
-	// inject one on a fake clock.
-	Breaker *resilience.Breaker
-}
-
 // ResilienceStats snapshots the client's retry and breaker counters for
 // observability endpoints (/statsz).
 type ResilienceStats struct {
@@ -106,13 +79,11 @@ type ResilienceStats struct {
 }
 
 // Client is a store.Backend whose records live behind a coordinator's
-// /v1/store endpoints. All methods are safe for concurrent use. The zero
-// value is not usable; construct with New or NewWithOptions.
+// /v1/store endpoints, reached through a resilience.Endpoint. All methods
+// are safe for concurrent use. The zero value is not usable; construct with
+// New or NewWithOptions.
 type Client struct {
-	base      string // coordinator base URL, no trailing slash
-	hc        *http.Client
-	opTimeout time.Duration
-	retry     *resilience.Retryer
+	*resilience.Endpoint
 
 	gets      atomic.Int64
 	hits      atomic.Int64
@@ -125,49 +96,12 @@ type Client struct {
 // "http://coordinator:8080") with the default resilience envelope.
 // httpClient may be nil for a default.
 func New(baseURL string, httpClient *http.Client) *Client {
-	return NewWithOptions(baseURL, Options{HTTPClient: httpClient})
+	return NewWithOptions(baseURL, resilience.Options{HTTPClient: httpClient})
 }
 
 // NewWithOptions returns a client with an explicit resilience envelope.
-func NewWithOptions(baseURL string, o Options) *Client {
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
-	}
-	if o.OpTimeout == 0 {
-		o.OpTimeout = DefaultOpTimeout
-	}
-	if o.Breaker == nil {
-		o.Breaker = resilience.NewBreaker(0, 0)
-	}
-	return &Client{
-		base:      strings.TrimRight(baseURL, "/"),
-		hc:        o.HTTPClient,
-		opTimeout: o.OpTimeout,
-		retry:     resilience.NewRetryer(o.Policy, o.Breaker),
-	}
-}
-
-// Base returns the coordinator base URL the client was built with.
-func (c *Client) Base() string { return c.base }
-
-// Retryer exposes the client's retry loop (tests replace its sleep to pin
-// schedules without waiting them out).
-func (c *Client) Retryer() *resilience.Retryer { return c.retry }
-
-// Breaker exposes the circuit breaker guarding this client's coordinator
-// edge.
-func (c *Client) Breaker() *resilience.Breaker { return c.retry.Breaker() }
-
-func (c *Client) keyURL(key string) string {
-	return c.base + pathPrefix + escapeKey(key)
-}
-
-// opCtx builds one attempt's deadline context.
-func (c *Client) opCtx() (context.Context, context.CancelFunc) {
-	if c.opTimeout > 0 {
-		return context.WithTimeout(context.Background(), c.opTimeout)
-	}
-	return context.Background(), func() {}
+func NewWithOptions(baseURL string, o resilience.Options) *Client {
+	return &Client{Endpoint: resilience.NewEndpoint(baseURL, o)}
 }
 
 // Get fetches the payload stored under key. Any failure — transport error,
@@ -179,28 +113,14 @@ func (c *Client) Get(key string) ([]byte, bool) {
 	c.gets.Add(1)
 	var data []byte
 	found := false
-	err := c.retry.Do(context.Background(), func() error {
-		data, found = nil, false
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.keyURL(key), nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
+	err := c.Do(http.MethodGet, pathPrefix+escapeKey(key), nil, func(resp *http.Response) error {
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusNotFound:
 			// A definitive miss from a healthy coordinator: not an error,
 			// not retryable, not a breaker failure.
-			io.Copy(io.Discard, resp.Body)
 			return nil
 		default:
-			io.Copy(io.Discard, resp.Body)
 			return resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
 		body, err := io.ReadAll(io.LimitReader(resp.Body, maxPayload+1))
@@ -231,20 +151,7 @@ func (c *Client) Get(key string) ([]byte, bool) {
 // Stats.PutErrors and swallowed, exactly like a disk-store write error.
 func (c *Client) Put(key string, payload []byte) {
 	c.puts.Add(1)
-	err := c.retry.Do(context.Background(), func() error {
-		ctx, cancel := c.opCtx()
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(key), bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	err := c.Do(http.MethodPut, pathPrefix+escapeKey(key), payload, func(resp *http.Response) error {
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 			return resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
@@ -283,8 +190,8 @@ func (c *Client) Stats() store.Stats {
 // Resilience snapshots the retry and breaker counters.
 func (c *Client) Resilience() ResilienceStats {
 	return ResilienceStats{
-		Retry:   c.retry.Stats(),
-		Breaker: c.retry.Breaker().Stats(),
+		Retry:   c.Retryer().Stats(),
+		Breaker: c.Breaker().Stats(),
 	}
 }
 

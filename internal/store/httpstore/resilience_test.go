@@ -14,8 +14,8 @@ import (
 
 // fastOptions returns an Options with millisecond backoff so retry tests
 // don't wait out real schedules.
-func fastOptions() Options {
-	return Options{
+func fastOptions() resilience.Options {
+	return resilience.Options{
 		Policy: resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 	}
 }
@@ -127,7 +127,7 @@ func TestBreakerOpenFailsFastNoStalls(t *testing.T) {
 	now := func() time.Time { return time.Unix(0, clk.t.Load()) }
 	br := resilience.NewBreaker(3, 5*time.Second)
 	br.SetClock(now)
-	cl := NewWithOptions(hs.URL, Options{
+	cl := NewWithOptions(hs.URL, resilience.Options{
 		Policy:  resilience.Policy{MaxAttempts: 1}, // isolate the breaker's behavior
 		Breaker: br,
 	})
@@ -194,7 +194,7 @@ func TestBreakerHalfOpenProbeFailureStaysOpen(t *testing.T) {
 	clk.t.Store(time.Unix(1_000_000, 0).UnixNano())
 	br := resilience.NewBreaker(1, time.Second)
 	br.SetClock(func() time.Time { return time.Unix(0, clk.t.Load()) })
-	cl := NewWithOptions(hs.URL, Options{
+	cl := NewWithOptions(hs.URL, resilience.Options{
 		Policy:  resilience.Policy{MaxAttempts: 1},
 		Breaker: br,
 	})
@@ -231,7 +231,7 @@ func TestPerOpTimeoutReplacesClientWide(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	cl := NewWithOptions(hs.URL, Options{
+	cl := NewWithOptions(hs.URL, resilience.Options{
 		OpTimeout: 20 * time.Millisecond,
 		Policy:    resilience.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
