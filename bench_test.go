@@ -523,7 +523,9 @@ func BenchmarkCacheSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkWCETAnalysis measures one full must-analysis + simulation pass.
+// BenchmarkWCETAnalysis measures one WCET analysis of a case-study
+// program: the must-analysis alone, cold pass plus warm fixpoint (the
+// concrete simulation is the tests' oracle, see wcet.Simulate).
 func BenchmarkWCETAnalysis(b *testing.B) {
 	prog := apps.CaseStudy()[0].Program
 	plat := wcet.PaperPlatform()
@@ -533,6 +535,31 @@ func BenchmarkWCETAnalysis(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSporadicEval measures the sporadic-arrival timing evaluator: one
+// evaluator (jitter drawn once) scoring the feasible box of a seeded 3-app
+// taskset, one schedule per op, as the co-design searches call it.
+func BenchmarkSporadicEval(b *testing.B) {
+	scn := engine.Scenario{Seed: 7, NumApps: 3}
+	timings, weights, err := engine.RandomTaskset(rand.New(rand.NewSource(scn.Seed)), scn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	box, err := sched.EnumerateFeasible(timings, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arr := sched.Arrival{Model: sched.ArrivalSporadic, Jitter: 0.2, Seed: 11}
+	eval := engine.SporadicTimingEval(timings, weights, arr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eval(box[i%len(box)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(box)), "box-size")
 }
 
 // closedLoopFixture assembles the plant, modes, and stabilizing gains of the

@@ -60,6 +60,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage
 	}
+	if !exp.KnownBudget(*budget) {
+		return fmt.Errorf("ccsched: unknown budget %q (want tiny | quick | paper | deep)", *budget)
+	}
 
 	plat := wcet.PaperPlatform()
 	study := apps.CaseStudy()

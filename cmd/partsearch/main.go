@@ -83,6 +83,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage
 	}
+	if !exp.KnownBudget(*budget) {
+		return fmt.Errorf("partsearch: unknown budget %q (want tiny | quick | paper | deep)", *budget)
+	}
 
 	rc := engine.RunConfig{Resume: *resume}
 	if *storeDir != "" {

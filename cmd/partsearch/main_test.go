@@ -65,3 +65,13 @@ func TestRunRejectsUnknownPlatformAndObjective(t *testing.T) {
 		t.Errorf("unknown objective error = %v", err)
 	}
 }
+
+// TestRunRejectsUnknownBudget pins that an unknown -budget name is a usage
+// error instead of running silently as the quick budget.
+func TestRunRejectsUnknownBudget(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-budget", "nope"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `unknown budget "nope"`) {
+		t.Errorf("-budget nope: err = %v, output:\n%s", err, sb.String())
+	}
+}

@@ -46,6 +46,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage
 	}
+	if !exp.KnownBudget(*budget) {
+		return fmt.Errorf("respdump: unknown budget %q (want tiny | quick | paper | deep)", *budget)
+	}
 
 	fw, err := exp.DefaultFramework(exp.Budget(*budget))
 	if err != nil {

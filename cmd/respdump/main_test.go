@@ -63,3 +63,13 @@ func TestRunErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsUnknownBudget pins that an unknown -budget name is a usage
+// error instead of running silently as the quick budget.
+func TestRunRejectsUnknownBudget(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-budget", "nope"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `unknown budget "nope"`) {
+		t.Errorf("-budget nope: err = %v, output:\n%s", err, sb.String())
+	}
+}

@@ -62,6 +62,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage
 	}
+	if !exp.KnownBudget(*budget) {
+		return fmt.Errorf("schedsearch: unknown budget %q (want tiny | quick | paper | deep)", *budget)
+	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err

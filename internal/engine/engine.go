@@ -138,8 +138,8 @@ type Scenario struct {
 
 	// Arrival selects the burst release model. The zero value is the
 	// paper's periodic model; a sporadic model with nonzero jitter scores
-	// schedules against the heap-driven event timeline
-	// (sched.SporadicTimeline) instead of the closed-form burst gap.
+	// schedules against the simulated FCFS timeline of jittered releases
+	// (sched.SporadicModel) instead of the closed-form burst gap.
 	// Sporadic with zero jitter is normalized back to the zero value, so
 	// it is bit-identical to — and shares every store key with — the
 	// periodic path. Sporadic arrivals support ObjectiveTiming on the
@@ -727,53 +727,56 @@ func TimingEval(timings []sched.AppTiming, weights []float64) search.EvalFunc {
 	}
 }
 
-// sporadicScore is timingScore over the heap-driven sporadic timeline:
-// the same P_i = 1 - (h_bar + h_max) / (2 t_idle) closed form, but with
-// the mean and worst sampling periods measured from the simulated jittered
-// timeline instead of derived from the periodic burst gap. Schedules whose
-// periodic derivation is already idle-infeasible are rejected up front
-// (jitter only delays releases, it never shortens periods); a schedule
-// whose *observed* worst period overruns the idle budget scores as
-// infeasible too.
-func sporadicScore(timings []sched.AppTiming, weights []float64, arr sched.Arrival, s sched.Schedule) (search.Outcome, error) {
-	ok, err := sched.IdleFeasible(timings, s)
-	if err != nil {
-		return search.Outcome{}, err
-	}
-	if !ok {
-		return search.Outcome{Pall: -1, Feasible: false}, nil
-	}
-	events, err := sched.SporadicTimeline(timings, s, arr)
-	if err != nil {
-		return search.Outcome{}, err
-	}
-	stats := sched.SporadicStats(timings, s, events)
-	pall := 0.0
-	feasible := true
-	for i, a := range timings {
-		limit := a.MaxIdle
-		if limit <= 0 {
-			// Unconstrained app: normalize against the empirical schedule
-			// period, mirroring timingScore's hyper-period fallback.
-			limit = stats[i].MeanPeriod * float64(s[i])
-		} else if stats[i].MaxPeriod > a.MaxIdle+1e-12 {
-			feasible = false
-		}
-		p := 1 - (stats[i].MeanPeriod+stats[i].MaxPeriod)/(2*limit)
-		if p < 0 {
-			feasible = false
-		}
-		pall += weights[i] * p
-	}
-	return search.Outcome{Pall: pall, Feasible: feasible}, nil
-}
-
 // SporadicTimingEval builds the ObjectiveTiming evaluator under a sporadic
-// arrival model: deterministic for fixed (timings, weights, arr), like
-// every other evaluator.
+// arrival model: timingScore's P_i = 1 - (h_bar + h_max) / (2 t_idle)
+// closed form, but with the mean and worst sampling periods measured from
+// the simulated jittered timeline instead of derived from the periodic
+// burst gap. Schedules whose periodic derivation is already
+// idle-infeasible are rejected up front (jitter only delays releases, it
+// never shortens periods); a schedule whose *observed* worst period
+// overruns the idle budget scores as infeasible too. The evaluator is
+// deterministic for fixed (timings, weights, arr), like every other. The
+// arrival model is compiled once here — its jitter draws depend only on
+// arr — so a call only replays the FCFS walk of its schedule; an invalid
+// arr fails every call that passes the idle check.
 func SporadicTimingEval(timings []sched.AppTiming, weights []float64, arr sched.Arrival) search.EvalFunc {
+	model, modelErr := sched.NewSporadicModel(timings, arr)
 	return func(s sched.Schedule) (search.Outcome, error) {
-		return sporadicScore(timings, weights, arr, s)
+		ok, err := sched.IdleFeasible(timings, s)
+		if err != nil {
+			return search.Outcome{}, err
+		}
+		if !ok {
+			return search.Outcome{Pall: -1, Feasible: false}, nil
+		}
+		if modelErr != nil {
+			return search.Outcome{}, modelErr
+		}
+		// Tasksets up to this size keep the stats on the stack.
+		var buf [8]sched.ArrivalStats
+		stats, err := model.Stats(buf[:0], s)
+		if err != nil {
+			return search.Outcome{}, err
+		}
+		pall := 0.0
+		feasible := true
+		for i, a := range timings {
+			limit := a.MaxIdle
+			if limit <= 0 {
+				// Unconstrained app: normalize against the empirical
+				// schedule period, mirroring timingScore's hyper-period
+				// fallback.
+				limit = stats[i].MeanPeriod * float64(s[i])
+			} else if stats[i].MaxPeriod > a.MaxIdle+1e-12 {
+				feasible = false
+			}
+			p := 1 - (stats[i].MeanPeriod+stats[i].MaxPeriod)/(2*limit)
+			if p < 0 {
+				feasible = false
+			}
+			pall += weights[i] * p
+		}
+		return search.Outcome{Pall: pall, Feasible: feasible}, nil
 	}
 }
 

@@ -8,17 +8,25 @@
 // where T is the nominal schedule period, phase_i the application's burst
 // offset within it, and u_{k,i} uniform in [0, 1) drawn from a fixed seed —
 // releases never arrive early, only up to Jitter*T late. Released bursts
-// are served FCFS and non-preemptively by a heap-driven event loop
-// (SporadicTimeline), which replaces the closed-form burst-gap timing when
-// jitter is nonzero. With zero jitter the event loop reproduces the
-// closed-form Timeline up to floating-point accumulation (the engine
-// normalizes that case back to the periodic path, keeping it bit-exact).
+// are served FCFS and non-preemptively, which replaces the closed-form
+// burst-gap timing when jitter is nonzero. With zero jitter the FCFS walk
+// reproduces the closed-form Timeline up to floating-point accumulation
+// (the engine normalizes that case back to the periodic path, keeping it
+// bit-exact).
+//
+// The u_{k,i} depend on the seed alone, so SporadicModel draws them once
+// per taskset, cycle-outer/application-inner. Scoring a schedule then only
+// fills a reused release buffer from the schedule's period and phases,
+// sorts it by (release, application, cycle) — a strict total order, so the
+// service order is unique — and streams the FCFS walk straight into the
+// per-application ArrivalStats accumulators, with no event list and no
+// allocation.
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // ArrivalModel selects how bursts of a schedule are released over time.
@@ -83,100 +91,6 @@ func (a Arrival) Validate() error {
 	return nil
 }
 
-// BurstEvent is one executed burst in a sporadic timeline: application App's
-// burst of cycle k, released at Release, started at Start >= Release
-// (waiting behind earlier-released bursts), finished at End.
-type BurstEvent struct {
-	App     int
-	Cycle   int
-	Release float64
-	Start   float64
-	End     float64
-}
-
-// releaseEvent orders pending burst releases: earliest release first, ties
-// broken by application then cycle so the timeline is deterministic.
-type releaseEvent struct {
-	release float64
-	app     int
-	cycle   int
-}
-
-type releaseHeap []releaseEvent
-
-func (h releaseHeap) Len() int { return len(h) }
-func (h releaseHeap) Less(i, j int) bool {
-	switch {
-	case h[i].release != h[j].release:
-		return h[i].release < h[j].release
-	case h[i].app != h[j].app:
-		return h[i].app < h[j].app
-	}
-	return h[i].cycle < h[j].cycle
-}
-func (h releaseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)   { *h = append(*h, x.(releaseEvent)) }
-func (h *releaseHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// SporadicTimeline simulates arr.Cycles schedule periods of jittered burst
-// releases served FCFS and non-preemptively, and returns the executed
-// bursts in start order. Every burst conservatively starts with the
-// cold-cache WCET (under jitter, other applications' bursts can interleave
-// arbitrarily between two bursts of one application, so no cross-burst
-// cache reuse is assumed). The same (apps, s, arr) always yields the same
-// timeline.
-func SporadicTimeline(apps []AppTiming, s Schedule, arr Arrival) ([]BurstEvent, error) {
-	if !s.Valid(len(apps)) {
-		return nil, fmt.Errorf("sched: schedule %v invalid for %d applications", s, len(apps))
-	}
-	for _, a := range apps {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	arr = arr.WithDefaults()
-	if err := arr.Validate(); err != nil {
-		return nil, err
-	}
-
-	period := PeriodLength(apps, s)
-	phase := make([]float64, len(apps))
-	for i := 1; i < len(apps); i++ {
-		phase[i] = phase[i-1] + BurstLength(apps[i-1], s[i-1])
-	}
-
-	// Draw every release up front, cycle-outer/application-inner, so the
-	// draw order (and hence the whole timeline) is a pure function of the
-	// seed. Releases are computed from k*period, not accumulated, so jitter
-	// never drifts the nominal grid.
-	rng := rand.New(rand.NewSource(arr.Seed))
-	pending := make(releaseHeap, 0, len(apps)*arr.Cycles)
-	for k := 0; k < arr.Cycles; k++ {
-		for i := range apps {
-			u := rng.Float64()
-			pending = append(pending, releaseEvent{
-				release: float64(k)*period + phase[i] + u*arr.Jitter*period,
-				app:     i,
-				cycle:   k,
-			})
-		}
-	}
-	heap.Init(&pending)
-
-	events := make([]BurstEvent, 0, len(pending))
-	t := 0.0
-	for pending.Len() > 0 {
-		ev := heap.Pop(&pending).(releaseEvent)
-		if ev.release > t {
-			t = ev.release
-		}
-		start := t
-		t += BurstLength(apps[ev.app], s[ev.app])
-		events = append(events, BurstEvent{App: ev.app, Cycle: ev.cycle, Release: ev.release, Start: start, End: t})
-	}
-	return events, nil
-}
-
 // ArrivalStats summarizes the sampling behaviour one application actually
 // experienced in a sporadic timeline, over the starts of its individual
 // tasks (tasks inside a burst run back-to-back, first cold, rest warm):
@@ -188,21 +102,145 @@ type ArrivalStats struct {
 	MaxPeriod  float64 // max consecutive-start difference
 }
 
-// SporadicStats reduces a timeline from SporadicTimeline to per-application
-// arrival statistics, in application order.
-func SporadicStats(apps []AppTiming, s Schedule, events []BurstEvent) []ArrivalStats {
-	type acc struct {
-		last  float64
-		seen  bool
-		count int
-		sum   float64
-		max   float64
+// SporadicModel is a sporadic arrival model compiled against a fixed
+// taskset: the jitter draws are made once, and Stats scores any schedule
+// of the taskset against them. It is safe for concurrent use.
+type SporadicModel struct {
+	apps   []AppTiming
+	jitter float64
+	cycles int
+	// draws[k*len(apps)+i] is u_{k,i}, in the seed's draw order.
+	draws []float64
+
+	scratch sync.Pool // *sporadicScratch
+}
+
+// release is one pending burst release of a sporadic timeline.
+type release struct {
+	at    float64
+	app   int
+	cycle int
+}
+
+// before is the service order of releases: earliest release first, ties
+// broken by application then cycle. No two releases share (app, cycle),
+// so the order is strict and total.
+func (r release) before(o release) bool {
+	switch {
+	case r.at != o.at:
+		return r.at < o.at
+	case r.app != o.app:
+		return r.app < o.app
 	}
-	accs := make([]acc, len(apps))
-	for _, ev := range events {
-		a := &accs[ev.App]
-		start := ev.Start
-		for j := 0; j < s[ev.App]; j++ {
+	return r.cycle < o.cycle
+}
+
+// arrivalAcc accumulates one application's consecutive task-start
+// differences during the FCFS walk.
+type arrivalAcc struct {
+	last  float64
+	seen  bool
+	count int
+	sum   float64
+	max   float64
+}
+
+// sporadicScratch is the per-call working set of SporadicModel.Stats.
+type sporadicScratch struct {
+	phase, burst []float64
+	releases     []release
+	accs         []arrivalAcc
+}
+
+// NewSporadicModel validates the taskset and the arrival model and draws
+// the model's release jitter: arr.Cycles (default DefaultArrivalCycles)
+// schedule periods of one uniform draw per application, cycle-outer, from
+// rand.NewSource(arr.Seed).
+func NewSporadicModel(apps []AppTiming, arr Arrival) (*SporadicModel, error) {
+	for _, a := range apps {
+		if err := a.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	arr = arr.WithDefaults()
+	if err := arr.Validate(); err != nil {
+		return nil, err
+	}
+	n := len(apps)
+	m := &SporadicModel{
+		apps:   append([]AppTiming(nil), apps...),
+		jitter: arr.Jitter,
+		cycles: arr.Cycles,
+		draws:  make([]float64, n*arr.Cycles),
+	}
+	rng := rand.New(rand.NewSource(arr.Seed))
+	for i := range m.draws {
+		m.draws[i] = rng.Float64()
+	}
+	m.scratch.New = func() any {
+		return &sporadicScratch{
+			phase:    make([]float64, n),
+			burst:    make([]float64, n),
+			releases: make([]release, n*arr.Cycles),
+			accs:     make([]arrivalAcc, n),
+		}
+	}
+	return m, nil
+}
+
+// Stats simulates the model's schedule periods of jittered burst releases
+// of schedule s, served FCFS and non-preemptively, and appends each
+// application's ArrivalStats to dst in application order. Every burst
+// conservatively starts with the cold-cache WCET (under jitter, other
+// applications' bursts can interleave arbitrarily between two bursts of
+// one application, so no cross-burst cache reuse is assumed). The same
+// (model, s) always yields the same stats, and a call that needs no more
+// capacity than dst has allocates nothing.
+func (m *SporadicModel) Stats(dst []ArrivalStats, s Schedule) ([]ArrivalStats, error) {
+	n := len(m.apps)
+	if !s.Valid(n) {
+		return dst, fmt.Errorf("sched: schedule %v invalid for %d applications", s, n)
+	}
+	sc := m.scratch.Get().(*sporadicScratch)
+	defer m.scratch.Put(sc)
+
+	period := PeriodLength(m.apps, s)
+	phase := 0.0
+	for i, a := range m.apps {
+		sc.burst[i] = BurstLength(a, s[i])
+		sc.phase[i] = phase
+		phase += sc.burst[i]
+	}
+
+	// Releases are computed from k*period, not accumulated, so jitter never
+	// drifts the nominal grid. The buffer is filled in draw order, which is
+	// nominal order, and a release is at most one period late: it can only
+	// be out of order with releases of the neighbouring cycles, so the
+	// insertion sort does O(apps) work per release.
+	rel := sc.releases
+	for k := 0; k < m.cycles; k++ {
+		for i := 0; i < n; i++ {
+			u := m.draws[k*n+i]
+			r := release{at: float64(k)*period + sc.phase[i] + u*m.jitter*period, app: i, cycle: k}
+			j := k*n + i
+			for ; j > 0 && r.before(rel[j-1]); j-- {
+				rel[j] = rel[j-1]
+			}
+			rel[j] = r
+		}
+	}
+
+	clear(sc.accs)
+	t := 0.0
+	for _, r := range rel {
+		if r.at > t {
+			t = r.at
+		}
+		start := t
+		t += sc.burst[r.app]
+		app := m.apps[r.app]
+		a := &sc.accs[r.app]
+		for j := 0; j < s[r.app]; j++ {
 			if a.seen {
 				d := start - a.last
 				a.sum += d
@@ -213,21 +251,21 @@ func SporadicStats(apps []AppTiming, s Schedule, events []BurstEvent) []ArrivalS
 			}
 			a.last = start
 			a.seen = true
-			w := apps[ev.App].WarmWCET
+			w := app.WarmWCET
 			if j == 0 {
-				w = apps[ev.App].ColdWCET
+				w = app.ColdWCET
 			}
 			start += w
 		}
 	}
-	out := make([]ArrivalStats, len(apps))
-	for i, a := range accs {
-		out[i] = ArrivalStats{Tasks: a.count + 1, MaxPeriod: a.max}
+	for _, a := range sc.accs {
+		st := ArrivalStats{Tasks: a.count + 1, MaxPeriod: a.max}
 		if a.count > 0 {
-			out[i].MeanPeriod = a.sum / float64(a.count)
+			st.MeanPeriod = a.sum / float64(a.count)
 		} else {
-			out[i].Tasks = 0
+			st.Tasks = 0
 		}
+		dst = append(dst, st)
 	}
-	return out
+	return dst, nil
 }

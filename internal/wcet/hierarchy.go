@@ -409,15 +409,6 @@ func simulateHierNode(n program.Node, c *cachesim.HierCache) int64 {
 	panic(badNode(n))
 }
 
-// simulateTwoRunsHier returns the concrete cycles of a cold run followed by
-// a warm run through the two-level cache.
-func simulateTwoRunsHier(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy) (coldRun, warmRun int64) {
-	c := cachesim.MustNewHier(cfg, h)
-	coldRun = simulateHierNode(p.Root, c)
-	warmRun = simulateHierNode(p.Root, c)
-	return coldRun, warmRun
-}
-
 // SimulateHierRuns returns the concrete per-run cycle counts of k
 // back-to-back executions through a two-level cache starting cold, using
 // the worst-branch policy; the hierarchy twin of SimulateRuns.

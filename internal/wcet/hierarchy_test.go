@@ -130,13 +130,14 @@ func TestHierL2HitBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	simCold, simWarm := Simulate(p, plat)
 	// Cold: 2 memory misses, then 18 guaranteed L2 hits.
-	if want := int64(2*100 + 18*10); res.ColdCycles != want || res.SimColdCycles != want {
-		t.Errorf("cold = %d (sim %d), want %d", res.ColdCycles, res.SimColdCycles, want)
+	if want := int64(2*100 + 18*10); res.ColdCycles != want || simCold != want {
+		t.Errorf("cold = %d (sim %d), want %d", res.ColdCycles, simCold, want)
 	}
 	// Warm: all 20 accesses are guaranteed L2 hits.
-	if want := int64(20 * 10); res.WarmCycles != want || res.SimWarmCycles != want {
-		t.Errorf("warm = %d (sim %d), want %d", res.WarmCycles, res.SimWarmCycles, want)
+	if want := int64(20 * 10); res.WarmCycles != want || simWarm != want {
+		t.Errorf("warm = %d (sim %d), want %d", res.WarmCycles, simWarm, want)
 	}
 }
 
@@ -174,11 +175,12 @@ func TestQuickHierBoundsSound(t *testing.T) {
 			if err != nil {
 				return false
 			}
+			simCold, simWarm := Simulate(p, plat)
 			ok := res.ColdCycles > 0 &&
 				res.WarmCycles > 0 &&
 				res.WarmCycles <= res.ColdCycles &&
-				res.SimColdCycles <= res.ColdCycles &&
-				res.SimWarmCycles <= res.WarmCycles &&
+				simCold <= res.ColdCycles &&
+				simWarm <= res.WarmCycles &&
 				res.ColdCycles <= single.ColdCycles &&
 				res.WarmCycles <= single.WarmCycles
 			if !ok {

@@ -51,8 +51,12 @@ func TestAnalyzePartitionedSound(t *testing.T) {
 			if res.ColdCycles <= 0 || res.WarmCycles <= 0 || res.WarmCycles > res.ColdCycles {
 				t.Errorf("seed %d ways %d: bounds cold=%d warm=%d", seed, ways, res.ColdCycles, res.WarmCycles)
 			}
-			if res.SimColdCycles > res.ColdCycles || res.SimWarmCycles > res.WarmCycles {
-				t.Errorf("seed %d ways %d: simulation exceeds bounds: %+v", seed, ways, res)
+			restricted, err := plat.Restrict(ways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if simCold, simWarm := Simulate(p, restricted); simCold > res.ColdCycles || simWarm > res.WarmCycles {
+				t.Errorf("seed %d ways %d: simulation cold=%d warm=%d exceeds bounds: %+v", seed, ways, simCold, simWarm, res)
 			}
 		}
 	}

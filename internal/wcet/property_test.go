@@ -30,11 +30,12 @@ func TestQuickMustBoundsSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		simCold, simWarm := Simulate(p, plat)
 		return res.ColdCycles > 0 &&
 			res.WarmCycles > 0 &&
 			res.WarmCycles <= res.ColdCycles &&
-			res.SimColdCycles <= res.ColdCycles &&
-			res.SimWarmCycles <= res.WarmCycles
+			simCold <= res.ColdCycles &&
+			simWarm <= res.WarmCycles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

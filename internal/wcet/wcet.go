@@ -10,9 +10,12 @@
 //
 //  1. an abstract-interpretation "must" cache analysis (Ferdinand-style age
 //     bounds with branch-join by intersection and virtual loop unrolling),
-//     which yields *guaranteed* bounds as a WCET tool would; and
-//  2. an exact trace simulation over the cache model, which yields the
-//     concrete worst-path timing the bounds must dominate.
+//     which yields *guaranteed* bounds as a WCET tool would — this is the
+//     only engine Analyze runs; and
+//  2. an exact trace simulation over the cache model (Simulate,
+//     SimulateRuns, SimulateOn), which yields the concrete worst-path
+//     timing the bounds must dominate. It is the soundness oracle of the
+//     tests and of cmd/wcetsim, never part of a bound.
 package wcet
 
 import (
@@ -55,17 +58,13 @@ func (p Platform) Restrict(ways int) (Platform, error) {
 	return Platform{ClockHz: p.ClockHz, Cache: cfg}, nil
 }
 
-// Result holds the WCET analysis outcome for one program.
+// Result holds the guaranteed WCET bounds of one program, as computed by
+// the must-analysis. The concrete timings those bounds must dominate come
+// from Simulate, which no bound depends on.
 type Result struct {
-	// Guaranteed bounds from the must analysis.
 	ColdCycles      int64 // Ewc(1): worst path, cold cache
 	WarmCycles      int64 // Ewc(j), j >= 2: worst path with guaranteed reuse
 	ReductionCycles int64 // Egu = ColdCycles - WarmCycles
-
-	// Concrete worst-path simulation timings (must satisfy Sim <= bound
-	// for cold, and SimWarm <= WarmCycles).
-	SimColdCycles int64
-	SimWarmCycles int64
 
 	// ReusedLines is ReductionCycles expressed in whole reused cache lines
 	// (reduction / (miss-hit)); -1 if the reduction is not line-granular.
@@ -84,9 +83,10 @@ func validateMustPolicy(cfg cachesim.Config, level string) error {
 	return nil
 }
 
-// Analyze runs both engines on p and returns the combined result. When the
-// platform carries an enabled cache hierarchy, both engines run the
-// two-level model (multi-level must-analysis vs exact HierCache trace).
+// Analyze runs the must-analysis on p and returns its guaranteed bounds.
+// When the platform carries an enabled cache hierarchy, the multi-level
+// must-analysis runs instead of the single-level one. The concrete
+// simulation is not run; Simulate gives it on the same platform.
 func Analyze(p *program.Program, plat Platform) (*Result, error) {
 	if err := plat.Cache.Validate(); err != nil {
 		return nil, err
@@ -106,25 +106,17 @@ func Analyze(p *program.Program, plat Platform) (*Result, error) {
 		return nil, err
 	}
 
-	var cold, warm, simCold, simWarm int64
+	var cold, warm int64
 	if plat.Hier.Enabled() {
 		cold, warm = hierMustBounds(p, plat.Cache, plat.Hier)
-		simCold, simWarm = simulateTwoRunsHier(p, plat.Cache, plat.Hier)
 	} else {
-		var err error
-		cold, warm, err = mustBounds(p, plat.Cache)
-		if err != nil {
-			return nil, err
-		}
-		simCold, simWarm = simulateTwoRuns(p, plat.Cache)
+		cold, warm = mustBounds(p, plat.Cache)
 	}
 
 	res := &Result{
 		ColdCycles:      cold,
 		WarmCycles:      warm,
 		ReductionCycles: cold - warm,
-		SimColdCycles:   simCold,
-		SimWarmCycles:   simWarm,
 		ReusedLines:     -1,
 	}
 	if d := int64(plat.Cache.MissCycles - plat.Cache.HitCycles); d > 0 && res.ReductionCycles%d == 0 {
@@ -134,11 +126,10 @@ func Analyze(p *program.Program, plat Platform) (*Result, error) {
 }
 
 // AnalyzePartitioned analyzes p running on `ways` dedicated ways of plat's
-// cache (a way partition): the must-analysis and the concrete simulation
-// both run on the restricted geometry — identical set mapping, reduced
-// associativity — and, because no other application can evict the
-// partition's contents, the abstract state survives the gaps between the
-// application's bursts. In periodic steady state every task therefore runs
+// cache (a way partition): the must-analysis runs on the restricted
+// geometry — identical set mapping, reduced associativity — and, because
+// no other application can evict the partition's contents, the abstract
+// state survives the gaps between the application's bursts. In periodic steady state every task therefore runs
 // at the warm bound, including the first task of each burst; callers model
 // that by using WarmCycles for the whole burst (sched.PartitionTimings).
 func AnalyzePartitioned(p *program.Program, plat Platform, ways int) (*Result, error) {
@@ -408,7 +399,7 @@ func analyzeCost(n program.Node, st *mustState, cfg cachesim.Config) (int64, *mu
 
 // mustBounds returns the guaranteed cold WCET and the guaranteed warm WCET
 // (steady state of back-to-back executions).
-func mustBounds(p *program.Program, cfg cachesim.Config) (cold, warm int64, err error) {
+func mustBounds(p *program.Program, cfg cachesim.Config) (cold, warm int64) {
 	st := newMustState(cfg)
 	cold, st = analyzeCost(p.Root, st, cfg)
 
@@ -420,19 +411,34 @@ func mustBounds(p *program.Program, cfg cachesim.Config) (cold, warm int64, err 
 		var c int64
 		c, st = analyzeCost(p.Root, prev.clone(), cfg)
 		if st.equal(prev) {
-			return cold, c, nil
+			return cold, c
 		}
 		warm = c
 		prev = st
 	}
 	// No fixpoint within the cap (pathological ping-pong): be conservative
 	// and report no guaranteed reduction.
-	return cold, cold, nil
+	return cold, cold
 }
 
 // ---------------------------------------------------------------------------
-// Engine 2: concrete worst-path simulation.
+// Engine 2: concrete worst-path simulation (the soundness oracle).
 // ---------------------------------------------------------------------------
+
+// Simulate returns the concrete cycles of a cold run of p followed by a
+// warm run (back-to-back tasks of one burst) under the worst-branch policy,
+// through the two-level cache when plat carries an enabled hierarchy. The
+// must-analysis bounds Analyze returns on the same platform dominate both:
+// cold <= ColdCycles and warm <= WarmCycles. plat and p must be valid for
+// Analyze.
+func Simulate(p *program.Program, plat Platform) (cold, warm int64) {
+	if plat.Hier.Enabled() {
+		runs := SimulateHierRuns(p, plat.Cache, plat.Hier, 2)
+		return runs[0], runs[1]
+	}
+	runs := SimulateRuns(p, plat.Cache, 2)
+	return runs[0], runs[1]
+}
 
 // simulateNode executes n against the concrete cache, choosing at each
 // branch the arm that is costlier *from the current concrete state* (ties
@@ -465,15 +471,6 @@ func simulateNode(n program.Node, c *cachesim.Cache) int64 {
 		return simulateNode(v.Then, c)
 	}
 	panic(fmt.Sprintf("wcet: unknown node type %T", n))
-}
-
-// simulateTwoRuns returns the concrete cycles of a cold run followed by a
-// warm run of the same program (back-to-back tasks of one burst).
-func simulateTwoRuns(p *program.Program, cfg cachesim.Config) (coldRun, warmRun int64) {
-	c := cachesim.MustNew(cfg)
-	coldRun = simulateNode(p.Root, c)
-	warmRun = simulateNode(p.Root, c)
-	return coldRun, warmRun
 }
 
 // SimulateRuns returns the concrete per-run cycle counts of k back-to-back

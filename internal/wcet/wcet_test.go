@@ -29,8 +29,8 @@ func TestStraightLineCold(t *testing.T) {
 	if res.ColdCycles != want {
 		t.Errorf("cold = %d, want %d", res.ColdCycles, want)
 	}
-	if res.SimColdCycles != want {
-		t.Errorf("sim cold = %d, want %d", res.SimColdCycles, want)
+	if simCold, _ := Simulate(p, smallPlatform()); simCold != want {
+		t.Errorf("sim cold = %d, want %d", simCold, want)
 	}
 	// Everything fits: warm run is all hits.
 	if res.WarmCycles != int64(4*4) {
@@ -57,8 +57,8 @@ func TestLoopFirstIterationMisses(t *testing.T) {
 	if res.ColdCycles != want {
 		t.Errorf("cold = %d, want %d", res.ColdCycles, want)
 	}
-	if res.SimColdCycles != want {
-		t.Errorf("sim cold = %d, want %d", res.SimColdCycles, want)
+	if simCold, _ := Simulate(p, smallPlatform()); simCold != want {
+		t.Errorf("sim cold = %d, want %d", simCold, want)
 	}
 	// Warm: loop body still cached from previous run.
 	if res.WarmCycles != int64(5*8) {
@@ -81,8 +81,8 @@ func TestConflictingLinesNeverReused(t *testing.T) {
 	if res.ReductionCycles != 0 {
 		t.Errorf("conflicting pair must have zero guaranteed reduction, got %d", res.ReductionCycles)
 	}
-	if res.SimWarmCycles != res.SimColdCycles {
-		t.Errorf("simulation should also show no reuse: cold=%d warm=%d", res.SimColdCycles, res.SimWarmCycles)
+	if simCold, simWarm := Simulate(p, smallPlatform()); simWarm != simCold {
+		t.Errorf("simulation should also show no reuse: cold=%d warm=%d", simCold, simWarm)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestBranchTakesWorstArm(t *testing.T) {
 	if res.ColdCycles != want {
 		t.Errorf("cold = %d, want %d", res.ColdCycles, want)
 	}
-	if res.SimColdCycles != want {
-		t.Errorf("sim = %d, want %d", res.SimColdCycles, want)
+	if simCold, _ := Simulate(p, smallPlatform()); simCold != want {
+		t.Errorf("sim = %d, want %d", simCold, want)
 	}
 }
 
@@ -153,11 +153,12 @@ func TestMustBoundDominatesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		if res.SimColdCycles > res.ColdCycles {
-			t.Errorf("%s: sim cold %d exceeds bound %d", p.Name, res.SimColdCycles, res.ColdCycles)
+		simCold, simWarm := Simulate(p, smallPlatform())
+		if simCold > res.ColdCycles {
+			t.Errorf("%s: sim cold %d exceeds bound %d", p.Name, simCold, res.ColdCycles)
 		}
-		if res.SimWarmCycles > res.WarmCycles {
-			t.Errorf("%s: sim warm %d exceeds bound %d", p.Name, res.SimWarmCycles, res.WarmCycles)
+		if simWarm > res.WarmCycles {
+			t.Errorf("%s: sim warm %d exceeds bound %d", p.Name, simWarm, res.WarmCycles)
 		}
 		if res.WarmCycles > res.ColdCycles {
 			t.Errorf("%s: warm bound %d exceeds cold bound %d", p.Name, res.WarmCycles, res.ColdCycles)
