@@ -48,7 +48,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ccsched", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	mode := fs.String("mode", "compare", "compare | hybrid | exhaustive | eval | wcet | timeline")
+	mode := fs.String("mode", "compare", "compare | hybrid | exhaustive | multicore | eval | wcet | timeline")
 	scheduleFlag := fs.String("schedule", "3,2,3", "schedule m1,m2,... for -mode eval/timeline")
 	budget := fs.String("budget", "quick", "design budget: tiny | quick | paper | deep")
 	maxM := fs.Int("maxm", 12, "burst-length cap for exhaustive search")

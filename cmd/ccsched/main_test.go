@@ -1,6 +1,10 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -74,5 +78,74 @@ func TestRunRejectsUnknownBudget(t *testing.T) {
 	err := run([]string{"-budget", "nope"}, &sb)
 	if err == nil || !strings.Contains(err.Error(), `unknown budget "nope"`) {
 		t.Errorf("-budget nope: err = %v, output:\n%s", err, sb.String())
+	}
+}
+
+// switchModes returns the string cases of run's `switch *mode` in main.go,
+// so the help test follows the dispatch instead of a copied list.
+func switchModes(t *testing.T) []string {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modes []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		sw, ok := n.(*ast.SwitchStmt)
+		if !ok {
+			return true
+		}
+		star, ok := sw.Tag.(*ast.StarExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := star.X.(*ast.Ident); !ok || id.Name != "mode" {
+			return true
+		}
+		for _, stmt := range sw.Body.List {
+			for _, e := range stmt.(*ast.CaseClause).List {
+				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					m, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					modes = append(modes, m)
+				}
+			}
+		}
+		return false
+	})
+	return modes
+}
+
+// TestHelpListsEveryMode is the regression for -h omitting multicore: the
+// -mode usage line must name every mode the dispatch switch accepts.
+func TestHelpListsEveryMode(t *testing.T) {
+	modes := switchModes(t)
+	if len(modes) < 7 {
+		t.Fatalf("found only %d modes in the switch: %v", len(modes), modes)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-h"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(sb.String(), "\n")
+	var help string
+	for i, l := range lines {
+		if strings.TrimSpace(l) == "-mode string" && i+1 < len(lines) {
+			help = lines[i+1]
+		}
+	}
+	if help == "" {
+		t.Fatalf("-h output has no -mode entry:\n%s", sb.String())
+	}
+	listed := map[string]bool{}
+	for _, f := range strings.Split(strings.SplitN(help, "(default", 2)[0], "|") {
+		listed[strings.TrimSpace(f)] = true
+	}
+	for _, m := range modes {
+		if !listed[m] {
+			t.Errorf("-mode help %q does not list mode %q", strings.TrimSpace(help), m)
+		}
 	}
 }

@@ -13,8 +13,8 @@
 // drives it through EvalFunc.
 //
 // Key invariant: evaluation is a pure function of (framework, point). PSO
-// seeds derive from the point's canonical key and the app index, shared
-// joint points delegate pointer-identically to the schedule cache, and all
+// seeds derive from the point's canonical key and the app index, a plain
+// schedule is its shared joint point in one evaluation cache, and all
 // memoization (internal/engine/evalcache) is semantically invisible — which
 // is what lets the engine persist evaluation outcomes (internal/store) and
 // replay them bit-identically across processes.
@@ -59,14 +59,12 @@ type Framework struct {
 	// untouched by the partitioning axis.
 	PartTimings sched.PartitionTimings
 
-	// cache memoizes full schedule evaluations through the shared sharded
-	// cache layer (internal/engine/evalcache), so concurrent searches and
-	// sweeps coalesce duplicate evaluations of the same schedule. jointCache
-	// is its analogue for partitioned (schedule, ways) points; shared joint
-	// points delegate to cache so their evaluations are bit-identical to the
-	// schedule-only pipeline.
-	cache      *evalcache.Cache[sched.Schedule, *ScheduleEval]
-	jointCache *evalcache.Cache[sched.JointSchedule, *ScheduleEval]
+	// cache memoizes full evaluations of joint (schedule, ways) points
+	// through the shared sharded cache layer (internal/engine/evalcache), so
+	// concurrent searches and sweeps coalesce duplicate evaluations. A plain
+	// schedule is its shared point, whose key equals the schedule's own, so
+	// schedule-only and joint entry paths share every entry.
+	cache *evalcache.Cache[sched.JointSchedule, *ScheduleEval]
 
 	// coreViews memoizes the per-application-subset sub-frameworks of the
 	// multi-core placement search (CoreView), keyed by the subset's index
@@ -106,7 +104,6 @@ func New(applications []apps.App, plat wcet.Platform, designOpt ctrl.DesignOptio
 		PartTimings: pt,
 	}
 	f.cache = evalcache.NewCache(0, f.evaluate)
-	f.jointCache = evalcache.NewCache(0, f.evaluateJoint)
 	return f, nil
 }
 
@@ -129,33 +126,23 @@ type ScheduleEval struct {
 }
 
 // EvaluateSchedule designs holistic controllers for every application under
-// schedule s and aggregates the overall control performance. Results are
-// memoized; evaluation is deterministic for a given framework.
+// schedule s and aggregates the overall control performance. It is
+// EvaluateJoint of the shared point of s. Results are memoized; evaluation
+// is deterministic for a given framework.
 func (f *Framework) EvaluateSchedule(s sched.Schedule) (*ScheduleEval, error) {
-	ev, _, err := f.cache.Get(s)
-	return ev, err
+	return f.EvaluateJoint(sched.SharedPoint(s))
 }
 
-func (f *Framework) evaluate(s sched.Schedule) (*ScheduleEval, error) {
-	return f.evaluateWith(sched.JointSchedule{M: s}, f.Timings)
-}
-
-// evaluateJoint is the joint-cache evaluator for partitioned points; shared
-// points never reach it (EvaluateJoint routes them through the schedule
-// cache so their evaluation is bit-identical to the schedule-only pipeline).
-func (f *Framework) evaluateJoint(j sched.JointSchedule) (*ScheduleEval, error) {
+// evaluate runs stage 1 under the timing vector of one joint point (the
+// shared taskset for a shared point). The per-app PSO seeds derive from the
+// point's canonical key; a shared point's key equals its plain schedule
+// key, keeping schedule-only evaluations reproducible across both entry
+// paths.
+func (f *Framework) evaluate(j sched.JointSchedule) (*ScheduleEval, error) {
 	timings, err := f.PartTimings.Timings(j)
 	if err != nil {
 		return nil, err
 	}
-	return f.evaluateWith(j, timings)
-}
-
-// evaluateWith runs stage 1 under the timing vector of one joint point. The
-// per-app PSO seeds derive from the point's canonical key; a shared point's
-// key equals its plain schedule key, keeping schedule-only evaluations
-// reproducible across both entry paths.
-func (f *Framework) evaluateWith(j sched.JointSchedule, timings []sched.AppTiming) (*ScheduleEval, error) {
 	s := j.M
 	ev := &ScheduleEval{Schedule: s.Clone(), Ways: j.W.Clone()}
 	ok, err := sched.IdleFeasible(timings, s)
@@ -252,19 +239,17 @@ func designSeed(j sched.JointSchedule, app int) int64 {
 }
 
 // EvaluateJoint evaluates one point of the joint cache-partition + schedule
-// co-design space. Shared points (empty Ways) route through the schedule
-// cache, so their results are pointer-identical — and therefore
-// bit-identical — to EvaluateSchedule's; partitioned points design against
-// the steady-state timings of their way allocation.
+// co-design space. Shared points (empty Ways) design against the shared
+// taskset and hit the same cache entries as EvaluateSchedule, so their
+// results are pointer-identical — and therefore bit-identical — to it;
+// partitioned points design against the steady-state timings of their way
+// allocation.
 func (f *Framework) EvaluateJoint(j sched.JointSchedule) (*ScheduleEval, error) {
-	if j.Shared() {
-		return f.EvaluateSchedule(j.M)
-	}
-	if !j.W.Valid(len(f.Apps), f.Platform.Cache.Ways) {
+	if !j.Shared() && !j.W.Valid(len(f.Apps), f.Platform.Cache.Ways) {
 		return nil, fmt.Errorf("core: partition %v invalid for %d apps on a %d-way cache",
 			j.W, len(f.Apps), f.Platform.Cache.Ways)
 	}
-	ev, _, err := f.jointCache.Get(j)
+	ev, _, err := f.cache.Get(j)
 	return ev, err
 }
 
@@ -314,7 +299,7 @@ func (f *Framework) SearchCache() *search.Cache {
 	return search.NewCache(f.EvalFunc())
 }
 
-// CachedEvaluations returns how many distinct schedules this framework has
+// CachedEvaluations returns how many distinct points this framework has
 // fully evaluated so far.
 func (f *Framework) CachedEvaluations() int {
 	return f.cache.Len()

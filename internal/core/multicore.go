@@ -135,15 +135,17 @@ func greedyAssignment(items []loadItem, nCores int) CoreAssignment {
 }
 
 // PlacementSeeds returns the heuristic core assignments used to seed the
-// placement search: the load-balanced and the cache-sensitivity orderings.
+// placement search over the joint timing table pt: the load-balanced
+// (on the shared taskset) and the cache-sensitivity orderings. Both are
+// mandatory coverage when the canonical placement enumeration overflows.
 // Assignments the heuristics cannot produce (e.g. more cores than apps) are
 // simply absent; the searchers validate what remains.
-func (f *Framework) PlacementSeeds(nCores int) [][]int {
+func PlacementSeeds(pt sched.PartitionTimings, nCores int) [][]int {
 	var seeds [][]int
-	if ba, err := BalancedAssignment(f.Timings, nCores); err == nil {
+	if ba, err := BalancedAssignment(pt.Shared, nCores); err == nil {
 		seeds = append(seeds, []int(ba))
 	}
-	if sa, err := SensitivityAssignment(f.PartTimings, nCores); err == nil {
+	if sa, err := SensitivityAssignment(pt, nCores); err == nil {
 		seeds = append(seeds, []int(sa))
 	}
 	return seeds
@@ -183,7 +185,6 @@ func (f *Framework) CoreView(idx []int) (*Framework, error) {
 		v.WCETResults[k] = f.WCETResults[i]
 	}
 	v.cache = evalcache.NewCache(0, v.evaluate)
-	v.jointCache = evalcache.NewCache(0, v.evaluateJoint)
 	f.coreViews[key] = v
 	return v, nil
 }
@@ -214,7 +215,7 @@ func (f *Framework) OptimizeMulticoreCoDesign(nCores int, opt search.MulticoreOp
 		cache = search.NewMulticoreCache(f.MulticoreEvalFunc())
 	}
 	if opt.Seeds == nil {
-		opt.Seeds = f.PlacementSeeds(nCores)
+		opt.Seeds = PlacementSeeds(f.PartTimings, nCores)
 	}
 	if opt.Bounder != nil {
 		return search.MulticoreBranchBound(cache, f.PartTimings, nCores, opt)

@@ -520,7 +520,7 @@ func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend eva
 
 	mopt := search.MulticoreOptions{
 		MaxM:  scn.MaxM,
-		Seeds: placementSeeds(res, scn.Cores),
+		Seeds: core.PlacementSeeds(res.PartTimings, scn.Cores),
 	}
 	var (
 		mc  *search.MulticoreResult
@@ -552,20 +552,6 @@ func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend eva
 	res.CacheStats.Misses += st.Misses
 	res.CacheStats.DiskHits += st.DiskHits
 	return nil
-}
-
-// placementSeeds returns the heuristic core assignments seeding the
-// placement search: load-balanced and cache-sensitivity-ordered. Both are
-// mandatory coverage when the canonical placement enumeration overflows.
-func placementSeeds(res *Result, nCores int) [][]int {
-	var seeds [][]int
-	if ba, err := core.BalancedAssignment(res.Timings, nCores); err == nil {
-		seeds = append(seeds, []int(ba))
-	}
-	if sa, err := core.SensitivityAssignment(res.PartTimings, nCores); err == nil {
-		seeds = append(seeds, []int(sa))
-	}
-	return seeds
 }
 
 // JointStarts lifts schedule starts into the joint space: every start as a

@@ -7,7 +7,7 @@
 //
 // The cache is generic over both the key and the evaluation result type so
 // it can back the search layer (sched.Schedule -> search.Outcome), the
-// framework layer (sched.Schedule -> *core.ScheduleEval), and the joint
+// framework layer (sched.JointSchedule -> *core.ScheduleEval), and the joint
 // cache-partition co-design layer (sched.JointSchedule -> outcome) without
 // import cycles. Any key type exposing a canonical Key() string works.
 //

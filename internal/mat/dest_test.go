@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -74,7 +75,7 @@ func TestRowIntoCopyAndSetIdentity(t *testing.T) {
 }
 
 // TestExpmWorkspaceBitIdentical checks the workspace exponential against the
-// allocating one, including inputs large enough to trigger scaling/squaring,
+// allocating reference, including inputs large enough to trigger scaling/squaring,
 // and reuse of one workspace across calls.
 func TestExpmWorkspaceBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
@@ -84,7 +85,7 @@ func TestExpmWorkspaceBitIdentical(t *testing.T) {
 		if trial%2 == 0 {
 			a = a.Scale(float64(trial)) // norms from 0 to large
 		}
-		want := Expm(a)
+		want := refExpm(a)
 		got := New(4, 4)
 		w.ExpmTo(got, a)
 		if !got.Equal(want, 0) {
@@ -94,7 +95,7 @@ func TestExpmWorkspaceBitIdentical(t *testing.T) {
 }
 
 // TestExpmIntegralWorkspaceBitIdentical checks the workspace discretization
-// pair against the allocating ExpmIntegral over a sweep of step lengths, as
+// pair against the allocating reference over a sweep of step lengths, as
 // the plan compiler uses it.
 func TestExpmIntegralWorkspaceBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
@@ -102,7 +103,7 @@ func TestExpmIntegralWorkspaceBitIdentical(t *testing.T) {
 	b := randomMatrix(r, 3, 1)
 	w := NewExpmWorkspace(4)
 	for _, dt := range []float64{1e-6, 5e-4, 0.02, 0.5, 3} {
-		wantAd, wantBd := ExpmIntegral(a, b, dt)
+		wantAd, wantBd := refExpmIntegral(a, b, dt)
 		gotAd, gotBd := w.ExpmIntegral(a, b, dt)
 		if !gotAd.Equal(wantAd, 0) || !gotBd.Equal(wantBd, 0) {
 			t.Fatalf("dt=%g: workspace ExpmIntegral differs", dt)
@@ -118,4 +119,66 @@ func TestExpmWorkspaceDimensionChecks(t *testing.T) {
 		}
 	}()
 	w.ExpmTo(New(2, 2), New(2, 2))
+}
+
+// refExpm is an allocating Padé loop (Golub & Van Loan, Algorithm 11.3.1,
+// q = 6), the reference ExpmTo is pinned bit-identical to.
+func refExpm(a *Matrix) *Matrix {
+	a.mustSquare("Expm")
+	n := a.rows
+
+	// Scale A by a power of two so that ||A/2^j||_inf <= 1/2.
+	norm := a.InfNorm()
+	j := 0
+	if norm > 0.5 {
+		j = int(math.Ceil(math.Log2(norm) + 1))
+		if j < 0 {
+			j = 0
+		}
+	}
+	as := a.Scale(1 / math.Pow(2, float64(j)))
+
+	// Diagonal Padé approximation of order q.
+	const q = 6
+	x := Identity(n) // running power As^k
+	num := Identity(n)
+	den := Identity(n)
+	c := 1.0
+	for k := 1; k <= q; k++ {
+		c = c * float64(q-k+1) / (float64(k) * float64(2*q-k+1))
+		x = as.Mul(x)
+		num = num.AddScaled(c, x)
+		if k%2 == 0 {
+			den = den.AddScaled(c, x)
+		} else {
+			den = den.AddScaled(-c, x)
+		}
+	}
+	f, err := Solve(den, num)
+	if err != nil {
+		// The denominator of the diagonal Padé approximant is nonsingular
+		// for ||As|| <= 1/2; reaching this indicates non-finite input.
+		panic("mat: Expm failed to solve Padé system: " + err.Error())
+	}
+
+	// Undo the scaling by repeated squaring.
+	for k := 0; k < j; k++ {
+		f = f.Mul(f)
+	}
+	return f
+}
+
+// refExpmIntegral is the allocating ExpmIntegral over refExpm: the
+// zero-order-hold pair from the exponential of [[A, B], [0, 0]] * t.
+func refExpmIntegral(a, b *Matrix, t float64) (ad, bd *Matrix) {
+	a.mustSquare("ExpmIntegral")
+	if b.rows != a.rows {
+		panic("mat: ExpmIntegral B row count must match A")
+	}
+	n, m := a.rows, b.cols
+	aug := New(n+m, n+m)
+	aug.SetSlice(0, 0, a.Scale(t))
+	aug.SetSlice(0, n, b.Scale(t))
+	e := refExpm(aug)
+	return e.Slice(0, n, 0, n), e.Slice(0, n, n, n+m)
 }

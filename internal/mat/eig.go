@@ -49,22 +49,10 @@ func Eigenvalues(a *Matrix) ([]complex128, error) {
 
 // SpectralRadius returns the largest eigenvalue magnitude of a square
 // matrix. It returns +Inf if the matrix contains non-finite entries and
-// propagates ErrNoConvergence from the eigenvalue iteration.
+// propagates ErrNoConvergence from the eigenvalue iteration. It runs
+// EigWorkspace.SpectralRadius on a fresh workspace.
 func SpectralRadius(a *Matrix) (float64, error) {
-	if !a.IsFinite() {
-		return math.Inf(1), nil
-	}
-	eigs, err := Eigenvalues(a)
-	if err != nil {
-		return 0, err
-	}
-	r := 0.0
-	for _, e := range eigs {
-		if m := cmplxAbs(e); m > r {
-			r = m
-		}
-	}
-	return r, nil
+	return NewEigWorkspace(a.rows).SpectralRadius(a)
 }
 
 func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
@@ -73,8 +61,8 @@ func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 // eigenvalue computations (the 1-based Hessenberg copy and the root
 // arrays), so stability checks running once per objective evaluation — the
 // spectral radius of every candidate design's monodromy matrix — stop
-// allocating. Results are bit-identical to the allocating functions: the
-// workspace runs the same balance/elmhes/hqr sequence on the same values.
+// allocating. It runs the same balance/elmhes/hqr sequence as Eigenvalues;
+// the package-level SpectralRadius is its method on a fresh workspace.
 // A workspace is not safe for concurrent use; the design loop keeps one per
 // worker.
 type EigWorkspace struct {
@@ -94,9 +82,9 @@ func NewEigWorkspace(n int) *EigWorkspace {
 	return w
 }
 
-// SpectralRadius is the workspace variant of the package-level
-// SpectralRadius, bit-identical to it for any input of the workspace's
-// dimension.
+// SpectralRadius returns the largest eigenvalue magnitude of a, which must
+// have the workspace's dimension (or be 0x0 or 1x1); see the package-level
+// SpectralRadius.
 func (w *EigWorkspace) SpectralRadius(a *Matrix) (float64, error) {
 	a.mustSquare("SpectralRadius")
 	if !a.IsFinite() {

@@ -7,50 +7,13 @@ import (
 
 // Expm returns the matrix exponential e^A computed by the diagonal Padé
 // approximation with scaling and squaring (Golub & Van Loan, Algorithm
-// 11.3.1, q = 6). The input is not modified.
+// 11.3.1, q = 6). The input is not modified. It runs ExpmTo on a fresh
+// workspace.
 func Expm(a *Matrix) *Matrix {
 	a.mustSquare("Expm")
-	n := a.rows
-
-	// Scale A by a power of two so that ||A/2^j||_inf <= 1/2.
-	norm := a.InfNorm()
-	j := 0
-	if norm > 0.5 {
-		j = int(math.Ceil(math.Log2(norm) + 1))
-		if j < 0 {
-			j = 0
-		}
-	}
-	as := a.Scale(1 / math.Pow(2, float64(j)))
-
-	// Diagonal Padé approximation of order q.
-	const q = 6
-	x := Identity(n) // running power As^k
-	num := Identity(n)
-	den := Identity(n)
-	c := 1.0
-	for k := 1; k <= q; k++ {
-		c = c * float64(q-k+1) / (float64(k) * float64(2*q-k+1))
-		x = as.Mul(x)
-		num = num.AddScaled(c, x)
-		if k%2 == 0 {
-			den = den.AddScaled(c, x)
-		} else {
-			den = den.AddScaled(-c, x)
-		}
-	}
-	f, err := Solve(den, num)
-	if err != nil {
-		// The denominator of the diagonal Padé approximant is nonsingular
-		// for ||As|| <= 1/2; reaching this indicates non-finite input.
-		panic("mat: Expm failed to solve Padé system: " + err.Error())
-	}
-
-	// Undo the scaling by repeated squaring.
-	for k := 0; k < j; k++ {
-		f = f.Mul(f)
-	}
-	return f
+	dst := New(a.rows, a.rows)
+	NewExpmWorkspace(a.rows).ExpmTo(dst, a)
+	return dst
 }
 
 // ExpmIntegral returns the pair
@@ -60,26 +23,16 @@ func Expm(a *Matrix) *Matrix {
 //
 // used to discretize a continuous-time LTI system under a zero-order hold.
 // It is computed exactly (up to the Expm accuracy) via the exponential of
-// the augmented block matrix [[A, B], [0, 0]] * t.
+// the augmented block matrix [[A, B], [0, 0]] * t, on a fresh workspace.
 func ExpmIntegral(a, b *Matrix, t float64) (ad, bd *Matrix) {
-	a.mustSquare("ExpmIntegral")
-	if b.rows != a.rows {
-		panic("mat: ExpmIntegral B row count must match A")
-	}
-	n, m := a.rows, b.cols
-	aug := New(n+m, n+m)
-	aug.SetSlice(0, 0, a.Scale(t))
-	aug.SetSlice(0, n, b.Scale(t))
-	e := Expm(aug)
-	return e.Slice(0, n, 0, n), e.Slice(0, n, n, n+m)
+	return NewExpmWorkspace(a.rows+b.cols).ExpmIntegral(a, b, t)
 }
 
 // ExpmWorkspace holds the intermediate matrices of repeated same-dimension
 // Expm / ExpmIntegral evaluations, so batch discretizers (the simulation-plan
 // compiler, mode tables) stop allocating fresh Padé temporaries per call.
-// Results are bit-identical to the allocating functions: every destination
-// kernel accumulates in the same element order. A workspace is not safe for
-// concurrent use.
+// The package-level Expm and ExpmIntegral are these methods on a fresh
+// workspace. A workspace is not safe for concurrent use.
 type ExpmWorkspace struct {
 	n                   int
 	as, x, x2, num, den *Matrix
@@ -102,9 +55,8 @@ func NewExpmWorkspace(n int) *ExpmWorkspace {
 	}
 }
 
-// ExpmTo computes dst = e^a using the workspace buffers. It mirrors Expm
-// operation for operation (only the Padé solve still allocates its LU
-// factors), so the result is bit-identical to Expm(a).
+// ExpmTo computes dst = e^a using the workspace buffers (only the Padé
+// solve still allocates its LU factors).
 func (w *ExpmWorkspace) ExpmTo(dst, a *Matrix) {
 	a.mustSquare("ExpmTo")
 	if a.rows != w.n || dst.rows != w.n || dst.cols != w.n {
@@ -140,6 +92,8 @@ func (w *ExpmWorkspace) ExpmTo(dst, a *Matrix) {
 	}
 	f, err := Solve(w.den, w.num)
 	if err != nil {
+		// The denominator of the diagonal Padé approximant is nonsingular
+		// for ||As|| <= 1/2; reaching this indicates non-finite input.
 		panic("mat: ExpmTo failed to solve Padé system: " + err.Error())
 	}
 
@@ -151,9 +105,9 @@ func (w *ExpmWorkspace) ExpmTo(dst, a *Matrix) {
 	dst.Copy(cur)
 }
 
-// ExpmIntegral is the workspace variant of the package-level ExpmIntegral:
-// it returns freshly allocated Ad, Bd (callers retain them in compiled
-// plans) but reuses the workspace for every intermediate. The workspace
+// ExpmIntegral computes the package-level ExpmIntegral pair: it returns
+// freshly allocated Ad, Bd (callers retain them in compiled plans) but
+// reuses the workspace for every intermediate. The workspace
 // dimension must equal A.Rows()+B.Cols().
 func (w *ExpmWorkspace) ExpmIntegral(a, b *Matrix, t float64) (ad, bd *Matrix) {
 	a.mustSquare("ExpmIntegral")

@@ -220,7 +220,7 @@ func refHierAccess(st *refHierState, addr uint32, cfg cachesim.Config, h cachesi
 
 // compareHierStates requires all three component states agree with the
 // reference.
-func compareHierStates(t *testing.T, st *hierState, ref *refHierState, cfg cachesim.Config, h cachesim.Hierarchy) {
+func compareHierStates(t *testing.T, st hierState, ref *refHierState, cfg cachesim.Config, h cachesim.Hierarchy) {
 	t.Helper()
 	checkFlatInvariants(t, st.l1Must, cfg)
 	checkMayInvariants(t, st.l1May, cfg)
@@ -270,13 +270,13 @@ func FuzzHierStateOps(f *testing.F) {
 			switch op % 4 {
 			case 0:
 				addr := fuzzAddr(a0, a1)
-				got := hierLineCost(program.Line{Addr: addr, Fetches: 1}, stA, cfg, h)
+				got := hierLineCost(program.Line{Addr: addr, Fetches: 1}, &stA, linePrices(cfg, h))
 				if want := refHierAccess(refA, addr, cfg, h); got != want {
 					t.Fatalf("access %#x: production cost %d, reference %d", addr, got, want)
 				}
 			case 1:
 				addr := fuzzAddr(a0, a1)
-				got := hierLineCost(program.Line{Addr: addr, Fetches: 1}, stB, cfg, h)
+				got := hierLineCost(program.Line{Addr: addr, Fetches: 1}, &stB, linePrices(cfg, h))
 				if want := refHierAccess(refB, addr, cfg, h); got != want {
 					t.Fatalf("access %#x: production cost %d, reference %d", addr, got, want)
 				}
@@ -308,12 +308,12 @@ func TestFuzzHierHelpersAgreeOnPaperConfig(t *testing.T) {
 	other, refOther := newHierState(cfg, h), newRefHierState(cfg, h)
 	for i := 0; i < 4000; i++ {
 		addr := fuzzAddr(byte(i*7), byte(i*13+1))
-		if got, want := hierLineCost(program.Line{Addr: addr, Fetches: 1}, st, cfg, h), refHierAccess(ref, addr, cfg, h); got != want {
+		if got, want := hierLineCost(program.Line{Addr: addr, Fetches: 1}, &st, linePrices(cfg, h)), refHierAccess(ref, addr, cfg, h); got != want {
 			t.Fatalf("access %d (%#x): production cost %d, reference %d", i, addr, got, want)
 		}
 		switch i % 97 {
 		case 31:
-			hierLineCost(program.Line{Addr: addr ^ 0x100, Fetches: 1}, other, cfg, h)
+			hierLineCost(program.Line{Addr: addr ^ 0x100, Fetches: 1}, &other, linePrices(cfg, h))
 			refHierAccess(refOther, addr^0x100, cfg, h)
 		case 96:
 			st = hierJoin(st, other)

@@ -1,10 +1,12 @@
-// Multi-level must-analysis: guaranteed WCET bounds on two-level cache
-// hierarchies (cachesim.Hierarchy), cross-checked against the exact
-// HierCache trace simulation exactly like the single-level pair.
+// The must-analysis walk: guaranteed WCET bounds on single-level caches and
+// on two-level hierarchies (cachesim.Hierarchy) alike, cross-checked
+// against the exact trace simulations (Simulate). A single-level platform
+// is the hierarchy with no L2; there is one CFG walker, one line-cost
+// function and one fixpoint driver.
 //
 // Classifying an access against the L2 requires knowing whether the L1 is
-// consulted at all, so the hierarchy analysis threads three abstract states
-// (Hardy & Puaut's multi-level framing of the Ferdinand domains):
+// consulted at all, so with an L2 the analysis threads three abstract
+// states (Hardy & Puaut's multi-level framing of the Ferdinand domains):
 //
 //   - an L1 must-cache (age upper bounds): guaranteed L1 hits;
 //   - an L1 may-cache (age lower bounds, union join): a line absent from it
@@ -19,6 +21,10 @@
 // relies on; they are analyzed conservatively with no guaranteed L2 hits
 // (every non-guaranteed-L1 access is bounded by the memory latency), which
 // the exact simulation can only improve on.
+//
+// Without an L2 only the L1 must-cache is kept: the may-cache exists to
+// decide whether the L2 sees an access, so a guaranteed L1 hit costs the
+// hit price and anything else the miss price — the single-level rule.
 package wcet
 
 import (
@@ -44,7 +50,9 @@ type mayEntry struct {
 // with a lower bound on its LRU age. A line absent from its set is
 // guaranteed not cached. Unlike the must domain, a set can track more lines
 // than its associativity (several lines may share a lower bound after a
-// join), so sets are dynamically sized slices kept sorted by line.
+// join), so sets are dynamically sized slices kept sorted by line. Like
+// mustState, a nil *mayState (no L2 to classify for) stays nil through
+// clone, equal and join.
 type mayState struct {
 	ways int32
 	geom cachesim.Geometry
@@ -60,6 +68,9 @@ func newMayState(cfg cachesim.Config) *mayState {
 }
 
 func (s *mayState) clone() *mayState {
+	if s == nil {
+		return nil
+	}
 	n := &mayState{ways: s.ways, geom: s.geom, sets: make([][]mayEntry, len(s.sets))}
 	for i, set := range s.sets {
 		if len(set) > 0 {
@@ -70,6 +81,9 @@ func (s *mayState) clone() *mayState {
 }
 
 func (s *mayState) equal(o *mayState) bool {
+	if s == nil || o == nil {
+		return s == o
+	}
 	for i, set := range s.sets {
 		if len(set) != len(o.sets[i]) {
 			return false
@@ -143,6 +157,9 @@ func (s *mayState) access(addr uint32) {
 // cached in either, with the smaller age bound). Both runs are sorted by
 // line, so the union is a single merge pass per set.
 func mayJoin(a, b *mayState) *mayState {
+	if a == nil {
+		return nil
+	}
 	out := &mayState{ways: a.ways, geom: a.geom, sets: make([][]mayEntry, len(a.sets))}
 	for set := range a.sets {
 		sa, sb := a.sets[set], b.sets[set]
@@ -177,115 +194,117 @@ func mayJoin(a, b *mayState) *mayState {
 }
 
 // ---------------------------------------------------------------------------
-// Combined hierarchy state and the multi-level cost walker.
+// Combined state, line cost, CFG walker and fixpoint driver.
 // ---------------------------------------------------------------------------
 
-// hierState bundles the three abstract states of the multi-level analysis.
-// l2Must is nil for exclusive hierarchies (no guaranteed L2 hits).
+// hierState bundles the abstract states of the analysis. Without an L2
+// only l1Must is set; l2Must is also nil for exclusive hierarchies (no
+// guaranteed L2 hits). It is a value of three pointers, so clone and join
+// allocate only the component states.
 type hierState struct {
 	l1Must *mustState
 	l1May  *mayState
 	l2Must *mustState
 }
 
-func newHierState(cfg cachesim.Config, h cachesim.Hierarchy) *hierState {
-	st := &hierState{l1Must: newMustState(cfg), l1May: newMayState(cfg)}
-	if !h.Exclusive {
-		st.l2Must = newMustState(h.L2)
+func newHierState(cfg cachesim.Config, h cachesim.Hierarchy) hierState {
+	st := hierState{l1Must: newMustState(cfg)}
+	if h.Enabled() {
+		st.l1May = newMayState(cfg)
+		if !h.Exclusive {
+			st.l2Must = newMustState(h.L2)
+		}
 	}
 	return st
 }
 
-func (s *hierState) clone() *hierState {
-	n := &hierState{l1Must: s.l1Must.clone(), l1May: s.l1May.clone()}
-	if s.l2Must != nil {
-		n.l2Must = s.l2Must.clone()
-	}
-	return n
+func (s hierState) clone() hierState {
+	return hierState{l1Must: s.l1Must.clone(), l1May: s.l1May.clone(), l2Must: s.l2Must.clone()}
 }
 
-func (s *hierState) equal(o *hierState) bool {
-	if !s.l1Must.equal(o.l1Must) || !s.l1May.equal(o.l1May) {
-		return false
-	}
-	if (s.l2Must == nil) != (o.l2Must == nil) {
-		return false
-	}
-	return s.l2Must == nil || s.l2Must.equal(o.l2Must)
+func (s hierState) equal(o hierState) bool {
+	return s.l1Must.equal(o.l1Must) && s.l1May.equal(o.l1May) && s.l2Must.equal(o.l2Must)
 }
 
-func hierJoin(a, b *hierState) *hierState {
-	out := &hierState{l1Must: join(a.l1Must, b.l1Must), l1May: mayJoin(a.l1May, b.l1May)}
-	if a.l2Must != nil {
-		out.l2Must = join(a.l2Must, b.l2Must)
+func hierJoin(a, b hierState) hierState {
+	return hierState{
+		l1Must: join(a.l1Must, b.l1Must),
+		l1May:  mayJoin(a.l1May, b.l1May),
+		l2Must: join(a.l2Must, b.l2Must),
 	}
-	return out
 }
 
-// hierLineCost classifies one line access against the hierarchy state,
-// returns its guaranteed cycle bound, and applies the abstract updates.
-func hierLineCost(v program.Line, st *hierState, cfg cachesim.Config, h cachesim.Hierarchy) int64 {
-	hit1 := int64(cfg.HitCycles)
-	var c int64
-	switch {
-	case st.l1Must.guaranteed(v.Addr):
-		// Guaranteed L1 hit: the L2 is not consulted.
-		c = int64(v.Fetches) * hit1
-	case !st.l1May.maybe(v.Addr):
-		// Guaranteed L1 miss: the L2 is definitely consulted, so its must
-		// state takes the full access transformer.
-		if st.l2Must != nil && st.l2Must.guaranteed(v.Addr) {
-			c = int64(h.L2.HitCycles) + int64(v.Fetches-1)*hit1
-		} else {
-			c = int64(cfg.MissCycles) + int64(v.Fetches-1)*hit1
-		}
+// prices are the cycle costs of one fetch by the level that serves it,
+// read once per analysis instead of from both cache geometries per line.
+type prices struct{ hit, l2Hit, miss int64 }
+
+func linePrices(cfg cachesim.Config, h cachesim.Hierarchy) prices {
+	return prices{hit: int64(cfg.HitCycles), l2Hit: int64(h.L2.HitCycles), miss: int64(cfg.MissCycles)}
+}
+
+// hierLineCost classifies one line access against the state, returns its
+// guaranteed cycle bound, and applies the abstract updates.
+func hierLineCost(v program.Line, st *hierState, pr prices) int64 {
+	// A guaranteed L1 hit never consults the L2. Anything else is bounded
+	// by a guaranteed L2 hit when one holds (an L1 hit would be cheaper
+	// yet) and by the memory latency otherwise.
+	rest := int64(v.Fetches-1) * pr.hit
+	c := pr.hit + rest
+	if !st.l1Must.guaranteed(v.Addr) {
+		c = pr.miss + rest
 		if st.l2Must != nil {
-			st.l2Must.access(v.Addr)
-		}
-	default:
-		// Uncertain L1 outcome. The worst cost is still bounded by a
-		// guaranteed L2 hit when one holds (an L1 hit would be cheaper
-		// yet); the L2 may or may not see the access, so its must state
-		// moves to the join of both possibilities.
-		if st.l2Must != nil && st.l2Must.guaranteed(v.Addr) {
-			c = int64(h.L2.HitCycles) + int64(v.Fetches-1)*hit1
-		} else {
-			c = int64(cfg.MissCycles) + int64(v.Fetches-1)*hit1
-		}
-		if st.l2Must != nil {
-			touched := st.l2Must.clone()
-			touched.access(v.Addr)
-			st.l2Must = join(touched, st.l2Must)
+			if st.l2Must.guaranteed(v.Addr) {
+				c = pr.l2Hit + rest
+			}
+			if st.l1May.maybe(v.Addr) {
+				// Uncertain L1 outcome: the L2 may or may not see the
+				// access, so its must state moves to the join of both
+				// possibilities.
+				touched := st.l2Must.clone()
+				touched.access(v.Addr)
+				st.l2Must = join(touched, st.l2Must)
+			} else {
+				// Guaranteed L1 miss: the L2 is definitely consulted, so
+				// its must state takes the full access transformer.
+				st.l2Must.access(v.Addr)
+			}
 		}
 	}
 	// Whatever happened below it, the L1 ends up holding the line: hits
 	// refresh it, misses fill it (both arrangements).
 	st.l1Must.access(v.Addr)
-	st.l1May.access(v.Addr)
+	if st.l1May != nil {
+		st.l1May.access(v.Addr)
+	}
 	return c
 }
 
-// analyzeHierCost is analyzeCost over the combined hierarchy state: same
-// CFG walk, same virtual loop unrolling, same branch max + join.
-func analyzeHierCost(n program.Node, st *hierState, cfg cachesim.Config, h cachesim.Hierarchy) (int64, *hierState) {
+// analyzeHierCost walks the CFG computing a guaranteed worst-path cycle
+// bound, threading the state. Branches take the max cost and join the
+// out-states; loops are virtually unrolled (first iteration separate,
+// remaining iterations from the per-iteration fixpoint).
+func analyzeHierCost(n program.Node, st hierState, pr prices) (int64, hierState) {
 	switch v := n.(type) {
 	case nil:
 		return 0, st
 	case program.Line:
-		return hierLineCost(v, st, cfg, h), st
+		c := hierLineCost(v, &st, pr)
+		return c, st
 	case program.Seq:
 		var total int64
 		for _, child := range v {
 			var c int64
-			c, st = analyzeHierCost(child, st, cfg, h)
+			c, st = analyzeHierCost(child, st, pr)
 			total += c
 		}
 		return total, st
 	case program.Loop:
-		total, cur := analyzeHierCost(v.Body, st, cfg, h)
+		total, cur := analyzeHierCost(v.Body, st, pr)
 		for k := 2; k <= v.Count; k++ {
-			c, next := analyzeHierCost(v.Body, cur.clone(), cfg, h)
+			c, next := analyzeHierCost(v.Body, cur.clone(), pr)
 			if next.equal(cur) {
+				// Per-iteration fixpoint reached: all remaining
+				// iterations cost the same.
 				total += c * int64(v.Count-k+1)
 				cur = next
 				break
@@ -295,8 +314,8 @@ func analyzeHierCost(n program.Node, st *hierState, cfg cachesim.Config, h cache
 		}
 		return total, cur
 	case program.Branch:
-		ct, stThen := analyzeHierCost(v.Then, st.clone(), cfg, h)
-		ce, stElse := analyzeHierCost(v.Else, st.clone(), cfg, h)
+		ct, stThen := analyzeHierCost(v.Then, st.clone(), pr)
+		ce, stElse := analyzeHierCost(v.Else, st.clone(), pr)
 		c := ct
 		if ce > c {
 			c = ce
@@ -306,29 +325,31 @@ func analyzeHierCost(n program.Node, st *hierState, cfg cachesim.Config, h cache
 	panic(badNode(n))
 }
 
-// hierMustBounds is mustBounds over the hierarchy: the guaranteed cold WCET
-// and the guaranteed warm WCET from the whole-program fixpoint of all three
-// abstract states.
+// hierMustBounds returns the guaranteed cold WCET and the guaranteed warm
+// WCET, the cost of the whole-program pass whose entry state is a fixpoint
+// (steady state of back-to-back executions).
 //
-// Unlike the single-level analysis, the warm bound can exceed the cold
-// bound: the cold pass knows the caches start empty, so every access is a
-// guaranteed L1 miss that definitely reaches the L2, building a strong L2
-// must state (many guaranteed L2 hits); in steady state the may analysis
-// turns those accesses "uncertain", the L2 must state weakens through
-// joins, and the warm bound can rise above cold. Both bounds stay sound
-// individually, and the Result contract (Egu >= 0, Eq. 5) is restored by
-// raising the cold bound to the warm one — raising an upper bound is
-// always sound. With a degenerate L2 (hit cost == memory cost) the pass
-// costs equal the single-level ones, so the clamp is a no-op and the
+// With an L2 the warm bound can exceed the cold bound: the cold pass knows
+// the caches start empty, so every access is a guaranteed L1 miss that
+// definitely reaches the L2, building a strong L2 must state (many
+// guaranteed L2 hits); in steady state the may analysis turns those
+// accesses "uncertain", the L2 must state weakens through joins, and the
+// warm bound can rise above cold. Both bounds stay sound individually, and
+// the Result contract (Egu >= 0, Eq. 5) is restored by raising the cold
+// bound to the warm one — raising an upper bound is always sound. Without
+// an L2 the warm pass starts from a must state no weaker than the empty
+// one, so warm never exceeds cold; a degenerate L2 (hit cost == memory
+// cost) prices every pass the same way, so the clamp is a no-op and the
 // degenerate equivalence stays bit-exact.
 func hierMustBounds(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy) (cold, warm int64) {
+	pr := linePrices(cfg, h)
 	st := newHierState(cfg, h)
-	cold, st = analyzeHierCost(p.Root, st, cfg, h)
+	cold, st = analyzeHierCost(p.Root, st, pr)
 
 	prev := st
 	for i := 0; i < 64; i++ {
 		var c int64
-		c, st = analyzeHierCost(p.Root, prev.clone(), cfg, h)
+		c, st = analyzeHierCost(p.Root, prev.clone(), pr)
 		if st.equal(prev) {
 			if c > cold {
 				cold = c
@@ -371,52 +392,4 @@ func allMissCost(n program.Node, cfg cachesim.Config) int64 {
 		return ct
 	}
 	panic(badNode(n))
-}
-
-// ---------------------------------------------------------------------------
-// Exact two-level trace simulation (the cross-check engine).
-// ---------------------------------------------------------------------------
-
-// simulateHierNode is simulateNode against the concrete two-level cache:
-// same worst-branch policy (costlier arm from the current state, ties to
-// Then).
-func simulateHierNode(n program.Node, c *cachesim.HierCache) int64 {
-	switch v := n.(type) {
-	case nil:
-		return 0
-	case program.Line:
-		return int64(c.AccessRun(v.Addr, v.Fetches))
-	case program.Seq:
-		var total int64
-		for _, child := range v {
-			total += simulateHierNode(child, c)
-		}
-		return total
-	case program.Loop:
-		var total int64
-		for i := 0; i < v.Count; i++ {
-			total += simulateHierNode(v.Body, c)
-		}
-		return total
-	case program.Branch:
-		ct := simulateHierNode(v.Then, c.Clone())
-		ce := simulateHierNode(v.Else, c.Clone())
-		if ce > ct {
-			return simulateHierNode(v.Else, c)
-		}
-		return simulateHierNode(v.Then, c)
-	}
-	panic(badNode(n))
-}
-
-// SimulateHierRuns returns the concrete per-run cycle counts of k
-// back-to-back executions through a two-level cache starting cold, using
-// the worst-branch policy; the hierarchy twin of SimulateRuns.
-func SimulateHierRuns(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy, k int) []int64 {
-	c := cachesim.MustNewHier(cfg, h)
-	out := make([]int64, k)
-	for i := range out {
-		out[i] = simulateHierNode(p.Root, c)
-	}
-	return out
 }

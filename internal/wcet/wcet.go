@@ -11,7 +11,8 @@
 //  1. an abstract-interpretation "must" cache analysis (Ferdinand-style age
 //     bounds with branch-join by intersection and virtual loop unrolling),
 //     which yields *guaranteed* bounds as a WCET tool would — this is the
-//     only engine Analyze runs; and
+//     only engine Analyze runs. There is one walk for every cache level
+//     (hierarchy.go): a single-level platform is the hierarchy with no L2; and
 //  2. an exact trace simulation over the cache model (Simulate,
 //     SimulateRuns, SimulateOn), which yields the concrete worst-path
 //     timing the bounds must dominate. It is the soundness oracle of the
@@ -84,9 +85,9 @@ func validateMustPolicy(cfg cachesim.Config, level string) error {
 }
 
 // Analyze runs the must-analysis on p and returns its guaranteed bounds.
-// When the platform carries an enabled cache hierarchy, the multi-level
-// must-analysis runs instead of the single-level one. The concrete
-// simulation is not run; Simulate gives it on the same platform.
+// One walk serves every platform: without an enabled hierarchy it is the
+// multi-level walk with no L2. The concrete simulation is not run;
+// Simulate gives it on the same platform.
 func Analyze(p *program.Program, plat Platform) (*Result, error) {
 	if err := plat.Cache.Validate(); err != nil {
 		return nil, err
@@ -106,13 +107,7 @@ func Analyze(p *program.Program, plat Platform) (*Result, error) {
 		return nil, err
 	}
 
-	var cold, warm int64
-	if plat.Hier.Enabled() {
-		cold, warm = hierMustBounds(p, plat.Cache, plat.Hier)
-	} else {
-		cold, warm = mustBounds(p, plat.Cache)
-	}
-
+	cold, warm := hierMustBounds(p, plat.Cache, plat.Hier)
 	res := &Result{
 		ColdCycles:      cold,
 		WarmCycles:      warm,
@@ -200,6 +195,9 @@ func (r *Result) TaskWCETsSeconds(plat Platform, m int) []float64 {
 //
 // The address arithmetic (set count, line shift) comes precomputed from
 // cachesim.Geometry, so the per-access path performs no divisions.
+//
+// A nil *mustState is an absent cache level (no L2, or an exclusive L2 with
+// no guaranteed hits): clone, equal and join carry it through as nil.
 type mustState struct {
 	ways  int
 	geom  cachesim.Geometry
@@ -220,6 +218,9 @@ func newMustState(cfg cachesim.Config) *mustState {
 }
 
 func (s *mustState) clone() *mustState {
+	if s == nil {
+		return nil
+	}
 	return &mustState{
 		ways:  s.ways,
 		geom:  s.geom,
@@ -230,6 +231,9 @@ func (s *mustState) clone() *mustState {
 }
 
 func (s *mustState) equal(o *mustState) bool {
+	if s == nil || o == nil {
+		return s == o
+	}
 	for set := range s.cnt {
 		if s.cnt[set] != o.cnt[set] {
 			return false
@@ -309,6 +313,9 @@ func (s *mustState) access(addr uint32) {
 // in both, with the larger age bound). Both runs are sorted by line, so the
 // intersection is a single merge pass per set.
 func join(a, b *mustState) *mustState {
+	if a == nil {
+		return nil
+	}
 	out := &mustState{
 		ways:  a.ways,
 		geom:  a.geom,
@@ -344,83 +351,6 @@ func join(a, b *mustState) *mustState {
 	return out
 }
 
-// analyzeCost walks the CFG computing a guaranteed worst-path cycle bound,
-// threading the must state. Branches take the max cost and intersect the
-// out-states; loops are virtually unrolled (first iteration separate,
-// remaining iterations from the per-iteration fixpoint).
-func analyzeCost(n program.Node, st *mustState, cfg cachesim.Config) (int64, *mustState) {
-	switch v := n.(type) {
-	case nil:
-		return 0, st
-	case program.Line:
-		var c int64
-		if st.guaranteed(v.Addr) {
-			c = int64(v.Fetches) * int64(cfg.HitCycles)
-		} else {
-			c = int64(cfg.MissCycles) + int64(v.Fetches-1)*int64(cfg.HitCycles)
-		}
-		st.access(v.Addr)
-		return c, st
-	case program.Seq:
-		var total int64
-		for _, child := range v {
-			var c int64
-			c, st = analyzeCost(child, st, cfg)
-			total += c
-		}
-		return total, st
-	case program.Loop:
-		// First iteration from the incoming state.
-		total, cur := analyzeCost(v.Body, st, cfg)
-		for k := 2; k <= v.Count; k++ {
-			c, next := analyzeCost(v.Body, cur.clone(), cfg)
-			if next.equal(cur) {
-				// Per-iteration fixpoint reached: all remaining
-				// iterations cost the same.
-				total += c * int64(v.Count-k+1)
-				cur = next
-				break
-			}
-			total += c
-			cur = next
-		}
-		return total, cur
-	case program.Branch:
-		ct, stThen := analyzeCost(v.Then, st.clone(), cfg)
-		ce, stElse := analyzeCost(v.Else, st.clone(), cfg)
-		c := ct
-		if ce > c {
-			c = ce
-		}
-		return c, join(stThen, stElse)
-	}
-	panic(fmt.Sprintf("wcet: unknown node type %T", n))
-}
-
-// mustBounds returns the guaranteed cold WCET and the guaranteed warm WCET
-// (steady state of back-to-back executions).
-func mustBounds(p *program.Program, cfg cachesim.Config) (cold, warm int64) {
-	st := newMustState(cfg)
-	cold, st = analyzeCost(p.Root, st, cfg)
-
-	// Iterate whole-program passes until the entry state (and hence the
-	// cost) of a pass stabilizes; that pass's cost is the guaranteed warm
-	// WCET. Cap the iteration defensively.
-	prev := st
-	for i := 0; i < 16; i++ {
-		var c int64
-		c, st = analyzeCost(p.Root, prev.clone(), cfg)
-		if st.equal(prev) {
-			return cold, c
-		}
-		warm = c
-		prev = st
-	}
-	// No fixpoint within the cap (pathological ping-pong): be conservative
-	// and report no guaranteed reduction.
-	return cold, cold
-}
-
 // ---------------------------------------------------------------------------
 // Engine 2: concrete worst-path simulation (the soundness oracle).
 // ---------------------------------------------------------------------------
@@ -440,16 +370,35 @@ func Simulate(p *program.Program, plat Platform) (cold, warm int64) {
 	return runs[0], runs[1]
 }
 
+// concreteCache is a cache the worst-branch simulation runs against: the
+// single-level cachesim.Cache or the two-level cachesim.HierCache.
+type concreteCache interface {
+	fetch(addr uint32, fetches int) int64
+	clone() concreteCache
+}
+
+type flatCache struct{ c *cachesim.Cache }
+
+func (f flatCache) fetch(addr uint32, n int) int64 {
+	_, cyc := f.c.AccessRun(addr, n)
+	return int64(cyc)
+}
+func (f flatCache) clone() concreteCache { return flatCache{f.c.Clone()} }
+
+type twoLevelCache struct{ c *cachesim.HierCache }
+
+func (t twoLevelCache) fetch(addr uint32, n int) int64 { return int64(t.c.AccessRun(addr, n)) }
+func (t twoLevelCache) clone() concreteCache           { return twoLevelCache{t.c.Clone()} }
+
 // simulateNode executes n against the concrete cache, choosing at each
 // branch the arm that is costlier *from the current concrete state* (ties
 // go to Then), and returns the cycle count.
-func simulateNode(n program.Node, c *cachesim.Cache) int64 {
+func simulateNode(n program.Node, c concreteCache) int64 {
 	switch v := n.(type) {
 	case nil:
 		return 0
 	case program.Line:
-		_, cyc := c.AccessRun(v.Addr, v.Fetches)
-		return int64(cyc)
+		return c.fetch(v.Addr, v.Fetches)
 	case program.Seq:
 		var total int64
 		for _, child := range v {
@@ -463,21 +412,18 @@ func simulateNode(n program.Node, c *cachesim.Cache) int64 {
 		}
 		return total
 	case program.Branch:
-		ct := simulateNode(v.Then, c.Clone())
-		ce := simulateNode(v.Else, c.Clone())
+		ct := simulateNode(v.Then, c.clone())
+		ce := simulateNode(v.Else, c.clone())
 		if ce > ct {
 			return simulateNode(v.Else, c)
 		}
 		return simulateNode(v.Then, c)
 	}
-	panic(fmt.Sprintf("wcet: unknown node type %T", n))
+	panic(badNode(n))
 }
 
-// SimulateRuns returns the concrete per-run cycle counts of k back-to-back
-// executions starting from a cold cache, using the worst-branch policy. It
-// is used by integration tests to validate the burst model of Eq. (5).
-func SimulateRuns(p *program.Program, cfg cachesim.Config, k int) []int64 {
-	c := cachesim.MustNew(cfg)
+// simulateRuns runs p k times back to back on c.
+func simulateRuns(p *program.Program, c concreteCache, k int) []int64 {
 	out := make([]int64, k)
 	for i := range out {
 		out[i] = simulateNode(p.Root, c)
@@ -485,9 +431,23 @@ func SimulateRuns(p *program.Program, cfg cachesim.Config, k int) []int64 {
 	return out
 }
 
+// SimulateRuns returns the concrete per-run cycle counts of k back-to-back
+// executions starting from a cold cache, using the worst-branch policy. It
+// is used by integration tests to validate the burst model of Eq. (5).
+func SimulateRuns(p *program.Program, cfg cachesim.Config, k int) []int64 {
+	return simulateRuns(p, flatCache{cachesim.MustNew(cfg)}, k)
+}
+
+// SimulateHierRuns returns the concrete per-run cycle counts of k
+// back-to-back executions through a two-level cache starting cold, using
+// the worst-branch policy; the hierarchy twin of SimulateRuns.
+func SimulateHierRuns(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy, k int) []int64 {
+	return simulateRuns(p, twoLevelCache{cachesim.MustNewHier(cfg, h)}, k)
+}
+
 // SimulateOn executes p once against the provided (shared) cache, returning
 // the cycle count. The cache is mutated; schedule-level integration tests
 // use this to interleave multiple applications on one cache.
 func SimulateOn(p *program.Program, c *cachesim.Cache) int64 {
-	return simulateNode(p.Root, c)
+	return simulateNode(p.Root, flatCache{c})
 }
