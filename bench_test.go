@@ -445,6 +445,66 @@ func BenchmarkMulticoreCoDesign(b *testing.B) {
 	}
 }
 
+// codesignBlock is one block of the end-to-end benchmark's codesign-sweep
+// workload (bench/codesign.go), seeded by position: eight timing-objective
+// scenarios with the exhaustive pass on, one per scenario class —
+// schedule-only, an inclusive L2, sporadic arrivals, joint exhaustive on
+// 4way-512, joint branch-and-bound on 8way-512, two cores with three and
+// four apps, and schedule-only with five apps.
+func codesignBlock() []engine.Scenario {
+	pp := exp.PartitionPlatforms()
+	paper := wcet.PaperPlatform()
+	block := make([]engine.Scenario, 8)
+	for c := range block {
+		s := engine.Scenario{Name: fmt.Sprintf("class%d", c), Seed: int64(c + 1), Exhaustive: true}
+		switch c {
+		case 0:
+			s.Platform = engine.PlatformVariants()[1]
+		case 1:
+			s.Platform = paper
+			s.Platform.Hier = cachesim.Hierarchy{L2: cachesim.Config{
+				Lines: 512, LineSize: paper.Cache.LineSize, Ways: 4, Policy: cachesim.LRU,
+				HitCycles: 10, MissCycles: paper.Cache.MissCycles,
+			}}
+		case 2:
+			s.Arrival = sched.Arrival{Model: sched.ArrivalSporadic, Jitter: 0.2, Seed: s.Seed}
+		case 3:
+			s.Platform, s.Partitioned = pp[2].Platform, true
+		case 4:
+			s.Platform, s.Partitioned, s.BranchBound = pp[3].Platform, true, true
+		case 5:
+			s.Platform, s.Cores, s.BranchBound = pp[2].Platform, 2, true
+		case 6:
+			s.Platform, s.Cores, s.BranchBound, s.NumApps = pp[2].Platform, 2, true, 4
+		case 7:
+			s.NumApps = 5
+		}
+		block[c] = s
+	}
+	return block
+}
+
+// BenchmarkCodesignBlock sweeps one codesign block serially: taskset and
+// WCET generation plus hybrid and exact search for every scenario axis,
+// with no controller design and no I/O. Run it with -benchmem: its
+// allocs/op tracks the search layer's bookkeeping.
+func BenchmarkCodesignBlock(b *testing.B) {
+	block := codesignBlock()
+	var results []*engine.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		results, err = engine.Sweep(engine.Config{Workers: 1}, block)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	points := 0
+	for _, r := range results {
+		points += r.Evaluated
+	}
+	b.ReportMetric(float64(points), "distinct-evals")
+}
+
 // BenchmarkJointHybridVsExhaustive measures the joint hybrid ascent's
 // efficiency on the widest partition platform: evaluations executed by the
 // walks against the full joint box, at equal optima.

@@ -164,12 +164,18 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\nExhaustive search: %d schedules evaluated, %d feasible\n", res.Evaluated, res.Feasible)
 		fmt.Fprintf(stdout, "  best: %v with P_all = %.4f\n", res.Best, res.BestValue)
 		fmt.Fprintln(stdout, "  full landscape (schedule, P_all, feasible, per-app settling ms):")
-		for i, s := range res.All {
+		// The search evaluated every point of this box through the
+		// framework, so each lookup below is a memoized hit.
+		box, err := sched.EnumerateFeasible(fw.Timings, *maxM)
+		if err != nil {
+			return err
+		}
+		for _, s := range box {
 			ev, err := fw.EvaluateSchedule(s)
 			if err != nil {
 				continue
 			}
-			fmt.Fprintf(stdout, "   %v  P=%8.4f feas=%-5v  ", s, res.AllOutcomes[i].Pall, res.AllOutcomes[i].Feasible)
+			fmt.Fprintf(stdout, "   %v  P=%8.4f feas=%-5v  ", s, ev.Pall, ev.Feasible)
 			for _, ar := range ev.Apps {
 				fmt.Fprintf(stdout, " %6.2f", ar.Design.SettlingTime*1e3)
 			}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -147,5 +148,23 @@ func TestHelpListsEveryMode(t *testing.T) {
 		if !listed[m] {
 			t.Errorf("-mode help %q does not list mode %q", strings.TrimSpace(help), m)
 		}
+	}
+}
+
+// TestRunExhaustiveMode pins -mode exhaustive's whole report — Table I, the
+// optimum and the full landscape with per-app settling times — byte for
+// byte against the output recorded before the landscape was re-enumerated
+// from the framework's memoized evaluations.
+func TestRunExhaustiveMode(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-mode", "exhaustive", "-budget", "tiny", "-maxm", "2"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/exhaustive_tiny_maxm2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("-mode exhaustive output differs from the golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -255,10 +255,9 @@ const (
 	tableNamespace  = "served/table/v1/"
 )
 
-// strKey adapts a plain string to the evalcache key contract.
-type strKey string
-
-func (k strKey) Key() string { return string(k) }
+// strKey is the service's cache key: a plain string, which is also its
+// memory-tier key.
+type strKey = evalcache.StringKey
 
 // server owns the shared caches: frameworks per budget (each framework
 // memoizes full schedule evaluations), design summaries and rendered
@@ -290,9 +289,9 @@ type server struct {
 	timeouts atomic.Int64 // compute requests answered 503 by the deadline
 	probes   atomic.Int64 // /readyz write-probe sequence
 
-	frameworks *evalcache.Cache[strKey, *core.Framework]
-	designs    *evalcache.Cache[strKey, *designRecord]
-	tables     *evalcache.Cache[strKey, string]
+	frameworks *evalcache.Cache[strKey, string, *core.Framework]
+	designs    *evalcache.Cache[strKey, string, *designRecord]
+	tables     *evalcache.Cache[strKey, string, string]
 }
 
 // backend returns the store as an evalcache.Backend, or a true nil
@@ -689,6 +688,8 @@ func parseJoint(key string) (sched.JointSchedule, error) {
 }
 
 // parseSchedule parses "3,2,3" (also tolerating spaces) into a schedule.
+// Entries above sched.MaxPackedCoord are rejected here, as the caller's
+// fault: the evaluation caches cannot key them.
 func parseSchedule(text string) (sched.Schedule, error) {
 	fields := strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' })
 	if len(fields) == 0 {
@@ -697,7 +698,7 @@ func parseSchedule(text string) (sched.Schedule, error) {
 	m := make(sched.Schedule, len(fields))
 	for i, f := range fields {
 		v, err := strconv.Atoi(f)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || v > sched.MaxPackedCoord {
 			return nil, fmt.Errorf("bad schedule entry %q", f)
 		}
 		m[i] = v

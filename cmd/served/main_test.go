@@ -128,10 +128,12 @@ func TestServedDesignBatch(t *testing.T) {
 
 	oversize := "/v1/design?schedule=1,1,1" + strings.Repeat("&schedule=1,1,1", maxDesignBatch)
 	for _, bad := range []string{
-		"/v1/design",                          // no schedule
-		"/v1/design?schedule=a,b",             // unparsable
-		"/v1/design?schedule=1,1,1&budget=xl", // unknown budget
-		oversize,                              // batch over the cap
+		"/v1/design",                             // no schedule
+		"/v1/design?schedule=a,b",                // unparsable
+		"/v1/design?schedule=256,1,1",            // burst beyond the packed point key
+		"/v1/design?schedule=1,1,1&ways=1,1,300", // way count beyond the packed point key
+		"/v1/design?schedule=1,1,1&budget=xl",    // unknown budget
+		oversize,                                 // batch over the cap
 	} {
 		if code := getJSON(t, hs.URL+bad, nil); code != http.StatusBadRequest {
 			t.Errorf("%.60s status %d, want 400", bad, code)

@@ -64,7 +64,7 @@ type Framework struct {
 	// concurrent searches and sweeps coalesce duplicate evaluations. A plain
 	// schedule is its shared point, whose key equals the schedule's own, so
 	// schedule-only and joint entry paths share every entry.
-	cache *evalcache.Cache[sched.JointSchedule, *ScheduleEval]
+	cache *evalcache.Cache[sched.JointSchedule, sched.PointKey, *ScheduleEval]
 
 	// coreViews memoizes the per-application-subset sub-frameworks of the
 	// multi-core placement search (CoreView), keyed by the subset's index
@@ -137,7 +137,8 @@ func (f *Framework) EvaluateSchedule(s sched.Schedule) (*ScheduleEval, error) {
 // shared taskset for a shared point). The per-app PSO seeds derive from the
 // point's canonical key; a shared point's key equals its plain schedule
 // key, keeping schedule-only evaluations reproducible across both entry
-// paths.
+// paths. The searchers pass j as a view into reused buffers, so everything
+// the result keeps of it is cloned.
 func (f *Framework) evaluate(j sched.JointSchedule) (*ScheduleEval, error) {
 	timings, err := f.PartTimings.Timings(j)
 	if err != nil {

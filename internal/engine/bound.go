@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/search"
@@ -73,24 +74,43 @@ func (b timingBounder) AppBest(i, w int) float64 {
 // MulticoreTimingEval is JointTimingEval over the placement axis: a core
 // point scores its joint (schedule, ways) point on the timing sub-table of
 // its application subset, with the apps' global weights, so per-core values
-// sum to a P_all comparable with the single-core numbers.
+// sum to a P_all comparable with the single-core numbers. Each subset's
+// sub-table and weight vector are built once, on the subset's first point.
 func MulticoreTimingEval(pt sched.PartitionTimings, weights []float64) search.CoreEvalFunc {
+	type coreView struct {
+		sub     sched.PartitionTimings
+		weights []float64
+	}
+	var (
+		mu    sync.Mutex
+		views = map[sched.PointKey]*coreView{}
+	)
+	view := func(apps []int) (*coreView, error) {
+		key, err := sched.PackPoint(apps, true, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if v, ok := views[key]; ok {
+			return v, nil
+		}
+		sub, err := search.SubPartition(pt, apps)
+		if err != nil {
+			return nil, err
+		}
+		v := &coreView{sub: sub, weights: make([]float64, len(apps))}
+		for k, i := range apps {
+			v.weights[k] = weights[i]
+		}
+		views[key] = v
+		return v, nil
+	}
 	return func(p search.CorePoint) (search.Outcome, error) {
-		sub, err := search.SubPartition(pt, p.Apps)
+		v, err := view(p.Apps)
 		if err != nil {
 			return search.Outcome{}, err
 		}
-		if !p.Point.W.Valid(sub.Apps(), sub.TotalWays()) {
-			return search.Outcome{Pall: -1, Feasible: false}, nil
-		}
-		timings, err := sub.Timings(p.Point)
-		if err != nil {
-			return search.Outcome{}, err
-		}
-		w := make([]float64, len(p.Apps))
-		for k, i := range p.Apps {
-			w[k] = weights[i]
-		}
-		return timingScore(timings, w, p.Point.M)
+		return jointTimingScore(v.sub, v.weights, p.Point)
 	}
 }

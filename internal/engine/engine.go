@@ -435,7 +435,7 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 // pass run through one cache, and the exact optimum replaces the hybrid
 // one only when strictly better. It sets res's value, evaluation and cache
 // fields and returns both searches' results plus the winning point.
-func runSearch[P search.Point[P]](scn Scenario, res *Result, cache *evalcache.Cache[P, search.Outcome],
+func runSearch[P search.Point[P]](scn Scenario, res *Result, cache *search.PointCache[P],
 	hybrid func(search.HybridOptions[P]) (*search.MultiStart[P], error),
 	exact func() (*search.Enumeration[P], error),
 ) (hy *search.MultiStart[P], ex *search.Enumeration[P], best P, err error) {
@@ -773,15 +773,23 @@ func SporadicTimingEval(timings []sched.AppTiming, weights []float64, arr sched.
 // the way budget are infeasible.
 func JointTimingEval(pt sched.PartitionTimings, weights []float64) search.JointEvalFunc {
 	return func(j sched.JointSchedule) (search.Outcome, error) {
-		if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
-			return search.Outcome{Pall: -1, Feasible: false}, nil
-		}
-		timings, err := pt.Timings(j)
-		if err != nil {
-			return search.Outcome{}, err
-		}
-		return timingScore(timings, weights, j.M)
+		return jointTimingScore(pt, weights, j)
 	}
+}
+
+// jointTimingScore scores a joint point on its way allocation's rows of pt,
+// gathering the timing vector on the stack for tasksets up to
+// sched.StackApps applications.
+func jointTimingScore(pt sched.PartitionTimings, weights []float64, j sched.JointSchedule) (search.Outcome, error) {
+	if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
+		return search.Outcome{Pall: -1, Feasible: false}, nil
+	}
+	var buf [sched.StackApps]sched.AppTiming
+	timings, err := pt.TimingsInto(buf[:0], j)
+	if err != nil {
+		return search.Outcome{}, err
+	}
+	return timingScore(timings, weights, j.M)
 }
 
 // RandomTaskset draws a scenario's randomized taskset: NumApps random

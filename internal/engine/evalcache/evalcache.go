@@ -5,11 +5,20 @@
 // of any schedule (m1, ..., mn) runs at most once per cache, no matter how
 // many walks, starts, or workers request it concurrently.
 //
-// The cache is generic over both the key and the evaluation result type so
-// it can back the search layer (sched.Schedule -> search.Outcome), the
-// framework layer (sched.JointSchedule -> *core.ScheduleEval), and the joint
-// cache-partition co-design layer (sched.JointSchedule -> outcome) without
-// import cycles. Any key type exposing a canonical Key() string works.
+// The cache is generic over the point type, its memory-tier key and the
+// evaluation result, so it backs the search layer (sched.Schedule ->
+// search.Outcome), the framework layer (sched.JointSchedule ->
+// *core.ScheduleEval), the joint and multi-core co-design layers, and the
+// HTTP service's string-keyed caches without import cycles.
+//
+// A point carries two identities (Keyed). MemKey is a fixed-size comparable
+// value — for search points the packed sched.PointKey — that keys the
+// memory tier: building it allocates nothing, so a memory hit costs no
+// allocation at all. Key is the canonical string rendering; the cache
+// builds it only on a memory miss with a persistent tier attached (as the
+// backend key) and for error messages. The two must agree: equal MemKeys
+// exactly when Key strings are equal. A point whose MemKey cannot be formed
+// makes Get fail with that error; there is no string-keyed fallback.
 //
 // A cache optionally carries a second, persistent tier (NewTiered): on a
 // memory miss the Backend — in production internal/store's disk store — is
@@ -22,6 +31,10 @@
 // on a warm store, and a sweep's reported tables are bit-identical across
 // cold-store, warm-store, and resumed runs. A backend record that fails to
 // decode is treated as a miss and recomputed, never served.
+//
+// The evaluator runs on the caller's point. It must not retain that point
+// (or any slice inside it) past the call: the searchers pass views into
+// reused buffers. Whatever an evaluation keeps, it copies.
 package evalcache
 
 import (
@@ -31,13 +44,26 @@ import (
 	"sync/atomic"
 )
 
-// Keyed is the key contract: Key returns a canonical string identity for
-// the evaluation input (equal inputs must render equal keys, distinct
-// inputs distinct keys). sched.Schedule and sched.JointSchedule implement
-// it.
-type Keyed interface {
+// Keyed is the point contract. Key returns the canonical string identity of
+// the evaluation input; MemKey returns the memory-tier identity, a
+// comparable value equal for two points exactly when their Key strings are
+// equal, or an error when the point cannot be keyed in memory.
+// sched.Schedule, sched.JointSchedule and search.CorePoint implement it
+// with M = sched.PointKey; StringKey implements it for plain strings.
+type Keyed[M comparable] interface {
 	Key() string
+	MemKey() (M, error)
 }
+
+// StringKey adapts a plain string to the key contract: the string is its
+// own memory key.
+type StringKey string
+
+// Key returns the string.
+func (k StringKey) Key() string { return string(k) }
+
+// MemKey returns the string; it never fails.
+func (k StringKey) MemKey() (string, error) { return string(k), nil }
 
 // DefaultShards is the shard count used when NewCache is given n <= 0.
 // Sixteen stripes keep lock contention negligible for the worker-pool sizes
@@ -65,24 +91,28 @@ type Codec[V any] struct {
 	Decode func([]byte) (V, error)
 }
 
-// entry is one memoized evaluation. The first requester of a key creates
-// the entry and evaluates; later requesters block on done, so duplicate
-// concurrent evaluations of the same schedule never run.
+// entry is one memoized evaluation, stored by value in its shard's map.
+// The first requester of a key inserts a pending entry and evaluates; a
+// later requester that finds it pending creates the wait channel (only then)
+// and blocks on it, so duplicate concurrent evaluations never run and an
+// uncontended miss allocates no channel.
 type entry[V any] struct {
-	done chan struct{}
 	val  V
 	err  error
+	done bool
+	wait chan struct{} // nil until a second requester has to wait
 }
 
-type shard[V any] struct {
+type shard[M comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]*entry[V]
+	m  map[M]entry[V]
 }
 
-// Cache memoizes a key-addressed evaluation function across shards.
-type Cache[K Keyed, V any] struct {
+// Cache memoizes a key-addressed evaluation function across shards. K is
+// the point type, M its memory-tier key (see Keyed), V the result.
+type Cache[K Keyed[M], M comparable, V any] struct {
 	eval   func(K) (V, error)
-	shards []shard[V]
+	shards []shard[M, V]
 	seed   maphash.Seed
 
 	// Persistent tier (nil backend = memory-only). namespace prefixes every
@@ -99,13 +129,13 @@ type Cache[K Keyed, V any] struct {
 
 // NewCache wraps eval in a memory-only cache with the given shard count
 // (DefaultShards when n <= 0).
-func NewCache[K Keyed, V any](n int, eval func(K) (V, error)) *Cache[K, V] {
+func NewCache[K Keyed[M], M comparable, V any](n int, eval func(K) (V, error)) *Cache[K, M, V] {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	c := &Cache[K, V]{eval: eval, shards: make([]shard[V], n), seed: maphash.MakeSeed()}
+	c := &Cache[K, M, V]{eval: eval, shards: make([]shard[M, V], n), seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]*entry[V])
+		c.shards[i].m = make(map[M]entry[V])
 	}
 	return c
 }
@@ -113,7 +143,7 @@ func NewCache[K Keyed, V any](n int, eval func(K) (V, error)) *Cache[K, V] {
 // NewTiered wraps eval in a two-tier cache: memory in front of the given
 // persistent backend, with every backend key prefixed by namespace and
 // values serialized through codec. A nil backend degrades to NewCache.
-func NewTiered[K Keyed, V any](n int, eval func(K) (V, error), b Backend, namespace string, codec Codec[V]) *Cache[K, V] {
+func NewTiered[K Keyed[M], M comparable, V any](n int, eval func(K) (V, error), b Backend, namespace string, codec Codec[V]) *Cache[K, M, V] {
 	c := NewCache(n, eval)
 	c.backend = b
 	c.namespace = namespace
@@ -121,14 +151,15 @@ func NewTiered[K Keyed, V any](n int, eval func(K) (V, error), b Backend, namesp
 	return c
 }
 
-func (c *Cache[K, V]) shardFor(key string) *shard[V] {
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
+func (c *Cache[K, M, V]) shardFor(key M) *shard[M, V] {
+	return &c.shards[maphash.Comparable(c.seed, key)%uint64(len(c.shards))]
 }
 
 // Get returns the memoized evaluation of s, computing it on first request.
 // Concurrent requests for the same key coalesce: exactly one computes,
 // the rest wait. An evaluation error is memoized like a value so a failing
-// input is not retried within one cache lifetime.
+// input is not retried within one cache lifetime. A point whose memory key
+// cannot be formed fails without touching the cache or its counters.
 //
 // The boolean reports whether this call materialized the entry (a memory
 // miss) — by executing the evaluator or by loading the persistent tier;
@@ -136,56 +167,84 @@ func (c *Cache[K, V]) shardFor(key string) *shard[V] {
 // paid for the evaluation. Counting a disk load exactly like an execution
 // is what keeps per-walk counts, and hence all reported tables,
 // bit-identical between cold-store and warm-store runs.
-func (c *Cache[K, V]) Get(s K) (V, bool, error) {
-	key := s.Key()
-	sh := c.shardFor(key)
+//
+// A hit allocates nothing; only a miss with a persistent tier attached
+// renders the string key.
+func (c *Cache[K, M, V]) Get(s K) (V, bool, error) {
+	mk, err := s.MemKey()
+	if err != nil {
+		var zero V
+		return zero, false, err
+	}
+	sh := c.shardFor(mk)
 	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok {
+	if e, ok := sh.m[mk]; ok {
+		if !e.done {
+			if e.wait == nil {
+				e.wait = make(chan struct{})
+				sh.m[mk] = e
+			}
+			sh.mu.Unlock()
+			<-e.wait
+			sh.mu.Lock()
+			e = sh.m[mk]
+		}
 		sh.mu.Unlock()
-		<-e.done
 		c.hits.Add(1)
 		return e.val, false, e.err
 	}
-	e := &entry[V]{done: make(chan struct{})}
-	sh.m[key] = e
+	sh.m[mk] = entry[V]{}
 	sh.mu.Unlock()
 
 	c.misses.Add(1)
-	// Close done even if the evaluator panics: otherwise the entry would
+	// Complete the entry even if the evaluator panics: otherwise it would
 	// wedge every future waiter on this key. A panicking evaluation is
 	// memoized as an error so coalesced waiters fail loudly instead of
 	// receiving a zero value.
-	finished := false
+	var (
+		val      V
+		evalErr  error
+		finished bool
+	)
 	defer func() {
 		if !finished {
-			e.err = fmt.Errorf("evalcache: evaluation of %s panicked", key)
+			evalErr = fmt.Errorf("evalcache: evaluation of %s panicked", s.Key())
 		}
-		close(e.done)
+		sh.mu.Lock()
+		e := sh.m[mk]
+		e.val, e.err, e.done = val, evalErr, true
+		sh.m[mk] = e
+		sh.mu.Unlock()
+		if e.wait != nil {
+			close(e.wait)
+		}
 	}()
+	var key string
 	if c.backend != nil {
-		if data, ok := c.backend.Get(c.namespace + key); ok {
+		key = c.namespace + s.Key()
+		if data, ok := c.backend.Get(key); ok {
 			if v, err := c.codec.Decode(data); err == nil {
 				c.diskHits.Add(1)
-				e.val = v
+				val = v
 				finished = true
-				return e.val, true, nil
+				return val, true, nil
 			}
 			// Undecodable record (stale payload schema, corruption the
 			// envelope check could not catch): recompute and overwrite.
 		}
 	}
-	e.val, e.err = c.eval(s)
+	val, evalErr = c.eval(s)
 	finished = true
-	if e.err == nil && c.backend != nil {
-		if data, err := c.codec.Encode(e.val); err == nil {
-			c.backend.Put(c.namespace+key, data)
+	if evalErr == nil && c.backend != nil {
+		if data, err := c.codec.Encode(val); err == nil {
+			c.backend.Put(key, data)
 		}
 	}
-	return e.val, true, e.err
+	return val, true, evalErr
 }
 
 // Len returns the number of distinct keys evaluated (or in flight).
-func (c *Cache[K, V]) Len() int {
+func (c *Cache[K, M, V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
@@ -223,6 +282,6 @@ func (s Stats) HitRate() float64 {
 }
 
 // Stats snapshots the hit/miss counters.
-func (c *Cache[K, V]) Stats() Stats {
+func (c *Cache[K, M, V]) Stats() Stats {
 	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), DiskHits: c.diskHits.Load()}
 }

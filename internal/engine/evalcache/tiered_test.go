@@ -7,9 +7,7 @@ import (
 	"testing"
 )
 
-type tkey string
-
-func (k tkey) Key() string { return string(k) }
+type tkey = StringKey
 
 // memBackend is an in-memory Backend with fault injection.
 type memBackend struct {

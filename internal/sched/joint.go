@@ -200,18 +200,29 @@ func (pt PartitionTimings) Validate() error {
 // Timings returns the per-app timing vector of a joint point: the shared
 // taskset for shared points, the per-way steady-state timings otherwise.
 func (pt PartitionTimings) Timings(j JointSchedule) ([]AppTiming, error) {
+	return pt.TimingsInto(nil, j)
+}
+
+// TimingsInto is Timings writing a partitioned point's vector into dst's
+// storage (reallocated only when too short), so per-point callers keep it
+// on the stack. A shared point returns pt.Shared itself.
+func (pt PartitionTimings) TimingsInto(dst []AppTiming, j JointSchedule) ([]AppTiming, error) {
 	if j.Shared() {
 		return pt.Shared, nil
 	}
 	if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
 		return nil, fmt.Errorf("sched: partition %v invalid for %d apps on %d ways", j.W, pt.Apps(), pt.TotalWays())
 	}
-	out := make([]AppTiming, pt.Apps())
+	dst = dst[:0]
 	for i, w := range j.W {
-		out[i] = pt.ByWays[w-1][i]
+		dst = append(dst, pt.ByWays[w-1][i])
 	}
-	return out, nil
+	return dst, nil
 }
+
+// StackApps is the application count up to which per-point timing vectors
+// live in a fixed array on the caller's stack.
+const StackApps = 16
 
 // Feasible checks the joint feasibility of a point: the way budget
 // (sum w_i <= total ways, every w_i >= 1) and the unchanged idle-time
@@ -220,71 +231,63 @@ func (pt PartitionTimings) Feasible(j JointSchedule) (bool, error) {
 	if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
 		return false, nil
 	}
-	timings, err := pt.Timings(j)
+	var buf [StackApps]AppTiming
+	timings, err := pt.TimingsInto(buf[:0], j)
 	if err != nil {
 		return false, err
 	}
 	return IdleFeasible(timings, j.M)
 }
 
-// EnumeratePartitions returns every way partition (w1..wn) with w_i >= 1
-// and sum <= totalWays, in lexicographic order. The result is empty when
-// totalWays < n (no valid partition; the joint space degenerates to the
-// shared subspace).
-func EnumeratePartitions(n, totalWays int) []Ways {
+// WalkPartitions passes every way partition (w1..wn) with w_i >= 1 and
+// sum <= totalWays to visit, in lexicographic order, through one reused
+// buffer, stopping at the first error. There is none when totalWays < n:
+// the joint space then degenerates to the shared subspace.
+func WalkPartitions(n, totalWays int, visit func(Ways) error) error {
 	if n < 1 || totalWays < n {
 		return nil
 	}
-	var out []Ways
 	cur := make(Ways, n)
-	var rec func(i, used int)
-	rec = func(i, used int) {
+	var rec func(i, used int) error
+	rec = func(i, used int) error {
 		if i == n {
-			out = append(out, cur.Clone())
-			return
+			return visit(cur)
 		}
 		// Leave at least one way for each remaining application.
 		for w := 1; used+w+(n-1-i) <= totalWays; w++ {
 			cur[i] = w
-			rec(i+1, used+w)
+			if err := rec(i+1, used+w); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	rec(0, 0)
-	return out
+	return rec(0, 0)
 }
 
-// EnumerateJointFeasible returns every feasible point of the joint box: the
-// shared subspace (exactly EnumerateFeasible on the shared timings) followed
-// by, for each partition in EnumeratePartitions order, every idle-feasible
-// schedule under that partition's timings.
-func EnumerateJointFeasible(pt PartitionTimings, maxM int) ([]JointSchedule, error) {
-	return EnumerateJointFeasibleOver(pt, maxM, EnumeratePartitions(pt.Apps(), pt.TotalWays()))
-}
-
-// EnumerateJointFeasibleOver is EnumerateJointFeasible restricted to the
-// given partitions, in the given order: the shared subspace first, then
-// every idle-feasible schedule under each partition's timings.
-func EnumerateJointFeasibleOver(pt PartitionTimings, maxM int, partitions []Ways) ([]JointSchedule, error) {
-	shared, err := EnumerateFeasible(pt.Shared, maxM)
+// WalkJointFeasible streams the feasible points of a joint box through
+// visit: the shared subspace first (exactly EnumerateFeasible on the shared
+// timings), then every idle-feasible schedule under each partition parts
+// yields for (pt.Apps(), pt.TotalWays()), in order — WalkPartitions for
+// the full box. The visited point's M and W are reused buffers, valid
+// during the call.
+func WalkJointFeasible(pt PartitionTimings, maxM int, parts func(n, totalWays int, visit func(Ways) error) error, visit func(JointSchedule) error) error {
+	t, err := NewFeasibleTree(pt.Shared, maxM)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]JointSchedule, 0, len(shared))
-	for _, m := range shared {
-		out = append(out, JointSchedule{M: m})
+	if err := t.Walk(func(m Schedule) error { return visit(JointSchedule{M: m}) }); err != nil {
+		return err
 	}
-	for _, w := range partitions {
-		timings, err := pt.Timings(JointSchedule{M: RoundRobin(pt.Apps()), W: w})
+	var buf [StackApps]AppTiming
+	return parts(pt.Apps(), pt.TotalWays(), func(w Ways) error {
+		timings, err := pt.TimingsInto(buf[:0], JointSchedule{M: t.Cur, W: w})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ms, err := EnumerateFeasible(timings, maxM)
-		if err != nil {
-			return nil, err
+		if err := t.Reset(timings); err != nil {
+			return err
 		}
-		for _, m := range ms {
-			out = append(out, JointSchedule{M: m, W: w.Clone()})
-		}
-	}
-	return out, nil
+		return t.Walk(func(m Schedule) error { return visit(JointSchedule{M: m, W: w}) })
+	})
 }

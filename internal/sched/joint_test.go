@@ -81,10 +81,10 @@ func TestJointScheduleKeyAndString(t *testing.T) {
 }
 
 func TestEnumeratePartitions(t *testing.T) {
-	if got := EnumeratePartitions(3, 2); got != nil {
+	if got := enumeratePartitions(3, 2); got != nil {
 		t.Errorf("n=3, ways=2: %v, want none", got)
 	}
-	got := EnumeratePartitions(2, 3)
+	got := enumeratePartitions(2, 3)
 	want := []Ways{{1, 1}, {1, 2}, {2, 1}}
 	if len(got) != len(want) {
 		t.Fatalf("partitions = %v, want %v", got, want)
@@ -95,7 +95,7 @@ func TestEnumeratePartitions(t *testing.T) {
 		}
 	}
 	// Count check: n=3, ways=8 has sum_{s=3..8} C(s-1,2) = 56 partitions.
-	if got := EnumeratePartitions(3, 8); len(got) != 56 {
+	if got := enumeratePartitions(3, 8); len(got) != 56 {
 		t.Errorf("n=3, ways=8: %d partitions, want 56", len(got))
 	}
 }
@@ -147,7 +147,7 @@ func TestPartitionTimingsLookupAndFeasible(t *testing.T) {
 func TestEnumerateJointFeasible(t *testing.T) {
 	pt := jointTestTimings()
 	maxM := 3
-	list, err := EnumerateJointFeasible(pt, maxM)
+	list, err := enumerateJointFeasible(pt, maxM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,4 +184,25 @@ func TestEnumerateJointFeasible(t *testing.T) {
 			t.Errorf("shared point %v after the shared prefix", j)
 		}
 	}
+}
+
+// enumeratePartitions lists WalkPartitions' partitions.
+func enumeratePartitions(n, totalWays int) []Ways {
+	var out []Ways
+	WalkPartitions(n, totalWays, func(w Ways) error {
+		out = append(out, w.Clone())
+		return nil
+	})
+	return out
+}
+
+// enumerateJointFeasible lists the full joint box WalkJointFeasible
+// streams.
+func enumerateJointFeasible(pt PartitionTimings, maxM int) ([]JointSchedule, error) {
+	var out []JointSchedule
+	err := WalkJointFeasible(pt, maxM, WalkPartitions, func(j JointSchedule) error {
+		out = append(out, j.Clone())
+		return nil
+	})
+	return out, err
 }

@@ -207,21 +207,29 @@ func BurstGap(apps []AppTiming, s Schedule, i int) float64 {
 
 // DerivedMaxPeriod returns AppSchedule.MaxPeriod() of app's derived timing
 // under burst length m and gap, without materializing the period slices.
-// The per-period values and the running-max comparisons replicate the dense
-// computation exactly, so the result is bit-identical.
+// The periods are Ewc(1), then m-2 equal Ewc(2), then the last one plus the
+// gap, so the running maximum needs only the distinct values, compared in
+// the dense order: selecting a maximum rounds nothing, so the result is
+// bit-identical.
 func DerivedMaxPeriod(app AppTiming, m int, gap float64) float64 {
 	max := 0.0
-	for j := 0; j < m; j++ {
-		p := app.WarmWCET
-		if j == 0 {
-			p = app.ColdWCET
-		}
-		if j == m-1 {
-			p += gap
-		}
-		if p > max {
+	if m < 1 {
+		return max
+	}
+	if m == 1 {
+		if p := app.ColdWCET + gap; p > max {
 			max = p
 		}
+		return max
+	}
+	if app.ColdWCET > max {
+		max = app.ColdWCET
+	}
+	if m > 2 && app.WarmWCET > max {
+		max = app.WarmWCET
+	}
+	if p := app.WarmWCET + gap; p > max {
+		max = p
 	}
 	return max
 }
@@ -276,38 +284,120 @@ func IdleFeasible(apps []AppTiming, s Schedule) (bool, error) {
 
 // EnumerateFeasible returns every schedule with 1 <= m_i <= maxM satisfying
 // the idle-time constraint (4), in lexicographic order. maxM bounds the
-// search box; the idle constraint itself usually prunes far below it.
+// search box; the idle constraint itself usually prunes far below it. It
+// collects FeasibleTree.Walk; searchers stream the walk instead.
 func EnumerateFeasible(apps []AppTiming, maxM int) ([]Schedule, error) {
+	t, err := NewFeasibleTree(apps, maxM)
+	if err != nil {
+		return nil, err
+	}
+	var out []Schedule
+	err = t.Walk(func(s Schedule) error {
+		out = append(out, s.Clone())
+		return nil
+	})
+	return out, err
+}
+
+// FeasibleTree is the idle-feasible schedule box [1, maxM]^n as a depth-first
+// tree: depth d fixes m_0..m_{d-1} (Cur's prefix), and the leaves in
+// preorder are the schedules in lexicographic order. A prefix is cut as
+// soon as an assigned application's longest derived period exceeds its
+// idle budget at the minimal gap any completion can produce (free
+// applications at m = 1): burst lengths only grow with m, gaps with burst
+// lengths, and the derived maximum period with the gap — all bitwise, since
+// IEEE rounding is monotone and the sums run in BurstGap's index order.
+// At full depth the minimal gap is the exact gap, so the cut coincides with
+// IdleFeasible's predicate and Walk visits exactly its feasible schedules.
+// Branch-and-bound (internal/search) adds its bound cut on the same tree.
+type FeasibleTree struct {
+	apps []AppTiming
+	maxM int
+	// Cur is the schedule under construction; Walk passes it to visit, so
+	// a visitor that keeps a schedule clones it.
+	Cur Schedule
+	bl  []float64 // burst length per app at the minimal completion
+	gap []float64 // minimal gap per assigned app, as last checked
+}
+
+// NewFeasibleTree returns the tree of apps' box, with the argument checks
+// and timing validation of the enumeration it replaces.
+func NewFeasibleTree(apps []AppTiming, maxM int) (*FeasibleTree, error) {
 	n := len(apps)
 	if n == 0 || maxM < 1 {
 		return nil, fmt.Errorf("sched: nothing to enumerate (n=%d, maxM=%d)", n, maxM)
 	}
-	var out []Schedule
-	cur := make(Schedule, n)
-	for i := range cur {
-		cur[i] = 1
+	t := &FeasibleTree{maxM: maxM, Cur: RoundRobin(n), bl: make([]float64, n), gap: make([]float64, n)}
+	return t, t.Reset(apps)
+}
+
+// Reset re-targets the tree at another validated timing vector of the same
+// length — the next partition's regime — keeping its buffers.
+func (t *FeasibleTree) Reset(apps []AppTiming) error {
+	if len(apps) != len(t.Cur) {
+		return fmt.Errorf("sched: feasible tree over %d apps reset to %d", len(t.Cur), len(apps))
 	}
-	for {
-		ok, err := IdleFeasible(apps, cur)
-		if err != nil {
-			return nil, err
+	for _, a := range apps {
+		if err := a.Validate(); err != nil {
+			return err
 		}
-		if ok {
-			out = append(out, cur.Clone())
+	}
+	t.apps = apps
+	return nil
+}
+
+// PrefixInfeasible reports whether the prefix Cur[0..d-1] has no
+// idle-feasible completion. When it has one, MinGap holds each assigned
+// application's minimal gap.
+func (t *FeasibleTree) PrefixInfeasible(d int) bool {
+	for k := range t.bl {
+		m := 1
+		if k < d {
+			m = t.Cur[k]
 		}
-		// Advance odometer.
-		i := n - 1
-		for ; i >= 0; i-- {
-			cur[i]++
-			if cur[i] <= maxM {
-				break
+		t.bl[k] = BurstLength(t.apps[k], m)
+	}
+	for i := 0; i < d; i++ {
+		gap := 0.0
+		for k, b := range t.bl {
+			if k != i {
+				gap += b
 			}
-			cur[i] = 1
 		}
-		if i < 0 {
-			return out, nil
+		t.gap[i] = gap
+		if a := t.apps[i]; a.MaxIdle > 0 && DerivedMaxPeriod(a, t.Cur[i], gap) > a.MaxIdle+1e-12 {
+			return true
 		}
 	}
+	return false
+}
+
+// MinGap returns assigned application i's (i < d) gap at the minimal
+// completion of the prefix of depth d last found feasible by
+// PrefixInfeasible: the smallest gap any completion can produce, equal to
+// BurstGap at full depth.
+func (t *FeasibleTree) MinGap(i int) float64 { return t.gap[i] }
+
+// Walk passes every idle-feasible schedule of the box to visit, in
+// lexicographic order, stopping at the first error visit returns.
+func (t *FeasibleTree) Walk(visit func(Schedule) error) error {
+	return t.walk(0, visit)
+}
+
+func (t *FeasibleTree) walk(d int, visit func(Schedule) error) error {
+	if t.PrefixInfeasible(d) {
+		return nil
+	}
+	if d == len(t.Cur) {
+		return visit(t.Cur)
+	}
+	for m := 1; m <= t.maxM; m++ {
+		t.Cur[d] = m
+		if err := t.walk(d+1, visit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MaxFeasibleM returns, for each application, the largest burst length m_i

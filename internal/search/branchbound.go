@@ -1,7 +1,7 @@
 // Branch-and-bound over the joint cache-partition + schedule box.
 //
 // JointBranchBound explores exactly the box JointExhaustiveCached enumerates
-// — the shared subspace first, then every partition in EnumeratePartitions
+// — the shared subspace first, then every partition in WalkPartitions
 // order with its schedules in EnumerateFeasible order — but walks it as a
 // depth-first tree and cuts subtrees an admissible upper bound proves cannot
 // beat the incumbent. Because the exhaustive baseline updates its best with
@@ -75,7 +75,7 @@ type JointBranchBoundResult struct {
 // design: depth-first order is what guarantees the incumbent — and with it
 // every cut decision and the evaluation count — is deterministic.
 type bbState struct {
-	cache *JointCache
+	get   getter[sched.JointSchedule]
 	pt    sched.PartitionTimings
 	bound Bounder
 	maxM  int
@@ -84,10 +84,9 @@ type bbState struct {
 	res   *JointBranchBoundResult
 
 	shared  bool
-	ways    sched.Ways        // nil during the shared phase
-	timings []sched.AppTiming // current regime's timing vector
-	cur     sched.Schedule
-	bl      []float64 // scratch: minimal burst length per app for the prefix
+	ways    sched.Ways          // nil during the shared phase
+	timings []sched.AppTiming   // current regime's timing vector
+	tree    *sched.FeasibleTree // the regime's schedule box; tree.Cur is the point
 
 	// Admissible per-app bound tables (see boundTables).
 	appBest     [][]float64
@@ -101,6 +100,10 @@ type bbState struct {
 // still route through the (possibly tiered) cache, so hybrid walks and
 // persistent stores share them as usual.
 func JointBranchBound(cache *JointCache, pt sched.PartitionTimings, bound Bounder, maxM int) (*JointBranchBoundResult, error) {
+	return jointBranchBound(cache.Get, pt, bound, maxM)
+}
+
+func jointBranchBound(get getter[sched.JointSchedule], pt sched.PartitionTimings, bound Bounder, maxM int) (*JointBranchBoundResult, error) {
 	if err := pt.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,9 +113,13 @@ func JointBranchBound(cache *JointCache, pt sched.PartitionTimings, bound Bounde
 	if maxM < 1 {
 		return nil, fmt.Errorf("search: branch-and-bound maxM %d < 1", maxM)
 	}
+	tree, err := sched.NewFeasibleTree(pt.Shared, maxM)
+	if err != nil {
+		return nil, err
+	}
 	n := pt.Apps()
 	s := &bbState{
-		cache: cache,
+		get:   get,
 		pt:    pt,
 		bound: bound,
 		maxM:  maxM,
@@ -124,8 +131,7 @@ func JointBranchBound(cache *JointCache, pt sched.PartitionTimings, bound Bounde
 				BestSharedValue: math.Inf(-1),
 			},
 		},
-		cur: make(sched.Schedule, n),
-		bl:  make([]float64, n),
+		tree: tree,
 	}
 	s.appBest, s.wayBestUpTo = boundTables(bound, n, s.total)
 
@@ -138,7 +144,7 @@ func JointBranchBound(cache *JointCache, pt sched.PartitionTimings, bound Bounde
 		return nil, err
 	}
 
-	// Phase 2: every partition, in EnumeratePartitions order.
+	// Phase 2: every partition, in sched.WalkPartitions order.
 	s.shared = false
 	if s.total >= n {
 		s.ways = make(sched.Ways, n)
@@ -184,12 +190,15 @@ func (s *bbState) wayOf(i int) int {
 }
 
 // waysDFS fixes the partition one application at a time, mirroring
-// sched.EnumeratePartitions' recursion (w_i >= 1, at least one way left per
+// sched.WalkPartitions' recursion (w_i >= 1, at least one way left per
 // remaining application). Each prefix is bounded before descending.
 func (s *bbState) waysDFS(i, used int) error {
 	if i == s.n {
 		for k := 0; k < s.n; k++ {
 			s.timings[k] = s.pt.ByWays[s.ways[k]-1][k]
+		}
+		if err := s.tree.Reset(s.timings); err != nil {
+			return err
 		}
 		return s.schedDFS(0)
 	}
@@ -227,16 +236,16 @@ func (s *bbState) cutWays(k, used int) bool {
 	return ub <= s.res.BestValue
 }
 
-// schedDFS fixes burst lengths one application at a time in the odometer
-// order of sched.EnumerateFeasible (m from 1 to maxM per dimension, last
-// dimension fastest == depth-first preorder). Every node — including the
-// leaf — is first checked for an infeasibility cut, then a bound cut.
+// schedDFS walks the regime's sched.FeasibleTree in its odometer order (m
+// from 1 to maxM per dimension, last dimension fastest == depth-first
+// preorder == sched.EnumerateFeasible's order). Every node — including the
+// leaf — is first checked for the tree's infeasibility cut (which at the
+// leaf coincides with sched.IdleFeasible), then for the bound cut.
 func (s *bbState) schedDFS(d int) error {
-	infeasible, bounded := s.cutSched(d)
-	if infeasible {
+	if s.tree.PrefixInfeasible(d) {
 		return nil
 	}
-	if bounded {
+	if s.cutBound(d) {
 		s.res.Pruned++
 		return nil
 	}
@@ -244,7 +253,7 @@ func (s *bbState) schedDFS(d int) error {
 		return s.visitLeaf()
 	}
 	for m := 1; m <= s.maxM; m++ {
-		s.cur[d] = m
+		s.tree.Cur[d] = m
 		if err := s.schedDFS(d + 1); err != nil {
 			return err
 		}
@@ -252,68 +261,36 @@ func (s *bbState) schedDFS(d int) error {
 	return nil
 }
 
-// cutSched checks the schedule prefix cur[0..d-1]. The infeasibility cut:
-// an assigned application whose longest derived period already exceeds its
-// idle budget at the minimal gap (free applications at m=1) stays
-// infeasible for every completion, because gaps only grow with burst
-// lengths and the derived maximum period is monotone in the gap — both
-// bitwise, since IEEE rounding is monotone and the sums run in the same
-// index order as sched.BurstGap. At d == n the minimal gap is the exact
-// gap, so the cut coincides with sched.IdleFeasible's predicate. The bound
-// cut compares the admissible upper bound against the incumbent.
-func (s *bbState) cutSched(d int) (infeasible, bounded bool) {
-	for k := 0; k < s.n; k++ {
-		m := 1
-		if k < d {
-			m = s.cur[k]
-		}
-		s.bl[k] = sched.BurstLength(s.timings[k], m)
-	}
-	for i := 0; i < d; i++ {
-		a := s.timings[i]
-		if a.MaxIdle <= 0 {
-			continue
-		}
-		gap := 0.0
-		for k := 0; k < s.n; k++ {
-			if k != i {
-				gap += s.bl[k]
-			}
-		}
-		if sched.DerivedMaxPeriod(a, s.cur[i], gap) > a.MaxIdle+1e-12 {
-			return true, false
-		}
-	}
+// cutBound reports whether the admissible upper bound of the feasible
+// prefix cur[0..d-1] cannot beat the incumbent. The bound accumulates
+// weighted per-app terms in application order, mirroring the objective's
+// own summation, so term-wise admissibility survives rounding: assigned
+// applications at their burst length under the minimal gap of the prefix
+// (recorded by the tree's infeasibility check), free ones at their best.
+func (s *bbState) cutBound(d int) bool {
 	if !s.res.FoundBest {
-		return false, false
+		return false
 	}
-	// The bound accumulates weighted per-app terms in application order,
-	// mirroring the objective's own summation, so term-wise admissibility
-	// survives rounding.
 	ub := 0.0
 	for i := 0; i < s.n; i++ {
 		if i < d {
-			gap := 0.0
-			for k := 0; k < s.n; k++ {
-				if k != i {
-					gap += s.bl[k]
-				}
-			}
-			ub += s.bound.AppAt(i, s.wayOf(i), s.cur[i], gap)
+			ub += s.bound.AppAt(i, s.wayOf(i), s.tree.Cur[i], s.tree.MinGap(i))
 		} else {
 			ub += s.appBest[i][s.wayOf(i)]
 		}
 	}
-	return false, ub <= s.res.BestValue
+	return ub <= s.res.BestValue
 }
 
 // visitLeaf evaluates one surviving point. The infeasibility cut at d == n
 // already established idle feasibility, so every visited leaf is a point
 // the exhaustive enumeration would have listed; counting and best-updates
-// match JointExhaustiveCached's reduction exactly.
+// match JointExhaustiveCached's reduction exactly. The point is the
+// traversal's own buffers: the evaluator must not retain it, and the
+// reduction clones it only when it becomes an incumbent.
 func (s *bbState) visitLeaf() error {
-	j := sched.JointSchedule{M: s.cur.Clone(), W: s.ways.Clone()}
-	out, _, err := s.cache.Get(j)
+	j := sched.JointSchedule{M: s.tree.Cur, W: s.ways}
+	out, _, err := s.get(j)
 	if err != nil {
 		return err
 	}

@@ -17,11 +17,11 @@ import (
 )
 
 // JointEvalFunc evaluates the overall control performance of a feasible
-// joint point.
+// joint point. It must not retain j: the searchers reuse its storage.
 type JointEvalFunc func(j sched.JointSchedule) (Outcome, error)
 
 // JointCache memoizes joint-point evaluations; see evalcache for semantics.
-type JointCache = evalcache.Cache[sched.JointSchedule, Outcome]
+type JointCache = PointCache[sched.JointSchedule]
 
 // NewJointCache wraps eval in a sharded memoization cache suitable for
 // sharing across hybrid starts and exhaustive sweeps.
@@ -53,16 +53,18 @@ func jointSpace(pt sched.PartitionTimings) space[sched.JointSchedule] {
 // jointNeighbors appends every in-box neighbor of cur to dst: schedule
 // steps, and for partitioned points the partition steps and transfers.
 func jointNeighbors(cur sched.JointSchedule, maxM, totalWays int, dst []sched.JointSchedule) []sched.JointSchedule {
+	next := func() *sched.JointSchedule {
+		var nb *sched.JointSchedule
+		dst, nb = nextSlot(dst)
+		copyJoint(nb, cur)
+		return nb
+	}
 	n := len(cur.M)
 	for i := 0; i < n; i++ {
-		for _, d := range []int{+1, -1} {
-			m := cur.M[i] + d
-			if m < 1 || m > maxM {
-				continue
+		for _, d := range [2]int{+1, -1} {
+			if m := cur.M[i] + d; m >= 1 && m <= maxM {
+				next().M[i] = m
 			}
-			nb := cur.Clone()
-			nb.M[i] = m
-			dst = append(dst, nb)
 		}
 	}
 	if cur.Shared() {
@@ -70,26 +72,28 @@ func jointNeighbors(cur sched.JointSchedule, maxM, totalWays int, dst []sched.Jo
 	}
 	for i := 0; i < n; i++ {
 		if cur.W[i]+1 <= totalWays {
-			nb := cur.Clone()
-			nb.W[i]++
-			dst = append(dst, nb)
+			next().W[i]++
 		}
 		if cur.W[i]-1 >= 1 {
-			nb := cur.Clone()
-			nb.W[i]--
-			dst = append(dst, nb)
+			next().W[i]--
 		}
 		for k := 0; k < n; k++ {
 			if k == i || cur.W[k] <= 1 {
 				continue
 			}
-			nb := cur.Clone()
+			nb := next()
 			nb.W[i]++
 			nb.W[k]--
-			dst = append(dst, nb)
 		}
 	}
 	return dst
+}
+
+// copyJoint overwrites *dst with src, reusing dst's storage. A shared src
+// leaves dst.W empty, so dst is shared too.
+func copyJoint(dst *sched.JointSchedule, src sched.JointSchedule) {
+	dst.M = append(dst.M[:0], src.M...)
+	dst.W = append(dst.W[:0], src.W...)
 }
 
 // JointHybrid runs the discrete ascent over the joint box from every start.
@@ -114,9 +118,15 @@ func JointExhaustive(eval JointEvalFunc, pt sched.PartitionTimings, maxM int) (*
 // caps this search's share of the executor. Results are identical to the
 // serial baseline for any worker count.
 func JointExhaustiveCached(cache *JointCache, pt sched.PartitionTimings, maxM, workers int) (*JointExhaustiveResult, error) {
-	list, err := sched.EnumerateJointFeasible(pt, maxM)
-	if err != nil {
-		return nil, err
+	return jointExhaustive(cache.Get, pt, maxM, workers, sched.WalkPartitions)
+}
+
+// jointExhaustive is the joint reduction over the partitions parts yields
+// (sched.WalkPartitions: the full box).
+func jointExhaustive(get getter[sched.JointSchedule], pt sched.PartitionTimings, maxM, workers int,
+	parts func(n, totalWays int, visit func(sched.Ways) error) error) (*JointExhaustiveResult, error) {
+	each := func(visit func(sched.JointSchedule) error) error {
+		return sched.WalkJointFeasible(pt, maxM, parts, visit)
 	}
-	return reduce(cache, list, workers, sched.JointSchedule.Shared)
+	return reduce(get, each, workers, sched.JointSchedule.Shared, copyJoint)
 }

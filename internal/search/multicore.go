@@ -54,17 +54,24 @@ func appsKey(apps []int) string {
 // starts with "c[").
 func (p CorePoint) Key() string { return appsKey(p.Apps) + "|" + p.Point.Key() }
 
+// MemKey packs the subset, schedule and partition; the subset marks the key
+// as a core point's, so it never equals a single-core point's key.
+func (p CorePoint) MemKey() (sched.PointKey, error) {
+	return sched.PackPoint(p.Apps, true, p.Point.M, p.Point.W)
+}
+
 // String renders the point as "c[i1 i2]:(m1, m2)x[w1 w2]".
 func (p CorePoint) String() string { return appsKey(p.Apps) + ":" + p.Point.String() }
 
 // CoreEvalFunc evaluates the weighted control performance of one core's
 // joint point (weights keep their global values, so per-core values sum to
-// a P_all comparable with single-core numbers).
+// a P_all comparable with single-core numbers). It must not retain the
+// point's joint schedule: the searchers reuse its storage.
 type CoreEvalFunc func(p CorePoint) (Outcome, error)
 
 // MulticoreCache memoizes core-point evaluations; see evalcache for
 // semantics.
-type MulticoreCache = evalcache.Cache[CorePoint, Outcome]
+type MulticoreCache = PointCache[CorePoint]
 
 // NewMulticoreCache wraps eval in a sharded memoization cache.
 func NewMulticoreCache(eval CoreEvalFunc) *MulticoreCache {
@@ -356,9 +363,12 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 		return ub
 	}
 
-	solved := map[string]CoreSolution{}
+	solved := map[sched.PointKey]CoreSolution{}
 	solve := func(idx []int) (CoreSolution, error) {
-		key := appsKey(idx)
+		key, err := sched.PackPoint(idx, true, nil, nil)
+		if err != nil {
+			return CoreSolution{}, err
+		}
 		if sol, ok := solved[key]; ok {
 			return sol, nil
 		}
@@ -366,25 +376,22 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 		if err != nil {
 			return CoreSolution{}, err
 		}
-		jc := evalcache.NewCache(0, func(j sched.JointSchedule) (Outcome, error) {
-			out, _, err := cache.Get(CorePoint{Apps: idx, Point: j})
-			return out, err
-		})
+		// The core's joint points are looked up as core points of idx.
+		get := func(j sched.JointSchedule) (Outcome, bool, error) {
+			return cache.Get(CorePoint{Apps: idx, Point: j})
+		}
 		var r *JointExhaustiveResult
 		switch {
 		case opt.Uniform:
-			var list []sched.JointSchedule
-			if list, err = sched.EnumerateJointFeasibleOver(sub, opt.MaxM, uniformPartitions(sub)); err == nil {
-				r, err = reduce(jc, list, 1, sched.JointSchedule.Shared)
-			}
+			r, err = jointExhaustive(get, sub, opt.MaxM, 1, uniformPartitions)
 		case useBB:
 			var bb *JointBranchBoundResult
-			if bb, err = JointBranchBound(jc, sub, subBounder{opt.Bounder, idx}, opt.MaxM); err == nil {
+			if bb, err = jointBranchBound(get, sub, subBounder{opt.Bounder, idx}, opt.MaxM); err == nil {
 				r = &bb.JointExhaustiveResult
 				res.SubtreesPruned += bb.Pruned
 			}
 		default:
-			r, err = JointExhaustiveCached(jc, sub, opt.MaxM, 1)
+			r, err = jointExhaustive(get, sub, opt.MaxM, 1, sched.WalkPartitions)
 		}
 		if err != nil {
 			return CoreSolution{}, err
@@ -443,9 +450,9 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 // uniformPartitions is the uniform-split restriction of one core's joint
 // box: besides the shared subspace, only the even split of the core's
 // private cache over its applications, when every application gets a way.
-func uniformPartitions(pt sched.PartitionTimings) []sched.Ways {
-	if even := sched.EvenWays(pt.Apps(), pt.TotalWays()); even != nil {
-		return []sched.Ways{even}
+func uniformPartitions(n, totalWays int, visit func(sched.Ways) error) error {
+	if even := sched.EvenWays(n, totalWays); even != nil {
+		return visit(even)
 	}
 	return nil
 }

@@ -36,12 +36,20 @@
 // Evaluation counting mirrors the paper's efficiency metric: the number of
 // distinct points whose (expensive) control-performance evaluation was
 // actually executed.
+//
+// Per point the searchers allocate nothing of their own. Points are keyed
+// in memory by their packed sched.PointKey (string keys are built only for
+// a persistent tier), the exhaustive boxes are streamed through one reused
+// buffer (sched.FeasibleTree, sched.WalkJointFeasible) instead of being
+// listed, and walks generate neighbors into reused storage, cloning only
+// the accepted move and new incumbents. The contract that makes this safe:
+// an evaluator must not retain the point it is given — the point is a view
+// into a buffer the searcher reuses as soon as the call returns.
 package search
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/engine/evalcache"
 	"repro/internal/parallel"
@@ -54,12 +62,16 @@ type Outcome struct {
 	Feasible bool    // all per-app constraints hold (Eq. 3: P_i >= 0, plus design feasibility)
 }
 
-// Point is the contract of a search-space point: a canonical memoization
-// key (see evalcache.Keyed) and a deep copy.
+// Point is the contract of a search-space point: the string and packed
+// memoization keys (see evalcache.Keyed) and a deep copy.
 type Point[P any] interface {
-	Key() string
+	evalcache.Keyed[sched.PointKey]
 	Clone() P
 }
+
+// PointCache memoizes the outcomes of points of type P, keyed in memory by
+// their packed PointKey; see evalcache for semantics.
+type PointCache[P evalcache.Keyed[sched.PointKey]] = evalcache.Cache[P, sched.PointKey, Outcome]
 
 // HybridOptions tunes the hybrid search over points of type P.
 type HybridOptions[P Point[P]] struct {
@@ -75,7 +87,7 @@ type HybridOptions[P Point[P]] struct {
 	// anything else holding the same cache), so no point is evaluated
 	// twice across starts. When nil, each walk keeps a private cache and
 	// per-run evaluation counts match the paper's accounting.
-	Cache *evalcache.Cache[P, Outcome]
+	Cache *PointCache[P]
 }
 
 func (o HybridOptions[P]) withDefaults() HybridOptions[P] {
@@ -131,9 +143,6 @@ type Enumeration[P Point[P]] struct {
 	BestShared      P
 	BestSharedValue float64
 	FoundShared     bool
-
-	All         []P       // every evaluated point, in enumeration order
-	AllOutcomes []Outcome // outcome per evaluated point
 }
 
 // space is what the generic walk needs to know about one search space: the
@@ -142,8 +151,23 @@ type Enumeration[P Point[P]] struct {
 type space[P Point[P]] struct {
 	feasible func(P) (bool, error)
 	// neighbors appends every in-box neighbor of cur to dst, in the order
-	// ties between equal gains are broken.
+	// ties between equal gains are broken. It writes each neighbor into the
+	// storage of the element it overwrites (see nextSlot), so a walk
+	// reusing one buffer allocates no neighbors after its first steps.
 	neighbors func(cur P, maxM int, dst []P) []P
+}
+
+// nextSlot extends dst by one element and returns it. Within dst's capacity
+// the element keeps the value it held when dst was last that long, so
+// neighbor generators overwrite its slices in place instead of allocating.
+func nextSlot[P any](dst []P) ([]P, *P) {
+	if len(dst) < cap(dst) {
+		dst = dst[:len(dst)+1]
+	} else {
+		var zero P
+		dst = append(dst, zero)
+	}
+	return dst, &dst[len(dst)-1]
 }
 
 // hybrid is the multi-start driver behind Hybrid and JointHybrid: one walk
@@ -154,7 +178,7 @@ func hybrid[P Point[P]](eval func(P) (Outcome, error), sp space[P], starts []P, 
 	}
 	opt = opt.withDefaults()
 	res := &MultiStart[P]{Runs: make([]WalkStats[P], len(starts)), BestValue: math.Inf(-1)}
-	caches := make([]*evalcache.Cache[P, Outcome], len(starts))
+	caches := make([]*PointCache[P], len(starts))
 	for i := range caches {
 		if caches[i] = opt.Cache; caches[i] == nil {
 			caches[i] = evalcache.NewCache(0, eval)
@@ -204,14 +228,18 @@ func hybrid[P Point[P]](eval func(P) (Outcome, error), sp space[P], starts []P, 
 }
 
 // walk is one gradient-ascent walk with tolerance acceptance.
-func walk[P Point[P]](cache *evalcache.Cache[P, Outcome], sp space[P], start P, opt HybridOptions[P]) (*WalkStats[P], error) {
+func walk[P Point[P]](cache *PointCache[P], sp space[P], start P, opt HybridOptions[P]) (*WalkStats[P], error) {
 	if ok, err := sp.feasible(start); err != nil {
 		return nil, fmt.Errorf("search: start %v: %w", start, err)
 	} else if !ok {
 		return nil, fmt.Errorf("search: start %v infeasible", start)
 	}
+	startKey, err := start.MemKey()
+	if err != nil {
+		return nil, fmt.Errorf("search: start %v: %w", start, err)
+	}
 	stats := &WalkStats[P]{Start: start.Clone(), BestValue: math.Inf(-1)}
-	visited := map[string]bool{start.Key(): true}
+	visited := map[sched.PointKey]bool{startKey: true}
 
 	get := func(p P) (Outcome, error) {
 		out, executed, err := cache.Get(p)
@@ -221,12 +249,14 @@ func walk[P Point[P]](cache *evalcache.Cache[P, Outcome], sp space[P], start P, 
 		return out, err
 	}
 
+	// cur is never modified in place: every accepted move is a fresh clone,
+	// which the path shares.
 	cur := start.Clone()
 	curOut, err := get(cur)
 	if err != nil {
 		return nil, err
 	}
-	stats.Path = append(stats.Path, cur.Clone())
+	stats.Path = append(stats.Path, cur)
 	note := func(p P, o Outcome) {
 		if o.Feasible && o.Pall > stats.BestValue {
 			stats.BestValue = o.Pall
@@ -236,19 +266,23 @@ func walk[P Point[P]](cache *evalcache.Cache[P, Outcome], sp space[P], start P, 
 	}
 	note(cur, curOut)
 
-	type move struct {
-		p    P
-		gain float64
-		out  Outcome
-	}
 	var neighbors []P
 	for step := 0; step < opt.MaxSteps; step++ {
 		// Build the per-dimension 1-D models: for step size 1 the best
 		// move along a dimension is simply the better feasible neighbor.
-		var candidates []move
+		// The steepest feasible direction is the first candidate of
+		// maximal gain (the paper's fallback to the second best direction
+		// and so on is the next one), so equal gains keep neighbor order.
+		best, bestKey := -1, sched.PointKey{}
+		var bestGain float64
+		var bestOut Outcome
 		neighbors = sp.neighbors(cur, opt.MaxM, neighbors[:0])
-		for _, nb := range neighbors {
-			if visited[nb.Key()] {
+		for k, nb := range neighbors {
+			key, err := nb.MemKey()
+			if err != nil {
+				return nil, err
+			}
+			if visited[key] {
 				continue
 			}
 			if ok, err := sp.feasible(nb); err != nil {
@@ -261,55 +295,103 @@ func walk[P Point[P]](cache *evalcache.Cache[P, Outcome], sp space[P], start P, 
 				return nil, err
 			}
 			note(nb, out)
-			candidates = append(candidates, move{p: nb, gain: out.Pall - curOut.Pall, out: out})
+			if gain := out.Pall - curOut.Pall; best < 0 || gain > bestGain {
+				best, bestKey, bestGain, bestOut = k, key, gain, out
+			}
 		}
-		if len(candidates) == 0 {
+		if best < 0 {
 			break
 		}
-		// Steepest feasible direction; directions are pre-sorted so the
-		// fallback "second best direction and so on" of the paper is the
-		// next array element. The sort is stable, so equal gains keep
-		// neighbor order: the first generated candidate wins a tie.
-		sort.SliceStable(candidates, func(a, b int) bool { return candidates[a].gain > candidates[b].gain })
-		best := candidates[0]
-		if best.gain <= -opt.Tolerance {
+		if bestGain <= -opt.Tolerance {
 			break // no move within tolerance: local optimum reached
 		}
-		cur = best.p
-		curOut = best.out
-		visited[cur.Key()] = true
-		stats.Path = append(stats.Path, cur.Clone())
+		cur = neighbors[best].Clone()
+		curOut = bestOut
+		visited[bestKey] = true
+		stats.Path = append(stats.Path, cur)
 	}
 	return stats, nil
 }
 
-// reduce is the exhaustive reduction: it evaluates every point of list
-// through cache over the process-wide concurrency governor
-// (internal/parallel), workers capping this search's share of the
-// executor, and keeps the best feasible point overall and within the
-// shared subspace. Results are identical to a serial pass for any worker
-// count: outcomes land in list order and the reduction walks them in that
-// order, updating on strict improvement only.
-func reduce[P Point[P]](cache *evalcache.Cache[P, Outcome], list []P, workers int, shared func(P) bool) (*Enumeration[P], error) {
-	if workers < 1 {
-		workers = 1
+// box streams the points of an exhaustive box to visit in enumeration
+// order, stopping at the first error. A visited point is a view into the
+// box's reused buffers, valid only during the call.
+type box[P any] func(visit func(P) error) error
+
+// getter is a cache lookup: Cache.Get, or a wrapper mapping the point into
+// another cache's space (the per-core solves of multicore.go).
+type getter[P any] func(P) (Outcome, bool, error)
+
+// reduceChunk is the number of points a parallel exhaustive pass copies out
+// of the stream and evaluates at once.
+const reduceChunk = 256
+
+// reduce is the exhaustive reduction: it evaluates every point of the box
+// through get and keeps the best feasible point overall and within the
+// shared subspace. With workers > 1 the stream fills fixed-size chunks
+// (copied into reused storage by copyPoint), each evaluated over the
+// process-wide concurrency governor (internal/parallel) with workers
+// capping this search's share of the executor, then folded in order.
+// Results are identical to the serial pass for any worker count: the fold
+// walks points in enumeration order, updating on strict improvement only,
+// and the first failing point in that order is the error returned.
+func reduce[P Point[P]](get getter[P], each box[P], workers int, shared func(P) bool, copyPoint func(dst *P, src P)) (*Enumeration[P], error) {
+	res := &Enumeration[P]{BestValue: math.Inf(-1), BestSharedValue: math.Inf(-1)}
+	var err error
+	if workers <= 1 {
+		err = each(func(p P) error {
+			out, _, err := get(p)
+			if err != nil {
+				return err
+			}
+			res.add(p, out, shared(p))
+			return nil
+		})
+	} else {
+		err = reduceChunked(res, get, each, workers, shared, copyPoint)
 	}
-	outcomes := make([]Outcome, len(list))
-	errs := make([]error, len(list))
-	parallel.Default().ForEach(len(list), workers, func(i int) {
-		outcomes[i], _, errs[i] = cache.Get(list[i])
-	})
-	res := &Enumeration[P]{BestValue: math.Inf(-1), BestSharedValue: math.Inf(-1), All: list, AllOutcomes: outcomes}
-	for i, p := range list {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		res.add(p, outcomes[i], shared(p))
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// add folds one evaluated point into the reduction.
+// reduceChunked is reduce's parallel pass over fixed-size chunks.
+func reduceChunked[P Point[P]](res *Enumeration[P], get getter[P], each box[P], workers int, shared func(P) bool, copyPoint func(dst *P, src P)) error {
+	var (
+		chunk    = make([]P, reduceChunk)
+		outcomes = make([]Outcome, reduceChunk)
+		errs     = make([]error, reduceChunk)
+		n        int
+	)
+	flush := func() error {
+		parallel.Default().ForEach(n, workers, func(i int) {
+			outcomes[i], _, errs[i] = get(chunk[i])
+		})
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				return errs[i]
+			}
+			res.add(chunk[i], outcomes[i], shared(chunk[i]))
+		}
+		n = 0
+		return nil
+	}
+	err := each(func(p P) error {
+		copyPoint(&chunk[n], p)
+		if n++; n == reduceChunk {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil && n > 0 {
+		err = flush()
+	}
+	return err
+}
+
+// add folds one evaluated point into the reduction, cloning the point only
+// when it becomes an incumbent.
 func (r *Enumeration[P]) add(p P, out Outcome, shared bool) {
 	r.Evaluated++
 	if !out.Feasible {
@@ -330,12 +412,12 @@ func (r *Enumeration[P]) add(p P, out Outcome, shared bool) {
 
 // EvalFunc evaluates the overall control performance of an idle-feasible
 // schedule. It is the expensive stage-1 operation (holistic design of every
-// application).
+// application). It must not retain s: the searchers reuse its storage.
 type EvalFunc func(s sched.Schedule) (Outcome, error)
 
 // Cache is the schedule-evaluation memoization cache used by both
 // searchers; see evalcache for semantics.
-type Cache = evalcache.Cache[sched.Schedule, Outcome]
+type Cache = PointCache[sched.Schedule]
 
 // NewCache wraps eval in a sharded memoization cache suitable for sharing
 // across hybrid starts and exhaustive sweeps.
@@ -370,13 +452,19 @@ func scheduleNeighbors(cur sched.Schedule, maxM int, dst []sched.Schedule) []sch
 	for i := range cur {
 		for _, d := range [2]int{+1, -1} {
 			if m := cur[i] + d; m >= 1 && m <= maxM {
-				nb := cur.Clone()
-				nb[i] = m
-				dst = append(dst, nb)
+				var nb *sched.Schedule
+				dst, nb = nextSlot(dst)
+				copySchedule(nb, cur)
+				(*nb)[i] = m
 			}
 		}
 	}
 	return dst
+}
+
+// copySchedule overwrites *dst with src, reusing dst's storage.
+func copySchedule(dst *sched.Schedule, src sched.Schedule) {
+	*dst = append((*dst)[:0], src...)
 }
 
 // Hybrid runs the discrete gradient ascent over the schedule box from
@@ -400,9 +488,9 @@ func Exhaustive(eval EvalFunc, apps []sched.AppTiming, maxM int) (*ExhaustiveRes
 // caps this search's share of the executor. Results are identical to the
 // serial baseline for any worker count.
 func ExhaustiveCached(cache *Cache, apps []sched.AppTiming, maxM, workers int) (*ExhaustiveResult, error) {
-	list, err := sched.EnumerateFeasible(apps, maxM)
+	tree, err := sched.NewFeasibleTree(apps, maxM)
 	if err != nil {
 		return nil, err
 	}
-	return reduce(cache, list, workers, func(sched.Schedule) bool { return true })
+	return reduce(cache.Get, tree.Walk, workers, func(sched.Schedule) bool { return true }, copySchedule)
 }

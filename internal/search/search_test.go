@@ -168,8 +168,12 @@ func TestExhaustiveFindsGlobalOptimum(t *testing.T) {
 	if res.Evaluated != res.Feasible {
 		t.Errorf("all synthetic outcomes feasible: %d vs %d", res.Evaluated, res.Feasible)
 	}
-	if len(res.All) != res.Evaluated || len(res.AllOutcomes) != res.Evaluated {
-		t.Error("result lists inconsistent")
+	box, err := sched.EnumerateFeasible(apps, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluated != len(box) {
+		t.Errorf("evaluated %d points of a %d-point box", res.Evaluated, len(box))
 	}
 }
 

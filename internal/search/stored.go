@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/engine/evalcache"
+	"repro/internal/sched"
 )
 
 // outcomeRecord is the persistent form of an Outcome. Pall is stored twice:
@@ -51,6 +52,6 @@ func OutcomeCodec() evalcache.Codec[Outcome] {
 // schedule outcome by construction, while core-point keys carry their
 // application-subset prefix ("c[0 2]|"), which no schedule or joint key can
 // produce.
-func NewTiered[P evalcache.Keyed](eval func(P) (Outcome, error), backend evalcache.Backend, namespace string) *evalcache.Cache[P, Outcome] {
+func NewTiered[P evalcache.Keyed[sched.PointKey]](eval func(P) (Outcome, error), backend evalcache.Backend, namespace string) *PointCache[P] {
 	return evalcache.NewTiered(0, eval, backend, namespace, OutcomeCodec())
 }

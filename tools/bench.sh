@@ -9,22 +9,22 @@
 #   BENCH_SMOKE=1 tools/bench.sh           # one iteration per benchmark (CI)
 #
 # Typical before/after comparison: record both sides with the same
-# BENCH_COUNT on the same machine, then compare each benchmark's median
-# ns/op, B/op and allocs/op across its runs, and read a difference as real
-# only when it is larger than the spread of the runs:
+# BENCH_COUNT on the same machine, then compare them with tools/benchcmp,
+# which prints each benchmark's median and quartiles of ns/op, B/op and
+# allocs/op on both sides, the change in the median, the run pairs the
+# change won and a verdict (9 wins in 10 pairs, beyond the parent's spread):
 #   git stash && BENCH_COUNT=10 tools/bench.sh /tmp/before.txt && git stash pop
 #   BENCH_COUNT=10 tools/bench.sh /tmp/after.txt
-# The median ns/op of every benchmark in one file (field 5 is B/op, 7 allocs/op):
-#   awk '/^Benchmark/ {print $1, $3}' /tmp/before.txt | sort -k1,1 -k2,2g |
-#     awk '{v[$1, ++n[$1]] = $2} END {for (b in n) print b, v[b, int((n[b] + 1) / 2)]}'
-# benchstat (golang.org/x/perf), where it is installed, does the same
-# comparison with significance tests: benchstat /tmp/before.txt /tmp/after.txt
+#   go run ./tools/benchcmp /tmp/before.txt /tmp/after.txt
+# Pairs are formed by run order, so against machine drift record the sides
+# alternately (BENCH_COUNT=1, repeated, appending to each side's file).
+# One file alone prints its medians and quartiles: go run ./tools/benchcmp f.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-}"
-pattern="${BENCH_PATTERN:-^(BenchmarkClosedLoopSimulation|BenchmarkSearchHybrid|BenchmarkJointCaseStudy|BenchmarkMulticoreCoDesign|BenchmarkSweepParallel|BenchmarkHybridSharedCache|BenchmarkWCETAnalysis|BenchmarkSporadicEval|BenchmarkCacheSimulation|BenchmarkExpm)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkClosedLoopSimulation|BenchmarkCodesignBlock|BenchmarkSearchHybrid|BenchmarkJointCaseStudy|BenchmarkMulticoreCoDesign|BenchmarkSweepParallel|BenchmarkHybridSharedCache|BenchmarkWCETAnalysis|BenchmarkSporadicEval|BenchmarkCacheSimulation|BenchmarkExpm)$}"
 out="${1:-}"
 
 args=(test -run '^$' -bench "$pattern" -benchmem -count "$count")
