@@ -687,3 +687,31 @@ func BenchmarkClosedLoopSimulationDense(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDesignHolistic measures one holistic controller design — the
+// unit every design-objective scenario repeats — for the first case-study
+// application under schedule (2,2,2) at the quick budget with a single
+// PSO worker, so ns/op is the serial cost of its objective evaluations.
+func BenchmarkDesignHolistic(b *testing.B) {
+	study := apps.CaseStudy()
+	timings, _, err := apps.Timings(study, wcet.PaperPlatform())
+	if err != nil {
+		b.Fatal(err)
+	}
+	derived, err := sched.Derive(timings, sched.Schedule{2, 2, 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := exp.QuickBudget()
+	opt.Swarm.Workers = 1
+	var d *ctrl.Design
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err = ctrl.DesignHolistic(study[0].Plant, derived[0], study[0].Constraints(), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(d.SettlingTime*1e3, "settle-ms")
+}

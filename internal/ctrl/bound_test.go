@@ -296,7 +296,8 @@ func TestDesignHolisticMatchesRecorded(t *testing.T) {
 }
 
 // TestDesignEvalObjectiveAllocs pins the design cost at zero steady-state
-// allocations, both when it runs to the end and when the cutoff stops it.
+// allocations: when it runs to the end, when the cutoff stops it, and when
+// the cutoff skips an unstable candidate's feedforward solve.
 func TestDesignEvalObjectiveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -325,5 +326,22 @@ func TestDesignEvalObjectiveAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { eval.cost(x, cutoff) }); allocs != 0 {
 			t.Errorf("%s design cost allocates %v per call, want 0", name, allocs)
 		}
+	}
+
+	// An unstable candidate whose cutoff makes the feedforward solve moot.
+	wild := make([]float64, len(x))
+	for i := range x {
+		wild[i] = 100 * x[i]
+	}
+	if v := eval.cost(wild, math.Inf(1)); !(v >= 2e3 && v < 1e6) {
+		t.Fatalf("fixture candidate %v scores %v, not an unstable one; pick another", wild, v)
+	}
+	before := eval.skipped
+	allocs := testing.AllocsPerRun(50, func() { eval.cost(wild, 0) })
+	if eval.skipped == before {
+		t.Fatal("cutoff 0 did not skip the feedforward of an unstable candidate")
+	}
+	if allocs != 0 {
+		t.Errorf("skipped design cost allocates %v per call, want 0", allocs)
 	}
 }

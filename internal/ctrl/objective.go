@@ -1,6 +1,8 @@
 package ctrl
 
 import (
+	"math"
+
 	"repro/internal/mat"
 )
 
@@ -26,11 +28,16 @@ type designEval struct {
 	g    Gains     // reused per candidate; K entries are overwritten in place
 	tile []float64 // phase-1 shared-gain tiling buffer
 
-	mj, prodA, prodB *mat.Matrix // mode closed-loop matrix + monodromy ping-pong
-	eig              *mat.EigWorkspace
+	// Per-mode closed-loop matrices of the current candidate, built once by
+	// stableMonodromy and read again by holisticFeedforward.
+	mjs          []*mat.Matrix
+	prodA, prodB *mat.Matrix // monodromy ping-pong
+	eig          *mat.EigWorkspace
 
 	ffA, ffB *mat.Matrix // holistic-feedforward periodic-orbit system
 	lu       *mat.LUWorkspace
+
+	skipped int // unstable candidates scored without the feedforward solve
 }
 
 func newDesignEval(plan *SimPlan, modes []Mode, cons Constraints, perModeFF bool) *designEval {
@@ -41,7 +48,7 @@ func newDesignEval(plan *SimPlan, modes []Mode, cons Constraints, perModeFF bool
 		plan: plan, modes: modes, cons: cons, perModeFF: perModeFF, m: m, l: l,
 		g:     Gains{K: make([]*mat.Matrix, m), F: make([]float64, m)},
 		tile:  make([]float64, m*l),
-		mj:    mat.New(n, n),
+		mjs:   make([]*mat.Matrix, m),
 		prodA: mat.New(n, n),
 		prodB: mat.New(n, n),
 		eig:   mat.NewEigWorkspace(n),
@@ -51,18 +58,25 @@ func newDesignEval(plan *SimPlan, modes []Mode, cons Constraints, perModeFF bool
 	}
 	for j := range e.g.K {
 		e.g.K[j] = mat.New(1, l)
+		e.mjs[j] = mat.New(n, n)
 	}
 	return e
 }
 
-// setGains unpacks the decision vector into the reused gain buffers and
-// computes the matching feedforward, mirroring gainsFromVectorFF.
-func (e *designEval) setGains(x []float64) error {
+// setK unpacks the feedback rows of the decision vector into the reused
+// gain buffers.
+func (e *designEval) setK(x []float64) {
 	for j := 0; j < e.m; j++ {
 		for s := 0; s < e.l; s++ {
 			e.g.K[j].Set(0, s, x[j*e.l+s])
 		}
 	}
+}
+
+// setFeedforward computes the feedforward gains of the unpacked K,
+// mirroring gainsFromVectorFF. The holistic variant reads the mode matrices
+// stableMonodromy built, so it must run after it.
+func (e *designEval) setFeedforward() error {
 	if e.perModeFF {
 		// Ablation path (rare): keep the allocating per-mode solve.
 		for j := 0; j < e.m; j++ {
@@ -87,14 +101,14 @@ func (e *designEval) holisticFeedforward() error {
 	e.ffA.Zero()
 	e.ffB.Zero()
 	for j := 0; j < m; j++ {
-		modeClosedLoopInto(e.mj, e.modes[j], e.g.K[j])
+		mj := e.mjs[j]
 		next := (j + 1) % m
 		bcur := e.modes[j].D.BCur
 		for r := 0; r < n; r++ {
 			row := j*n + r
 			e.ffA.Set(row, next*n+r, 1)
 			for c := 0; c < n; c++ {
-				e.ffA.Set(row, j*n+c, e.ffA.At(row, j*n+c)-e.mj.At(r, c))
+				e.ffA.Set(row, j*n+c, e.ffA.At(row, j*n+c)-mj.At(r, c))
 			}
 			// ĝ_j = [BCur; 1]: the reference-injection column of mode j.
 			gjr := 1.0
@@ -144,13 +158,13 @@ func modeClosedLoopInto(dst *mat.Matrix, md Mode, k *mat.Matrix) {
 
 // stableMonodromy is StableMonodromy on the reused buffers: the same
 // left-multiplied product chain and the same eigenvalue iteration, without
-// the per-call matrices.
+// the per-call matrices. It leaves each mode's closed-loop matrix in e.mjs.
 func (e *designEval) stableMonodromy() (bool, float64, error) {
 	e.prodA.SetIdentity()
 	cur, buf := e.prodA, e.prodB
 	for j := range e.modes {
-		modeClosedLoopInto(e.mj, e.modes[j], e.g.K[j])
-		e.mj.MulTo(buf, cur)
+		modeClosedLoopInto(e.mjs[j], e.modes[j], e.g.K[j])
+		e.mjs[j].MulTo(buf, cur)
 		cur, buf = buf, cur
 	}
 	rho, err := e.eig.SpectralRadius(cur)
@@ -163,12 +177,26 @@ func (e *designEval) stableMonodromy() (bool, float64, error) {
 // cost evaluates the full per-mode decision vector under the pso cutoff
 // contract: below cutoff it equals the reference designObjective over
 // gainsFromVectorFF bit for bit, otherwise it is some value >= cutoff.
+//
+// Stability comes first because it needs only K. The exact cost of an
+// unstable candidate is 1e6 when the feedforward system is singular and
+// 1e3·(1+ρ) otherwise, so once the cutoff is at most the smaller of the
+// two, the candidate loses whichever it is and the feedforward solve is
+// skipped. An eig error or a NaN ρ scores 1e6 whatever the feedforward.
 func (e *designEval) cost(x []float64, cutoff float64) float64 {
-	if err := e.setGains(x); err != nil {
+	e.setK(x)
+	stable, rho, err := e.stableMonodromy()
+	if err != nil || math.IsNaN(rho) {
 		return 1e6
 	}
-	stable, rho, err := e.stableMonodromy()
-	return monodromyScore(e.plan, e.g, e.cons, stable, rho, err, cutoff)
+	if !stable && cutoff <= min(1e6, 1e3*(1+rho)) {
+		e.skipped++
+		return 1e3 * (1 + rho)
+	}
+	if err := e.setFeedforward(); err != nil {
+		return 1e6
+	}
+	return monodromyScore(e.plan, e.g, e.cons, stable, rho, nil, cutoff)
 }
 
 // sharedCost evaluates a single gain tiled across all modes (the phase-1

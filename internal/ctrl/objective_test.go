@@ -151,3 +151,42 @@ func TestModeClosedLoopIntoMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignCostStabilityFirst pins the feedforward skip of unstable
+// candidates to the pso cutoff contract: across search-box, seed and wild
+// vectors and a ladder of cutoffs, cost(x, c) is cost(x, +Inf) bit for bit
+// whenever the latter is below c, and >= c otherwise — and the skip
+// branch does fire, but never without a cutoff.
+func TestDesignCostStabilityFirst(t *testing.T) {
+	plan, modes, cons := objectiveFixture(t)
+	for _, perMode := range []bool{false, true} {
+		eval := newDesignEval(plan, modes, cons, perMode)
+		unstable := 0
+		for _, x := range boundCandidates(eval, rand.New(rand.NewSource(13)), 80) {
+			before := eval.skipped
+			exact := eval.cost(x, math.Inf(1))
+			if eval.skipped != before {
+				t.Fatalf("perMode=%v x=%v: skipped the feedforward without a cutoff", perMode, x)
+			}
+			if exact >= 2e3 {
+				unstable++
+			}
+			ladder := []float64{0, 1, 1e3, 2e3, exact, math.Nextafter(exact, math.Inf(-1)),
+				math.Nextafter(exact, math.Inf(1)), 2 * exact, 1e6, math.Nextafter(1e6, math.Inf(1)), 1e7, math.Inf(1)}
+			for _, c := range ladder {
+				v := eval.cost(x, c)
+				switch {
+				case exact < c:
+					if math.Float64bits(v) != math.Float64bits(exact) {
+						t.Fatalf("perMode=%v x=%v cutoff %v: cost %v, want exact %v", perMode, x, c, v, exact)
+					}
+				case !(v >= c):
+					t.Fatalf("perMode=%v x=%v cutoff %v: cost %v below the cutoff (exact %v)", perMode, x, c, v, exact)
+				}
+			}
+		}
+		if unstable == 0 || eval.skipped == 0 {
+			t.Errorf("perMode=%v: %d unstable candidates, %d skipped solves; the skip branch never fired", perMode, unstable, eval.skipped)
+		}
+	}
+}

@@ -18,12 +18,12 @@ import (
 // state lives in pooled scratch buffers.
 //
 // The discretized segment matrices are packed into one flat []float64
-// arena (stride-aware mat.Flat views), so the step loop walks contiguous
+// arena (stride-aware mat.Flat views), so the span kernel walks contiguous
 // memory instead of pointer-chasing a *mat.Matrix per step and the segment
 // data of one plan stays hot in cache across the particles of a PSO
 // evaluation round.
 //
-// Two evaluation modes run on the same core loop and therefore produce
+// Two evaluation modes run on the same span kernel and therefore produce
 // bit-identical dynamics: Simulate records the dense trajectory for
 // reporting (Fig. 6, response dumps), Metrics streams the design-objective
 // statistics without materializing any per-sample storage. The design
@@ -57,6 +57,7 @@ type simScratch struct {
 	x, xNext []float64
 	kFlat    []float64
 	kRows    [][]float64
+	ts, ys   []float64 // one span's dense samples, sized to the longest span
 }
 
 // Sentinel errors of the hot evaluation path (preallocated so the streaming
@@ -169,12 +170,21 @@ func CompileSimPlan(plant *lti.System, modes []Mode, opt SimOptions) (*SimPlan, 
 		bindArena(d.arena, l, segs)
 	}
 	p.finalT = p.endTime()
+	span := max(1, len(p.gap)) // the initial sample is a span of one
+	for _, segs := range p.plans {
+		span = max(span, len(segs))
+	}
 	p.scratch.New = func() any {
+		// Every float buffer of a run shares one backing array.
+		l, kl := p.l, p.m*p.l
+		buf := make([]float64, 2*l+kl+2*span)
 		sc := &simScratch{
-			x:     make([]float64, p.l),
-			xNext: make([]float64, p.l),
-			kFlat: make([]float64, p.m*p.l),
+			x:     buf[:l:l],
+			xNext: buf[l : 2*l : 2*l],
+			kFlat: buf[2*l : 2*l+kl : 2*l+kl],
 			kRows: make([][]float64, p.m),
+			ts:    buf[2*l+kl : 2*l+kl+span : 2*l+kl+span],
+			ys:    buf[2*l+kl+span:],
 		}
 		for j := range sc.kRows {
 			sc.kRows[j] = sc.kFlat[j*p.l : (j+1)*p.l]
@@ -218,58 +228,91 @@ func dotVec(a, b []float64) float64 {
 	return s
 }
 
-// runState is the per-call stepping state of one plan execution. It lives on
-// the caller's stack (no closure captures), with the state vectors borrowed
-// from the plan's scratch pool. The current/next state buffers ping-pong
-// through the cur index rather than by swapping the slice headers: the hot
-// loop then writes only scalars through the state pointer, which keeps GC
-// write barriers out of the per-step path.
-type runState struct {
-	tr   *Trajectory
-	acc  *metricsAcc
-	cRow []float64
-	xs   [2][]float64 // state ping-pong buffers; xs[cur] is current
-	cur  int
-	t    float64
+// stepSpan advances the state x across one segment list — the initial
+// gap, or one mode's held-plus-current segments — starting at clock t, and
+// returns the clock at its end. Held segments apply uHeld, the others u.
+// The end time and output of segment i go to ts[i] and ys[i], so the span's
+// dense samples reach their sink in one call.
+//
+// State, clock and output row stay in locals across the whole span. The
+// second-order body is mat.Flat.ApplyVecAdd's unrolled form followed by
+// dotVec's, with the same expression shapes (0.0 starting accumulators,
+// then s + b·u), so every sample is bit-identical to stepping one segment
+// at a time; other orders run ApplyVecAdd itself on two ping-pong buffers.
+func (p *SimPlan) stepSpan(x, xNext []float64, segs []segment, t, uHeld, u float64, ts, ys []float64) float64 {
+	if p.l == 2 {
+		x0, x1 := x[0], x[1]
+		c0, c1 := p.cRow[0], p.cRow[1]
+		for i := range segs {
+			seg := &segs[i]
+			v := u
+			if seg.held {
+				v = uHeld
+			}
+			d, st := seg.ad.Data, seg.ad.Stride
+			s0 := 0.0
+			s0 += d[0] * x0
+			s0 += d[1] * x1
+			s1 := 0.0
+			s1 += d[st] * x0
+			s1 += d[st+1] * x1
+			x0 = s0 + seg.bd[0]*v
+			x1 = s1 + seg.bd[1]*v
+			t += seg.dt
+			y := 0.0
+			y += c0 * x0
+			y += c1 * x1
+			ts[i], ys[i] = t, y
+		}
+		x[0], x[1] = x0, x1
+		return t
+	}
+	cur, next := x, xNext
+	for i := range segs {
+		seg := &segs[i]
+		v := u
+		if seg.held {
+			v = uHeld
+		}
+		seg.ad.ApplyVecAdd(next, cur, seg.bd, v)
+		cur, next = next, cur
+		t += seg.dt
+		ts[i], ys[i] = t, dotVec(p.cRow, cur)
+	}
+	if len(segs)%2 == 1 {
+		copy(x, cur)
+	}
+	return t
 }
 
-// x returns the current state vector.
-func (rs *runState) x() []float64 { return rs.xs[rs.cur] }
-
-// step advances the state over one precomputed segment under input u and
-// emits the dense sample at the segment end. The fused flat kernel computes
-// x' = Ad x + bd u in one contiguous pass, bit-identical to the unfused
-// ApplyVec-then-axpy sequence (see mat.Flat.ApplyVecAdd).
-func (rs *runState) step(seg *segment, u float64) {
-	x, xNext := rs.xs[rs.cur], rs.xs[1-rs.cur]
-	seg.ad.ApplyVecAdd(xNext, x, seg.bd, u)
-	rs.cur = 1 - rs.cur
-	rs.t += seg.dt
-	y := dotVec(rs.cRow, xNext)
-	if rs.tr != nil {
-		rs.tr.Dense = append(rs.tr.Dense, lti.Sample{T: rs.t, Y: y})
-	} else if rs.acc != nil {
-		rs.acc.dense(rs.t, y)
+// emitSpan hands the dense samples (ts[i], ys[i]) of one span to the run's
+// single sink: tr records them, acc folds them into its statistics.
+func emitSpan(tr *Trajectory, acc *metricsAcc, ts, ys []float64) {
+	if tr != nil {
+		for i, t := range ts {
+			tr.Dense = append(tr.Dense, lti.Sample{T: t, Y: ys[i]})
+		}
+	} else if acc != nil {
+		acc.denseSpan(ts, ys)
 	}
 }
 
-// run is the shared core loop: it propagates the switched closed loop and
-// feeds every dense sample and sampling instant to at most one of the two
-// observers (tr records, acc streams). Keeping a single loop guarantees the
-// two modes see bit-identical dynamics.
+// run is the shared core loop: it propagates the switched closed loop span
+// by span and feeds every dense sample and sampling instant to at most one
+// of the two observers (tr records, acc streams). Keeping a single stepping
+// kernel guarantees the two modes see bit-identical dynamics.
 func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error {
 	if err := g.Validate(p.m, p.l); err != nil {
 		return err
 	}
 	sc := p.scratch.Get().(*simScratch)
 	defer p.scratch.Put(sc)
-	rs := runState{tr: tr, acc: acc, cRow: p.cRow, xs: [2][]float64{sc.x, sc.xNext}}
-	x0 := rs.x()
-	for i := range x0 {
-		x0[i] = 0
+	x, ts, ys := sc.x, sc.ts, sc.ys
+	for i := range x {
+		x[i] = 0
 	}
 	if p.x0 != nil {
-		copy(x0, p.x0)
+		copy(x, p.x0)
 	}
 	kRows := sc.kRows
 	for j := 0; j < p.m; j++ {
@@ -277,43 +320,33 @@ func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error
 	}
 	uHeld := p.uHeld0
 
-	y := dotVec(p.cRow, rs.x())
-	if tr != nil {
-		tr.Dense = append(tr.Dense, lti.Sample{T: rs.t, Y: y})
-	} else if acc != nil {
-		acc.dense(rs.t, y)
-	}
+	t := 0.0
+	ts[0], ys[0] = t, dotVec(p.cRow, x)
+	emitSpan(tr, acc, ts[:1], ys[:1])
 
 	// Initial idle gap: the reference has stepped but the next sampling
 	// instant is InitialGap away; the held input keeps applying.
-	for i := range p.gap {
-		rs.step(&p.gap[i], uHeld)
-	}
+	t = p.stepSpan(x, sc.xNext, p.gap, t, uHeld, uHeld, ts, ys)
+	emitSpan(tr, acc, ts[:len(p.gap)], ys[:len(p.gap)])
 
 	j := 0
-	for rs.t < p.horizon {
+	for t < p.horizon {
 		// Sampling instant of mode j: compute the new input.
-		x := rs.x()
 		u := dotVec(kRows[j], x) + g.F[j]*r
 		if math.IsNaN(u) || math.IsInf(u, 0) {
 			return errDiverged
 		}
 		yi := dotVec(p.cRow, x)
 		if tr != nil {
-			tr.Times = append(tr.Times, rs.t)
+			tr.Times = append(tr.Times, t)
 			tr.Outputs = append(tr.Outputs, yi)
 			tr.Inputs = append(tr.Inputs, u)
-		} else if acc != nil && acc.instant(rs.t, yi, u) {
+		} else if acc != nil && acc.instant(t, yi, u) {
 			return errCutoff
 		}
 		segs := p.plans[j]
-		for i := range segs {
-			if segs[i].held {
-				rs.step(&segs[i], uHeld)
-			} else {
-				rs.step(&segs[i], u)
-			}
-		}
+		t = p.stepSpan(x, sc.xNext, segs, t, uHeld, u, ts, ys)
+		emitSpan(tr, acc, ts[:len(segs)], ys[:len(segs)])
 		uHeld = u
 		j = (j + 1) % p.m
 	}
@@ -381,25 +414,41 @@ type metricsAcc struct {
 	maxDev             float64
 }
 
-func (a *metricsAcc) dense(t, y float64) {
-	if a.nDense > 0 {
-		dt := t - a.lastDenseT
-		a.itaeSum += t * math.Abs(y-a.r) * dt
+// denseSpan folds one span's dense samples (ts[i], ys[i]) into the
+// statistics. The accumulators live in locals for the span and are written
+// back once, before the next instant; each sample's update is the same
+// float64 expression as in a per-sample fold, so the sums are bit-identical.
+// The settling candidate cannot change inside a span (only instant moves
+// it), so a.cand is read once.
+func (a *metricsAcc) denseSpan(ts, ys []float64) {
+	if len(ts) == 0 {
+		return
 	}
-	a.nDense++
-	a.lastDenseT = t
-	a.lastDenseY = y
-	if t >= a.violFrom {
-		a.violTotal++
-		if math.Abs(y-a.r) > a.violDelta {
-			a.violOut++
+	r, violFrom, violDelta, cand := a.r, a.violFrom, a.violDelta, a.cand
+	itae, lastT, n := a.itaeSum, a.lastDenseT, a.nDense
+	violTotal, violOut, maxDev := a.violTotal, a.violOut, a.maxDev
+	for i, t := range ts {
+		y := ys[i]
+		if n > 0 {
+			dt := t - lastT
+			itae += t * math.Abs(y-r) * dt
+		}
+		n++
+		lastT = t
+		if t >= violFrom {
+			violTotal++
+			if math.Abs(y-r) > violDelta {
+				violOut++
+			}
+		}
+		if cand {
+			if d := math.Abs(y - r); d > maxDev {
+				maxDev = d
+			}
 		}
 	}
-	if a.cand {
-		if d := math.Abs(y - a.r); d > a.maxDev {
-			a.maxDev = d
-		}
-	}
+	a.itaeSum, a.lastDenseT, a.lastDenseY, a.nDense = itae, lastT, ys[len(ys)-1], n
+	a.violTotal, a.violOut, a.maxDev = violTotal, violOut, maxDev
 }
 
 // instant records the sampling instant at t and reports whether the run
