@@ -178,19 +178,18 @@ func (f *Framework) evaluate(j sched.JointSchedule) (*ScheduleEval, error) {
 			return
 		}
 		if f.ReportDtMax > 0 {
-			sim := ctrl.SimOptions{
-				Horizon:    2.5 * app.SettleDeadline,
-				DtMax:      f.ReportDtMax,
-				InitialGap: derived[i].Gap,
-			}
-			if opt.Sim.Horizon > 0 {
-				sim.Horizon = opt.Sim.Horizon
-			}
+			// The design's own simulation options at a finer output grid;
+			// EvaluateDesign applies the same horizon default the search did.
+			sim := opt.Sim
+			sim.DtMax = f.ReportDtMax
+			sim.InitialGap = derived[i].Gap
 			fine, err := ctrl.EvaluateDesign(app.Plant, d.Modes, d.Gains, app.Constraints(), sim)
-			if err == nil {
-				fine.Evaluations = d.Evaluations
-				d = fine
+			if err != nil {
+				errs[i] = err
+				return
 			}
+			fine.Evaluations = d.Evaluations
+			d = fine
 		}
 		perf := d.Performance
 		// An unstable design has infinite settling time; clamp its

@@ -68,7 +68,7 @@ func checkDesignBound(eval *designEval, x []float64, cov *BoundCoverage) error {
 	exact := eval.cost(x, math.Inf(1))
 	cutoffs := []float64{exact, math.Nextafter(exact, math.Inf(1)), math.Nextafter(exact, math.Inf(-1)), math.Inf(1), 0}
 
-	g, err := gainsFromVectorFF(x, eval.modes, eval.m, eval.l, eval.perModeFF)
+	g, err := gainsFromVector(x, eval.modes)
 	if err == nil {
 		if ref := designObjective(eval.plan, eval.modes, g, eval.cons); math.Float64bits(ref) != math.Float64bits(exact) {
 			return fmt.Errorf("x=%v: cost %v, reference %v", x, exact, ref)
@@ -172,24 +172,22 @@ func requireCoverage(t *testing.T, name string, cov BoundCoverage) {
 }
 
 // TestDesignBoundAdmissible: the early-exit bound of the design cost is
-// admissible on the objective fixture, for both feedforward variants.
+// admissible on the objective fixture.
 func TestDesignBoundAdmissible(t *testing.T) {
 	plan, modes, cons := objectiveFixture(t)
-	for _, perMode := range []bool{false, true} {
-		cov, err := checkDesignBounds(newDesignEval(plan, modes, cons, perMode), 5, 90)
-		if err != nil {
-			t.Fatalf("perMode=%v: %v", perMode, err)
-		}
-		t.Logf("perMode=%v: %+v", perMode, cov)
-		requireCoverage(t, fmt.Sprintf("perMode=%v", perMode), cov)
+	cov, err := checkDesignBounds(newDesignEval(plan, modes, cons), 5, 90)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Logf("%+v", cov)
+	requireCoverage(t, "fixture", cov)
 }
 
 // FuzzDesignBound: for any gains of the objective fixture, the bound stays
 // <= the exact score at every instant and the cutoff contract holds.
 func FuzzDesignBound(f *testing.F) {
 	plan, modes, cons := objectiveFixture(f)
-	eval := newDesignEval(plan, modes, cons, false)
+	eval := newDesignEval(plan, modes, cons)
 	f.Add(-12.0, -0.5, -12.0, -0.5)
 	f.Add(-1.0, 0.0, 3.0, -0.2)
 	f.Fuzz(func(t *testing.T, k0, k1, k2, k3 float64) {
@@ -237,7 +235,7 @@ func TestPolishCutoffContract(t *testing.T) {
 	}
 
 	plan, modes, cons := objectiveFixture(t)
-	eval := newDesignEval(plan, modes, cons, false)
+	eval := newDesignEval(plan, modes, cons)
 	seeds, scale := LQRSeedGains(modes)
 	lower, upper := make([]float64, 4), make([]float64, 4)
 	for i := range lower {
@@ -252,20 +250,27 @@ func TestPolishCutoffContract(t *testing.T) {
 // TestDesignHolisticMatchesRecorded pins two complete designs bit for bit,
 // evaluation count included, to values recorded with exact (never cut)
 // objective evaluation: the cutoff changes how long losing candidates
-// simulate, never a decision, and cut calls still count.
+// simulate, never a decision, and cut calls still count. The spectral
+// radius, peak input, performance and verdicts were recorded before the
+// final evaluation moved onto the search's workspace and streamed metrics.
 func TestDesignHolisticMatchesRecorded(t *testing.T) {
 	for _, c := range []struct {
 		s      sched.Schedule
 		evals  int
 		settle uint64
 		k, f   []uint64 // per mode: K row, then F
+
+		rho, maxU, perf   uint64
+		settled, feasible bool
 	}{
 		{sched.Schedule{2, 2, 2}, 304, 0x3f87215c711a1e9e,
 			[]uint64{0xc052fd3f83289ec0, 0xbfd3c69c98bc6fd2, 0xc06d858b3649b24e, 0xbff3ee818247bc86},
-			[]uint64{0x4052fd3f83289e1f, 0x406d858b3649b263}},
+			[]uint64{0x4052fd3f83289e1f, 0x406d858b3649b263},
+			0x3fd288235ffefac0, 0x40479e08f83af51c, 0x3fe7f7f8ca8198ec, true, true},
 		{sched.Schedule{3, 1, 2}, 384, 0x3f887987ab5a8c44,
 			[]uint64{0xc0727164d4640b70, 0xc0003f8c862b0395, 0xc0686dba10a987c9, 0xbfeda8c38b8d41ac, 0xc063c1d4379e1220, 0xbfeb22a95ce67c33},
-			[]uint64{0x40727164d4640b09, 0x40686dba10a988bc, 0x4063c1d4379e11fe}},
+			[]uint64{0x40727164d4640b09, 0x40686dba10a988bc, 0x4063c1d4379e11fe},
+			0x3fd171e1fe25c5a2, 0x404d823aed6cde75, 0x3fe7807800f25668, true, true},
 	} {
 		der, err := sched.Derive(paperTimings(), c.s)
 		if err != nil {
@@ -292,6 +297,18 @@ func TestDesignHolisticMatchesRecorded(t *testing.T) {
 				t.Errorf("%v: F%d = %#x, recorded %#x", c.s, j, got, c.f[j])
 			}
 		}
+		for name, v := range map[string][2]uint64{
+			"SpectralRadius": {math.Float64bits(d.SpectralRadius), c.rho},
+			"MaxInput":       {math.Float64bits(d.MaxInput), c.maxU},
+			"Performance":    {math.Float64bits(d.Performance), c.perf},
+		} {
+			if v[0] != v[1] {
+				t.Errorf("%v: %s = %#x, recorded %#x", c.s, name, v[0], v[1])
+			}
+		}
+		if d.Settled != c.settled || d.Feasible != c.feasible {
+			t.Errorf("%v: settled %v, feasible %v; recorded %v, %v", c.s, d.Settled, d.Feasible, c.settled, c.feasible)
+		}
 	}
 }
 
@@ -303,10 +320,10 @@ func TestDesignEvalObjectiveAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	plan, modes, cons := objectiveFixture(t)
-	eval := newDesignEval(plan, modes, cons, false)
+	eval := newDesignEval(plan, modes, cons)
 	seeds, _ := LQRSeedGains(modes)
 	x := seeds[len(seeds)/2]
-	g, err := gainsFromVectorFF(x, modes, 2, 2, false)
+	g, err := gainsFromVector(x, modes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,9 +190,9 @@ func TestLiftedAholConsistency(t *testing.T) {
 	xk := a2.Mul(xm1).Add(b12.Mul(um2)).Add(b22.Mul(um1))
 	xk1 := a1.Mul(xk).Add(b1.Mul(um1))
 
-	z := mat.Block([][]*mat.Matrix{{xm2}, {xm1}})
+	z := mat.ColVec(xm2.At(0, 0), xm2.At(1, 0), xm1.At(0, 0), xm1.At(1, 0))
 	got := ahol.Mul(z)
-	want := mat.Block([][]*mat.Matrix{{xk}, {xk1}})
+	want := mat.ColVec(xk.At(0, 0), xk.At(1, 0), xk1.At(0, 0), xk1.At(1, 0))
 	if !got.Equal(want, 1e-10) {
 		t.Errorf("A_hol recursion mismatch:\ngot\n%v\nwant\n%v", got, want)
 	}
@@ -271,8 +271,8 @@ func TestSimulateInitialGapDelaysResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, ok1 := lti.SettlingTime(noGap.Dense, 1.0, 0.02)
-	s2, ok2 := lti.SettlingTime(gap.Dense, 1.0, 0.02)
+	s1, ok1 := settlingTime(noGap.Dense, 1.0, 0.02)
+	s2, ok2 := settlingTime(gap.Dense, 1.0, 0.02)
 	if !ok1 || !ok2 {
 		t.Fatal("both runs must settle")
 	}

@@ -39,7 +39,9 @@ func (c Constraints) Validate() error {
 	return nil
 }
 
-// DesignOptions tunes the holistic design search.
+// DesignOptions tunes the holistic design search. The feedforward is
+// always the holistic (periodic-orbit) one; DesignPerMode is the ablation
+// with the paper's per-mode Eq. (17) feedforward.
 type DesignOptions struct {
 	Swarm pso.Options // PSO budget; zero-value uses pso defaults
 	Sim   SimOptions  // simulation grid; Horizon <= 0 defaults to 2.5x deadline
@@ -49,10 +51,6 @@ type DesignOptions struct {
 	// WarmStartRadii are closed-loop pole radii used to generate Ackermann
 	// warm starts (default 0.2, 0.4, 0.6, 0.8, 0.9, 0.96).
 	WarmStartRadii []float64
-	// PerModeFeedforward selects the paper's per-mode Eq. (17) feedforward
-	// instead of the default holistic (periodic-orbit) feedforward; the
-	// ablation benchmarks use it to quantify the difference.
-	PerModeFeedforward bool
 }
 
 func (o DesignOptions) withDefaults(cons Constraints) DesignOptions {
@@ -80,21 +78,26 @@ func (o DesignOptions) withDefaults(cons Constraints) DesignOptions {
 	return o
 }
 
-// Design is a completed controller design with its evaluation.
+// Design is a completed controller design with its evaluation. An
+// unstable design, or one whose simulated input diverges, keeps only its
+// gains, modes and spectral radius, with an infinite settling time.
 type Design struct {
 	Gains          Gains
 	Modes          []Mode
 	SettlingTime   float64 // worst-case settling time s_i of y[k] (seconds)
 	Settled        bool
-	DenseSettling  float64 // settling time of the dense continuous output
 	SpectralRadius float64 // of the monodromy matrix
 	MaxInput       float64 // peak |u[k]| over the evaluation run
-	MaxRipple      float64 // peak |y(t)-r| after the sampled settling instant
-	RippleOK       bool    // intersample ripple stays within 5x the band
-	Performance    float64 // P_i = 1 - s_i/s0 (Eq. 2)
-	Feasible       bool    // stable, settled, within saturation and deadline
-	Evaluations    int     // objective evaluations spent
-	Trajectory     *Trajectory
+	// MaxRipple is the peak |y(t)-r| of the dense output from the sampled
+	// settling instant on. It is defined only when Settled and 0
+	// otherwise, so RippleOK is meaningful only for settled designs
+	// (Feasible requires both).
+	MaxRipple   float64
+	RippleOK    bool    // intersample ripple stays within 5x the band
+	Performance float64 // P_i = 1 - s_i/s0 (Eq. 2)
+	Feasible    bool    // stable, settled, within saturation and deadline
+	Evaluations int     // objective evaluations spent
+	Trajectory  *Trajectory
 }
 
 // DesignHolistic designs all gains of one application's schedule period
@@ -140,16 +143,16 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	evals := 0
 
 	// One reusable evaluation scratch for the calling goroutine (both PSO
-	// phases and the polish); the pools get an independent instance per
-	// worker so every worker's gain buffers and workspaces stay private and
-	// cache-hot. All instances are bit-identical to the allocating
-	// reference objective below their cutoff.
-	eval := newDesignEval(plan, modes, cons, opt.PerModeFeedforward)
+	// phases, the polish and the final evaluation); the pools get an
+	// independent instance per worker so every worker's gain buffers and
+	// workspaces stay private and cache-hot. All instances compute the
+	// same costs bit for bit.
+	eval := newDesignEval(plan, modes, cons)
 	newObjective := func() func([]float64, float64) float64 {
-		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).cost
+		return newDesignEval(plan, modes, cons).cost
 	}
 	newShared := func() func([]float64, float64) float64 {
-		return newDesignEval(plan, modes, cons, opt.PerModeFeedforward).sharedCost
+		return newDesignEval(plan, modes, cons).sharedCost
 	}
 
 	// Phase 1: search a single gain shared by all modes (dimension l).
@@ -215,11 +218,17 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 	best, _, pEvals := polish(best, bestVal, lower, upper, eval.cost)
 	evals += pEvals
 
-	g, err := gainsFromVectorFF(best, modes, m, l, opt.PerModeFeedforward)
+	// The winner's gains are evaluated on the search's own plan and
+	// workspace; no second plan is compiled.
+	k := make([]*mat.Matrix, m)
+	for j := range k {
+		k[j] = mat.RowVec(best[j*l : (j+1)*l]...)
+	}
+	f, err := HolisticFeedforward(modes, k)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: best PSO point invalid: %w", err)
 	}
-	d, err := EvaluateDesign(plant, modes, g, cons, opt.Sim)
+	d, err := eval.evaluate(Gains{K: k, F: f})
 	if err != nil {
 		return nil, err
 	}
@@ -229,34 +238,17 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 
 // EvaluateDesign runs the definitive evaluation of a gain set: stability,
 // worst-case settling simulation, saturation, and the performance index.
+// sim.Horizon <= 0 defaults as in DesignOptions. An unstable or diverging
+// closed loop is an infeasible design, not an error; invalid gains or
+// simulation options are errors.
 func EvaluateDesign(plant *lti.System, modes []Mode, g Gains, cons Constraints, sim SimOptions) (*Design, error) {
 	cons = cons.withDefaults()
-	stable, rho, err := StableMonodromy(modes, g)
+	sim = DesignOptions{Sim: sim}.withDefaults(cons).Sim
+	plan, err := CompileSimPlan(plant, modes, sim)
 	if err != nil {
 		return nil, err
 	}
-	d := &Design{Gains: g, Modes: modes, SpectralRadius: rho, SettlingTime: math.Inf(1)}
-	if !stable {
-		return d, nil
-	}
-	tr, err := Simulate(plant, modes, g, cons.Ref, sim)
-	if err != nil {
-		return d, nil // diverged: unstable in practice, keep infeasible
-	}
-	info := tr.Evaluate(cons.Ref, cons.Band)
-	dense := tr.EvaluateDense(cons.Ref, cons.Band)
-	d.Trajectory = tr
-	d.SettlingTime = info.SettlingTime
-	d.Settled = info.Settled
-	d.DenseSettling = dense.SettlingTime
-	d.MaxInput = info.PeakInput
-	d.MaxRipple = tr.MaxDenseDeviationAfter(info.SettlingTime, cons.Ref)
-	d.RippleOK = d.MaxRipple <= 5*cons.Band*math.Abs(cons.Ref)
-	d.Performance = 1 - info.SettlingTime/cons.SettleDeadline
-	d.Feasible = info.Settled && d.RippleOK &&
-		(cons.UMax <= 0 || info.PeakInput <= cons.UMax+1e-9) &&
-		info.SettlingTime <= cons.SettleDeadline
-	return d, nil
+	return newDesignEval(plan, modes, cons).evaluate(g)
 }
 
 // polish runs a bounded compass (pattern) search from x0: probe +/- step
@@ -366,41 +358,6 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 		obj += horizon * 5 * (met.PeakInput/cons.UMax - 1)
 	}
 	return obj
-}
-
-// gainsFromVector unpacks the PSO decision vector into per-mode gains and
-// computes the matching feedforward gains. The default is the holistic
-// feedforward (periodic-orbit tracking); perModeFF selects the paper's
-// per-mode Eq. (17) instead (used by the ablation baseline).
-func gainsFromVector(x []float64, modes []Mode, m, l int) (Gains, error) {
-	return gainsFromVectorFF(x, modes, m, l, false)
-}
-
-func gainsFromVectorFF(x []float64, modes []Mode, m, l int, perModeFF bool) (Gains, error) {
-	g := Gains{K: make([]*mat.Matrix, m), F: make([]float64, m)}
-	for j := 0; j < m; j++ {
-		k := mat.New(1, l)
-		for s := 0; s < l; s++ {
-			k.Set(0, s, x[j*l+s])
-		}
-		g.K[j] = k
-	}
-	if perModeFF {
-		for j := 0; j < m; j++ {
-			f, err := Feedforward(modes[j].D.Ad, modes[j].D.BTotal(), modes[j].D.C, g.K[j])
-			if err != nil {
-				return Gains{}, err
-			}
-			g.F[j] = f
-		}
-		return g, nil
-	}
-	fs, err := HolisticFeedforward(modes, g.K)
-	if err != nil {
-		return Gains{}, err
-	}
-	g.F = fs
-	return g, nil
 }
 
 // warmStarts produces Ackermann-based seed gain vectors and a per-state

@@ -21,5 +21,5 @@ func CheckDesignBounds(plant *lti.System, as sched.AppSchedule, cons Constraints
 	if err != nil {
 		return BoundCoverage{}, err
 	}
-	return checkDesignBounds(newDesignEval(plan, modes, cons, false), seed, n)
+	return checkDesignBounds(newDesignEval(plan, modes, cons), seed, n)
 }

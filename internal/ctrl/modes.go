@@ -53,62 +53,6 @@ func (g Gains) Validate(m, l int) error {
 	return nil
 }
 
-// ModeClosedLoop returns the closed-loop transition matrix of one mode on
-// the augmented state z = [x; u_held]:
-//
-//	z[k+1] = [ Ad + BCur*K   BPrev ] z[k] + [ BCur*F ] r
-//	         [      K          0   ]        [    F   ]
-//
-// where u_held is the input actuated most recently before the sampling
-// instant. The second block row records u[k] = K x[k] + F r becoming the
-// held input of the next interval.
-func ModeClosedLoop(m Mode, k *mat.Matrix, f float64) (phi *mat.Matrix, gamma *mat.Matrix) {
-	l := m.D.Ad.Rows()
-	phi = mat.New(l+1, l+1)
-	phi.SetSlice(0, 0, m.D.Ad.Add(m.D.BCur.Mul(k)))
-	phi.SetSlice(0, l, m.D.BPrev)
-	phi.SetSlice(l, 0, k)
-	// phi[l][l] = 0: the held input is fully replaced each interval.
-	gamma = mat.New(l+1, 1)
-	gamma.SetSlice(0, 0, m.D.BCur.Scale(f))
-	gamma.Set(l, 0, f)
-	return phi, gamma
-}
-
-// Monodromy returns the product Phi = M_m * ... * M_1 of the closed-loop
-// mode matrices over one schedule period. Its spectral radius determines
-// the stability of the periodically switched closed loop; it plays the
-// role of the lifted matrix A_hol of Eq. (16).
-func Monodromy(modes []Mode, g Gains) (*mat.Matrix, error) {
-	if len(modes) == 0 {
-		return nil, errors.New("ctrl: no modes")
-	}
-	l := modes[0].D.Ad.Rows()
-	if err := g.Validate(len(modes), l); err != nil {
-		return nil, err
-	}
-	phi := mat.Identity(l + 1)
-	for j := range modes {
-		mj, _ := ModeClosedLoop(modes[j], g.K[j], g.F[j])
-		phi = mj.Mul(phi)
-	}
-	return phi, nil
-}
-
-// StableMonodromy reports the closed-loop stability of the switched system
-// and its spectral radius.
-func StableMonodromy(modes []Mode, g Gains) (bool, float64, error) {
-	phi, err := Monodromy(modes, g)
-	if err != nil {
-		return false, 0, err
-	}
-	rho, err := mat.SpectralRadius(phi)
-	if err != nil {
-		return false, 0, err
-	}
-	return rho < 1, rho, nil
-}
-
 // HolisticFeedforward computes the feedforward gains F_1..F_m jointly so
 // that the closed-loop *periodic orbit* satisfies y = r at every sampling
 // instant. Per-mode feedforward (Eq. 17) regulates each mode's individual
@@ -120,78 +64,16 @@ func StableMonodromy(modes []Mode, g Gains) (bool, float64, error) {
 // for the orbit states z_j and the gains F_j eliminates that ripple; by
 // linearity the same gains track any reference magnitude. It returns an
 // error when the system is singular (e.g. the closed loop cannot reach the
-// reference).
+// reference). It solves on a fresh instance of the design search's
+// workspace (designEval), so its gains are the ones the search scores.
 func HolisticFeedforward(modes []Mode, k []*mat.Matrix) ([]float64, error) {
-	m := len(modes)
-	if m == 0 {
+	if len(modes) == 0 {
 		return nil, errors.New("ctrl: no modes")
 	}
-	l := modes[0].D.Ad.Rows()
-	n := l + 1     // augmented state dimension
-	dim := m*n + m // unknowns: z_0..z_{m-1}, F_0..F_{m-1}
-	a := mat.New(dim, dim)
-	b := mat.New(dim, 1)
-
-	for j := 0; j < m; j++ {
-		mj, _ := ModeClosedLoop(modes[j], k[j], 0) // F enters via ĝ_j below
-		gj := mat.New(n, 1)
-		gj.SetSlice(0, 0, modes[j].D.BCur)
-		gj.Set(l, 0, 1)
-		next := (j + 1) % m
-		// Rows j*n .. j*n+n-1:  z_next - M_j z_j - g_j F_j = 0.
-		for r := 0; r < n; r++ {
-			row := j*n + r
-			a.Set(row, next*n+r, 1)
-			for c := 0; c < n; c++ {
-				a.Set(row, j*n+c, a.At(row, j*n+c)-mj.At(r, c))
-			}
-			a.Set(row, m*n+j, -gj.At(r, 0))
-		}
-	}
-	// Output constraints: C x_j = 1 at every sampling instant.
-	cRow := modes[0].D.C
-	for j := 0; j < m; j++ {
-		row := m*n + j
-		for s := 0; s < l; s++ {
-			a.Set(row, j*n+s, cRow.At(0, s))
-		}
-		b.Set(row, 0, 1)
-	}
-
-	w, err := mat.Solve(a, b)
-	if err != nil {
+	e := newDesignEval(nil, modes, Constraints{})
+	e.setClosedLoops(k)
+	if err := e.holisticFeedforward(); err != nil {
 		return nil, fmt.Errorf("ctrl: holistic feedforward: %w", err)
 	}
-	out := make([]float64, m)
-	for j := 0; j < m; j++ {
-		out[j] = w.At(m*n+j, 0)
-	}
-	return out, nil
-}
-
-// LiftedAhol builds the paper's explicit 2l-by-2l lifted closed-loop matrix
-// of Eq. (16) for the two-mode case (schedule bursts of length 2), on the
-// state z[k] = [x[k]; x[k+1]]. It exists to cross-validate Monodromy: the
-// non-zero eigenvalues of A_hol must match those of the augmented two-mode
-// monodromy.
-//
-// Mode conventions follow Section III: mode 1 is an in-burst interval
-// (tau = h, input matrix B1 = Γ(h1)), mode 2 the burst-final interval with
-// tau2 < h2 and split input matrices B12 (held) and B22 (current).
-func LiftedAhol(mode1, mode2 Mode, k1, k2 *mat.Matrix) *mat.Matrix {
-	a1 := mode1.D.Ad
-	b1 := mode1.D.BPrev // Γ(h1): in-burst interval has tau = h
-	a2 := mode2.D.Ad
-	b12 := mode2.D.BPrev
-	b22 := mode2.D.BCur
-
-	// x[k]   = A2 x[k-1] + B12 u[k-2] + B22 u[k-1]
-	// x[k+1] = A1 x[k]   + B1 u[k-1]
-	// with u[k-2] = K1 x[k-2], u[k-1] = K2 x[k-1]  (reference terms omitted:
-	// A_hol is the autonomous part).
-	top0 := b12.Mul(k1)                  // coefficient of x[k-2] in x[k]
-	top1 := a2.Add(b22.Mul(k2))          // coefficient of x[k-1] in x[k]
-	bot0 := a1.Mul(b12).Mul(k1)          // coefficient of x[k-2] in x[k+1]
-	bot1 := a1.Mul(top1).Add(b1.Mul(k2)) // coefficient of x[k-1] in x[k+1]
-	return mat.Block([][]*mat.Matrix{{top0, top1}, {bot0, bot1}})
+	return e.g.F, nil
 }

@@ -1,35 +1,37 @@
 package ctrl
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/mat"
 )
 
-// designEval is one worker's reusable evaluation state for the holistic
-// design objective: the gain buffers, the monodromy/stability workspace,
+// designEval is one worker's reusable evaluation state for a schedule's
+// controller design: the gain buffers, the monodromy/stability workspace,
 // and the holistic-feedforward linear system are allocated once and
 // overwritten per candidate, so the steady-state objective call performs no
-// heap allocation beyond what the underlying plan pools. Every computation
-// mirrors the allocating reference path (gainsFromVectorFF +
-// designObjective) operation for operation, so values are bit-identical —
-// pinned by TestDesignEvalMatchesReference. A designEval is not safe for
-// concurrent use; the PSO pool creates one per worker (pso.Problem.
+// heap allocation beyond what the underlying plan pools. It is the only
+// production implementation of each mode's closed-loop matrix, of the
+// monodromy stability test (Eq. 16) and of the holistic feedforward:
+// the search's cost, the final evaluation of a design (evaluate) and
+// HolisticFeedforward all run on it. The allocating oracles in
+// design_reference_test.go pin it bit for bit. A designEval is not safe
+// for concurrent use; the PSO pool creates one per worker (pso.Problem.
 // NewObjective), which keeps the plan's segment arena and this scratch hot
 // in one worker's cache while it batch-evaluates its share of a particle
 // generation.
 type designEval struct {
-	plan      *SimPlan
-	modes     []Mode
-	cons      Constraints
-	perModeFF bool
-	m, l      int
+	plan  *SimPlan
+	modes []Mode
+	cons  Constraints
+	m, l  int
 
 	g    Gains     // reused per candidate; K entries are overwritten in place
 	tile []float64 // phase-1 shared-gain tiling buffer
 
 	// Per-mode closed-loop matrices of the current candidate, built once by
-	// stableMonodromy and read again by holisticFeedforward.
+	// setClosedLoops and read by stability and holisticFeedforward.
 	mjs          []*mat.Matrix
 	prodA, prodB *mat.Matrix // monodromy ping-pong
 	eig          *mat.EigWorkspace
@@ -40,12 +42,12 @@ type designEval struct {
 	skipped int // unstable candidates scored without the feedforward solve
 }
 
-func newDesignEval(plan *SimPlan, modes []Mode, cons Constraints, perModeFF bool) *designEval {
+func newDesignEval(plan *SimPlan, modes []Mode, cons Constraints) *designEval {
 	m, l := len(modes), modes[0].D.Ad.Rows()
 	n := l + 1
 	dim := m*n + m
 	e := &designEval{
-		plan: plan, modes: modes, cons: cons, perModeFF: perModeFF, m: m, l: l,
+		plan: plan, modes: modes, cons: cons, m: m, l: l,
 		g:     Gains{K: make([]*mat.Matrix, m), F: make([]float64, m)},
 		tile:  make([]float64, m*l),
 		mjs:   make([]*mat.Matrix, m),
@@ -73,28 +75,9 @@ func (e *designEval) setK(x []float64) {
 	}
 }
 
-// setFeedforward computes the feedforward gains of the unpacked K,
-// mirroring gainsFromVectorFF. The holistic variant reads the mode matrices
-// stableMonodromy built, so it must run after it.
-func (e *designEval) setFeedforward() error {
-	if e.perModeFF {
-		// Ablation path (rare): keep the allocating per-mode solve.
-		for j := 0; j < e.m; j++ {
-			f, err := Feedforward(e.modes[j].D.Ad, e.modes[j].D.BTotal(), e.modes[j].D.C, e.g.K[j])
-			if err != nil {
-				return err
-			}
-			e.g.F[j] = f
-		}
-		return nil
-	}
-	return e.holisticFeedforward()
-}
-
-// holisticFeedforward solves the periodic-orbit conditions of
-// HolisticFeedforward in the reused linear system, writing the gains into
-// e.g.F. Matrix assembly and the LU solve run the same operations on the
-// same values, so the gains are bit-identical.
+// holisticFeedforward solves HolisticFeedforward's periodic-orbit
+// conditions for the closed-loop matrices in e.mjs in the reused linear
+// system, writing the gains into e.g.F.
 func (e *designEval) holisticFeedforward() error {
 	m, l := e.m, e.l
 	n := l + 1
@@ -136,10 +119,17 @@ func (e *designEval) holisticFeedforward() error {
 	return nil
 }
 
-// modeClosedLoopInto writes ModeClosedLoop's phi matrix into dst without
-// allocating: dst = [[Ad + BCur*K, BPrev], [K, 0]]. The BCur*K product has
-// inner dimension one, so every entry is a single multiply-add exactly like
-// the Mul/Add reference.
+// modeClosedLoopInto writes the closed-loop transition matrix of mode md
+// under feedback row k into dst, on the augmented state z = [x; u_held]:
+//
+//	z[k+1] = [ Ad + BCur*K   BPrev ] z[k] + [ BCur*F ] r
+//	         [      K          0   ]        [    F   ]
+//
+// where u_held is the input actuated most recently before the sampling
+// instant. The second block row records u[k] = K x[k] + F r becoming the
+// held input of the next interval; phi[l][l] = 0 because the held input is
+// fully replaced each interval. Only phi is built: the reference enters
+// through F, which the callers handle themselves.
 func modeClosedLoopInto(dst *mat.Matrix, md Mode, k *mat.Matrix) {
 	l := md.D.Ad.Rows()
 	ad, bcur, bprev := md.D.Ad, md.D.BCur, md.D.BPrev
@@ -156,15 +146,24 @@ func modeClosedLoopInto(dst *mat.Matrix, md Mode, k *mat.Matrix) {
 	dst.Set(l, l, 0)
 }
 
-// stableMonodromy is StableMonodromy on the reused buffers: the same
-// left-multiplied product chain and the same eigenvalue iteration, without
-// the per-call matrices. It leaves each mode's closed-loop matrix in e.mjs.
-func (e *designEval) stableMonodromy() (bool, float64, error) {
+// setClosedLoops writes each mode's closed-loop matrix under the feedback
+// rows ks into e.mjs, for stability and holisticFeedforward to read.
+func (e *designEval) setClosedLoops(ks []*mat.Matrix) {
+	for j, md := range e.modes {
+		modeClosedLoopInto(e.mjs[j], md, ks[j])
+	}
+}
+
+// stability multiplies the closed-loop matrices in e.mjs into the
+// monodromy Phi = M_m * ... * M_1 of one schedule period and reports
+// whether its spectral radius is below one, with the radius. Phi plays the
+// role of the lifted matrix A_hol of Eq. (16): its spectral radius decides
+// the stability of the periodically switched closed loop.
+func (e *designEval) stability() (bool, float64, error) {
 	e.prodA.SetIdentity()
 	cur, buf := e.prodA, e.prodB
-	for j := range e.modes {
-		modeClosedLoopInto(e.mjs[j], e.modes[j], e.g.K[j])
-		e.mjs[j].MulTo(buf, cur)
+	for _, mj := range e.mjs {
+		mj.MulTo(buf, cur)
 		cur, buf = buf, cur
 	}
 	rho, err := e.eig.SpectralRadius(cur)
@@ -175,8 +174,8 @@ func (e *designEval) stableMonodromy() (bool, float64, error) {
 }
 
 // cost evaluates the full per-mode decision vector under the pso cutoff
-// contract: below cutoff it equals the reference designObjective over
-// gainsFromVectorFF bit for bit, otherwise it is some value >= cutoff.
+// contract: below cutoff it is the exact design cost, otherwise some value
+// >= cutoff.
 //
 // Stability comes first because it needs only K. The exact cost of an
 // unstable candidate is 1e6 when the feedforward system is singular and
@@ -185,7 +184,8 @@ func (e *designEval) stableMonodromy() (bool, float64, error) {
 // skipped. An eig error or a NaN ρ scores 1e6 whatever the feedforward.
 func (e *designEval) cost(x []float64, cutoff float64) float64 {
 	e.setK(x)
-	stable, rho, err := e.stableMonodromy()
+	e.setClosedLoops(e.g.K)
+	stable, rho, err := e.stability()
 	if err != nil || math.IsNaN(rho) {
 		return 1e6
 	}
@@ -193,7 +193,7 @@ func (e *designEval) cost(x []float64, cutoff float64) float64 {
 		e.skipped++
 		return 1e3 * (1 + rho)
 	}
-	if err := e.setFeedforward(); err != nil {
+	if err := e.holisticFeedforward(); err != nil {
 		return 1e6
 	}
 	return monodromyScore(e.plan, e.g, e.cons, stable, rho, nil, cutoff)
@@ -206,4 +206,44 @@ func (e *designEval) sharedCost(k []float64, cutoff float64) float64 {
 		copy(e.tile[j*e.l:(j+1)*e.l], k)
 	}
 	return e.cost(e.tile, cutoff)
+}
+
+// evaluate is the definitive evaluation of the gain set g on e's plan:
+// stability from the monodromy, then the settling, saturation and ripple
+// metrics streamed at the reported band, and the recorded trajectory. A
+// run whose input diverges is the infeasible design, as an unstable loop
+// is; every other failure is an error.
+func (e *designEval) evaluate(g Gains) (*Design, error) {
+	if err := g.Validate(e.m, e.l); err != nil {
+		return nil, err
+	}
+	e.setClosedLoops(g.K)
+	stable, rho, err := e.stability()
+	if err != nil {
+		return nil, err
+	}
+	d := &Design{Gains: g, Modes: e.modes, SpectralRadius: rho, SettlingTime: math.Inf(1)}
+	if !stable {
+		return d, nil
+	}
+	cons := e.cons
+	met, err := e.plan.Metrics(g, cons.Ref, cons.Band, e.plan.Horizon()/2, cons.Band)
+	if errors.Is(err, errDiverged) {
+		return d, nil
+	} else if err != nil {
+		return nil, err
+	}
+	if d.Trajectory, err = e.plan.Simulate(g, cons.Ref); err != nil {
+		return nil, err
+	}
+	d.SettlingTime = met.SettlingTime
+	d.Settled = met.Settled
+	d.MaxInput = met.PeakInput
+	d.MaxRipple = met.MaxDevAfterSettle
+	d.RippleOK = d.MaxRipple <= 5*cons.Band*math.Abs(cons.Ref)
+	d.Performance = 1 - met.SettlingTime/cons.SettleDeadline
+	d.Feasible = met.Settled && d.RippleOK &&
+		(cons.UMax <= 0 || met.PeakInput <= cons.UMax+1e-9) &&
+		met.SettlingTime <= cons.SettleDeadline
+	return d, nil
 }

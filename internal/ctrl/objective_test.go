@@ -14,6 +14,17 @@ import (
 // plant, mirroring the case-study geometry the search exercises.
 func objectiveFixture(t testing.TB) (*SimPlan, []Mode, Constraints) {
 	t.Helper()
+	plant, modes, cons, sim := objectiveProblem(t)
+	plan, err := CompileSimPlan(plant, modes, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, modes, cons
+}
+
+// objectiveProblem is objectiveFixture's design problem before compilation.
+func objectiveProblem(t testing.TB) (*lti.System, []Mode, Constraints, SimOptions) {
+	t.Helper()
 	plant := &lti.System{
 		A: mat.NewFromRows([][]float64{{0, 1}, {-4, -1.2}}),
 		B: mat.ColVec(0, 1),
@@ -31,11 +42,7 @@ func objectiveFixture(t testing.TB) (*SimPlan, []Mode, Constraints) {
 		t.Fatal(err)
 	}
 	cons := Constraints{Ref: 0.2, UMax: 60, SettleDeadline: 5e-3}.withDefaults()
-	plan, err := CompileSimPlan(plant, modes, SimOptions{Horizon: 2.5 * cons.SettleDeadline, InitialGap: as.Gap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plan, modes, cons
+	return plant, modes, cons, SimOptions{Horizon: 2.5 * cons.SettleDeadline, InitialGap: as.Gap}
 }
 
 // designObjective is the allocating reference of the scalar cost PSO
@@ -56,34 +63,32 @@ func (e *designEval) objective(x []float64) float64 { return e.cost(x, math.Inf(
 func (e *designEval) sharedObjective(k []float64) float64 { return e.sharedCost(k, math.Inf(1)) }
 
 // TestDesignEvalMatchesReference pins the per-worker scratch objective
-// against the allocating reference path (gainsFromVectorFF +
+// against the allocating reference path (gainsFromVector +
 // designObjective) bit for bit, across random candidates including wild
-// unstable ones, for both feedforward variants.
+// unstable ones.
 func TestDesignEvalMatchesReference(t *testing.T) {
 	plan, modes, cons := objectiveFixture(t)
 	m, l := len(modes), 2
-	for _, perMode := range []bool{false, true} {
-		eval := newDesignEval(plan, modes, cons, perMode)
-		reference := func(x []float64) float64 {
-			g, err := gainsFromVectorFF(x, modes, m, l, perMode)
-			if err != nil {
-				return 1e6
-			}
-			return designObjective(plan, modes, g, cons)
+	eval := newDesignEval(plan, modes, cons)
+	reference := func(x []float64) float64 {
+		g, err := gainsFromVector(x, modes)
+		if err != nil {
+			return 1e6
 		}
-		r := rand.New(rand.NewSource(42))
-		for trial := 0; trial < 60; trial++ {
-			x := make([]float64, m*l)
-			scale := math.Pow(10, float64(r.Intn(5))-1) // 0.1 .. 1000
-			for i := range x {
-				x[i] = scale * r.NormFloat64()
-			}
-			want := reference(x)
-			got := eval.objective(x)
-			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("perMode=%v trial %d: designEval %v (%x), reference %v (%x)",
-					perMode, trial, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
+		return designObjective(plan, modes, g, cons)
+	}
+	r := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 60; trial++ {
+		x := make([]float64, m*l)
+		scale := math.Pow(10, float64(r.Intn(5))-1) // 0.1 .. 1000
+		for i := range x {
+			x[i] = scale * r.NormFloat64()
+		}
+		want := reference(x)
+		got := eval.objective(x)
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("trial %d: designEval %v (%x), reference %v (%x)",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
@@ -92,8 +97,8 @@ func TestDesignEvalMatchesReference(t *testing.T) {
 // path against tiling by hand.
 func TestDesignEvalSharedObjectiveMatchesTiled(t *testing.T) {
 	plan, modes, cons := objectiveFixture(t)
-	eval := newDesignEval(plan, modes, cons, false)
-	check := newDesignEval(plan, modes, cons, false)
+	eval := newDesignEval(plan, modes, cons)
+	check := newDesignEval(plan, modes, cons)
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		k := []float64{r.NormFloat64(), r.NormFloat64()}
@@ -111,8 +116,8 @@ func TestDesignEvalSharedObjectiveMatchesTiled(t *testing.T) {
 // is what makes parallel evaluation bit-identical to serial.
 func TestDesignEvalInstancesAgree(t *testing.T) {
 	plan, modes, cons := objectiveFixture(t)
-	a := newDesignEval(plan, modes, cons, false)
-	b := newDesignEval(plan, modes, cons, false)
+	a := newDesignEval(plan, modes, cons)
+	b := newDesignEval(plan, modes, cons)
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		x := make([]float64, 4)
@@ -159,34 +164,32 @@ func TestModeClosedLoopIntoMatchesReference(t *testing.T) {
 // branch does fire, but never without a cutoff.
 func TestDesignCostStabilityFirst(t *testing.T) {
 	plan, modes, cons := objectiveFixture(t)
-	for _, perMode := range []bool{false, true} {
-		eval := newDesignEval(plan, modes, cons, perMode)
-		unstable := 0
-		for _, x := range boundCandidates(eval, rand.New(rand.NewSource(13)), 80) {
-			before := eval.skipped
-			exact := eval.cost(x, math.Inf(1))
-			if eval.skipped != before {
-				t.Fatalf("perMode=%v x=%v: skipped the feedforward without a cutoff", perMode, x)
-			}
-			if exact >= 2e3 {
-				unstable++
-			}
-			ladder := []float64{0, 1, 1e3, 2e3, exact, math.Nextafter(exact, math.Inf(-1)),
-				math.Nextafter(exact, math.Inf(1)), 2 * exact, 1e6, math.Nextafter(1e6, math.Inf(1)), 1e7, math.Inf(1)}
-			for _, c := range ladder {
-				v := eval.cost(x, c)
-				switch {
-				case exact < c:
-					if math.Float64bits(v) != math.Float64bits(exact) {
-						t.Fatalf("perMode=%v x=%v cutoff %v: cost %v, want exact %v", perMode, x, c, v, exact)
-					}
-				case !(v >= c):
-					t.Fatalf("perMode=%v x=%v cutoff %v: cost %v below the cutoff (exact %v)", perMode, x, c, v, exact)
+	eval := newDesignEval(plan, modes, cons)
+	unstable := 0
+	for _, x := range boundCandidates(eval, rand.New(rand.NewSource(13)), 80) {
+		before := eval.skipped
+		exact := eval.cost(x, math.Inf(1))
+		if eval.skipped != before {
+			t.Fatalf("x=%v: skipped the feedforward without a cutoff", x)
+		}
+		if exact >= 2e3 {
+			unstable++
+		}
+		ladder := []float64{0, 1, 1e3, 2e3, exact, math.Nextafter(exact, math.Inf(-1)),
+			math.Nextafter(exact, math.Inf(1)), 2 * exact, 1e6, math.Nextafter(1e6, math.Inf(1)), 1e7, math.Inf(1)}
+		for _, c := range ladder {
+			v := eval.cost(x, c)
+			switch {
+			case exact < c:
+				if math.Float64bits(v) != math.Float64bits(exact) {
+					t.Fatalf("x=%v cutoff %v: cost %v, want exact %v", x, c, v, exact)
 				}
+			case !(v >= c):
+				t.Fatalf("x=%v cutoff %v: cost %v below the cutoff (exact %v)", x, c, v, exact)
 			}
 		}
-		if unstable == 0 || eval.skipped == 0 {
-			t.Errorf("perMode=%v: %d unstable candidates, %d skipped solves; the skip branch never fired", perMode, unstable, eval.skipped)
-		}
+	}
+	if unstable == 0 || eval.skipped == 0 {
+		t.Errorf("%d unstable candidates, %d skipped solves; the skip branch never fired", unstable, eval.skipped)
 	}
 }

@@ -1,8 +1,6 @@
 package ctrl
 
 import (
-	"math"
-
 	"repro/internal/lti"
 	"repro/internal/mat"
 )
@@ -40,95 +38,14 @@ type Trajectory struct {
 // by the caller as a constraint violation, matching the paper's u <= Umax
 // design constraint.
 //
-// Simulate compiles a fresh SimPlan per call; evaluation loops that run the
-// same (plant, modes, options) against many gain sets should compile the
-// plan once with CompileSimPlan and call its Simulate/Metrics methods.
+// Simulate compiles a fresh SimPlan per call and runs its Simulate;
+// evaluation loops that run the same (plant, modes, options) against many
+// gain sets should compile the plan once with CompileSimPlan and call its
+// Simulate/Metrics methods.
 func Simulate(plant *lti.System, modes []Mode, g Gains, r float64, opt SimOptions) (*Trajectory, error) {
 	plan, err := CompileSimPlan(plant, modes, opt)
 	if err != nil {
 		return nil, err
 	}
 	return plan.Simulate(g, r)
-}
-
-// Evaluate summarizes the trajectory at the sampling instants, which is the
-// paper's performance metric: the settling time of the sampled output y[k]
-// (Section II-A, "the time it takes for y[k] to reach and stay in a closed
-// region around r").
-func (tr *Trajectory) Evaluate(r, band float64) lti.StepInfo {
-	return lti.AnalyzeStepSeries(tr.Times, tr.Outputs, tr.Inputs, r, band)
-}
-
-// EvaluateDense measures settling on the densely sampled continuous output
-// instead of the sampling instants; it is stricter than the paper's sampled
-// metric and is reported alongside it.
-func (tr *Trajectory) EvaluateDense(r, band float64) lti.StepInfo {
-	return lti.AnalyzeStep(tr.Dense, tr.Inputs, r, band)
-}
-
-// MaxDenseDeviationAfter returns the largest |y(t) - r| over the dense
-// trajectory for t >= from. It guards against designs that look settled at
-// the sampling instants while ringing in between.
-func (tr *Trajectory) MaxDenseDeviationAfter(from, r float64) float64 {
-	max := 0.0
-	for _, s := range tr.Dense {
-		if s.T < from {
-			continue
-		}
-		if d := math.Abs(s.Y - r); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// BandViolationFraction returns the fraction of dense samples with t >= from
-// lying outside the band around r; it shapes the objective for designs that
-// are close to settling.
-func (tr *Trajectory) BandViolationFraction(from, r, band float64) float64 {
-	total, out := 0, 0
-	delta := band * math.Abs(r)
-	for _, s := range tr.Dense {
-		if s.T < from {
-			continue
-		}
-		total++
-		if math.Abs(s.Y-r) > delta {
-			out++
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(out) / float64(total)
-}
-
-// ITAE returns the normalized integral of time-weighted absolute error of
-// the dense output, ∫ t·|y(t)-r| dt / (|r|·T²/2). It is a smooth surrogate
-// for settling time used to break the staircase plateaus of the sampled
-// settling metric during gain search.
-func (tr *Trajectory) ITAE(r float64) float64 {
-	if len(tr.Dense) < 2 {
-		return math.Inf(1)
-	}
-	sum := 0.0
-	for i := 1; i < len(tr.Dense); i++ {
-		dt := tr.Dense[i].T - tr.Dense[i-1].T
-		sum += tr.Dense[i].T * math.Abs(tr.Dense[i].Y-r) * dt
-	}
-	T := tr.Dense[len(tr.Dense)-1].T
-	norm := math.Abs(r) * T * T / 2
-	if norm == 0 {
-		return math.Inf(1)
-	}
-	return sum / norm
-}
-
-// FinalError returns |y(T) - r| at the last dense sample, used to rank
-// unsettled designs.
-func (tr *Trajectory) FinalError(r float64) float64 {
-	if len(tr.Dense) == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(tr.Dense[len(tr.Dense)-1].Y - r)
 }

@@ -132,14 +132,17 @@ func CompileSimPlan(plant *lti.System, modes []Mode, opt SimOptions) (*SimPlan, 
 	if len(modes) == 0 {
 		return nil, errNoModes
 	}
-	if opt.Horizon <= 0 {
-		return nil, fmt.Errorf("ctrl: horizon %g must be positive", opt.Horizon)
+	if !(opt.Horizon > 0) || math.IsInf(opt.Horizon, 1) {
+		return nil, fmt.Errorf("ctrl: horizon %g must be positive and finite", opt.Horizon)
 	}
 	dtMax := opt.DtMax
 	if dtMax <= 0 {
 		dtMax = opt.Horizon / 2000
 	}
 	l := plant.Order()
+	if opt.X0 != nil && (opt.X0.Rows() != l || opt.X0.Cols() != 1) {
+		return nil, fmt.Errorf("ctrl: initial state is %dx%d, want %dx1", opt.X0.Rows(), opt.X0.Cols(), l)
+	}
 	d := &discretizer{
 		plant: plant,
 		ws:    mat.NewExpmWorkspace(l + plant.B.Cols()),
@@ -363,22 +366,24 @@ func (p *SimPlan) Simulate(g Gains, r float64) (*Trajectory, error) {
 	return tr, nil
 }
 
-// SimMetrics are the streaming design-objective statistics of one run: the
-// exact quantities the design cost (monodromyScore) would read from the
-// dense trajectory, computed on the fly.
+// SimMetrics are the streaming statistics of one run that the design cost
+// (monodromyScore) and the final evaluation (EvaluateDesign) read: the
+// dense-trajectory metrics computed on the fly, with no trajectory stored.
 type SimMetrics struct {
-	SettlingTime float64 // sampled settling time (lti.SettlingTime semantics)
+	// SettlingTime is the earliest sampling instant from which y[k] stays
+	// in the band to the end of the run; unsettled, the last instant (+Inf
+	// without one).
+	SettlingTime float64
 	Settled      bool
 	PeakInput    float64 // max |u[k]| over the sampling instants
 	PeakOutput   float64 // max y[k] over the sampling instants
 	ITAE         float64 // normalized ∫ t|y-r| dt of the dense output
 	// BandViolation is the fraction of dense samples with t >= the
-	// compiled-in window start lying outside the band (Trajectory.
-	// BandViolationFraction semantics).
+	// window start lying outside the band (1 for an empty window).
 	BandViolation float64
 	FinalError    float64 // |y(T) - r| at the last dense sample
 	// MaxDevAfterSettle is max |y(t)-r| over dense samples with t >= the
-	// settling instant; meaningful only when Settled.
+	// settling instant when Settled, and 0 otherwise.
 	MaxDevAfterSettle float64
 }
 

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/ctrl"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -268,5 +271,30 @@ func TestEvalNamespaceVersioning(t *testing.T) {
 	const pinned = "o/a2cbcec057473493354d50c694b1dcc7/"
 	if got := evalNamespace(pinScn, fixed); got != pinned {
 		t.Errorf("legacy namespace moved: %s, pinned %s", got, pinned)
+	}
+}
+
+// TestDesignNamespacePinned pins the byte stream of a design-objective
+// evaluation space — budget, plants and constraints included — over a
+// fixed taskset, the quick design budget (exp.QuickBudget: 16 particles,
+// 25 iterations) and the case-study applications. If this hash moves,
+// every stored design silently recomputes.
+func TestDesignNamespacePinned(t *testing.T) {
+	var budget ctrl.DesignOptions
+	budget.Swarm.Particles = 16
+	budget.Swarm.Iterations = 25
+	fixed := &Result{
+		Timings: []sched.AppTiming{
+			{Name: "C1", ColdWCET: 907.55e-6, WarmWCET: 452.15e-6, MaxIdle: 3.4e-3},
+			{Name: "C2", ColdWCET: 645.25e-6, WarmWCET: 175.00e-6, MaxIdle: 3.9e-3},
+			{Name: "C3", ColdWCET: 749.15e-6, WarmWCET: 234.35e-6, MaxIdle: 3.5e-3},
+		},
+		Weights:   []float64{0.4, 0.4, 0.2},
+		Framework: &core.Framework{Apps: apps.CaseStudy()},
+	}
+	scn := Scenario{NumApps: 3, Objective: ObjectiveDesign, Budget: budget}.withDefaults()
+	const pinned = "o/2dd768770230316c16e45ea9fc994919/"
+	if got := evalNamespace(scn, fixed); got != pinned {
+		t.Errorf("design namespace moved: %s, pinned %s", got, pinned)
 	}
 }

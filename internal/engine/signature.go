@@ -146,7 +146,11 @@ func writeEvalSpace(w sigWriter, scn Scenario, res *Result) {
 		for _, r := range b.WarmStartRadii {
 			w.f64(r)
 		}
-		w.flag(b.PerModeFeedforward)
+		// Formerly the per-mode feedforward flag of DesignOptions, which
+		// no budget ever set: the constant keeps the byte stream, and with
+		// it every stored design namespace, unchanged
+		// (TestDesignNamespacePinned).
+		w.flag(false)
 
 		// The framework's applications: plant dynamics and evaluation
 		// constraints per app, resolved whether the scenario named them

@@ -1,7 +1,5 @@
 package lti
 
-import "math"
-
 // Sample is one point of a sampled output trajectory.
 type Sample struct {
 	T float64 // time in seconds
@@ -11,117 +9,3 @@ type Sample struct {
 // SettlingBand is the default ±2 % band around the reference used by the
 // paper ("reach and stay in a closed region around r, e.g. 0.98r to 1.02r").
 const SettlingBand = 0.02
-
-// SettlingTime returns the earliest sample time after which the output
-// remains inside the band [r-δ, r+δ] with δ = band*|r| for the remainder of
-// the trajectory, and true. If the trajectory never settles (or leaves the
-// band again before the horizon ends), it returns the horizon end and
-// false.
-//
-// The trajectory must be time-ordered. An empty trajectory never settles.
-// For r == 0 the band degenerates; callers should track a non-zero
-// reference, matching the paper's experiments.
-func SettlingTime(traj []Sample, r, band float64) (float64, bool) {
-	if len(traj) == 0 {
-		return math.Inf(1), false
-	}
-	delta := band * math.Abs(r)
-	settleIdx := -1
-	for i, s := range traj {
-		if math.Abs(s.Y-r) <= delta {
-			if settleIdx < 0 {
-				settleIdx = i
-			}
-		} else {
-			settleIdx = -1
-		}
-	}
-	if settleIdx < 0 {
-		return traj[len(traj)-1].T, false
-	}
-	return traj[settleIdx].T, true
-}
-
-// SettlingTimeSeries is SettlingTime over parallel time/output slices
-// instead of []Sample. It exists for callers that already hold the
-// trajectory as separate slices (ctrl.Trajectory), so settling analysis does
-// not have to materialize a fresh []Sample per evaluation. The two slices
-// must have equal length; behavior matches SettlingTime exactly.
-func SettlingTimeSeries(times, outputs []float64, r, band float64) (float64, bool) {
-	if len(times) == 0 {
-		return math.Inf(1), false
-	}
-	delta := band * math.Abs(r)
-	settleIdx := -1
-	for i, y := range outputs {
-		if math.Abs(y-r) <= delta {
-			if settleIdx < 0 {
-				settleIdx = i
-			}
-		} else {
-			settleIdx = -1
-		}
-	}
-	if settleIdx < 0 {
-		return times[len(times)-1], false
-	}
-	return times[settleIdx], true
-}
-
-// MaxAbsInput returns the largest |u| over an input trajectory; it is used
-// to check the saturation constraint u[k] <= Umax.
-func MaxAbsInput(u []float64) float64 {
-	max := 0.0
-	for _, v := range u {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// StepInfo summarizes a step response: settling time, whether it settled,
-// peak output (for overshoot inspection), and peak |input|.
-type StepInfo struct {
-	SettlingTime float64
-	Settled      bool
-	PeakOutput   float64
-	PeakInput    float64
-}
-
-// AnalyzeStep computes StepInfo for an output trajectory, reference r, and
-// the applied input sequence.
-func AnalyzeStep(traj []Sample, u []float64, r, band float64) StepInfo {
-	st, ok := SettlingTime(traj, r, band)
-	peak := math.Inf(-1)
-	for _, s := range traj {
-		if s.Y > peak {
-			peak = s.Y
-		}
-	}
-	return StepInfo{
-		SettlingTime: st,
-		Settled:      ok,
-		PeakOutput:   peak,
-		PeakInput:    MaxAbsInput(u),
-	}
-}
-
-// AnalyzeStepSeries is AnalyzeStep over parallel time/output slices, with no
-// intermediate []Sample allocation. times and outputs must have equal
-// length; results match AnalyzeStep on the zipped trajectory exactly.
-func AnalyzeStepSeries(times, outputs, u []float64, r, band float64) StepInfo {
-	st, ok := SettlingTimeSeries(times, outputs, r, band)
-	peak := math.Inf(-1)
-	for _, y := range outputs {
-		if y > peak {
-			peak = y
-		}
-	}
-	return StepInfo{
-		SettlingTime: st,
-		Settled:      ok,
-		PeakOutput:   peak,
-		PeakInput:    MaxAbsInput(u),
-	}
-}

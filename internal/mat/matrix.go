@@ -339,66 +339,6 @@ func (m *Matrix) SetSlice(r0, c0 int, b *Matrix) {
 	}
 }
 
-// Block assembles a matrix from a 2-D grid of blocks. Rows of the grid must
-// have consistent heights and columns consistent widths. A nil block is
-// treated as a zero block of the size implied by its row and column; at
-// least one block in each grid row and column must be non-nil.
-func Block(grid [][]*Matrix) *Matrix {
-	if len(grid) == 0 || len(grid[0]) == 0 {
-		panic("mat: Block on empty grid")
-	}
-	nbr, nbc := len(grid), len(grid[0])
-	rowH := make([]int, nbr)
-	colW := make([]int, nbc)
-	for i := 0; i < nbr; i++ {
-		if len(grid[i]) != nbc {
-			panic("mat: Block ragged grid")
-		}
-		for j := 0; j < nbc; j++ {
-			b := grid[i][j]
-			if b == nil {
-				continue
-			}
-			if rowH[i] == 0 {
-				rowH[i] = b.rows
-			} else if rowH[i] != b.rows {
-				panic(fmt.Sprintf("mat: Block row %d height mismatch", i))
-			}
-			if colW[j] == 0 {
-				colW[j] = b.cols
-			} else if colW[j] != b.cols {
-				panic(fmt.Sprintf("mat: Block column %d width mismatch", j))
-			}
-		}
-	}
-	totR, totC := 0, 0
-	for i, h := range rowH {
-		if h == 0 {
-			panic(fmt.Sprintf("mat: Block row %d has no non-nil block", i))
-		}
-		totR += h
-	}
-	for j, w := range colW {
-		if w == 0 {
-			panic(fmt.Sprintf("mat: Block column %d has no non-nil block", j))
-		}
-		totC += w
-	}
-	out := New(totR, totC)
-	r0 := 0
-	for i := 0; i < nbr; i++ {
-		c0 := 0
-		for j := 0; j < nbc; j++ {
-			if b := grid[i][j]; b != nil {
-				out.SetSlice(r0, c0, b)
-			}
-			c0 += colW[j]
-		}
-		r0 += rowH[i]
-	}
-	return out
-}
-
 // String renders m with aligned columns, suitable for debugging output.
 func (m *Matrix) String() string {
 	var sb strings.Builder

@@ -164,24 +164,6 @@ func TestSliceAndSetSlice(t *testing.T) {
 	}
 }
 
-func TestBlock(t *testing.T) {
-	a := Identity(2)
-	b := NewFromRows([][]float64{{5}, {6}})
-	c := RowVec(7, 8)
-	d := ColVec(9)
-	m := Block([][]*Matrix{{a, b}, {c, d}})
-	want := NewFromRows([][]float64{{1, 0, 5}, {0, 1, 6}, {7, 8, 9}})
-	if !m.Equal(want, 0) {
-		t.Errorf("Block: got\n%v want\n%v", m, want)
-	}
-	// nil blocks become zero blocks.
-	m2 := Block([][]*Matrix{{a, nil}, {nil, d}})
-	want2 := NewFromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 9}})
-	if !m2.Equal(want2, 0) {
-		t.Errorf("Block nil: got\n%v", m2)
-	}
-}
-
 func TestColRowVec(t *testing.T) {
 	v := ColVec(1, 2, 3)
 	if v.Rows() != 3 || v.Cols() != 1 || v.At(2, 0) != 3 {
