@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -78,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	case "wcet":
 		// Table I only (already printed).
 	case "timeline":
-		s, err := parseSchedule(*scheduleFlag, len(study))
+		s, err := sched.ParseSchedule(*scheduleFlag, len(study))
 		if err != nil {
 			return err
 		}
@@ -88,7 +86,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, txt)
 	case "eval":
-		s, err := parseSchedule(*scheduleFlag, len(study))
+		s, err := sched.ParseSchedule(*scheduleFlag, len(study))
 		if err != nil {
 			return err
 		}
@@ -102,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		s, err := parseSchedule(*scheduleFlag, len(study))
+		s, err := sched.ParseSchedule(*scheduleFlag, len(study))
 		if err != nil {
 			return err
 		}
@@ -185,22 +183,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	return nil
-}
-
-func parseSchedule(s string, n int) (sched.Schedule, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("schedule %q must have %d entries", s, n)
-	}
-	out := make(sched.Schedule, n)
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad schedule entry %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func printTableI(w io.Writer, fw *core.Framework) {

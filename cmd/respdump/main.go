@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/exp"
@@ -57,14 +56,9 @@ func run(args []string, stdout io.Writer) error {
 
 	var list []sched.Schedule
 	for _, part := range strings.Split(*schedules, ";") {
-		fields := strings.Split(part, ",")
-		s := make(sched.Schedule, len(fields))
-		for i, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v < 1 {
-				return fmt.Errorf("bad schedule %q", part)
-			}
-			s[i] = v
+		s, err := sched.ParseSchedule(part, len(fw.Apps))
+		if err != nil {
+			return err
 		}
 		list = append(list, s)
 	}

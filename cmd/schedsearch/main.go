@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/exp"
@@ -127,20 +126,13 @@ func run(args []string, stdout io.Writer) error {
 	return stopProf()
 }
 
+// parseStarts parses the semicolon-separated start list "4,2,2;1,2,1".
 func parseStarts(s string, n int) ([]sched.Schedule, error) {
 	var out []sched.Schedule
 	for _, part := range strings.Split(s, ";") {
-		fields := strings.Split(part, ",")
-		if len(fields) != n {
-			return nil, fmt.Errorf("start %q must have %d entries", part, n)
-		}
-		sc := make(sched.Schedule, n)
-		for i, f := range fields {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("bad burst count %q", f)
-			}
-			sc[i] = v
+		sc, err := sched.ParseSchedule(part, n)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, sc)
 	}

@@ -255,10 +255,6 @@ const (
 	tableNamespace  = "served/table/v1/"
 )
 
-// strKey is the service's cache key: a plain string, which is also its
-// memory-tier key.
-type strKey = evalcache.StringKey
-
 // server owns the shared caches: frameworks per budget (each framework
 // memoizes full schedule evaluations), design summaries and rendered
 // tables both two-tiered onto the store. All three coalesce concurrent
@@ -289,9 +285,9 @@ type server struct {
 	timeouts atomic.Int64 // compute requests answered 503 by the deadline
 	probes   atomic.Int64 // /readyz write-probe sequence
 
-	frameworks *evalcache.Cache[strKey, string, *core.Framework]
-	designs    *evalcache.Cache[strKey, string, *designRecord]
-	tables     *evalcache.Cache[strKey, string, string]
+	frameworks *evalcache.Cache[evalcache.StringKey, string, *core.Framework]
+	designs    *evalcache.Cache[designKey, string, *designRecord]
+	tables     *evalcache.Cache[tableKey, tableKey, string]
 }
 
 // backend returns the store as an evalcache.Backend, or a true nil
@@ -307,7 +303,7 @@ func (s *server) backend() evalcache.Backend {
 func newServer(st *store.Store, defaultBudget string) *server {
 	s := &server{st: st, defaultBudget: defaultBudget, start: time.Now(), mux: http.NewServeMux()}
 	s.queueDepth = func() int64 { return int64(parallel.Default().Stats().QueueDepth) }
-	s.frameworks = evalcache.NewCache(0, func(k strKey) (*core.Framework, error) {
+	s.frameworks = evalcache.NewCache(0, func(k evalcache.StringKey) (*core.Framework, error) {
 		return exp.DefaultFramework(exp.Budget(string(k)))
 	})
 	s.designs = evalcache.NewTiered(0, s.evalDesign, s.backend(), designNamespace, designCodec())
@@ -609,13 +605,21 @@ func designCodec() evalcache.Codec[*designRecord] {
 	}
 }
 
-// designCacheKey renders the canonical key of one design request. The
-// case-study taskset and the budget-name mapping are fixed in code
-// (internal/apps, exp.Budget), so budget name + joint point identify the
-// evaluation; designNamespace versions that assumption.
-func designCacheKey(budget string, j sched.JointSchedule) strKey {
-	return strKey("b=" + budget + "|" + j.Key())
+// designKey identifies one design request. The case-study taskset and the
+// budget-name mapping are fixed in code (internal/apps, exp.Budget), so
+// budget name + joint point identify the evaluation; designNamespace
+// versions that assumption.
+type designKey struct {
+	budget string
+	point  sched.JointSchedule
 }
+
+// Key renders the persistent key "b=<budget>|<joint point key>".
+func (k designKey) Key() string { return "b=" + k.budget + "|" + k.point.Key() }
+
+// MemKey is the rendered key: the point's slices make the struct itself
+// incomparable, and a design costs far more than its key.
+func (k designKey) MemKey() (string, error) { return k.Key(), nil }
 
 // evalDesign computes a design record by running the paper's stage-1
 // holistic design through the per-budget framework. It runs as a
@@ -626,30 +630,21 @@ func designCacheKey(budget string, j sched.JointSchedule) strKey {
 // while cache hits bypass this function entirely. Holding the token is
 // deadlock-free: the leader goroutine holds nothing else, and every layer
 // underneath only TryAcquires.
-func (s *server) evalDesign(k strKey) (*designRecord, error) {
+func (s *server) evalDesign(k designKey) (*designRecord, error) {
 	exec := parallel.Default()
 	granted := exec.Acquire(1)
 	defer exec.Release(granted)
 
-	budget, jkey, ok := strings.Cut(string(k), "|")
-	if !ok {
-		return nil, fmt.Errorf("bad design key %q", k)
-	}
-	budget = strings.TrimPrefix(budget, "b=")
-	j, err := parseJoint(jkey)
+	fw, _, err := s.frameworks.Get(evalcache.StringKey(k.budget))
 	if err != nil {
 		return nil, err
 	}
-	fw, _, err := s.frameworks.Get(strKey(budget))
-	if err != nil {
-		return nil, err
-	}
-	ev, err := fw.EvaluateJoint(j)
+	ev, err := fw.EvaluateJoint(k.point)
 	if err != nil {
 		return nil, err
 	}
 	rec := &designRecord{
-		Budget:       budget,
+		Budget:       k.budget,
 		Schedule:     []int(ev.Schedule.Clone()),
 		Ways:         []int(ev.Ways.Clone()),
 		PallBits:     math.Float64bits(ev.Pall),
@@ -667,44 +662,13 @@ func (s *server) evalDesign(k strKey) (*designRecord, error) {
 	return rec, nil
 }
 
-// parseJoint parses the canonical joint key rendering "(3, 2, 3)" or
-// "(3, 2, 3)|w[2 1 1]" back into a point. The service accepts the simpler
-// "3,2,3" form in requests; this parser only sees canonical keys.
-func parseJoint(key string) (sched.JointSchedule, error) {
-	mpart, wpart, hasW := strings.Cut(key, "|w")
-	m, err := parseSchedule(strings.Trim(mpart, "()"))
-	if err != nil {
-		return sched.JointSchedule{}, err
-	}
-	j := sched.JointSchedule{M: m}
-	if hasW {
-		w, err := parseSchedule(strings.Trim(wpart, "[]"))
-		if err != nil {
-			return sched.JointSchedule{}, err
-		}
-		j.W = sched.Ways(w)
-	}
-	return j, nil
-}
-
-// parseSchedule parses "3,2,3" (also tolerating spaces) into a schedule.
-// Entries above sched.MaxPackedCoord are rejected here, as the caller's
-// fault: the evaluation caches cannot key them.
-func parseSchedule(text string) (sched.Schedule, error) {
-	fields := strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' })
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("empty schedule")
-	}
-	m := make(sched.Schedule, len(fields))
-	for i, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 0 || v > sched.MaxPackedCoord {
-			return nil, fmt.Errorf("bad schedule entry %q", f)
-		}
-		m[i] = v
-	}
-	return m, nil
-}
+// The service designs the case study on the paper platform
+// (exp.DefaultFramework): a design point of another length, or a partition
+// that does not fit the paper cache, is the caller's fault.
+var (
+	caseStudyApps = len(apps.CaseStudy())
+	paperWays     = wcet.PaperPlatform().Cache.Ways
+)
 
 // designRequest is the POST body of /v1/design; the GET form carries the
 // same fields as query parameters with schedules semicolon-separated.
@@ -773,7 +737,10 @@ func (s *server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	}
 	var ways sched.Ways
 	if req.Ways != "" {
-		wsched, err := parseSchedule(req.Ways)
+		wsched, err := sched.ParseSchedule(req.Ways, caseStudyApps)
+		if err == nil && !sched.Ways(wsched).Valid(caseStudyApps, paperWays) {
+			err = fmt.Errorf("partition %v does not fit the %d-way cache", wsched, paperWays)
+		}
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad ways: %v", err)
 			return
@@ -798,13 +765,13 @@ func (s *server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Schedules {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
-			m, err := parseSchedule(req.Schedules[i])
+			m, err := sched.ParseSchedule(req.Schedules[i], caseStudyApps)
 			if err != nil {
 				slots[i].parseErr = err
 				return
 			}
 			j := sched.JointSchedule{M: m, W: ways.Clone()}
-			slots[i].rec, _, slots[i].evalErr = s.designs.Get(designCacheKey(req.Budget, j))
+			slots[i].rec, _, slots[i].evalErr = s.designs.Get(designKey{budget: req.Budget, point: j})
 		}(i)
 	}
 	for range req.Schedules {
@@ -1013,32 +980,32 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// renderTable produces the text rendering of one paper table; the key is
-// tableCacheKey's output. Like evalDesign it is a singleflight leader and
-// acquires the governor's admission token for the duration of the render
-// (Table III/IV run full searches), so cold table renders count against
-// executor capacity while cached renders skip this function entirely.
-func (s *server) renderTable(k strKey) (string, error) {
+// tableKey identifies one rendered table request.
+type tableKey struct {
+	table, budget string
+	maxM          int
+	tol           float64 // validated finite and positive, so == is bit equality
+}
+
+// Key renders the persistent key "<table>|b=<budget>|m=<maxM>|tol=<bits>".
+func (k tableKey) Key() string {
+	return fmt.Sprintf("%s|b=%s|m=%d|tol=%016x", k.table, k.budget, k.maxM, math.Float64bits(k.tol))
+}
+
+// MemKey is the key itself: every field is comparable.
+func (k tableKey) MemKey() (tableKey, error) { return k, nil }
+
+// renderTable produces the text rendering of one paper table. Like
+// evalDesign it is a singleflight leader and acquires the governor's
+// admission token for the duration of the render (Table III/IV run full
+// searches), so cold table renders count against executor capacity while
+// cached renders skip this function entirely.
+func (s *server) renderTable(k tableKey) (string, error) {
 	exec := parallel.Default()
 	granted := exec.Acquire(1)
 	defer exec.Release(granted)
 
-	parts := strings.Split(string(k), "|")
-	if len(parts) != 4 {
-		return "", fmt.Errorf("bad table key %q", k)
-	}
-	table, budget := parts[0], strings.TrimPrefix(parts[1], "b=")
-	maxM, err := strconv.Atoi(strings.TrimPrefix(parts[2], "m="))
-	if err != nil {
-		return "", fmt.Errorf("bad table key %q", k)
-	}
-	tolBits, err := strconv.ParseUint(strings.TrimPrefix(parts[3], "tol="), 16, 64)
-	if err != nil {
-		return "", fmt.Errorf("bad table key %q", k)
-	}
-	tol := math.Float64frombits(tolBits)
-
-	switch table {
+	switch k.table {
 	case "I":
 		rows, err := exp.TableI(apps.CaseStudy(), wcet.PaperPlatform())
 		if err != nil {
@@ -1048,7 +1015,7 @@ func (s *server) renderTable(k strKey) (string, error) {
 	case "II":
 		return exp.FormatTableII(exp.TableII(apps.CaseStudy())), nil
 	case "III":
-		fw, _, err := s.frameworks.Get(strKey(budget))
+		fw, _, err := s.frameworks.Get(evalcache.StringKey(k.budget))
 		if err != nil {
 			return "", err
 		}
@@ -1058,7 +1025,7 @@ func (s *server) renderTable(k strKey) (string, error) {
 		}
 		return exp.FormatTableIII(t3), nil
 	case "IV":
-		rows, err := exp.PartitionCaseStudyWith(maxM, tol, engine.Config{
+		rows, err := exp.PartitionCaseStudyWith(k.maxM, k.tol, engine.Config{
 			Workers: 1, Store: s.backend(), Resume: true,
 		})
 		if err != nil {
@@ -1066,12 +1033,8 @@ func (s *server) renderTable(k strKey) (string, error) {
 		}
 		return exp.FormatPartitionTable(rows), nil
 	default:
-		return "", fmt.Errorf("unknown table %q", table)
+		return "", fmt.Errorf("unknown table %q", k.table)
 	}
-}
-
-func tableCacheKey(table, budget string, maxM int, tol float64) strKey {
-	return strKey(fmt.Sprintf("%s|b=%s|m=%d|tol=%016x", table, budget, maxM, math.Float64bits(tol)))
 }
 
 func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
@@ -1110,7 +1073,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 		}
 		tol = f
 	}
-	text, _, err := s.tables.Get(tableCacheKey(table, budget, maxM, tol))
+	text, _, err := s.tables.Get(tableKey{table: table, budget: budget, maxM: maxM, tol: tol})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return

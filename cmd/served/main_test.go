@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/resilience"
+	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -302,18 +303,20 @@ func TestServedRunFlagValidation(t *testing.T) {
 	}
 }
 
-func TestParseJointRoundTrip(t *testing.T) {
-	for _, text := range []string{"(3, 2, 3)", "(3, 2, 3)|w[2 1 1]"} {
-		j, err := parseJoint(text)
-		if err != nil {
-			t.Fatalf("parseJoint(%q): %v", text, err)
+// TestServedCacheKeysPinned: the design and table cache keys render the
+// persistent keys the service has always written, so stores stay warm.
+func TestServedCacheKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		key  interface{ Key() string }
+		want string
+	}{
+		{designKey{budget: "tiny", point: sched.JointSchedule{M: sched.Schedule{3, 2, 3}}}, "b=tiny|(3, 2, 3)"},
+		{designKey{budget: "quick", point: sched.JointSchedule{M: sched.Schedule{3, 2, 3}, W: sched.Ways{2, 1, 1}}}, "b=quick|(3, 2, 3)|w[2 1 1]"},
+		{tableKey{table: "IV", budget: "tiny", maxM: 6, tol: 0.01}, "IV|b=tiny|m=6|tol=3f847ae147ae147b"},
+	} {
+		if got := c.key.Key(); got != c.want {
+			t.Errorf("key %q, want %q", got, c.want)
 		}
-		if j.Key() != text {
-			t.Fatalf("parseJoint(%q).Key() = %q", text, j.Key())
-		}
-	}
-	if _, err := parseJoint("()"); err == nil {
-		t.Error("empty joint accepted")
 	}
 }
 
@@ -383,15 +386,33 @@ func TestServedDesignPartialBatch(t *testing.T) {
 		t.Fatalf("good entry after the bad one lost its result: %+v", body.Results[2])
 	}
 
-	// schedule=1,1 parses fine but cannot be evaluated against the 3-app
-	// case study: an evaluator failure, so a 500.
-	if code := getJSON(t, hs.URL+"/v1/design?schedule=1,1", nil); code != http.StatusInternalServerError {
-		t.Errorf("eval failure status %d, want 500", code)
+	// A well-formed point that does not fit the case study is the caller's
+	// fault too: a 400 with the entry's own error, never a 500 a retrying
+	// client would resend unchanged.
+	if code := getJSON(t, hs.URL+"/v1/design?schedule=1,1,1&schedule=1,1", &body); code != http.StatusBadRequest {
+		t.Fatalf("wrong-length entry status %d, want 400", code)
 	}
-	// A mixed batch with an eval failure is also a 500: retrying the batch
-	// unchanged is the right client move, dropping entries is not.
-	if code := getJSON(t, hs.URL+"/v1/design?schedule=1,1,1&schedule=1,1", nil); code != http.StatusInternalServerError {
-		t.Errorf("mixed eval-failure batch status %d, want 500", code)
+	if len(body.Results) != 2 || body.Results[0].Error != "" || body.Results[1].Error == "" {
+		t.Fatalf("wrong-length entry not reported in place: %+v", body.Results)
+	}
+}
+
+// TestServedDesignRejectsMalformedPoints: schedules and partitions that
+// cannot be evaluated against the case study on the paper cache answer 400,
+// not 500.
+func TestServedDesignRejectsMalformedPoints(t *testing.T) {
+	_, hs := testServer(t, "")
+	for _, bad := range []string{
+		"/v1/design?schedule=0,1,1",
+		"/v1/design?schedule=1,1",
+		"/v1/design?schedule=1,1,1,1",
+		"/v1/design?schedule=1,1,1&ways=0,1,1",
+		"/v1/design?schedule=1,1,1&ways=1,1",
+		"/v1/design?schedule=1,1,1&ways=1,1,1",
+	} {
+		if code := getJSON(t, hs.URL+bad, nil); code != http.StatusBadRequest {
+			t.Errorf("%s status %d, want 400", bad, code)
+		}
 	}
 }
 

@@ -77,8 +77,7 @@ func Timings(apps []App, plat wcet.Platform) ([]sched.AppTiming, []*wcet.Result,
 // WayTimings analyzes every app under each possible dedicated-way count,
 // returning the ByWays table of the joint co-design (entry [w-1][i] is app
 // i's steady-state timing owning w ways; see wcet.SteadyWayTimings for the
-// model). Callers that already hold the shared timings (core.New) pair it
-// with them directly instead of re-analyzing through PartitionTimings.
+// model); callers pair it with the shared timings of Timings.
 func WayTimings(apps []App, plat wcet.Platform) ([][]sched.AppTiming, error) {
 	byWays := make([][]sched.AppTiming, plat.Cache.Ways)
 	for w := range byWays {
@@ -94,21 +93,6 @@ func WayTimings(apps []App, plat wcet.Platform) ([][]sched.AppTiming, error) {
 		}
 	}
 	return byWays, nil
-}
-
-// PartitionTimings analyzes every app both on the shared cache and under
-// every possible dedicated-way count, returning the timing table of the
-// joint cache-partition + schedule co-design (see sched.PartitionTimings).
-func PartitionTimings(apps []App, plat wcet.Platform) (sched.PartitionTimings, error) {
-	shared, _, err := Timings(apps, plat)
-	if err != nil {
-		return sched.PartitionTimings{}, err
-	}
-	byWays, err := WayTimings(apps, plat)
-	if err != nil {
-		return sched.PartitionTimings{}, err
-	}
-	return sched.PartitionTimings{Shared: shared, ByWays: byWays}, nil
 }
 
 // CaseStudy returns the paper's three applications with Table II parameters:

@@ -37,36 +37,36 @@ func paperTimings() []sched.AppTiming {
 
 func TestAckermannPlacesPoles(t *testing.T) {
 	s := servo()
-	d, err := lti.Discretize(s, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ad, bd := mat.ExpmIntegral(s.A, s.B, 1e-3)
 	want := []complex128{complex(0.5, 0.2), complex(0.5, -0.2)}
-	k, err := Ackermann(d.Ad, d.Bd, want)
+	k, err := Ackermann(ad, bd, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acl := d.Ad.Add(d.Bd.Mul(k))
+	acl := ad.Add(bd.Mul(k))
 	got, err := mat.Eigenvalues(acl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat.SortEigenvalues(got)
-	mat.SortEigenvalues(want)
-	for i := range want {
-		if math.Hypot(real(got[i]-want[i]), imag(got[i]-want[i])) > 1e-9 {
-			t.Errorf("pole %d: got %v, want %v", i, got[i], want[i])
+	// Each requested pole must be placed (the two are distinct).
+	for _, w := range want {
+		placed := false
+		for _, g := range got {
+			placed = placed || math.Hypot(real(g-w), imag(g-w)) <= 1e-9
+		}
+		if !placed {
+			t.Errorf("pole %v not placed: got %v", w, got)
 		}
 	}
 }
 
 func TestAckermannRejects(t *testing.T) {
 	s := servo()
-	d, _ := lti.Discretize(s, 1e-3)
-	if _, err := Ackermann(d.Ad, d.Bd, []complex128{0.5}); err == nil {
+	ad, bd := mat.ExpmIntegral(s.A, s.B, 1e-3)
+	if _, err := Ackermann(ad, bd, []complex128{0.5}); err == nil {
 		t.Error("wrong pole count accepted")
 	}
-	if _, err := Ackermann(d.Ad, d.Bd, []complex128{complex(0.5, 0.2), complex(0.4, 0.2)}); err == nil {
+	if _, err := Ackermann(ad, bd, []complex128{complex(0.5, 0.2), complex(0.4, 0.2)}); err == nil {
 		t.Error("non-conjugate complex poles accepted")
 	}
 	// Uncontrollable pair.
@@ -81,22 +81,22 @@ func TestFeedforwardDCGain(t *testing.T) {
 	// Closed loop y_ss must equal r: for stable (A+BK), steady state
 	// x = (I-Acl)^-1 B F r and y = C x = r by construction.
 	s := servo()
-	d, _ := lti.Discretize(s, 1e-3)
-	k, err := Ackermann(d.Ad, d.Bd, []complex128{0.6, 0.4})
+	ad, bd := mat.ExpmIntegral(s.A, s.B, 1e-3)
+	k, err := Ackermann(ad, bd, []complex128{0.6, 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Feedforward(d.Ad, d.Bd, d.C, k)
+	f, err := Feedforward(ad, bd, s.C, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acl := d.Ad.Add(d.Bd.Mul(k))
+	acl := ad.Add(bd.Mul(k))
 	m := mat.Identity(2).Sub(acl)
-	xss, err := mat.Solve(m, d.Bd.Scale(f))
+	xss, err := mat.Solve(m, bd.Scale(f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if yss := d.C.Mul(xss).At(0, 0); math.Abs(yss-1) > 1e-9 {
+	if yss := s.C.Mul(xss).At(0, 0); math.Abs(yss-1) > 1e-9 {
 		t.Errorf("steady-state output per unit reference = %g, want 1", yss)
 	}
 }

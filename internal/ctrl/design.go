@@ -45,21 +45,16 @@ func (c Constraints) Validate() error {
 type DesignOptions struct {
 	Swarm pso.Options // PSO budget; zero-value uses pso defaults
 	Sim   SimOptions  // simulation grid; Horizon <= 0 defaults to 2.5x deadline
-	// GainScale multiplies the warm-start gain magnitudes to form the PSO
-	// search box (default 4).
-	GainScale float64
-	// WarmStartRadii are closed-loop pole radii used to generate Ackermann
-	// warm starts (default 0.2, 0.4, 0.6, 0.8, 0.9, 0.96).
-	WarmStartRadii []float64
 }
 
+// The design search's warm start: Ackermann seeds place closed-loop poles
+// at warmStartRadii, and the PSO search box is gainScale times the seeds'
+// gain magnitudes.
+const gainScale = 4
+
+var warmStartRadii = []float64{0.2, 0.4, 0.6, 0.8, 0.9, 0.96}
+
 func (o DesignOptions) withDefaults(cons Constraints) DesignOptions {
-	if o.GainScale <= 0 {
-		o.GainScale = 4
-	}
-	if len(o.WarmStartRadii) == 0 {
-		o.WarmStartRadii = []float64{0.2, 0.4, 0.6, 0.8, 0.9, 0.96}
-	}
 	if o.Sim.Horizon <= 0 {
 		o.Sim.Horizon = 2.5 * cons.SettleDeadline
 	}
@@ -129,7 +124,7 @@ func DesignHolistic(plant *lti.System, as sched.AppSchedule, cons Constraints, o
 		return nil, err
 	}
 
-	ackSeeds, scale := warmStarts(plant, modes, opt)
+	ackSeeds, scale := warmStarts(plant, modes)
 	lqrSeeds, lqrScale := LQRSeedGains(modes)
 	for s := range scale {
 		if s < len(lqrScale) && lqrScale[s] > scale[s] {
@@ -366,10 +361,10 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 // The search box is derived from the *moderate* radii only (>= 0.5), since
 // aggressive low-radius gains blow the box up to regions where every point
 // saturates or destabilizes.
-func warmStarts(plant *lti.System, modes []Mode, opt DesignOptions) (seeds [][]float64, scale []float64) {
+func warmStarts(plant *lti.System, modes []Mode) (seeds [][]float64, scale []float64) {
 	m, l := len(modes), plant.Order()
 	scale = make([]float64, l)
-	for _, rho := range opt.WarmStartRadii {
+	for _, rho := range warmStartRadii {
 		poles := make([]complex128, l)
 		for s := 0; s < l; s++ {
 			// Distinct real poles descending from rho.
@@ -440,7 +435,7 @@ func warmStarts(plant *lti.System, modes []Mode, opt DesignOptions) (seeds [][]f
 		if scale[s] == 0 {
 			scale[s] = 1
 		}
-		scale[s] *= opt.GainScale
+		scale[s] *= gainScale
 	}
 	return seeds, scale
 }

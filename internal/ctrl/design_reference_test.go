@@ -59,7 +59,7 @@ func StableMonodromy(modes []Mode, g Gains) (bool, float64, error) {
 	if err != nil {
 		return false, 0, err
 	}
-	rho, err := mat.SpectralRadius(phi)
+	rho, err := mat.NewEigWorkspace(phi.Rows()).SpectralRadius(phi)
 	if err != nil {
 		return false, 0, err
 	}

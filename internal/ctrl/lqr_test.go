@@ -47,8 +47,7 @@ func TestPeriodicLQRWeightMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl := kLight[0].Frobenius()
-	nh := kHeavy[0].Frobenius()
+	nl, nh := frobenius(kLight[0]), frobenius(kHeavy[0])
 	if nh >= nl {
 		t.Errorf("heavier input weight should shrink gains: %g vs %g", nh, nl)
 	}
@@ -169,4 +168,15 @@ func TestPerModeFeedforwardEquivalence(t *testing.T) {
 			t.Errorf("mode %d: per-mode F=%g, joint F=%g", j, g.F[j], joint[j])
 		}
 	}
+}
+
+// frobenius returns the Frobenius norm of m.
+func frobenius(m *mat.Matrix) float64 {
+	s := 0.0
+	for i := 0; i < m.Rows(); i++ {
+		for _, v := range m.Row(i) {
+			s += v * v
+		}
+	}
+	return math.Sqrt(s)
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/search"
@@ -18,9 +17,11 @@ import (
 //     w_i (1 - (hbar + hmax) / (2 t_idle)) is nonincreasing in the gap —
 //     DerivedHyperPeriod and DerivedMaxPeriod are nondecreasing in it, and
 //     bitwise so, because they are sums/maxima of terms monotone in the gap
-//     and IEEE rounding is monotone. AppAt evaluates the *exact* closed form
-//     at the minimal gap any completion of the prefix can produce, so it
-//     upper-bounds (bitwise) the term at every completion's true gap.
+//     and IEEE rounding is monotone. AppAt derives the periods exactly as
+//     timingScore does and evaluates the same closed form (appTerm, so
+//     the *exact* term by construction) at the minimal gap any completion
+//     of the prefix can produce, so it upper-bounds (bitwise) the term at
+//     every completion's true gap.
 //   - Unconstrained apps (MaxIdle <= 0): timingScore normalizes by the
 //     hyperperiod itself, giving 1 - (hbar + hmax)/(2 hyper) with
 //     hbar = hyper/m and hmax >= hyper/m ... <= 1 - 1/m; the 1e-9 slack
@@ -51,12 +52,9 @@ func (b timingBounder) timing(i, w int) sched.AppTiming {
 }
 
 func (b timingBounder) AppAt(i, w, m int, minGap float64) float64 {
-	a := b.timing(i, w)
-	if a.MaxIdle > 0 {
+	if a := b.timing(i, w); a.MaxIdle > 0 {
 		hyper := sched.DerivedHyperPeriod(a, m, minGap)
-		hbar := hyper / float64(m)
-		p := 1 - (hbar+sched.DerivedMaxPeriod(a, m, minGap))/(2*a.MaxIdle)
-		return b.weights[i] * p
+		return b.weights[i] * appTerm(a.MaxIdle, hyper, hyper/float64(m), sched.DerivedMaxPeriod(a, m, minGap))
 	}
 	return b.weights[i] * (1 - 1/float64(m) + 1e-9)
 }
@@ -69,48 +67,4 @@ func (b timingBounder) AppBest(i, w int) float64 {
 		}
 	}
 	return best
-}
-
-// MulticoreTimingEval is JointTimingEval over the placement axis: a core
-// point scores its joint (schedule, ways) point on the timing sub-table of
-// its application subset, with the apps' global weights, so per-core values
-// sum to a P_all comparable with the single-core numbers. Each subset's
-// sub-table and weight vector are built once, on the subset's first point.
-func MulticoreTimingEval(pt sched.PartitionTimings, weights []float64) search.CoreEvalFunc {
-	type coreView struct {
-		sub     sched.PartitionTimings
-		weights []float64
-	}
-	var (
-		mu    sync.Mutex
-		views = map[sched.PointKey]*coreView{}
-	)
-	view := func(apps []int) (*coreView, error) {
-		key, err := sched.PackPoint(apps, true, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if v, ok := views[key]; ok {
-			return v, nil
-		}
-		sub, err := search.SubPartition(pt, apps)
-		if err != nil {
-			return nil, err
-		}
-		v := &coreView{sub: sub, weights: make([]float64, len(apps))}
-		for k, i := range apps {
-			v.weights[k] = weights[i]
-		}
-		views[key] = v
-		return v, nil
-	}
-	return func(p search.CorePoint) (search.Outcome, error) {
-		v, err := view(p.Apps)
-		if err != nil {
-			return search.Outcome{}, err
-		}
-		return jointTimingScore(v.sub, v.weights, p.Point)
-	}
 }

@@ -313,53 +313,26 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 		}
 		res.Framework = fw
 		res.Timings = fw.Timings
-		res.Weights = make([]float64, len(applications))
-		for i, a := range applications {
-			res.Weights[i] = a.Weight
-		}
+		res.Weights = weightsOf(applications)
 		eval = fw.EvalFunc()
 		if scn.Partitioned {
 			res.PartTimings = fw.PartTimings
 			jointEval = fw.JointEvalFunc()
 		}
 	case ObjectiveTiming:
-		var err error
-		if len(scn.Apps) > 0 {
-			if scn.Partitioned {
-				res.PartTimings, err = apps.PartitionTimings(scn.Apps, scn.Platform)
-				if err != nil {
-					return nil, err
-				}
-				res.Timings = res.PartTimings.Shared
-			} else {
-				res.Timings, _, err = apps.Timings(scn.Apps, scn.Platform)
-				if err != nil {
-					return nil, err
-				}
-			}
-			res.Weights = make([]float64, len(scn.Apps))
-			for i, a := range scn.Apps {
-				res.Weights[i] = a.Weight
-			}
-		} else if scn.Partitioned {
-			res.PartTimings, res.Weights, err = RandomPartitionTaskset(rng, scn)
-			if err != nil {
-				return nil, err
-			}
-			res.Timings = res.PartTimings.Shared
-		} else {
-			res.Timings, res.Weights, err = RandomTaskset(rng, scn)
-			if err != nil {
-				return nil, err
-			}
+		pt, weights, err := timingTable(rng, scn)
+		if err != nil {
+			return nil, err
 		}
+		res.Timings, res.Weights = pt.Shared, weights
 		if scn.Arrival.Sporadic() {
 			eval = SporadicTimingEval(res.Timings, res.Weights, scn.Arrival)
 		} else {
 			eval = TimingEval(res.Timings, res.Weights)
 		}
 		if scn.Partitioned {
-			jointEval = JointTimingEval(res.PartTimings, res.Weights)
+			res.PartTimings = pt
+			jointEval = JointTimingEval(pt, weights)
 		}
 	default:
 		return nil, fmt.Errorf("engine: unknown objective %v", scn.Objective)
@@ -668,9 +641,22 @@ func Sweep(cfg Config, scenarios []Scenario) ([]*Result, error) {
 	return results, nil
 }
 
+// appTerm is the closed-form per-application term of ObjectiveTiming,
+// P_i = 1 - (hbar + hmax) / (2 t_idle), from an application's mean and
+// worst sampling periods: the one place the objective's formula is written.
+// An unconstrained application (maxIdle <= 0) is normalized against its
+// schedule period instead, so the term stays bounded.
+func appTerm(maxIdle, period, hbar, hmax float64) float64 {
+	limit := maxIdle
+	if limit <= 0 {
+		limit = period
+	}
+	return 1 - (hbar+hmax)/(2*limit)
+}
+
 // timingScore is the ObjectiveTiming closed-form score of one schedule
-// under one timing vector; TimingEval and JointTimingEval both run through
-// it, so a shared joint point scores bit-identically to its plain schedule.
+// under one timing vector; every periodic evaluator runs through it, so
+// a shared joint point scores bit-identically to its plain schedule.
 // It evaluates the derived periods through sched's closed-form helpers
 // (identical summation order, so identical bits) instead of materializing
 // Derive's slices: this score runs once per point of every enumerated box,
@@ -687,16 +673,10 @@ func timingScore(timings []sched.AppTiming, weights []float64, s sched.Schedule)
 	pall := 0.0
 	feasible := true
 	for i, a := range timings {
+		// An unconstrained app is normalized against the hyper-period.
 		gap := sched.BurstGap(timings, s, i)
 		hyper := sched.DerivedHyperPeriod(a, s[i], gap)
-		limit := a.MaxIdle
-		if limit <= 0 {
-			// Unconstrained app: normalize against the schedule period
-			// so the score stays bounded.
-			limit = hyper
-		}
-		hbar := hyper / float64(s[i])
-		p := 1 - (hbar+sched.DerivedMaxPeriod(a, s[i], gap))/(2*limit)
+		p := appTerm(a.MaxIdle, hyper, hyper/float64(s[i]), sched.DerivedMaxPeriod(a, s[i], gap))
 		if p < 0 {
 			feasible = false
 		}
@@ -714,7 +694,7 @@ func TimingEval(timings []sched.AppTiming, weights []float64) search.EvalFunc {
 }
 
 // SporadicTimingEval builds the ObjectiveTiming evaluator under a sporadic
-// arrival model: timingScore's P_i = 1 - (h_bar + h_max) / (2 t_idle)
+// arrival model: appTerm's P_i = 1 - (h_bar + h_max) / (2 t_idle)
 // closed form, but with the mean and worst sampling periods measured from
 // the simulated jittered timeline instead of derived from the periodic
 // burst gap. Schedules whose periodic derivation is already
@@ -747,16 +727,11 @@ func SporadicTimingEval(timings []sched.AppTiming, weights []float64, arr sched.
 		pall := 0.0
 		feasible := true
 		for i, a := range timings {
-			limit := a.MaxIdle
-			if limit <= 0 {
-				// Unconstrained app: normalize against the empirical
-				// schedule period, mirroring timingScore's hyper-period
-				// fallback.
-				limit = stats[i].MeanPeriod * float64(s[i])
-			} else if stats[i].MaxPeriod > a.MaxIdle+1e-12 {
+			st := stats[i]
+			if a.MaxIdle > 0 && st.MaxPeriod > a.MaxIdle+1e-12 {
 				feasible = false
 			}
-			p := 1 - (stats[i].MeanPeriod+stats[i].MaxPeriod)/(2*limit)
+			p := appTerm(a.MaxIdle, st.MeanPeriod*float64(s[i]), st.MeanPeriod, st.MaxPeriod)
 			if p < 0 {
 				feasible = false
 			}
@@ -773,70 +748,137 @@ func SporadicTimingEval(timings []sched.AppTiming, weights []float64, arr sched.
 // the way budget are infeasible.
 func JointTimingEval(pt sched.PartitionTimings, weights []float64) search.JointEvalFunc {
 	return func(j sched.JointSchedule) (search.Outcome, error) {
-		return jointTimingScore(pt, weights, j)
+		return pointScore(pt, weights, nil, j)
 	}
 }
 
-// jointTimingScore scores a joint point on its way allocation's rows of pt,
-// gathering the timing vector on the stack for tasksets up to
-// sched.StackApps applications.
-func jointTimingScore(pt sched.PartitionTimings, weights []float64, j sched.JointSchedule) (search.Outcome, error) {
-	if !j.W.Valid(pt.Apps(), pt.TotalWays()) {
+// MulticoreTimingEval is JointTimingEval over the placement axis: a core
+// point scores its joint (schedule, ways) point on its application subset's
+// rows of the timing table, with the apps' global weights, so per-core
+// values sum to a P_all comparable with the single-core numbers.
+func MulticoreTimingEval(pt sched.PartitionTimings, weights []float64) search.CoreEvalFunc {
+	return func(p search.CorePoint) (search.Outcome, error) {
+		if err := search.CheckSubset(p.Apps, pt.Apps()); err != nil {
+			return search.Outcome{}, err
+		}
+		return pointScore(pt, weights, p.Apps, p.Point)
+	}
+}
+
+// pointScore scores joint point j over the applications idx of pt (every
+// application when idx is nil): a partition invalid for them is
+// infeasible; otherwise timingScore scores the point's timing rows and
+// weights, gathered on the stack (for up to sched.StackApps applications)
+// unless they are pt.Shared and weights themselves.
+func pointScore(pt sched.PartitionTimings, weights []float64, idx []int, j sched.JointSchedule) (search.Outcome, error) {
+	n := pt.Apps()
+	if idx != nil {
+		n = len(idx)
+	}
+	if !j.W.Valid(n, pt.TotalWays()) {
 		return search.Outcome{Pall: -1, Feasible: false}, nil
 	}
-	var buf [sched.StackApps]sched.AppTiming
-	timings, err := pt.TimingsInto(buf[:0], j)
-	if err != nil {
-		return search.Outcome{}, err
-	}
-	return timingScore(timings, weights, j.M)
-}
-
-// RandomTaskset draws a scenario's randomized taskset: NumApps random
-// programs analyzed on the scenario platform, idle budgets that keep
-// round-robin feasible while binding at moderate burst lengths, and
-// normalized random weights. All draws come from rng, in a fixed order.
-func RandomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []float64, error) {
-	timings, _, weights, err := randomTaskset(rng, scn)
-	return timings, weights, err
-}
-
-// randomTaskset is RandomTaskset returning the drawn programs as well, so
-// the partitioned variant can extend the analysis without extra rng draws.
-func randomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []*program.Program, []float64, error) {
-	scn = scn.withDefaults()
-	timings := make([]sched.AppTiming, scn.NumApps)
-	programs := make([]*program.Program, scn.NumApps)
-	for i := range timings {
-		p := program.Random(rng, scn.Spec)
-		res, err := wcet.Analyze(p, scn.Platform)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("engine: random program %d: %w", i, err)
+	timings, ws := pt.Shared, weights
+	if idx != nil || !j.Shared() {
+		var (
+			tbuf [sched.StackApps]sched.AppTiming
+			wbuf [sched.StackApps]float64
+		)
+		timings, ws = tbuf[:0], wbuf[:0]
+		for k := 0; k < n; k++ {
+			i := k
+			if idx != nil {
+				i = idx[k]
+			}
+			row := pt.Shared
+			if !j.Shared() {
+				row = pt.ByWays[j.W[k]-1]
+			}
+			timings = append(timings, row[i])
+			ws = append(ws, weights[i])
 		}
-		programs[i] = p
-		timings[i] = sched.AppTiming{
-			Name:     fmt.Sprintf("R%d", i+1),
-			ColdWCET: scn.Platform.CyclesToSeconds(res.ColdCycles),
-			WarmWCET: scn.Platform.CyclesToSeconds(res.WarmCycles),
+	}
+	return timingScore(timings, ws, j.M)
+}
+
+// randomApps is the one random draw behind every randomized taskset:
+// NumApps random programs analyzed on the scenario platform, idle budgets
+// that keep round-robin feasible while binding at moderate burst lengths,
+// and normalized random weights, all drawn from rng in a fixed order. It
+// returns the applications (name, program, idle budget and weight; no
+// plant) and the shared-cache timings their idle budgets were drawn
+// against.
+func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, []sched.AppTiming, error) {
+	scn = scn.withDefaults()
+	list := make([]apps.App, scn.NumApps)
+	timings := make([]sched.AppTiming, scn.NumApps)
+	for i := range list {
+		list[i] = apps.App{Name: fmt.Sprintf("R%d", i+1), Program: program.Random(rng, scn.Spec)}
+		var err error
+		if timings[i], _, err = list[i].Timing(scn.Platform); err != nil {
+			return nil, nil, fmt.Errorf("engine: random program %d: %w", i, err)
 		}
 	}
 	// Idle budgets: at least the round-robin period (so m = (1,...,1) is
 	// always feasible) times a random headroom factor that lets bursts of a
 	// few tasks through but binds well before the box edge.
 	rr := sched.PeriodLength(timings, sched.RoundRobin(scn.NumApps))
-	for i := range timings {
-		timings[i].MaxIdle = rr * (1.2 + 2.8*rng.Float64())
+	for i := range list {
+		list[i].MaxIdle = rr * (1.2 + 2.8*rng.Float64())
+		timings[i].MaxIdle = list[i].MaxIdle
 	}
-	weights := make([]float64, scn.NumApps)
 	total := 0.0
-	for i := range weights {
-		weights[i] = 0.5 + rng.Float64()
-		total += weights[i]
+	for i := range list {
+		list[i].Weight = 0.5 + rng.Float64()
+		total += list[i].Weight
 	}
-	for i := range weights {
-		weights[i] /= total
+	for i := range list {
+		list[i].Weight /= total
 	}
-	return timings, programs, weights, nil
+	return list, timings, nil
+}
+
+// weightsOf returns the applications' objective weights.
+func weightsOf(list []apps.App) []float64 {
+	weights := make([]float64, len(list))
+	for i, a := range list {
+		weights[i] = a.Weight
+	}
+	return weights
+}
+
+// timingTable builds the ObjectiveTiming table of a scenario (defaults
+// applied) from its named applications, or from randomApps when it names
+// none: the shared-cache timings, plus the per-way rows only when the
+// scenario is partitioned.
+func timingTable(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float64, error) {
+	var (
+		list = scn.Apps
+		pt   sched.PartitionTimings
+		err  error
+	)
+	if len(list) == 0 {
+		list, pt.Shared, err = randomApps(rng, scn)
+	} else {
+		pt.Shared, _, err = apps.Timings(list, scn.Platform)
+	}
+	if err == nil && scn.Partitioned {
+		pt.ByWays, err = apps.WayTimings(list, scn.Platform)
+	}
+	if err != nil {
+		return sched.PartitionTimings{}, nil, err
+	}
+	return pt, weightsOf(list), nil
+}
+
+// RandomTaskset draws a scenario's randomized taskset (see randomApps) as
+// timings and weights.
+func RandomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []float64, error) {
+	list, timings, err := randomApps(rng, scn)
+	if err != nil {
+		return nil, nil, err
+	}
+	return timings, weightsOf(list), nil
 }
 
 // RandomPartitionTaskset draws the same randomized taskset as RandomTaskset
@@ -844,72 +886,25 @@ func randomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []*program.
 // additionally analyzes every program under each dedicated-way count,
 // returning the joint co-design timing table.
 func RandomPartitionTaskset(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float64, error) {
-	scn = scn.withDefaults()
-	timings, programs, weights, err := randomTaskset(rng, scn)
-	if err != nil {
-		return sched.PartitionTimings{}, nil, err
-	}
-	pt := sched.PartitionTimings{
-		Shared: timings,
-		ByWays: make([][]sched.AppTiming, scn.Platform.Cache.Ways),
-	}
-	for w := range pt.ByWays {
-		pt.ByWays[w] = make([]sched.AppTiming, scn.NumApps)
-	}
-	for i, p := range programs {
-		col, err := wcet.SteadyWayTimings(p, scn.Platform, timings[i].Name, timings[i].MaxIdle)
-		if err != nil {
-			return sched.PartitionTimings{}, nil, fmt.Errorf("engine: random program %d: %w", i, err)
-		}
-		for w := range col {
-			pt.ByWays[w][i] = col[w]
-		}
-	}
-	return pt, weights, nil
+	scn.Apps, scn.Partitioned = nil, true
+	return timingTable(rng, scn.withDefaults())
 }
 
 // RandomApps builds a randomized taskset for ObjectiveDesign scenarios:
-// random control programs paired with the case-study plants (cycled), with
-// idle budgets and weights drawn like RandomTaskset's.
+// randomApps' programs, idle budgets and weights, paired with the
+// case-study plants (cycled).
 func RandomApps(rng *rand.Rand, scn Scenario) ([]apps.App, error) {
-	scn = scn.withDefaults()
+	list, _, err := randomApps(rng, scn)
+	if err != nil {
+		return nil, err
+	}
 	pool := apps.CaseStudy()
-	out := make([]apps.App, scn.NumApps)
-	timings := make([]sched.AppTiming, scn.NumApps)
-	for i := range out {
+	for i := range list {
 		base := pool[i%len(pool)]
-		prog := program.Random(rng, scn.Spec)
-		res, err := wcet.Analyze(prog, scn.Platform)
-		if err != nil {
-			return nil, fmt.Errorf("engine: random program %d: %w", i, err)
-		}
-		out[i] = apps.App{
-			Name:           fmt.Sprintf("R%d", i+1),
-			Plant:          base.Plant,
-			Program:        prog,
-			SettleDeadline: base.SettleDeadline,
-			Ref:            base.Ref,
-			UMax:           base.UMax,
-		}
-		timings[i] = sched.AppTiming{
-			Name:     out[i].Name,
-			ColdWCET: scn.Platform.CyclesToSeconds(res.ColdCycles),
-			WarmWCET: scn.Platform.CyclesToSeconds(res.WarmCycles),
-		}
+		list[i].Plant, list[i].SettleDeadline = base.Plant, base.SettleDeadline
+		list[i].Ref, list[i].UMax = base.Ref, base.UMax
 	}
-	rr := sched.PeriodLength(timings, sched.RoundRobin(scn.NumApps))
-	for i := range out {
-		out[i].MaxIdle = rr * (1.2 + 2.8*rng.Float64())
-	}
-	total := 0.0
-	for i := range out {
-		out[i].Weight = 0.5 + rng.Float64()
-		total += out[i].Weight
-	}
-	for i := range out {
-		out[i].Weight /= total
-	}
-	return out, nil
+	return list, nil
 }
 
 // RandomStarts draws n idle-feasible start schedules by random upward walks

@@ -141,15 +141,13 @@ func writeEvalSpace(w sigWriter, scn Scenario, res *Result) {
 		w.num(int64(b.Swarm.StallLimit))
 		w.f64(b.Sim.Horizon)
 		w.f64(b.Sim.DtMax)
-		w.f64(b.GainScale)
-		w.num(int64(len(b.WarmStartRadii)))
-		for _, r := range b.WarmStartRadii {
-			w.f64(r)
-		}
-		// Formerly the per-mode feedforward flag of DesignOptions, which
-		// no budget ever set: the constant keeps the byte stream, and with
+		// Formerly DesignOptions' gain scale, warm-start radii and per-mode
+		// feedforward flag, which no budget ever set: writing their unset
+		// values (0, an empty list, false) keeps the byte stream, and with
 		// it every stored design namespace, unchanged
 		// (TestDesignNamespacePinned).
+		w.f64(0)
+		w.num(0)
 		w.flag(false)
 
 		// The framework's applications: plant dynamics and evaluation

@@ -218,3 +218,49 @@ func TestQuickDelayedComposition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Test-only analysis helpers: the design pipeline discretizes through
+// DiscretizeDelayed and checks stability on its own workspaces.
+
+// StableCT reports whether the continuous-time system matrix is Hurwitz
+// (all eigenvalue real parts strictly negative).
+func StableCT(a *mat.Matrix) (bool, error) {
+	eigs, err := mat.Eigenvalues(a)
+	if err != nil {
+		return false, err
+	}
+	for _, e := range eigs {
+		if real(e) >= 0 {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// StableDT reports whether a discrete-time system matrix is Schur (spectral
+// radius strictly less than one).
+func StableDT(a *mat.Matrix) (bool, error) {
+	r, err := mat.NewEigWorkspace(a.Rows()).SpectralRadius(a)
+	if err != nil {
+		return false, err
+	}
+	return r < 1, nil
+}
+
+// Discrete is a standard ZOH discretization of a System at period h:
+// x[k+1] = Ad x[k] + Bd u[k], y = C x.
+type Discrete struct {
+	Ad *mat.Matrix
+	Bd *mat.Matrix
+	C  *mat.Matrix
+	H  float64 // sampling period in seconds
+}
+
+// Discretize returns the exact ZOH discretization of s at period h.
+func Discretize(s *System, h float64) (*Discrete, error) {
+	if h <= 0 {
+		return nil, ErrNonPositivePeriod
+	}
+	ad, bd := mat.ExpmIntegral(s.A, s.B, h)
+	return &Discrete{Ad: ad, Bd: bd, C: s.C.Clone(), H: h}, nil
+}

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,5 +50,41 @@ func TestQuickApplyVecMatchesMul(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The reference matrix-vector products the Flat kernels are pinned
+// against; the production code only runs the fused ApplyVecAdd.
+
+// ApplyVec computes dst = m * src, treating src (length Cols) and dst
+// (length Rows) as column vectors. dst must not alias src.
+func (m *Matrix) ApplyVec(dst, src []float64) {
+	if len(src) != m.cols || len(dst) != m.rows {
+		panic(fmt.Sprintf("mat: ApplyVec dims dst=%d src=%d for %dx%d", len(dst), len(src), m.rows, m.cols))
+	}
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		s := 0.0
+		for k, v := range row {
+			s += v * src[k]
+		}
+		dst[i] = s
+	}
+}
+
+// ApplyVec computes dst = f * src, treating src (length Cols) and dst
+// (length Rows) as column vectors; dst must not alias src. It accumulates
+// in the same order as Matrix.ApplyVec, so results are bit-identical.
+func (f Flat) ApplyVec(dst, src []float64) {
+	if len(src) != f.Cols || len(dst) != f.Rows {
+		panic(fmt.Sprintf("mat: Flat.ApplyVec dims dst=%d src=%d for %dx%d", len(dst), len(src), f.Rows, f.Cols))
+	}
+	for i := 0; i < f.Rows; i++ {
+		row := f.Data[i*f.Stride : i*f.Stride+f.Cols]
+		s := 0.0
+		for k, v := range row {
+			s += v * src[k]
+		}
+		dst[i] = s
 	}
 }

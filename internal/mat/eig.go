@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrNoConvergence is returned by Eigenvalues when the QR iteration fails to
@@ -47,22 +46,13 @@ func Eigenvalues(a *Matrix) ([]complex128, error) {
 	return out, nil
 }
 
-// SpectralRadius returns the largest eigenvalue magnitude of a square
-// matrix. It returns +Inf if the matrix contains non-finite entries and
-// propagates ErrNoConvergence from the eigenvalue iteration. It runs
-// EigWorkspace.SpectralRadius on a fresh workspace.
-func SpectralRadius(a *Matrix) (float64, error) {
-	return NewEigWorkspace(a.rows).SpectralRadius(a)
-}
-
 func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 // EigWorkspace holds the intermediate buffers of repeated same-dimension
 // eigenvalue computations (the 1-based Hessenberg copy and the root
 // arrays), so stability checks running once per objective evaluation — the
 // spectral radius of every candidate design's monodromy matrix — stop
-// allocating. It runs the same balance/elmhes/hqr sequence as Eigenvalues;
-// the package-level SpectralRadius is its method on a fresh workspace.
+// allocating. It runs the same balance/elmhes/hqr sequence as Eigenvalues.
 // A workspace is not safe for concurrent use; the design loop keeps one per
 // worker.
 type EigWorkspace struct {
@@ -83,8 +73,9 @@ func NewEigWorkspace(n int) *EigWorkspace {
 }
 
 // SpectralRadius returns the largest eigenvalue magnitude of a, which must
-// have the workspace's dimension (or be 0x0 or 1x1); see the package-level
-// SpectralRadius.
+// have the workspace's dimension (or be 0x0 or 1x1). It returns +Inf if the
+// matrix contains non-finite entries and propagates ErrNoConvergence from
+// the eigenvalue iteration.
 func (w *EigWorkspace) SpectralRadius(a *Matrix) (float64, error) {
 	a.mustSquare("SpectralRadius")
 	if !a.IsFinite() {
@@ -118,21 +109,6 @@ func (w *EigWorkspace) SpectralRadius(a *Matrix) (float64, error) {
 		}
 	}
 	return r, nil
-}
-
-// SortEigenvalues orders eigenvalues by descending magnitude (ties broken
-// by real part, then imaginary part) so test expectations are stable.
-func SortEigenvalues(e []complex128) {
-	sort.Slice(e, func(i, j int) bool {
-		mi, mj := cmplxAbs(e[i]), cmplxAbs(e[j])
-		if mi != mj {
-			return mi > mj
-		}
-		if real(e[i]) != real(e[j]) {
-			return real(e[i]) > real(e[j])
-		}
-		return imag(e[i]) > imag(e[j])
-	})
 }
 
 // balance scales a (1-based) matrix by diagonal similarity transforms so

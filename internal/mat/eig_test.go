@@ -20,7 +20,7 @@ func eigOrFail(t *testing.T, a *Matrix) []complex128 {
 func TestEigDiagonal(t *testing.T) {
 	a := NewFromRows([][]float64{{3, 0, 0}, {0, -1, 0}, {0, 0, 0.5}})
 	e := eigOrFail(t, a)
-	SortEigenvalues(e)
+	sortEigenvalues(e)
 	want := []complex128{3, -1, 0.5}
 	for i, w := range want {
 		if cmplxAbs(e[i]-w) > 1e-12 {
@@ -156,8 +156,8 @@ func TestQuickEigSquare(t *testing.T) {
 		for i, ev := range e1 {
 			sq[i] = ev * ev
 		}
-		SortEigenvalues(sq)
-		SortEigenvalues(e2)
+		sortEigenvalues(sq)
+		sortEigenvalues(e2)
 		for i := range sq {
 			if cmplxAbs(sq[i]-e2[i]) > 1e-5*(1+cmplxAbs(sq[i])) {
 				return false
@@ -192,4 +192,24 @@ func TestEigLargerStable(t *testing.T) {
 			t.Errorf("sum eig^%d = %v, trace(A^%d) = %g", k, s, k, ak.Trace())
 		}
 	}
+}
+
+// sortEigenvalues orders eigenvalues by descending magnitude (ties broken
+// by real part, then imaginary part) so test expectations are stable.
+func sortEigenvalues(e []complex128) {
+	sort.Slice(e, func(i, j int) bool {
+		mi, mj := cmplxAbs(e[i]), cmplxAbs(e[j])
+		if mi != mj {
+			return mi > mj
+		}
+		if real(e[i]) != real(e[j]) {
+			return real(e[i]) > real(e[j])
+		}
+		return imag(e[i]) > imag(e[j])
+	})
+}
+
+// SpectralRadius is EigWorkspace.SpectralRadius on a fresh workspace.
+func SpectralRadius(a *Matrix) (float64, error) {
+	return NewEigWorkspace(a.rows).SpectralRadius(a)
 }

@@ -51,23 +51,6 @@ func (f Flat) Row(i int) []float64 {
 	return f.Data[i*f.Stride : i*f.Stride+f.Cols]
 }
 
-// ApplyVec computes dst = f * src, treating src (length Cols) and dst
-// (length Rows) as column vectors; dst must not alias src. It accumulates
-// in the same order as Matrix.ApplyVec, so results are bit-identical.
-func (f Flat) ApplyVec(dst, src []float64) {
-	if len(src) != f.Cols || len(dst) != f.Rows {
-		panic(fmt.Sprintf("mat: Flat.ApplyVec dims dst=%d src=%d for %dx%d", len(dst), len(src), f.Rows, f.Cols))
-	}
-	for i := 0; i < f.Rows; i++ {
-		row := f.Data[i*f.Stride : i*f.Stride+f.Cols]
-		s := 0.0
-		for k, v := range row {
-			s += v * src[k]
-		}
-		dst[i] = s
-	}
-}
-
 // ApplyVecAdd computes dst = f*src + u*add in one pass: the fused
 // propagation kernel of the simulation step x' = Ad x + bd u. Element i is
 // evaluated as (Σ_k f[i,k]·src[k]) + add[i]·u — exactly the value the

@@ -142,16 +142,6 @@ func (m *Matrix) Sub(b *Matrix) *Matrix {
 	return out
 }
 
-// AddScaled returns m + s*b. It panics on shape mismatch.
-func (m *Matrix) AddScaled(s float64, b *Matrix) *Matrix {
-	m.sameShape(b, "AddScaled")
-	out := New(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = v + s*b.data[i]
-	}
-	return out
-}
-
 func (m *Matrix) sameShape(b *Matrix, op string) {
 	if m.rows != b.rows || m.cols != b.cols {
 		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d vs %dx%d", op, m.rows, m.cols, b.rows, b.cols))
@@ -224,32 +214,6 @@ func (m *Matrix) InfNorm() float64 {
 	return max
 }
 
-// Norm1 returns the maximum absolute column sum of m.
-func (m *Matrix) Norm1() float64 {
-	sums := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			sums[j] += math.Abs(m.data[i*m.cols+j])
-		}
-	}
-	max := 0.0
-	for _, s := range sums {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// Frobenius returns the Frobenius norm of m.
-func (m *Matrix) Frobenius() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns the largest absolute entry of m.
 func (m *Matrix) MaxAbs() float64 {
 	max := 0.0
@@ -295,26 +259,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// SetRow overwrites row i with v. It panics if len(v) != Cols().
-func (m *Matrix) SetRow(i int, v []float64) {
-	m.check(i, 0)
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d != cols %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
-// SetCol overwrites column j with v. It panics if len(v) != Rows().
-func (m *Matrix) SetCol(j int, v []float64) {
-	m.check(0, j)
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d != rows %d", len(v), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
-	}
-}
-
 // Slice returns a copy of the submatrix with rows [r0,r1) and columns
 // [c0,c1). It panics on an empty or out-of-range selection.
 func (m *Matrix) Slice(r0, r1, c0, c1 int) *Matrix {
@@ -353,23 +297,6 @@ func (m *Matrix) String() string {
 		sb.WriteString("]\n")
 	}
 	return sb.String()
-}
-
-// ApplyVec computes dst = m * src, treating src (length Cols) and dst
-// (length Rows) as column vectors. dst must not alias src. It exists for
-// allocation-free inner loops such as the closed-loop simulator.
-func (m *Matrix) ApplyVec(dst, src []float64) {
-	if len(src) != m.cols || len(dst) != m.rows {
-		panic(fmt.Sprintf("mat: ApplyVec dims dst=%d src=%d for %dx%d", len(dst), len(src), m.rows, m.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for k, v := range row {
-			s += v * src[k]
-		}
-		dst[i] = s
-	}
 }
 
 // RowInto copies row i into dst without allocating. It panics if dst does

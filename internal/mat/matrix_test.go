@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -227,5 +228,63 @@ func TestQuickTransposeProduct(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Test-only Matrix helpers: the production code has no caller for them.
+
+// AddScaled returns m + s*b. It panics on shape mismatch.
+func (m *Matrix) AddScaled(s float64, b *Matrix) *Matrix {
+	m.sameShape(b, "AddScaled")
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = v + s*b.data[i]
+	}
+	return out
+}
+
+// Norm1 returns the maximum absolute column sum of m.
+func (m *Matrix) Norm1() float64 {
+	sums := make([]float64, m.cols)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			sums[j] += math.Abs(m.data[i*m.cols+j])
+		}
+	}
+	max := 0.0
+	for _, s := range sums {
+		if s > max {
+			max = s
+		}
+	}
+	return max
+}
+
+// Frobenius returns the Frobenius norm of m.
+func (m *Matrix) Frobenius() float64 {
+	s := 0.0
+	for _, v := range m.data {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// SetRow overwrites row i with v. It panics if len(v) != Cols().
+func (m *Matrix) SetRow(i int, v []float64) {
+	m.check(i, 0)
+	if len(v) != m.cols {
+		panic(fmt.Sprintf("mat: SetRow length %d != cols %d", len(v), m.cols))
+	}
+	copy(m.data[i*m.cols:(i+1)*m.cols], v)
+}
+
+// SetCol overwrites column j with v. It panics if len(v) != Rows().
+func (m *Matrix) SetCol(j int, v []float64) {
+	m.check(0, j)
+	if len(v) != m.rows {
+		panic(fmt.Sprintf("mat: SetCol length %d != rows %d", len(v), m.rows))
+	}
+	for i := 0; i < m.rows; i++ {
+		m.data[i*m.cols+j] = v[i]
 	}
 }

@@ -230,8 +230,8 @@ func TestQuickCharPolyMatchesEig(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mat.SortEigenvalues(pr)
-		mat.SortEigenvalues(ev)
+		sortEigenvalues(pr)
+		sortEigenvalues(ev)
 		for i := range pr {
 			d := pr[i] - ev[i]
 			if math.Hypot(real(d), imag(d)) > 1e-4*(1+math.Hypot(real(ev[i]), imag(ev[i]))) {
@@ -252,4 +252,19 @@ func TestStringFormats(t *testing.T) {
 	if s := New(0).String(); s != "0" {
 		t.Errorf("zero poly String = %q", s)
 	}
+}
+
+// sortEigenvalues orders eigenvalues by descending magnitude (ties broken
+// by real part, then imaginary part) so two listings pair up index by index.
+func sortEigenvalues(e []complex128) {
+	abs := func(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
+	sort.Slice(e, func(i, j int) bool {
+		if mi, mj := abs(e[i]), abs(e[j]); mi != mj {
+			return mi > mj
+		}
+		if real(e[i]) != real(e[j]) {
+			return real(e[i]) > real(e[j])
+		}
+		return imag(e[i]) > imag(e[j])
+	})
 }

@@ -81,6 +81,27 @@ func (s Schedule) Valid(n int) bool {
 	return true
 }
 
+// ParseSchedule parses the comma-separated form "3,2,3" (spaces around
+// entries tolerated) that every command and the HTTP service accept for
+// schedules and way lists. Each entry must lie in [1, MaxPackedCoord], the
+// range the evaluation caches can key, and when n > 0 there must be
+// exactly n entries.
+func ParseSchedule(text string, n int) (Schedule, error) {
+	fields := strings.Split(text, ",")
+	if n > 0 && len(fields) != n {
+		return nil, fmt.Errorf("sched: %q has %d entries, want %d", text, len(fields), n)
+	}
+	s := make(Schedule, len(fields))
+	for i, f := range fields {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v < 1 || v > MaxPackedCoord {
+			return nil, fmt.Errorf("sched: bad entry %q in %q (want an integer in [1, %d])", f, text, MaxPackedCoord)
+		}
+		s[i] = v
+	}
+	return s, nil
+}
+
 // String renders the schedule as "(m1, m2, ..., mn)". It is also the
 // memoization key of every evaluation cache, so it builds the string
 // directly instead of routing each entry through fmt.

@@ -234,3 +234,32 @@ func TestTotalUtilization(t *testing.T) {
 		t.Errorf("utilization = %g, want 1", u)
 	}
 }
+
+func TestParseSchedule(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		n    int
+		want Schedule
+	}{
+		{"3,2,3", 3, Schedule{3, 2, 3}},
+		{" 3, 2 ,3 ", 3, Schedule{3, 2, 3}},
+		{"1,255", 0, Schedule{1, 255}},
+		{"7", 1, Schedule{7}},
+	} {
+		got, err := ParseSchedule(c.text, c.n)
+		if err != nil || !got.Equal(c.want) {
+			t.Errorf("ParseSchedule(%q, %d) = %v, %v; want %v", c.text, c.n, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		text string
+		n    int
+	}{
+		{"", 0}, {"1,,1", 0}, {"0,1,1", 3}, {"-1", 0}, {"256,1,1", 3},
+		{"1,x,1", 3}, {"1,1", 3}, {"1,1,1,1", 3}, {"3 2 3", 3},
+	} {
+		if got, err := ParseSchedule(c.text, c.n); err == nil {
+			t.Errorf("ParseSchedule(%q, %d) = %v, want an error", c.text, c.n, got)
+		}
+	}
+}

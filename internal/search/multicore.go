@@ -78,22 +78,30 @@ func NewMulticoreCache(eval CoreEvalFunc) *MulticoreCache {
 	return evalcache.NewCache(0, eval)
 }
 
+// CheckSubset reports whether idx is a valid core subset of n
+// applications: nonempty, strictly ascending, within [0, n).
+func CheckSubset(idx []int, n int) error {
+	if len(idx) == 0 {
+		return fmt.Errorf("search: empty application subset")
+	}
+	for k, i := range idx {
+		if i < 0 || i >= n {
+			return fmt.Errorf("search: subset app %d outside [0, %d)", i, n)
+		}
+		if k > 0 && idx[k-1] >= i {
+			return fmt.Errorf("search: subset %v not strictly ascending", idx)
+		}
+	}
+	return nil
+}
+
 // SubPartition restricts a partition-timing table to the applications in
 // idx (strictly ascending global indices): the timing view of a core that
 // hosts exactly those applications on a private cache of the platform's
 // geometry. Rows alias the parent table.
 func SubPartition(pt sched.PartitionTimings, idx []int) (sched.PartitionTimings, error) {
-	if len(idx) == 0 {
-		return sched.PartitionTimings{}, fmt.Errorf("search: empty application subset")
-	}
-	n := pt.Apps()
-	for k, i := range idx {
-		if i < 0 || i >= n {
-			return sched.PartitionTimings{}, fmt.Errorf("search: subset app %d outside [0, %d)", i, n)
-		}
-		if k > 0 && idx[k-1] >= i {
-			return sched.PartitionTimings{}, fmt.Errorf("search: subset %v not strictly ascending", idx)
-		}
+	if err := CheckSubset(idx, pt.Apps()); err != nil {
+		return sched.PartitionTimings{}, err
 	}
 	sub := sched.PartitionTimings{
 		Shared: make([]sched.AppTiming, len(idx)),

@@ -146,9 +146,8 @@ func AnalyzePartitioned(p *program.Program, plat Platform, ways int) (*Result, e
 // application owns w ways, with ColdWCET == WarmWCET == the warm bound of
 // the restricted analysis (the partition persists across other
 // applications' bursts, so bursts have no cold start). This is the single
-// home of the partition timing model; apps.PartitionTimings and the
-// engine's random tasksets both build their sched.PartitionTimings tables
-// from it.
+// home of the partition timing model; apps.WayTimings builds every
+// sched.PartitionTimings table's per-way rows from it.
 func SteadyWayTimings(p *program.Program, plat Platform, name string, maxIdle float64) ([]sched.AppTiming, error) {
 	out := make([]sched.AppTiming, plat.Cache.Ways)
 	for w := 1; w <= plat.Cache.Ways; w++ {
