@@ -299,12 +299,6 @@ func (f *Framework) SearchCache() *search.Cache {
 	return search.NewCache(f.EvalFunc())
 }
 
-// CachedEvaluations returns how many distinct points this framework has
-// fully evaluated so far.
-func (f *Framework) CachedEvaluations() int {
-	return f.cache.Len()
-}
-
 // CacheStats reports the framework-level evaluation cache effectiveness.
 func (f *Framework) CacheStats() evalcache.Stats {
 	return f.cache.Stats()

@@ -11,6 +11,12 @@ import (
 	"repro/internal/wcet"
 )
 
+// CachedEvaluations returns how many distinct points this framework has
+// fully evaluated so far.
+func (f *Framework) CachedEvaluations() int {
+	return f.cache.Len()
+}
+
 func tinyBudget() ctrl.DesignOptions {
 	var opt ctrl.DesignOptions
 	opt.Swarm.Particles = 8

@@ -91,14 +91,14 @@ func TestEvaluateJointPartitioned(t *testing.T) {
 }
 
 // The joint searchers run end to end on the framework evaluator, and the
-// shared subspace of the joint exhaustive matches OptimizeExhaustive bit
+// shared subspace of the unbounded joint search matches OptimizeExhaustive bit
 // for bit.
 func TestOptimizeJointExhaustiveSharedSubspace(t *testing.T) {
 	fw, err := New(apps.CaseStudy()[:2], wcet.PaperPlatform(), tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := search.JointExhaustiveCached(search.NewJointCache(fw.JointEvalFunc()), fw.PartTimings, 3, 2)
+	joint, err := search.JointExact(search.NewJointCache(fw.JointEvalFunc()), fw.PartTimings, nil, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,8 +208,8 @@ func (f *Framework) MulticoreEvalFunc() search.CoreEvalFunc {
 // opt.MaxAssignments), each core's private cache split among its
 // applications, each split's feasible schedules. When opt.Seeds is nil the
 // heuristic placements (PlacementSeeds) are used; pass a non-nil cache to
-// share evaluations across calls. A non-nil opt.Bounder selects the
-// branch-and-bound searchers — exact, identical optimum, fewer evaluations.
+// share evaluations across calls. A non-nil opt.Bounder cuts placements and
+// subtrees — identical optimum, fewer evaluations.
 func (f *Framework) OptimizeMulticoreCoDesign(nCores int, opt search.MulticoreOptions, cache *search.MulticoreCache) (*search.MulticoreResult, error) {
 	if cache == nil {
 		cache = search.NewMulticoreCache(f.MulticoreEvalFunc())
@@ -217,8 +217,5 @@ func (f *Framework) OptimizeMulticoreCoDesign(nCores int, opt search.MulticoreOp
 	if opt.Seeds == nil {
 		opt.Seeds = PlacementSeeds(f.PartTimings, nCores)
 	}
-	if opt.Bounder != nil {
-		return search.MulticoreBranchBound(cache, f.PartTimings, nCores, opt)
-	}
-	return search.MulticoreExhaustive(cache, f.PartTimings, nCores, opt)
+	return search.MulticoreExact(cache, f.PartTimings, nCores, opt)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // timingBounder is the admissible per-application bound of the
-// ObjectiveTiming objective, used by the branch-and-bound searchers
-// (search.JointBranchBound, search.MulticoreBranchBound).
+// ObjectiveTiming objective, used by the bounded exact searches
+// (search.JointExact, search.MulticoreExact).
 //
 // Admissibility argument, term by term against timingScore:
 //
@@ -37,8 +37,8 @@ type timingBounder struct {
 }
 
 // TimingBounder returns the tight admissible bound for ObjectiveTiming over
-// the joint timing table: branch-and-bound with it is pinned to reproduce
-// the exhaustive optimum bit for bit (see internal/search tests and the
+// the joint timing table: the exact search with it is pinned to reproduce
+// the unbounded optimum bit for bit (see internal/search tests and the
 // internal/exp golden platforms) while cutting most of the box.
 func TimingBounder(pt sched.PartitionTimings, weights []float64, maxM int) search.Bounder {
 	return timingBounder{pt: pt, weights: weights, maxM: maxM}

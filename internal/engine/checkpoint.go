@@ -62,8 +62,8 @@ type ExhaustiveRecord struct {
 	SharedValueBits uint64 `json:"shared_value_bits"`
 	FoundShared     bool   `json:"found_shared,omitempty"`
 
-	// Pruned counts branch-and-bound cuts (Scenario.BranchBound only; the
-	// optimum is pinned identical either way).
+	// Pruned counts bound cuts (Scenario.BranchBound only; the optimum
+	// is pinned identical either way).
 	Pruned int `json:"pruned,omitempty"`
 }
 

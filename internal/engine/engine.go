@@ -123,17 +123,18 @@ type Scenario struct {
 	// (implying Partitioned): applications are assigned to Cores cores,
 	// each with a private cache of the platform's geometry, and the
 	// placement x partition x schedule space is searched through
-	// internal/search's multicore searchers. The single-core joint results
+	// internal/search's placement search. The single-core joint results
 	// stay in the Joint* fields for comparison; the placement outcome lands
 	// in Result.Multicore (plus the uniform-split baseline in
 	// Result.MulticoreUniform).
 	Cores int
 
-	// BranchBound runs the exact branch-and-bound searchers instead of the
-	// plain enumerations for the exhaustive passes: identical optima
-	// (pinned bit for bit by internal/search and internal/exp), fewer
-	// evaluations. For ObjectiveTiming the tight TimingBounder is used; for
-	// ObjectiveDesign the objective-agnostic weight bound.
+	// BranchBound gives the exact passes of partitioned scenarios an
+	// admissible bound to cut with (the searcher is the same either way):
+	// identical optima (pinned bit for bit by internal/search and
+	// internal/exp), fewer evaluations. For ObjectiveTiming the tight
+	// TimingBounder is used; for ObjectiveDesign the objective-agnostic
+	// weight bound.
 	BranchBound bool
 
 	// Arrival selects the burst release model. The zero value is the
@@ -225,8 +226,8 @@ type Result struct {
 	BestJoint       sched.JointSchedule
 	JointHybrid     *search.JointHybridResult
 	JointExhaustive *search.JointExhaustiveResult // nil unless Scenario.Exhaustive
-	// JointPruned counts the subtrees the branch-and-bound exhaustive pass
-	// cut (Scenario.BranchBound only; 0 for the plain enumeration).
+	// JointPruned counts the subtrees the exact joint pass cut with its
+	// bound (Scenario.BranchBound only; 0 without a bound).
 	JointPruned int
 	PartTimings sched.PartitionTimings // the joint timing table searched
 
@@ -431,16 +432,17 @@ func runSearch[P search.Point[P]](scn Scenario, res *Result, cache *search.Point
 }
 
 // runJoint is the Partitioned arm of Run: runSearch over the joint box,
-// whose exact pass is branch-and-bound when the scenario asks for it. With
+// whose exact pass cuts with a bound when the scenario asks for one. With
 // a store attached the cache gains the persistent tier under the
 // scenario's evaluation namespace. For Cores > 1 it additionally runs the
 // placement co-design (and its uniform-split baseline) over a core-point
 // cache sharing the same namespace — core-point keys carry a "c[...]|"
 // prefix no single-core key can produce.
 func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sched.Schedule, backend evalcache.Backend, ns string) error {
-	// The admissible bound behind every branch-and-bound pass of this
-	// scenario: the tight timing closed form for ObjectiveTiming, the
-	// objective-agnostic weight bound (P_i <= 1) for ObjectiveDesign.
+	// The admissible bound behind every exact pass of this scenario but the
+	// uniform baseline (none without Scenario.BranchBound): the tight timing
+	// closed form for ObjectiveTiming, the objective-agnostic weight bound
+	// (P_i <= 1) for ObjectiveDesign.
 	var bounder search.Bounder
 	if scn.BranchBound {
 		if scn.Objective == ObjectiveTiming {
@@ -452,24 +454,19 @@ func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sch
 
 	jointStarts := JointStarts(res.PartTimings, starts)
 	cache := search.NewTiered(eval, backend, ns)
-	exact := func() (*search.JointExhaustiveResult, error) {
-		if !scn.BranchBound {
-			return search.JointExhaustiveCached(cache, res.PartTimings, scn.MaxM, scn.Workers)
-		}
-		bb, err := search.JointBranchBound(cache, res.PartTimings, bounder, scn.MaxM)
-		if err != nil {
-			return nil, err
-		}
-		res.JointPruned = bb.Pruned
-		return &bb.JointExhaustiveResult, nil
-	}
 	var err error
 	res.JointHybrid, res.JointExhaustive, res.BestJoint, err = runSearch(scn, res, cache,
 		func(opt search.JointOptions) (*search.JointHybridResult, error) {
 			return search.JointHybrid(eval, res.PartTimings, jointStarts, opt)
-		}, exact)
+		},
+		func() (*search.JointExhaustiveResult, error) {
+			return search.JointExact(cache, res.PartTimings, bounder, scn.MaxM, scn.Workers)
+		})
 	if err != nil {
 		return err
+	}
+	if res.JointExhaustive != nil {
+		res.JointPruned = res.JointExhaustive.Pruned
 	}
 	res.Best = res.BestJoint.M
 
@@ -492,19 +489,11 @@ func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend eva
 	mcCache := search.NewTiered(coreEval, backend, ns)
 
 	mopt := search.MulticoreOptions{
-		MaxM:  scn.MaxM,
-		Seeds: core.PlacementSeeds(res.PartTimings, scn.Cores),
+		MaxM:    scn.MaxM,
+		Bounder: bounder,
+		Seeds:   core.PlacementSeeds(res.PartTimings, scn.Cores),
 	}
-	var (
-		mc  *search.MulticoreResult
-		err error
-	)
-	if scn.BranchBound {
-		mopt.Bounder = bounder
-		mc, err = search.MulticoreBranchBound(mcCache, res.PartTimings, scn.Cores, mopt)
-	} else {
-		mc, err = search.MulticoreExhaustive(mcCache, res.PartTimings, scn.Cores, mopt)
-	}
+	mc, err := search.MulticoreExact(mcCache, res.PartTimings, scn.Cores, mopt)
 	if err != nil {
 		return fmt.Errorf("engine: scenario %s: multicore co-design: %w", scn.Name, err)
 	}
@@ -513,7 +502,7 @@ func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend eva
 	uopt := mopt
 	uopt.Bounder = nil
 	uopt.Uniform = true
-	uni, err := search.MulticoreExhaustive(mcCache, res.PartTimings, scn.Cores, uopt)
+	uni, err := search.MulticoreExact(mcCache, res.PartTimings, scn.Cores, uopt)
 	if err != nil {
 		return fmt.Errorf("engine: scenario %s: multicore uniform baseline: %w", scn.Name, err)
 	}

@@ -229,13 +229,7 @@ func TestTimingEvaluatorsMatchReference(t *testing.T) {
 
 		// Joint points: the shared subspace, every partition, and invalid
 		// partitions (wrong length, a zero entry, over the way budget).
-		parts := []sched.Ways{nil}
-		if err := sched.WalkPartitions(n, pt.TotalWays(), func(w sched.Ways) error {
-			parts = append(parts, w.Clone())
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		parts := append([]sched.Ways{nil}, wayPartitions(n, pt.TotalWays())...)
 		ones := make(sched.Ways, n)
 		for i := range ones {
 			ones[i] = 1
@@ -275,11 +269,7 @@ func TestTimingEvaluatorsMatchReference(t *testing.T) {
 			if k == 0 {
 				k = 1
 			}
-			coreParts := []sched.Ways{nil, make(sched.Ways, k+1)}
-			_ = sched.WalkPartitions(k, pt.TotalWays(), func(w sched.Ways) error {
-				coreParts = append(coreParts, w.Clone())
-				return nil
-			})
+			coreParts := append([]sched.Ways{nil, make(sched.Ways, k+1)}, wayPartitions(k, pt.TotalWays())...)
 			for _, w := range coreParts {
 				for _, m := range scheduleBox(k, 3) {
 					p := search.CorePoint{Apps: sub, Point: sched.JointSchedule{M: m, W: w}}
@@ -399,4 +389,26 @@ func TestScenarioKeysPinned(t *testing.T) {
 			t.Errorf("%s: keys moved: namespace %s (pinned %s), checkpoint %s (pinned %s)", c.name, ns[0], c.ns, rk[0], c.rk)
 		}
 	}
+}
+
+// wayPartitions lists every way partition of totalWays over n applications
+// (w_i >= 1, sum <= totalWays); there is none when totalWays < n.
+func wayPartitions(n, totalWays int) []sched.Ways {
+	var out []sched.Ways
+	cur := make(sched.Ways, n)
+	var rec func(i, used int)
+	rec = func(i, used int) {
+		if i == n {
+			out = append(out, cur.Clone())
+			return
+		}
+		for w := 1; used+w+(n-1-i) <= totalWays; w++ {
+			cur[i] = w
+			rec(i+1, used+w)
+		}
+	}
+	if n >= 1 && totalWays >= n {
+		rec(0, 0)
+	}
+	return out
 }

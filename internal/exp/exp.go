@@ -396,15 +396,16 @@ type MulticoreRow struct {
 }
 
 // MulticoreCaseStudy runs the multi-core co-design on the case-study
-// taskset over every partition platform variant with the branch-and-bound
-// searchers (pinned exact by TestMulticoreBranchBoundMatchesGolden).
+// taskset over every partition platform variant with the timing bound on
+// every exact pass but the uniform baseline (pinned exact by
+// TestMulticoreBBMatchesExhaustive).
 func MulticoreCaseStudy(maxM int, tolerance float64, cores int) ([]MulticoreRow, error) {
 	return MulticoreCaseStudyWith(maxM, tolerance, cores, engine.Config{Workers: 1})
 }
 
 // MulticoreScenarios returns the per-platform scenarios of the multi-core
-// case study; the branchBound flag selects the searchers (the optimum is
-// pinned identical either way).
+// case study; the branchBound flag gives the exact passes a bound (the
+// optimum is pinned identical either way).
 func MulticoreScenarios(maxM int, tolerance float64, cores int, branchBound bool) []engine.Scenario {
 	variants := PartitionPlatforms()
 	scenarios := make([]engine.Scenario, len(variants))

@@ -1,6 +1,6 @@
 // Package parallel is the process-wide concurrency governor: one bounded,
 // weighted-token executor that every parallel layer of the pipeline — the
-// scenario sweep (internal/engine), the exhaustive searchers
+// scenario sweep (internal/engine), the exact searcher
 // (internal/search), the per-application design fan-out (internal/core),
 // the PSO evaluation pool (internal/pso), and the HTTP design batches
 // (cmd/served) — draws from, instead of each layer running its own

@@ -111,14 +111,12 @@ func TestAcquireFIFOFairness(t *testing.T) {
 	}
 
 	// Release one token: enough for "small" but FIFO demands "big" waits
-	// first, so nothing may be granted yet.
+	// first, so nothing may be granted yet. Release decides grants
+	// synchronously under the executor's lock, so both waiters must still
+	// be queued when it returns.
 	e.Release(1)
-	time.Sleep(5 * time.Millisecond)
-	mu.Lock()
-	granted := len(order)
-	mu.Unlock()
-	if granted != 0 {
-		t.Fatalf("a waiter was granted with only 1 token free (order %v)", order)
+	if depth := e.Stats().QueueDepth; depth != 2 {
+		t.Fatalf("a waiter was granted with only 1 token free (queue depth %d, want 2)", depth)
 	}
 	// Free exactly enough for "big" (3 of 4 tokens available): only the
 	// head of the queue may be granted, and "small" must still wait.

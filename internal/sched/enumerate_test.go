@@ -76,38 +76,3 @@ func TestFeasibleTreeMatchesOdometer(t *testing.T) {
 		t.Errorf("%d of %d box points feasible: the idle budgets barely bind", feasible, box)
 	}
 }
-
-// TestWalkJointFeasibleMatchesOdometer pins the streamed joint box against
-// the shared odometer followed by the odometer of every partition's
-// timings, in WalkPartitions order.
-func TestWalkJointFeasibleMatchesOdometer(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(3)
-		pt := PartitionTimings{Shared: randomApps(rng, n)}
-		for w := 0; w < 1+rng.Intn(5); w++ {
-			pt.ByWays = append(pt.ByWays, randomApps(rng, n))
-		}
-		maxM := 1 + rng.Intn(5)
-		got, err := enumerateJointFeasible(pt, maxM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []JointSchedule
-		for _, m := range bruteFeasible(t, pt.Shared, maxM) {
-			want = append(want, JointSchedule{M: m})
-		}
-		for _, w := range enumeratePartitions(n, pt.TotalWays()) {
-			timings, err := pt.Timings(JointSchedule{M: RoundRobin(n), W: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range bruteFeasible(t, timings, maxM) {
-				want = append(want, JointSchedule{M: m, W: w})
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: joint walk %v, odometer %v", trial, got, want)
-		}
-	}
-}

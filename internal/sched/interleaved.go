@@ -70,17 +70,6 @@ func (iv Interleaved) String() string {
 	return "(" + strings.Join(parts, " | ") + ")"
 }
 
-// TaskCount returns the total tasks of app per period.
-func (iv Interleaved) TaskCount(app int) int {
-	n := 0
-	for _, b := range iv {
-		if b.App == app {
-			n += b.Count
-		}
-	}
-	return n
-}
-
 // DeriveInterleaved computes per-application control timing under an
 // interleaved schedule. The cache-reuse model follows the paper: the first
 // task of every burst runs cold (other applications have polluted the

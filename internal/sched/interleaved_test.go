@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// TaskCount returns the total tasks of app per period.
+func (iv Interleaved) TaskCount(app int) int {
+	n := 0
+	for _, b := range iv {
+		if b.App == app {
+			n += b.Count
+		}
+	}
+	return n
+}
+
 func TestInterleavedValid(t *testing.T) {
 	ok := Interleaved{{App: 0, Count: 2}, {App: 1, Count: 1}, {App: 0, Count: 1}, {App: 2, Count: 1}}
 	if err := ok.Valid(3); err != nil {

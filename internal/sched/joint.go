@@ -238,56 +238,3 @@ func (pt PartitionTimings) Feasible(j JointSchedule) (bool, error) {
 	}
 	return IdleFeasible(timings, j.M)
 }
-
-// WalkPartitions passes every way partition (w1..wn) with w_i >= 1 and
-// sum <= totalWays to visit, in lexicographic order, through one reused
-// buffer, stopping at the first error. There is none when totalWays < n:
-// the joint space then degenerates to the shared subspace.
-func WalkPartitions(n, totalWays int, visit func(Ways) error) error {
-	if n < 1 || totalWays < n {
-		return nil
-	}
-	cur := make(Ways, n)
-	var rec func(i, used int) error
-	rec = func(i, used int) error {
-		if i == n {
-			return visit(cur)
-		}
-		// Leave at least one way for each remaining application.
-		for w := 1; used+w+(n-1-i) <= totalWays; w++ {
-			cur[i] = w
-			if err := rec(i+1, used+w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0, 0)
-}
-
-// WalkJointFeasible streams the feasible points of a joint box through
-// visit: the shared subspace first (exactly EnumerateFeasible on the shared
-// timings), then every idle-feasible schedule under each partition parts
-// yields for (pt.Apps(), pt.TotalWays()), in order — WalkPartitions for
-// the full box. The visited point's M and W are reused buffers, valid
-// during the call.
-func WalkJointFeasible(pt PartitionTimings, maxM int, parts func(n, totalWays int, visit func(Ways) error) error, visit func(JointSchedule) error) error {
-	t, err := NewFeasibleTree(pt.Shared, maxM)
-	if err != nil {
-		return err
-	}
-	if err := t.Walk(func(m Schedule) error { return visit(JointSchedule{M: m}) }); err != nil {
-		return err
-	}
-	var buf [StackApps]AppTiming
-	return parts(pt.Apps(), pt.TotalWays(), func(w Ways) error {
-		timings, err := pt.TimingsInto(buf[:0], JointSchedule{M: t.Cur, W: w})
-		if err != nil {
-			return err
-		}
-		if err := t.Reset(timings); err != nil {
-			return err
-		}
-		return t.Walk(func(m Schedule) error { return visit(JointSchedule{M: m, W: w}) })
-	})
-}

@@ -186,23 +186,46 @@ func TestEnumerateJointFeasible(t *testing.T) {
 	}
 }
 
-// enumeratePartitions lists WalkPartitions' partitions.
+// enumeratePartitions lists every way partition (w1..wn) with w_i >= 1 and
+// sum <= totalWays, in lexicographic order; there is none when
+// totalWays < n.
 func enumeratePartitions(n, totalWays int) []Ways {
 	var out []Ways
-	WalkPartitions(n, totalWays, func(w Ways) error {
-		out = append(out, w.Clone())
-		return nil
-	})
+	cur := make(Ways, n)
+	var rec func(i, used int)
+	rec = func(i, used int) {
+		if i == n {
+			out = append(out, cur.Clone())
+			return
+		}
+		// Leave at least one way for each remaining application.
+		for w := 1; used+w+(n-1-i) <= totalWays; w++ {
+			cur[i] = w
+			rec(i+1, used+w)
+		}
+	}
+	if n >= 1 && totalWays >= n {
+		rec(0, 0)
+	}
 	return out
 }
 
-// enumerateJointFeasible lists the full joint box WalkJointFeasible
-// streams.
+// enumerateJointFeasible lists the full joint box: the shared subspace,
+// then every partition's idle-feasible schedules.
 func enumerateJointFeasible(pt PartitionTimings, maxM int) ([]JointSchedule, error) {
 	var out []JointSchedule
-	err := WalkJointFeasible(pt, maxM, WalkPartitions, func(j JointSchedule) error {
-		out = append(out, j.Clone())
-		return nil
-	})
-	return out, err
+	for _, w := range append([]Ways{nil}, enumeratePartitions(pt.Apps(), pt.TotalWays())...) {
+		timings, err := pt.Timings(JointSchedule{W: w})
+		if err != nil {
+			return nil, err
+		}
+		box, err := EnumerateFeasible(timings, maxM)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range box {
+			out = append(out, JointSchedule{M: m, W: w})
+		}
+	}
+	return out, nil
 }

@@ -13,7 +13,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -330,7 +329,7 @@ func EnumerateFeasible(apps []AppTiming, maxM int) ([]Schedule, error) {
 // IEEE rounding is monotone and the sums run in BurstGap's index order.
 // At full depth the minimal gap is the exact gap, so the cut coincides with
 // IdleFeasible's predicate and Walk visits exactly its feasible schedules.
-// Branch-and-bound (internal/search) adds its bound cut on the same tree.
+// The exact searcher (internal/search) adds its bound cut on the same tree.
 type FeasibleTree struct {
 	apps []AppTiming
 	maxM int
@@ -421,34 +420,6 @@ func (t *FeasibleTree) walk(d int, visit func(Schedule) error) error {
 	return nil
 }
 
-// MaxFeasibleM returns, for each application, the largest burst length m_i
-// that is idle-feasible when every other application runs a single task.
-// This is a per-dimension upper bound used to size the search box.
-func MaxFeasibleM(apps []AppTiming, maxM int) ([]int, error) {
-	n := len(apps)
-	bounds := make([]int, n)
-	for i := range apps {
-		bounds[i] = 0
-		for m := 1; m <= maxM; m++ {
-			s := RoundRobin(n)
-			s[i] = m
-			ok, err := IdleFeasible(apps, s)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				bounds[i] = m
-			} else {
-				break
-			}
-		}
-		if bounds[i] == 0 {
-			return nil, fmt.Errorf("sched: app %q infeasible even at m=1", apps[i].Name)
-		}
-	}
-	return bounds, nil
-}
-
 // Slot is one task execution in a rendered schedule timeline.
 type Slot struct {
 	App   int
@@ -498,19 +469,4 @@ func FormatTimeline(apps []AppTiming, s Schedule) (string, error) {
 			apps[sl.App].Name, sl.Task, sl.Start*1e6, sl.End*1e6, state)
 	}
 	return sb.String(), nil
-}
-
-// TotalUtilization is the fraction of the schedule period spent executing
-// (always 1 for the back-to-back schedules of the paper, provided for
-// interleaved variants and sanity checks).
-func TotalUtilization(apps []AppTiming, s Schedule) float64 {
-	p := PeriodLength(apps, s)
-	if p <= 0 {
-		return math.NaN()
-	}
-	busy := 0.0
-	for i, app := range apps {
-		busy += BurstLength(app, s[i])
-	}
-	return busy / p
 }

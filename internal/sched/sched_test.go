@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -184,6 +185,34 @@ func TestEnumerateFeasible(t *testing.T) {
 	t.Logf("feasible schedules with paper timings: %d", len(list))
 }
 
+// MaxFeasibleM returns, for each application, the largest burst length m_i
+// that is idle-feasible when every other application runs a single task.
+// This is a per-dimension upper bound used to size the search box.
+func MaxFeasibleM(apps []AppTiming, maxM int) ([]int, error) {
+	n := len(apps)
+	bounds := make([]int, n)
+	for i := range apps {
+		bounds[i] = 0
+		for m := 1; m <= maxM; m++ {
+			s := RoundRobin(n)
+			s[i] = m
+			ok, err := IdleFeasible(apps, s)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				bounds[i] = m
+			} else {
+				break
+			}
+		}
+		if bounds[i] == 0 {
+			return nil, fmt.Errorf("sched: app %q infeasible even at m=1", apps[i].Name)
+		}
+	}
+	return bounds, nil
+}
+
 func TestMaxFeasibleM(t *testing.T) {
 	apps := paperApps()
 	bounds, err := MaxFeasibleM(apps, 30)
@@ -226,6 +255,21 @@ func TestTimeline(t *testing.T) {
 	if err != nil || len(txt) == 0 {
 		t.Error("FormatTimeline failed")
 	}
+}
+
+// TotalUtilization is the fraction of the schedule period spent executing
+// (always 1 for the back-to-back schedules of the paper, provided for
+// interleaved variants and sanity checks).
+func TotalUtilization(apps []AppTiming, s Schedule) float64 {
+	p := PeriodLength(apps, s)
+	if p <= 0 {
+		return math.NaN()
+	}
+	busy := 0.0
+	for i, app := range apps {
+		busy += BurstLength(app, s[i])
+	}
+	return busy / p
 }
 
 func TestTotalUtilization(t *testing.T) {

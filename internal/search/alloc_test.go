@@ -44,13 +44,17 @@ func allocsPerPoint(t *testing.T, search func() int) float64 {
 }
 
 // TestExactSearchAllocsPerPoint pins the per-point allocation budgets of
-// the exact searchers on the case-study table under the timing objective.
-// Each run includes building its cache (and, for the placement search, its
-// placements and per-subset views); what is left per point is the
-// amortized growth of the cache's maps and the clones of new incumbents.
-// Before points were packed into fixed-size keys and streamed, each point
-// cost several allocations (string keys, listed boxes, per-point timing
-// vectors and sub-tables).
+// the exact searcher, without a bound and with one, on the case-study table
+// under the timing objective. Each run includes building its cache (and,
+// for the placement search, its placements and per-subset views); what is
+// left per point is the amortized growth of the cache's maps and the
+// clones of new incumbents. Before points were packed into
+// fixed-size keys and streamed, each point cost several allocations
+// (string keys, listed boxes, per-point timing vectors and sub-tables).
+// The case names keep the mode each one measures: "Exhaustive" without a
+// bound, "BranchBound" with one (the trivial bound, which cuts almost
+// nothing, so the traversal visits the whole box: the timing bound leaves
+// too few points to amortize the run's fixed cost over).
 func TestExactSearchAllocsPerPoint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -58,27 +62,26 @@ func TestExactSearchAllocsPerPoint(t *testing.T) {
 	const maxM = 6
 	pt, weights := caseStudyTable(t)
 	eval := engine.JointTimingEval(pt, weights)
+	multicore := func(bound search.Bounder) (int, error) {
+		cache := search.NewMulticoreCache(engine.MulticoreTimingEval(pt, weights))
+		r, err := search.MulticoreExact(cache, pt, 2, search.MulticoreOptions{MaxM: maxM, Bounder: bound})
+		return r.Evaluated, err
+	}
 	cases := []struct {
 		name   string
 		budget float64
 		run    func() (int, error)
 	}{
 		{"JointExhaustiveCached", 0.1, func() (int, error) {
-			r, err := search.JointExhaustiveCached(search.NewJointCache(eval), pt, maxM, 1)
+			r, err := search.JointExact(search.NewJointCache(eval), pt, nil, maxM, 1)
 			return r.Evaluated, err
 		}},
-		// The trivial bound cuts (almost) nothing, so the traversal visits
-		// the whole box: the timing bound leaves too few points to amortize
-		// the run's fixed cost over.
 		{"JointBranchBound", 0.1, func() (int, error) {
-			r, err := search.JointBranchBound(search.NewJointCache(eval), pt, search.TrivialBounder(weights), maxM)
+			r, err := search.JointExact(search.NewJointCache(eval), pt, search.TrivialBounder(weights), maxM, 1)
 			return r.Evaluated, err
 		}},
-		{"MulticoreExhaustive", 0.3, func() (int, error) {
-			cache := search.NewMulticoreCache(engine.MulticoreTimingEval(pt, weights))
-			r, err := search.MulticoreExhaustive(cache, pt, 2, search.MulticoreOptions{MaxM: maxM})
-			return r.Evaluated, err
-		}},
+		{"MulticoreExhaustive", 0.3, func() (int, error) { return multicore(nil) }},
+		{"MulticoreBranchBound", 0.3, func() (int, error) { return multicore(search.TrivialBounder(weights)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

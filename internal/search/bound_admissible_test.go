@@ -81,11 +81,14 @@ func checkAdmissible(t *testing.T, pt sched.PartitionTimings, weights []float64,
 		}
 		return nil
 	}
-	if err := sched.WalkJointFeasible(pt, maxM, sched.WalkPartitions, func(j sched.JointSchedule) error {
-		// The walk's tree is its own; copy the point out of its buffers.
-		return check(j.Clone())
-	}); err != nil {
+	box, err := search.JointBox(pt, maxM)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, j := range box {
+		if err := check(j); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return points
 }

@@ -1,0 +1,341 @@
+// The one exact searcher behind every exhaustive and branch-and-bound pass.
+//
+// exact walks a joint cache-partition + schedule box as a depth-first tree:
+// the shared subspace first, then the way partitions one application at a
+// time (w_i >= 1, at least one way left per remaining application, in
+// lexicographic order), and under each regime its sched.FeasibleTree (m
+// from 1 to maxM per dimension, last dimension fastest). The tree's
+// infeasibility cut removes exactly the idle-infeasible points, so without
+// a Bounder the surviving leaves are the feasible box in enumeration order
+// — the brute-force baseline the paper compares against. The schedule box
+// is the shared subspace of a table with no partitions.
+//
+// With a Bounder every prefix, of a partition and of a schedule, is also cut
+// when an admissible upper bound on its completions cannot beat the
+// incumbent. The fold keeps its best with a strict ">", and a subtree is cut
+// only when its bound is <= the incumbent (so no point inside could have
+// updated it), so the optimum and the shared-subspace optimum are the
+// enumeration's, bit for bit, with fewer evaluations whenever a cut fires.
+// internal/exp pins this equality on every golden platform.
+//
+// The bound is the paper-shaped decomposition P_all = sum_i w_i P_i: each
+// application's weighted objective is bounded independently — assigned
+// dimensions at their fixed (m_i, w_i) under the smallest gap any completion
+// of the prefix can produce, free dimensions by their best case over the
+// remaining choices — and the terms are accumulated in application order,
+// exactly like the objective itself, so floating-point rounding cannot make
+// the bound dip below a completion's true value (rounding is monotone).
+package search
+
+import (
+	"math"
+
+	"repro/internal/parallel"
+	"repro/internal/sched"
+)
+
+// Bounder supplies admissible (never underestimating) per-application upper
+// bounds on the weighted objective contribution w_i * P_i. Implementations
+// must guarantee, for every feasible completion of a search prefix:
+//
+//   - AppAt(i, w, m, minGap) >= w_i * P_i whenever application i runs bursts
+//     of length m on w dedicated ways (w == 0: the shared cache) and its gap
+//     is at least minGap — gaps only grow as free dimensions are fixed;
+//   - AppBest(i, w) >= AppAt(i, w, m, g) for every burst length m in the
+//     search box and every gap g >= 0.
+//
+// engine.TimingBounder implements the tight closed-form bound for
+// ObjectiveTiming; TrivialBounder is the objective-agnostic fallback.
+type Bounder interface {
+	AppAt(i, w, m int, minGap float64) float64
+	AppBest(i, w int) float64
+}
+
+// trivialBounder bounds every application by its weight: P_i <= 1 by
+// construction (performance cannot exceed the reference), so w_i is always
+// admissible. It prunes only boxes whose incumbent already reaches the
+// weight sum — essentially never — but it is valid for any objective.
+type trivialBounder struct{ weights []float64 }
+
+func (b trivialBounder) AppAt(i, w, m int, minGap float64) float64 { return b.weights[i] }
+func (b trivialBounder) AppBest(i, w int) float64                  { return b.weights[i] }
+
+// TrivialBounder returns the objective-agnostic admissible bound w_i * 1
+// per application (P_i <= 1 for every objective in this repo).
+func TrivialBounder(weights []float64) Bounder { return trivialBounder{weights} }
+
+// getter is a cache lookup of a joint point: JointCache.Get, or a wrapper
+// mapping the point into another cache's space (the schedule cache, and the
+// per-core solves of multicore.go).
+type getter func(sched.JointSchedule) (Outcome, bool, error)
+
+// exactChunk is the number of surviving leaves an exact pass without a
+// bound copies out of the traversal and evaluates at once.
+const exactChunk = 256
+
+// exactSearch carries one exact pass.
+type exactSearch struct {
+	get     getter
+	pt      sched.PartitionTimings
+	bound   Bounder // nil: no bound cut
+	even    bool    // the partitions are sched.EvenWays' split alone
+	maxM    int
+	n       int
+	total   int // total ways
+	workers int
+	res     *JointExhaustiveResult
+
+	ways    sched.Ways          // the regime's partition; all zero for the shared cache
+	timings []sched.AppTiming   // a partition's timing vector
+	tree    *sched.FeasibleTree // the regime's schedule box; tree.Cur is the point
+
+	// Admissible per-app bound tables (see boundTables), with a bound only.
+	appBest     [][]float64
+	wayBestUpTo [][]float64
+
+	// The chunk of surviving leaves awaiting evaluation. A one-point chunk
+	// is the traversal's own buffers; in a larger one leaf k is the 2n ints
+	// from 2n*k on, its schedule followed by its ways.
+	size  int
+	chunk []int
+	outs  []Outcome
+	errs  []error
+}
+
+// exact is the one exact searcher over pt's box with burst lengths in
+// [1, maxM]: every partition, or with even only the even split of the
+// cache over the applications. It evaluates points through get and folds
+// them in enumeration order with a strict ">", keeping the best point
+// overall and within the shared subspace.
+//
+// Surviving leaves are evaluated in chunks and folded in order. With a
+// bound a chunk holds one point, so every cut sees the incumbent as of the
+// previous leaf. Without one no cut reads the incumbent, so leaves are
+// copied into a reused chunk of exactChunk points, evaluated concurrently
+// over the process-wide governor (internal/parallel) with workers capping
+// this search's share of the executor — or chunks of one point when a
+// single worker would evaluate them in order anyway. The visits and the
+// fold never depend on workers, so no result does: the first failing point
+// in enumeration order is the error returned.
+func exact(get getter, pt sched.PartitionTimings, bound Bounder, maxM, workers int, even bool) (*JointExhaustiveResult, error) {
+	tree, err := sched.NewFeasibleTree(pt.Shared, maxM)
+	if err != nil {
+		return nil, err
+	}
+	if err := pt.Validate(); err != nil {
+		return nil, err
+	}
+	n := pt.Apps()
+	s := &exactSearch{
+		get:     get,
+		pt:      pt,
+		bound:   bound,
+		even:    even,
+		maxM:    maxM,
+		n:       n,
+		total:   pt.TotalWays(),
+		workers: workers,
+		res:     &JointExhaustiveResult{BestValue: math.Inf(-1), BestSharedValue: math.Inf(-1)},
+		ways:    make(sched.Ways, n),
+		tree:    tree,
+		size:    exactChunk,
+	}
+	if bound != nil {
+		s.appBest, s.wayBestUpTo = boundTables(bound, n, s.total)
+	}
+	if bound != nil || workers <= 1 {
+		s.size = 1
+	}
+
+	// The shared subspace: its incumbent is the shared incumbent, so cuts
+	// can never lose the shared-subspace optimum either.
+	if err := s.schedDFS(0); err != nil {
+		return nil, err
+	}
+	if s.total >= n {
+		s.timings = make([]sched.AppTiming, n)
+		if err := s.waysDFS(0, 0); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.flush(); err != nil {
+		return nil, err
+	}
+	return s.res, nil
+}
+
+// boundTables tabulates a Bounder's admissible per-app bounds over every
+// way count of a total-way cache: appBest[i][w] = AppBest(i, w) (w == 0:
+// shared) and wayBestUpTo[i][w] = max over 1..w of appBest[i][.] — the
+// bound of an app whose way count is still free under a budget of w.
+func boundTables(bound Bounder, n, total int) (appBest, wayBestUpTo [][]float64) {
+	appBest = make([][]float64, n)
+	wayBestUpTo = make([][]float64, n)
+	for i := 0; i < n; i++ {
+		appBest[i] = make([]float64, total+1)
+		wayBestUpTo[i] = make([]float64, total+1)
+		for w := 0; w <= total; w++ {
+			appBest[i][w] = bound.AppBest(i, w)
+		}
+		wayBestUpTo[i][0] = math.Inf(-1) // no budget: no partition exists
+		for w := 1; w <= total; w++ {
+			wayBestUpTo[i][w] = wayBestUpTo[i][w-1]
+			if appBest[i][w] > wayBestUpTo[i][w] {
+				wayBestUpTo[i][w] = appBest[i][w]
+			}
+		}
+	}
+	return appBest, wayBestUpTo
+}
+
+// waysDFS fixes the partition one application at a time; each prefix is
+// bounded before descending, and a complete partition's regime is walked.
+func (s *exactSearch) waysDFS(i, used int) error {
+	if i == s.n {
+		for k := range s.timings {
+			s.timings[k] = s.pt.ByWays[s.ways[k]-1][k]
+		}
+		if err := s.tree.Reset(s.timings); err != nil {
+			return err
+		}
+		return s.schedDFS(0)
+	}
+	if s.cutWays(i, used) {
+		s.res.Pruned++
+		return nil
+	}
+	lo, hi := 1, s.total-used-(s.n-1-i)
+	if s.even {
+		lo, hi = s.total/s.n, s.total/s.n
+	}
+	for w := lo; w <= hi; w++ {
+		s.ways[i] = w
+		if err := s.waysDFS(i+1, used+w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cutWays reports whether the partition prefix ways[0..k-1] (using `used`
+// ways) can be cut: assigned applications are bounded at their fixed way
+// count over any schedule, free ones by their best case over the way budget
+// they could still receive.
+func (s *exactSearch) cutWays(k, used int) bool {
+	if s.bound == nil || !s.res.FoundBest {
+		return false
+	}
+	free := s.n - k
+	cap := s.total - used - (free - 1) // per-app maximum: others take >= 1 each
+	ub := 0.0
+	for i := 0; i < s.n; i++ {
+		if i < k {
+			ub += s.appBest[i][s.ways[i]]
+		} else {
+			ub += s.wayBestUpTo[i][cap]
+		}
+	}
+	return ub <= s.res.BestValue
+}
+
+// schedDFS walks the regime's sched.FeasibleTree. Every node — including
+// the leaf — is first checked for the tree's infeasibility cut (which at
+// the leaf coincides with sched.IdleFeasible), then for the bound cut.
+func (s *exactSearch) schedDFS(d int) error {
+	if s.tree.PrefixInfeasible(d) {
+		return nil
+	}
+	if s.cutBound(d) {
+		s.res.Pruned++
+		return nil
+	}
+	if d == s.n {
+		return s.leaf()
+	}
+	for m := 1; m <= s.maxM; m++ {
+		s.tree.Cur[d] = m
+		if err := s.schedDFS(d + 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cutBound reports whether the admissible upper bound of the feasible
+// prefix cur[0..d-1] cannot beat the incumbent: assigned applications at
+// their burst length under the minimal gap of the prefix (recorded by the
+// tree's infeasibility check), free ones at their best.
+func (s *exactSearch) cutBound(d int) bool {
+	if s.bound == nil || !s.res.FoundBest {
+		return false
+	}
+	ub := 0.0
+	for i := 0; i < s.n; i++ {
+		if i < d {
+			ub += s.bound.AppAt(i, s.ways[i], s.tree.Cur[i], s.tree.MinGap(i))
+		} else {
+			ub += s.appBest[i][s.ways[i]]
+		}
+	}
+	return ub <= s.res.BestValue
+}
+
+// leaf evaluates and folds a surviving point: at once when chunks hold
+// one point, else when its chunk is full. Either way the evaluator gets a
+// view it must not retain, and the fold clones a point only when it
+// becomes an incumbent.
+func (s *exactSearch) leaf() error {
+	if s.size == 1 {
+		j := jointView(s.tree.Cur, s.ways)
+		out, _, err := s.get(j)
+		if err != nil {
+			return err
+		}
+		s.res.add(j, out, j.Shared())
+		return nil
+	}
+	s.chunk = append(append(s.chunk, s.tree.Cur...), s.ways...)
+	if len(s.chunk) == 2*s.n*s.size {
+		return s.flush()
+	}
+	return nil
+}
+
+// flush evaluates the chunk over the governor and folds it in order.
+func (s *exactSearch) flush() error {
+	k := len(s.chunk) / (2 * s.n)
+	if k == 0 {
+		return nil
+	}
+	if s.outs == nil {
+		s.outs, s.errs = make([]Outcome, s.size), make([]error, s.size)
+	}
+	get, chunk, n, outs, errs := s.get, s.chunk, s.n, s.outs, s.errs
+	parallel.Default().ForEach(k, s.workers, func(i int) {
+		outs[i], _, errs[i] = get(chunkPoint(chunk, n, i))
+	})
+	for i := 0; i < k; i++ {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		p := chunkPoint(chunk, n, i)
+		s.res.add(p, outs[i], p.Shared())
+	}
+	s.chunk = chunk[:0]
+	return nil
+}
+
+// chunkPoint returns leaf k of a chunk of n-application leaves.
+func chunkPoint(chunk []int, n, k int) sched.JointSchedule {
+	at := 2 * n * k
+	return jointView(chunk[at:at+n:at+n], chunk[at+n:at+2*n:at+2*n])
+}
+
+// jointView is the joint point of schedule m under the partition w, which
+// is all zero for the shared cache.
+func jointView(m, w []int) sched.JointSchedule {
+	if w[0] == 0 {
+		return sched.JointSchedule{M: m}
+	}
+	return sched.JointSchedule{M: m, W: w}
+}

@@ -3,6 +3,9 @@ package search
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/sched"
@@ -132,8 +135,8 @@ func genTable(rng *rand.Rand, n, ways int) (sched.PartitionTimings, []float64) {
 }
 
 // TestJointBranchBoundMatchesExhaustive is the package-level equality pin:
-// over a spread of pseudo-random joint boxes the branch-and-bound search
-// must return the exhaustive baseline's optimum — point, value bits, and
+// over a spread of pseudo-random joint boxes the bounded exact search must
+// return the plain enumeration's optimum — point, value bits, and
 // shared-subspace optimum — while never evaluating more points.
 func TestJointBranchBoundMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -145,11 +148,11 @@ func TestJointBranchBoundMatchesExhaustive(t *testing.T) {
 		pt, weights := genTable(rng, n, ways)
 		eval := testJointEval(pt, weights)
 
-		ex, err := JointExhaustiveCached(NewJointCache(eval), pt, maxM, 1)
+		ex, err := enumerate(NewJointCache(eval).Get, pt, maxM, false)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		bb, err := JointBranchBound(NewJointCache(eval), pt, testBounder{pt, weights, maxM}, maxM)
+		bb, err := JointExact(NewJointCache(eval), pt, testBounder{pt, weights, maxM}, maxM, 1)
 		if err != nil {
 			t.Fatalf("trial %d: branch-and-bound: %v", trial, err)
 		}
@@ -183,17 +186,17 @@ func TestJointBranchBoundMatchesExhaustive(t *testing.T) {
 
 // TestJointBranchBoundTrivialBounder: with the objective-agnostic weight
 // bound no subtree can be cut (the incumbent never reaches the weight sum
-// for these tasksets), so branch-and-bound degenerates to the exhaustive
-// walk — identical optimum and identical evaluation count.
+// for these tasksets), so the bounded search degenerates to the plain
+// enumeration — identical optimum and identical evaluation count.
 func TestJointBranchBoundTrivialBounder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pt, weights := genTable(rng, 3, 3)
 	eval := testJointEval(pt, weights)
-	ex, err := JointExhaustiveCached(NewJointCache(eval), pt, 4, 1)
+	ex, err := enumerate(NewJointCache(eval).Get, pt, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := JointBranchBound(NewJointCache(eval), pt, TrivialBounder(weights), 4)
+	bb, err := JointExact(NewJointCache(eval), pt, TrivialBounder(weights), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +212,75 @@ func TestJointBranchBoundTrivialBounder(t *testing.T) {
 	}
 }
 
-// TestJointBranchBoundValidation covers the error contract.
+// TestJointBranchBoundValidation covers the error contract, and a nil
+// bound: it cuts nothing, so the search is the plain enumeration.
 func TestJointBranchBoundValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pt, weights := genTable(rng, 2, 2)
-	if _, err := JointBranchBound(NewJointCache(testJointEval(pt, weights)), pt, nil, 4); err == nil {
-		t.Error("nil bounder accepted")
-	}
-	if _, err := JointBranchBound(NewJointCache(testJointEval(pt, weights)), pt, TrivialBounder(weights), 0); err == nil {
+	eval := testJointEval(pt, weights)
+	if _, err := JointExact(NewJointCache(eval), pt, TrivialBounder(weights), 0, 1); err == nil {
 		t.Error("maxM 0 accepted")
 	}
-	if _, err := JointBranchBound(NewJointCache(testJointEval(pt, weights)), sched.PartitionTimings{}, TrivialBounder(weights), 4); err == nil {
+	if _, err := JointExact(NewJointCache(eval), sched.PartitionTimings{}, TrivialBounder(weights), 4, 1); err == nil {
 		t.Error("empty timing table accepted")
+	}
+	short := sched.PartitionTimings{Shared: pt.Shared, ByWays: [][]sched.AppTiming{pt.ByWays[0][:1]}}
+	if _, err := JointExact(NewJointCache(eval), short, nil, 4, 1); err == nil {
+		t.Error("timing table with a short row accepted")
+	}
+	got, err := JointExact(NewJointCache(eval), pt, nil, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := enumerate(NewJointCache(eval).Get, pt, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("nil bound: %+v, enumeration %+v", got, want)
+	}
+}
+
+// TestExactVisitsJointBoxInOrder pins the traversal without a bound against
+// the plain odometer: the shared subspace, then every partition's
+// idle-feasible schedules. At any worker count it evaluates exactly those
+// points, and serially it evaluates them in that order.
+func TestExactVisitsJointBoxInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(3)
+		pt, weights := genTable(rng, n, 1+rng.Intn(5))
+		maxM := 1 + rng.Intn(5)
+		want, err := jointBox(pt, maxM, trial%4 == 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := testJointEval(pt, weights)
+		for _, workers := range []int{1, 3} {
+			var mu sync.Mutex
+			var got []sched.JointSchedule
+			get := func(j sched.JointSchedule) (Outcome, bool, error) {
+				mu.Lock()
+				got = append(got, j.Clone())
+				mu.Unlock()
+				out, err := eval(j)
+				return out, true, err
+			}
+			if _, err := exact(get, pt, nil, maxM, workers, trial%4 == 3); err != nil {
+				t.Fatal(err)
+			}
+			if workers > 1 {
+				sort.Slice(got, func(a, b int) bool { return got[a].Key() < got[b].Key() })
+				sorted := append([]sched.JointSchedule(nil), want...)
+				sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key() < sorted[b].Key() })
+				if !reflect.DeepEqual(got, sorted) {
+					t.Fatalf("trial %d, %d workers: evaluated %v, box %v", trial, workers, got, sorted)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: traversal %v, box %v", trial, got, want)
+			}
+		}
 	}
 }

@@ -1,14 +1,13 @@
 // Joint cache-partition + schedule co-design search (the Sun-et-al.
 // extension of the paper's stage 2): the joint instantiation of the generic
-// walk and reduction of search.go, over the joint box of burst counts
-// (m1..mn) and way partitions (w1..wn). It reuses the same evalcache keying
-// as the schedule-only searchers — shared points key exactly like plain
-// schedules, partitioned points append their partition.
+// walk of search.go, and the exact searcher of exact.go, over the joint box
+// of burst counts (m1..mn) and way partitions (w1..wn). It reuses the same
+// evalcache keying as the schedule-only searchers — shared points key
+// exactly like plain schedules, partitioned points append their partition.
 //
-// The joint exhaustive reduction additionally tracks the optimum of the
-// shared subspace, which is by construction the schedule-only optimum, so
-// callers can report how much the partitioning axis buys on top of the
-// paper's search.
+// The exact search additionally tracks the optimum of the shared subspace,
+// which is by construction the schedule-only optimum, so callers can report
+// how much the partitioning axis buys on top of the paper's search.
 package search
 
 import (
@@ -35,7 +34,7 @@ type JointOptions = HybridOptions[sched.JointSchedule]
 // JointHybridResult aggregates all walks of a multi-start joint search.
 type JointHybridResult = MultiStart[sched.JointSchedule]
 
-// JointExhaustiveResult is the outcome of the brute-force joint baseline.
+// JointExhaustiveResult is the outcome of an exact joint search.
 type JointExhaustiveResult = Enumeration[sched.JointSchedule]
 
 // jointSpace is the joint box: schedule steps plus, on partitioned points,
@@ -106,27 +105,13 @@ func JointHybrid(eval JointEvalFunc, pt sched.PartitionTimings, starts []sched.J
 	return hybrid(eval, jointSpace(pt), starts, opt)
 }
 
-// JointExhaustive evaluates every feasible joint point with burst lengths
-// in [1, maxM] and every way partition, returning the best overall and the
-// best shared-subspace point.
-func JointExhaustive(eval JointEvalFunc, pt sched.PartitionTimings, maxM int) (*JointExhaustiveResult, error) {
-	return JointExhaustiveCached(NewJointCache(eval), pt, maxM, 1)
-}
-
-// JointExhaustiveCached is JointExhaustive through a (possibly shared)
-// memoization cache over the process-wide concurrency governor; workers
-// caps this search's share of the executor. Results are identical to the
-// serial baseline for any worker count.
-func JointExhaustiveCached(cache *JointCache, pt sched.PartitionTimings, maxM, workers int) (*JointExhaustiveResult, error) {
-	return jointExhaustive(cache.Get, pt, maxM, workers, sched.WalkPartitions)
-}
-
-// jointExhaustive is the joint reduction over the partitions parts yields
-// (sched.WalkPartitions: the full box).
-func jointExhaustive(get getter[sched.JointSchedule], pt sched.PartitionTimings, maxM, workers int,
-	parts func(n, totalWays int, visit func(sched.Ways) error) error) (*JointExhaustiveResult, error) {
-	each := func(visit func(sched.JointSchedule) error) error {
-		return sched.WalkJointFeasible(pt, maxM, parts, visit)
-	}
-	return reduce(get, each, workers, sched.JointSchedule.Shared, copyJoint)
+// JointExact finds the best feasible joint point with burst lengths in
+// [1, maxM] and any way partition, and the best shared-subspace point,
+// through a (possibly shared) memoization cache. With a nil bound it
+// evaluates every feasible point, over the process-wide concurrency
+// governor with workers capping this search's share of the executor; with
+// a bound it also cuts the subtrees the bound proves cannot win, and finds
+// the identical optimum. Results are identical for any worker count.
+func JointExact(cache *JointCache, pt sched.PartitionTimings, bound Bounder, maxM, workers int) (*JointExhaustiveResult, error) {
+	return exact(cache.Get, pt, bound, maxM, workers, false)
 }

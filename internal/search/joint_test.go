@@ -93,7 +93,7 @@ func TestJointExhaustiveDominatesShared(t *testing.T) {
 	// exhaustive result on the shared timings.
 	target := sched.JointSchedule{M: sched.Schedule{2, 2, 2}, W: sched.Ways{2, 1, 1}}
 	eval := jointQuadEval(target)
-	res, err := JointExhaustive(eval, pt, 4)
+	res, err := JointExact(NewJointCache(eval), pt, nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestJointExhaustiveParallelMatchesSerial(t *testing.T) {
 	pt := jointTestTimings()
 	target := sched.JointSchedule{M: sched.Schedule{2, 3, 2}, W: sched.Ways{1, 2, 1}}
 	eval := jointQuadEval(target)
-	serial, err := JointExhaustive(eval, pt, 4)
+	serial, err := enumerate(NewJointCache(eval).Get, pt, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := JointExhaustiveCached(NewJointCache(eval), pt, 4, 8)
+	parallel, err := JointExact(NewJointCache(eval), pt, nil, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,14 @@
 // only on *which* applications it hosts. The searchers below exploit that
 // decomposition — placements are enumerated canonically (set partitions
 // into exactly nCores blocks, killing core-relabeling symmetry), every
-// distinct application subset is solved once through the joint searchers of
-// this package, and solved subsets are shared across placements.
+// distinct application subset is solved once by the exact searcher of this
+// package, and solved subsets are shared across placements.
 //
-// MulticoreExhaustive is the retained brute-force baseline;
-// MulticoreBranchBound prunes whole placements with the same admissible
-// per-application bounds JointBranchBound uses inside each core, and is
-// pinned to find the identical optimum (internal/exp golden platforms).
+// MulticoreExact is one call for both modes: without a Bounder it is the
+// brute-force baseline; with one it prunes whole placements with the same
+// admissible per-application bounds it cuts subtrees with inside each core,
+// and is pinned to find the identical optimum (internal/exp golden
+// platforms).
 package search
 
 import (
@@ -120,7 +121,7 @@ func SubPartition(pt sched.PartitionTimings, idx []int) (sched.PartitionTimings,
 }
 
 // subBounder restricts a Bounder to an application subset: local index k is
-// global application idx[k], so per-core branch-and-bound reuses the global
+// global application idx[k], so bounded per-core searches reuse the global
 // bound tables (weights keep their global values).
 type subBounder struct {
 	b   Bounder
@@ -136,7 +137,7 @@ func (s subBounder) AppBest(i, w int) float64 { return s.b.AppBest(s.idx[i], w) 
 // (application 0's core becomes 0, the next new core 1, ...), validates
 // every entry against nCores, and requires every core to host at least one
 // application. Two assignments that differ only by a core permutation
-// canonicalize identically, which is what lets the placement searchers
+// canonicalize identically, which is what lets the placement search
 // deduplicate seeds against the canonical enumeration.
 func CanonicalAssignment(a []int, nCores int) ([]int, error) {
 	if nCores < 1 {
@@ -225,13 +226,12 @@ func assignmentSubsets(a []int, nCores int) [][]int {
 	return subsets
 }
 
-// MulticoreOptions tunes the placement searchers.
+// MulticoreOptions tunes the placement search.
 type MulticoreOptions struct {
 	// MaxM caps per-core burst lengths (required, >= 1).
 	MaxM int
-	// Bounder supplies the admissible per-application bounds
-	// MulticoreBranchBound prunes with (required there, ignored by
-	// MulticoreExhaustive).
+	// Bounder, when non-nil, supplies the admissible per-application
+	// bounds that prune placements and each core's subtrees.
 	Bounder Bounder
 	// Seeds are placement heuristics (app -> core) searched first, in
 	// order, after canonicalization and deduplication. They are mandatory
@@ -273,35 +273,22 @@ type MulticoreResult struct {
 
 	Assignments       int  // placements examined (after dedup)
 	AssignmentsPruned int  // placements cut by the bound before any solve
-	SubtreesPruned    int  // bound cuts inside per-core branch-and-bound
+	SubtreesPruned    int  // bound cuts inside per-core searches
 	Subsets           int  // distinct application subsets solved
 	Evaluated         int  // core points visited across all subset solves
 	Feasible          int  // of those, constraint-feasible
 	Enumerated        bool // full canonical enumeration was searched
 }
 
-// MulticoreExhaustive is the brute-force placement baseline: every
-// canonical assignment (or the seeds, when the space exceeds
-// MaxAssignments), every core solved by the exhaustive joint search. It is
-// retained as the equality pin for MulticoreBranchBound.
-func MulticoreExhaustive(cache *MulticoreCache, pt sched.PartitionTimings, nCores int, opt MulticoreOptions) (*MulticoreResult, error) {
-	return multicoreSearch(cache, pt, nCores, opt, false)
-}
-
-// MulticoreBranchBound is the placement search with admissible pruning: the
-// per-application bounds cut whole placements (before solving any core) and
-// subtrees inside each core's joint box. The traversal order and tie
-// handling equal MulticoreExhaustive's, so the optimum — assignment,
-// per-core points, and value bits — is identical, with Evaluated strictly
-// smaller whenever any cut fires.
-func MulticoreBranchBound(cache *MulticoreCache, pt sched.PartitionTimings, nCores int, opt MulticoreOptions) (*MulticoreResult, error) {
-	if opt.Bounder == nil {
-		return nil, fmt.Errorf("search: multicore branch-and-bound requires a Bounder")
-	}
-	return multicoreSearch(cache, pt, nCores, opt, true)
-}
-
-func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores int, opt MulticoreOptions, useBB bool) (*MulticoreResult, error) {
+// MulticoreExact is the placement search: every canonical assignment (or
+// the seeds, when the space exceeds MaxAssignments), every core solved by
+// the exact joint search. With opt.Bounder set, the per-application bounds
+// cut whole placements (before solving any core) and subtrees inside each
+// core's joint box; the traversal order and tie handling do not change, so
+// the optimum — assignment, per-core points, and value bits — is the one
+// found without a bound, with Evaluated strictly smaller whenever any cut
+// fires.
+func MulticoreExact(cache *MulticoreCache, pt sched.PartitionTimings, nCores int, opt MulticoreOptions) (*MulticoreResult, error) {
 	if err := pt.Validate(); err != nil {
 		return nil, err
 	}
@@ -318,8 +305,8 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 	}
 
 	// Placement order: seeds first (canonicalized, deduplicated, in the
-	// given order), then the canonical enumeration. Both searchers share
-	// this order, so strict-">" argmax selection is pinned between them.
+	// given order), then the canonical enumeration. Both modes share this
+	// order, so strict-">" argmax selection is pinned between them.
 	var order [][]int
 	seen := map[string]bool{}
 	push := func(a []int) {
@@ -346,11 +333,11 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 
 	res := &MulticoreResult{Cores: nCores, BestValue: math.Inf(-1), Enumerated: complete}
 
-	// Placement-level bound tables (branch-and-bound only): an application
-	// on a core hosting k applications of a W-way private cache gets at
-	// most W-(k-1) dedicated ways, or the shared cache.
+	// Placement-level bound tables (with a bound only): an application on
+	// a core hosting k applications of a W-way private cache gets at most
+	// W-(k-1) dedicated ways, or the shared cache.
 	var appBest, wayBestUpTo [][]float64
-	if useBB {
+	if opt.Bounder != nil {
 		appBest, wayBestUpTo = boundTables(opt.Bounder, n, pt.TotalWays())
 	}
 	boundAssign := func(subsets [][]int) float64 {
@@ -388,22 +375,15 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 		get := func(j sched.JointSchedule) (Outcome, bool, error) {
 			return cache.Get(CorePoint{Apps: idx, Point: j})
 		}
-		var r *JointExhaustiveResult
-		switch {
-		case opt.Uniform:
-			r, err = jointExhaustive(get, sub, opt.MaxM, 1, uniformPartitions)
-		case useBB:
-			var bb *JointBranchBoundResult
-			if bb, err = jointBranchBound(get, sub, subBounder{opt.Bounder, idx}, opt.MaxM); err == nil {
-				r = &bb.JointExhaustiveResult
-				res.SubtreesPruned += bb.Pruned
-			}
-		default:
-			r, err = jointExhaustive(get, sub, opt.MaxM, 1, sched.WalkPartitions)
+		var bound Bounder
+		if opt.Bounder != nil {
+			bound = subBounder{opt.Bounder, idx}
 		}
+		r, err := exact(get, sub, bound, opt.MaxM, 1, opt.Uniform)
 		if err != nil {
 			return CoreSolution{}, err
 		}
+		res.SubtreesPruned += r.Pruned
 		sol := CoreSolution{Apps: idx, Point: r.Best, Value: r.BestValue, Found: r.FoundBest}
 		solved[key] = sol
 		res.Subsets++
@@ -416,7 +396,7 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 	for _, a := range order {
 		res.Assignments++
 		subsets := assignmentSubsets(a, nCores)
-		if useBB && res.FoundBest && boundAssign(subsets) <= res.BestValue {
+		if opt.Bounder != nil && res.FoundBest && boundAssign(subsets) <= res.BestValue {
 			res.AssignmentsPruned++
 			continue
 		}
@@ -453,14 +433,4 @@ func multicoreSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores in
 		}
 	}
 	return res, nil
-}
-
-// uniformPartitions is the uniform-split restriction of one core's joint
-// box: besides the shared subspace, only the even split of the core's
-// private cache over its applications, when every application gets a way.
-func uniformPartitions(n, totalWays int, visit func(sched.Ways) error) error {
-	if even := sched.EvenWays(n, totalWays); even != nil {
-		return visit(even)
-	}
-	return nil
 }

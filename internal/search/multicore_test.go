@@ -103,9 +103,9 @@ func TestSubPartitionValidation(t *testing.T) {
 }
 
 // TestMulticoreBranchBoundMatchesExhaustive pins the placement-level
-// equality: branch-and-bound must select the identical assignment,
-// per-core points, and value bits as the exhaustive placement search, with
-// no more evaluations.
+// equality: with a bound the search must select the identical assignment,
+// per-core points, and value bits as without one, with no more
+// evaluations.
 func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	prunedSomewhere := false
@@ -118,13 +118,13 @@ func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 		}
 		maxM := 3 + trial%2
 		pt, weights := genTable(rng, n, ways)
-		opt := MulticoreOptions{MaxM: maxM, Bounder: testBounder{pt, weights, maxM}}
-
-		ex, err := MulticoreExhaustive(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, opt)
+		opt := MulticoreOptions{MaxM: maxM}
+		ex, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, opt)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		bb, err := MulticoreBranchBound(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, opt)
+		opt.Bounder = testBounder{pt, weights, maxM}
+		bb, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, opt)
 		if err != nil {
 			t.Fatalf("trial %d: branch-and-bound: %v", trial, err)
 		}
@@ -156,20 +156,33 @@ func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 // TestMulticoreUniformRestriction: the uniform-split search explores a
 // subspace of the co-design box, so its optimum can never exceed the free
 // search's, and every winning per-core partition is the even split (or
-// shared).
+// shared). A bound on the uniform search changes no optimum.
 func TestMulticoreUniformRestriction(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pt, weights := genTable(rng, 3, 4)
 	opt := MulticoreOptions{MaxM: 4, Bounder: testBounder{pt, weights, 4}}
-	free, err := MulticoreBranchBound(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
+	free, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uopt := opt
+	uopt.Bounder = nil
 	uopt.Uniform = true
-	uni, err := MulticoreExhaustive(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, uopt)
+	uni, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, uopt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	uopt.Bounder = opt.Bounder
+	ubb, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, uopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(ubb.BestValue) != math.Float64bits(uni.BestValue) ||
+		!reflect.DeepEqual(ubb.Assignment, uni.Assignment) || !reflect.DeepEqual(ubb.PerCore, uni.PerCore) {
+		t.Errorf("bounded uniform optimum %v %v differs from %v %v", ubb.Assignment, ubb.BestValue, uni.Assignment, uni.BestValue)
+	}
+	if ubb.Evaluated > uni.Evaluated {
+		t.Errorf("bounded uniform search evaluated %d > %d", ubb.Evaluated, uni.Evaluated)
 	}
 	if !free.FoundBest || !uni.FoundBest {
 		t.Fatalf("searches incomplete: free %v, uniform %v", free.FoundBest, uni.FoundBest)
@@ -195,7 +208,7 @@ func TestMulticoreSeedsOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pt, weights := genTable(rng, 4, 2)
 	opt := MulticoreOptions{MaxM: 3, MaxAssignments: 2, Seeds: [][]int{{0, 0, 1, 1}, {0, 1, 0, 1}}}
-	res, err := MulticoreExhaustive(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
+	res, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,30 +219,27 @@ func TestMulticoreSeedsOnly(t *testing.T) {
 		t.Errorf("searched %d placements, want the 2 seeds", res.Assignments)
 	}
 	opt.Seeds = nil
-	if _, err := MulticoreExhaustive(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt); err == nil {
+	if _, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt); err == nil {
 		t.Error("overflow with no seeds accepted")
 	}
 }
 
 // TestMulticoreValidation covers the error contract of the placement
-// searchers.
+// search.
 func TestMulticoreValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pt, weights := genTable(rng, 3, 2)
 	cache := NewMulticoreCache(testCoreEval(pt, weights))
-	if _, err := MulticoreExhaustive(cache, pt, 0, MulticoreOptions{MaxM: 3}); err == nil {
+	if _, err := MulticoreExact(cache, pt, 0, MulticoreOptions{MaxM: 3}); err == nil {
 		t.Error("0 cores accepted")
 	}
-	if _, err := MulticoreExhaustive(cache, pt, 4, MulticoreOptions{MaxM: 3}); err == nil {
+	if _, err := MulticoreExact(cache, pt, 4, MulticoreOptions{MaxM: 3}); err == nil {
 		t.Error("more cores than apps accepted")
 	}
-	if _, err := MulticoreExhaustive(cache, pt, 2, MulticoreOptions{}); err == nil {
+	if _, err := MulticoreExact(cache, pt, 2, MulticoreOptions{}); err == nil {
 		t.Error("maxM 0 accepted")
 	}
-	if _, err := MulticoreBranchBound(cache, pt, 2, MulticoreOptions{MaxM: 3}); err == nil {
-		t.Error("nil bounder accepted by branch-and-bound")
-	}
-	if _, err := MulticoreExhaustive(cache, pt, 2, MulticoreOptions{MaxM: 3, Seeds: [][]int{{0, 0, 0}}}); err == nil {
+	if _, err := MulticoreExact(cache, pt, 2, MulticoreOptions{MaxM: 3, Seeds: [][]int{{0, 0, 0}}}); err == nil {
 		t.Error("seed leaving a core empty accepted")
 	}
 }
@@ -241,12 +251,12 @@ func TestMulticoreMoreCoresNeverWorse(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pt, weights := genTable(rng, 3, 4)
 	maxM := 4
-	single, err := JointExhaustiveCached(NewJointCache(testJointEval(pt, weights)), pt, maxM, 1)
+	single, err := JointExact(NewJointCache(testJointEval(pt, weights)), pt, nil, maxM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := MulticoreOptions{MaxM: maxM, Bounder: testBounder{pt, weights, maxM}}
-	multi, err := MulticoreBranchBound(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
+	multi, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,29 @@
 // Package search implements the paper's second stage (Section IV): finding
 // the schedule (m1, ..., mn) that maximizes the overall control performance.
 //
-// One search stack serves every space. The walk and the exhaustive
-// reduction are written once, generic over the point type, and instantiated
-// for the paper's schedule space (sched.Schedule) and for the joint cache
-// partition + schedule space (sched.JointSchedule, joint.go); the per-core
-// solves of the multi-core placement search (multicore.go) reuse the joint
-// instantiation. The two searchers are:
+// One search stack serves every space: the paper's schedule space
+// (sched.Schedule), the joint cache partition + schedule space
+// (sched.JointSchedule, joint.go), and the per-core solves of the
+// multi-core placement search (multicore.go). It has two searchers:
 //
-//   - the exhaustive reduction: every feasible point of the enumerated box
-//     is evaluated and the best kept — the brute-force baseline the paper
-//     compares against (76 schedules in its case study); Exhaustive and
-//     ExhaustiveCached are its schedule instantiations, JointExhaustive and
-//     JointExhaustiveCached its joint ones, and branchbound.go visits the
-//     joint box in the same order while cutting provably losing subtrees;
+//   - the exact searcher (exact.go): one depth-first walk of the joint box —
+//     the shared subspace, then the way partitions, then each regime's
+//     idle-feasible schedules — folded in enumeration order. Without a
+//     Bounder it evaluates every feasible point, the brute-force baseline
+//     the paper compares against (76 schedules in its case study); with one
+//     it also cuts the subtrees an admissible bound proves cannot beat the
+//     incumbent, and finds the identical optimum with fewer evaluations.
+//     Exhaustive and ExhaustiveCached run it on the schedule box (the
+//     shared subspace of a table with no partitions), JointExact on the
+//     joint box and MulticoreExact on every core of every placement;
 //   - the hybrid walk: the paper's SQP-inspired discrete ascent. Per
 //     dimension it fits a 1-D quadratic model through the two neighbors
 //     (which for step size 1 reduces to comparing the neighbor values),
 //     moves one step along the best feasible direction, tolerates slightly
 //     worsening moves (the simulated-annealing flavor), and supports
-//     parallel multi-start. Hybrid and JointHybrid instantiate it; the only
-//     per-space inputs are the neighbor generator and the feasibility
-//     predicate.
+//     parallel multi-start. Hybrid and JointHybrid instantiate it, generic
+//     over the point type; the only per-space inputs are the neighbor
+//     generator and the feasibility predicate.
 //
 // Both searchers run on top of the sharded memoization cache of
 // internal/engine/evalcache. By default every hybrid walk gets a private
@@ -39,12 +41,13 @@
 //
 // Per point the searchers allocate nothing of their own. Points are keyed
 // in memory by their packed sched.PointKey (string keys are built only for
-// a persistent tier), the exhaustive boxes are streamed through one reused
-// buffer (sched.FeasibleTree, sched.WalkJointFeasible) instead of being
-// listed, and walks generate neighbors into reused storage, cloning only
-// the accepted move and new incumbents. The contract that makes this safe:
-// an evaluator must not retain the point it is given — the point is a view
-// into a buffer the searcher reuses as soon as the call returns.
+// a persistent tier), the exact searcher evaluates surviving points in its
+// traversal's buffers (or, in a parallel pass, copies them into one reused
+// chunk) instead of listing the box, and walks generate neighbors into
+// reused storage, cloning only the accepted move and new incumbents.
+// The contract that makes this safe: an evaluator must not retain the
+// point it is given — the point is a view into a buffer the searcher
+// reuses as soon as the call returns.
 package search
 
 import (
@@ -128,9 +131,9 @@ type MultiStart[P Point[P]] struct {
 	CacheStats evalcache.Stats
 }
 
-// Enumeration is the outcome of the exhaustive reduction over a box.
+// Enumeration is the outcome of an exact search over a box.
 type Enumeration[P Point[P]] struct {
-	Evaluated int // points evaluated (the feasible box)
+	Evaluated int // points evaluated (the feasible box, less what a bound cut)
 	Feasible  int // of those, points satisfying all constraints
 	Best      P
 	BestValue float64
@@ -143,6 +146,12 @@ type Enumeration[P Point[P]] struct {
 	BestShared      P
 	BestSharedValue float64
 	FoundShared     bool
+
+	// Pruned counts the subtrees a Bounder cut (0 without one). Cuts by
+	// idle infeasibility are not counted: the enumeration never evaluates
+	// infeasible points either, so only bound cuts reduce Evaluated
+	// relative to it.
+	Pruned int
 }
 
 // space is what the generic walk needs to know about one search space: the
@@ -313,84 +322,7 @@ func walk[P Point[P]](cache *PointCache[P], sp space[P], start P, opt HybridOpti
 	return stats, nil
 }
 
-// box streams the points of an exhaustive box to visit in enumeration
-// order, stopping at the first error. A visited point is a view into the
-// box's reused buffers, valid only during the call.
-type box[P any] func(visit func(P) error) error
-
-// getter is a cache lookup: Cache.Get, or a wrapper mapping the point into
-// another cache's space (the per-core solves of multicore.go).
-type getter[P any] func(P) (Outcome, bool, error)
-
-// reduceChunk is the number of points a parallel exhaustive pass copies out
-// of the stream and evaluates at once.
-const reduceChunk = 256
-
-// reduce is the exhaustive reduction: it evaluates every point of the box
-// through get and keeps the best feasible point overall and within the
-// shared subspace. With workers > 1 the stream fills fixed-size chunks
-// (copied into reused storage by copyPoint), each evaluated over the
-// process-wide concurrency governor (internal/parallel) with workers
-// capping this search's share of the executor, then folded in order.
-// Results are identical to the serial pass for any worker count: the fold
-// walks points in enumeration order, updating on strict improvement only,
-// and the first failing point in that order is the error returned.
-func reduce[P Point[P]](get getter[P], each box[P], workers int, shared func(P) bool, copyPoint func(dst *P, src P)) (*Enumeration[P], error) {
-	res := &Enumeration[P]{BestValue: math.Inf(-1), BestSharedValue: math.Inf(-1)}
-	var err error
-	if workers <= 1 {
-		err = each(func(p P) error {
-			out, _, err := get(p)
-			if err != nil {
-				return err
-			}
-			res.add(p, out, shared(p))
-			return nil
-		})
-	} else {
-		err = reduceChunked(res, get, each, workers, shared, copyPoint)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// reduceChunked is reduce's parallel pass over fixed-size chunks.
-func reduceChunked[P Point[P]](res *Enumeration[P], get getter[P], each box[P], workers int, shared func(P) bool, copyPoint func(dst *P, src P)) error {
-	var (
-		chunk    = make([]P, reduceChunk)
-		outcomes = make([]Outcome, reduceChunk)
-		errs     = make([]error, reduceChunk)
-		n        int
-	)
-	flush := func() error {
-		parallel.Default().ForEach(n, workers, func(i int) {
-			outcomes[i], _, errs[i] = get(chunk[i])
-		})
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				return errs[i]
-			}
-			res.add(chunk[i], outcomes[i], shared(chunk[i]))
-		}
-		n = 0
-		return nil
-	}
-	err := each(func(p P) error {
-		copyPoint(&chunk[n], p)
-		if n++; n == reduceChunk {
-			return flush()
-		}
-		return nil
-	})
-	if err == nil && n > 0 {
-		err = flush()
-	}
-	return err
-}
-
-// add folds one evaluated point into the reduction, cloning the point only
+// add folds one evaluated point into the result, cloning the point only
 // when it becomes an incumbent.
 func (r *Enumeration[P]) add(p P, out Outcome, shared bool) {
 	r.Evaluated++
@@ -488,9 +420,19 @@ func Exhaustive(eval EvalFunc, apps []sched.AppTiming, maxM int) (*ExhaustiveRes
 // caps this search's share of the executor. Results are identical to the
 // serial baseline for any worker count.
 func ExhaustiveCached(cache *Cache, apps []sched.AppTiming, maxM, workers int) (*ExhaustiveResult, error) {
-	tree, err := sched.NewFeasibleTree(apps, maxM)
+	get := func(j sched.JointSchedule) (Outcome, bool, error) { return cache.Get(j.M) }
+	r, err := exact(get, sched.PartitionTimings{Shared: apps}, nil, maxM, workers, false)
 	if err != nil {
 		return nil, err
 	}
-	return reduce(cache.Get, tree.Walk, workers, func(sched.Schedule) bool { return true }, copySchedule)
+	return &ExhaustiveResult{
+		Evaluated:       r.Evaluated,
+		Feasible:        r.Feasible,
+		Best:            r.Best.M,
+		BestValue:       r.BestValue,
+		FoundBest:       r.FoundBest,
+		BestShared:      r.BestShared.M,
+		BestSharedValue: r.BestSharedValue,
+		FoundShared:     r.FoundShared,
+	}, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestExhaustiveCachedWorkerCountBitIdentical pins the chunked, in-order
-// reduction of the governor-backed exhaustive searches: any worker cap
+// fold of the governor-backed exact searches without a bound: any worker cap
 // yields the serial result bit for bit, on boxes spanning several chunks,
 // in the schedule and in the joint space.
 func TestExhaustiveCachedWorkerCountBitIdentical(t *testing.T) {
@@ -35,12 +35,12 @@ func TestExhaustiveCachedWorkerCountBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Evaluated <= 2*reduceChunk {
+	if base.Evaluated <= 2*exactChunk {
 		t.Fatalf("schedule box of %d points spans fewer than three chunks", base.Evaluated)
 	}
 	pt := sched.PartitionTimings{Shared: apps, ByWays: [][]sched.AppTiming{apps, apps, apps, apps, apps}}
 	jeval := func(j sched.JointSchedule) (Outcome, error) { return score(j.M, j.W), nil }
-	jbase, err := JointExhaustiveCached(NewJointCache(jeval), pt, maxM, 1)
+	jbase, err := JointExact(NewJointCache(jeval), pt, nil, maxM, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestExhaustiveCachedWorkerCountBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d: result differs from serial", workers)
 		}
-		jgot, err := JointExhaustiveCached(NewJointCache(jeval), pt, maxM, workers)
+		jgot, err := JointExact(NewJointCache(jeval), pt, nil, maxM, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
