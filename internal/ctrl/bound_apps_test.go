@@ -36,7 +36,7 @@ func TestDesignBoundAdmissibleCaseStudy(t *testing.T) {
 	for _, a := range study {
 		cov := total[a.Name]
 		t.Logf("%s: %+v", a.Name, cov)
-		if cov.Settled == 0 || cov.Unsettled == 0 || cov.Cut == 0 {
+		if cov.Settled == 0 || cov.Unsettled == 0 || cov.Saturated == 0 || cov.Cut == 0 {
 			t.Errorf("%s: candidates miss a branch: %+v", a.Name, cov)
 		}
 	}

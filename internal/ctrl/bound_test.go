@@ -22,8 +22,7 @@ func boundTrace(plan *SimPlan, g Gains, cons Constraints) ([]float64, SimMetrics
 	if end := tr.Dense[len(tr.Dense)-1].T; end != plan.finalT {
 		return nil, SimMetrics{}, fmt.Errorf("last dense sample at %v, plan's replayed end time %v", end, plan.finalT)
 	}
-	band := 0.9 * cons.Band
-	acc := plan.newMetricsAcc(cons.Ref, band, plan.Horizon()/2, band, math.Inf(1))
+	acc := plan.newCostAcc(cons, math.Inf(1))
 	d := 0
 	feed := func(upTo float64) {
 		for ; d < len(tr.Dense) && tr.Dense[d].T <= upTo; d++ {
@@ -46,13 +45,14 @@ type BoundCoverage struct {
 	Instants   int // sampling instants whose bound was checked
 	Settled    int // candidates whose exact run settled
 	Unsettled  int // simulated candidates that did not settle
+	Saturated  int // simulated candidates whose peak input exceeds UMax
 	Cut        int // candidates some finite cutoff stopped early
 }
 
 // Add returns the sum of two coverages.
 func (c BoundCoverage) Add(o BoundCoverage) BoundCoverage {
 	return BoundCoverage{c.Candidates + o.Candidates, c.Instants + o.Instants,
-		c.Settled + o.Settled, c.Unsettled + o.Unsettled, c.Cut + o.Cut}
+		c.Settled + o.Settled, c.Unsettled + o.Unsettled, c.Saturated + o.Saturated, c.Cut + o.Cut}
 }
 
 // checkDesignBound evaluates candidate x and checks the early exit of the
@@ -93,6 +93,9 @@ func checkDesignBound(eval *designEval, x []float64, cov *BoundCoverage) error {
 					cov.Settled++
 				} else {
 					cov.Unsettled++
+				}
+				if eval.cons.UMax > 0 && met.PeakInput > eval.cons.UMax {
+					cov.Saturated++
 				}
 				cutoffs = append(cutoffs, lbs[0], lbs[len(lbs)/4], lbs[len(lbs)/2], lbs[len(lbs)-1])
 			}
@@ -166,7 +169,7 @@ func checkDesignBounds(eval *designEval, seed int64, n int) (BoundCoverage, erro
 // branch the bound argues about.
 func requireCoverage(t *testing.T, name string, cov BoundCoverage) {
 	t.Helper()
-	if cov.Settled == 0 || cov.Unsettled == 0 || cov.Cut == 0 {
+	if cov.Settled == 0 || cov.Unsettled == 0 || cov.Saturated == 0 || cov.Cut == 0 {
 		t.Errorf("%s: candidates miss a branch: %+v", name, cov)
 	}
 }
@@ -313,8 +316,10 @@ func TestDesignHolisticMatchesRecorded(t *testing.T) {
 }
 
 // TestDesignEvalObjectiveAllocs pins the design cost at zero steady-state
-// allocations: when it runs to the end, when the cutoff stops it, and when
-// the cutoff skips an unstable candidate's feedforward solve.
+// allocations: when it runs to the end, when the cutoff stops it, when the
+// saturation term of the bound stops it, when the cutoff skips an unstable
+// candidate's feedforward solve, and when the instability screen settles
+// an unstable candidate without the QR.
 func TestDesignEvalObjectiveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -339,26 +344,66 @@ func TestDesignEvalObjectiveAllocs(t *testing.T) {
 	if v := eval.cost(x, mid); v == exact {
 		t.Fatalf("cutoff %v did not stop the run early", mid)
 	}
-	for name, cutoff := range map[string]float64{"uncut": math.Inf(1), "cut": mid} {
-		if allocs := testing.AllocsPerRun(50, func() { eval.cost(x, cutoff) }); allocs != 0 {
+
+	// A stable candidate that saturates at its first sampling instant: its
+	// bound there, used as the cutoff, exceeds the bound without the
+	// saturation term, so only that term stops the run at once.
+	hot := make([]float64, len(x))
+	for i := range x {
+		hot[i] = 3 * x[i]
+	}
+	gh, err := gainsFromVector(hot, modes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlbs, _, err := boundTrace(plan, gh, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := cons
+	free.UMax = 0
+	flbs, _, err := boundTrace(plan, gh, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	satCut := hlbs[0]
+	if !(flbs[0] < satCut) {
+		t.Fatalf("fixture candidate %v: first bound %v, %v without saturation; pick another", hot, satCut, flbs[0])
+	}
+	if v := eval.cost(hot, satCut); math.Float64bits(v) != math.Float64bits(satCut) {
+		t.Fatalf("saturation term did not stop the run at the first instant: cost %v, cutoff %v", v, satCut)
+	}
+	for name, c := range map[string]struct {
+		x      []float64
+		cutoff float64
+	}{"uncut": {x, math.Inf(1)}, "cut": {x, mid}, "saturation cut": {hot, satCut}} {
+		if allocs := testing.AllocsPerRun(50, func() { eval.cost(c.x, c.cutoff) }); allocs != 0 {
 			t.Errorf("%s design cost allocates %v per call, want 0", name, allocs)
 		}
 	}
 
-	// An unstable candidate whose cutoff makes the feedforward solve moot.
+	// An unstable candidate whose cutoff makes the feedforward solve moot,
+	// and with a cutoff of at most screenedScore, the QR too.
 	wild := make([]float64, len(x))
 	for i := range x {
 		wild[i] = 100 * x[i]
 	}
-	if v := eval.cost(wild, math.Inf(1)); !(v >= 2e3 && v < 1e6) {
+	v := eval.cost(wild, math.Inf(1))
+	if !(v > screenedScore && v < 1e6) {
 		t.Fatalf("fixture candidate %v scores %v, not an unstable one; pick another", wild, v)
 	}
-	before := eval.skipped
-	allocs := testing.AllocsPerRun(50, func() { eval.cost(wild, 0) })
-	if eval.skipped == before {
-		t.Fatal("cutoff 0 did not skip the feedforward of an unstable candidate")
-	}
-	if allocs != 0 {
-		t.Errorf("skipped design cost allocates %v per call, want 0", allocs)
+	for _, c := range []struct {
+		name    string
+		cutoff  float64
+		counter *int
+	}{{"skipped", v, &eval.skipped}, {"screened", 0, &eval.screened}} {
+		before := *c.counter
+		allocs := testing.AllocsPerRun(50, func() { eval.cost(wild, c.cutoff) })
+		if *c.counter == before {
+			t.Fatalf("cutoff %v did not take the %s branch for an unstable candidate", c.cutoff, c.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s design cost allocates %v per call, want 0", c.name, allocs)
+		}
 	}
 }

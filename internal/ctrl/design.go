@@ -326,9 +326,7 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 		return 1e3 * (1 + rho)
 	}
 	horizon := plan.Horizon()
-	// Design against a slightly tighter band than the reported one so the
-	// final 2% measurement has margin instead of riding the band edge.
-	acc := plan.newMetricsAcc(cons.Ref, 0.9*cons.Band, horizon/2, 0.9*cons.Band, cutoff)
+	acc := plan.newCostAcc(cons, cutoff)
 	if err := plan.run(g, cons.Ref, nil, &acc); err == errCutoff {
 		return acc.lb
 	} else if err != nil {
@@ -350,9 +348,17 @@ func monodromyScore(plan *SimPlan, g Gains, cons Constraints, stable bool, rho f
 		}
 	}
 	if cons.UMax > 0 && met.PeakInput > cons.UMax {
-		obj += horizon * 5 * (met.PeakInput/cons.UMax - 1)
+		obj = saturationCost(obj, met.PeakInput, cons.UMax, horizon)
 	}
 	return obj
+}
+
+// saturationCost adds to cost the penalty of a peak input above the
+// saturation limit uMax > 0. Like settledCost it is the one place the term
+// is composed, shared by monodromyScore and the early-exit bound, so the
+// two round identically; the penalty grows with peak.
+func saturationCost(cost, peak, uMax, horizon float64) float64 {
+	return cost + horizon*5*(peak/uMax-1)
 }
 
 // warmStarts produces Ackermann-based seed gain vectors and a per-state

@@ -23,10 +23,12 @@ import (
 // data of one plan stays hot in cache across the particles of a PSO
 // evaluation round.
 //
-// Two evaluation modes run on the same span kernel and therefore produce
-// bit-identical dynamics: Simulate records the dense trajectory for
-// reporting (Fig. 6, response dumps), Metrics streams the design-objective
-// statistics without materializing any per-sample storage. The design
+// Two evaluation modes produce bit-identical dynamics: Simulate records
+// the dense trajectory for reporting (Fig. 6, response dumps), Metrics
+// streams the design-objective statistics without materializing any
+// per-sample storage. Both step through the span kernel, except that a
+// streaming run of a second-order plant folds its samples inside the
+// step loop (stepFoldSpan), with the kernel's expressions in its order. The design
 // objective's streaming run may also stop early, once an admissible lower
 // bound on its score reaches the caller's cutoff (see metricsAcc.instant).
 type SimPlan struct {
@@ -300,10 +302,81 @@ func emitSpan(tr *Trajectory, acc *metricsAcc, ts, ys []float64) {
 	}
 }
 
+// advance steps the state across one span and hands its dense samples to
+// the run's sink. A streaming run of a second-order plant — every
+// design-cost call — folds each sample into acc inside the step loop
+// (stepFoldSpan); every other run steps the span into ts/ys first and
+// emits it after.
+func (p *SimPlan) advance(x, xNext []float64, segs []segment, t, uHeld, u float64, ts, ys []float64, tr *Trajectory, acc *metricsAcc) float64 {
+	if tr == nil && acc != nil && p.l == 2 {
+		return p.stepFoldSpan(x, segs, t, uHeld, u, acc)
+	}
+	t = p.stepSpan(x, xNext, segs, t, uHeld, u, ts, ys)
+	emitSpan(tr, acc, ts[:len(segs)], ys[:len(segs)])
+	return t
+}
+
+// stepFoldSpan is stepSpan's second-order body with denseSpan's fold in
+// the same loop: each sample's output goes straight into a's statistics
+// instead of through ts/ys. Step and fold keep their expressions and their
+// order, so the state, the clock and every accumulator are bit-identical
+// to stepSpan followed by denseSpan. run folds its initial sample before
+// any span, so every sample here has a predecessor and adds its ITAE term.
+func (p *SimPlan) stepFoldSpan(x []float64, segs []segment, t, uHeld, u float64, a *metricsAcc) float64 {
+	if len(segs) == 0 {
+		return t
+	}
+	x0, x1 := x[0], x[1]
+	c0, c1 := p.cRow[0], p.cRow[1]
+	r, violFrom, violDelta, cand := a.r, a.violFrom, a.violDelta, a.cand
+	itae, lastT, y := a.itaeSum, a.lastDenseT, 0.0
+	violTotal, violOut, maxDev := a.violTotal, a.violOut, a.maxDev
+	for i := range segs {
+		seg := &segs[i]
+		v := u
+		if seg.held {
+			v = uHeld
+		}
+		d, st := seg.ad.Data, seg.ad.Stride
+		s0 := 0.0
+		s0 += d[0] * x0
+		s0 += d[1] * x1
+		s1 := 0.0
+		s1 += d[st] * x0
+		s1 += d[st+1] * x1
+		x0 = s0 + seg.bd[0]*v
+		x1 = s1 + seg.bd[1]*v
+		t += seg.dt
+		y = 0.0
+		y += c0 * x0
+		y += c1 * x1
+
+		dt := t - lastT
+		itae += t * math.Abs(y-r) * dt
+		lastT = t
+		if t >= violFrom {
+			violTotal++
+			if math.Abs(y-r) > violDelta {
+				violOut++
+			}
+		}
+		if cand {
+			if d := math.Abs(y - r); d > maxDev {
+				maxDev = d
+			}
+		}
+	}
+	x[0], x[1] = x0, x1
+	a.itaeSum, a.lastDenseT, a.lastDenseY, a.nDense = itae, lastT, y, a.nDense+len(segs)
+	a.violTotal, a.violOut, a.maxDev = violTotal, violOut, maxDev
+	return t
+}
+
 // run is the shared core loop: it propagates the switched closed loop span
 // by span and feeds every dense sample and sampling instant to at most one
-// of the two observers (tr records, acc streams). Keeping a single stepping
-// kernel guarantees the two modes see bit-identical dynamics.
+// of the two observers (tr records, acc streams). Stepping every span
+// through advance, with one set of step expressions, keeps the two modes'
+// dynamics bit-identical; the per-step oracle of the tests pins it.
 func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error {
 	if err := g.Validate(p.m, p.l); err != nil {
 		return err
@@ -329,8 +402,7 @@ func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error
 
 	// Initial idle gap: the reference has stepped but the next sampling
 	// instant is InitialGap away; the held input keeps applying.
-	t = p.stepSpan(x, sc.xNext, p.gap, t, uHeld, uHeld, ts, ys)
-	emitSpan(tr, acc, ts[:len(p.gap)], ys[:len(p.gap)])
+	t = p.advance(x, sc.xNext, p.gap, t, uHeld, uHeld, ts, ys, tr, acc)
 
 	j := 0
 	for t < p.horizon {
@@ -347,9 +419,7 @@ func (p *SimPlan) run(g Gains, r float64, tr *Trajectory, acc *metricsAcc) error
 		} else if acc != nil && acc.instant(t, yi, u) {
 			return errCutoff
 		}
-		segs := p.plans[j]
-		t = p.stepSpan(x, sc.xNext, segs, t, uHeld, u, ts, ys)
-		emitSpan(tr, acc, ts[:len(segs)], ys[:len(segs)])
+		t = p.advance(x, sc.xNext, p.plans[j], t, uHeld, u, ts, ys, tr, acc)
 		uHeld = u
 		j = (j + 1) % p.m
 	}
@@ -399,11 +469,12 @@ type metricsAcc struct {
 	// Early exit: after each sampling instant lb is an admissible lower
 	// bound on monodromyScore of the finished run, and the run stops once
 	// it reaches cutoff (+Inf: never).
-	cutoff  float64
-	horizon float64
-	norm    float64 // finalize's ITAE norm |r|·T²/2, known from the plan
-	floor   float64 // least score of a run that ends unsettled or diverges
-	lb      float64
+	cutoff    float64
+	horizon   float64
+	norm      float64 // finalize's ITAE norm |r|·T²/2, known from the plan
+	unsettled float64 // 1.5·horizon: least score of an unsettled run before penalties
+	uMax      float64 // saturation limit the score penalizes; <= 0: none
+	lb        float64
 
 	candT float64 // time of the current candidate settling instant
 	cand  bool
@@ -458,7 +529,12 @@ func (a *metricsAcc) denseSpan(ts, ys []float64) {
 
 // instant records the sampling instant at t and reports whether the run
 // can stop because its score lower bound a.lb has reached a.cutoff. The
-// bound settledCost(c, h, itaeSum/norm), capped at floor, is admissible:
+// bound
+//
+//	min(min(settledCost(c, h, itaeSum/norm), 1.5·h) + saturation, 1e5)
+//
+// is admissible, where the saturation term is saturationCost's penalty of
+// peakIn, added only once peakIn exceeds uMax:
 //
 //   - c is candT while in band, else t. The run cannot end settled
 //     before c: a candidate only ever moves to a later instant, and one
@@ -466,9 +542,14 @@ func (a *metricsAcc) denseSpan(ts, ys []float64) {
 //   - itaeSum grows by terms t·|y-r|·dt that are never negative, and
 //     float64 addition, division by the fixed norm and settledCost are
 //     monotone, so itaeSum/norm only grows towards finalize's ITAE.
-//   - A run that ends unsettled scores horizon·(1.5 + ...) >= floor, a
-//     diverged one divergedScore >= floor; the penalties monodromyScore
-//     adds to either branch are never negative.
+//   - A run that ends unsettled scores horizon·(1.5 + ...) >= 1.5·h; the
+//     ripple penalty monodromyScore adds to a settled run is never
+//     negative.
+//   - peakIn only grows, and so does its penalty; monodromyScore adds the
+//     same saturationCost term, of the final peak, to the settled and the
+//     unsettled score alike.
+//   - A diverged run scores a flat divergedScore (1e5) with no penalty,
+//     hence the cap.
 //
 // The bound never falls from one instant to the next, so the first
 // instant where it reaches the cutoff is where the run stops.
@@ -497,11 +578,18 @@ func (a *metricsAcc) instant(t, y, u float64) bool {
 	if a.cand {
 		c = a.candT
 	}
-	a.lb = settledCost(c, a.horizon, a.itaeSum/a.norm)
-	if a.lb > a.floor {
-		a.lb = a.floor
+	lb := settledCost(c, a.horizon, a.itaeSum/a.norm)
+	if lb > a.unsettled {
+		lb = a.unsettled
 	}
-	return a.lb >= a.cutoff
+	if a.uMax > 0 && a.peakIn > a.uMax {
+		lb = saturationCost(lb, a.peakIn, a.uMax, a.horizon)
+	}
+	if lb > divergedScore {
+		lb = divergedScore
+	}
+	a.lb = lb
+	return lb >= a.cutoff
 }
 
 func (a *metricsAcc) finalize() SimMetrics {
@@ -559,7 +647,8 @@ func (p *SimPlan) Metrics(g Gains, r, band, violFrom, violBand float64) (SimMetr
 }
 
 // newMetricsAcc returns the accumulator of one streaming run (Metrics'
-// parameters) that stops once its score lower bound reaches cutoff.
+// parameters) that stops once its score lower bound, without a saturation
+// term, reaches cutoff.
 func (p *SimPlan) newMetricsAcc(r, band, violFrom, violBand, cutoff float64) metricsAcc {
 	return metricsAcc{
 		r:         r,
@@ -569,7 +658,19 @@ func (p *SimPlan) newMetricsAcc(r, band, violFrom, violBand, cutoff float64) met
 		cutoff:    cutoff,
 		horizon:   p.horizon,
 		norm:      math.Abs(r) * p.finalT * p.finalT / 2,
-		floor:     min(1.5*p.horizon, divergedScore),
+		unsettled: 1.5 * p.horizon,
 		peakOut:   math.Inf(-1),
 	}
+}
+
+// newCostAcc returns the accumulator of one design-cost run under cons:
+// the settling band tightened to 0.9·Band so the reported 2% measurement
+// keeps a margin instead of riding the band edge, the band-violation
+// window over the second half of the horizon, and the saturation term of
+// cons.UMax in the early-exit bound.
+func (p *SimPlan) newCostAcc(cons Constraints, cutoff float64) metricsAcc {
+	band := 0.9 * cons.Band
+	a := p.newMetricsAcc(cons.Ref, band, p.horizon/2, band, cutoff)
+	a.uMax = cons.UMax
+	return a
 }

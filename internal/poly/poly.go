@@ -1,7 +1,6 @@
-// Package poly implements real polynomial arithmetic used by the
-// pole-placement machinery: construction from complex root sets,
-// evaluation at scalars and matrices, characteristic polynomials, and root
-// finding through companion matrices.
+// Package poly implements the real polynomial arithmetic of the
+// pole-placement machinery: construction from complex root sets and
+// evaluation at a matrix, as Ackermann's formula needs them.
 package poly
 
 import (
@@ -38,30 +37,6 @@ func (p Poly) Degree() int {
 		return 0
 	}
 	return len(p) - 1
-}
-
-// Eval evaluates p at x using Horner's rule.
-func (p Poly) Eval(x float64) float64 {
-	if len(p) == 0 {
-		return 0
-	}
-	v := p[len(p)-1]
-	for i := len(p) - 2; i >= 0; i-- {
-		v = v*x + p[i]
-	}
-	return v
-}
-
-// EvalC evaluates p at a complex point using Horner's rule.
-func (p Poly) EvalC(x complex128) complex128 {
-	if len(p) == 0 {
-		return 0
-	}
-	v := complex(p[len(p)-1], 0)
-	for i := len(p) - 2; i >= 0; i-- {
-		v = v*x + complex(p[i], 0)
-	}
-	return v
 }
 
 // EvalMat evaluates the matrix polynomial p(A) using Horner's rule.
@@ -113,18 +88,6 @@ func (p Poly) Scale(s float64) Poly {
 	out := make(Poly, len(p))
 	for i, a := range p {
 		out[i] = s * a
-	}
-	return out.trim()
-}
-
-// Derivative returns dp/dx.
-func (p Poly) Derivative() Poly {
-	if len(p) <= 1 {
-		return Poly{0}
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		out[i-1] = float64(i) * p[i]
 	}
 	return out.trim()
 }
@@ -193,55 +156,4 @@ func FromRoots(roots []complex128) (Poly, error) {
 		out[i] = real(c)
 	}
 	return out, nil
-}
-
-// Companion returns the companion matrix of a monic polynomial of degree
-// >= 1. If p is not monic it is normalized first. It panics on degree 0.
-func (p Poly) Companion() *mat.Matrix {
-	q := p.trim()
-	n := q.Degree()
-	if n < 1 {
-		panic("poly: Companion of a constant polynomial")
-	}
-	lead := q[n]
-	c := mat.New(n, n)
-	for i := 1; i < n; i++ {
-		c.Set(i, i-1, 1)
-	}
-	for i := 0; i < n; i++ {
-		c.Set(i, n-1, -q[i]/lead)
-	}
-	return c
-}
-
-// Roots returns all complex roots of p, computed as the eigenvalues of the
-// companion matrix. Constants have no roots.
-func (p Poly) Roots() ([]complex128, error) {
-	q := p.trim()
-	if q.Degree() < 1 {
-		return nil, nil
-	}
-	return mat.Eigenvalues(q.Companion())
-}
-
-// CharPoly returns the characteristic polynomial det(xI - A) of a square
-// matrix using the Faddeev–LeVerrier recursion. The result is monic with
-// degree equal to the matrix dimension.
-func CharPoly(a *mat.Matrix) Poly {
-	n := a.Rows()
-	if a.Cols() != n {
-		panic("poly: CharPoly requires a square matrix")
-	}
-	// Faddeev–LeVerrier: M_0 = I, c_n = 1;
-	// M_k = A*M_{k-1} + c_{n-k+1}*I,  c_{n-k} = -trace(A*M_{k-1}... ) / k
-	coeffs := make(Poly, n+1)
-	coeffs[n] = 1
-	m := mat.Identity(n)
-	for k := 1; k <= n; k++ {
-		am := a.Mul(m)
-		c := -am.Trace() / float64(k)
-		coeffs[n-k] = c
-		m = am.Add(mat.Identity(n).Scale(c))
-	}
-	return coeffs
 }
