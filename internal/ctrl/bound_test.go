@@ -317,9 +317,8 @@ func TestDesignHolisticMatchesRecorded(t *testing.T) {
 
 // TestDesignEvalObjectiveAllocs pins the design cost at zero steady-state
 // allocations: when it runs to the end, when the cutoff stops it, when the
-// saturation term of the bound stops it, when the cutoff skips an unstable
-// candidate's feedforward solve, and when the instability screen settles
-// an unstable candidate without the QR.
+// saturation term of the bound stops it, and when the cutoff skips an
+// unstable candidate's feedforward solve.
 func TestDesignEvalObjectiveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -382,28 +381,20 @@ func TestDesignEvalObjectiveAllocs(t *testing.T) {
 		}
 	}
 
-	// An unstable candidate whose cutoff makes the feedforward solve moot,
-	// and with a cutoff of at most screenedScore, the QR too.
+	// An unstable candidate whose cutoff makes the feedforward solve moot.
 	wild := make([]float64, len(x))
 	for i := range x {
 		wild[i] = 100 * x[i]
 	}
-	v := eval.cost(wild, math.Inf(1))
-	if !(v > screenedScore && v < 1e6) {
+	if v := eval.cost(wild, math.Inf(1)); !(v >= 2e3 && v < 1e6) {
 		t.Fatalf("fixture candidate %v scores %v, not an unstable one; pick another", wild, v)
 	}
-	for _, c := range []struct {
-		name    string
-		cutoff  float64
-		counter *int
-	}{{"skipped", v, &eval.skipped}, {"screened", 0, &eval.screened}} {
-		before := *c.counter
-		allocs := testing.AllocsPerRun(50, func() { eval.cost(wild, c.cutoff) })
-		if *c.counter == before {
-			t.Fatalf("cutoff %v did not take the %s branch for an unstable candidate", c.cutoff, c.name)
-		}
-		if allocs != 0 {
-			t.Errorf("%s design cost allocates %v per call, want 0", c.name, allocs)
-		}
+	before := eval.skipped
+	allocs := testing.AllocsPerRun(50, func() { eval.cost(wild, 0) })
+	if eval.skipped == before {
+		t.Fatal("cutoff 0 did not skip the feedforward of an unstable candidate")
+	}
+	if allocs != 0 {
+		t.Errorf("skipped design cost allocates %v per call, want 0", allocs)
 	}
 }

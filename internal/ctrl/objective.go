@@ -39,8 +39,7 @@ type designEval struct {
 	ffA, ffB *mat.Matrix // holistic-feedforward periodic-orbit system
 	lu       *mat.LUWorkspace
 
-	skipped  int // unstable candidates scored without the feedforward solve
-	screened int // unstable candidates instabilityScreen scored without the QR
+	skipped int // unstable candidates scored without the feedforward solve
 }
 
 func newDesignEval(plan *SimPlan, modes []Mode, cons Constraints) *designEval {
@@ -155,50 +154,41 @@ func (e *designEval) setClosedLoops(ks []*mat.Matrix) {
 	}
 }
 
-// monodromy multiplies the closed-loop matrices in e.mjs into the
-// monodromy Phi = M_m * ... * M_1 of one schedule period. Phi plays the
+// stability multiplies the closed-loop matrices in e.mjs into the
+// monodromy Phi = M_m * ... * M_1 of one schedule period and reports
+// whether its spectral radius is below one, with the radius. Phi plays the
 // role of the lifted matrix A_hol of Eq. (16): its spectral radius decides
 // the stability of the periodically switched closed loop.
-func (e *designEval) monodromy() *mat.Matrix {
+func (e *designEval) stability() (bool, float64, error) {
 	e.prodA.SetIdentity()
 	cur, buf := e.prodA, e.prodB
 	for _, mj := range e.mjs {
 		mj.MulTo(buf, cur)
 		cur, buf = buf, cur
 	}
-	return cur
+	rho, err := e.eig.SpectralRadius(cur)
+	if err != nil {
+		return false, 0, err
+	}
+	return rho < 1, rho, nil
 }
-
-// screenedScore is the cost the instability screen returns: the least
-// exact cost of an unstable candidate, 1e3·(1+ρ) at ρ = 1 (a singular
-// feedforward or an eig failure scores 1e6).
-const screenedScore = 2e3
 
 // cost evaluates the full per-mode decision vector under the pso cutoff
 // contract: below cutoff it is the exact design cost, otherwise some value
 // >= cutoff.
 //
-// Stability comes first because it needs only K. Every unstable candidate
-// costs at least screenedScore, so once the cutoff is at most that, a
-// monodromy that instabilityScreen proves unstable loses without the QR.
-// The exact cost of an unstable candidate is 1e6 when the feedforward
-// system is singular and 1e3·(1+ρ) otherwise, so once the cutoff is at
-// most the smaller of the two, the candidate loses whichever it is and the
-// feedforward solve is skipped. An eig error or a NaN ρ scores 1e6
-// whatever the feedforward.
+// Stability comes first because it needs only K. The exact cost of an
+// unstable candidate is 1e6 when the feedforward system is singular and
+// 1e3·(1+ρ) otherwise, so once the cutoff is at most the smaller of the
+// two, the candidate loses whichever it is and the feedforward solve is
+// skipped. An eig error or a NaN ρ scores 1e6 whatever the feedforward.
 func (e *designEval) cost(x []float64, cutoff float64) float64 {
 	e.setK(x)
 	e.setClosedLoops(e.g.K)
-	phi := e.monodromy()
-	if cutoff <= screenedScore && instabilityScreen(phi) {
-		e.screened++
-		return screenedScore
-	}
-	rho, err := e.eig.SpectralRadius(phi)
+	stable, rho, err := e.stability()
 	if err != nil || math.IsNaN(rho) {
 		return 1e6
 	}
-	stable := rho < 1
 	if !stable && cutoff <= min(1e6, 1e3*(1+rho)) {
 		e.skipped++
 		return 1e3 * (1 + rho)
@@ -228,12 +218,12 @@ func (e *designEval) evaluate(g Gains) (*Design, error) {
 		return nil, err
 	}
 	e.setClosedLoops(g.K)
-	rho, err := e.eig.SpectralRadius(e.monodromy())
+	stable, rho, err := e.stability()
 	if err != nil {
 		return nil, err
 	}
 	d := &Design{Gains: g, Modes: e.modes, SpectralRadius: rho, SettlingTime: math.Inf(1)}
-	if !(rho < 1) {
+	if !stable {
 		return d, nil
 	}
 	cons := e.cons
@@ -256,82 +246,4 @@ func (e *designEval) evaluate(g Gains) (*Design, error) {
 		(cons.UMax <= 0 || met.PeakInput <= cons.UMax+1e-9) &&
 		met.SettlingTime <= cons.SettleDeadline
 	return d, nil
-}
-
-// screenSlack is the instability screen's margin: every coefficient of
-// the characteristic polynomial is taken as uncertain by screenSlack times
-// the sum of the magnitudes of its terms, plus screenNormSlack times the
-// matching power of 3·max|phi_ij| (a bound on every eigenvalue and on the
-// eigenvalue iteration's backward error, which balancing and the QR
-// measure in norm). Both lie many orders above the float64 rounding of the
-// coefficients and of the QR, so a verdict the screen gives holds for
-// every matrix the QR could effectively have diagonalized.
-const (
-	screenSlack     = 1e-9
-	screenNormSlack = 1e-12
-)
-
-// instabilityScreen reports whether it proves that the 3×3 matrix phi
-// has spectral radius >= 1 — the monodromy of every second-order plant —
-// from the coefficients of its characteristic polynomial
-// λ³ - T·λ² + S·λ - D (T the trace, S the sum of the principal 2×2
-// minors, D the determinant). false abstains: a matrix of another size,
-// one with a non-finite entry, or one within the margin of the stability
-// boundary, where only the QR decides.
-//
-// The proof holds if some coefficient, moved anywhere within its
-// uncertainty eT, eS, eD, still gives
-//
-//   - |D| > 1 or |T| > 3 or |S| > 3, which no spectrum inside the unit
-//     disc has (|D| = Π|λ|, |T| <= Σ|λ|, |S| <= Σ|λ_i·λ_j|); or
-//   - a violated Jury condition of the monic cubic
-//     z³ + a2·z² + a1·z + a0 (a2 = -T, a1 = S, a0 = -D), whose roots are
-//     all strictly inside the unit circle iff p(1) > 0, p(-1) < 0,
-//     |a0| < 1 and 1 - a0² > |a1 - a0·a2|.
-//
-// Every test is a strict comparison against the margin, so NaN or Inf in
-// the coefficients abstains.
-func instabilityScreen(phi *mat.Matrix) bool {
-	if phi.Rows() != 3 || phi.Cols() != 3 || !phi.IsFinite() {
-		return false
-	}
-	m := phi.Flat().Data
-	a00, a01, a02 := m[0], m[1], m[2]
-	a10, a11, a12 := m[3], m[4], m[5]
-	a20, a21, a22 := m[6], m[7], m[8]
-	nu := 0.0
-	for _, v := range m[:9] {
-		nu = max(nu, math.Abs(v))
-	}
-	nu *= 3 // >= the infinity norm, so >= every |λ|
-
-	// c0, c1, c2: the first row's cofactor minors; c0 is also a
-	// principal minor.
-	c0 := a11*a22 - a12*a21
-	c1 := a10*a22 - a12*a20
-	c2 := a10*a21 - a11*a20
-	tr := a00 + a11 + a22
-	minors := (a00*a11 - a01*a10) + (a00*a22 - a02*a20) + c0
-	det := a00*c0 - a01*c1 + a02*c2
-	abs := math.Abs
-	tT := abs(a00) + abs(a11) + abs(a22)
-	tS := abs(a00*a11) + abs(a01*a10) + abs(a00*a22) + abs(a02*a20) + abs(a11*a22) + abs(a12*a21)
-	tD := abs(a00)*(abs(a11*a22)+abs(a12*a21)) + abs(a01)*(abs(a10*a22)+abs(a12*a20)) +
-		abs(a02)*(abs(a10*a21)+abs(a11*a20))
-
-	eT := screenSlack*tT + screenNormSlack*nu
-	eS := screenSlack*tS + screenNormSlack*nu*nu
-	eD := screenSlack*tD + screenNormSlack*nu*nu*nu
-
-	absT, absS, absD := abs(tr), abs(minors), abs(det)
-	if absD > 1+eD || absT > 3+eT || absS > 3+eS {
-		return true
-	}
-	e := eT + eS + eD
-	if 1-tr+minors-det < -e || 1+tr+minors+det < -e {
-		return true // p(1) < 0: a real root above 1; p(-1) > 0: one below -1
-	}
-	// e4 bounds how far the uncertainties move |S - D·T| - (1 - D²).
-	e4 := eS + absD*eT + absT*eD + eT*eD + 2*absD*eD + eD*eD
-	return abs(minors-det*tr)-(1-det*det) > e4
 }

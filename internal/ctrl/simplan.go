@@ -239,39 +239,9 @@ func dotVec(a, b []float64) float64 {
 // The end time and output of segment i go to ts[i] and ys[i], so the span's
 // dense samples reach their sink in one call.
 //
-// State, clock and output row stay in locals across the whole span. The
-// second-order body is mat.Flat.ApplyVecAdd's unrolled form followed by
-// dotVec's, with the same expression shapes (0.0 starting accumulators,
-// then s + b·u), so every sample is bit-identical to stepping one segment
-// at a time; other orders run ApplyVecAdd itself on two ping-pong buffers.
+// The state ping-pongs between x and xNext through mat.Flat.ApplyVecAdd,
+// so every sample is bit-identical to stepping one segment at a time.
 func (p *SimPlan) stepSpan(x, xNext []float64, segs []segment, t, uHeld, u float64, ts, ys []float64) float64 {
-	if p.l == 2 {
-		x0, x1 := x[0], x[1]
-		c0, c1 := p.cRow[0], p.cRow[1]
-		for i := range segs {
-			seg := &segs[i]
-			v := u
-			if seg.held {
-				v = uHeld
-			}
-			d, st := seg.ad.Data, seg.ad.Stride
-			s0 := 0.0
-			s0 += d[0] * x0
-			s0 += d[1] * x1
-			s1 := 0.0
-			s1 += d[st] * x0
-			s1 += d[st+1] * x1
-			x0 = s0 + seg.bd[0]*v
-			x1 = s1 + seg.bd[1]*v
-			t += seg.dt
-			y := 0.0
-			y += c0 * x0
-			y += c1 * x1
-			ts[i], ys[i] = t, y
-		}
-		x[0], x[1] = x0, x1
-		return t
-	}
 	cur, next := x, xNext
 	for i := range segs {
 		seg := &segs[i]
@@ -316,11 +286,12 @@ func (p *SimPlan) advance(x, xNext []float64, segs []segment, t, uHeld, u float6
 	return t
 }
 
-// stepFoldSpan is stepSpan's second-order body with denseSpan's fold in
-// the same loop: each sample's output goes straight into a's statistics
-// instead of through ts/ys. Step and fold keep their expressions and their
-// order, so the state, the clock and every accumulator are bit-identical
-// to stepSpan followed by denseSpan. run folds its initial sample before
+// stepFoldSpan is stepSpan on a second-order plant with denseSpan's fold
+// in the same loop: each sample's output goes straight into a's statistics
+// instead of through ts/ys. The step is mat.Flat.ApplyVecAdd's unrolled
+// 2×2 form followed by dotVec's (0.0 starting accumulators, then s + b·u),
+// and the fold is denseSpan's, so the state, the clock and every
+// accumulator are bit-identical to stepSpan followed by denseSpan. run folds its initial sample before
 // any span, so every sample here has a predecessor and adds its ITAE term.
 func (p *SimPlan) stepFoldSpan(x []float64, segs []segment, t, uHeld, u float64, a *metricsAcc) float64 {
 	if len(segs) == 0 {
