@@ -284,7 +284,10 @@ func (f *Framework) OptimizeExhaustive(maxM int) (*search.ExhaustiveResult, erro
 
 // OptimizeExhaustiveParallel is OptimizeExhaustive over a bounded worker
 // pool, optionally sharing the given search-level cache with other
-// searches. Results are identical to the serial baseline.
+// searches. Results are identical to the serial baseline. The pass must be
+// the cache's last reader (search.ExhaustiveCached): the cache does not
+// keep the schedules it evaluates, so a later Get of one would evaluate it
+// again.
 func (f *Framework) OptimizeExhaustiveParallel(maxM, workers int, cache *search.Cache) (*search.ExhaustiveResult, error) {
 	if cache == nil {
 		cache = f.SearchCache()

@@ -7,9 +7,10 @@ import (
 	"repro/internal/sched"
 )
 
-// TestGetHitAllocs pins the memory-tier hit path at zero allocations, for
-// plain and joint points, with and without a persistent tier attached: a
-// hit packs the point's fixed-size key and never renders its string key.
+// TestGetHitAllocs pins the memory-tier hit path of Get and GetLast at
+// zero allocations, for plain and joint points, with and without a
+// persistent tier attached: a hit packs the point's fixed-size key and
+// never renders its string key.
 func TestGetHitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -27,21 +28,62 @@ func TestGetHitAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { c.Get(p) }); n != 0 {
 				t.Errorf("%s cache: hit on %v allocates %v times", name, p, n)
 			}
+			if n := testing.AllocsPerRun(100, func() { c.GetLast(p) }); n != 0 {
+				t.Errorf("%s cache: GetLast hit on %v allocates %v times", name, p, n)
+			}
 		}
 	}
 }
 
-// TestUncontendedMissMakesNoWaitChannel pins the lazy singleflight channel:
-// only a requester that finds the entry in flight creates one.
+// TestGetLastMissAllocs pins the last-reader miss: memory-only, it
+// allocates nothing beyond the evaluator, leaves the shard maps as they
+// were, and counts one distinct key in Len.
+func TestGetLastMissAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := NewCache(1, func(s sched.Schedule) (int, error) { return s[0], nil })
+	kept := sched.Schedule{1, 1}
+	if _, _, err := c.Get(kept); err != nil {
+		t.Fatal(err)
+	}
+	p := sched.Schedule{3, 1, 2}
+	if n := testing.AllocsPerRun(100, func() { c.GetLast(p) }); n != 0 {
+		t.Errorf("GetLast miss allocates %v times", n)
+	}
+	before := c.Len()
+	v, executed, err := c.GetLast(p)
+	if err != nil || v != 3 || !executed {
+		t.Fatalf("GetLast miss = (%d, %v, %v), want (3, true, nil)", v, executed, err)
+	}
+	if got := c.Len(); got != before+1 {
+		t.Errorf("Len after a GetLast miss = %d, want %d", got, before+1)
+	}
+	sh := &c.shards[0]
+	if len(sh.m) != 1 || sh.side != nil {
+		t.Errorf("GetLast miss changed the shard: %d slots, side map %v", len(sh.m), sh.side)
+	}
+	if mk, err := kept.MemKey(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := sh.m[mk]; !ok {
+		t.Error("the slot of the point read before is gone")
+	}
+}
+
+// TestUncontendedMissMakesNoWaitChannel pins the lazy side state: a miss
+// no other requester waited on completes its slot and creates no side map.
 func TestUncontendedMissMakesNoWaitChannel(t *testing.T) {
 	c := NewCache(1, func(s sched.Schedule) (int, error) { return 0, nil })
 	if _, _, err := c.Get(sched.Schedule{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	for k, e := range c.shards[0].m {
-		if !e.done || e.wait != nil {
-			t.Errorf("entry %v: done=%v wait=%v after an uncontended miss", k, e.done, e.wait)
+		if e.state != done {
+			t.Errorf("slot %v: state %d after an uncontended miss, want done", k, e.state)
 		}
+	}
+	if side := c.shards[0].side; side != nil {
+		t.Errorf("side map %v after an uncontended miss, want none", side)
 	}
 }
 

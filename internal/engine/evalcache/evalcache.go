@@ -32,6 +32,17 @@
 // cold-store, warm-store, and resumed runs. A backend record that fails to
 // decode is treated as a miss and recomputed, never served.
 //
+// The memory tier keeps only what is read again. A shard's map holds one
+// pointer-free slot per key — the value and a pending/done/failed state —
+// so an uncontended miss inserts a pending slot and completes it with one
+// more map write, and for a pointer-free V the collector never scans the
+// map. The rare state, a pending key's wait channel and a failed key's
+// memoized error, lives in a per-shard side map created on first need.
+// GetLast serves the last reader of a cache, an exact pass whose points are
+// distinct and are not requested again: its misses resolve exactly like
+// Get's, persistent tier and write-back included, and count alike in
+// Stats and Len, but insert nothing.
+//
 // The evaluator runs on the caller's point. It must not retain that point
 // (or any slice inside it) past the call: the searchers pass views into
 // reused buffers. Whatever an evaluation keeps, it copies.
@@ -91,21 +102,39 @@ type Codec[V any] struct {
 	Decode func([]byte) (V, error)
 }
 
-// entry is one memoized evaluation, stored by value in its shard's map.
-// The first requester of a key inserts a pending entry and evaluates; a
-// later requester that finds it pending creates the wait channel (only then)
-// and blocks on it, so duplicate concurrent evaluations never run and an
-// uncontended miss allocates no channel.
-type entry[V any] struct {
-	val  V
-	err  error
-	done bool
-	wait chan struct{} // nil until a second requester has to wait
+// Slot states. A key's slot is pending from its first miss until the
+// evaluation completes, then done or failed for the cache's lifetime.
+const (
+	pending uint8 = iota
+	done
+	failed
+)
+
+// slot is one memoized evaluation, stored by value in its shard's map. It
+// holds no pointer of its own, so for a pointer-free V (search.Outcome)
+// the garbage collector never scans the map.
+type slot[V any] struct {
+	val   V
+	state uint8
 }
 
+// side is the rarely needed state of a key, kept out of its slot: the
+// channel its waiters block on while it is pending, and its memoized error
+// once it has failed.
+type side struct {
+	wait chan struct{}
+	err  error
+}
+
+// shard is one lock stripe. The first requester of a key inserts a pending
+// slot and evaluates; a later requester that finds it pending creates the
+// side map (only then) and the key's wait channel and blocks on it, so
+// duplicate concurrent evaluations never run and an uncontended miss
+// allocates nothing beyond its map slot.
 type shard[M comparable, V any] struct {
-	mu sync.Mutex
-	m  map[M]entry[V]
+	mu   sync.Mutex
+	m    map[M]slot[V]
+	side map[M]side // nil until a key is waited on or fails
 }
 
 // Cache memoizes a key-addressed evaluation function across shards. K is
@@ -125,6 +154,8 @@ type Cache[K Keyed[M], M comparable, V any] struct {
 	hits     atomic.Int64
 	misses   atomic.Int64
 	diskHits atomic.Int64
+	// lastMisses counts the GetLast misses, which Len adds to the slots.
+	lastMisses atomic.Int64
 }
 
 // NewCache wraps eval in a memory-only cache with the given shard count
@@ -135,7 +166,7 @@ func NewCache[K Keyed[M], M comparable, V any](n int, eval func(K) (V, error)) *
 	}
 	c := &Cache[K, M, V]{eval: eval, shards: make([]shard[M, V], n), seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i].m = make(map[M]entry[V])
+		c.shards[i].m = make(map[M]slot[V])
 	}
 	return c
 }
@@ -179,25 +210,13 @@ func (c *Cache[K, M, V]) Get(s K) (V, bool, error) {
 	sh := c.shardFor(mk)
 	sh.mu.Lock()
 	if e, ok := sh.m[mk]; ok {
-		if !e.done {
-			if e.wait == nil {
-				e.wait = make(chan struct{})
-				sh.m[mk] = e
-			}
-			sh.mu.Unlock()
-			<-e.wait
-			sh.mu.Lock()
-			e = sh.m[mk]
-		}
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return e.val, false, e.err
+		return c.hit(sh, mk, e)
 	}
-	sh.m[mk] = entry[V]{}
+	sh.m[mk] = slot[V]{}
 	sh.mu.Unlock()
 
 	c.misses.Add(1)
-	// Complete the entry even if the evaluator panics: otherwise it would
+	// Complete the slot even if the evaluator panics: otherwise it would
 	// wedge every future waiter on this key. A panicking evaluation is
 	// memoized as an error so coalesced waiters fail loudly instead of
 	// receiving a zero value.
@@ -210,42 +229,127 @@ func (c *Cache[K, M, V]) Get(s K) (V, bool, error) {
 		if !finished {
 			evalErr = fmt.Errorf("evalcache: evaluation of %s panicked", s.Key())
 		}
-		sh.mu.Lock()
-		e := sh.m[mk]
-		e.val, e.err, e.done = val, evalErr, true
-		sh.m[mk] = e
-		sh.mu.Unlock()
-		if e.wait != nil {
-			close(e.wait)
-		}
+		sh.complete(mk, val, evalErr)
 	}()
+	val, evalErr = c.resolve(s)
+	finished = true
+	return val, true, evalErr
+}
+
+// GetLast is Get for a point its caller will not request again: an exact
+// pass that runs after every other reader of the cache, over points that
+// are distinct within the pass. A hit, and a wait on a pending key, are
+// Get's. A miss also resolves as in Get — the persistent tier, then the
+// evaluator, with write-back — and counts a miss (and a disk hit when the
+// store answers) and reports true, but keeps nothing in memory: the point
+// is never read again, so its slot would only cost an insert, a rehash
+// and garbage-collector work. Len still counts it.
+//
+// The caller's promise is what keeps every counter equal to Get's: a
+// later Get of the same point evaluates it again (a second miss), and a
+// concurrent request for it would run a second evaluation instead of
+// waiting. A failed evaluation is returned, not memoized.
+func (c *Cache[K, M, V]) GetLast(s K) (V, bool, error) {
+	mk, err := s.MemKey()
+	if err != nil {
+		var zero V
+		return zero, false, err
+	}
+	sh := c.shardFor(mk)
+	sh.mu.Lock()
+	if e, ok := sh.m[mk]; ok {
+		return c.hit(sh, mk, e)
+	}
+	sh.mu.Unlock()
+
+	c.misses.Add(1)
+	c.lastMisses.Add(1)
+	val, err := c.resolve(s)
+	return val, true, err
+}
+
+// hit serves a key found in its shard, whose lock the caller holds: at
+// once when the slot is complete, else after waiting for the requester
+// evaluating it. It releases the lock.
+func (c *Cache[K, M, V]) hit(sh *shard[M, V], mk M, e slot[V]) (V, bool, error) {
+	if e.state == pending {
+		if sh.side == nil {
+			sh.side = make(map[M]side)
+		}
+		sd := sh.side[mk]
+		if sd.wait == nil {
+			sd.wait = make(chan struct{})
+			sh.side[mk] = sd
+		}
+		sh.mu.Unlock()
+		<-sd.wait
+		sh.mu.Lock()
+		e = sh.m[mk]
+	}
+	var err error
+	if e.state == failed {
+		err = sh.side[mk].err
+	}
+	sh.mu.Unlock()
+	c.hits.Add(1)
+	return e.val, false, err
+}
+
+// complete records the outcome of key mk's evaluation in its slot, in one
+// map write when no requester waited and the evaluation succeeded, and
+// wakes the waiters.
+func (sh *shard[M, V]) complete(mk M, val V, err error) {
+	var wait chan struct{}
+	sh.mu.Lock()
+	if err == nil {
+		sh.m[mk] = slot[V]{val: val, state: done}
+		if sh.side != nil {
+			wait = sh.side[mk].wait
+			delete(sh.side, mk)
+		}
+	} else {
+		sh.m[mk] = slot[V]{val: val, state: failed}
+		if sh.side == nil {
+			sh.side = make(map[M]side)
+		}
+		wait = sh.side[mk].wait
+		sh.side[mk] = side{err: err}
+	}
+	sh.mu.Unlock()
+	if wait != nil {
+		close(wait)
+	}
+}
+
+// resolve computes a memory miss: the persistent tier first, then the
+// evaluator, writing a freshly executed value back. It panics if the
+// evaluator does.
+func (c *Cache[K, M, V]) resolve(s K) (V, error) {
 	var key string
 	if c.backend != nil {
 		key = c.namespace + s.Key()
 		if data, ok := c.backend.Get(key); ok {
 			if v, err := c.codec.Decode(data); err == nil {
 				c.diskHits.Add(1)
-				val = v
-				finished = true
-				return val, true, nil
+				return v, nil
 			}
 			// Undecodable record (stale payload schema, corruption the
 			// envelope check could not catch): recompute and overwrite.
 		}
 	}
-	val, evalErr = c.eval(s)
-	finished = true
-	if evalErr == nil && c.backend != nil {
+	val, err := c.eval(s)
+	if err == nil && c.backend != nil {
 		if data, err := c.codec.Encode(val); err == nil {
 			c.backend.Put(key, data)
 		}
 	}
-	return val, true, evalErr
+	return val, err
 }
 
-// Len returns the number of distinct keys evaluated (or in flight).
+// Len returns the number of distinct keys evaluated (or in flight): the
+// keys held in memory plus the GetLast misses, each a key requested once.
 func (c *Cache[K, M, V]) Len() int {
-	n := 0
+	n := int(c.lastMisses.Load())
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 		n += len(c.shards[i].m)
@@ -265,7 +369,7 @@ type Stats struct {
 	DiskHits int64
 }
 
-// Lookups returns the total number of Get calls observed.
+// Lookups returns the total number of Get and GetLast calls observed.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses }
 
 // Executions returns the number of lookups that ran the evaluator: memory

@@ -3,6 +3,7 @@ package evalcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,9 +44,10 @@ func TestConcurrentGetsCoalesce(t *testing.T) {
 	gate := make(chan struct{})
 	c := NewCache(0, func(s sched.Schedule) (string, error) {
 		evals.Add(1)
-		<-gate // hold every requester until all goroutines are queued
+		<-gate // hold the evaluating requester until another one waits
 		return s.Key(), nil
 	})
+	p := sched.Schedule{2, 2, 2}
 	const workers = 32
 	var wg sync.WaitGroup
 	executions := make([]bool, workers)
@@ -53,12 +55,30 @@ func TestConcurrentGetsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, executed, err := c.Get(sched.Schedule{2, 2, 2})
+			v, executed, err := c.Get(p)
 			if err != nil || v != "(2, 2, 2)" {
 				t.Errorf("worker %d: v=%q err=%v", i, v, err)
 			}
 			executions[i] = executed
 		}(i)
+	}
+	// Release the evaluation only once a requester has found the key
+	// pending and made its wait channel, so the waiter path always runs.
+	mk, err := p.MemKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shardFor(mk)
+	deadline := time.Now().Add(10 * time.Second)
+	for waiting := false; !waiting; {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("no requester ever waited on the pending key")
+		}
+		runtime.Gosched()
+		sh.mu.Lock()
+		waiting = sh.side[mk].wait != nil
+		sh.mu.Unlock()
 	}
 	close(gate)
 	wg.Wait()

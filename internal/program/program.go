@@ -187,18 +187,6 @@ func (p *Program) Trace(chooser PathChooser) []Access {
 	return out
 }
 
-// BranchCount returns the number of Branch nodes in the program.
-func (p *Program) BranchCount() int {
-	n := 0
-	walk(p.Root, func(nd Node) error {
-		if _, ok := nd.(Branch); ok {
-			n++
-		}
-		return nil
-	})
-	return n
-}
-
 // MaxFetches returns the total instruction fetches along the structurally
 // longest path (loops at their bounds, branches taking the arm with more
 // fetches). This is a cache-oblivious upper-bound skeleton used by tests.

@@ -4,6 +4,19 @@ import (
 	"testing"
 )
 
+// BranchCount returns the number of Branch nodes in the program; only
+// the tests count them.
+func (p *Program) BranchCount() int {
+	n := 0
+	walk(p.Root, func(nd Node) error {
+		if _, ok := nd.(Branch); ok {
+			n++
+		}
+		return nil
+	})
+	return n
+}
+
 func simpleProgram() *Program {
 	return &Program{
 		Name: "simple",

@@ -112,6 +112,10 @@ func JointHybrid(eval JointEvalFunc, pt sched.PartitionTimings, starts []sched.J
 // governor with workers capping this search's share of the executor; with
 // a bound it also cuts the subtrees the bound proves cannot win, and finds
 // the identical optimum. Results are identical for any worker count.
+//
+// Like ExhaustiveCached, the pass is its cache's last reader and looks its
+// points up with GetLast: the cache does not keep the points this pass
+// evaluates, so a later Get of one of them would evaluate it again.
 func JointExact(cache *JointCache, pt sched.PartitionTimings, bound Bounder, maxM, workers int) (*JointExhaustiveResult, error) {
-	return exact(cache.Get, pt, bound, maxM, workers, false)
+	return exact(cache.GetLast, pt, bound, maxM, workers, false)
 }

@@ -419,8 +419,13 @@ func Exhaustive(eval EvalFunc, apps []sched.AppTiming, maxM int) (*ExhaustiveRes
 // memoization cache over the process-wide concurrency governor; workers
 // caps this search's share of the executor. Results are identical to the
 // serial baseline for any worker count.
+//
+// The pass is its cache's last reader: it reads what earlier searches left
+// in the cache, but looks its points up with GetLast, so the cache does not
+// keep the points this pass evaluates. A later Get of one of them would
+// evaluate it again. Cache counters and Len are as if it kept them.
 func ExhaustiveCached(cache *Cache, apps []sched.AppTiming, maxM, workers int) (*ExhaustiveResult, error) {
-	get := func(j sched.JointSchedule) (Outcome, bool, error) { return cache.Get(j.M) }
+	get := func(j sched.JointSchedule) (Outcome, bool, error) { return cache.GetLast(j.M) }
 	r, err := exact(get, sched.PartitionTimings{Shared: apps}, nil, maxM, workers, false)
 	if err != nil {
 		return nil, err

@@ -161,21 +161,6 @@ func SteadyWayTimings(p *program.Program, plat Platform, name string, maxIdle fl
 	return out, nil
 }
 
-// TaskWCETsSeconds returns the per-task WCET sequence for a burst of m
-// consecutive tasks (Eq. 5): [Ewc(1), Ewc(2), ..., Ewc(m)] in seconds,
-// where every task after the first benefits from the guaranteed reduction.
-func (r *Result) TaskWCETsSeconds(plat Platform, m int) []float64 {
-	if m <= 0 {
-		return nil
-	}
-	out := make([]float64, m)
-	out[0] = plat.CyclesToSeconds(r.ColdCycles)
-	for j := 1; j < m; j++ {
-		out[j] = plat.CyclesToSeconds(r.WarmCycles)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Engine 1: must-analysis (guaranteed bounds).
 // ---------------------------------------------------------------------------
