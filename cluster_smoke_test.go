@@ -10,12 +10,16 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fabric"
 )
 
 func buildBinary(t *testing.T, ctx context.Context, dir, pkg string) string {
@@ -26,6 +30,44 @@ func buildBinary(t *testing.T, ctx context.Context, dir, pkg string) string {
 		t.Fatalf("go build ./%s: %v\n%s", pkg, err, out)
 	}
 	return bin
+}
+
+// awaitLeasedAndPublished polls the coordinator at url until a shard is
+// leased to worker and its store has taken at least one record write,
+// failing the test after timeout.
+func awaitLeasedAndPublished(t *testing.T, url, worker string, timeout time.Duration) {
+	t.Helper()
+	cl := fabric.NewClient(url, nil)
+	deadline := time.Now().Add(timeout)
+	for {
+		leased := false
+		if jobs, err := cl.Jobs(); err == nil {
+			for _, j := range jobs {
+				for _, sh := range j.Shards {
+					leased = leased || (sh.State == "leased" && sh.Worker == worker)
+				}
+			}
+		}
+		var stats struct {
+			Store struct {
+				Puts int64 `json:"puts"`
+			} `json:"store"`
+		}
+		if leased {
+			// A failed read leaves puts at 0: the next round asks again.
+			if resp, err := http.Get(url + "/statsz"); err == nil {
+				_ = json.NewDecoder(resp.Body).Decode(&stats)
+				resp.Body.Close()
+			}
+		}
+		if leased && stats.Store.Puts > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %v: shard leased to %s: %v, store puts: %d", timeout, worker, leased, stats.Store.Puts)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func TestClusterSmoke(t *testing.T) {
@@ -76,7 +118,10 @@ func TestClusterSmoke(t *testing.T) {
 	if err := doomed.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(1200 * time.Millisecond) // let it lease and start computing
+	// Kill it once it is inside a shard and has published work: a shard
+	// leased to it and records in the store (a worker publishes a
+	// scenario's records when the scenario ends).
+	awaitLeasedAndPublished(t, url, "doomed", time.Minute)
 	doomed.Process.Signal(os.Kill)
 	doomed.Wait()
 

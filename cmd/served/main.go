@@ -17,7 +17,8 @@
 //	POST /v1/sweep                    {"n": 10, "apps": 3, "seed": 1, ...}
 //	                                  (a fabric.JobSpec plus "workers", under the job caps)
 //	GET  /v1/table/{I|II|III|IV}      rendered paper tables (III/IV accept budget/maxm/tol)
-//	GET/PUT /v1/store/{key}           the persistent store over HTTP (requires -store)
+//	GET  /v1/store/{key}              one record of the persistent store (requires -store)
+//	PUT  /v1/store/                   a batch of up to 256 records, [{"key", "payload"}, ...] (requires -store)
 //	POST /v1/shards/...               distributed-sweep lease protocol (requires -store)
 //	GET/POST /v1/admin/scrub[?repair=1]  store fsck: classify (and quarantine) bad records
 //

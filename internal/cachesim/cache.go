@@ -127,9 +127,6 @@ func (g Geometry) Locate(addr uint32) (line uint32, set int, tag uint32) {
 	return line, g.Set(line), g.Tag(line)
 }
 
-// SizeBytes returns the cache capacity in bytes.
-func (c Config) SizeBytes() int { return c.Lines * c.LineSize }
-
 // LineIndex returns the memory line number containing addr.
 func (c Config) LineIndex(addr uint32) uint32 { return addr / uint32(c.LineSize) }
 
@@ -214,12 +211,8 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns the accumulated statistics since construction or the last
-// ResetStats.
+// Stats returns the accumulated statistics since construction.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates all cache contents (cold cache) and keeps statistics.
 func (c *Cache) Flush() {
@@ -353,18 +346,4 @@ func (c *Cache) victim(set int) int {
 		}
 		return v
 	}
-}
-
-// Snapshot returns the set of cached memory-line indices, for test
-// assertions and analysis cross-checks.
-func (c *Cache) Snapshot() map[uint32]bool {
-	out := make(map[uint32]bool)
-	for set, ws := range c.sets {
-		for _, w := range ws {
-			if w.valid {
-				out[w.tag*c.geom.NumSets+uint32(set)] = true
-			}
-		}
-	}
-	return out
 }

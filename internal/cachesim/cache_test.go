@@ -6,6 +6,25 @@ import (
 	"testing/quick"
 )
 
+// SizeBytes returns the cache capacity in bytes.
+func (c Config) SizeBytes() int { return c.Lines * c.LineSize }
+
+// ResetStats zeroes the statistics without touching cache contents.
+func (c *Cache) ResetStats() { c.stats = Stats{} }
+
+// Snapshot returns the set of cached memory-line indices.
+func (c *Cache) Snapshot() map[uint32]bool {
+	out := make(map[uint32]bool)
+	for set, ws := range c.sets {
+		for _, w := range ws {
+			if w.valid {
+				out[w.tag*c.geom.NumSets+uint32(set)] = true
+			}
+		}
+	}
+	return out
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := PaperConfig().Validate(); err != nil {
 		t.Fatalf("paper config invalid: %v", err)

@@ -159,12 +159,6 @@ func (c *HierCache) Clone() *HierCache {
 // by either level, Misses those that went to memory.
 func (c *HierCache) Stats() Stats { return c.stats }
 
-// ContainsL1 reports whether addr's line currently sits in the first level.
-func (c *HierCache) ContainsL1(addr uint32) bool { return c.l1.Contains(addr) }
-
-// ContainsL2 reports whether addr's line currently sits in the second level.
-func (c *HierCache) ContainsL2(addr uint32) bool { return c.l2.Contains(addr) }
-
 // Access simulates one instruction fetch: level is 1 for an L1 hit, 2 for
 // an L2 hit, and 3 for a memory access, with the corresponding cycle cost.
 func (c *HierCache) Access(addr uint32) (level, cycles int) {

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// ContainsL1 reports whether addr's line currently sits in the first level.
+func (c *HierCache) ContainsL1(addr uint32) bool { return c.l1.Contains(addr) }
+
+// ContainsL2 reports whether addr's line currently sits in the second level.
+func (c *HierCache) ContainsL2(addr uint32) bool { return c.l2.Contains(addr) }
+
 func testL1() Config {
 	return Config{Lines: 8, LineSize: 16, Ways: 2, Policy: LRU, HitCycles: 1, MissCycles: 100}
 }

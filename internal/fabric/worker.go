@@ -16,13 +16,23 @@ import (
 
 // Worker is one cluster compute process: it leases shards from a
 // coordinator, runs each leased scenario range through the sweep engine
-// with the coordinator's store mounted as its persistent tier (every
-// outcome and checkpoint published over HTTP), heartbeats while working,
-// and marks shards complete. cmd/served's -worker mode wraps exactly this.
+// with the coordinator's store mounted as its persistent tier, heartbeats
+// while working, and marks shards complete. cmd/served's -worker mode wraps
+// exactly this.
+//
+// Store writes are published per scenario: a scenario runs against a
+// fresh httpstore.Batch (reads see its own buffered writes), and its
+// outcome records and checkpoint — last — go out in one batch request when
+// the scenario ends, also when it fails or panics. A scenario that writes
+// more than one request's worth (the Batch's record cap, 256) publishes
+// each full buffer as it fills, so memory and each request's server time
+// stay bounded however large the scenario.
 //
 // A worker holds no durable state: killing it mid-shard loses nothing but
-// the lease TTL — finished scenarios are already checkpointed in the shared
-// store, and whichever worker steals the expired lease resumes past them.
+// the lease TTL and the scenario in flight, its unpublished point records
+// included (they wait in the buffer until it fills or the scenario ends) —
+// finished scenarios are already checkpointed in the shared store, and
+// whichever worker steals the expired lease resumes past them.
 //
 // Failure posture: lease calls and store traffic retry transient failures
 // with backoff (the protocol client's envelope), idle polls are spread by
@@ -207,7 +217,9 @@ func (e *panicError) Error() string {
 
 // runScenario executes one scenario with panic isolation: a deterministic
 // panic in the simulation kernels takes down the shard attempt, never the
-// worker process.
+// worker process. The scenario's store writes are buffered and the rest
+// flushed before it returns, whatever the outcome; engine.RunWith saves
+// the checkpoint last, so it lands after the records it summarizes.
 func (w *Worker) runScenario(scenario engine.Scenario, backend *httpstore.Client, index int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -218,7 +230,9 @@ func (w *Worker) runScenario(scenario engine.Scenario, backend *httpstore.Client
 	if run == nil {
 		run = engine.RunWith
 	}
-	if _, err := run(scenario, engine.RunConfig{Store: backend, Resume: true}); err != nil {
+	batch := backend.Batch()
+	defer batch.Flush()
+	if _, err := run(scenario, engine.RunConfig{Store: batch, Resume: true}); err != nil {
 		return fmt.Errorf("scenario %d: %w", index, err)
 	}
 	return nil
@@ -273,6 +287,11 @@ func (w *Worker) runShard(ctx context.Context, cl *Client, backend *httpstore.Cl
 
 	ran := 0
 	for i := lo; i < hi; i++ {
+		if i > lo {
+			// Throttle between scenarios only: a pause after the last one
+			// would hold a finished shard's lease and delay its Complete.
+			resilience.Sleep(shardCtx, w.Throttle)
+		}
 		if shardCtx.Err() != nil {
 			select {
 			case <-lost:
@@ -285,7 +304,6 @@ func (w *Worker) runShard(ctx context.Context, cl *Client, backend *httpstore.Cl
 			return ran, err
 		}
 		ran++
-		resilience.Sleep(shardCtx, w.Throttle)
 	}
 	return ran, nil
 }

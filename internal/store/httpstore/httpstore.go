@@ -1,10 +1,19 @@
 // Package httpstore is the remote arm of the pluggable store backend
-// (store.Backend): a client that speaks a coordinator's /v1/store/{key}
+// (store.Backend): a client that speaks a coordinator's /v1/store/
 // endpoints, and the matching HTTP handler the coordinator mounts in front
 // of its local disk store. Together they let a sweep worker's persistent
 // tier live on another machine — every evaluation outcome and scenario
 // checkpoint a worker writes lands in the coordinator's content-addressed
 // store, and warm records answer over the wire instead of recomputing.
+//
+// There is one read route and one write route. GET /v1/store/{key} reads
+// one record. PUT /v1/store/ writes a batch: an ordered JSON array of
+// {"key", "payload"} records. Client.Put is a batch of one; a Batch buffers
+// a unit of work's writes and publishes them in as few requests as the
+// per-request record cap allows (one for a typical worker scenario). The
+// empty key is never a record key, so the two routes cannot collide. A
+// client from before batching, which PUTs each record to its own key, gets
+// 405 on every write: coordinator and workers are upgraded together.
 //
 // The client preserves the store contract exactly:
 //
@@ -12,35 +21,41 @@
 //     coordinator without a store (503), or a record the coordinator's disk
 //     store rejected as corrupt (404 — corruption is detected server-side
 //     by the versioned key-carrying envelope) all read as a miss.
-//   - Writes are best-effort and atomic: the payload travels whole in one
-//     PUT body, and the coordinator's disk store does its usual temp+rename
-//     write, so racing workers — which, evaluations being deterministic,
-//     carry identical payloads — can only race complete records.
+//   - Writes are best-effort and atomic per record. The server validates a
+//     batch whole — body and record-count caps, non-empty keys and
+//     payloads, per-payload cap — before writing anything, then stores its
+//     records in body order, each by the disk store's usual temp+rename
+//     write. Racing workers, which (evaluations being deterministic) carry
+//     identical payloads, can only race complete records.
 //
 // On top of that contract sits the resilience layer (internal/resilience):
-// every Get/Put runs under a per-operation deadline (no client-wide 30s
-// timeout — a hung coordinator costs one OpTimeout per attempt, bounded by
-// the retry budget), transient failures (transport errors, 5xx, 429) are
-// retried on a seeded-jitter backoff schedule, and a circuit breaker turns
-// sustained failure into immediate misses: with the breaker open, a Get
-// against a dead coordinator returns in microseconds instead of stalling
-// the sweep's hot path, and a half-open probe re-admits traffic once the
-// coordinator recovers. A definitive 404 is a healthy answer — it is never
-// retried and never trips the breaker.
+// every Get and every batch PUT runs under a per-operation deadline (no
+// client-wide 30s timeout — a hung coordinator costs one OpTimeout per
+// attempt, bounded by the retry budget), transient failures (transport
+// errors, 5xx, 429) are retried on a seeded-jitter backoff schedule — a
+// retried batch is idempotent — and a circuit breaker turns sustained
+// failure into immediate misses: with the breaker open, a Get against a
+// dead coordinator returns in microseconds instead of stalling the sweep's
+// hot path, and a half-open probe re-admits traffic once the coordinator
+// recovers. A definitive 404 is a healthy answer — it is never retried and
+// never trips the breaker.
 //
-// Keys travel in the URL path, percent-escaped per segment so the literal
-// '/' separators of the store's namespaces survive routing while every
-// other byte (spaces, parens, '%') round-trips exactly.
+// Read keys travel in the URL path, percent-escaped per segment so the
+// literal '/' separators of the store's namespaces survive routing while
+// every other byte (spaces, parens, '%') round-trips exactly.
 package httpstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/resilience"
 	"repro/internal/store"
@@ -50,10 +65,34 @@ import (
 // prepends it.
 const pathPrefix = "/v1/store/"
 
-// maxPayload bounds one record body on the server side. Records are small
+// maxPayload bounds one record's payload at both ends. Records are small
 // JSON envelopes (checkpoints, outcomes, rendered tables); anything near
 // this limit is a broken or hostile client.
 const maxPayload = 8 << 20
+
+// Batch limits. The server handles a batch by writing its records one at a
+// time, each a temp-file create, write and rename (plus an fsync with
+// -store-sync): measured at 0.1-1.4 ms a record on a 2-vCPU box with a
+// shared disk, so a request's server time grows with its record count and
+// must stay well inside the client's per-attempt deadline
+// (resilience.DefaultOpTimeout, 5 s) or every attempt times out.
+//
+//   - maxBatchRecords caps the records in one request, at both ends: 256
+//     records cost the server at most ~0.4 s at the slowest rate measured.
+//     A worker's scenario writes ~50 (persist-sweep) to a few hundred
+//     records at default sizes, so it still goes out in one request; an
+//     exhaustive scenario at the job caps writes up to ~270,000, which a
+//     Batch publishes 256 at a time instead of buffering.
+//   - flushBytes is where the client starts a new request by size; 256
+//     typical records are ~36 KB of body, so it binds only for unusually
+//     large records. A single record larger than flushBytes travels alone.
+//   - maxBatchBytes bounds one batch body on the server side: room for a
+//     record at maxPayload plus its framing.
+const (
+	maxBatchRecords = 256
+	flushBytes      = 1 << 20
+	maxBatchBytes   = 16 << 20
+)
 
 // errBadPayload marks a response that arrived with an unusable body (empty
 // or over maxPayload) — response-level corruption, counted in
@@ -146,20 +185,171 @@ func (c *Client) Get(key string) ([]byte, bool) {
 	return data, true
 }
 
-// Put uploads payload under key, best-effort: every failure — after the
-// retry budget, or immediately with the breaker open — is counted in
-// Stats.PutErrors and swallowed, exactly like a disk-store write error.
+// Put uploads payload under key, best-effort: a batch of one (see
+// putBatch). Every failure is counted in Stats.PutErrors and swallowed,
+// exactly like a disk-store write error.
 func (c *Client) Put(key string, payload []byte) {
-	c.puts.Add(1)
-	err := c.Do(http.MethodPut, pathPrefix+escapeKey(key), payload, func(resp *http.Response) error {
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			return resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After"))
-		}
-		return nil
-	})
-	if err != nil {
-		c.putErrors.Add(1)
+	c.putBatch([]record{{key, payload}})
+}
+
+// record is one {key, payload} element of a batch body. The payload
+// travels as raw JSON (store payloads are JSON documents), so its bytes
+// reach the server's backend exactly as the caller wrote them.
+type record struct {
+	Key     string          `json:"key"`
+	Payload json.RawMessage `json:"payload"`
+}
+
+// checkRecord is the per-record guard both ends apply: a non-empty key and
+// a non-empty payload of at most limit bytes.
+func checkRecord(key string, payload []byte, limit int) error {
+	switch {
+	case key == "":
+		return errors.New("empty key")
+	case len(payload) == 0:
+		return errors.New("empty payload")
+	case len(payload) > limit:
+		return fmt.Errorf("payload of %d bytes over the %d-byte limit", len(payload), limit)
 	}
+	return nil
+}
+
+// putBatch publishes recs in order, in one batch PUT per maxBatchRecords
+// records or flushBytes of body, each under the client's retry/breaker
+// envelope. A retried batch is idempotent: payloads are deterministic and
+// the server lands each record whole. Stats.Puts counts records; a record
+// the server could never accept (see checkRecord; also an invalid-UTF-8
+// key or a non-JSON payload, which the JSON body cannot carry) is a put
+// error without traffic, and a batch that fails counts every record it
+// carried.
+func (c *Client) putBatch(recs []record) {
+	c.puts.Add(int64(len(recs)))
+	body := make([]byte, 0, 256)
+	n := 0
+	send := func() {
+		if n == 0 {
+			return
+		}
+		body = append(body, ']')
+		err := c.Do(http.MethodPut, pathPrefix, body, func(resp *http.Response) error {
+			if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+				return resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			return nil
+		})
+		if err != nil {
+			c.putErrors.Add(int64(n))
+		}
+		body, n = body[:0], 0
+	}
+	for _, r := range recs {
+		if checkRecord(r.Key, r.Payload, maxPayload) != nil || !utf8.ValidString(r.Key) || !json.Valid(r.Payload) {
+			c.putErrors.Add(1)
+			continue
+		}
+		k, _ := json.Marshal(r.Key) // a string always marshals
+		if n == maxBatchRecords || n > 0 && len(body)+len(k)+len(r.Payload)+framing > flushBytes {
+			send()
+		}
+		if n == 0 {
+			body = append(body, '[')
+		} else {
+			body = append(body, ',')
+		}
+		body = append(body, `{"key":`...)
+		body = append(body, k...)
+		body = append(body, `,"payload":`...)
+		body = append(body, r.Payload...)
+		body = append(body, '}')
+		n++
+	}
+	send()
+}
+
+// framing is the body bytes a record adds beyond its key and payload.
+const framing = len(`,{"key":,"payload":}]`)
+
+// Batch is a write buffer over a Client for one unit of work (a worker's
+// scenario): Put buffers the record, Get answers buffered keys first
+// (read-your-writes, so a scenario sees exactly the records it would see
+// unbuffered) and falls through to the client, and Flush publishes the
+// buffer. The buffer is bounded: the Put that fills it to maxBatchRecords
+// records or flushBytes of body publishes it before returning, so memory
+// and each request's server work stay bounded however many records the
+// unit writes. Requests leave in Put order. A Batch is an
+// evalcache.Backend and is safe for concurrent use.
+type Batch struct {
+	c       *Client
+	publish sync.Mutex // held across a Flush, so requests leave in Put order
+
+	mu   sync.Mutex
+	recs []record
+	size int // approximate body bytes of recs
+	seq  uint64
+	// last maps a key to its latest payload while that payload is buffered
+	// or being published, so Get never misses a record in flight.
+	last map[string]buffered
+}
+
+// buffered is a key's latest payload and the sequence number of its Put.
+type buffered struct {
+	payload []byte
+	seq     uint64
+}
+
+// Batch returns an empty write buffer over c.
+func (c *Client) Batch() *Batch {
+	return &Batch{c: c, last: make(map[string]buffered)}
+}
+
+// Get returns the latest buffered payload for key, else the client's.
+func (b *Batch) Get(key string) ([]byte, bool) {
+	b.mu.Lock()
+	e, ok := b.last[key]
+	b.mu.Unlock()
+	if ok {
+		return e.payload, true
+	}
+	return b.c.Get(key)
+}
+
+// Put buffers payload under key, and publishes the buffer once it holds
+// maxBatchRecords records or flushBytes of body. The caller must not
+// modify payload afterwards.
+func (b *Batch) Put(key string, payload []byte) {
+	b.mu.Lock()
+	b.seq++
+	b.last[key] = buffered{payload, b.seq}
+	b.recs = append(b.recs, record{key, payload})
+	b.size += len(key) + len(payload) + framing
+	full := len(b.recs) >= maxBatchRecords || b.size >= flushBytes
+	b.mu.Unlock()
+	if full {
+		b.Flush()
+	}
+}
+
+// Flush publishes the buffered records in Put order and empties the
+// buffer. Like Put, it is best-effort: failures land in the client's
+// Stats.PutErrors.
+func (b *Batch) Flush() {
+	b.publish.Lock()
+	defer b.publish.Unlock()
+	b.mu.Lock()
+	recs, upto := b.recs, b.seq
+	b.recs, b.size = nil, 0
+	b.mu.Unlock()
+	if len(recs) == 0 {
+		return
+	}
+	b.c.putBatch(recs)
+	b.mu.Lock()
+	for _, r := range recs {
+		if e, ok := b.last[r.Key]; ok && e.seq <= upto {
+			delete(b.last, r.Key)
+		}
+	}
+	b.mu.Unlock()
 }
 
 // isResponseFailure distinguishes "the endpoint answered but misbehaved"
@@ -195,13 +385,27 @@ func (c *Client) Resilience() ResilienceStats {
 	}
 }
 
-// Handler serves a backend over the /v1/store/{key...} routes the Client
-// speaks: GET answers 200 with the raw payload or 404 for any miss
+// Handler serves a backend over the /v1/store/ routes the Client speaks:
+// GET /v1/store/{key} answers 200 with the raw payload or 404 for any miss
 // (including server-side corruption — the disk store already refuses to
-// serve bad records), PUT stores the body and answers 204. A nil backend
+// serve bad records); PUT /v1/store/ takes a batch body — a JSON array of
+// {"key", "payload"} records — and answers 204 once every record is
+// stored, or 400, having stored nothing, for a body that is not a
+// non-empty batch of at most maxBatchRecords valid records within the
+// byte caps. A nil backend
 // (coordinator started without -store) answers 503 so workers degrade to
 // local recomputation instead of silently thinking records persisted.
 func Handler(be store.Backend) http.Handler {
+	return newHandler(be, caps{body: maxBatchBytes, payload: maxPayload, records: maxBatchRecords})
+}
+
+// caps are the server's batch limits: body bytes, bytes per payload and
+// records per batch.
+type caps struct{ body, payload, records int }
+
+// newHandler is Handler with explicit caps (tests shrink them to reach the
+// over-cap paths with small inputs).
+func newHandler(be store.Backend, lim caps) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+pathPrefix+"{key...}", func(w http.ResponseWriter, r *http.Request) {
 		if be == nil {
@@ -217,23 +421,47 @@ func Handler(be store.Backend) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	})
-	mux.HandleFunc("PUT "+pathPrefix+"{key...}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT "+pathPrefix+"{$}", func(w http.ResponseWriter, r *http.Request) {
 		if be == nil {
 			http.Error(w, "no store configured", http.StatusServiceUnavailable)
 			return
 		}
-		key := r.PathValue("key")
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPayload))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(lim.body)))
 		if err != nil {
-			http.Error(w, "payload too large or unreadable", http.StatusBadRequest)
+			http.Error(w, "batch too large or unreadable", http.StatusBadRequest)
 			return
 		}
-		if key == "" || len(data) == 0 {
-			http.Error(w, "empty key or payload", http.StatusBadRequest)
+		recs, err := decodeBatch(body, lim)
+		if err != nil {
+			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		be.Put(key, data)
+		for _, rec := range recs {
+			be.Put(rec.Key, rec.Payload)
+		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 	return mux
+}
+
+// decodeBatch parses and validates a whole batch body before any record
+// is written: the body must be one JSON array of one to lim.records
+// records, each passing checkRecord.
+func decodeBatch(body []byte, lim caps) ([]record, error) {
+	var recs []record
+	if err := json.Unmarshal(body, &recs); err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return nil, errors.New("no records")
+	}
+	if len(recs) > lim.records {
+		return nil, fmt.Errorf("%d records over the %d-record limit", len(recs), lim.records)
+	}
+	for i, rec := range recs {
+		if err := checkRecord(rec.Key, rec.Payload, lim.payload); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return recs, nil
 }

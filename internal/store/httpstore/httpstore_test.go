@@ -182,7 +182,11 @@ func TestNoStoreConfigured(t *testing.T) {
 	}
 }
 
-// TestHandlerRejectsBadWrites pins the server-side input guards.
+// TestHandlerRejectsBadWrites pins the write guards end to end: a record
+// the handler would refuse (here an empty payload) is refused by the
+// client without traffic, counted as a put error, and never reaches the
+// disk store. TestMalformedBatchLeavesStoreUntouched drives the handler's
+// own checks.
 func TestHandlerRejectsBadWrites(t *testing.T) {
 	cl, st := testBackend(t)
 	cl.Put("empty-payload", nil)
