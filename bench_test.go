@@ -597,6 +597,20 @@ func BenchmarkWCETAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkSteadyWayTimings measures the per-way steady-state timing rows
+// of one case-study program on 8way-512: a single must-analysis walk
+// pricing all eight way counts (apps.WayTimings runs one per application).
+func BenchmarkSteadyWayTimings(b *testing.B) {
+	a := apps.CaseStudy()[0]
+	plat := exp.PartitionPlatforms()[3].Platform // 8way-512
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wcet.SteadyWayTimings(a.Program, plat, a.Name, a.MaxIdle); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSporadicEval measures the sporadic-arrival timing evaluator: one
 // evaluator (jitter drawn once) scoring the feasible box of a seeded 3-app
 // taskset, one schedule per op, as the co-design searches call it.

@@ -69,7 +69,7 @@ func TestProgramFootprints(t *testing.T) {
 	// C2's cycle budget mathematically cannot exceed it (see DESIGN.md).
 	byName := map[string]int{}
 	for _, a := range CaseStudy() {
-		byName[a.Name] = a.Program.CodeBytes(lineSize)
+		byName[a.Name] = len(a.Program.Lines()) * lineSize
 	}
 	if byName["C1"] <= 2048 {
 		t.Errorf("C1 footprint %d B should exceed the 2 KB cache", byName["C1"])

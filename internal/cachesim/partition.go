@@ -4,71 +4,15 @@
 // cannot evict each other — the isolation mechanism behind the joint
 // cache-partition + schedule co-design (Sun et al., PAPERS.md).
 //
-// Two views are provided and cross-checked against each other:
-//
-//  1. Config.Restrict(ways): the private-cache view of one partition — the
-//     same set count with associativity reduced to the owned way count —
-//     which the WCET must-analysis runs on (internal/wcet), and
-//  2. PartitionedCache: a concrete simulation of the shared structure with
-//     per-way-mask replacement, which partition_test.go proves equivalent
-//     to independent Restrict caches access for access.
+// Config.Restrict(ways) is the private-cache view of one partition: the
+// same set count with associativity reduced to the owned way count. The
+// tests' concrete simulation of the shared structure with per-way-mask
+// replacement (partition_test.go) proves it equivalent to independent
+// Restrict caches access for access; the WCET must-analysis prices every
+// such view of a cache in one walk (internal/wcet).
 package cachesim
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-// WayMask selects a subset of the ways of every set; bit i selects way i.
-type WayMask uint64
-
-// Count returns the number of ways the mask selects.
-func (m WayMask) Count() int { return bits.OnesCount64(uint64(m)) }
-
-// Partition assigns disjoint way masks of one shared cache to applications:
-// entry i is the way mask application i owns.
-type Partition []WayMask
-
-// ContiguousPartition builds the canonical partition giving application i
-// counts[i] consecutive ways, allocated left to right. Counts must be
-// positive and sum to at most cfg.Ways.
-func ContiguousPartition(cfg Config, counts []int) (Partition, error) {
-	p := make(Partition, len(counts))
-	next := 0
-	for i, w := range counts {
-		if w < 1 {
-			return nil, fmt.Errorf("cachesim: partition way count %d for app %d must be at least 1", w, i)
-		}
-		p[i] = ((WayMask(1) << w) - 1) << next
-		next += w
-	}
-	if next > cfg.Ways {
-		return nil, fmt.Errorf("cachesim: partition uses %d ways, cache has %d", next, cfg.Ways)
-	}
-	return p, nil
-}
-
-// Validate checks the partition against the cache configuration: every mask
-// must be non-empty, lie within the cache's ways, and be pairwise disjoint.
-func (p Partition) Validate(cfg Config) error {
-	if len(p) == 0 {
-		return fmt.Errorf("cachesim: empty partition")
-	}
-	all := WayMask(1)<<cfg.Ways - 1
-	var used WayMask
-	for i, m := range p {
-		switch {
-		case m == 0:
-			return fmt.Errorf("cachesim: partition app %d owns no ways", i)
-		case m&^all != 0:
-			return fmt.Errorf("cachesim: partition app %d mask %#x exceeds %d ways", i, uint64(m), cfg.Ways)
-		case m&used != 0:
-			return fmt.Errorf("cachesim: partition app %d mask %#x overlaps an earlier app", i, uint64(m))
-		}
-		used |= m
-	}
-	return nil
-}
+import "fmt"
 
 // Restrict returns the private-cache view of an application owning `ways`
 // dedicated ways of this cache: the set count (and hence the address
@@ -85,103 +29,4 @@ func (c Config) Restrict(ways int) (Config, error) {
 		return Config{}, err
 	}
 	return r, nil
-}
-
-// PartitionedCache simulates a shared set-associative cache whose ways are
-// statically partitioned between applications: an access by application i
-// may hit any of its own ways but fills and evicts only within its mask, so
-// inter-application eviction is impossible by construction.
-//
-// Replacement within a mask is LRU or FIFO over the owned ways (PLRU's tree
-// does not decompose over arbitrary way subsets and is rejected).
-type PartitionedCache struct {
-	cfg   Config
-	part  Partition
-	geom  Geometry
-	sets  [][]way
-	clock int64
-	stats []Stats // per application
-}
-
-// NewPartitioned constructs an empty partitioned cache.
-func NewPartitioned(cfg Config, part Partition) (*PartitionedCache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Policy == PLRU {
-		return nil, fmt.Errorf("cachesim: PLRU does not support way partitioning (tree bits span the whole set); use LRU or FIFO")
-	}
-	if err := part.Validate(cfg); err != nil {
-		return nil, err
-	}
-	c := &PartitionedCache{
-		cfg:   cfg,
-		part:  append(Partition(nil), part...),
-		geom:  cfg.Geometry(),
-		sets:  make([][]way, cfg.Sets()),
-		stats: make([]Stats, len(part)),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
-	}
-	return c, nil
-}
-
-// Config returns the shared cache configuration.
-func (c *PartitionedCache) Config() Config { return c.cfg }
-
-// Partition returns the way assignment.
-func (c *PartitionedCache) Partition() Partition { return append(Partition(nil), c.part...) }
-
-// Stats returns the accumulated statistics of one application.
-func (c *PartitionedCache) Stats(app int) Stats { return c.stats[app] }
-
-// Access simulates one instruction fetch from addr by application app,
-// updating contents, replacement state, and that application's statistics.
-// It returns true on a hit and the cycle cost of the access.
-func (c *PartitionedCache) Access(app int, addr uint32) (hit bool, cycles int) {
-	mask := c.part[app]
-	_, set, tag := c.geom.Locate(addr)
-	c.clock++
-	ws := c.sets[set]
-	for i := range ws {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		if ws[i].valid && ws[i].tag == tag {
-			if c.cfg.Policy == LRU {
-				ws[i].order = c.clock
-			}
-			c.stats[app].Accesses++
-			c.stats[app].Hits++
-			c.stats[app].Cycles += int64(c.cfg.HitCycles)
-			return true, c.cfg.HitCycles
-		}
-	}
-	// Miss: fill into the victim way of the application's own mask.
-	v := c.victim(set, mask)
-	ws[v] = way{valid: true, tag: tag, order: c.clock}
-	c.stats[app].Accesses++
-	c.stats[app].Misses++
-	c.stats[app].Cycles += int64(c.cfg.MissCycles)
-	return false, c.cfg.MissCycles
-}
-
-// victim selects the way to evict within mask (an invalid owned way first,
-// else the owned way with the smallest order stamp — LRU and FIFO alike).
-func (c *PartitionedCache) victim(set int, mask WayMask) int {
-	ws := c.sets[set]
-	v, min := -1, int64(0)
-	for i := range ws {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		if !ws[i].valid {
-			return i
-		}
-		if v < 0 || ws[i].order < min {
-			v, min = i, ws[i].order
-		}
-	}
-	return v
 }

@@ -91,24 +91,14 @@ func TestAcquireFIFOFairness(t *testing.T) {
 	}()
 	<-bigQueued
 	// Give the big waiter time to enqueue before the small one arrives.
-	for {
-		if e.Stats().QueueDepth == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the big waiter to queue", func() bool { return e.Stats().QueueDepth == 1 })
 	go func() {
 		defer wg.Done()
 		e.Acquire(1)
 		record("small")
 		e.Release(1)
 	}()
-	for {
-		if e.Stats().QueueDepth == 2 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "both waiters to queue", func() bool { return e.Stats().QueueDepth == 2 })
 
 	// Release one token: enough for "small" but FIFO demands "big" waits
 	// first, so nothing may be granted yet. Release decides grants
@@ -121,15 +111,11 @@ func TestAcquireFIFOFairness(t *testing.T) {
 	// Free exactly enough for "big" (3 of 4 tokens available): only the
 	// head of the queue may be granted, and "small" must still wait.
 	e.Release(2)
-	for {
+	waitUntil(t, "the first grant", func() bool {
 		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n >= 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(order) >= 1
+	})
 	mu.Lock()
 	first := order[0]
 	mu.Unlock()
@@ -222,9 +208,7 @@ func TestStatsCounters(t *testing.T) {
 		e.Acquire(1)
 		close(released)
 	}()
-	for e.Stats().QueueDepth != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the waiter to queue", func() bool { return e.Stats().QueueDepth == 1 })
 	e.Release(2)
 	<-released
 	e.Release(1)
@@ -268,5 +252,18 @@ func TestExecutorStress(t *testing.T) {
 	}
 	if sum.Load() == 0 {
 		t.Fatal("no work executed")
+	}
+}
+
+// waitUntil polls cond, yielding the processor between polls instead of
+// sleeping, and fails the test if cond does not hold within 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
 	}
 }

@@ -131,12 +131,6 @@ func (p *Program) Lines() []uint32 {
 	return out
 }
 
-// CodeBytes returns the program footprint in bytes: distinct lines times
-// the line size.
-func (p *Program) CodeBytes(lineSize int) int {
-	return len(p.Lines()) * lineSize
-}
-
 // Access is one element of an instruction-fetch trace: Fetches consecutive
 // fetches inside the line at Addr.
 type Access struct {

@@ -70,12 +70,6 @@ func TestLines(t *testing.T) {
 	}
 }
 
-func TestCodeBytes(t *testing.T) {
-	if got := simpleProgram().CodeBytes(16); got != 6*16 {
-		t.Errorf("CodeBytes = %d, want 96", got)
-	}
-}
-
 func TestTraceThenChooser(t *testing.T) {
 	tr := simpleProgram().Trace(nil)
 	// 1 + 3*2 + 1 (then) + 1 = 9 accesses

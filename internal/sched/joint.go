@@ -11,7 +11,7 @@
 //   - partitioned (W non-empty): application i owns w_i dedicated ways, no
 //     inter-application eviction is possible, and in periodic steady state
 //     every task — including the first of each burst — runs at the warm
-//     bound of the reduced-associativity analysis (wcet.AnalyzePartitioned),
+//     bound of the reduced-associativity analysis (wcet.SteadyWayTimings),
 //     so its AppTiming has ColdWCET == WarmWCET.
 //
 // The package stays platform-agnostic: PartitionTimings carries the

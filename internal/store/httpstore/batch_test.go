@@ -2,6 +2,7 @@ package httpstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -110,6 +111,37 @@ func TestBatchAppliesInBodyOrder(t *testing.T) {
 		if got, _ := be.Get(key); string(got) != want {
 			t.Fatalf("%s = %s, want %s", key, got, want)
 		}
+	}
+}
+
+// cancelOnPut is a memBackend whose first Put cancels the request being
+// served, as a client whose attempt times out mid-batch would.
+type cancelOnPut struct {
+	*memBackend
+	cancel context.CancelFunc
+}
+
+func (b cancelOnPut) Put(key string, payload []byte) {
+	b.memBackend.Put(key, payload)
+	b.cancel()
+}
+
+// TestBatchStopsWhenClientGone pins that the batch handler checks the
+// request's context before every record: once the client has gone, no
+// further record is written while it retries the same batch elsewhere.
+func TestBatchStopsWhenClientGone(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	be := cancelOnPut{newMemBackend(), cancel}
+	body := `[{"key":"g/a","payload":1},{"key":"g/b","payload":2},{"key":"g/c","payload":3}]`
+	req := httptest.NewRequest(http.MethodPut, pathPrefix, strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	Handler(be).ServeHTTP(rec, req)
+	if got := strings.Join(be.puts, " "); got != "g/a" {
+		t.Fatalf("Puts after the client went: %q, want only g/a", got)
+	}
+	if rec.Code == http.StatusNoContent {
+		t.Fatal("an abandoned batch answered 204")
 	}
 }
 

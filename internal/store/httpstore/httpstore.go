@@ -392,7 +392,8 @@ func (c *Client) Resilience() ResilienceStats {
 // {"key", "payload"} records — and answers 204 once every record is
 // stored, or 400, having stored nothing, for a body that is not a
 // non-empty batch of at most maxBatchRecords valid records within the
-// byte caps. A nil backend
+// byte caps. A batch stops between records once its request's context is
+// cancelled (the client has gone). A nil backend
 // (coordinator started without -store) answers 503 so workers degrade to
 // local recomputation instead of silently thinking records persisted.
 func Handler(be store.Backend) http.Handler {
@@ -437,6 +438,13 @@ func newHandler(be store.Backend, lim caps) http.Handler {
 			return
 		}
 		for _, rec := range recs {
+			if r.Context().Err() != nil {
+				// The client has gone (its attempt timed out or it hung
+				// up) and retries the whole batch: stop writing rather
+				// than race the retry with the rest of this copy.
+				http.Error(w, "client gone", http.StatusServiceUnavailable)
+				return
+			}
 			be.Put(rec.Key, rec.Payload)
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -2,7 +2,10 @@
 // on two-level hierarchies (cachesim.Hierarchy) alike, cross-checked
 // against the exact trace simulations (Simulate). A single-level platform
 // is the hierarchy with no L2; there is one CFG walker, one line-cost
-// function and one fixpoint driver.
+// function and one fixpoint driver. On a single-level platform the walk
+// prices a range of way counts at once (LRU inclusion, see the package
+// comment); with an L2 it prices the full L1 associativity only, since the
+// L2 state depends on which accesses the L1 guarantees.
 //
 // Classifying an access against the L2 requires knowing whether the L1 is
 // consulted at all, so with an L2 the analysis threads three abstract
@@ -50,9 +53,10 @@ type mayEntry struct {
 // with a lower bound on its LRU age. A line absent from its set is
 // guaranteed not cached. Unlike the must domain, a set can track more lines
 // than its associativity (several lines may share a lower bound after a
-// join), so sets are dynamically sized slices kept sorted by line. Like
-// mustState, a nil *mayState (no L2 to classify for) stays nil through
-// clone, equal and join.
+// join), so sets are dynamically sized slices kept sorted by line; a
+// pooled state keeps their capacity. Like mustState, a nil *mayState (no
+// L2 to classify for) stays nil through copyFrom, reset, equal and
+// joinInto.
 type mayState struct {
 	ways int32
 	geom cachesim.Geometry
@@ -67,17 +71,24 @@ func newMayState(cfg cachesim.Config) *mayState {
 	}
 }
 
-func (s *mayState) clone() *mayState {
+// copyFrom overwrites s with src, a state of the same geometry.
+func (s *mayState) copyFrom(src *mayState) {
 	if s == nil {
-		return nil
+		return
 	}
-	n := &mayState{ways: s.ways, geom: s.geom, sets: make([][]mayEntry, len(s.sets))}
-	for i, set := range s.sets {
-		if len(set) > 0 {
-			n.sets[i] = append([]mayEntry(nil), set...)
-		}
+	for i, set := range src.sets {
+		s.sets[i] = append(s.sets[i][:0], set...)
 	}
-	return n
+}
+
+// reset empties s: every line is guaranteed not cached.
+func (s *mayState) reset() {
+	if s == nil {
+		return
+	}
+	for i := range s.sets {
+		s.sets[i] = s.sets[i][:0]
+	}
 }
 
 func (s *mayState) equal(o *mayState) bool {
@@ -97,25 +108,15 @@ func (s *mayState) equal(o *mayState) bool {
 	return true
 }
 
-// maybe reports whether the line containing addr may be cached; false means
-// a guaranteed miss.
-func (s *mayState) maybe(addr uint32) bool {
-	line := s.geom.Line(addr)
-	for _, e := range s.sets[s.geom.Set(line)] {
-		if e.line == line {
-			return true
-		}
-	}
-	return false
-}
-
-// access applies the may-domain LRU update: the accessed line moves to age
-// 0, and every line whose lower bound does not exceed the accessed line's
-// old lower bound ages by one (in every concretization attaining its lower
-// bound such a line is younger than — or tied below — the accessed line, so
-// it ages; lines bounded strictly older may stay put). Lines aged to the
-// associativity limit may have been evicted and leave the state.
-func (s *mayState) access(addr uint32) {
+// access applies the may-domain LRU update and reports whether the line
+// containing addr was possibly cached before it (false: a guaranteed
+// miss). The accessed line moves to age 0, and every line whose lower
+// bound does not exceed the accessed line's old lower bound ages by one
+// (in every concretization attaining its lower bound such a line is
+// younger than — or tied below — the accessed line, so it ages; lines
+// bounded strictly older may stay put). Lines aged to the associativity
+// limit may have been evicted and leave the state.
+func (s *mayState) access(addr uint32) bool {
 	line := s.geom.Line(addr)
 	set := s.geom.Set(line)
 	entries := s.sets[set]
@@ -151,22 +152,23 @@ func (s *mayState) access(addr uint32) {
 	}
 	entries[ins] = mayEntry{line: line, age: 0}
 	s.sets[set] = entries
+	return oldAge < s.ways
 }
 
-// mayJoin unions two may states (classic may-join: keep every line possibly
-// cached in either, with the smaller age bound). Both runs are sorted by
-// line, so the union is a single merge pass per set.
-func mayJoin(a, b *mayState) *mayState {
-	if a == nil {
-		return nil
+// joinInto unions o into s in place (classic may-join: keep every line
+// possibly cached in either, with the smaller age bound). Both runs are
+// sorted by line, so the union is a single merge pass per set through the
+// reusable buffer *buf.
+func (s *mayState) joinInto(o *mayState, buf *[]mayEntry) {
+	if s == nil {
+		return
 	}
-	out := &mayState{ways: a.ways, geom: a.geom, sets: make([][]mayEntry, len(a.sets))}
-	for set := range a.sets {
-		sa, sb := a.sets[set], b.sets[set]
-		if len(sa) == 0 && len(sb) == 0 {
+	for set, sb := range o.sets {
+		if len(sb) == 0 {
 			continue
 		}
-		merged := make([]mayEntry, 0, len(sa)+len(sb))
+		sa := s.sets[set]
+		merged := (*buf)[:0]
 		i, j := 0, 0
 		for i < len(sa) && j < len(sb) {
 			switch {
@@ -177,20 +179,16 @@ func mayJoin(a, b *mayState) *mayState {
 				merged = append(merged, sb[j])
 				j++
 			default:
-				age := sa[i].age
-				if sb[j].age < age {
-					age = sb[j].age
-				}
-				merged = append(merged, mayEntry{line: sa[i].line, age: age})
+				merged = append(merged, mayEntry{line: sa[i].line, age: min(sa[i].age, sb[j].age)})
 				i++
 				j++
 			}
 		}
 		merged = append(merged, sa[i:]...)
 		merged = append(merged, sb[j:]...)
-		out.sets[set] = merged
+		s.sets[set] = append(sa[:0], merged...)
+		*buf = merged
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +197,8 @@ func mayJoin(a, b *mayState) *mayState {
 
 // hierState bundles the abstract states of the analysis. Without an L2
 // only l1Must is set; l2Must is also nil for exclusive hierarchies (no
-// guaranteed L2 hits). It is a value of three pointers, so clone and join
-// allocate only the component states.
+// guaranteed L2 hits). It is a value of three pointers, and the walker
+// recycles the component states through its free list.
 type hierState struct {
 	l1Must *mustState
 	l1May  *mayState
@@ -218,20 +216,38 @@ func newHierState(cfg cachesim.Config, h cachesim.Hierarchy) hierState {
 	return st
 }
 
-func (s hierState) clone() hierState {
-	return hierState{l1Must: s.l1Must.clone(), l1May: s.l1May.clone(), l2Must: s.l2Must.clone()}
+func (s hierState) copyFrom(src hierState) {
+	s.l1Must.copyFrom(src.l1Must)
+	s.l1May.copyFrom(src.l1May)
+	s.l2Must.copyFrom(src.l2Must)
+}
+
+func (s hierState) reset() {
+	s.l1Must.reset()
+	s.l1May.reset()
+	s.l2Must.reset()
 }
 
 func (s hierState) equal(o hierState) bool {
 	return s.l1Must.equal(o.l1Must) && s.l1May.equal(o.l1May) && s.l2Must.equal(o.l2Must)
 }
 
-func hierJoin(a, b hierState) hierState {
-	return hierState{
-		l1Must: join(a.l1Must, b.l1Must),
-		l1May:  mayJoin(a.l1May, b.l1May),
-		l2Must: join(a.l2Must, b.l2Must),
+// agreement is the L1 must states' agreement depth (mustState.agreement),
+// or 0 when the may or L2 states differ. Those exist only on hierarchies,
+// where the walk prices the full associativity alone, so there the depth
+// reaches it exactly when the states are equal.
+func (s hierState) agreement(o hierState) int32 {
+	if !s.l1May.equal(o.l1May) || !s.l2Must.equal(o.l2Must) {
+		return 0
 	}
+	return s.l1Must.agreement(o.l1Must)
+}
+
+// joinInto joins o into s in place, merging may sets through *buf.
+func (s hierState) joinInto(o hierState, buf *[]mayEntry) {
+	s.l1Must.joinInto(o.l1Must)
+	s.l1May.joinInto(o.l1May, buf)
+	s.l2Must.joinInto(o.l2Must)
 }
 
 // prices are the cycle costs of one fetch by the level that serves it,
@@ -242,92 +258,187 @@ func linePrices(cfg cachesim.Config, h cachesim.Hierarchy) prices {
 	return prices{hit: int64(cfg.HitCycles), l2Hit: int64(h.L2.HitCycles), miss: int64(cfg.MissCycles)}
 }
 
-// hierLineCost classifies one line access against the state, returns its
-// guaranteed cycle bound, and applies the abstract updates.
-func hierLineCost(v program.Line, st *hierState, pr prices) int64 {
-	// A guaranteed L1 hit never consults the L2. Anything else is bounded
-	// by a guaranteed L2 hit when one holds (an L1 hit would be cheaper
-	// yet) and by the memory latency otherwise.
-	rest := int64(v.Fetches-1) * pr.hit
-	c := pr.hit + rest
-	if !st.l1Must.guaranteed(v.Addr) {
-		c = pr.miss + rest
-		if st.l2Must != nil {
-			if st.l2Must.guaranteed(v.Addr) {
-				c = pr.l2Hit + rest
-			}
-			if st.l1May.maybe(v.Addr) {
-				// Uncertain L1 outcome: the L2 may or may not see the
-				// access, so its must state moves to the join of both
-				// possibilities.
-				touched := st.l2Must.clone()
-				touched.access(v.Addr)
-				st.l2Must = join(touched, st.l2Must)
-			} else {
-				// Guaranteed L1 miss: the L2 is definitely consulted, so
-				// its must state takes the full access transformer.
-				st.l2Must.access(v.Addr)
-			}
-		}
-	}
-	// Whatever happened below it, the L1 ends up holding the line: hits
-	// refresh it, misses fill it (both arrangements).
-	st.l1Must.access(v.Addr)
-	if st.l1May != nil {
-		st.l1May.access(v.Addr)
-	}
-	return c
+// walker is one must-analysis: it prices the way counts lo, lo+1, ...,
+// ways of the L1 (entry k-lo of every cost vector is way count k) and owns
+// the pools the walk draws its states and cost vectors from. Analyze
+// prices the full associativity only (lo == ways); SteadyWayTimings every
+// way count (lo == 1, single-level platforms only).
+type walker struct {
+	pr    prices
+	lo    int
+	n     int // way counts priced: ways - lo + 1
+	cfg   cachesim.Config
+	hier  cachesim.Hierarchy
+	free  []hierState // dead states, reused before a new one is made
+	vecs  [][]int64   // dead cost vectors of length n
+	merge []mayEntry  // may-join merge buffer
+
+	// Initial backing of free and vecs: enough for the nesting depth of
+	// typical programs, so the pools rarely grow.
+	freeBuf [4]hierState
+	vecBuf  [16][]int64
 }
 
-// analyzeHierCost walks the CFG computing a guaranteed worst-path cycle
-// bound, threading the state. Branches take the max cost and join the
+func newWalker(cfg cachesim.Config, h cachesim.Hierarchy, lo int) *walker {
+	w := &walker{pr: linePrices(cfg, h), lo: lo, n: cfg.Ways - lo + 1, cfg: cfg, hier: h}
+	w.free, w.vecs = w.freeBuf[:0], w.vecBuf[:0]
+	return w
+}
+
+// state returns a state the caller owns, with arbitrary contents: a dead
+// one from the pool, or a new one when the pool is empty.
+func (w *walker) state() hierState {
+	n := len(w.free)
+	if n == 0 {
+		return newHierState(w.cfg, w.hier)
+	}
+	st := w.free[n-1]
+	w.free = w.free[:n-1]
+	return st
+}
+
+// empty returns a state with no guaranteed and no possible lines.
+func (w *walker) empty() hierState {
+	st := w.state()
+	st.reset()
+	return st
+}
+
+// copyOf returns a state equal to src that the caller owns.
+func (w *walker) copyOf(src hierState) hierState {
+	st := w.state()
+	st.copyFrom(src)
+	return st
+}
+
+// release returns a dead state to the pool.
+func (w *walker) release(st hierState) { w.free = append(w.free, st) }
+
+// vec returns a zeroed cost vector; putVec returns it to the pool. An
+// empty pool is refilled with a block of eight vectors in one allocation.
+func (w *walker) vec() []int64 {
+	if len(w.vecs) == 0 {
+		block := make([]int64, 8*w.n)
+		for i := 0; i < 8; i++ {
+			w.vecs = append(w.vecs, block[i*w.n:(i+1)*w.n:(i+1)*w.n])
+		}
+	}
+	n := len(w.vecs)
+	v := w.vecs[n-1]
+	w.vecs = w.vecs[:n-1]
+	clear(v)
+	return v
+}
+
+func (w *walker) putVec(v []int64) { w.vecs = append(w.vecs, v) }
+
+// line classifies one line access against the state, adds its guaranteed
+// cycle bound under every priced way count to out, and applies the
+// abstract updates.
+func (w *walker) line(v program.Line, st *hierState, out []int64) {
+	rest := int64(v.Fetches-1) * w.pr.hit
+	hit, miss := w.pr.hit+rest, w.pr.miss+rest
+	// Whatever happens below it, the L1 ends up holding the line: hits
+	// refresh it, misses fill it (both arrangements).
+	age := st.l1Must.access(v.Addr)
+	if st.l1May != nil {
+		maybe := st.l1May.access(v.Addr)
+		// A guaranteed L1 hit never consults the L2. Anything else is
+		// bounded by a guaranteed L2 hit when one holds (an L1 hit would
+		// be cheaper yet) and by the memory latency otherwise.
+		if st.l2Must != nil && int(age) >= st.l1Must.ways {
+			// A guaranteed L1 miss definitely consults the L2, so its
+			// must state takes the full access transformer; an uncertain
+			// L1 outcome moves it to the join of both possibilities.
+			var l2Age int32
+			if maybe {
+				l2Age = st.l2Must.accessUncertain(v.Addr)
+			} else {
+				l2Age = st.l2Must.access(v.Addr)
+			}
+			if int(l2Age) < st.l2Must.ways {
+				miss = w.pr.l2Hit + rest
+			}
+		}
+	}
+	// Way count lo+j guarantees the L1 hit iff the line's age bound is
+	// below it, so the first misses entries miss and the rest hit.
+	misses := min(max(int(age)+1-w.lo, 0), len(out))
+	for j := range out[:misses] {
+		out[j] += miss
+	}
+	for j := misses; j < len(out); j++ {
+		out[j] += hit
+	}
+}
+
+// walk walks the CFG adding a guaranteed worst-path cycle bound per priced
+// way count to out, threading the state: it consumes st and returns the
+// out-state. Branches take the max cost per way count and join the
 // out-states; loops are virtually unrolled (first iteration separate,
-// remaining iterations from the per-iteration fixpoint).
-func analyzeHierCost(n program.Node, st hierState, pr prices) (int64, hierState) {
+// remaining iterations until the per-iteration fixpoint of the full
+// state).
+func (w *walker) walk(n program.Node, st hierState, out []int64) hierState {
 	switch v := n.(type) {
 	case nil:
-		return 0, st
+		return st
 	case program.Line:
-		c := hierLineCost(v, &st, pr)
-		return c, st
+		w.line(v, &st, out)
+		return st
 	case program.Seq:
-		var total int64
 		for _, child := range v {
-			var c int64
-			c, st = analyzeHierCost(child, st, pr)
-			total += c
+			st = w.walk(child, st, out)
 		}
-		return total, st
+		return st
 	case program.Loop:
-		total, cur := analyzeHierCost(v.Body, st, pr)
+		cur := w.walk(v.Body, st, out)
+		if v.Count < 2 {
+			return cur
+		}
+		c := w.vec()
 		for k := 2; k <= v.Count; k++ {
-			c, next := analyzeHierCost(v.Body, cur.clone(), pr)
+			next := w.walk(v.Body, w.copyOf(cur), c)
 			if next.equal(cur) {
 				// Per-iteration fixpoint reached: all remaining
 				// iterations cost the same.
-				total += c * int64(v.Count-k+1)
-				cur = next
+				for j, cj := range c {
+					out[j] += cj * int64(v.Count-k+1)
+				}
+				w.release(next)
 				break
 			}
-			total += c
+			for j, cj := range c {
+				out[j] += cj
+			}
+			clear(c)
+			w.release(cur)
 			cur = next
 		}
-		return total, cur
+		w.putVec(c)
+		return cur
 	case program.Branch:
-		ct, stThen := analyzeHierCost(v.Then, st.clone(), pr)
-		ce, stElse := analyzeHierCost(v.Else, st.clone(), pr)
-		c := ct
-		if ce > c {
-			c = ce
+		ct, ce := w.vec(), w.vec()
+		then := w.walk(v.Then, w.copyOf(st), ct)
+		els := w.walk(v.Else, st, ce)
+		for j := range out {
+			out[j] += max(ct[j], ce[j])
 		}
-		return c, hierJoin(stThen, stElse)
+		then.joinInto(els, &w.merge)
+		w.release(els)
+		w.putVec(ce)
+		w.putVec(ct)
+		return then
 	}
 	panic(badNode(n))
 }
 
 // hierMustBounds returns the guaranteed cold WCET and the guaranteed warm
-// WCET, the cost of the whole-program pass whose entry state is a fixpoint
-// (steady state of back-to-back executions).
+// WCET of every priced way count (entry k-lo for way count k); the warm
+// bound is the cost of the whole-program pass whose entry
+// state is a fixpoint (steady state of back-to-back executions). Way count
+// k takes the first pass whose entry and exit states agree below age k:
+// from that pass on its truncated state, and hence its cost, no longer
+// changes. Passes stop once every priced way count has its fixpoint.
 //
 // With an L2 the warm bound can exceed the cold bound: the cold pass knows
 // the caches start empty, so every access is a guaranteed L1 miss that
@@ -341,30 +452,32 @@ func analyzeHierCost(n program.Node, st hierState, pr prices) (int64, hierState)
 // one, so warm never exceeds cold; a degenerate L2 (hit cost == memory
 // cost) prices every pass the same way, so the clamp is a no-op and the
 // degenerate equivalence stays bit-exact.
-func hierMustBounds(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy) (cold, warm int64) {
-	pr := linePrices(cfg, h)
-	st := newHierState(cfg, h)
-	cold, st = analyzeHierCost(p.Root, st, pr)
-
-	prev := st
-	for i := 0; i < 64; i++ {
-		var c int64
-		c, st = analyzeHierCost(p.Root, prev.clone(), pr)
-		if st.equal(prev) {
-			if c > cold {
-				cold = c
-			}
-			return cold, c
+func (w *walker) hierMustBounds(p *program.Program) (cold, warm []int64) {
+	cold, warm = w.vec(), w.vec()
+	prev := w.walk(p.Root, w.empty(), cold)
+	c := w.vec()
+	done := 0 // way counts lo .. lo+done-1 have their warm bound
+	for i := 0; i < 64 && done < w.n; i++ {
+		st := w.walk(p.Root, w.copyOf(prev), c)
+		for d := int(st.agreement(prev)); done < w.n && w.lo+done <= d; done++ {
+			warm[done] = c[done]
+			cold[done] = max(cold[done], c[done])
 		}
+		w.release(prev)
 		prev = st
+		clear(c)
+	}
+	if done == w.n {
+		return cold, warm
 	}
 	// No fixpoint within the cap (pathological ping-pong): fall back to the
 	// trivially sound all-miss bound for both values.
-	wc := allMissCost(p.Root, cfg)
-	if wc < cold {
-		wc = cold
+	wc := allMissCost(p.Root, w.cfg)
+	for j := done; j < w.n; j++ {
+		cold[j] = max(cold[j], wc)
+		warm[j] = cold[j]
 	}
-	return wc, wc
+	return cold, warm
 }
 
 // allMissCost is the structural worst case with no cache guarantees at all:

@@ -11,12 +11,28 @@
 //  1. an abstract-interpretation "must" cache analysis (Ferdinand-style age
 //     bounds with branch-join by intersection and virtual loop unrolling),
 //     which yields *guaranteed* bounds as a WCET tool would — this is the
-//     only engine Analyze runs. There is one walk for every cache level
-//     (hierarchy.go): a single-level platform is the hierarchy with no L2; and
+//     only engine Analyze and SteadyWayTimings run. There is one walk for
+//     every cache level (hierarchy.go): a single-level platform is the
+//     hierarchy with no L2; and
 //  2. an exact trace simulation over the cache model (Simulate,
-//     SimulateRuns, SimulateOn), which yields the concrete worst-path
+//     SimulateRuns, SimulateHierRuns), which yields the concrete worst-path
 //     timing the bounds must dominate. It is the soundness oracle of the
 //     tests and of cmd/wcetsim, never part of a bound.
+//
+// The per-way-count bounds of a way partition come from one walk by LRU
+// inclusion. An application owning k of a K-way cache's ways sees the same
+// sets with associativity k, and its k-way must state is exactly the
+// K-way state with every entry of age >= k dropped: the access update, the
+// must join and the guaranteed-hit test (age < k) all commute with that
+// truncation. So one walk of the K-way state prices a line access as a hit
+// for every k above its age and a miss for every other k. A loop iterates
+// until the full state is a per-iteration fixpoint; once a way count's
+// truncated state has converged its iteration cost stays constant, so the
+// extra iterations leave its total exact. The whole-program warm fixpoint
+// records way count k at the first pass whose entry and exit states agree
+// below age k (their agreement depth is at least k), with the 64-pass cap
+// and the all-miss fallback applied per way count. The restricted-geometry
+// analyses this replaces are kept as the tests' oracle.
 package wcet
 
 import (
@@ -48,17 +64,6 @@ func (p Platform) CyclesToSeconds(c int64) float64 { return float64(c) / p.Clock
 // CyclesToMicros converts a cycle count to microseconds on this platform.
 func (p Platform) CyclesToMicros(c int64) float64 { return float64(c) * 1e6 / p.ClockHz }
 
-// Restrict returns the platform as seen by an application owning `ways`
-// dedicated ways of the shared cache (same clock, same set count, reduced
-// associativity; see cachesim.Config.Restrict).
-func (p Platform) Restrict(ways int) (Platform, error) {
-	cfg, err := p.Cache.Restrict(ways)
-	if err != nil {
-		return Platform{}, err
-	}
-	return Platform{ClockHz: p.ClockHz, Cache: cfg}, nil
-}
-
 // Result holds the guaranteed WCET bounds of one program, as computed by
 // the must-analysis. The concrete timings those bounds must dominate come
 // from Simulate, which no bound depends on.
@@ -84,34 +89,40 @@ func validateMustPolicy(cfg cachesim.Config, level string) error {
 	return nil
 }
 
-// Analyze runs the must-analysis on p and returns its guaranteed bounds.
-// One walk serves every platform: without an enabled hierarchy it is the
-// multi-level walk with no L2. The concrete simulation is not run;
-// Simulate gives it on the same platform.
-func Analyze(p *program.Program, plat Platform) (*Result, error) {
+// validate checks that the must-analysis can bound p on plat: valid cache
+// geometries, LRU replacement wherever a set has more than one way, and a
+// program whose lines fit the L1 line size.
+func validate(p *program.Program, plat Platform) error {
 	if err := plat.Cache.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := validateMustPolicy(plat.Cache, "L1 cache"); err != nil {
-		return nil, err
+		return err
 	}
 	if plat.Hier.Enabled() {
 		if err := plat.Hier.Validate(plat.Cache); err != nil {
-			return nil, err
+			return err
 		}
 		if err := validateMustPolicy(plat.Hier.L2, "L2 cache"); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := p.Validate(plat.Cache.LineSize); err != nil {
+	return p.Validate(plat.Cache.LineSize)
+}
+
+// Analyze runs the must-analysis on p and returns its guaranteed bounds.
+// One walk serves every platform: without an enabled hierarchy it is the
+// multi-level walk with no L2, pricing the full associativity only. The
+// concrete simulation is not run; Simulate gives it on the same platform.
+func Analyze(p *program.Program, plat Platform) (*Result, error) {
+	if err := validate(p, plat); err != nil {
 		return nil, err
 	}
-
-	cold, warm := hierMustBounds(p, plat.Cache, plat.Hier)
+	cold, warm := newWalker(plat.Cache, plat.Hier, plat.Cache.Ways).hierMustBounds(p)
 	res := &Result{
-		ColdCycles:      cold,
-		WarmCycles:      warm,
-		ReductionCycles: cold - warm,
+		ColdCycles:      cold[0],
+		WarmCycles:      warm[0],
+		ReductionCycles: cold[0] - warm[0],
 		ReusedLines:     -1,
 	}
 	if d := int64(plat.Cache.MissCycles - plat.Cache.HitCycles); d > 0 && res.ReductionCycles%d == 0 {
@@ -120,43 +131,33 @@ func Analyze(p *program.Program, plat Platform) (*Result, error) {
 	return res, nil
 }
 
-// AnalyzePartitioned analyzes p running on `ways` dedicated ways of plat's
-// cache (a way partition): the must-analysis runs on the restricted
-// geometry — identical set mapping, reduced associativity — and, because
-// no other application can evict the partition's contents, the abstract
-// state survives the gaps between the application's bursts. In periodic steady state every task therefore runs
-// at the warm bound, including the first task of each burst; callers model
-// that by using WarmCycles for the whole burst (sched.PartitionTimings).
-func AnalyzePartitioned(p *program.Program, plat Platform, ways int) (*Result, error) {
-	if plat.Hier.Enabled() {
-		return nil, fmt.Errorf("wcet: partitioned analysis does not support cache hierarchies")
-	}
-	if err := validateMustPolicy(plat.Cache, "L1 cache"); err != nil {
-		return nil, err
-	}
-	restricted, err := plat.Restrict(ways)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(p, restricted)
-}
-
 // SteadyWayTimings returns the program's steady-state schedule timing under
 // every dedicated-way count: entry w-1 is the AppTiming when the
-// application owns w ways, with ColdWCET == WarmWCET == the warm bound of
-// the restricted analysis (the partition persists across other
-// applications' bursts, so bursts have no cold start). This is the single
-// home of the partition timing model; apps.WayTimings builds every
-// sched.PartitionTimings table's per-way rows from it.
+// application owns w ways of plat's cache (a way partition: the same set
+// mapping with associativity w, cachesim.Config.Restrict), with ColdWCET ==
+// WarmWCET == the warm bound of that restricted geometry. No other
+// application can evict the partition's contents, so the abstract state
+// survives the gaps between the application's bursts and in periodic
+// steady state every task runs at the warm bound, the first of each burst
+// included. This is the single home of the partition timing model;
+// apps.WayTimings builds every sched.PartitionTimings table's per-way rows
+// from it.
+//
+// One walk prices every way count at once by LRU inclusion (see the
+// package comment); way partitions are a single-level axis, so a platform
+// with an enabled hierarchy is rejected.
 func SteadyWayTimings(p *program.Program, plat Platform, name string, maxIdle float64) ([]sched.AppTiming, error) {
-	out := make([]sched.AppTiming, plat.Cache.Ways)
-	for w := 1; w <= plat.Cache.Ways; w++ {
-		res, err := AnalyzePartitioned(p, plat, w)
-		if err != nil {
-			return nil, fmt.Errorf("wcet: %s on %d ways: %w", name, w, err)
-		}
-		warm := plat.CyclesToSeconds(res.WarmCycles)
-		out[w-1] = sched.AppTiming{Name: name, ColdWCET: warm, WarmWCET: warm, MaxIdle: maxIdle}
+	if plat.Hier.Enabled() {
+		return nil, fmt.Errorf("wcet: %s: partitioned analysis does not support cache hierarchies", name)
+	}
+	if err := validate(p, plat); err != nil {
+		return nil, fmt.Errorf("wcet: %s: %w", name, err)
+	}
+	_, warm := newWalker(plat.Cache, plat.Hier, 1).hierMustBounds(p)
+	out := make([]sched.AppTiming, len(warm))
+	for w, c := range warm {
+		s := plat.CyclesToSeconds(c)
+		out[w] = sched.AppTiming{Name: name, ColdWCET: s, WarmWCET: s, MaxIdle: maxIdle}
 	}
 	return out, nil
 }
@@ -172,16 +173,17 @@ func SteadyWayTimings(p *program.Program, plat Platform, name string, maxIdle fl
 // The state is stored flat: set s owns the entry range
 // [s*ways, s*ways+cnt[s]), each entry a (line, age) pair kept sorted by line
 // index. The must domain guarantees at most `ways` lines per set (at most
-// k+1 lines can have age bound <= k), so the layout is exact, clone is three
-// bulk copies, equality is one linear scan, and join is a sorted-run
-// intersection — replacing a map per set with full rehash on every branch
-// arm and loop iteration.
+// k+1 lines can have age bound <= k), so the layout is exact, a copy is
+// three bulk copies into arrays the target already owns, equality and
+// agreement are one linear scan, and join is an in-place sorted-run
+// intersection.
 //
 // The address arithmetic (set count, line shift) comes precomputed from
 // cachesim.Geometry, so the per-access path performs no divisions.
 //
 // A nil *mustState is an absent cache level (no L2, or an exclusive L2 with
-// no guaranteed hits): clone, equal and join carry it through as nil.
+// no guaranteed hits): copyFrom, reset, equal and joinInto carry it through
+// as nil.
 type mustState struct {
 	ways  int
 	geom  cachesim.Geometry
@@ -191,26 +193,31 @@ type mustState struct {
 }
 
 func newMustState(cfg cachesim.Config) *mustState {
-	sets := cfg.Sets()
+	sets, entries := cfg.Sets(), cfg.Lines
+	ages := make([]int32, entries+sets) // ages and counts share one allocation
 	return &mustState{
 		ways:  cfg.Ways,
 		geom:  cfg.Geometry(),
-		lines: make([]uint32, sets*cfg.Ways),
-		ages:  make([]int32, sets*cfg.Ways),
-		cnt:   make([]int32, sets),
+		lines: make([]uint32, entries),
+		ages:  ages[:entries:entries],
+		cnt:   ages[entries:],
 	}
 }
 
-func (s *mustState) clone() *mustState {
+// copyFrom overwrites s with src, a state of the same geometry.
+func (s *mustState) copyFrom(src *mustState) {
 	if s == nil {
-		return nil
+		return
 	}
-	return &mustState{
-		ways:  s.ways,
-		geom:  s.geom,
-		lines: append([]uint32(nil), s.lines...),
-		ages:  append([]int32(nil), s.ages...),
-		cnt:   append([]int32(nil), s.cnt...),
+	copy(s.lines, src.lines)
+	copy(s.ages, src.ages)
+	copy(s.cnt, src.cnt)
+}
+
+// reset empties s: no line is guaranteed cached.
+func (s *mustState) reset() {
+	if s != nil {
+		clear(s.cnt)
 	}
 }
 
@@ -232,21 +239,56 @@ func (s *mustState) equal(o *mustState) bool {
 	return true
 }
 
-// guaranteed reports whether the line containing addr is guaranteed cached.
-func (s *mustState) guaranteed(addr uint32) bool {
-	line := s.geom.Line(addr)
-	set := s.geom.Set(line)
-	base := set * s.ways
-	for i := base; i < base+int(s.cnt[set]); i++ {
-		if s.lines[i] == line {
-			return true
+// agreement returns the agreement depth of two states of the same geometry:
+// the largest d <= ways such that s and o hold exactly the same (line, age)
+// entries of age below d. A line held at different ages, or by one state
+// only (an absent line has age ways), caps d at the smaller of its two
+// ages. By LRU inclusion the k-way truncations of s and o are therefore
+// equal exactly for k <= d, and d == ways iff s equals o.
+func (s *mustState) agreement(o *mustState) int32 {
+	d := int32(s.ways)
+	for set := range s.cnt {
+		base := set * s.ways
+		i, j := base, base
+		ei, ej := base+int(s.cnt[set]), base+int(o.cnt[set])
+		for i < ei || j < ej {
+			switch {
+			case j == ej || (i < ei && s.lines[i] < o.lines[j]):
+				d = min(d, s.ages[i])
+				i++
+			case i == ei || o.lines[j] < s.lines[i]:
+				d = min(d, o.ages[j])
+				j++
+			default:
+				if s.ages[i] != o.ages[j] {
+					d = min(d, s.ages[i], o.ages[j])
+				}
+				i++
+				j++
+			}
+		}
+		if d == 0 {
+			break
 		}
 	}
-	return false
+	return d
 }
 
-// access applies the must-domain LRU update for one line access.
-func (s *mustState) access(addr uint32) {
+// access applies the must-domain LRU update for one line access and
+// returns the line's age bound before it (ways when it was not guaranteed
+// cached).
+func (s *mustState) access(addr uint32) int32 { return s.update(addr, true) }
+
+// accessUncertain applies, in place, the must join of the state with and
+// without one access of addr, for an access that may or may not happen,
+// and returns the line's age bound before it as access does. Only the set
+// the line maps to can change: every line younger than the accessed one
+// ages by one as under access (the join keeps the larger bound), while the
+// accessed line keeps its old bound (or stays absent).
+func (s *mustState) accessUncertain(addr uint32) int32 { return s.update(addr, false) }
+
+// update is access (taken) or accessUncertain (!taken).
+func (s *mustState) update(addr uint32, taken bool) int32 {
 	line := s.geom.Line(addr)
 	set := s.geom.Set(line)
 	base := set * s.ways
@@ -267,11 +309,12 @@ func (s *mustState) access(addr uint32) {
 	// surviving entries are compacted in place.
 	w := 0
 	for i := 0; i < n; i++ {
-		if i == pos {
-			continue // re-inserted with age 0 below
-		}
 		age := s.ages[base+i]
-		if age < oldAge {
+		if i == pos {
+			if taken {
+				continue // re-inserted with age 0 below
+			}
+		} else if age < oldAge {
 			age++
 			if age >= ways {
 				continue // evicted
@@ -280,6 +323,10 @@ func (s *mustState) access(addr uint32) {
 		s.lines[base+w] = s.lines[base+i]
 		s.ages[base+w] = age
 		w++
+	}
+	if !taken {
+		s.cnt[set] = int32(w)
+		return oldAge
 	}
 	// Insert the accessed line at age 0, keeping the run sorted by line.
 	ins := w
@@ -291,48 +338,41 @@ func (s *mustState) access(addr uint32) {
 	s.lines[base+ins] = line
 	s.ages[base+ins] = 0
 	s.cnt[set] = int32(w + 1)
+	return oldAge
 }
 
-// join intersects two must states (classic must-join: keep lines guaranteed
-// in both, with the larger age bound). Both runs are sorted by line, so the
-// intersection is a single merge pass per set.
-func join(a, b *mustState) *mustState {
-	if a == nil {
-		return nil
+// joinInto intersects o into s in place (classic must-join: keep lines
+// guaranteed in both, with the larger age bound). Both runs are sorted by
+// line, so the intersection is a single merge pass per set, and it never
+// writes ahead of the entry it reads.
+func (s *mustState) joinInto(o *mustState) {
+	if s == nil {
+		return
 	}
-	out := &mustState{
-		ways:  a.ways,
-		geom:  a.geom,
-		lines: make([]uint32, len(a.lines)),
-		ages:  make([]int32, len(a.ages)),
-		cnt:   make([]int32, len(a.cnt)),
-	}
-	for set := range a.cnt {
-		base := set * a.ways
+	for set := range s.cnt {
+		na, nb := int(s.cnt[set]), int(o.cnt[set])
+		if na == 0 {
+			continue
+		}
+		base := set * s.ways
 		i, j, w := 0, 0, 0
-		na, nb := int(a.cnt[set]), int(b.cnt[set])
 		for i < na && j < nb {
-			la, lb := a.lines[base+i], b.lines[base+j]
+			la, lb := s.lines[base+i], o.lines[base+j]
 			switch {
 			case la < lb:
 				i++
 			case la > lb:
 				j++
 			default:
-				age := a.ages[base+i]
-				if b.ages[base+j] > age {
-					age = b.ages[base+j]
-				}
-				out.lines[base+w] = la
-				out.ages[base+w] = age
+				s.lines[base+w] = la
+				s.ages[base+w] = max(s.ages[base+i], o.ages[base+j])
 				w++
 				i++
 				j++
 			}
 		}
-		out.cnt[set] = int32(w)
+		s.cnt[set] = int32(w)
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -427,11 +467,4 @@ func SimulateRuns(p *program.Program, cfg cachesim.Config, k int) []int64 {
 // the worst-branch policy; the hierarchy twin of SimulateRuns.
 func SimulateHierRuns(p *program.Program, cfg cachesim.Config, h cachesim.Hierarchy, k int) []int64 {
 	return simulateRuns(p, twoLevelCache{cachesim.MustNewHier(cfg, h)}, k)
-}
-
-// SimulateOn executes p once against the provided (shared) cache, returning
-// the cycle count. The cache is mutated; schedule-level integration tests
-// use this to interleave multiple applications on one cache.
-func SimulateOn(p *program.Program, c *cachesim.Cache) int64 {
-	return simulateNode(p.Root, flatCache{c})
 }
