@@ -597,15 +597,15 @@ func BenchmarkWCETAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyWayTimings measures the per-way steady-state timing rows
-// of one case-study program on 8way-512: a single must-analysis walk
-// pricing all eight way counts (apps.WayTimings runs one per application).
-func BenchmarkSteadyWayTimings(b *testing.B) {
-	a := apps.CaseStudy()[0]
+// BenchmarkWCETAnalysisAllWays measures one WCET analysis of a case-study
+// program on 8way-512: a single must-analysis walk pricing all eight way
+// counts (Result.WarmByWays; apps.Table runs one per application).
+func BenchmarkWCETAnalysisAllWays(b *testing.B) {
+	prog := apps.CaseStudy()[0].Program
 	plat := exp.PartitionPlatforms()[3].Platform // 8way-512
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wcet.SteadyWayTimings(a.Program, plat, a.Name, a.MaxIdle); err != nil {
+		if _, err := wcet.Analyze(prog, plat); err != nil {
 			b.Fatal(err)
 		}
 	}

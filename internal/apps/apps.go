@@ -16,6 +16,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"repro/internal/ctrl"
 	"repro/internal/lti"
 	"repro/internal/program"
@@ -44,55 +46,46 @@ func (a App) Constraints() ctrl.Constraints {
 	}
 }
 
-// Timing runs the WCET analysis of the application's program on the
-// platform and returns its schedule-level timing parameters.
-func (a App) Timing(plat wcet.Platform) (sched.AppTiming, *wcet.Result, error) {
-	res, err := wcet.Analyze(a.Program, plat)
-	if err != nil {
-		return sched.AppTiming{}, nil, err
+// Table runs the WCET analysis of every app's program on the platform,
+// once per app, and returns the joint co-design timing table with the
+// analysis results. Shared[i] is app i's timing on the shared cache (cold
+// and warm bounds); ByWays[w-1][i] its steady-state timing owning w
+// dedicated ways (ColdWCET == WarmWCET == Result.WarmByWays[w-1]: a
+// partition's contents survive the other apps' bursts). ByWays is nil on a
+// platform with an L2, where way partitions do not apply.
+func Table(list []App, plat wcet.Platform) (sched.PartitionTimings, []*wcet.Result, error) {
+	pt := sched.PartitionTimings{Shared: make([]sched.AppTiming, len(list))}
+	if !plat.Hier.Enabled() {
+		pt.ByWays = make([][]sched.AppTiming, plat.Cache.Ways)
+		for w := range pt.ByWays {
+			pt.ByWays[w] = make([]sched.AppTiming, len(list))
+		}
 	}
-	return sched.AppTiming{
-		Name:     a.Name,
-		ColdWCET: plat.CyclesToSeconds(res.ColdCycles),
-		WarmWCET: plat.CyclesToSeconds(res.WarmCycles),
-		MaxIdle:  a.MaxIdle,
-	}, res, nil
+	rs := make([]*wcet.Result, len(list))
+	for i, a := range list {
+		res, err := wcet.Analyze(a.Program, plat)
+		if err != nil {
+			return sched.PartitionTimings{}, nil, fmt.Errorf("apps: %s: %w", a.Name, err)
+		}
+		rs[i] = res
+		pt.Shared[i] = sched.AppTiming{
+			Name:     a.Name,
+			ColdWCET: plat.CyclesToSeconds(res.ColdCycles),
+			WarmWCET: plat.CyclesToSeconds(res.WarmCycles),
+			MaxIdle:  a.MaxIdle,
+		}
+		for w, c := range res.WarmByWays {
+			s := plat.CyclesToSeconds(c)
+			pt.ByWays[w][i] = sched.AppTiming{Name: a.Name, ColdWCET: s, WarmWCET: s, MaxIdle: a.MaxIdle}
+		}
+	}
+	return pt, rs, nil
 }
 
-// Timings analyzes all apps at once.
-func Timings(apps []App, plat wcet.Platform) ([]sched.AppTiming, []*wcet.Result, error) {
-	ts := make([]sched.AppTiming, len(apps))
-	rs := make([]*wcet.Result, len(apps))
-	for i, a := range apps {
-		t, r, err := a.Timing(plat)
-		if err != nil {
-			return nil, nil, err
-		}
-		ts[i] = t
-		rs[i] = r
-	}
-	return ts, rs, nil
-}
-
-// WayTimings analyzes every app under each possible dedicated-way count,
-// returning the ByWays table of the joint co-design (entry [w-1][i] is app
-// i's steady-state timing owning w ways; see wcet.SteadyWayTimings for the
-// model); callers pair it with the shared timings of Timings.
-func WayTimings(apps []App, plat wcet.Platform) ([][]sched.AppTiming, error) {
-	byWays := make([][]sched.AppTiming, plat.Cache.Ways)
-	for w := range byWays {
-		byWays[w] = make([]sched.AppTiming, len(apps))
-	}
-	for i, a := range apps {
-		col, err := wcet.SteadyWayTimings(a.Program, plat, a.Name, a.MaxIdle)
-		if err != nil {
-			return nil, err
-		}
-		for w := range col {
-			byWays[w][i] = col[w]
-		}
-	}
-	return byWays, nil
+// Timings analyzes all apps at once and returns Table's shared-cache row.
+func Timings(list []App, plat wcet.Platform) ([]sched.AppTiming, []*wcet.Result, error) {
+	pt, rs, err := Table(list, plat)
+	return pt.Shared, rs, err
 }
 
 // CaseStudy returns the paper's three applications with Table II parameters:

@@ -127,12 +127,6 @@ func (g Geometry) Locate(addr uint32) (line uint32, set int, tag uint32) {
 	return line, g.Set(line), g.Tag(line)
 }
 
-// LineIndex returns the memory line number containing addr.
-func (c Config) LineIndex(addr uint32) uint32 { return addr / uint32(c.LineSize) }
-
-// SetIndex returns the cache set that the memory line at addr maps to.
-func (c Config) SetIndex(addr uint32) int { return int(c.LineIndex(addr)) % c.Sets() }
-
 // Stats accumulates access counts and the cycle total of a simulation.
 type Stats struct {
 	Accesses int

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// LineIndex and SetIndex are the division form of Geometry's address
+// split, the oracle its shift/mask arithmetic is checked against.
+
+// LineIndex returns the memory line number containing addr.
+func (c Config) LineIndex(addr uint32) uint32 { return addr / uint32(c.LineSize) }
+
+// SetIndex returns the cache set that the memory line at addr maps to.
+func (c Config) SetIndex(addr uint32) int { return int(c.LineIndex(addr)) % c.Sets() }
+
 // Property: for randomized power-of-two geometries, the shift/mask address
 // decomposition of Geometry equals the naive div/mod reference on arbitrary
 // addresses, and the three accessors agree with Locate.

@@ -80,26 +80,15 @@ func New(applications []apps.App, plat wcet.Platform, designOpt ctrl.DesignOptio
 	if len(applications) == 0 {
 		return nil, fmt.Errorf("core: no applications")
 	}
-	ts, rs, err := apps.Timings(applications, plat)
+	pt, rs, err := apps.Table(applications, plat)
 	if err != nil {
 		return nil, err
 	}
-	// Way partitions are a single-level axis: on hierarchy platforms the
-	// joint table stays empty (the engine rejects Partitioned there), and
-	// the shared-cache pipeline runs the multi-level analysis instead.
-	var byWays [][]sched.AppTiming
-	if !plat.Hier.Enabled() {
-		byWays, err = apps.WayTimings(applications, plat)
-		if err != nil {
-			return nil, err
-		}
-	}
-	pt := sched.PartitionTimings{Shared: ts, ByWays: byWays}
 	f := &Framework{
 		Apps:        applications,
 		Platform:    plat,
 		DesignOpt:   designOpt,
-		Timings:     ts,
+		Timings:     pt.Shared,
 		WCETResults: rs,
 		PartTimings: pt,
 	}

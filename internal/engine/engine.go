@@ -793,28 +793,30 @@ func pointScore(pt sched.PartitionTimings, weights []float64, idx []int, j sched
 // randomApps is the one random draw behind every randomized taskset:
 // NumApps random programs analyzed on the scenario platform, idle budgets
 // that keep round-robin feasible while binding at moderate burst lengths,
-// and normalized random weights, all drawn from rng in a fixed order. It
-// returns the applications (name, program, idle budget and weight; no
-// plant) and the shared-cache timings their idle budgets were drawn
-// against.
-func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, []sched.AppTiming, error) {
+// and normalized random weights, all drawn from rng in a fixed order (the
+// analysis draws nothing). It returns the applications (name, program,
+// idle budget and weight; no plant) and their apps.Table timing table,
+// every row carrying the idle budgets.
+func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, sched.PartitionTimings, error) {
 	scn = scn.withDefaults()
 	list := make([]apps.App, scn.NumApps)
-	timings := make([]sched.AppTiming, scn.NumApps)
 	for i := range list {
 		list[i] = apps.App{Name: fmt.Sprintf("R%d", i+1), Program: program.Random(rng, scn.Spec)}
-		var err error
-		if timings[i], _, err = list[i].Timing(scn.Platform); err != nil {
-			return nil, nil, fmt.Errorf("engine: random program %d: %w", i, err)
-		}
+	}
+	pt, _, err := apps.Table(list, scn.Platform)
+	if err != nil {
+		return nil, sched.PartitionTimings{}, fmt.Errorf("engine: random programs: %w", err)
 	}
 	// Idle budgets: at least the round-robin period (so m = (1,...,1) is
 	// always feasible) times a random headroom factor that lets bursts of a
 	// few tasks through but binds well before the box edge.
-	rr := sched.PeriodLength(timings, sched.RoundRobin(scn.NumApps))
+	rr := sched.PeriodLength(pt.Shared, sched.RoundRobin(scn.NumApps))
 	for i := range list {
 		list[i].MaxIdle = rr * (1.2 + 2.8*rng.Float64())
-		timings[i].MaxIdle = list[i].MaxIdle
+		pt.Shared[i].MaxIdle = list[i].MaxIdle
+		for _, row := range pt.ByWays {
+			row[i].MaxIdle = list[i].MaxIdle
+		}
 	}
 	total := 0.0
 	for i := range list {
@@ -824,7 +826,7 @@ func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, []sched.AppTiming, er
 	for i := range list {
 		list[i].Weight /= total
 	}
-	return list, timings, nil
+	return list, pt, nil
 }
 
 // weightsOf returns the applications' objective weights.
@@ -838,8 +840,7 @@ func weightsOf(list []apps.App) []float64 {
 
 // timingTable builds the ObjectiveTiming table of a scenario (defaults
 // applied) from its named applications, or from randomApps when it names
-// none: the shared-cache timings, plus the per-way rows only when the
-// scenario is partitioned.
+// none.
 func timingTable(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float64, error) {
 	var (
 		list = scn.Apps
@@ -847,12 +848,9 @@ func timingTable(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float6
 		err  error
 	)
 	if len(list) == 0 {
-		list, pt.Shared, err = randomApps(rng, scn)
+		list, pt, err = randomApps(rng, scn)
 	} else {
-		pt.Shared, _, err = apps.Timings(list, scn.Platform)
-	}
-	if err == nil && scn.Partitioned {
-		pt.ByWays, err = apps.WayTimings(list, scn.Platform)
+		pt, _, err = apps.Table(list, scn.Platform)
 	}
 	if err != nil {
 		return sched.PartitionTimings{}, nil, err
@@ -863,20 +861,26 @@ func timingTable(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float6
 // RandomTaskset draws a scenario's randomized taskset (see randomApps) as
 // timings and weights.
 func RandomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []float64, error) {
-	list, timings, err := randomApps(rng, scn)
+	list, pt, err := randomApps(rng, scn)
 	if err != nil {
 		return nil, nil, err
 	}
-	return timings, weightsOf(list), nil
+	return pt.Shared, weightsOf(list), nil
 }
 
 // RandomPartitionTaskset draws the same randomized taskset as RandomTaskset
 // (identical rng consumption, so the shared timings match bit for bit) and
-// additionally analyzes every program under each dedicated-way count,
-// returning the joint co-design timing table.
+// returns its whole timing table, the per-way rows included. Way
+// partitions are a single-level axis, so a platform with an L2 is rejected.
 func RandomPartitionTaskset(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float64, error) {
-	scn.Apps, scn.Partitioned = nil, true
-	return timingTable(rng, scn.withDefaults())
+	list, pt, err := randomApps(rng, scn)
+	if err != nil {
+		return sched.PartitionTimings{}, nil, err
+	}
+	if pt.ByWays == nil {
+		return sched.PartitionTimings{}, nil, fmt.Errorf("engine: partitioned taskset: cache partitions and hierarchies are separate platform axes")
+	}
+	return pt, weightsOf(list), nil
 }
 
 // RandomApps builds a randomized taskset for ObjectiveDesign scenarios:
@@ -923,8 +927,7 @@ func RandomStarts(rng *rand.Rand, timings []sched.AppTiming, n, maxM int) []sche
 // PlatformVariants returns a spread of cache platforms for multi-platform
 // sweeps: the paper's direct-mapped baseline, a two-way set-associative
 // variant, a two-level L1+L2 hierarchy over the baseline, and a half-size
-// cache. (A FIFO variant used to sit in the hierarchy's slot; the must
-// analysis is LRU-only and now rejects it, see wcet.Analyze.)
+// cache.
 func PlatformVariants() []wcet.Platform {
 	paper := wcet.PaperPlatform()
 

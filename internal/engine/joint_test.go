@@ -123,6 +123,24 @@ func TestRandomPartitionTasksetMatchesRandomTaskset(t *testing.T) {
 				i, full[i].WarmWCET, timings[i].WarmWCET)
 		}
 	}
+	// Every per-way row carries the shared row's name and idle budget: the
+	// budgets are drawn after the analysis and written into each row.
+	for w, row := range pt.ByWays {
+		for i := range row {
+			if row[i].Name != timings[i].Name || row[i].MaxIdle != timings[i].MaxIdle {
+				t.Errorf("%d ways, app %d: %+v, shared %+v", w+1, i, row[i], timings[i])
+			}
+		}
+	}
+
+	// Way partitions are a single-level axis: an L2 platform is rejected.
+	l2 := scn
+	l2.Platform.Hier = cachesim.Hierarchy{L2: cachesim.Config{
+		Lines: 2048, LineSize: 16, Ways: 4, Policy: cachesim.LRU, HitCycles: 10, MissCycles: 100,
+	}}
+	if _, _, err := RandomPartitionTaskset(rand.New(rand.NewSource(99)), l2); err == nil {
+		t.Error("partitioned taskset on an L2 platform: want an error")
+	}
 }
 
 // TestJointSweepParallelMatchesSerial extends the engine's determinism

@@ -711,13 +711,6 @@ func FormatSearchStats(r *SearchStatsResult) string {
 	return sb.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DefaultFramework builds the paper case-study framework with the given
 // design budget (see ctrl.DesignOptions) and a fine reporting grid.
 func DefaultFramework(budget ctrl.DesignOptions) (*core.Framework, error) {

@@ -30,15 +30,6 @@ func (p Poly) trim() Poly {
 	return p[:n]
 }
 
-// Degree returns the degree of p (0 for constants, including the zero
-// polynomial).
-func (p Poly) Degree() int {
-	if len(p) == 0 {
-		return 0
-	}
-	return len(p) - 1
-}
-
 // EvalMat evaluates the matrix polynomial p(A) using Horner's rule.
 func (p Poly) EvalMat(a *mat.Matrix) *mat.Matrix {
 	n := a.Rows()

@@ -10,9 +10,18 @@ import (
 	"repro/internal/mat"
 )
 
-// The evaluation, derivative, characteristic-polynomial and root-finding
-// helpers below have no production caller; they live here as the tests'
-// tools for checking FromRoots and EvalMat.
+// The degree, evaluation, derivative, characteristic-polynomial and
+// root-finding helpers below have no production caller; they live here as
+// the tests' tools for checking FromRoots and EvalMat.
+
+// Degree returns the degree of p (0 for constants, including the zero
+// polynomial).
+func (p Poly) Degree() int {
+	if len(p) == 0 {
+		return 0
+	}
+	return len(p) - 1
+}
 
 // Eval evaluates p at x using Horner's rule.
 func (p Poly) Eval(x float64) float64 {

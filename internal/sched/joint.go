@@ -11,12 +11,12 @@
 //   - partitioned (W non-empty): application i owns w_i dedicated ways, no
 //     inter-application eviction is possible, and in periodic steady state
 //     every task — including the first of each burst — runs at the warm
-//     bound of the reduced-associativity analysis (wcet.SteadyWayTimings),
+//     bound of the reduced-associativity analysis (wcet.Result.WarmByWays),
 //     so its AppTiming has ColdWCET == WarmWCET.
 //
 // The package stays platform-agnostic: PartitionTimings carries the
-// pre-analyzed per-way-count timing table; internal/apps and internal/engine
-// build it from WCET analyses.
+// pre-analyzed per-way-count timing table; apps.Table builds it from one
+// WCET analysis per application.
 package sched
 
 import (

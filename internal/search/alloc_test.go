@@ -17,11 +17,7 @@ func caseStudyTable(t testing.TB) (sched.PartitionTimings, []float64) {
 	t.Helper()
 	study := apps.CaseStudy()
 	plat := exp.PartitionPlatforms()[3].Platform
-	shared, _, err := apps.Timings(study, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byWays, err := apps.WayTimings(study, plat)
+	pt, _, err := apps.Table(study, plat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +25,7 @@ func caseStudyTable(t testing.TB) (sched.PartitionTimings, []float64) {
 	for i, a := range study {
 		weights[i] = a.Weight
 	}
-	return sched.PartitionTimings{Shared: shared, ByWays: byWays}, weights
+	return pt, weights
 }
 
 // allocsPerPoint runs search (which returns the points it visited) and

@@ -36,24 +36,24 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyWayTimingsAllocs pins that pricing all eight way counts of
-// 8way-512 in one walk (BenchmarkSteadyWayTimings) stays within the budget
-// of a single analysis: the way counts share the walk, its states and its
-// pools.
-func TestSteadyWayTimingsAllocs(t *testing.T) {
+// TestAnalyzeAllWaysAllocs pins that pricing all eight way counts of
+// 8way-512 in one walk (BenchmarkWCETAnalysisAllWays) stays within the
+// budget of a single-way analysis: the way counts share the walk, its
+// states and its pools.
+func TestAnalyzeAllWaysAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	a := apps.CaseStudy()[0]
+	prog := apps.CaseStudy()[0].Program
 	plat := wcet.Platform{ClockHz: 20e6, Cache: cachesim.Config{
 		Lines: 512, LineSize: 16, Ways: 8, Policy: cachesim.LRU, HitCycles: 1, MissCycles: 100,
 	}}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := wcet.SteadyWayTimings(a.Program, plat, a.Name, a.MaxIdle); err != nil {
+		if _, err := wcet.Analyze(prog, plat); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > analysisAllocs {
-		t.Fatalf("wcet.SteadyWayTimings allocates %g per call on 8way-512, budget %d", allocs, analysisAllocs)
+		t.Fatalf("wcet.Analyze allocates %g per call on 8way-512, budget %d", allocs, analysisAllocs)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // and the must-analysis has real conflicts to reason about.
 func overfullSet(p *program.Program, cfg cachesim.Config) bool {
 	perSet := make(map[int]int)
+	g := cfg.Geometry()
 	for _, addr := range p.Lines() {
-		set := cfg.SetIndex(addr)
+		set := g.Set(g.Line(addr))
 		perSet[set]++
 		if perSet[set] > cfg.Ways {
 			return true

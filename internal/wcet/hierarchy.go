@@ -3,9 +3,9 @@
 // against the exact trace simulations (Simulate). A single-level platform
 // is the hierarchy with no L2; there is one CFG walker, one line-cost
 // function and one fixpoint driver. On a single-level platform the walk
-// prices a range of way counts at once (LRU inclusion, see the package
-// comment); with an L2 it prices the full L1 associativity only, since the
-// L2 state depends on which accesses the L1 guarantees.
+// prices every way count at once (LRU inclusion, see the package comment;
+// Result.WarmByWays); with an L2 it prices the full L1 associativity only,
+// since the L2 state depends on which accesses the L1 guarantees.
 //
 // Classifying an access against the L2 requires knowing whether the L1 is
 // consulted at all, so with an L2 the analysis threads three abstract
@@ -260,9 +260,10 @@ func linePrices(cfg cachesim.Config, h cachesim.Hierarchy) prices {
 
 // walker is one must-analysis: it prices the way counts lo, lo+1, ...,
 // ways of the L1 (entry k-lo of every cost vector is way count k) and owns
-// the pools the walk draws its states and cost vectors from. Analyze
-// prices the full associativity only (lo == ways); SteadyWayTimings every
-// way count (lo == 1, single-level platforms only).
+// the pools the walk draws its states and cost vectors from. A
+// single-level walk prices every way count (lo == 1), whose warm bounds
+// Analyze returns as Result.WarmByWays; with an L2 it prices the full
+// associativity only (lo == ways).
 type walker struct {
 	pr    prices
 	lo    int
@@ -279,7 +280,11 @@ type walker struct {
 	vecBuf  [16][]int64
 }
 
-func newWalker(cfg cachesim.Config, h cachesim.Hierarchy, lo int) *walker {
+func newWalker(cfg cachesim.Config, h cachesim.Hierarchy) *walker {
+	lo := 1
+	if h.Enabled() {
+		lo = cfg.Ways
+	}
 	w := &walker{pr: linePrices(cfg, h), lo: lo, n: cfg.Ways - lo + 1, cfg: cfg, hier: h}
 	w.free, w.vecs = w.freeBuf[:0], w.vecBuf[:0]
 	return w

@@ -7,7 +7,7 @@ import (
 )
 
 // The restricted-geometry analysis, the oracle of the one-walk way
-// pricing: SteadyWayTimings must return, for every way count, exactly the
+// pricing: Analyze's WarmByWays must hold, for every way count, exactly the
 // warm bound Analyze computes on the cache restricted to that many ways.
 
 // Restrict returns the platform as seen by an application owning `ways`

@@ -141,8 +141,9 @@ func referenceBounds(p *program.Program, cfg cachesim.Config) (cold, warm int64)
 // addresses from up to four times the cache) and a geometry, prices every
 // way count in one walk, and requires each cold and warm bound to equal
 // the restricted-geometry analysis and the reference walker on the
-// restricted geometry, and SteadyWayTimings to report those warm bounds. It then checks the agreement depth of random state pairs
-// against truncated-state equality at every way count.
+// restricted geometry, and Analyze's WarmByWays to report those warm
+// bounds. It then checks the agreement depth of random state pairs against
+// truncated-state equality at every way count.
 func FuzzWayBoundsMatchRestricted(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for seed := int64(0); seed < 64; seed++ {
@@ -160,8 +161,8 @@ func FuzzWayBoundsMatchRestricted(f *testing.F) {
 			AddressSpan: 1 + int(span)%(4*cfg.Lines),
 		})
 
-		cold, warm := newWalker(cfg, cachesim.Hierarchy{}, 1).hierMustBounds(p)
-		timings, err := SteadyWayTimings(p, plat, "fuzz", 1e-3)
+		cold, warm := newWalker(cfg, cachesim.Hierarchy{}).hierMustBounds(p)
+		shared, err := Analyze(p, plat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,8 +180,8 @@ func FuzzWayBoundsMatchRestricted(f *testing.F) {
 				t.Fatalf("%d of %d ways (%d sets): walk cold=%d warm=%d, restricted cold=%d warm=%d, reference cold=%d warm=%d",
 					k, cfg.Ways, cfg.Sets(), cold[k-1], warm[k-1], res.ColdCycles, res.WarmCycles, refCold, refWarm)
 			}
-			if s := plat.CyclesToSeconds(res.WarmCycles); timings[k-1].ColdWCET != s || timings[k-1].WarmWCET != s {
-				t.Fatalf("%d ways: SteadyWayTimings %+v, restricted warm %g s", k, timings[k-1], s)
+			if got := shared.WarmByWays[k-1]; got != res.WarmCycles {
+				t.Fatalf("%d ways: Analyze WarmByWays %d, restricted warm %d", k, got, res.WarmCycles)
 			}
 		}
 

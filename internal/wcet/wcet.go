@@ -11,9 +11,9 @@
 //  1. an abstract-interpretation "must" cache analysis (Ferdinand-style age
 //     bounds with branch-join by intersection and virtual loop unrolling),
 //     which yields *guaranteed* bounds as a WCET tool would — this is the
-//     only engine Analyze and SteadyWayTimings run. There is one walk for
-//     every cache level (hierarchy.go): a single-level platform is the
-//     hierarchy with no L2; and
+//     only engine Analyze runs. There is one walk for every cache level
+//     (hierarchy.go): a single-level platform is the hierarchy with no L2;
+//     and
 //  2. an exact trace simulation over the cache model (Simulate,
 //     SimulateRuns, SimulateHierRuns), which yields the concrete worst-path
 //     timing the bounds must dominate. It is the soundness oracle of the
@@ -31,8 +31,9 @@
 // extra iterations leave its total exact. The whole-program warm fixpoint
 // records way count k at the first pass whose entry and exit states agree
 // below age k (their agreement depth is at least k), with the 64-pass cap
-// and the all-miss fallback applied per way count. The restricted-geometry
-// analyses this replaces are kept as the tests' oracle.
+// and the all-miss fallback applied per way count. Analyze returns these
+// bounds as Result.WarmByWays; the restricted-geometry analyses they
+// replace are kept as the tests' oracle.
 package wcet
 
 import (
@@ -40,7 +41,6 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/program"
-	"repro/internal/sched"
 )
 
 // Platform is the execution platform: processor clock plus cache geometry,
@@ -75,6 +75,16 @@ type Result struct {
 	// ReusedLines is ReductionCycles expressed in whole reused cache lines
 	// (reduction / (miss-hit)); -1 if the reduction is not line-granular.
 	ReusedLines int
+
+	// WarmByWays is the warm bound under every dedicated-way count of a way
+	// partition: entry k-1 is the warm bound when the program owns k ways
+	// of the cache (the same sets with associativity k,
+	// cachesim.Config.Restrict), so the last entry equals WarmCycles. No
+	// other application can evict a partition's contents, so in periodic
+	// steady state every task of the program runs at this bound. Way
+	// partitions are a single-level axis: the field is nil when the
+	// platform has an L2.
+	WarmByWays []int64
 }
 
 // validateMustPolicy rejects replacement policies the must-analysis cannot
@@ -112,54 +122,28 @@ func validate(p *program.Program, plat Platform) error {
 
 // Analyze runs the must-analysis on p and returns its guaranteed bounds.
 // One walk serves every platform: without an enabled hierarchy it is the
-// multi-level walk with no L2, pricing the full associativity only. The
+// multi-level walk with no L2, pricing every way count at once (see the
+// package comment); with an L2 it prices the full associativity only. The
 // concrete simulation is not run; Simulate gives it on the same platform.
 func Analyze(p *program.Program, plat Platform) (*Result, error) {
 	if err := validate(p, plat); err != nil {
 		return nil, err
 	}
-	cold, warm := newWalker(plat.Cache, plat.Hier, plat.Cache.Ways).hierMustBounds(p)
+	cold, warm := newWalker(plat.Cache, plat.Hier).hierMustBounds(p)
+	full := len(warm) - 1
 	res := &Result{
-		ColdCycles:      cold[0],
-		WarmCycles:      warm[0],
-		ReductionCycles: cold[0] - warm[0],
+		ColdCycles:      cold[full],
+		WarmCycles:      warm[full],
+		ReductionCycles: cold[full] - warm[full],
 		ReusedLines:     -1,
+	}
+	if !plat.Hier.Enabled() {
+		res.WarmByWays = warm
 	}
 	if d := int64(plat.Cache.MissCycles - plat.Cache.HitCycles); d > 0 && res.ReductionCycles%d == 0 {
 		res.ReusedLines = int(res.ReductionCycles / d)
 	}
 	return res, nil
-}
-
-// SteadyWayTimings returns the program's steady-state schedule timing under
-// every dedicated-way count: entry w-1 is the AppTiming when the
-// application owns w ways of plat's cache (a way partition: the same set
-// mapping with associativity w, cachesim.Config.Restrict), with ColdWCET ==
-// WarmWCET == the warm bound of that restricted geometry. No other
-// application can evict the partition's contents, so the abstract state
-// survives the gaps between the application's bursts and in periodic
-// steady state every task runs at the warm bound, the first of each burst
-// included. This is the single home of the partition timing model;
-// apps.WayTimings builds every sched.PartitionTimings table's per-way rows
-// from it.
-//
-// One walk prices every way count at once by LRU inclusion (see the
-// package comment); way partitions are a single-level axis, so a platform
-// with an enabled hierarchy is rejected.
-func SteadyWayTimings(p *program.Program, plat Platform, name string, maxIdle float64) ([]sched.AppTiming, error) {
-	if plat.Hier.Enabled() {
-		return nil, fmt.Errorf("wcet: %s: partitioned analysis does not support cache hierarchies", name)
-	}
-	if err := validate(p, plat); err != nil {
-		return nil, fmt.Errorf("wcet: %s: %w", name, err)
-	}
-	_, warm := newWalker(plat.Cache, plat.Hier, 1).hierMustBounds(p)
-	out := make([]sched.AppTiming, len(warm))
-	for w, c := range warm {
-		s := plat.CyclesToSeconds(c)
-		out[w] = sched.AppTiming{Name: name, ColdWCET: s, WarmWCET: s, MaxIdle: maxIdle}
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
