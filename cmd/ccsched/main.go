@@ -123,19 +123,20 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "  overall best: %v with P_all = %.4f\n", res.Best, res.BestValue)
 	case "multicore":
-		opt := search.MulticoreOptions{MaxM: *maxM}
+		var bound search.Bounder
 		if *bb {
 			weights := make([]float64, len(fw.Apps))
 			for i, a := range fw.Apps {
 				weights[i] = a.Weight
 			}
-			opt.Bounder = search.TrivialBounder(weights)
+			bound = search.TrivialBounder(weights)
 		}
 		single, err := fw.OptimizeExhaustive(*maxM)
 		if err != nil {
 			return err
 		}
-		mc, err := fw.OptimizeMulticoreCoDesign(*cores, opt, nil)
+		cache := search.NewMulticoreCache(fw.MulticoreEvalFunc())
+		mc, _, err := search.MulticoreExact(cache, fw.PartTimings, *cores, *maxM, bound)
 		if err != nil {
 			return err
 		}

@@ -304,11 +304,11 @@ func (s *server) backend() evalcache.Backend {
 func newServer(st *store.Store, defaultBudget string) *server {
 	s := &server{st: st, defaultBudget: defaultBudget, start: time.Now(), mux: http.NewServeMux()}
 	s.queueDepth = func() int64 { return int64(parallel.Default().Stats().QueueDepth) }
-	s.frameworks = evalcache.NewCache(0, func(k evalcache.StringKey) (*core.Framework, error) {
+	s.frameworks = evalcache.NewCache(func(k evalcache.StringKey) (*core.Framework, error) {
 		return exp.DefaultFramework(exp.Budget(string(k)))
 	})
-	s.designs = evalcache.NewTiered(0, s.evalDesign, s.backend(), designNamespace, designCodec())
-	s.tables = evalcache.NewTiered(0, s.renderTable, s.backend(), tableNamespace, evalcache.Codec[string]{
+	s.designs = evalcache.NewTiered(s.evalDesign, s.backend(), designNamespace, designCodec())
+	s.tables = evalcache.NewTiered(s.renderTable, s.backend(), tableNamespace, evalcache.Codec[string]{
 		Encode: func(t string) ([]byte, error) { return json.Marshal(t) },
 		Decode: func(data []byte) (string, error) {
 			var t string

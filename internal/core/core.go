@@ -10,7 +10,9 @@
 //
 // A Framework owns the platform model, the per-application WCET analysis
 // results, and deterministic evaluation of schedules; the search package
-// drives it through EvalFunc.
+// drives it through EvalFunc, JointEvalFunc, and MulticoreEvalFunc, which
+// evaluates one core of search.MulticoreExact's placement search on the
+// sub-framework of that core's applications.
 //
 // Key invariant: evaluation is a pure function of (framework, point). PSO
 // seeds derive from the point's canonical key and the app index, a plain
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/ctrl"
@@ -65,13 +66,6 @@ type Framework struct {
 	// schedule is its shared point, whose key equals the schedule's own, so
 	// schedule-only and joint entry paths share every entry.
 	cache *evalcache.Cache[sched.JointSchedule, sched.PointKey, *ScheduleEval]
-
-	// coreViews memoizes the per-application-subset sub-frameworks of the
-	// multi-core placement search (CoreView), keyed by the subset's index
-	// rendering, so every core point of the same subset evaluates through
-	// one cache.
-	coreMu    sync.Mutex
-	coreViews map[string]*Framework
 }
 
 // New runs the WCET analysis of every application on the platform and
@@ -84,6 +78,13 @@ func New(applications []apps.App, plat wcet.Platform, designOpt ctrl.DesignOptio
 	if err != nil {
 		return nil, err
 	}
+	return FromTable(applications, plat, designOpt, pt, rs), nil
+}
+
+// FromTable returns a ready-to-evaluate framework over applications whose
+// WCET analysis on plat already ran: pt and rs must be what
+// apps.Table(applications, plat) returns.
+func FromTable(applications []apps.App, plat wcet.Platform, designOpt ctrl.DesignOptions, pt sched.PartitionTimings, rs []*wcet.Result) *Framework {
 	f := &Framework{
 		Apps:        applications,
 		Platform:    plat,
@@ -92,8 +93,8 @@ func New(applications []apps.App, plat wcet.Platform, designOpt ctrl.DesignOptio
 		WCETResults: rs,
 		PartTimings: pt,
 	}
-	f.cache = evalcache.NewCache(0, f.evaluate)
-	return f, nil
+	f.cache = evalcache.NewCache(f.evaluate)
+	return f
 }
 
 // AppResult is the stage-1 outcome for one application under a schedule.
@@ -234,12 +235,21 @@ func designSeed(j sched.JointSchedule, app int) int64 {
 // partitioned points design against the steady-state timings of their way
 // allocation.
 func (f *Framework) EvaluateJoint(j sched.JointSchedule) (*ScheduleEval, error) {
-	if !j.Shared() && !j.W.Valid(len(f.Apps), f.Platform.Cache.Ways) {
-		return nil, fmt.Errorf("core: partition %v invalid for %d apps on a %d-way cache",
-			j.W, len(f.Apps), f.Platform.Cache.Ways)
+	if err := f.checkPartition(j); err != nil {
+		return nil, err
 	}
 	ev, _, err := f.cache.Get(j)
 	return ev, err
+}
+
+// checkPartition rejects a partitioned point whose ways do not fit the
+// framework's applications on the platform cache.
+func (f *Framework) checkPartition(j sched.JointSchedule) error {
+	if !j.Shared() && !j.W.Valid(len(f.Apps), f.Platform.Cache.Ways) {
+		return fmt.Errorf("core: partition %v invalid for %d apps on a %d-way cache",
+			j.W, len(f.Apps), f.Platform.Cache.Ways)
+	}
+	return nil
 }
 
 // outcome projects a stage-1 evaluation onto the search layer's Outcome.

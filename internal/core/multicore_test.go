@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -10,150 +11,132 @@ import (
 	"repro/internal/wcet"
 )
 
-func TestCoreAssignmentValid(t *testing.T) {
-	if err := (CoreAssignment{0, 1, 0}).Valid(3, 2); err != nil {
-		t.Errorf("valid assignment rejected: %v", err)
-	}
-	cases := []struct {
-		ca     CoreAssignment
-		nApps  int
-		nCores int
-	}{
-		{CoreAssignment{0, 1}, 3, 2},    // wrong length
-		{CoreAssignment{0, 2, 0}, 3, 2}, // core out of range
-		{CoreAssignment{0, 0, 0}, 3, 2}, // core 1 empty
-		{CoreAssignment{}, 0, 0},        // zero cores must not pass vacuously
-		{CoreAssignment{0, 0}, 2, -1},   // negative core count
-	}
-	for i, c := range cases {
-		if c.ca.Valid(c.nApps, c.nCores) == nil {
-			t.Errorf("case %d should be invalid", i)
-		}
-	}
-}
-
-func TestBalancedAssignment(t *testing.T) {
-	timings := []sched.AppTiming{
-		{Name: "a", ColdWCET: 900e-6, WarmWCET: 400e-6},
-		{Name: "b", ColdWCET: 600e-6, WarmWCET: 200e-6},
-		{Name: "c", ColdWCET: 700e-6, WarmWCET: 250e-6},
-	}
-	ca, err := BalancedAssignment(timings, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ca.Valid(3, 2); err != nil {
-		t.Fatalf("balanced assignment invalid: %v", err)
-	}
-	// Largest app alone, the two smaller together: loads 900 vs 1300.
-	if ca[0] == ca[1] || ca[0] == ca[2] {
-		t.Errorf("heaviest app should be isolated: %v", ca)
-	}
-	// Error contract: core counts the apps cannot fill are rejected rather
-	// than silently producing an assignment that fails Valid.
-	for _, bad := range []struct {
-		nCores int
-	}{{0}, {-3}, {4}, {100}} {
-		if _, err := BalancedAssignment(timings, bad.nCores); err == nil {
-			t.Errorf("BalancedAssignment(3 apps, %d cores) accepted", bad.nCores)
-		}
-	}
-}
-
-func TestSensitivityAssignment(t *testing.T) {
-	// App 0 and 2 are cache-hungry (steady WCET collapses with ways), app 1
-	// is flat: the greedy spread must place the two sensitive apps on
-	// different cores.
-	pt := sched.PartitionTimings{
-		Shared: []sched.AppTiming{
-			{Name: "a", ColdWCET: 900e-6, WarmWCET: 300e-6},
-			{Name: "b", ColdWCET: 500e-6, WarmWCET: 480e-6},
-			{Name: "c", ColdWCET: 800e-6, WarmWCET: 350e-6},
-		},
-		ByWays: [][]sched.AppTiming{
-			{{WarmWCET: 900e-6}, {WarmWCET: 500e-6}, {WarmWCET: 800e-6}},
-			{{WarmWCET: 300e-6}, {WarmWCET: 490e-6}, {WarmWCET: 400e-6}},
-		},
-	}
-	ca, err := SensitivityAssignment(pt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ca.Valid(3, 2); err != nil {
-		t.Fatalf("sensitivity assignment invalid: %v", err)
-	}
-	if ca[0] == ca[2] {
-		t.Errorf("both cache-sensitive apps on one core: %v", ca)
-	}
-	if _, err := SensitivityAssignment(pt, 0); err == nil {
-		t.Error("0 cores accepted")
-	}
-	if _, err := SensitivityAssignment(pt, 4); err == nil {
-		t.Error("more cores than apps accepted")
-	}
-	// Fallback path: no per-way table, sensitivity = cold - warm.
-	flat := sched.PartitionTimings{Shared: pt.Shared}
-	if ca, err := SensitivityAssignment(flat, 2); err != nil || ca.Valid(3, 2) != nil {
-		t.Errorf("shared-only fallback failed: %v %v", ca, err)
-	}
-}
-
-// balancedOnly is the seeds-only placement search over the balanced
-// assignment: MaxAssignments below the 3-app/2-core canonical count (3)
-// leaves the seed as the only placement searched.
-func balancedOnly(t *testing.T, fw *Framework, maxM int) search.MulticoreOptions {
+// multicore runs the placement search over the framework's core points.
+func multicore(t *testing.T, fw *Framework, nCores, maxM int, bound search.Bounder) (co, uniform *search.MulticoreResult) {
 	t.Helper()
-	assign, err := BalancedAssignment(fw.Timings, 2)
+	co, uniform, err := search.MulticoreExact(search.NewMulticoreCache(fw.MulticoreEvalFunc()), fw.PartTimings, nCores, maxM, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return search.MulticoreOptions{MaxM: maxM, Seeds: [][]int{assign}, MaxAssignments: 1}
+	return co, uniform
 }
 
+// TestCoreAssignmentValid: the core point evaluator checks the core's share
+// of the placement before evaluating anything. A nonempty, strictly
+// ascending subset of the framework's applications is accepted; subsets the
+// placement search never produces are errors.
+func TestCoreAssignmentValid(t *testing.T) {
+	fw := newTestFramework(t)
+	eval := fw.MulticoreEvalFunc()
+	if _, err := eval(search.CorePoint{Apps: []int{1}, Point: sched.JointSchedule{M: sched.Schedule{1}}}); err != nil {
+		t.Errorf("valid core assignment rejected: %v", err)
+	}
+	for _, subset := range [][]int{
+		nil,     // core hosts no application
+		{2, 0},  // not ascending
+		{0, 0},  // an application twice
+		{0, 3},  // application out of range
+		{-1, 1}, // negative application index
+	} {
+		if _, err := eval(search.CorePoint{Apps: subset, Point: sched.JointSchedule{M: sched.Schedule{1, 1}}}); err == nil {
+			t.Errorf("core assignment %v accepted", subset)
+		}
+	}
+}
+
+// TestCoreView: a core point evaluates on the core's view of the framework
+// exactly as a framework of its applications alone evaluates the point,
+// bit for bit: the timing rows are the parent's and the design seeds
+// follow the local application index. Partitions that do not fit the
+// core's cache are errors.
+func TestCoreView(t *testing.T) {
+	fw, err := New(apps.CaseStudy(), fourWayPlatform(), tinyBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := New([]apps.App{fw.Apps[0], fw.Apps[2]}, fw.Platform, fw.DesignOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := fw.MulticoreEvalFunc()
+	for _, j := range []sched.JointSchedule{
+		{M: sched.Schedule{1, 2}},
+		{M: sched.Schedule{2, 1}, W: sched.Ways{3, 1}},
+	} {
+		got, err := eval(search.CorePoint{Apps: []int{0, 2}, Point: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := outcome(alone.EvaluateJoint(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Feasible != want.Feasible || math.Float64bits(got.Pall) != math.Float64bits(want.Pall) {
+			t.Errorf("%v: core point %+v, framework of the subset %+v", j, got, want)
+		}
+	}
+	bad := search.CorePoint{Apps: []int{0, 2}, Point: sched.JointSchedule{M: sched.Schedule{1, 1}, W: sched.Ways{4, 1}}}
+	if _, err := eval(bad); err == nil {
+		t.Errorf("core point %v accepted", bad)
+	}
+}
+
+// TestOptimizeMulticore pins the design-objective placement search: it
+// completes on the case study, and the co-design optimum is at least the
+// single-core round-robin P_all (a core with fewer apps has a shorter
+// schedule period, so per-app performance should not degrade versus one
+// shared core) and at least the uniform baseline's.
 func TestOptimizeMulticore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore optimization is slow for -short")
 	}
 	fw := newTestFramework(t)
-	res, err := fw.OptimizeMulticoreCoDesign(2, balancedOnly(t, fw, 3), nil)
-	if err != nil {
-		t.Fatal(err)
+	co, uniform := multicore(t, fw, 2, 3, nil)
+	if !co.Enumerated || co.Assignments != 3 {
+		t.Fatalf("search enumerated %v, %d placements; want all 3", co.Enumerated, co.Assignments)
 	}
-	if res.Enumerated || res.Assignments != 1 {
-		t.Fatalf("seeds-only search enumerated %v, %d placements", res.Enumerated, res.Assignments)
+	if !co.FoundBest || len(co.PerCore) != 2 {
+		t.Fatalf("per-core results missing: found %v, %d cores", co.FoundBest, len(co.PerCore))
 	}
-	if !res.FoundBest || len(res.PerCore) != 2 {
-		t.Fatalf("per-core results missing: found %v, %d cores", res.FoundBest, len(res.PerCore))
-	}
-	// A core with fewer apps has a shorter schedule period, so per-app
-	// performance should not degrade versus single core sharing: the
-	// multi-core Pall must be at least the single-core round-robin Pall.
 	single, err := fw.EvaluateSchedule(sched.RoundRobin(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestValue < single.Pall-0.05 {
-		t.Errorf("multicore Pall %.4f unexpectedly below single-core %.4f", res.BestValue, single.Pall)
+	if co.BestValue < single.Pall-0.05 {
+		t.Errorf("multicore Pall %.4f unexpectedly below single-core %.4f", co.BestValue, single.Pall)
+	}
+	if uniform.FoundBest && uniform.BestValue > co.BestValue {
+		t.Errorf("uniform optimum %v above co-design optimum %v", uniform.BestValue, co.BestValue)
 	}
 }
 
+// TestOptimizeMulticoreRejectsBadAssignment: the placement search over the
+// framework rejects core counts no placement of its applications can fill
+// (no cores, or more cores than applications, which leaves a core empty)
+// and an empty schedule range, before evaluating any core point.
 func TestOptimizeMulticoreRejectsBadAssignment(t *testing.T) {
-	fw, err := New(apps.CaseStudy(), wcet.PaperPlatform(), tinyBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := search.MulticoreOptions{MaxM: 3, Seeds: [][]int{{0, 0, 0}}}
-	if _, err := fw.OptimizeMulticoreCoDesign(2, seeds, nil); err == nil {
-		t.Error("assignment with empty core accepted")
-	}
-	if _, err := fw.OptimizeMulticoreCoDesign(0, search.MulticoreOptions{MaxM: 3}, nil); err == nil {
-		t.Error("0 cores accepted")
+	fw := newTestFramework(t)
+	for _, bad := range []struct{ nCores, maxM int }{
+		{0, 3}, {-1, 3}, {4, 3}, {2, 0},
+	} {
+		evals := 0
+		eval := fw.MulticoreEvalFunc()
+		cache := search.NewMulticoreCache(func(p search.CorePoint) (search.Outcome, error) {
+			evals++
+			return eval(p)
+		})
+		if _, _, err := search.MulticoreExact(cache, fw.PartTimings, bad.nCores, bad.maxM, nil); err == nil {
+			t.Errorf("%d cores, maxM %d accepted", bad.nCores, bad.maxM)
+		}
+		if evals != 0 {
+			t.Errorf("%d cores, maxM %d: %d core points evaluated before the error", bad.nCores, bad.maxM, evals)
+		}
 	}
 }
 
 // TestOptimizeMulticoreCoDesignInfeasible pins the no-feasible-point
-// outcome: when no core can meet its idle budget the search completes
-// without error and reports no placement, rather than a partial one.
+// outcome: when no core can meet its idle budget both searches complete
+// without error and report no placement, rather than a partial one.
 func TestOptimizeMulticoreCoDesignInfeasible(t *testing.T) {
 	applications := apps.CaseStudy()
 	for i := range applications {
@@ -163,56 +146,20 @@ func TestOptimizeMulticoreCoDesignInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fw.OptimizeMulticoreCoDesign(2, search.MulticoreOptions{MaxM: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FoundBest || res.Assignment != nil || res.PerCore != nil {
-		t.Errorf("infeasible taskset reported a placement: %+v", res)
-	}
-	if !math.IsInf(res.BestValue, -1) {
-		t.Errorf("BestValue = %v, want -Inf", res.BestValue)
-	}
-}
-
-func TestCoreView(t *testing.T) {
-	fw := newTestFramework(t)
-	view, err := fw.CoreView([]int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(view.Apps) != 2 || view.Apps[1].Name != fw.Apps[2].Name {
-		t.Fatalf("view apps %v", view.Apps)
-	}
-	if view.Timings[1] != fw.Timings[2] {
-		t.Error("view timings not sliced from parent")
-	}
-	if view.WCETResults[0] != fw.WCETResults[0] {
-		t.Error("view WCET results not shared with parent")
-	}
-	if view.PartTimings.TotalWays() != fw.PartTimings.TotalWays() {
-		t.Error("view does not own the full cache")
-	}
-	again, err := fw.CoreView([]int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != view {
-		t.Error("core views not memoized")
-	}
-	if _, err := fw.CoreView([]int{2, 0}); err == nil {
-		t.Error("descending subset accepted")
-	}
-	if _, err := fw.CoreView(nil); err == nil {
-		t.Error("empty subset accepted")
+	co, uniform := multicore(t, fw, 2, 3, nil)
+	for _, res := range []*search.MulticoreResult{co, uniform} {
+		if res.FoundBest || res.Assignment != nil || res.PerCore != nil {
+			t.Errorf("infeasible taskset reported a placement: %+v", res)
+		}
+		if !math.IsInf(res.BestValue, -1) {
+			t.Errorf("BestValue = %v, want -Inf", res.BestValue)
+		}
 	}
 }
 
-// TestOptimizeMulticoreCoDesign pins the design-objective placement search:
-// branch-and-bound (with the always-admissible weight bound) and the
-// exhaustive placement search agree bit for bit, and the co-design optimum
-// dominates the seeds-only search of the balanced placement on the same
-// core count.
+// TestOptimizeMulticoreCoDesign: on the design objective, the search with
+// the always-admissible weight bound and the one without agree bit for bit,
+// uniform baseline included.
 func TestOptimizeMulticoreCoDesign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore co-design is slow for -short")
@@ -222,27 +169,16 @@ func TestOptimizeMulticoreCoDesign(t *testing.T) {
 	for i, a := range fw.Apps {
 		weights[i] = a.Weight
 	}
-	opt := search.MulticoreOptions{MaxM: 2}
-	ex, err := fw.OptimizeMulticoreCoDesign(2, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Bounder = search.TrivialBounder(weights)
-	bb, err := fw.OptimizeMulticoreCoDesign(2, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, exUni := multicore(t, fw, 2, 2, nil)
+	bb, bbUni := multicore(t, fw, 2, 2, search.TrivialBounder(weights))
 	if !ex.FoundBest || !bb.FoundBest {
 		t.Fatalf("searches incomplete: ex %v bb %v", ex.FoundBest, bb.FoundBest)
 	}
-	if math.Float64bits(ex.BestValue) != math.Float64bits(bb.BestValue) {
-		t.Errorf("branch-and-bound %v != exhaustive %v", bb.BestValue, ex.BestValue)
+	if math.Float64bits(ex.BestValue) != math.Float64bits(bb.BestValue) ||
+		!reflect.DeepEqual(ex.Assignment, bb.Assignment) || !reflect.DeepEqual(ex.PerCore, bb.PerCore) {
+		t.Errorf("branch-and-bound %v %v != exhaustive %v %v", bb.Assignment, bb.BestValue, ex.Assignment, ex.BestValue)
 	}
-	fixed, err := fw.OptimizeMulticoreCoDesign(2, balancedOnly(t, fw, 2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.FoundBest && ex.BestValue < fixed.BestValue {
-		t.Errorf("co-design optimum %v below fixed-placement %v", ex.BestValue, fixed.BestValue)
+	if !reflect.DeepEqual(exUni, bbUni) {
+		t.Errorf("uniform baseline depends on the co-design's bound:\nbb %+v\nex %+v", bbUni, exUni)
 	}
 }

@@ -300,21 +300,13 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 	)
 	switch scn.Objective {
 	case ObjectiveDesign:
-		applications := scn.Apps
-		if len(applications) == 0 {
-			var err error
-			applications, err = RandomApps(rng, scn)
-			if err != nil {
-				return nil, err
-			}
-		}
-		fw, err := core.New(applications, scn.Platform, scn.Budget)
+		fw, err := designFramework(rng, scn)
 		if err != nil {
 			return nil, err
 		}
 		res.Framework = fw
 		res.Timings = fw.Timings
-		res.Weights = weightsOf(applications)
+		res.Weights = weightsOf(fw.Apps)
 		eval = fw.EvalFunc()
 		if scn.Partitioned {
 			res.PartTimings = fw.PartTimings
@@ -476,9 +468,10 @@ func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sch
 	return nil
 }
 
-// runMulticore is the Cores > 1 arm: the placement x partition x schedule
-// co-design plus its uniform-split baseline, both over one core-point cache
-// so the baseline reuses every evaluation the co-design already made.
+// runMulticore is the Cores > 1 arm: one placement search returns the
+// placement x partition x schedule co-design and its uniform-split
+// baseline, both over one core-point cache so the baseline reuses every
+// evaluation the co-design made.
 func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend evalcache.Backend, ns string) error {
 	var coreEval search.CoreEvalFunc
 	if scn.Objective == ObjectiveDesign {
@@ -487,26 +480,11 @@ func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend eva
 		coreEval = MulticoreTimingEval(res.PartTimings, res.Weights)
 	}
 	mcCache := search.NewTiered(coreEval, backend, ns)
-
-	mopt := search.MulticoreOptions{
-		MaxM:    scn.MaxM,
-		Bounder: bounder,
-		Seeds:   core.PlacementSeeds(res.PartTimings, scn.Cores),
-	}
-	mc, err := search.MulticoreExact(mcCache, res.PartTimings, scn.Cores, mopt)
+	var err error
+	res.Multicore, res.MulticoreUniform, err = search.MulticoreExact(mcCache, res.PartTimings, scn.Cores, scn.MaxM, bounder)
 	if err != nil {
 		return fmt.Errorf("engine: scenario %s: multicore co-design: %w", scn.Name, err)
 	}
-	res.Multicore = mc
-
-	uopt := mopt
-	uopt.Bounder = nil
-	uopt.Uniform = true
-	uni, err := search.MulticoreExact(mcCache, res.PartTimings, scn.Cores, uopt)
-	if err != nil {
-		return fmt.Errorf("engine: scenario %s: multicore uniform baseline: %w", scn.Name, err)
-	}
-	res.MulticoreUniform = uni
 
 	res.Evaluated += mcCache.Len()
 	st := mcCache.Stats()
@@ -795,17 +773,17 @@ func pointScore(pt sched.PartitionTimings, weights []float64, idx []int, j sched
 // that keep round-robin feasible while binding at moderate burst lengths,
 // and normalized random weights, all drawn from rng in a fixed order (the
 // analysis draws nothing). It returns the applications (name, program,
-// idle budget and weight; no plant) and their apps.Table timing table,
-// every row carrying the idle budgets.
-func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, sched.PartitionTimings, error) {
+// idle budget and weight; no plant) with their apps.Table timing table,
+// every row carrying the idle budgets, and analysis results.
+func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, sched.PartitionTimings, []*wcet.Result, error) {
 	scn = scn.withDefaults()
 	list := make([]apps.App, scn.NumApps)
 	for i := range list {
 		list[i] = apps.App{Name: fmt.Sprintf("R%d", i+1), Program: program.Random(rng, scn.Spec)}
 	}
-	pt, _, err := apps.Table(list, scn.Platform)
+	pt, rs, err := apps.Table(list, scn.Platform)
 	if err != nil {
-		return nil, sched.PartitionTimings{}, fmt.Errorf("engine: random programs: %w", err)
+		return nil, sched.PartitionTimings{}, nil, fmt.Errorf("engine: random programs: %w", err)
 	}
 	// Idle budgets: at least the round-robin period (so m = (1,...,1) is
 	// always feasible) times a random headroom factor that lets bursts of a
@@ -826,7 +804,7 @@ func randomApps(rng *rand.Rand, scn Scenario) ([]apps.App, sched.PartitionTiming
 	for i := range list {
 		list[i].Weight /= total
 	}
-	return list, pt, nil
+	return list, pt, rs, nil
 }
 
 // weightsOf returns the applications' objective weights.
@@ -848,7 +826,7 @@ func timingTable(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float6
 		err  error
 	)
 	if len(list) == 0 {
-		list, pt, err = randomApps(rng, scn)
+		list, pt, _, err = randomApps(rng, scn)
 	} else {
 		pt, _, err = apps.Table(list, scn.Platform)
 	}
@@ -861,7 +839,7 @@ func timingTable(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float6
 // RandomTaskset draws a scenario's randomized taskset (see randomApps) as
 // timings and weights.
 func RandomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []float64, error) {
-	list, pt, err := randomApps(rng, scn)
+	list, pt, _, err := randomApps(rng, scn)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -873,7 +851,7 @@ func RandomTaskset(rng *rand.Rand, scn Scenario) ([]sched.AppTiming, []float64, 
 // returns its whole timing table, the per-way rows included. Way
 // partitions are a single-level axis, so a platform with an L2 is rejected.
 func RandomPartitionTaskset(rng *rand.Rand, scn Scenario) (sched.PartitionTimings, []float64, error) {
-	list, pt, err := randomApps(rng, scn)
+	list, pt, _, err := randomApps(rng, scn)
 	if err != nil {
 		return sched.PartitionTimings{}, nil, err
 	}
@@ -883,11 +861,16 @@ func RandomPartitionTaskset(rng *rand.Rand, scn Scenario) (sched.PartitionTiming
 	return pt, weightsOf(list), nil
 }
 
-// RandomApps builds a randomized taskset for ObjectiveDesign scenarios:
-// randomApps' programs, idle budgets and weights, paired with the
-// case-study plants (cycled).
-func RandomApps(rng *rand.Rand, scn Scenario) ([]apps.App, error) {
-	list, _, err := randomApps(rng, scn)
+// designFramework builds the framework of an ObjectiveDesign scenario
+// (defaults applied) over its named applications, or over randomApps' draw
+// paired with the case-study plants (cycled) when it names none. The
+// random draw's WCET analysis is the framework's: no program is analyzed
+// twice.
+func designFramework(rng *rand.Rand, scn Scenario) (*core.Framework, error) {
+	if len(scn.Apps) > 0 {
+		return core.New(scn.Apps, scn.Platform, scn.Budget)
+	}
+	list, pt, rs, err := randomApps(rng, scn)
 	if err != nil {
 		return nil, err
 	}
@@ -897,7 +880,7 @@ func RandomApps(rng *rand.Rand, scn Scenario) ([]apps.App, error) {
 		list[i].Plant, list[i].SettleDeadline = base.Plant, base.SettleDeadline
 		list[i].Ref, list[i].UMax = base.Ref, base.UMax
 	}
-	return list, nil
+	return core.FromTable(list, scn.Platform, scn.Budget, pt, rs), nil
 }
 
 // RandomStarts draws n idle-feasible start schedules by random upward walks

@@ -17,8 +17,8 @@ func TestGetHitAllocs(t *testing.T) {
 	}
 	s := sched.Schedule{3, 1, 2}
 	j := sched.JointSchedule{M: s, W: sched.Ways{2, 1, 1}}
-	mem := NewCache(0, func(j sched.JointSchedule) (int, error) { return len(j.M), nil })
-	tiered := NewTiered(0, func(j sched.JointSchedule) (int, error) { return len(j.M), nil },
+	mem := NewCache(func(j sched.JointSchedule) (int, error) { return len(j.M), nil })
+	tiered := NewTiered(func(j sched.JointSchedule) (int, error) { return len(j.M), nil },
 		newMemBackend(), "ns/", intCodec())
 	for name, c := range map[string]*Cache[sched.JointSchedule, sched.PointKey, int]{"memory": mem, "tiered": tiered} {
 		for _, p := range []sched.JointSchedule{sched.SharedPoint(s), j} {
@@ -42,7 +42,7 @@ func TestGetLastMissAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	c := NewCache(1, func(s sched.Schedule) (int, error) { return s[0], nil })
+	c := NewCache(func(s sched.Schedule) (int, error) { return s[0], nil })
 	kept := sched.Schedule{1, 1}
 	if _, _, err := c.Get(kept); err != nil {
 		t.Fatal(err)
@@ -59,13 +59,20 @@ func TestGetLastMissAllocs(t *testing.T) {
 	if got := c.Len(); got != before+1 {
 		t.Errorf("Len after a GetLast miss = %d, want %d", got, before+1)
 	}
-	sh := &c.shards[0]
-	if len(sh.m) != 1 || sh.side != nil {
-		t.Errorf("GetLast miss changed the shard: %d slots, side map %v", len(sh.m), sh.side)
+	slots := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		slots += len(sh.m)
+		if sh.side != nil {
+			t.Errorf("GetLast miss left shard %d a side map %v", i, sh.side)
+		}
+	}
+	if slots != 1 {
+		t.Errorf("GetLast miss changed the slots: %d, want the 1 read before", slots)
 	}
 	if mk, err := kept.MemKey(); err != nil {
 		t.Fatal(err)
-	} else if _, ok := sh.m[mk]; !ok {
+	} else if _, ok := c.shardFor(mk).m[mk]; !ok {
 		t.Error("the slot of the point read before is gone")
 	}
 }
@@ -73,17 +80,19 @@ func TestGetLastMissAllocs(t *testing.T) {
 // TestUncontendedMissMakesNoWaitChannel pins the lazy side state: a miss
 // no other requester waited on completes its slot and creates no side map.
 func TestUncontendedMissMakesNoWaitChannel(t *testing.T) {
-	c := NewCache(1, func(s sched.Schedule) (int, error) { return 0, nil })
+	c := NewCache(func(s sched.Schedule) (int, error) { return 0, nil })
 	if _, _, err := c.Get(sched.Schedule{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	for k, e := range c.shards[0].m {
-		if e.state != done {
-			t.Errorf("slot %v: state %d after an uncontended miss, want done", k, e.state)
+	for i := range c.shards {
+		for k, e := range c.shards[i].m {
+			if e.state != done {
+				t.Errorf("slot %v: state %d after an uncontended miss, want done", k, e.state)
+			}
 		}
-	}
-	if side := c.shards[0].side; side != nil {
-		t.Errorf("side map %v after an uncontended miss, want none", side)
+		if side := c.shards[i].side; side != nil {
+			t.Errorf("side map %v after an uncontended miss, want none", side)
+		}
 	}
 }
 
@@ -91,7 +100,7 @@ func TestUncontendedMissMakesNoWaitChannel(t *testing.T) {
 // key fails with the packing error, without evaluating or counting.
 func TestGetRejectsUnpackablePoint(t *testing.T) {
 	evals := 0
-	c := NewCache(0, func(s sched.Schedule) (int, error) { evals++; return 0, nil })
+	c := NewCache(func(s sched.Schedule) (int, error) { evals++; return 0, nil })
 	if _, _, err := c.Get(sched.Schedule{1, sched.MaxPackedCoord + 1}); err == nil {
 		t.Fatal("unpackable point accepted")
 	}

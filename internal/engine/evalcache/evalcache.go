@@ -76,9 +76,9 @@ func (k StringKey) Key() string { return string(k) }
 // MemKey returns the string; it never fails.
 func (k StringKey) MemKey() (string, error) { return string(k), nil }
 
-// DefaultShards is the shard count used when NewCache is given n <= 0.
-// Sixteen stripes keep lock contention negligible for the worker-pool sizes
-// the engine uses while staying cheap to allocate per scenario.
+// DefaultShards is every cache's shard count. Sixteen stripes keep lock
+// contention negligible for the worker-pool sizes the engine uses while
+// staying cheap to allocate per scenario.
 const DefaultShards = 16
 
 // Backend is the optional persistent second tier of a Cache: a key/value
@@ -158,13 +158,9 @@ type Cache[K Keyed[M], M comparable, V any] struct {
 	lastMisses atomic.Int64
 }
 
-// NewCache wraps eval in a memory-only cache with the given shard count
-// (DefaultShards when n <= 0).
-func NewCache[K Keyed[M], M comparable, V any](n int, eval func(K) (V, error)) *Cache[K, M, V] {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	c := &Cache[K, M, V]{eval: eval, shards: make([]shard[M, V], n), seed: maphash.MakeSeed()}
+// NewCache wraps eval in a memory-only cache of DefaultShards shards.
+func NewCache[K Keyed[M], M comparable, V any](eval func(K) (V, error)) *Cache[K, M, V] {
+	c := &Cache[K, M, V]{eval: eval, shards: make([]shard[M, V], DefaultShards), seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].m = make(map[M]slot[V])
 	}
@@ -174,8 +170,8 @@ func NewCache[K Keyed[M], M comparable, V any](n int, eval func(K) (V, error)) *
 // NewTiered wraps eval in a two-tier cache: memory in front of the given
 // persistent backend, with every backend key prefixed by namespace and
 // values serialized through codec. A nil backend degrades to NewCache.
-func NewTiered[K Keyed[M], M comparable, V any](n int, eval func(K) (V, error), b Backend, namespace string, codec Codec[V]) *Cache[K, M, V] {
-	c := NewCache(n, eval)
+func NewTiered[K Keyed[M], M comparable, V any](eval func(K) (V, error), b Backend, namespace string, codec Codec[V]) *Cache[K, M, V] {
+	c := NewCache(eval)
 	c.backend = b
 	c.namespace = namespace
 	c.codec = codec

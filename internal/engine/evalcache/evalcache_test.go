@@ -14,7 +14,7 @@ import (
 
 func TestGetMemoizes(t *testing.T) {
 	var evals atomic.Int64
-	c := NewCache(4, func(s sched.Schedule) (int, error) {
+	c := NewCache(func(s sched.Schedule) (int, error) {
 		evals.Add(1)
 		return s[0] * 10, nil
 	})
@@ -42,7 +42,7 @@ func TestGetMemoizes(t *testing.T) {
 func TestConcurrentGetsCoalesce(t *testing.T) {
 	var evals atomic.Int64
 	gate := make(chan struct{})
-	c := NewCache(0, func(s sched.Schedule) (string, error) {
+	c := NewCache(func(s sched.Schedule) (string, error) {
 		evals.Add(1)
 		<-gate // hold the evaluating requester until another one waits
 		return s.Key(), nil
@@ -102,7 +102,7 @@ func TestConcurrentGetsCoalesce(t *testing.T) {
 func TestErrorsAreMemoized(t *testing.T) {
 	var evals atomic.Int64
 	boom := errors.New("boom")
-	c := NewCache(2, func(s sched.Schedule) (int, error) {
+	c := NewCache(func(s sched.Schedule) (int, error) {
 		evals.Add(1)
 		return 0, boom
 	})
@@ -117,7 +117,7 @@ func TestErrorsAreMemoized(t *testing.T) {
 }
 
 func TestPanickingEvalDoesNotWedgeWaiters(t *testing.T) {
-	c := NewCache(2, func(s sched.Schedule) (int, error) {
+	c := NewCache(func(s sched.Schedule) (int, error) {
 		panic("boom")
 	})
 	func() {
@@ -145,7 +145,7 @@ func TestPanickingEvalDoesNotWedgeWaiters(t *testing.T) {
 }
 
 func TestLenCountsDistinctKeys(t *testing.T) {
-	c := NewCache(8, func(s sched.Schedule) (int, error) { return 0, nil })
+	c := NewCache(func(s sched.Schedule) (int, error) { return 0, nil })
 	for i := 1; i <= 5; i++ {
 		for rep := 0; rep < 3; rep++ {
 			if _, _, err := c.Get(sched.Schedule{i, 1}); err != nil {
@@ -160,7 +160,7 @@ func TestLenCountsDistinctKeys(t *testing.T) {
 
 func TestManyKeysAcrossShards(t *testing.T) {
 	var evals atomic.Int64
-	c := NewCache(16, func(s sched.Schedule) (string, error) {
+	c := NewCache(func(s sched.Schedule) (string, error) {
 		evals.Add(1)
 		return s.Key(), nil
 	})

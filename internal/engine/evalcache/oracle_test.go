@@ -65,7 +65,7 @@ func runOracle(seq []oracleOp, tiered bool, stored uint8, useLast bool) oracleRu
 		}
 		return 10 * s[0], nil
 	}
-	c := NewCache(2, eval)
+	c := NewCache(eval)
 	var b *memBackend
 	if tiered {
 		b = newMemBackend()
@@ -78,7 +78,7 @@ func runOracle(seq []oracleOp, tiered bool, stored uint8, useLast bool) oracleRu
 		if stored&(1<<6) != 0 {
 			b.m["ns/"+sched.Schedule{1}.Key()] = []byte("not json")
 		}
-		c = NewTiered(2, eval, b, "ns/", intCodec())
+		c = NewTiered(eval, b, "ns/", intCodec())
 	}
 	for _, op := range seq {
 		get := c.Get

@@ -54,7 +54,7 @@ func TestTieredWritesThroughAndLoads(t *testing.T) {
 	execs := 0
 	eval := func(k tkey) (int, error) { execs++; return len(k), nil }
 
-	warm := NewTiered(0, eval, backend, "ns/", intCodec())
+	warm := NewTiered(eval, backend, "ns/", intCodec())
 	v, charged, err := warm.Get(tkey("abc"))
 	if err != nil || v != 3 || !charged {
 		t.Fatalf("cold Get = (%d, %v, %v)", v, charged, err)
@@ -70,7 +70,7 @@ func TestTieredWritesThroughAndLoads(t *testing.T) {
 	// on a warm store: the value loads without executing the evaluator,
 	// but the lookup is still charged like an execution so evaluation
 	// attribution is identical cold and warm.
-	second := NewTiered(0, eval, backend, "ns/", intCodec())
+	second := NewTiered(eval, backend, "ns/", intCodec())
 	v, charged, err = second.Get(tkey("abc"))
 	if err != nil || v != 3 {
 		t.Fatalf("warm Get = (%d, %v)", v, err)
@@ -98,8 +98,8 @@ func TestTieredWritesThroughAndLoads(t *testing.T) {
 func TestTieredNamespaceSeparation(t *testing.T) {
 	backend := newMemBackend()
 	eval := func(k tkey) (int, error) { return 1, nil }
-	a := NewTiered(0, eval, backend, "a/", intCodec())
-	b := NewTiered(0, eval, backend, "b/", intCodec())
+	a := NewTiered(eval, backend, "a/", intCodec())
+	b := NewTiered(eval, backend, "b/", intCodec())
 	a.Get(tkey("k"))
 	b.Get(tkey("k"))
 	if len(backend.m) != 2 {
@@ -111,7 +111,7 @@ func TestTieredUndecodableRecordRecomputes(t *testing.T) {
 	backend := newMemBackend()
 	backend.garbage = true
 	execs := 0
-	c := NewTiered(0, func(k tkey) (int, error) { execs++; return 7, nil }, backend, "ns/", intCodec())
+	c := NewTiered(func(k tkey) (int, error) { execs++; return 7, nil }, backend, "ns/", intCodec())
 	v, charged, err := c.Get(tkey("x"))
 	if err != nil || v != 7 || !charged {
 		t.Fatalf("Get over garbage backend = (%d, %v, %v)", v, charged, err)
@@ -126,7 +126,7 @@ func TestTieredUndecodableRecordRecomputes(t *testing.T) {
 
 func TestTieredErrorsNotPersisted(t *testing.T) {
 	backend := newMemBackend()
-	c := NewTiered(0, func(k tkey) (int, error) { return 0, fmt.Errorf("boom") }, backend, "ns/", intCodec())
+	c := NewTiered(func(k tkey) (int, error) { return 0, fmt.Errorf("boom") }, backend, "ns/", intCodec())
 	if _, _, err := c.Get(tkey("x")); err == nil {
 		t.Fatal("expected error")
 	}
@@ -137,7 +137,7 @@ func TestTieredErrorsNotPersisted(t *testing.T) {
 
 func TestTieredNilBackendIsMemoryOnly(t *testing.T) {
 	execs := 0
-	c := NewTiered(0, func(k tkey) (int, error) { execs++; return 1, nil }, nil, "ns/", intCodec())
+	c := NewTiered(func(k tkey) (int, error) { execs++; return 1, nil }, nil, "ns/", intCodec())
 	c.Get(tkey("x"))
 	c.Get(tkey("x"))
 	if execs != 1 {
@@ -152,7 +152,7 @@ func TestTieredConcurrentColdGetsCoalesceOntoBackend(t *testing.T) {
 	backend := newMemBackend()
 	execs := 0
 	block := make(chan struct{})
-	c := NewTiered(0, func(k tkey) (int, error) { execs++; <-block; return 2, nil }, backend, "ns/", intCodec())
+	c := NewTiered(func(k tkey) (int, error) { execs++; <-block; return 2, nil }, backend, "ns/", intCodec())
 	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

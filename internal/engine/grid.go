@@ -14,13 +14,12 @@ import (
 // HTTP design service (cmd/served), so a sweep requested over HTTP hits
 // exactly the same store keys as the same sweep run from the command line.
 type Grid struct {
-	N       int   // number of scenarios (>= 1)
-	Apps    int   // applications per scenario (default 3)
-	Seed    int64 // base seed; scenario i uses Seed+i
-	MaxM    int   // burst-length cap (default 6)
-	Starts  int   // random hybrid starts per scenario (default 2)
-	Tol     float64
-	Workers int // intra-scenario workers for the exhaustive pass
+	N      int   // number of scenarios (>= 1)
+	Apps   int   // applications per scenario (default 3)
+	Seed   int64 // base seed; scenario i uses Seed+i
+	MaxM   int   // burst-length cap (default 6)
+	Starts int   // random hybrid starts per scenario (default 2)
+	Tol    float64
 
 	Objective  Objective
 	Budget     ctrl.DesignOptions // design budget for ObjectiveDesign
@@ -43,6 +42,10 @@ type Grid struct {
 	L2Hit       int
 	L2Exclusive bool
 }
+
+// gridWorkers is every grid scenario's intra-scenario worker count for the
+// exhaustive pass. Results and store keys do not depend on it.
+const gridWorkers = 2
 
 // Scenarios expands the grid into its scenario list. Scenario i is named
 // s%03d and seeded Seed+i, on platform variant i mod Platforms.
@@ -67,9 +70,6 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 		return nil, fmt.Errorf("engine: grid L2 geometry cannot be negative")
 	}
 	plats := variants[:g.Platforms]
-	if g.Workers == 0 {
-		g.Workers = 2
-	}
 	var arrival sched.Arrival
 	if g.Jitter > 0 {
 		arrival = sched.Arrival{
@@ -118,7 +118,7 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 			Objective:  g.Objective,
 			Budget:     g.Budget,
 			Exhaustive: g.Exhaustive,
-			Workers:    g.Workers,
+			Workers:    gridWorkers,
 		}
 	}
 	return scenarios, nil

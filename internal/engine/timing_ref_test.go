@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -289,8 +290,10 @@ func TestTimingEvaluatorsMatchReference(t *testing.T) {
 
 // TestRandomAppsMatchesRandomTaskset: the design objective's random apps
 // and the timing objective's random taskset are one draw — names, idle
-// budgets and weights bit-equal over seeds, sizes and platforms.
+// budgets and weights bit-equal over seeds, sizes and platforms — and the
+// design framework pairs every app with a case-study plant.
 func TestRandomAppsMatchesRandomTaskset(t *testing.T) {
+	pool := apps.CaseStudy()
 	for _, plat := range PlatformVariants() {
 		for _, n := range []int{2, 3, 5} {
 			for seed := int64(0); seed < 4; seed++ {
@@ -299,10 +302,11 @@ func TestRandomAppsMatchesRandomTaskset(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				list, err := RandomApps(rand.New(rand.NewSource(seed)), scn)
+				fw, err := designFramework(rand.New(rand.NewSource(seed)), scn.withDefaults())
 				if err != nil {
 					t.Fatal(err)
 				}
+				list := fw.Apps
 				if len(list) != n || len(timings) != n || len(weights) != n {
 					t.Fatalf("sizes: %d apps, %d timings, %d weights, want %d", len(list), len(timings), len(weights), n)
 				}
@@ -313,8 +317,43 @@ func TestRandomAppsMatchesRandomTaskset(t *testing.T) {
 						t.Fatalf("seed %d, %d apps, app %d: %s/%v/%v vs %s/%v/%v", seed, n, i,
 							a.Name, a.MaxIdle, a.Weight, timings[i].Name, timings[i].MaxIdle, weights[i])
 					}
+					if !reflect.DeepEqual(a.Plant, pool[i%len(pool)].Plant) {
+						t.Fatalf("seed %d, %d apps, app %d: not paired with case-study plant %d", seed, n, i, i%len(pool))
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestRandomDesignScenarioAnalyzesOnce: a random design scenario's
+// framework carries the timing table and analysis results of the random
+// draw, which are exactly what analyzing its applications gives, on every
+// platform variant.
+func TestRandomDesignScenarioAnalyzesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("design-objective scenarios are slow for -short")
+	}
+	var budget ctrl.DesignOptions
+	budget.Swarm.Particles, budget.Swarm.Iterations = 4, 5
+	for k, plat := range PlatformVariants() {
+		res, err := Run(Scenario{
+			Seed: int64(40 + k), Platform: plat, Objective: ObjectiveDesign,
+			Budget: budget, MaxM: 2, Starts: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw := res.Framework
+		pt, rs, err := apps.Table(fw.Apps, plat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fw.PartTimings, pt) {
+			t.Errorf("platform %d: framework timing table differs from apps.Table", k)
+		}
+		if !reflect.DeepEqual(fw.WCETResults, rs) {
+			t.Errorf("platform %d: framework WCET results differ from apps.Table", k)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func TestGridMatchesLocalSweepDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grid.N != 6 || grid.Seed != 42 || !grid.Exhaustive || grid.Workers != 0 {
+	if grid.N != 6 || grid.Seed != 42 || !grid.Exhaustive {
 		t.Fatalf("grid %+v", grid)
 	}
 	scen, err := grid.Scenarios()

@@ -42,15 +42,17 @@ func allocsPerPoint(t *testing.T, search func() int) float64 {
 // TestExactSearchAllocsPerPoint pins the per-point allocation budgets of
 // the exact searcher, without a bound and with one, on the case-study table
 // under the timing objective. Each run includes building its cache (and,
-// for the placement search, its placements and per-subset views); what is
-// left per point is the amortized growth of the cache's maps and the
-// clones of new incumbents. Before points were packed into
-// fixed-size keys and streamed, each point cost several allocations
-// (string keys, listed boxes, per-point timing vectors and sub-tables).
-// The case names keep the mode each one measures: "Exhaustive" without a
-// bound, "BranchBound" with one (the trivial bound, which cuts almost
-// nothing, so the traversal visits the whole box: the timing bound leaves
-// too few points to amortize the run's fixed cost over).
+// for the placement search, its placements and per-subset views); the
+// placement search's points are those of the co-design and its uniform
+// baseline together, as one call returns both. What is left per point is
+// the amortized growth of the cache's maps and the clones of new
+// incumbents. Before points were packed into fixed-size keys and streamed,
+// each point cost several allocations (string keys, listed boxes,
+// per-point timing vectors and sub-tables). The case names keep the mode
+// each one measures: "Exhaustive" without a bound, "BranchBound" with one
+// (the trivial bound, which cuts almost nothing, so the traversal visits
+// the whole box: the timing bound leaves too few points to amortize the
+// run's fixed cost over).
 func TestExactSearchAllocsPerPoint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -60,8 +62,11 @@ func TestExactSearchAllocsPerPoint(t *testing.T) {
 	eval := engine.JointTimingEval(pt, weights)
 	multicore := func(bound search.Bounder) (int, error) {
 		cache := search.NewMulticoreCache(engine.MulticoreTimingEval(pt, weights))
-		r, err := search.MulticoreExact(cache, pt, 2, search.MulticoreOptions{MaxM: maxM, Bounder: bound})
-		return r.Evaluated, err
+		co, uniform, err := search.MulticoreExact(cache, pt, 2, maxM, bound)
+		if err != nil {
+			return 0, err
+		}
+		return co.Evaluated + uniform.Evaluated, nil
 	}
 	cases := []struct {
 		name   string

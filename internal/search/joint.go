@@ -25,7 +25,7 @@ type JointCache = PointCache[sched.JointSchedule]
 // NewJointCache wraps eval in a sharded memoization cache suitable for
 // sharing across hybrid starts and exhaustive sweeps.
 func NewJointCache(eval JointEvalFunc) *JointCache {
-	return evalcache.NewCache(0, eval)
+	return evalcache.NewCache(eval)
 }
 
 // JointOptions tunes the joint hybrid search; see HybridOptions.

@@ -3,22 +3,23 @@
 // The paper's Section VI remark gives every core its own private cache, so
 // once a task-to-core assignment is fixed the cores are independent: the
 // overall P_all is the sum of per-core optima, and a core's optimum depends
-// only on *which* applications it hosts. The searchers below exploit that
-// decomposition — placements are enumerated canonically (set partitions
-// into exactly nCores blocks, killing core-relabeling symmetry), every
-// distinct application subset is solved once by the exact searcher of this
-// package, and solved subsets are shared across placements.
+// only on *which* applications it hosts. MulticoreExact exploits that
+// decomposition. It enumerates placements canonically (set partitions into
+// exactly nCores blocks, killing core-relabeling symmetry), solves every
+// distinct application subset once with the exact searcher of this
+// package, and shares solved subsets across placements.
 //
-// MulticoreExact is one call for both modes: without a Bounder it is the
-// brute-force baseline; with one it prunes whole placements with the same
-// admissible per-application bounds it cuts subtrees with inside each core,
-// and is pinned to find the identical optimum (internal/exp golden
-// platforms).
+// One call returns both sides of the sensitivity-vs-uniform comparison:
+// the co-design, which may prune with the same admissible per-application
+// bounds it cuts subtrees with inside each core and is pinned to find the
+// unbounded optimum (internal/exp golden platforms), and the uniform-split
+// baseline over the same placements.
 package search
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -76,7 +77,7 @@ type MulticoreCache = PointCache[CorePoint]
 
 // NewMulticoreCache wraps eval in a sharded memoization cache.
 func NewMulticoreCache(eval CoreEvalFunc) *MulticoreCache {
-	return evalcache.NewCache(0, eval)
+	return evalcache.NewCache(eval)
 }
 
 // CheckSubset reports whether idx is a valid core subset of n
@@ -133,13 +134,13 @@ func (s subBounder) AppAt(i, w, m int, minGap float64) float64 {
 }
 func (s subBounder) AppBest(i, w int) float64 { return s.b.AppBest(s.idx[i], w) }
 
-// CanonicalAssignment relabels an assignment's cores by first appearance
+// canonicalAssignment relabels an assignment's cores by first appearance
 // (application 0's core becomes 0, the next new core 1, ...), validates
 // every entry against nCores, and requires every core to host at least one
 // application. Two assignments that differ only by a core permutation
 // canonicalize identically, which is what lets the placement search
 // deduplicate seeds against the canonical enumeration.
-func CanonicalAssignment(a []int, nCores int) ([]int, error) {
+func canonicalAssignment(a []int, nCores int) ([]int, error) {
 	if nCores < 1 {
 		return nil, fmt.Errorf("search: %d cores", nCores)
 	}
@@ -226,33 +227,61 @@ func assignmentSubsets(a []int, nCores int) [][]int {
 	return subsets
 }
 
-// MulticoreOptions tunes the placement search.
-type MulticoreOptions struct {
-	// MaxM caps per-core burst lengths (required, >= 1).
-	MaxM int
-	// Bounder, when non-nil, supplies the admissible per-application
-	// bounds that prune placements and each core's subtrees.
-	Bounder Bounder
-	// Seeds are placement heuristics (app -> core) searched first, in
-	// order, after canonicalization and deduplication. They are mandatory
-	// coverage: when the canonical enumeration exceeds MaxAssignments only
-	// the seeds are searched.
-	Seeds [][]int
-	// MaxAssignments caps the canonical placement enumeration (default
-	// 2000). Beyond it the search is heuristic (Enumerated = false).
-	MaxAssignments int
-	// Uniform restricts every core to the uniform way split: the shared
-	// subspace plus the single even partition of the core's private cache
-	// over its applications — the "uniform partitioning" baseline of the
-	// sensitivity-vs-uniform comparison.
-	Uniform bool
+// maxAssignments caps the canonical placement enumeration. Beyond it the
+// search covers the placement seeds alone (Enumerated = false).
+const maxAssignments = 2000
+
+// placementSeeds returns the heuristic placements searched before the
+// canonical enumeration, and alone when it overflows: the load-balanced
+// placement by cold WCET on the shared taskset, then the cache-sensitivity
+// placement. An application's sensitivity is how much its steady-state
+// WCET improves from owning one way to owning the whole cache, or its
+// cold-minus-warm WCET when there is no per-way table. Spreading the most
+// sensitive applications over the cores pairs cache-hungry applications
+// with insensitive ones, which leaves more ways for the partitions that
+// profit from them. nCores must be in [1, pt.Apps()].
+func placementSeeds(pt sched.PartitionTimings, nCores int) [][]int {
+	cold := make([]float64, pt.Apps())
+	sens := make([]float64, pt.Apps())
+	for i, tm := range pt.Shared {
+		cold[i] = tm.ColdWCET
+		if len(pt.ByWays) > 0 {
+			sens[i] = pt.ByWays[0][i].WarmWCET - pt.ByWays[len(pt.ByWays)-1][i].WarmWCET
+		} else {
+			sens[i] = tm.ColdWCET - tm.WarmWCET
+		}
+	}
+	return [][]int{greedyPlacement(cold, nCores), greedyPlacement(sens, nCores)}
 }
 
-func (o MulticoreOptions) withDefaults() MulticoreOptions {
-	if o.MaxAssignments <= 0 {
-		o.MaxAssignments = 2000
+// greedyPlacement takes the applications by descending load (a stable
+// sort, so equal loads keep index order) and places each on the
+// least-loaded core. Load ties go to the core hosting fewer applications,
+// then to the lowest index. The count tiebreak uses every core whenever
+// there are at least as many applications as cores, even when all loads
+// are equal (zero cache sensitivity on a 1-way platform, say).
+func greedyPlacement(load []float64, nCores int) []int {
+	order := make([]int, len(load))
+	for i := range order {
+		order[i] = i
 	}
-	return o
+	sort.SliceStable(order, func(a, b int) bool { return load[order[a]] > load[order[b]] })
+	coreLoad := make([]float64, nCores)
+	coreApps := make([]int, nCores)
+	out := make([]int, len(load))
+	for _, i := range order {
+		c := 0
+		for k := 1; k < nCores; k++ {
+			if coreLoad[k] < coreLoad[c] ||
+				(coreLoad[k] == coreLoad[c] && coreApps[k] < coreApps[c]) {
+				c = k
+			}
+		}
+		out[i] = c
+		coreLoad[c] += load[i]
+		coreApps[c]++
+	}
+	return out
 }
 
 // CoreSolution is the optimum of one core under one placement.
@@ -280,33 +309,45 @@ type MulticoreResult struct {
 	Enumerated        bool // full canonical enumeration was searched
 }
 
-// MulticoreExact is the placement search: every canonical assignment (or
-// the seeds, when the space exceeds MaxAssignments), every core solved by
-// the exact joint search. With opt.Bounder set, the per-application bounds
-// cut whole placements (before solving any core) and subtrees inside each
-// core's joint box; the traversal order and tie handling do not change, so
-// the optimum — assignment, per-core points, and value bits — is the one
-// found without a bound, with Evaluated strictly smaller whenever any cut
-// fires.
-func MulticoreExact(cache *MulticoreCache, pt sched.PartitionTimings, nCores int, opt MulticoreOptions) (*MulticoreResult, error) {
+// MulticoreExact is the placement search. It walks every canonical
+// assignment of the applications onto nCores cores, or only the heuristic
+// placement seeds when there are more than 2000 assignments, and solves
+// every core with the exact joint search. One walk over the placements
+// feeds two searches, each with its own solved subsets and counters:
+//
+//   - co, the placement x partition x schedule co-design. A non-nil bound
+//     cuts whole placements before solving any core, and subtrees inside
+//     each core's joint box. Traversal order and tie handling do not
+//     depend on the bound, so the optimum (assignment, per-core points and
+//     value bits) is the one found without it, with Evaluated strictly
+//     smaller whenever a cut fires.
+//   - uniform, the uniform-partitioning baseline: every core is restricted
+//     to the shared subspace plus the even split of its private cache over
+//     its applications. It takes no bound.
+//
+// Both searches read their core points through cache, so the baseline
+// reuses every evaluation the co-design made.
+func MulticoreExact(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder) (co, uniform *MulticoreResult, err error) {
 	if err := pt.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := pt.Apps()
-	if nCores < 1 {
-		return nil, fmt.Errorf("search: %d cores", nCores)
+	switch n := pt.Apps(); {
+	case nCores < 1:
+		return nil, nil, fmt.Errorf("search: %d cores", nCores)
+	case nCores > n:
+		return nil, nil, fmt.Errorf("search: %d cores exceed %d applications", nCores, n)
+	case maxM < 1:
+		return nil, nil, fmt.Errorf("search: multicore maxM %d < 1", maxM)
 	}
-	if nCores > n {
-		return nil, fmt.Errorf("search: %d cores exceed %d applications", nCores, n)
-	}
-	opt = opt.withDefaults()
-	if opt.MaxM < 1 {
-		return nil, fmt.Errorf("search: multicore maxM %d < 1", opt.MaxM)
-	}
+	return placementSearch(cache, pt, nCores, maxM, bound, placementSeeds(pt, nCores), maxAssignments)
+}
 
+// placementSearch is MulticoreExact over the given seeds and enumeration
+// cap, on arguments MulticoreExact has validated.
+func placementSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder, seeds [][]int, limit int) (co, uniform *MulticoreResult, err error) {
 	// Placement order: seeds first (canonicalized, deduplicated, in the
-	// given order), then the canonical enumeration. Both modes share this
-	// order, so strict-">" argmax selection is pinned between them.
+	// given order), then the canonical enumeration. Strict-">" argmax
+	// selection follows this order in both searches.
 	var order [][]int
 	seen := map[string]bool{}
 	push := func(a []int) {
@@ -316,121 +357,157 @@ func MulticoreExact(cache *MulticoreCache, pt sched.PartitionTimings, nCores int
 			order = append(order, a)
 		}
 	}
-	for _, s := range opt.Seeds {
-		c, err := CanonicalAssignment(s, nCores)
+	for _, s := range seeds {
+		c, err := canonicalAssignment(s, nCores)
 		if err != nil {
-			return nil, fmt.Errorf("search: placement seed %v: %w", s, err)
+			return nil, nil, fmt.Errorf("search: placement seed %v: %w", s, err)
 		}
 		push(c)
 	}
-	enum, complete := canonicalAssignments(n, nCores, opt.MaxAssignments)
+	enum, complete := canonicalAssignments(pt.Apps(), nCores, limit)
 	for _, a := range enum {
 		push(a)
 	}
 	if len(order) == 0 {
-		return nil, fmt.Errorf("search: placement space exceeds %d assignments and no seeds given", opt.MaxAssignments)
+		return nil, nil, fmt.Errorf("search: placement space exceeds %d assignments and no seeds given", limit)
 	}
 
-	res := &MulticoreResult{Cores: nCores, BestValue: math.Inf(-1), Enumerated: complete}
-
-	// Placement-level bound tables (with a bound only): an application on
-	// a core hosting k applications of a W-way private cache gets at most
-	// W-(k-1) dedicated ways, or the shared cache.
-	var appBest, wayBestUpTo [][]float64
-	if opt.Bounder != nil {
-		appBest, wayBestUpTo = boundTables(opt.Bounder, n, pt.TotalWays())
+	coAcc := newPlacementAcc(cache, pt, nCores, maxM, bound, false, complete)
+	uniAcc := newPlacementAcc(cache, pt, nCores, maxM, nil, true, complete)
+	for _, a := range order {
+		subsets := assignmentSubsets(a, nCores)
+		if err := coAcc.fold(a, subsets); err != nil {
+			return nil, nil, err
+		}
+		if err := uniAcc.fold(a, subsets); err != nil {
+			return nil, nil, err
+		}
 	}
-	boundAssign := func(subsets [][]int) float64 {
-		ub := 0.0
-		for _, sub := range subsets {
-			cap := pt.TotalWays() - (len(sub) - 1)
-			if cap < 0 {
-				cap = 0
+	return coAcc.res, uniAcc.res, nil
+}
+
+// placementAcc folds placements into one search's optimum. It keeps that
+// search's solved subsets, counters and incumbent. A non-nil bound cuts
+// placements and core subtrees; even restricts every core to the even way
+// split.
+type placementAcc struct {
+	cache *MulticoreCache
+	pt    sched.PartitionTimings
+	maxM  int
+	bound Bounder
+	even  bool
+
+	// Placement-level bound tables (with a bound only).
+	appBest, wayBestUpTo [][]float64
+
+	solved  map[sched.PointKey]CoreSolution
+	perCore []CoreSolution
+	res     *MulticoreResult
+}
+
+func newPlacementAcc(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder, even, complete bool) *placementAcc {
+	a := &placementAcc{
+		cache: cache, pt: pt, maxM: maxM, bound: bound, even: even,
+		solved:  map[sched.PointKey]CoreSolution{},
+		perCore: make([]CoreSolution, nCores),
+		res:     &MulticoreResult{Cores: nCores, BestValue: math.Inf(-1), Enumerated: complete},
+	}
+	if bound != nil {
+		a.appBest, a.wayBestUpTo = boundTables(bound, pt.Apps(), pt.TotalWays())
+	}
+	return a
+}
+
+// boundAssign bounds a placement from above: an application on a core
+// hosting k applications of a W-way private cache gets at most W-(k-1)
+// dedicated ways, or the shared cache.
+func (a *placementAcc) boundAssign(subsets [][]int) float64 {
+	ub := 0.0
+	for _, sub := range subsets {
+		cap := a.pt.TotalWays() - (len(sub) - 1)
+		if cap < 0 {
+			cap = 0
+		}
+		for _, i := range sub {
+			t := a.appBest[i][0]
+			if cap >= 1 && a.wayBestUpTo[i][cap] > t {
+				t = a.wayBestUpTo[i][cap]
 			}
-			for _, i := range sub {
-				t := appBest[i][0]
-				if cap >= 1 && wayBestUpTo[i][cap] > t {
-					t = wayBestUpTo[i][cap]
-				}
-				ub += t
-			}
+			ub += t
 		}
-		return ub
 	}
+	return ub
+}
 
-	solved := map[sched.PointKey]CoreSolution{}
-	solve := func(idx []int) (CoreSolution, error) {
-		key, err := sched.PackPoint(idx, true, nil, nil)
-		if err != nil {
-			return CoreSolution{}, err
-		}
-		if sol, ok := solved[key]; ok {
-			return sol, nil
-		}
-		sub, err := SubPartition(pt, idx)
-		if err != nil {
-			return CoreSolution{}, err
-		}
-		// The core's joint points are looked up as core points of idx.
-		get := func(j sched.JointSchedule) (Outcome, bool, error) {
-			return cache.Get(CorePoint{Apps: idx, Point: j})
-		}
-		var bound Bounder
-		if opt.Bounder != nil {
-			bound = subBounder{opt.Bounder, idx}
-		}
-		r, err := exact(get, sub, bound, opt.MaxM, 1, opt.Uniform)
-		if err != nil {
-			return CoreSolution{}, err
-		}
-		res.SubtreesPruned += r.Pruned
-		sol := CoreSolution{Apps: idx, Point: r.Best, Value: r.BestValue, Found: r.FoundBest}
-		solved[key] = sol
-		res.Subsets++
-		res.Evaluated += r.Evaluated
-		res.Feasible += r.Feasible
+// solve returns the optimum of the core hosting the applications idx,
+// solving each distinct subset once.
+func (a *placementAcc) solve(idx []int) (CoreSolution, error) {
+	key, err := sched.PackPoint(idx, true, nil, nil)
+	if err != nil {
+		return CoreSolution{}, err
+	}
+	if sol, ok := a.solved[key]; ok {
 		return sol, nil
 	}
+	sub, err := SubPartition(a.pt, idx)
+	if err != nil {
+		return CoreSolution{}, err
+	}
+	// The core's joint points are looked up as core points of idx.
+	get := func(j sched.JointSchedule) (Outcome, bool, error) {
+		return a.cache.Get(CorePoint{Apps: idx, Point: j})
+	}
+	var bound Bounder
+	if a.bound != nil {
+		bound = subBounder{a.bound, idx}
+	}
+	r, err := exact(get, sub, bound, a.maxM, 1, a.even)
+	if err != nil {
+		return CoreSolution{}, err
+	}
+	sol := CoreSolution{Apps: idx, Point: r.Best, Value: r.BestValue, Found: r.FoundBest}
+	a.solved[key] = sol
+	a.res.SubtreesPruned += r.Pruned
+	a.res.Subsets++
+	a.res.Evaluated += r.Evaluated
+	a.res.Feasible += r.Feasible
+	return sol, nil
+}
 
-	perCore := make([]CoreSolution, nCores)
-	for _, a := range order {
-		res.Assignments++
-		subsets := assignmentSubsets(a, nCores)
-		if opt.Bounder != nil && res.FoundBest && boundAssign(subsets) <= res.BestValue {
-			res.AssignmentsPruned++
-			continue
+// fold examines the canonical placement assign, whose per-core subsets
+// are subsets, and keeps it when it beats the incumbent.
+func (a *placementAcc) fold(assign []int, subsets [][]int) error {
+	res := a.res
+	res.Assignments++
+	if a.bound != nil && res.FoundBest && a.boundAssign(subsets) <= res.BestValue {
+		res.AssignmentsPruned++
+		return nil
+	}
+	total := 0.0
+	for c, idx := range subsets {
+		sol, err := a.solve(idx)
+		if err != nil {
+			return err
 		}
-		total := 0.0
-		ok := true
-		for c, idx := range subsets {
-			sol, err := solve(idx)
-			if err != nil {
-				return nil, err
-			}
-			if !sol.Found {
-				ok = false
-				break
-			}
-			perCore[c] = sol
-			total += sol.Value
+		if !sol.Found {
+			return nil
 		}
-		if !ok {
-			continue
-		}
-		if total > res.BestValue {
-			res.BestValue = total
-			res.FoundBest = true
-			res.Assignment = append([]int(nil), a...)
-			res.PerCore = make([]CoreSolution, nCores)
-			for c := range perCore {
-				res.PerCore[c] = CoreSolution{
-					Apps:  append([]int(nil), perCore[c].Apps...),
-					Point: perCore[c].Point.Clone(),
-					Value: perCore[c].Value,
-					Found: true,
-				}
+		a.perCore[c] = sol
+		total += sol.Value
+	}
+	if total > res.BestValue {
+		res.BestValue = total
+		res.FoundBest = true
+		res.Assignment = append([]int(nil), assign...)
+		res.PerCore = make([]CoreSolution, len(a.perCore))
+		for c, sol := range a.perCore {
+			res.PerCore[c] = CoreSolution{
+				Apps:  append([]int(nil), sol.Apps...),
+				Point: sol.Point.Clone(),
+				Value: sol.Value,
+				Found: true,
 			}
 		}
 	}
-	return res, nil
+	return nil
 }

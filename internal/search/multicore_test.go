@@ -35,7 +35,7 @@ func TestCorePointKey(t *testing.T) {
 }
 
 func TestCanonicalAssignment(t *testing.T) {
-	got, err := CanonicalAssignment([]int{1, 0, 1}, 2)
+	got, err := canonicalAssignment([]int{1, 0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestCanonicalAssignment(t *testing.T) {
 		{[]int{0, 1}, 0},    // no cores
 		{nil, 1},            // no apps
 	} {
-		if _, err := CanonicalAssignment(bad.a, bad.nCores); err == nil {
-			t.Errorf("CanonicalAssignment(%v, %d) accepted", bad.a, bad.nCores)
+		if _, err := canonicalAssignment(bad.a, bad.nCores); err == nil {
+			t.Errorf("canonicalAssignment(%v, %d) accepted", bad.a, bad.nCores)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestCanonicalAssignmentsCount(t *testing.T) {
 				tc.n, tc.c, len(got), complete, tc.want)
 		}
 		for _, a := range got {
-			if _, err := CanonicalAssignment(a, tc.c); err != nil {
+			if _, err := canonicalAssignment(a, tc.c); err != nil {
 				t.Errorf("enumerated assignment %v not canonical-valid: %v", a, err)
 			}
 		}
@@ -102,10 +102,95 @@ func TestSubPartitionValidation(t *testing.T) {
 	}
 }
 
+// seedTable has two cache-hungry applications (0 and 2, whose steady-state
+// WCETs collapse with more ways) and a flat one (1).
+func seedTable() sched.PartitionTimings {
+	return sched.PartitionTimings{
+		Shared: []sched.AppTiming{
+			{Name: "a", ColdWCET: 900e-6, WarmWCET: 300e-6},
+			{Name: "b", ColdWCET: 600e-6, WarmWCET: 480e-6},
+			{Name: "c", ColdWCET: 700e-6, WarmWCET: 350e-6},
+		},
+		ByWays: [][]sched.AppTiming{
+			{{WarmWCET: 900e-6}, {WarmWCET: 500e-6}, {WarmWCET: 800e-6}},
+			{{WarmWCET: 300e-6}, {WarmWCET: 490e-6}, {WarmWCET: 400e-6}},
+		},
+	}
+}
+
+// TestBalancedPlacementSeed pins the first placement seed: balanced by cold
+// WCET, it isolates the heaviest application, and it is a valid placement
+// on every core count.
+func TestBalancedPlacementSeed(t *testing.T) {
+	pt := seedTable()
+	seeds := placementSeeds(pt, 2)
+	if len(seeds) != 2 {
+		t.Fatalf("%d seeds, want balanced and sensitivity", len(seeds))
+	}
+	// Cold loads 900 | 600 + 700: the heaviest application is alone.
+	if bal := seeds[0]; !reflect.DeepEqual(bal, []int{0, 1, 1}) {
+		t.Errorf("balanced seed %v, want [0 1 1]", bal)
+	}
+	for cores := 1; cores <= 3; cores++ {
+		if s := placementSeeds(pt, cores)[0]; !validPlacement(s, cores) {
+			t.Errorf("%d cores: balanced seed %v invalid", cores, s)
+		}
+	}
+}
+
+// TestSensitivityPlacementSeed pins the second placement seed: it puts the
+// two cache-hungry applications on different cores, with the per-way table
+// and without it (the cold-minus-warm fallback), and it is a valid
+// placement on every core count.
+func TestSensitivityPlacementSeed(t *testing.T) {
+	pt := seedTable()
+	// Sensitivities 600, 10, 400: apps 0 and 2 on different cores.
+	if sens := placementSeeds(pt, 2)[1]; sens[0] == sens[2] {
+		t.Errorf("both cache-sensitive apps on one core: %v", sens)
+	}
+	flat := sched.PartitionTimings{Shared: pt.Shared}
+	if sens := placementSeeds(flat, 2)[1]; sens[0] == sens[2] {
+		t.Errorf("shared-only fallback: both cache-sensitive apps on one core: %v", sens)
+	}
+	for cores := 1; cores <= 3; cores++ {
+		for _, table := range []sched.PartitionTimings{pt, flat} {
+			if s := placementSeeds(table, cores)[1]; !validPlacement(s, cores) {
+				t.Errorf("%d cores: sensitivity seed %v invalid", cores, s)
+			}
+		}
+	}
+}
+
+// validPlacement reports whether a places applications on cores
+// 0..nCores-1 with no core left empty.
+func validPlacement(a []int, nCores int) bool {
+	_, err := canonicalAssignment(a, nCores)
+	return err == nil
+}
+
+// TestPlacementSeedsEqualLoads: with all loads equal (zero sensitivity on
+// a 1-way cache, identical programs) the greedy placement still uses every
+// core, falling back to the application count.
+func TestPlacementSeedsEqualLoads(t *testing.T) {
+	tm := sched.AppTiming{ColdWCET: 500e-6, WarmWCET: 200e-6}
+	pt := sched.PartitionTimings{
+		Shared: []sched.AppTiming{tm, tm, tm, tm},
+		ByWays: [][]sched.AppTiming{{tm, tm, tm, tm}},
+	}
+	for cores := 1; cores <= 4; cores++ {
+		for k, s := range placementSeeds(pt, cores) {
+			if _, err := canonicalAssignment(s, cores); err != nil {
+				t.Errorf("%d cores, seed %d: %v leaves a core empty: %v", cores, k, s, err)
+			}
+		}
+	}
+}
+
 // TestMulticoreBranchBoundMatchesExhaustive pins the placement-level
-// equality: with a bound the search must select the identical assignment,
-// per-core points, and value bits as without one, with no more
-// evaluations.
+// equality: with a bound the co-design must select the identical
+// assignment, per-core points, and value bits as without one, with no more
+// evaluations. The uniform baseline takes no bound, so it is the same
+// whether the co-design has one or not.
 func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	prunedSomewhere := false
@@ -118,13 +203,11 @@ func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 		}
 		maxM := 3 + trial%2
 		pt, weights := genTable(rng, n, ways)
-		opt := MulticoreOptions{MaxM: maxM}
-		ex, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, opt)
+		ex, exUni, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, maxM, nil)
 		if err != nil {
 			t.Fatalf("trial %d: exhaustive: %v", trial, err)
 		}
-		opt.Bounder = testBounder{pt, weights, maxM}
-		bb, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, opt)
+		bb, bbUni, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, cores, maxM, testBounder{pt, weights, maxM})
 		if err != nil {
 			t.Fatalf("trial %d: branch-and-bound: %v", trial, err)
 		}
@@ -147,48 +230,67 @@ func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 		if !ex.Enumerated || ex.Assignments == 0 {
 			t.Errorf("trial %d: exhaustive did not enumerate placements: %+v", trial, ex)
 		}
+		if !reflect.DeepEqual(bbUni, exUni) {
+			t.Errorf("trial %d: uniform baseline depends on the co-design's bound:\nbb %+v\nex %+v", trial, bbUni, exUni)
+		}
 	}
 	if !prunedSomewhere {
 		t.Error("no trial pruned anything at the placement or subtree level")
 	}
 }
 
-// TestMulticoreUniformRestriction: the uniform-split search explores a
-// subspace of the co-design box, so its optimum can never exceed the free
-// search's, and every winning per-core partition is the even split (or
-// shared). A bound on the uniform search changes no optimum.
+// uniformWith folds the canonical placements of pt into a uniform-split
+// search with the given bound, as placementSearch folds its baseline.
+func uniformWith(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder) (*MulticoreResult, error) {
+	enum, complete := canonicalAssignments(pt.Apps(), nCores, maxAssignments)
+	acc := newPlacementAcc(cache, pt, nCores, maxM, bound, true, complete)
+	for _, a := range enum {
+		if err := acc.fold(a, assignmentSubsets(a, nCores)); err != nil {
+			return nil, err
+		}
+	}
+	return acc.res, nil
+}
+
+// TestMulticoreUniformRestriction: the uniform baseline explores a
+// subspace of the co-design box, so its optimum can never exceed the
+// co-design's, and every winning per-core partition is the even split (or
+// shared). The baseline's even-split walk is bound-safe too: a bound on it
+// changes no optimum.
 func TestMulticoreUniformRestriction(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pt, weights := genTable(rng, 3, 4)
-	opt := MulticoreOptions{MaxM: 4, Bounder: testBounder{pt, weights, 4}}
-	free, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
+	bound := testBounder{pt, weights, 4}
+	free, uni, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 4, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uopt := opt
-	uopt.Bounder = nil
-	uopt.Uniform = true
-	uni, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, uopt)
+	plain, err := uniformWith(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uopt.Bounder = opt.Bounder
-	ubb, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, uopt)
+	ubb, err := uniformWith(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 4, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(ubb.BestValue) != math.Float64bits(uni.BestValue) ||
-		!reflect.DeepEqual(ubb.Assignment, uni.Assignment) || !reflect.DeepEqual(ubb.PerCore, uni.PerCore) {
-		t.Errorf("bounded uniform optimum %v %v differs from %v %v", ubb.Assignment, ubb.BestValue, uni.Assignment, uni.BestValue)
+	if math.Float64bits(ubb.BestValue) != math.Float64bits(plain.BestValue) ||
+		!reflect.DeepEqual(ubb.Assignment, plain.Assignment) || !reflect.DeepEqual(ubb.PerCore, plain.PerCore) {
+		t.Errorf("bounded uniform optimum %v %v differs from %v %v", ubb.Assignment, ubb.BestValue, plain.Assignment, plain.BestValue)
 	}
-	if ubb.Evaluated > uni.Evaluated {
-		t.Errorf("bounded uniform search evaluated %d > %d", ubb.Evaluated, uni.Evaluated)
+	if ubb.Evaluated > plain.Evaluated {
+		t.Errorf("bounded uniform search evaluated %d > %d", ubb.Evaluated, plain.Evaluated)
+	}
+	if math.Float64bits(plain.BestValue) != math.Float64bits(uni.BestValue) {
+		t.Errorf("uniform baseline %v differs from the enumeration-only search %v", uni.BestValue, plain.BestValue)
 	}
 	if !free.FoundBest || !uni.FoundBest {
 		t.Fatalf("searches incomplete: free %v, uniform %v", free.FoundBest, uni.FoundBest)
 	}
 	if uni.BestValue > free.BestValue {
 		t.Errorf("uniform optimum %v exceeds co-design optimum %v", uni.BestValue, free.BestValue)
+	}
+	if uni.AssignmentsPruned != 0 || uni.SubtreesPruned != 0 {
+		t.Errorf("uniform baseline pruned %d placements, %d subtrees: it takes no bound", uni.AssignmentsPruned, uni.SubtreesPruned)
 	}
 	for c, sol := range uni.PerCore {
 		if sol.Point.Shared() {
@@ -201,25 +303,26 @@ func TestMulticoreUniformRestriction(t *testing.T) {
 	}
 }
 
-// TestMulticoreSeedsOnly: when the canonical enumeration overflows
-// MaxAssignments the search falls back to the seeds, reporting Enumerated
-// false; with no seeds it errors.
+// TestMulticoreSeedsOnly: when the canonical enumeration overflows its cap
+// both searches fall back to the seeds, reporting Enumerated false; with
+// no seeds it errors.
 func TestMulticoreSeedsOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pt, weights := genTable(rng, 4, 2)
-	opt := MulticoreOptions{MaxM: 3, MaxAssignments: 2, Seeds: [][]int{{0, 0, 1, 1}, {0, 1, 0, 1}}}
-	res, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
+	seeds := [][]int{{0, 0, 1, 1}, {0, 1, 0, 1}}
+	co, uni, err := placementSearch(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 3, nil, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Enumerated {
-		t.Error("overflowed enumeration reported as complete")
+	for _, res := range []*MulticoreResult{co, uni} {
+		if res.Enumerated {
+			t.Error("overflowed enumeration reported as complete")
+		}
+		if res.Assignments != 2 {
+			t.Errorf("searched %d placements, want the 2 seeds", res.Assignments)
+		}
 	}
-	if res.Assignments != 2 {
-		t.Errorf("searched %d placements, want the 2 seeds", res.Assignments)
-	}
-	opt.Seeds = nil
-	if _, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt); err == nil {
+	if _, _, err := placementSearch(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 3, nil, nil, 2); err == nil {
 		t.Error("overflow with no seeds accepted")
 	}
 }
@@ -230,16 +333,16 @@ func TestMulticoreValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pt, weights := genTable(rng, 3, 2)
 	cache := NewMulticoreCache(testCoreEval(pt, weights))
-	if _, err := MulticoreExact(cache, pt, 0, MulticoreOptions{MaxM: 3}); err == nil {
+	if _, _, err := MulticoreExact(cache, pt, 0, 3, nil); err == nil {
 		t.Error("0 cores accepted")
 	}
-	if _, err := MulticoreExact(cache, pt, 4, MulticoreOptions{MaxM: 3}); err == nil {
+	if _, _, err := MulticoreExact(cache, pt, 4, 3, nil); err == nil {
 		t.Error("more cores than apps accepted")
 	}
-	if _, err := MulticoreExact(cache, pt, 2, MulticoreOptions{}); err == nil {
+	if _, _, err := MulticoreExact(cache, pt, 2, 0, nil); err == nil {
 		t.Error("maxM 0 accepted")
 	}
-	if _, err := MulticoreExact(cache, pt, 2, MulticoreOptions{MaxM: 3, Seeds: [][]int{{0, 0, 0}}}); err == nil {
+	if _, _, err := placementSearch(cache, pt, 2, 3, nil, [][]int{{0, 0, 0}}, maxAssignments); err == nil {
 		t.Error("seed leaving a core empty accepted")
 	}
 }
@@ -255,8 +358,7 @@ func TestMulticoreMoreCoresNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := MulticoreOptions{MaxM: maxM, Bounder: testBounder{pt, weights, maxM}}
-	multi, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, opt)
+	multi, _, err := MulticoreExact(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, maxM, testBounder{pt, weights, maxM})
 	if err != nil {
 		t.Fatal(err)
 	}

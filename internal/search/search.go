@@ -15,7 +15,9 @@
 //     incumbent, and finds the identical optimum with fewer evaluations.
 //     Exhaustive and ExhaustiveCached run it on the schedule box (the
 //     shared subspace of a table with no partitions), JointExact on the
-//     joint box and MulticoreExact on every core of every placement;
+//     joint box and MulticoreExact, the one placement search, on every
+//     core of every placement, for the co-design and for its uniform-split
+//     baseline in one call;
 //   - the hybrid walk: the paper's SQP-inspired discrete ascent. Per
 //     dimension it fits a 1-D quadratic model through the two neighbors
 //     (which for step size 1 reduces to comparing the neighbor values),
@@ -190,7 +192,7 @@ func hybrid[P Point[P]](eval func(P) (Outcome, error), sp space[P], starts []P, 
 	caches := make([]*PointCache[P], len(starts))
 	for i := range caches {
 		if caches[i] = opt.Cache; caches[i] == nil {
-			caches[i] = evalcache.NewCache(0, eval)
+			caches[i] = evalcache.NewCache(eval)
 		}
 	}
 	errs := make([]error, len(starts))
@@ -354,7 +356,7 @@ type Cache = PointCache[sched.Schedule]
 // NewCache wraps eval in a sharded memoization cache suitable for sharing
 // across hybrid starts and exhaustive sweeps.
 func NewCache(eval EvalFunc) *Cache {
-	return evalcache.NewCache(0, eval)
+	return evalcache.NewCache(eval)
 }
 
 // Options tunes the schedule hybrid search.

@@ -53,5 +53,5 @@ func OutcomeCodec() evalcache.Codec[Outcome] {
 // application-subset prefix ("c[0 2]|"), which no schedule or joint key can
 // produce.
 func NewTiered[P evalcache.Keyed[sched.PointKey]](eval func(P) (Outcome, error), backend evalcache.Backend, namespace string) *PointCache[P] {
-	return evalcache.NewTiered(0, eval, backend, namespace, OutcomeCodec())
+	return evalcache.NewTiered(eval, backend, namespace, OutcomeCodec())
 }
