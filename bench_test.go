@@ -412,8 +412,9 @@ func BenchmarkJointCaseStudy(b *testing.B) {
 // study (Table V): placement x per-core partition x schedule over every
 // partition platform variant, once with the retained exhaustive searchers
 // and once with branch-and-bound. Both points report identical optima
-// (the golden tests pin them bit-exact); comparing their ns/op and
-// core-points measures what the admissible bound buys.
+// (the golden tests pin them bit-exact); comparing their ns/op,
+// core-points (the co-design's) and uniform-points (the uniform-split
+// baseline's) measures what the admissible bound buys.
 func BenchmarkMulticoreCoDesign(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -429,14 +430,16 @@ func BenchmarkMulticoreCoDesign(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			points, joint, pruned := 0, 0, 0
+			points, uniform, joint, pruned := 0, 0, 0, 0
 			for _, r := range results {
 				points += r.Multicore.Evaluated
+				uniform += r.MulticoreUniform.Evaluated
 				joint += r.JointExhaustive.Evaluated
 				pruned += r.JointPruned + r.Multicore.AssignmentsPruned + r.Multicore.SubtreesPruned
 			}
 			last := results[len(results)-1]
 			b.ReportMetric(float64(points), "core-points")
+			b.ReportMetric(float64(uniform), "uniform-points")
 			b.ReportMetric(float64(joint), "joint-points")
 			b.ReportMetric(float64(pruned), "pruned")
 			b.ReportMetric(last.JointExhaustive.BestValue, "Pall-single-core")

@@ -431,10 +431,11 @@ func runSearch[P search.Point[P]](scn Scenario, res *Result, cache *search.Point
 // cache sharing the same namespace — core-point keys carry a "c[...]|"
 // prefix no single-core key can produce.
 func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sched.Schedule, backend evalcache.Backend, ns string) error {
-	// The admissible bound behind every exact pass of this scenario but the
-	// uniform baseline (none without Scenario.BranchBound): the tight timing
-	// closed form for ObjectiveTiming, the objective-agnostic weight bound
-	// (P_i <= 1) for ObjectiveDesign.
+	// The admissible bound behind every exact pass of this scenario, the
+	// placement search's uniform baseline included (none without
+	// Scenario.BranchBound): the tight timing closed form for
+	// ObjectiveTiming, the objective-agnostic weight bound (P_i <= 1) for
+	// ObjectiveDesign.
 	var bounder search.Bounder
 	if scn.BranchBound {
 		if scn.Objective == ObjectiveTiming {
@@ -470,8 +471,8 @@ func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sch
 
 // runMulticore is the Cores > 1 arm: one placement search returns the
 // placement x partition x schedule co-design and its uniform-split
-// baseline, both over one core-point cache so the baseline reuses every
-// evaluation the co-design made.
+// baseline over one core-point cache, walking each core subset once for
+// both, so no core point is read twice.
 func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend evalcache.Backend, ns string) error {
 	var coreEval search.CoreEvalFunc
 	if scn.Objective == ObjectiveDesign {
@@ -622,28 +623,31 @@ func appTerm(maxIdle, period, hbar, hmax float64) float64 {
 }
 
 // timingScore is the ObjectiveTiming closed-form score of one schedule
-// under one timing vector; every periodic evaluator runs through it, so
-// a shared joint point scores bit-identically to its plain schedule.
-// It evaluates the derived periods through sched's closed-form helpers
-// (identical summation order, so identical bits) instead of materializing
-// Derive's slices: this score runs once per point of every enumerated box,
-// and the allocation-free path is what lets timing sweeps saturate the
-// worker pool instead of the allocator.
+// under one timing vector, which its evaluator validated when it was
+// built; every periodic evaluator runs through it, so a shared joint point
+// scores bit-identically to its plain schedule. It evaluates the derived
+// periods through sched's closed-form helpers (identical summation order,
+// so identical bits) instead of materializing Derive's slices, and checks
+// constraint (4) in the same loop that scores, computing each burst gap
+// once: this score runs once per point of every enumerated box, and the
+// allocation-free path is what lets timing sweeps saturate the worker pool
+// instead of the allocator. An idle-infeasible schedule scores
+// {-1, false}, as sched.IdleFeasible rejects it.
 func timingScore(timings []sched.AppTiming, weights []float64, s sched.Schedule) (search.Outcome, error) {
-	ok, err := sched.IdleFeasible(timings, s)
-	if err != nil {
-		return search.Outcome{}, err
-	}
-	if !ok {
-		return search.Outcome{Pall: -1, Feasible: false}, nil
+	if !s.Valid(len(timings)) {
+		return search.Outcome{}, fmt.Errorf("sched: schedule %v invalid for %d applications", s, len(timings))
 	}
 	pall := 0.0
 	feasible := true
 	for i, a := range timings {
-		// An unconstrained app is normalized against the hyper-period.
 		gap := sched.BurstGap(timings, s, i)
+		hmax := sched.DerivedMaxPeriod(a, s[i], gap)
+		if a.MaxIdle > 0 && hmax > a.MaxIdle+1e-12 {
+			return search.Outcome{Pall: -1, Feasible: false}, nil
+		}
+		// An unconstrained app is normalized against the hyper-period.
 		hyper := sched.DerivedHyperPeriod(a, s[i], gap)
-		p := appTerm(a.MaxIdle, hyper, hyper/float64(s[i]), sched.DerivedMaxPeriod(a, s[i], gap))
+		p := appTerm(a.MaxIdle, hyper, hyper/float64(s[i]), hmax)
 		if p < 0 {
 			feasible = false
 		}
@@ -654,8 +658,13 @@ func timingScore(timings []sched.AppTiming, weights []float64, s sched.Schedule)
 
 // TimingEval builds the ObjectiveTiming evaluator over a fixed taskset: a
 // deterministic closed-form score from the derived timing parameters alone.
+// The taskset is validated once here; an invalid one fails every call.
 func TimingEval(timings []sched.AppTiming, weights []float64) search.EvalFunc {
+	tableErr := sched.PartitionTimings{Shared: timings}.Validate()
 	return func(s sched.Schedule) (search.Outcome, error) {
+		if tableErr != nil {
+			return search.Outcome{}, tableErr
+		}
 		return timingScore(timings, weights, s)
 	}
 }
@@ -712,9 +721,14 @@ func SporadicTimingEval(timings []sched.AppTiming, weights []float64, arr sched.
 // of a point is the timing score of its schedule under the timing vector of
 // its way allocation (partition contents survive other apps' bursts, so
 // partitioned bursts have no cold start). Points whose partition exceeds
-// the way budget are infeasible.
+// the way budget are infeasible. The table is validated once here; an
+// invalid one fails every call.
 func JointTimingEval(pt sched.PartitionTimings, weights []float64) search.JointEvalFunc {
+	tableErr := pt.Validate()
 	return func(j sched.JointSchedule) (search.Outcome, error) {
+		if tableErr != nil {
+			return search.Outcome{}, tableErr
+		}
 		return pointScore(pt, weights, nil, j)
 	}
 }
@@ -722,9 +736,14 @@ func JointTimingEval(pt sched.PartitionTimings, weights []float64) search.JointE
 // MulticoreTimingEval is JointTimingEval over the placement axis: a core
 // point scores its joint (schedule, ways) point on its application subset's
 // rows of the timing table, with the apps' global weights, so per-core
-// values sum to a P_all comparable with the single-core numbers.
+// values sum to a P_all comparable with the single-core numbers. As in
+// JointTimingEval, an invalid table fails every call.
 func MulticoreTimingEval(pt sched.PartitionTimings, weights []float64) search.CoreEvalFunc {
+	tableErr := pt.Validate()
 	return func(p search.CorePoint) (search.Outcome, error) {
+		if tableErr != nil {
+			return search.Outcome{}, tableErr
+		}
 		if err := search.CheckSubset(p.Apps, pt.Apps()); err != nil {
 			return search.Outcome{}, err
 		}

@@ -21,11 +21,15 @@ import (
 // are a compatible extension of the key space (their "c[...]|" prefix can
 // never collide with schedule or joint keys), so single-core outcomes in
 // existing stores remain valid and shareable. resultSchema is at v2 because
-// PR 8 added the Cores/BranchBound axes (and the Multicore record payload)
-// to the checkpoint.
+// the Cores/BranchBound axes (and the Multicore record payload) joined the
+// checkpoint. placementSchema versions the placement records of Cores > 1
+// checkpoints alone, so single-core keys stay as they were: it is at v2
+// because the uniform baseline's counters (Evaluated, Feasible, Subsets,
+// SubtreesPruned, AssignmentsPruned) count a walk the bound cuts.
 const (
-	evalSchema   = "eval/v1"
-	resultSchema = "result/v2"
+	evalSchema      = "eval/v1"
+	resultSchema    = "result/v2"
+	placementSchema = "placement/v2"
 )
 
 // sigWriter accumulates the content hash of an evaluation space. All
@@ -215,6 +219,9 @@ func resultKey(scn Scenario, res *Result, starts []sched.Schedule) string {
 	w.num(int64(len(starts)))
 	for _, s := range starts {
 		w.ints(s)
+	}
+	if scn.Cores > 1 {
+		w.str(placementSchema)
 	}
 	return "r/" + hex.EncodeToString(h.Sum(nil))[:32]
 }

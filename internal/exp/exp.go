@@ -397,8 +397,8 @@ type MulticoreRow struct {
 
 // MulticoreCaseStudy runs the multi-core co-design on the case-study
 // taskset over every partition platform variant with the timing bound on
-// every exact pass but the uniform baseline (pinned exact by
-// TestMulticoreBBMatchesExhaustive).
+// every exact pass, the uniform baseline's included (optima pinned equal
+// to the unbounded ones by TestMulticoreBBMatchesExhaustive).
 func MulticoreCaseStudy(maxM int, tolerance float64, cores int) ([]MulticoreRow, error) {
 	return MulticoreCaseStudyWith(maxM, tolerance, cores, engine.Config{Workers: 1})
 }

@@ -78,12 +78,21 @@ type exactSearch struct {
 	get     getter
 	pt      sched.PartitionTimings
 	bound   Bounder // nil: no bound cut
-	even    bool    // the partitions are sched.EvenWays' split alone
 	maxM    int
 	n       int
 	total   int // total ways
 	workers int
 	res     *JointExhaustiveResult
+
+	// The uniform side of exactUniform's walk (uni nil otherwise): the
+	// even split's per-application way count, whether the uniform side
+	// walks the current node (the shared subspace and the even split's
+	// prefixes), and whether res's side has cut it, so only the uniform
+	// side walks on.
+	uni   *JointExhaustiveResult
+	evenW int
+	uniOn bool
+	coCut bool
 
 	ways    sched.Ways          // the regime's partition; all zero for the shared cache
 	timings []sched.AppTiming   // a partition's timing vector
@@ -103,10 +112,9 @@ type exactSearch struct {
 }
 
 // exact is the one exact searcher over pt's box with burst lengths in
-// [1, maxM]: every partition, or with even only the even split of the
-// cache over the applications. It evaluates points through get and folds
-// them in enumeration order with a strict ">", keeping the best point
-// overall and within the shared subspace.
+// [1, maxM] and every way partition. It evaluates points through get and
+// folds them in enumeration order with a strict ">", keeping the best
+// point overall and within the shared subspace.
 //
 // Surviving leaves are evaluated in chunks and folded in order. With a
 // bound a chunk holds one point, so every cut sees the incumbent as of the
@@ -117,20 +125,57 @@ type exactSearch struct {
 // single worker would evaluate them in order anyway. The visits and the
 // fold never depend on workers, so no result does: the first failing point
 // in enumeration order is the error returned.
-func exact(get getter, pt sched.PartitionTimings, bound Bounder, maxM, workers int, even bool) (*JointExhaustiveResult, error) {
+func exact(get getter, pt sched.PartitionTimings, bound Bounder, maxM, workers int) (*JointExhaustiveResult, error) {
+	var s exactSearch
+	if err := s.init(get, pt, bound, maxM, workers); err != nil {
+		return nil, err
+	}
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	return s.res, nil
+}
+
+// exactUniform is exact's serial walk with a second incumbent: uni, the
+// uniform-partitioning restriction of the box — the shared subspace plus
+// the even split sched.EvenWays gives. Each point is evaluated once for
+// both sides. In the shared subspace the two incumbents are equal, so one
+// cut serves both. Other partitions are cut against co's incumbent. On the
+// even split's prefixes and in its regime a node is skipped only when
+// uni's incumbent, which never exceeds co's as the bound is admissible,
+// cuts it too; below a node only co's side cut, the walk goes on for uni
+// alone and nothing it visits counts toward co. So co is exactly exact's
+// result, every counter included, and uni is the strict-">" fold of the
+// uniform box under the same bound, whose optimum is the unbounded one bit
+// for bit.
+func exactUniform(get getter, pt sched.PartitionTimings, bound Bounder, maxM int) (co, uni *JointExhaustiveResult, err error) {
+	var s exactSearch
+	if err := s.init(get, pt, bound, maxM, 1); err != nil {
+		return nil, nil, err
+	}
+	s.uni = &JointExhaustiveResult{BestValue: math.Inf(-1), BestSharedValue: math.Inf(-1)}
+	s.evenW = s.total / s.n
+	s.uniOn = true
+	if err := s.run(); err != nil {
+		return nil, nil, err
+	}
+	return s.res, s.uni, nil
+}
+
+// init validates pt and maxM and sets s up for one pass.
+func (s *exactSearch) init(get getter, pt sched.PartitionTimings, bound Bounder, maxM, workers int) error {
 	tree, err := sched.NewFeasibleTree(pt.Shared, maxM)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := pt.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	n := pt.Apps()
-	s := &exactSearch{
+	*s = exactSearch{
 		get:     get,
 		pt:      pt,
 		bound:   bound,
-		even:    even,
 		maxM:    maxM,
 		n:       n,
 		total:   pt.TotalWays(),
@@ -146,22 +191,23 @@ func exact(get getter, pt sched.PartitionTimings, bound Bounder, maxM, workers i
 	if bound != nil || workers <= 1 {
 		s.size = 1
 	}
+	return nil
+}
 
-	// The shared subspace: its incumbent is the shared incumbent, so cuts
-	// can never lose the shared-subspace optimum either.
+// run walks the shared subspace, whose incumbent is the shared incumbent
+// (so cuts can never lose the shared-subspace optimum either), then every
+// partition.
+func (s *exactSearch) run() error {
 	if err := s.schedDFS(0); err != nil {
-		return nil, err
+		return err
 	}
-	if s.total >= n {
-		s.timings = make([]sched.AppTiming, n)
+	if s.total >= s.n {
+		s.timings = make([]sched.AppTiming, s.n)
 		if err := s.waysDFS(0, 0); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := s.flush(); err != nil {
-		return nil, err
-	}
-	return s.res, nil
+	return s.flush()
 }
 
 // boundTables tabulates a Bounder's admissible per-app bounds over every
@@ -200,20 +246,23 @@ func (s *exactSearch) waysDFS(i, used int) error {
 		}
 		return s.schedDFS(0)
 	}
+	coCut := s.coCut
 	if s.cutWays(i, used) {
-		s.res.Pruned++
 		return nil
 	}
+	uniOn := s.uniOn
 	lo, hi := 1, s.total-used-(s.n-1-i)
-	if s.even {
-		lo, hi = s.total/s.n, s.total/s.n
+	if s.coCut {
+		lo, hi = s.evenW, s.evenW // the uniform side alone walks on
 	}
 	for w := lo; w <= hi; w++ {
 		s.ways[i] = w
+		s.uniOn = uniOn && w == s.evenW
 		if err := s.waysDFS(i+1, used+w); err != nil {
 			return err
 		}
 	}
+	s.uniOn, s.coCut = uniOn, coCut
 	return nil
 }
 
@@ -222,7 +271,7 @@ func (s *exactSearch) waysDFS(i, used int) error {
 // count over any schedule, free ones by their best case over the way budget
 // they could still receive.
 func (s *exactSearch) cutWays(k, used int) bool {
-	if s.bound == nil || !s.res.FoundBest {
+	if !s.mayCut() {
 		return false
 	}
 	free := s.n - k
@@ -235,7 +284,7 @@ func (s *exactSearch) cutWays(k, used int) bool {
 			ub += s.wayBestUpTo[i][cap]
 		}
 	}
-	return ub <= s.res.BestValue
+	return s.cut(ub)
 }
 
 // schedDFS walks the regime's sched.FeasibleTree. Every node — including
@@ -245,12 +294,14 @@ func (s *exactSearch) schedDFS(d int) error {
 	if s.tree.PrefixInfeasible(d) {
 		return nil
 	}
+	coCut := s.coCut
 	if s.cutBound(d) {
-		s.res.Pruned++
 		return nil
 	}
 	if d == s.n {
-		return s.leaf()
+		err := s.leaf()
+		s.coCut = coCut
+		return err
 	}
 	for m := 1; m <= s.maxM; m++ {
 		s.tree.Cur[d] = m
@@ -258,6 +309,7 @@ func (s *exactSearch) schedDFS(d int) error {
 			return err
 		}
 	}
+	s.coCut = coCut
 	return nil
 }
 
@@ -266,7 +318,7 @@ func (s *exactSearch) schedDFS(d int) error {
 // their burst length under the minimal gap of the prefix (recorded by the
 // tree's infeasibility check), free ones at their best.
 func (s *exactSearch) cutBound(d int) bool {
-	if s.bound == nil || !s.res.FoundBest {
+	if !s.mayCut() {
 		return false
 	}
 	ub := 0.0
@@ -277,7 +329,45 @@ func (s *exactSearch) cutBound(d int) bool {
 			ub += s.appBest[i][s.ways[i]]
 		}
 	}
-	return ub <= s.res.BestValue
+	return s.cut(ub)
+}
+
+// mayCut reports whether a bound cut can fire: there is a bound, and a
+// side still walking the node has an incumbent (the uniform side's implies
+// co's).
+func (s *exactSearch) mayCut() bool {
+	if s.bound == nil {
+		return false
+	}
+	if s.coCut {
+		return s.uni.FoundBest
+	}
+	return s.res.FoundBest
+}
+
+// cut applies the bound ub of the current node's completions and reports
+// whether the walk skips the node: when ub cannot beat co's incumbent (or
+// co's side cut an ancestor) and the uniform side does not walk the node
+// or cannot beat its own incumbent either. When only co's side cuts, it
+// sets coCut, which the caller restores after the node, and the walk goes
+// on for the uniform side. Each side that cuts here counts one pruned
+// subtree.
+func (s *exactSearch) cut(ub float64) bool {
+	if !s.coCut {
+		if ub > s.res.BestValue {
+			return false // uni's incumbent is no higher: neither side cuts
+		}
+		s.res.Pruned++
+	}
+	if !s.uniOn {
+		return true
+	}
+	if s.uni.FoundBest && ub <= s.uni.BestValue {
+		s.uni.Pruned++
+		return true
+	}
+	s.coCut = true
+	return false
 }
 
 // leaf evaluates and folds a surviving point: at once when chunks hold
@@ -291,7 +381,12 @@ func (s *exactSearch) leaf() error {
 		if err != nil {
 			return err
 		}
-		s.res.add(j, out, j.Shared())
+		if !s.coCut {
+			s.res.add(j, out, j.Shared())
+		}
+		if s.uniOn {
+			s.uni.add(j, out, false)
+		}
 		return nil
 	}
 	s.chunk = append(append(s.chunk, s.tree.Cur...), s.ways...)

@@ -134,6 +134,102 @@ func genTable(rng *rand.Rand, n, ways int) (sched.PartitionTimings, []float64) {
 	return pt, weights
 }
 
+// genTiedTable draws a table on a coarse grid: every application has one
+// of two timing profiles, one idle budget and an equal weight, and the
+// per-way timings take two values, so many points and placements tie in
+// value and the strict-">" fold order alone decides the optimum.
+func genTiedTable(rng *rand.Rand, n, ways int) (sched.PartitionTimings, []float64) {
+	pt := sched.PartitionTimings{
+		Shared: make([]sched.AppTiming, n),
+		ByWays: make([][]sched.AppTiming, ways),
+	}
+	for i := range pt.Shared {
+		cold := float64(2+2*rng.Intn(2)) * 1e-5
+		pt.Shared[i] = sched.AppTiming{Name: "T", ColdWCET: cold, WarmWCET: cold / 2}
+	}
+	idle := sched.PeriodLength(pt.Shared, sched.RoundRobin(n)) * float64(2+rng.Intn(2))
+	for i := range pt.Shared {
+		pt.Shared[i].MaxIdle = idle
+	}
+	for w := range pt.ByWays {
+		pt.ByWays[w] = make([]sched.AppTiming, n)
+		for i, a := range pt.Shared {
+			steady := a.ColdWCET
+			if 2*(w+1) > ways {
+				steady = a.WarmWCET
+			}
+			pt.ByWays[w][i] = sched.AppTiming{Name: a.Name, ColdWCET: steady, WarmWCET: steady, MaxIdle: idle}
+		}
+	}
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 1 / float64(n)
+	}
+	return pt, weights
+}
+
+// TestExactUniformMatchesStandalone pins the two-incumbent walk against
+// the walks it folds together, with the timing bound, on random and on
+// tie-heavy tables: its co side is exact's bounded result in every field,
+// its uniform side has the plain enumeration's optimum of the shared
+// subspace plus the even split (point and value bits) from no more
+// evaluations, and no point is looked up twice.
+func TestExactUniformMatchesStandalone(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	prunedUniform := false
+	for trial := 0; trial < 80; trial++ {
+		n, ways, maxM := 1+rng.Intn(4), 1+rng.Intn(6), 2+rng.Intn(3)
+		gen := genTable
+		if trial%2 == 1 {
+			gen = genTiedTable
+		}
+		pt, weights := gen(rng, n, ways)
+		eval := testJointEval(pt, weights)
+		get := func(j sched.JointSchedule) (Outcome, bool, error) {
+			out, err := eval(j)
+			return out, true, err
+		}
+		bound := testBounder{pt, weights, maxM}
+		want, err := exact(get, pt, bound, maxM, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		even, err := enumerate(get, pt, maxM, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		co, uni, err := exactUniform(func(j sched.JointSchedule) (Outcome, bool, error) {
+			if seen[j.Key()] {
+				t.Fatalf("trial %d: %v looked up twice", trial, j)
+			}
+			seen[j.Key()] = true
+			return get(j)
+		}, pt, bound, maxM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(co, want) {
+			t.Errorf("trial %d: co side %+v, exact %+v", trial, co, want)
+		}
+		if uni.FoundBest != even.FoundBest || !uni.Best.Equal(even.Best) ||
+			math.Float64bits(uni.BestValue) != math.Float64bits(even.BestValue) {
+			t.Errorf("trial %d: uniform optimum %v (%v), enumeration %v (%v)",
+				trial, uni.Best, uni.BestValue, even.Best, even.BestValue)
+		}
+		if uni.Evaluated > even.Evaluated || uni.Feasible > even.Feasible {
+			t.Errorf("trial %d: uniform side evaluated %d (%d feasible) > enumeration %d (%d)",
+				trial, uni.Evaluated, uni.Feasible, even.Evaluated, even.Feasible)
+		}
+		if uni.Pruned > 0 {
+			prunedUniform = true
+		}
+	}
+	if !prunedUniform {
+		t.Error("the bound never cut the uniform side")
+	}
+}
+
 // TestJointBranchBoundMatchesExhaustive is the package-level equality pin:
 // over a spread of pseudo-random joint boxes the bounded exact search must
 // return the plain enumeration's optimum — point, value bits, and
@@ -244,29 +340,37 @@ func TestJointBranchBoundValidation(t *testing.T) {
 // TestExactVisitsJointBoxInOrder pins the traversal without a bound against
 // the plain odometer: the shared subspace, then every partition's
 // idle-feasible schedules. At any worker count it evaluates exactly those
-// points, and serially it evaluates them in that order.
+// points, and serially it evaluates them in that order. exactUniform's
+// walk without a bound visits the same points in the same order, once
+// each: its co side is exact's result and its uniform side the plain
+// enumeration of the shared subspace plus the even split.
 func TestExactVisitsJointBoxInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(3)
 		pt, weights := genTable(rng, n, 1+rng.Intn(5))
 		maxM := 1 + rng.Intn(5)
-		want, err := jointBox(pt, maxM, trial%4 == 3)
+		want, err := jointBox(pt, maxM, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eval := testJointEval(pt, weights)
+		var (
+			mu  sync.Mutex
+			got []sched.JointSchedule
+		)
+		get := func(j sched.JointSchedule) (Outcome, bool, error) {
+			mu.Lock()
+			got = append(got, j.Clone())
+			mu.Unlock()
+			out, err := eval(j)
+			return out, true, err
+		}
+		var serial *JointExhaustiveResult
 		for _, workers := range []int{1, 3} {
-			var mu sync.Mutex
-			var got []sched.JointSchedule
-			get := func(j sched.JointSchedule) (Outcome, bool, error) {
-				mu.Lock()
-				got = append(got, j.Clone())
-				mu.Unlock()
-				out, err := eval(j)
-				return out, true, err
-			}
-			if _, err := exact(get, pt, nil, maxM, workers, trial%4 == 3); err != nil {
+			got = nil
+			r, err := exact(get, pt, nil, maxM, workers)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if workers > 1 {
@@ -281,6 +385,31 @@ func TestExactVisitsJointBoxInOrder(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: traversal %v, box %v", trial, got, want)
 			}
+			serial = r
+		}
+
+		got = nil
+		co, uni, err := exactUniform(get, pt, nil, maxM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: two-incumbent traversal %v, box %v", trial, got, want)
+		}
+		if !reflect.DeepEqual(co, serial) {
+			t.Errorf("trial %d: co side %+v, exact %+v", trial, co, serial)
+		}
+		even, err := enumerate(func(j sched.JointSchedule) (Outcome, bool, error) {
+			out, err := eval(j)
+			return out, true, err
+		}, pt, maxM, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uni.Evaluated != even.Evaluated || uni.Feasible != even.Feasible || uni.Pruned != 0 ||
+			uni.FoundBest != even.FoundBest || !uni.Best.Equal(even.Best) ||
+			math.Float64bits(uni.BestValue) != math.Float64bits(even.BestValue) {
+			t.Errorf("trial %d: uniform side %+v, enumeration %+v", trial, uni, even)
 		}
 	}
 }

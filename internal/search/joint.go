@@ -117,5 +117,5 @@ func JointHybrid(eval JointEvalFunc, pt sched.PartitionTimings, starts []sched.J
 // points up with GetLast: the cache does not keep the points this pass
 // evaluates, so a later Get of one of them would evaluate it again.
 func JointExact(cache *JointCache, pt sched.PartitionTimings, bound Bounder, maxM, workers int) (*JointExhaustiveResult, error) {
-	return exact(cache.GetLast, pt, bound, maxM, workers, false)
+	return exact(cache.GetLast, pt, bound, maxM, workers)
 }

@@ -10,10 +10,11 @@
 // package, and shares solved subsets across placements.
 //
 // One call returns both sides of the sensitivity-vs-uniform comparison:
-// the co-design, which may prune with the same admissible per-application
-// bounds it cuts subtrees with inside each core and is pinned to find the
-// unbounded optimum (internal/exp golden platforms), and the uniform-split
-// baseline over the same placements.
+// the co-design and the uniform-split baseline over the same placements.
+// Both may prune with the same admissible per-application bounds, at the
+// placement level and inside each core, and both are pinned to find the
+// unbounded optimum (internal/exp golden platforms). One walk of each
+// subset's joint box serves both sides.
 package search
 
 import (
@@ -313,20 +314,24 @@ type MulticoreResult struct {
 // assignment of the applications onto nCores cores, or only the heuristic
 // placement seeds when there are more than 2000 assignments, and solves
 // every core with the exact joint search. One walk over the placements
-// feeds two searches, each with its own solved subsets and counters:
+// feeds two searches, each with its own counters:
 //
-//   - co, the placement x partition x schedule co-design. A non-nil bound
-//     cuts whole placements before solving any core, and subtrees inside
-//     each core's joint box. Traversal order and tie handling do not
-//     depend on the bound, so the optimum (assignment, per-core points and
-//     value bits) is the one found without it, with Evaluated strictly
-//     smaller whenever a cut fires.
+//   - co, the placement x partition x schedule co-design;
 //   - uniform, the uniform-partitioning baseline: every core is restricted
 //     to the shared subspace plus the even split of its private cache over
-//     its applications. It takes no bound.
+//     its applications.
 //
-// Both searches read their core points through cache, so the baseline
-// reuses every evaluation the co-design made.
+// A non-nil bound cuts whole placements before solving any core, and
+// subtrees inside each core's joint box, on both sides. Traversal order
+// and tie handling do not depend on the bound, so each side's optimum
+// (assignment, per-core points and value bits) is the one found without
+// it, with Evaluated strictly smaller whenever a cut fires.
+//
+// Each distinct application subset is solved once, for both sides, by one
+// walk of its joint box that keeps both incumbents (see exactUniform), so
+// no core point is looked up twice. Like JointExact, the search is its
+// cache's last reader and looks its points up with GetLast: the cache does
+// not keep the points this search evaluates.
 func MulticoreExact(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder) (co, uniform *MulticoreResult, err error) {
 	if err := pt.Validate(); err != nil {
 		return nil, nil, err
@@ -342,13 +347,11 @@ func MulticoreExact(cache *MulticoreCache, pt sched.PartitionTimings, nCores, ma
 	return placementSearch(cache, pt, nCores, maxM, bound, placementSeeds(pt, nCores), maxAssignments)
 }
 
-// placementSearch is MulticoreExact over the given seeds and enumeration
-// cap, on arguments MulticoreExact has validated.
-func placementSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder, seeds [][]int, limit int) (co, uniform *MulticoreResult, err error) {
-	// Placement order: seeds first (canonicalized, deduplicated, in the
-	// given order), then the canonical enumeration. Strict-">" argmax
-	// selection follows this order in both searches.
-	var order [][]int
+// placementOrder lists the placements in search order: the seeds first
+// (canonicalized, deduplicated, in the given order), then the canonical
+// enumeration up to limit entries. Strict-">" argmax selection follows
+// this order on both sides. complete reports whether the enumeration fit.
+func placementOrder(nApps, nCores int, seeds [][]int, limit int) (order [][]int, complete bool, err error) {
 	seen := map[string]bool{}
 	push := func(a []int) {
 		k := fmt.Sprint(a)
@@ -360,78 +363,95 @@ func placementSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores, m
 	for _, s := range seeds {
 		c, err := canonicalAssignment(s, nCores)
 		if err != nil {
-			return nil, nil, fmt.Errorf("search: placement seed %v: %w", s, err)
+			return nil, false, fmt.Errorf("search: placement seed %v: %w", s, err)
 		}
 		push(c)
 	}
-	enum, complete := canonicalAssignments(pt.Apps(), nCores, limit)
+	enum, complete := canonicalAssignments(nApps, nCores, limit)
 	for _, a := range enum {
 		push(a)
 	}
 	if len(order) == 0 {
-		return nil, nil, fmt.Errorf("search: placement space exceeds %d assignments and no seeds given", limit)
+		return nil, false, fmt.Errorf("search: placement space exceeds %d assignments and no seeds given", limit)
 	}
-
-	coAcc := newPlacementAcc(cache, pt, nCores, maxM, bound, false, complete)
-	uniAcc := newPlacementAcc(cache, pt, nCores, maxM, nil, true, complete)
-	for _, a := range order {
-		subsets := assignmentSubsets(a, nCores)
-		if err := coAcc.fold(a, subsets); err != nil {
-			return nil, nil, err
-		}
-		if err := uniAcc.fold(a, subsets); err != nil {
-			return nil, nil, err
-		}
-	}
-	return coAcc.res, uniAcc.res, nil
+	return order, complete, nil
 }
 
-// placementAcc folds placements into one search's optimum. It keeps that
-// search's solved subsets, counters and incumbent. A non-nil bound cuts
-// placements and core subtrees; even restricts every core to the even way
-// split.
-type placementAcc struct {
+// The two sides of a placement search, indexing placements' per-side
+// state.
+const (
+	coSide = iota
+	uniformSide
+)
+
+// placements folds the placements into both sides' optima. It keeps the
+// solved subsets, shared by the sides, and each side's result and the
+// per-core solutions of the placement being folded.
+type placements struct {
 	cache *MulticoreCache
 	pt    sched.PartitionTimings
 	maxM  int
 	bound Bounder
-	even  bool
 
 	// Placement-level bound tables (with a bound only).
 	appBest, wayBestUpTo [][]float64
 
-	solved  map[sched.PointKey]CoreSolution
-	perCore []CoreSolution
-	res     *MulticoreResult
+	solved  map[sched.PointKey]*subsetWalk
+	res     [2]*MulticoreResult
+	perCore [2][]CoreSolution
 }
 
-func newPlacementAcc(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder, even, complete bool) *placementAcc {
-	a := &placementAcc{
-		cache: cache, pt: pt, maxM: maxM, bound: bound, even: even,
-		solved:  map[sched.PointKey]CoreSolution{},
-		perCore: make([]CoreSolution, nCores),
-		res:     &MulticoreResult{Cores: nCores, BestValue: math.Inf(-1), Enumerated: complete},
+// subsetWalk is one subset's two-incumbent walk: each side's result, and
+// whether the side has counted it yet.
+type subsetWalk struct {
+	walk    [2]*JointExhaustiveResult
+	counted [2]bool
+}
+
+// placementSearch is MulticoreExact over the given seeds and enumeration
+// cap, on arguments MulticoreExact has validated.
+func placementSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder, seeds [][]int, limit int) (co, uniform *MulticoreResult, err error) {
+	order, complete, err := placementOrder(pt.Apps(), nCores, seeds, limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := &placements{cache: cache, pt: pt, maxM: maxM, bound: bound, solved: map[sched.PointKey]*subsetWalk{}}
+	for side := range p.res {
+		p.res[side] = &MulticoreResult{Cores: nCores, BestValue: math.Inf(-1), Enumerated: complete}
+		p.perCore[side] = make([]CoreSolution, nCores)
 	}
 	if bound != nil {
-		a.appBest, a.wayBestUpTo = boundTables(bound, pt.Apps(), pt.TotalWays())
+		p.appBest, p.wayBestUpTo = boundTables(bound, pt.Apps(), pt.TotalWays())
 	}
-	return a
+	for _, a := range order {
+		subsets := assignmentSubsets(a, nCores)
+		ub := math.Inf(1) // no bound: no placement is cut
+		if bound != nil {
+			ub = p.boundAssign(subsets)
+		}
+		for side := range p.res {
+			if err := p.fold(side, a, subsets, ub); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return p.res[coSide], p.res[uniformSide], nil
 }
 
 // boundAssign bounds a placement from above: an application on a core
 // hosting k applications of a W-way private cache gets at most W-(k-1)
 // dedicated ways, or the shared cache.
-func (a *placementAcc) boundAssign(subsets [][]int) float64 {
+func (p *placements) boundAssign(subsets [][]int) float64 {
 	ub := 0.0
 	for _, sub := range subsets {
-		cap := a.pt.TotalWays() - (len(sub) - 1)
+		cap := p.pt.TotalWays() - (len(sub) - 1)
 		if cap < 0 {
 			cap = 0
 		}
 		for _, i := range sub {
-			t := a.appBest[i][0]
-			if cap >= 1 && a.wayBestUpTo[i][cap] > t {
-				t = a.wayBestUpTo[i][cap]
+			t := p.appBest[i][0]
+			if cap >= 1 && p.wayBestUpTo[i][cap] > t {
+				t = p.wayBestUpTo[i][cap]
 			}
 			ub += t
 		}
@@ -439,68 +459,75 @@ func (a *placementAcc) boundAssign(subsets [][]int) float64 {
 	return ub
 }
 
-// solve returns the optimum of the core hosting the applications idx,
-// solving each distinct subset once.
-func (a *placementAcc) solve(idx []int) (CoreSolution, error) {
+// solve returns one side's optimum of the core hosting the applications
+// idx. Each distinct subset is walked once, for both sides, and a side
+// counts the walk when it first uses the subset.
+func (p *placements) solve(side int, idx []int) (CoreSolution, error) {
 	key, err := sched.PackPoint(idx, true, nil, nil)
 	if err != nil {
 		return CoreSolution{}, err
 	}
-	if sol, ok := a.solved[key]; ok {
-		return sol, nil
+	sw, ok := p.solved[key]
+	if !ok {
+		sub, err := SubPartition(p.pt, idx)
+		if err != nil {
+			return CoreSolution{}, err
+		}
+		// The core's joint points are looked up as core points of idx.
+		get := func(j sched.JointSchedule) (Outcome, bool, error) {
+			return p.cache.GetLast(CorePoint{Apps: idx, Point: j})
+		}
+		var bound Bounder
+		if p.bound != nil {
+			bound = subBounder{p.bound, idx}
+		}
+		co, uni, err := exactUniform(get, sub, bound, p.maxM)
+		if err != nil {
+			return CoreSolution{}, err
+		}
+		sw = &subsetWalk{walk: [2]*JointExhaustiveResult{co, uni}}
+		p.solved[key] = sw
 	}
-	sub, err := SubPartition(a.pt, idx)
-	if err != nil {
-		return CoreSolution{}, err
+	r := sw.walk[side]
+	if !sw.counted[side] {
+		sw.counted[side] = true
+		res := p.res[side]
+		res.SubtreesPruned += r.Pruned
+		res.Subsets++
+		res.Evaluated += r.Evaluated
+		res.Feasible += r.Feasible
 	}
-	// The core's joint points are looked up as core points of idx.
-	get := func(j sched.JointSchedule) (Outcome, bool, error) {
-		return a.cache.Get(CorePoint{Apps: idx, Point: j})
-	}
-	var bound Bounder
-	if a.bound != nil {
-		bound = subBounder{a.bound, idx}
-	}
-	r, err := exact(get, sub, bound, a.maxM, 1, a.even)
-	if err != nil {
-		return CoreSolution{}, err
-	}
-	sol := CoreSolution{Apps: idx, Point: r.Best, Value: r.BestValue, Found: r.FoundBest}
-	a.solved[key] = sol
-	a.res.SubtreesPruned += r.Pruned
-	a.res.Subsets++
-	a.res.Evaluated += r.Evaluated
-	a.res.Feasible += r.Feasible
-	return sol, nil
+	return CoreSolution{Apps: idx, Point: r.Best, Value: r.BestValue, Found: r.FoundBest}, nil
 }
 
 // fold examines the canonical placement assign, whose per-core subsets
-// are subsets, and keeps it when it beats the incumbent.
-func (a *placementAcc) fold(assign []int, subsets [][]int) error {
-	res := a.res
+// are subsets and whose bound is ub, for one side, and keeps it when it
+// beats that side's incumbent.
+func (p *placements) fold(side int, assign []int, subsets [][]int, ub float64) error {
+	res, perCore := p.res[side], p.perCore[side]
 	res.Assignments++
-	if a.bound != nil && res.FoundBest && a.boundAssign(subsets) <= res.BestValue {
+	if res.FoundBest && ub <= res.BestValue {
 		res.AssignmentsPruned++
 		return nil
 	}
 	total := 0.0
 	for c, idx := range subsets {
-		sol, err := a.solve(idx)
+		sol, err := p.solve(side, idx)
 		if err != nil {
 			return err
 		}
 		if !sol.Found {
 			return nil
 		}
-		a.perCore[c] = sol
+		perCore[c] = sol
 		total += sol.Value
 	}
 	if total > res.BestValue {
 		res.BestValue = total
 		res.FoundBest = true
 		res.Assignment = append([]int(nil), assign...)
-		res.PerCore = make([]CoreSolution, len(a.perCore))
-		for c, sol := range a.perCore {
+		res.PerCore = make([]CoreSolution, len(perCore))
+		for c, sol := range perCore {
 			res.PerCore[c] = CoreSolution{
 				Apps:  append([]int(nil), sol.Apps...),
 				Point: sol.Point.Clone(),

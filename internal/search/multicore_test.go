@@ -1,9 +1,11 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sched"
@@ -189,8 +191,7 @@ func TestPlacementSeedsEqualLoads(t *testing.T) {
 // TestMulticoreBranchBoundMatchesExhaustive pins the placement-level
 // equality: with a bound the co-design must select the identical
 // assignment, per-core points, and value bits as without one, with no more
-// evaluations. The uniform baseline takes no bound, so it is the same
-// whether the co-design has one or not.
+// evaluations, and so must the uniform baseline.
 func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	prunedSomewhere := false
@@ -230,8 +231,11 @@ func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 		if !ex.Enumerated || ex.Assignments == 0 {
 			t.Errorf("trial %d: exhaustive did not enumerate placements: %+v", trial, ex)
 		}
-		if !reflect.DeepEqual(bbUni, exUni) {
-			t.Errorf("trial %d: uniform baseline depends on the co-design's bound:\nbb %+v\nex %+v", trial, bbUni, exUni)
+		if d := optimumDiff(bbUni, exUni); d != "" {
+			t.Errorf("trial %d: uniform baseline with the bound differs from without: %s", trial, d)
+		}
+		if bbUni.Evaluated > exUni.Evaluated {
+			t.Errorf("trial %d: bounded uniform baseline evaluated %d > %d", trial, bbUni.Evaluated, exUni.Evaluated)
 		}
 	}
 	if !prunedSomewhere {
@@ -239,24 +243,11 @@ func TestMulticoreBranchBoundMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// uniformWith folds the canonical placements of pt into a uniform-split
-// search with the given bound, as placementSearch folds its baseline.
-func uniformWith(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder) (*MulticoreResult, error) {
-	enum, complete := canonicalAssignments(pt.Apps(), nCores, maxAssignments)
-	acc := newPlacementAcc(cache, pt, nCores, maxM, bound, true, complete)
-	for _, a := range enum {
-		if err := acc.fold(a, assignmentSubsets(a, nCores)); err != nil {
-			return nil, err
-		}
-	}
-	return acc.res, nil
-}
-
 // TestMulticoreUniformRestriction: the uniform baseline explores a
 // subspace of the co-design box, so its optimum can never exceed the
 // co-design's, and every winning per-core partition is the even split (or
-// shared). The baseline's even-split walk is bound-safe too: a bound on it
-// changes no optimum.
+// shared). The bound cuts inside the baseline's walks too and changes no
+// optimum: the baseline's is the unbounded oracle's, bit for bit.
 func TestMulticoreUniformRestriction(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pt, weights := genTable(rng, 3, 4)
@@ -265,32 +256,24 @@ func TestMulticoreUniformRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := uniformWith(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 4, nil)
+	_, plain, err := oracleSearch(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 4, nil, placementSeeds(pt, 2), maxAssignments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ubb, err := uniformWith(NewMulticoreCache(testCoreEval(pt, weights)), pt, 2, 4, bound)
-	if err != nil {
-		t.Fatal(err)
+	if d := optimumDiff(uni, plain); d != "" {
+		t.Errorf("bounded uniform baseline differs from the unbounded oracle: %s", d)
 	}
-	if math.Float64bits(ubb.BestValue) != math.Float64bits(plain.BestValue) ||
-		!reflect.DeepEqual(ubb.Assignment, plain.Assignment) || !reflect.DeepEqual(ubb.PerCore, plain.PerCore) {
-		t.Errorf("bounded uniform optimum %v %v differs from %v %v", ubb.Assignment, ubb.BestValue, plain.Assignment, plain.BestValue)
+	if uni.Evaluated > plain.Evaluated {
+		t.Errorf("bounded uniform baseline evaluated %d > %d", uni.Evaluated, plain.Evaluated)
 	}
-	if ubb.Evaluated > plain.Evaluated {
-		t.Errorf("bounded uniform search evaluated %d > %d", ubb.Evaluated, plain.Evaluated)
-	}
-	if math.Float64bits(plain.BestValue) != math.Float64bits(uni.BestValue) {
-		t.Errorf("uniform baseline %v differs from the enumeration-only search %v", uni.BestValue, plain.BestValue)
+	if uni.SubtreesPruned == 0 {
+		t.Error("the bound cut no subtree of the uniform baseline")
 	}
 	if !free.FoundBest || !uni.FoundBest {
 		t.Fatalf("searches incomplete: free %v, uniform %v", free.FoundBest, uni.FoundBest)
 	}
 	if uni.BestValue > free.BestValue {
 		t.Errorf("uniform optimum %v exceeds co-design optimum %v", uni.BestValue, free.BestValue)
-	}
-	if uni.AssignmentsPruned != 0 || uni.SubtreesPruned != 0 {
-		t.Errorf("uniform baseline pruned %d placements, %d subtrees: it takes no bound", uni.AssignmentsPruned, uni.SubtreesPruned)
 	}
 	for c, sol := range uni.PerCore {
 		if sol.Point.Shared() {
@@ -299,6 +282,249 @@ func TestMulticoreUniformRestriction(t *testing.T) {
 		even := sched.EvenWays(len(sol.Apps), pt.TotalWays())
 		if !sol.Point.W.Equal(even) {
 			t.Errorf("core %d: uniform winner %v is not the even split %v", c, sol.Point, even)
+		}
+	}
+}
+
+// oracleAcc is the per-side accumulator of oracleSearch: its own solved
+// subsets, counters and incumbent. The co-design's subsets are solved by
+// exact (cutting with the bound), the uniform baseline's by the plain
+// enumeration of the shared subspace plus the even split.
+type oracleAcc struct {
+	cache *MulticoreCache
+	pt    sched.PartitionTimings
+	maxM  int
+	bound Bounder
+	even  bool
+
+	appBest, wayBestUpTo [][]float64
+
+	solved  map[string]CoreSolution
+	perCore []CoreSolution
+	res     *MulticoreResult
+}
+
+// oracleSearch is the placement search as two separate searches folding
+// the same placement order: the co-design with the bound, the uniform
+// baseline without one, each solving its own subsets and reading core
+// points through the inserting Get, so the baseline re-reads what the
+// co-design evaluated. The single two-incumbent walk is pinned against it.
+func oracleSearch(cache *MulticoreCache, pt sched.PartitionTimings, nCores, maxM int, bound Bounder, seeds [][]int, limit int) (co, uniform *MulticoreResult, err error) {
+	order, complete, err := placementOrder(pt.Apps(), nCores, seeds, limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	accs := []*oracleAcc{
+		{cache: cache, pt: pt, maxM: maxM, bound: bound},
+		{cache: cache, pt: pt, maxM: maxM, even: true},
+	}
+	for _, a := range accs {
+		a.solved = map[string]CoreSolution{}
+		a.perCore = make([]CoreSolution, nCores)
+		a.res = &MulticoreResult{Cores: nCores, BestValue: math.Inf(-1), Enumerated: complete}
+		if a.bound != nil {
+			a.appBest, a.wayBestUpTo = boundTables(a.bound, pt.Apps(), pt.TotalWays())
+		}
+	}
+	for _, assign := range order {
+		subsets := assignmentSubsets(assign, nCores)
+		for _, a := range accs {
+			if err := a.fold(assign, subsets); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return accs[0].res, accs[1].res, nil
+}
+
+func (a *oracleAcc) fold(assign []int, subsets [][]int) error {
+	res := a.res
+	res.Assignments++
+	if a.bound != nil && res.FoundBest {
+		ub := 0.0
+		for _, sub := range subsets {
+			cap := a.pt.TotalWays() - (len(sub) - 1)
+			for _, i := range sub {
+				t := a.appBest[i][0]
+				if cap >= 1 && a.wayBestUpTo[i][cap] > t {
+					t = a.wayBestUpTo[i][cap]
+				}
+				ub += t
+			}
+		}
+		if ub <= res.BestValue {
+			res.AssignmentsPruned++
+			return nil
+		}
+	}
+	total := 0.0
+	for c, idx := range subsets {
+		sol, err := a.solve(idx)
+		if err != nil {
+			return err
+		}
+		if !sol.Found {
+			return nil
+		}
+		a.perCore[c] = sol
+		total += sol.Value
+	}
+	if total > res.BestValue {
+		res.BestValue = total
+		res.FoundBest = true
+		res.Assignment = append([]int(nil), assign...)
+		res.PerCore = make([]CoreSolution, len(a.perCore))
+		for c, sol := range a.perCore {
+			res.PerCore[c] = CoreSolution{Apps: append([]int(nil), sol.Apps...), Point: sol.Point.Clone(), Value: sol.Value, Found: true}
+		}
+	}
+	return nil
+}
+
+func (a *oracleAcc) solve(idx []int) (CoreSolution, error) {
+	key := appsKey(idx)
+	if sol, ok := a.solved[key]; ok {
+		return sol, nil
+	}
+	sub, err := SubPartition(a.pt, idx)
+	if err != nil {
+		return CoreSolution{}, err
+	}
+	get := func(j sched.JointSchedule) (Outcome, bool, error) {
+		return a.cache.Get(CorePoint{Apps: idx, Point: j})
+	}
+	var r *JointExhaustiveResult
+	if a.even {
+		r, err = enumerate(get, sub, a.maxM, true)
+	} else {
+		var bound Bounder
+		if a.bound != nil {
+			bound = subBounder{a.bound, idx}
+		}
+		r, err = exact(get, sub, bound, a.maxM, 1)
+	}
+	if err != nil {
+		return CoreSolution{}, err
+	}
+	sol := CoreSolution{Apps: idx, Point: r.Best, Value: r.BestValue, Found: r.FoundBest}
+	a.solved[key] = sol
+	a.res.SubtreesPruned += r.Pruned
+	a.res.Subsets++
+	a.res.Evaluated += r.Evaluated
+	a.res.Feasible += r.Feasible
+	return sol, nil
+}
+
+// optimumDiff describes how two placement results' optimum fields differ
+// (assignment, per-core solutions, value bits, found flag, placements
+// examined, enumeration flag), or returns "" when they are equal.
+func optimumDiff(got, want *MulticoreResult) string {
+	switch {
+	case !reflect.DeepEqual(got.Assignment, want.Assignment):
+		return fmt.Sprintf("assignment %v, want %v", got.Assignment, want.Assignment)
+	case !reflect.DeepEqual(got.PerCore, want.PerCore):
+		return fmt.Sprintf("per-core %+v, want %+v", got.PerCore, want.PerCore)
+	case math.Float64bits(got.BestValue) != math.Float64bits(want.BestValue):
+		return fmt.Sprintf("value %v, want %v", got.BestValue, want.BestValue)
+	case got.FoundBest != want.FoundBest:
+		return fmt.Sprintf("found %v, want %v", got.FoundBest, want.FoundBest)
+	case got.Assignments != want.Assignments:
+		return fmt.Sprintf("%d placements, want %d", got.Assignments, want.Assignments)
+	case got.Enumerated != want.Enumerated:
+		return fmt.Sprintf("enumerated %v, want %v", got.Enumerated, want.Enumerated)
+	}
+	return ""
+}
+
+// TestMulticoreMatchesOracle pins the one-walk placement search against
+// the two-search oracle over seeded random and tie-heavy tables, with and
+// without the timing bound, and with the enumeration complete and
+// capped to the seeds: the co-design equals the oracle's in every field,
+// the uniform baseline's optimum equals the oracle's bit for bit (every
+// field, when there is no bound to cut its walks), and the baseline never
+// evaluates more.
+func TestMulticoreMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 96; trial++ {
+		n := 2 + rng.Intn(3)
+		ways, maxM := 1+rng.Intn(5), 2+rng.Intn(3)
+		cores := 1 + rng.Intn(n)
+		if cores > 3 {
+			cores = 3
+		}
+		gen := genTable
+		if trial%2 == 1 {
+			gen = genTiedTable
+		}
+		pt, weights := gen(rng, n, ways)
+		limit := maxAssignments
+		if trial%3 == 2 {
+			limit = 1
+		}
+		seeds := placementSeeds(pt, cores)
+		for _, bound := range []Bounder{nil, testBounder{pt, weights, maxM}} {
+			eval := testCoreEval(pt, weights)
+			wantCo, wantUni, err := oracleSearch(NewMulticoreCache(eval), pt, cores, maxM, bound, seeds, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			co, uni, err := placementSearch(NewMulticoreCache(eval), pt, cores, maxM, bound, seeds, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(co, wantCo) {
+				t.Errorf("trial %d (bound %v): co-design\n%+v\noracle\n%+v", trial, bound != nil, co, wantCo)
+			}
+			if d := optimumDiff(uni, wantUni); d != "" {
+				t.Errorf("trial %d (bound %v): uniform baseline %s", trial, bound != nil, d)
+			}
+			if bound == nil && !reflect.DeepEqual(uni, wantUni) {
+				t.Errorf("trial %d: unbounded uniform baseline\n%+v\noracle\n%+v", trial, uni, wantUni)
+			}
+			if uni.Evaluated > wantUni.Evaluated || uni.Subsets > wantUni.Subsets {
+				t.Errorf("trial %d: uniform baseline evaluated %d points in %d subsets, oracle %d in %d",
+					trial, uni.Evaluated, uni.Subsets, wantUni.Evaluated, wantUni.Subsets)
+			}
+		}
+	}
+}
+
+// TestMulticoreReadsEachPointOnce: one placement search looks every core
+// point up at most once, over both sides, so its cache evaluates each
+// distinct point once and serves no hit.
+func TestMulticoreReadsEachPointOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 8; trial++ {
+		pt, weights := genTable(rng, 4, 1+trial%4)
+		var bound Bounder
+		if trial%2 == 1 {
+			bound = testBounder{pt, weights, 4}
+		}
+		eval := testCoreEval(pt, weights)
+		var mu sync.Mutex
+		calls := map[string]int{}
+		cache := NewMulticoreCache(func(p CorePoint) (Outcome, error) {
+			mu.Lock()
+			calls[p.Key()]++
+			mu.Unlock()
+			return eval(p)
+		})
+		co, uni, err := MulticoreExact(cache, pt, 2, 4, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, c := range calls {
+			if c > 1 {
+				t.Errorf("trial %d: core point %s looked up %d times", trial, k, c)
+			}
+		}
+		st := cache.Stats()
+		if st.Hits != 0 || st.Misses != int64(len(calls)) || cache.Len() != len(calls) {
+			t.Errorf("trial %d: %d hits, %d misses, Len %d for %d distinct points", trial, st.Hits, st.Misses, cache.Len(), len(calls))
+		}
+		if len(calls) < co.Evaluated || len(calls) > co.Evaluated+uni.Evaluated {
+			t.Errorf("trial %d: %d distinct points for %d co-design and %d uniform visits",
+				trial, len(calls), co.Evaluated, uni.Evaluated)
 		}
 	}
 }

@@ -428,7 +428,7 @@ func Exhaustive(eval EvalFunc, apps []sched.AppTiming, maxM int) (*ExhaustiveRes
 // evaluate it again. Cache counters and Len are as if it kept them.
 func ExhaustiveCached(cache *Cache, apps []sched.AppTiming, maxM, workers int) (*ExhaustiveResult, error) {
 	get := func(j sched.JointSchedule) (Outcome, bool, error) { return cache.GetLast(j.M) }
-	r, err := exact(get, sched.PartitionTimings{Shared: apps}, nil, maxM, workers, false)
+	r, err := exact(get, sched.PartitionTimings{Shared: apps}, nil, maxM, workers)
 	if err != nil {
 		return nil, err
 	}

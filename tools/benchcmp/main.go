@@ -15,10 +15,13 @@
 //
 //	go run ./tools/benchcmp before.txt after.txt
 //
-// Every metric here is better when lower. The verdict follows bench/cmp's
-// rule: "better" when the change won at least 9 in 10 pairs and its median
-// moved by more than the parent's interquartile distance, "worse" when it
-// lost that way, "~" otherwise.
+// ns/op, B/op and allocs/op are better when lower. The verdict follows
+// bench/cmp's rule: "better" when the change won at least 9 in 10 pairs and
+// its median moved by more than the parent's interquartile distance,
+// "worse" when it lost that way, "~" otherwise. Metrics a benchmark
+// reports itself (b.ReportMetric: points visited, optima) follow, with
+// their medians and change but no pair verdict, as their direction is not
+// known here.
 package main
 
 import (
@@ -27,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,8 +41,24 @@ var units = []string{"ns/op", "B/op", "allocs/op"}
 
 // results holds every run's value per benchmark and unit, in file order.
 type results struct {
-	names  []string // benchmarks in order of first appearance
-	values map[string]map[string][]float64
+	names    []string // benchmarks in order of first appearance
+	values   map[string]map[string][]float64
+	reported []string // units not in units, in order of first appearance
+}
+
+// printUnits lists the compared metrics, then every reported one of sets.
+func printUnits(sets ...*results) []string {
+	out := append([]string(nil), units...)
+	seen := map[string]bool{}
+	for _, res := range sets {
+		for _, u := range res.reported {
+			if !seen[u] {
+				seen[u] = true
+				out = append(out, u)
+			}
+		}
+	}
+	return out
 }
 
 // parse reads `go test -bench` text: every line starting with "Benchmark"
@@ -65,7 +85,11 @@ func parse(r io.Reader) (*results, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %d: value %q: %v", line, f[i], err)
 			}
-			byUnit[f[i+1]] = append(byUnit[f[i+1]], v)
+			u := f[i+1]
+			if !slices.Contains(units, u) && !slices.Contains(res.reported, u) {
+				res.reported = append(res.reported, u)
+			}
+			byUnit[u] = append(byUnit[u], v)
 		}
 	}
 	return res, sc.Err()
@@ -127,27 +151,27 @@ func verdict(base, change []float64) string {
 }
 
 func summarize(w io.Writer, res *results) {
-	fmt.Fprintf(w, "%-48s %-10s %4s %14s %14s %14s\n", "benchmark", "unit", "runs", "q1", "median", "q3")
+	fmt.Fprintf(w, "%-48s %-16s %4s %14s %14s %14s\n", "benchmark", "unit", "runs", "q1", "median", "q3")
 	for _, name := range res.names {
-		for _, u := range units {
+		for _, u := range printUnits(res) {
 			vals := res.values[name][u]
 			if len(vals) == 0 {
 				continue
 			}
 			q1, med, q3 := quartiles(vals)
-			fmt.Fprintf(w, "%-48s %-10s %4d %14.6g %14.6g %14.6g\n", name, u, len(vals), q1, med, q3)
+			fmt.Fprintf(w, "%-48s %-16s %4d %14.6g %14.6g %14.6g\n", name, u, len(vals), q1, med, q3)
 		}
 	}
 }
 
 func compare(w io.Writer, base, change *results) {
-	fmt.Fprintf(w, "%-48s %-10s %27s %27s %8s %6s  %s\n",
+	fmt.Fprintf(w, "%-48s %-16s %27s %27s %8s %6s  %s\n",
 		"benchmark", "unit", "parent median [q1, q3]", "change median [q1, q3]", "delta", "wins", "")
 	for _, name := range base.names {
 		if change.values[name] == nil {
 			continue
 		}
-		for _, u := range units {
+		for _, u := range printUnits(base, change) {
 			b, c := base.values[name][u], change.values[name][u]
 			if len(b) == 0 || len(c) == 0 {
 				continue
@@ -159,9 +183,12 @@ func compare(w io.Writer, base, change *results) {
 				delta = fmt.Sprintf("%+.1f%%", 100*(cmed-bmed)/bmed)
 			}
 			won, pairs := wins(b, c)
-			fmt.Fprintf(w, "%-48s %-10s %27s %27s %8s %6s  %s\n", name, u,
-				spanOf(bmed, bq1, bq3), spanOf(cmed, cq1, cq3), delta,
-				fmt.Sprintf("%d/%d", won, pairs), verdict(b, c))
+			pairWins, v := fmt.Sprintf("%d/%d", won, pairs), verdict(b, c)
+			if !slices.Contains(units, u) {
+				pairWins, v = "-", ""
+			}
+			fmt.Fprintf(w, "%-48s %-16s %27s %27s %8s %6s  %s\n", name, u,
+				spanOf(bmed, bq1, bq3), spanOf(cmed, cq1, cq3), delta, pairWins, v)
 		}
 	}
 }

@@ -94,13 +94,15 @@ func TestRunComparesTwoFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(out.String(), "\n")
-	var nsLine, allocLine string
+	var nsLine, allocLine, reportedLine string
 	for _, l := range lines {
 		switch {
 		case strings.Contains(l, " ns/op "):
 			nsLine = l
 		case strings.Contains(l, " allocs/op "):
 			allocLine = l
+		case strings.Contains(l, " distinct-evals "):
+			reportedLine = l
 		}
 	}
 	if !strings.Contains(nsLine, "-50.0%") || !strings.Contains(nsLine, "10/10") || !strings.HasSuffix(nsLine, "better") {
@@ -108,6 +110,10 @@ func TestRunComparesTwoFiles(t *testing.T) {
 	}
 	if !strings.Contains(allocLine, "+0.0%") || !strings.Contains(allocLine, "0/10") || !strings.HasSuffix(allocLine, "~") {
 		t.Errorf("allocs/op line: %q", allocLine)
+	}
+	// A metric the benchmark reports itself is compared without a verdict.
+	if !strings.Contains(reportedLine, "+0.0%") || !strings.HasSuffix(strings.TrimSpace(reportedLine), "-") {
+		t.Errorf("distinct-evals line: %q", reportedLine)
 	}
 
 	out.Reset()
