@@ -29,7 +29,7 @@
 // table always uses it).
 //
 // With -store DIR joint-point evaluations and per-platform checkpoint
-// records persist to a content-addressed disk store (internal/store,
+// records persist to a disk store (internal/store,
 // shareable with cmd/sweep and cmd/served); -resume additionally loads
 // completed platform variants from their checkpoints, so a warm store
 // renders Table IV without re-searching the joint box. Table mode is
@@ -93,6 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		rc.Store = st
 	} else if *resume {
 		return fmt.Errorf("-resume requires -store")

@@ -20,7 +20,7 @@
 //	GET  /v1/store/{key}              one record of the persistent store (requires -store)
 //	PUT  /v1/store/                   a batch of up to 256 records, [{"key", "payload"}, ...] (requires -store)
 //	POST /v1/shards/...               distributed-sweep lease protocol (requires -store)
-//	GET/POST /v1/admin/scrub[?repair=1]  store fsck: classify (and quarantine) bad records
+//	GET/POST /v1/admin/scrub[?repair=1]  store fsck: classify bad records and torn tails (and quarantine them)
 //
 // Usage:
 //
@@ -57,7 +57,8 @@
 // sweep evaluation, scenario checkpoint, and rendered table persists
 // across restarts — a warm service answers repeat queries from disk
 // without recomputing (visible as disk-tier hits in /statsz). Shutdown is
-// graceful: SIGINT/SIGTERM drains in-flight requests before exiting.
+// graceful: SIGINT/SIGTERM drains in-flight requests, then closes the
+// store, before exiting.
 package main
 
 import (
@@ -124,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 	journalDir := fs.String("journal", "", "journal coordinator state to this directory (requires -store); jobs and done shards survive restarts")
 	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always | none")
 	journalCompact := fs.Int("journal-compact", 1024, "compact the journal after this many appends (0 = never)")
-	storeSync := fs.Bool("store-sync", false, "fsync every store record before publishing it (records survive power loss)")
+	storeSync := fs.Bool("store-sync", false, "fsync the store segment after every write (records survive power loss)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -236,6 +237,13 @@ func run(args []string, stdout io.Writer) error {
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
 		return err
+	}
+	if st != nil {
+		// In-flight requests are done: release the store's segment so
+		// other handles on the directory know it is final.
+		if err := st.Close(); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintln(stdout, "served: shut down cleanly")
 	return nil
@@ -358,11 +366,13 @@ func newServer(st *store.Store, defaultBudget string) *server {
 	return s
 }
 
-// handleScrub is the admin fsck: GET classifies every record (read-only),
-// POST with repair=1 additionally quarantines bad records and removes
-// orphaned temps. Deliberately outside the compute envelope — it is an
-// operator action, not user traffic — but O(records): point dashboards at
-// /statsz, not here.
+// handleScrub is the admin fsck: GET classifies every record and checks
+// finished segments for torn tails (read-only); POST with repair=1
+// additionally rewrites damaged segments without their bad records and
+// torn tails, keeping those bytes under the store's quarantine/.
+// Deliberately outside the compute envelope — it is an operator action,
+// not user traffic — but O(records): point dashboards at /statsz, not
+// here.
 func (s *server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	repair := false
 	switch r.Method {
@@ -427,7 +437,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seq := s.probes.Add(1)
-	// Already-compact JSON: the store's envelope re-marshals payloads, so
+	// Already-compact JSON: the store compacts payloads, so
 	// anything non-compact would come back byte-different and fail the
 	// comparison spuriously.
 	payload := fmt.Sprintf(`{"probe":%d}`, seq)
@@ -531,7 +541,7 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if s.st != nil {
 		resp["store"] = s.st.Stats()
 		// ApproxLen, not Len: the stats endpoint is polled (workers,
-		// dashboards) and must not pay an O(records) directory walk per hit.
+		// dashboards) and must not pay an O(records) segment scan per hit.
 		resp["store_records"] = s.st.ApproxLen()
 	}
 	if s.shards != nil {

@@ -18,10 +18,12 @@
 //	sweep -scrub -store DIR [-scrub-repair]
 //
 // -scrub walks the store like an fsck: every record is classified as ok,
-// corrupt, checksum-mismatched, or an orphaned write-temporary, and the
-// command exits non-zero if problems are found. -scrub-repair additionally
-// quarantines bad records (to DIR/quarantine/) and removes orphaned temps —
-// always safe, records are deterministic and recomputable.
+// corrupt, or checksum-mismatched, the segments of finished writers are
+// checked for torn tails, and the command exits non-zero if problems are
+// found. -scrub-repair additionally rewrites each damaged segment without
+// its bad records and torn tail, keeping their bytes under
+// DIR/quarantine/ — always safe, records are deterministic and
+// recomputable.
 //
 // With -objective design each schedule evaluation runs the paper's full
 // holistic controller design (slow; keep -n small). The default timing
@@ -29,7 +31,7 @@
 // sweeps thousands of scenarios in seconds.
 //
 // With -store DIR every evaluation outcome and every completed scenario is
-// persisted to a content-addressed disk store (internal/store); re-running
+// persisted to a log-structured disk store (internal/store); re-running
 // the same sweep against a warm store skips re-executing evaluations, and
 // -resume additionally skips whole completed scenarios, so an interrupted
 // sweep picks up where it was killed. -shard K/N runs only the K-th of N
@@ -99,9 +101,9 @@ func run(args []string, stdout io.Writer) error {
 	l2Hit := fs.Int("l2-hit", 0, "L2 hit cycles (0 = default 10)")
 	l2Exclusive := fs.Bool("l2-exclusive", false, "analyze the L2 as an exclusive victim cache")
 	storeDir := fs.String("store", "", "persist evaluations and scenario checkpoints to this directory")
-	storeSync := fs.Bool("store-sync", false, "fsync every store record before publishing it")
+	storeSync := fs.Bool("store-sync", false, "fsync the store segment after every write")
 	scrub := fs.Bool("scrub", false, "fsck the -store directory instead of sweeping; non-zero exit when bad records are found")
-	scrubRepair := fs.Bool("scrub-repair", false, "with -scrub: quarantine bad records and remove orphaned temporaries")
+	scrubRepair := fs.Bool("scrub-repair", false, "with -scrub: rewrite damaged segments without their bad records and torn tails, keeping those bytes under DIR/quarantine/")
 	resume := fs.Bool("resume", false, "skip scenarios already checkpointed in -store")
 	shard := fs.String("shard", "", "run only shard K/N of the scenario list (e.g. 0/4; requires -store to be useful)")
 	remote := fs.String("remote", "", "run the sweep on the cluster coordinated by this served URL")
@@ -124,6 +126,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		rep, err := st.Scrub(*scrubRepair)
 		if err != nil {
 			return err
@@ -131,9 +134,9 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "scrub %s: %s\n", *storeDir, rep)
 		if rep.Bad() > 0 && !*scrubRepair {
 			// A dirty store and no repair: fail so CI and scripts notice.
-			// With repair the problems were handled (quarantined/removed) and
-			// a clean exit lets "scrub-repair then rerun" pipelines proceed.
-			return fmt.Errorf("sweep: scrub found %d bad record(s)/temp(s) in %s (re-run with -scrub-repair to quarantine)",
+			// With repair the problems were handled (quarantined) and a clean
+			// exit lets "scrub-repair then rerun" pipelines proceed.
+			return fmt.Errorf("sweep: scrub found %d bad record(s)/torn tail(s) in %s (re-run with -scrub-repair to quarantine)",
 				rep.Bad(), *storeDir)
 		}
 		return nil
@@ -195,6 +198,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		cfg.Store = st
 	} else if *resume {
 		return fmt.Errorf("sweep: -resume requires -store")

@@ -330,7 +330,8 @@ func (c *Cache[K, M, V]) resolve(s K) (V, error) {
 				return v, nil
 			}
 			// Undecodable record (stale payload schema, corruption the
-			// envelope check could not catch): recompute and overwrite.
+			// store's record checks could not catch): recompute and
+			// overwrite.
 		}
 	}
 	val, err := c.eval(s)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -270,19 +271,28 @@ func TestSweepCorruptRecordRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate every record on disk.
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, walkErr error) error {
-		if walkErr != nil || d.IsDir() {
-			return walkErr
-		}
+	// Flip the last payload byte of every record on disk: every frame now
+	// fails its CRC.
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments to corrupt (err %v)", err)
+	}
+	for _, path := range segs {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		return os.WriteFile(path, data[:len(data)/3], 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
+		for off := 0; off < len(data); {
+			_, n, err := frame.Decode(data[off:], len(data))
+			if err != nil {
+				t.Fatalf("%s: %v at offset %d", path, err, off)
+			}
+			data[off+n-1] ^= 0x01
+			off += n
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st2, err := store.Open(dir)
 	if err != nil {

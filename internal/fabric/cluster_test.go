@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/frame"
 	"repro/internal/store"
 	"repro/internal/store/httpstore"
 )
@@ -227,36 +228,48 @@ func TestClusterThreeWorkersBitIdentical(t *testing.T) {
 	mustMatch(t, "assembly over corrupt record vs single-process", healed, want)
 }
 
-// corruptOneCheckpoint overwrites the first (path-ordered) per-scenario
-// checkpoint record under dir with garbage and reports how many it hit.
+// corruptOneCheckpoint flips a payload byte in every frame of the first
+// (path- and offset-ordered) per-scenario checkpoint record in the store
+// at dir, so each fails its CRC, and reports how many records it hit.
 func corruptOneCheckpoint(t *testing.T, dir string) int {
 	t.Helper()
-	var paths []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var env struct {
-			Key string `json:"key"`
-		}
-		if json.Unmarshal(data, &env) == nil && strings.HasPrefix(env.Key, "r/") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) == 0 {
-		t.Fatal("no checkpoint records found to corrupt")
+	sort.Strings(segs)
+	victim := ""
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit := false
+		for off := 0; off < len(data); {
+			body, n, err := frame.Decode(data[off:], len(data))
+			if err != nil {
+				break
+			}
+			// body := version | uvarint(len(key)) | key | sha256 | payload
+			keyLen, w := binary.Uvarint(body[1:])
+			key := string(body[1+w : 1+w+int(keyLen)])
+			if victim == "" && strings.HasPrefix(key, "r/") {
+				victim = key
+			}
+			if key == victim {
+				data[off+n-1] ^= 0x01
+				hit = true
+			}
+			off += n
+		}
+		if hit {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	sort.Strings(paths)
-	if err := os.WriteFile(paths[0], []byte("{ not a record"), 0o644); err != nil {
-		t.Fatal(err)
+	if victim == "" {
+		t.Fatal("no checkpoint records found to corrupt")
 	}
 	return 1
 }

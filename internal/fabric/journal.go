@@ -2,16 +2,17 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
+	"repro/internal/frame"
 )
 
 // Journal is the coordinator's durability log: an append-only,
@@ -30,7 +31,8 @@ import (
 // harmless by determinism.
 //
 // On-disk format, shared by the log (journal.log) and the snapshot
-// (snapshot.log):
+// (snapshot.log), is the internal/frame framing the store's segment files
+// use too:
 //
 //	record := lenLE32 | crc32(payload)LE32 | payload(JSON Record)
 //
@@ -130,8 +132,6 @@ const (
 	maxRecordLen = 1 << 20
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // OpenJournal opens (creating if necessary) the journal in dir and replays
 // it: snapshot first, then the log, truncating any torn tail. The replayed
 // records are consumed by Manager.Recover via Replayed.
@@ -186,32 +186,28 @@ func OpenJournal(dir string, o JournalOptions) (*Journal, error) {
 }
 
 // readFrames parses a framed record file. It returns the records up to the
-// first incomplete or checksum-failing frame, the byte offset of the end of
-// the last good record, and how many trailing bytes were abandoned. A
-// missing file is zero records.
+// first incomplete, checksum-failing or undecodable frame, the byte offset
+// of the end of the last good record, and how many trailing bytes were
+// abandoned. A missing file is zero records.
 func readFrames(path string) (recs []Record, good int64, torn int64, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, 0, 0, nil
 		}
 		return nil, 0, 0, err
 	}
-	off := 0
+	defer f.Close()
+	fr := frame.NewReader(f, maxRecordLen)
 	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return recs, int64(off), 0, nil
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return recs, good, 0, nil
 		}
-		if len(rest) < 8 {
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		if n == 0 || n > maxRecordLen || len(rest) < int(8+n) {
-			break
-		}
-		payload := rest[8 : 8+n]
-		if binary.LittleEndian.Uint32(rest[4:8]) != crc32.Checksum(payload, crcTable) {
+		if err != nil {
+			if !isFrameFault(err) {
+				return nil, 0, 0, err
+			}
 			break
 		}
 		var rec Record
@@ -219,13 +215,23 @@ func readFrames(path string) (recs []Record, good int64, torn int64, err error) 
 			break
 		}
 		recs = append(recs, rec)
-		off += int(8 + n)
+		good = fr.Offset()
 	}
-	return recs, int64(off), int64(len(data) - off), nil
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return recs, good, info.Size() - good, nil
 }
 
-// frame renders one record in the on-disk framing.
-func frame(rec Record) ([]byte, error) {
+// isFrameFault reports a torn or damaged frame, as opposed to a failed
+// read.
+func isFrameFault(err error) bool {
+	return errors.Is(err, frame.ErrShort) || errors.Is(err, frame.ErrLength) || errors.Is(err, frame.ErrChecksum)
+}
+
+// encodeFrame renders one record in the on-disk framing.
+func encodeFrame(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
@@ -233,11 +239,7 @@ func frame(rec Record) ([]byte, error) {
 	if len(payload) > maxRecordLen {
 		return nil, fmt.Errorf("fabric: journal record too large (%d bytes)", len(payload))
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
-	return buf, nil
+	return frame.Append(make([]byte, 0, frame.HeaderLen+len(payload)), payload), nil
 }
 
 // Append writes one record to the log, fsyncing per the policy. On any
@@ -245,7 +247,7 @@ func frame(rec Record) ([]byte, error) {
 // failed append never leaves a frame that would silently truncate later
 // successful ones at replay.
 func (j *Journal) Append(rec Record) error {
-	buf, err := frame(rec)
+	buf, err := encodeFrame(rec)
 	if err != nil {
 		return err
 	}
@@ -294,7 +296,7 @@ func (j *Journal) ShouldCompact() bool {
 func (j *Journal) Compact(recs []Record) error {
 	var buf bytes.Buffer
 	for _, rec := range recs {
-		b, err := frame(rec)
+		b, err := encodeFrame(rec)
 		if err != nil {
 			j.compactErrs.Add(1)
 			return err

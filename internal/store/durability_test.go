@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/frame"
 )
 
 // writeV1Record plants a record exactly as the pre-checksum release wrote
@@ -108,9 +110,10 @@ func TestV2ChecksumSurvivesHTMLEscapableBytes(t *testing.T) {
 	}
 }
 
-// TestChecksumMismatchReadsAsMiss pins the new detection: a v2 payload
-// altered in place — still perfectly valid JSON, the corruption the v1
-// envelope could not see — reads as a miss and counts as corrupt.
+// TestChecksumMismatchReadsAsMiss pins what the payload checksum adds to
+// the frame CRC: a payload altered in place — still perfectly valid JSON,
+// with a CRC that matches again (the damage the CRC alone cannot see) —
+// reads as a miss and counts as corrupt.
 func TestChecksumMismatchReadsAsMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -118,20 +121,16 @@ func TestChecksumMismatchReadsAsMiss(t *testing.T) {
 	}
 	key := "bitrot"
 	s.Put(key, []byte(`{"x":1111}`))
-	path := recordPath(t, s, key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := bytes.Replace(data, []byte("1111"), []byte("1121"), 1)
-	if bytes.Equal(flipped, data) {
-		t.Fatal("test bug: payload digits not found to flip")
-	}
-	if err := os.WriteFile(path, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path, off, n := frameOf(t, s, key)
+	reframe(t, path, off, n, func(body []byte) {
+		i := bytes.Index(body, []byte("1111"))
+		if i < 0 {
+			t.Fatal("test bug: payload digits not found to flip")
+		}
+		body[i+2] = '2'
+	})
 	if _, ok := s.Get(key); ok {
-		t.Fatal("bit-flipped (but valid-JSON) payload served as a hit")
+		t.Fatal("bit-flipped (but valid-JSON, CRC-valid) payload served as a hit")
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
@@ -143,11 +142,48 @@ func TestChecksumMismatchReadsAsMiss(t *testing.T) {
 	}
 }
 
+// TestFlippedFrameByteReadsAsMiss pins plain bit rot inside a frame's
+// payload, which the frame CRC catches: the handle holding the record
+// reads it as a corrupt miss, and a handle opened afterwards counts the
+// damaged frame, skips it and still reads the whole frames after it.
+func TestFlippedFrameByteReadsAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("rotten", []byte(`{"x":1}`))
+	s.Put("after", []byte(`{"x":2}`))
+	path, off, n := frameOf(t, s, "rotten")
+	writeAt(t, path, off+int64(n)-2, []byte{'9'}) // the payload's "1"
+	if _, ok := s.Get("rotten"); ok {
+		t.Fatal("frame with a flipped payload byte served as a hit")
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
+	}
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Corrupt != 1 || st.TornBytes != 0 {
+		t.Fatalf("reopened handle's scan: %+v, want 1 corrupt frame and no torn bytes", st)
+	}
+	if _, ok := r.Get("rotten"); ok {
+		t.Fatal("reopened handle served the damaged frame")
+	}
+	if got, ok := r.Get("after"); !ok || !bytes.Equal(got, []byte(`{"x":2}`)) {
+		t.Fatalf("frame after the damaged one lost: ok=%v payload=%s", ok, got)
+	}
+}
+
 // TestPutErrorLoggedOncePerHandle pins the satellite fix for "counted but
-// never surfaced": an unwritable shard path logs exactly one diagnostic per
-// handle while every failure still counts. Root runs ignore permission
-// bits, so the unwritable path is a plain file squatting where the shard
-// directory must go — MkdirAll fails with ENOTDIR for any uid.
+// never surfaced": a store whose segment cannot be created logs exactly
+// one diagnostic per handle while every failure still counts. Root runs
+// ignore permission bits, so the unwritable store is a plain file
+// squatting where the directory was — creating a segment in it fails with
+// ENOTDIR for any uid.
 func TestPutErrorLoggedOncePerHandle(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -158,11 +194,13 @@ func TestPutErrorLoggedOncePerHandle(t *testing.T) {
 	s.logf = func(format string, args ...any) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}
-	key := "blocked-key"
-	shardDir := filepath.Dir(recordPath(t, s, key))
-	if err := os.WriteFile(shardDir, []byte("squatter"), 0o644); err != nil {
+	if err := os.Remove(dir); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(dir, []byte("squatter"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	key := "blocked-key"
 	for i := 0; i < 5; i++ {
 		s.Put(key, []byte(`{"x":1}`))
 	}
@@ -175,49 +213,69 @@ func TestPutErrorLoggedOncePerHandle(t *testing.T) {
 	if !strings.Contains(logs[0], key) {
 		t.Fatalf("put-error log does not name the key: %q", logs[0])
 	}
-	// Reads on the same blocked path are plain misses, not log spam.
+	// Reads of the blocked store are plain misses, not log spam.
 	if _, ok := s.Get(key); ok {
-		t.Fatal("Get through a blocked shard path hit")
+		t.Fatal("Get from a blocked store hit")
 	}
 	if len(logs) != 1 {
 		t.Fatalf("Get added log lines: %q", logs)
 	}
 }
 
-// TestOpenRecordsTempRemovalCount pins the satellite stat: the sweep's
-// removal count lands in Stats.TempsRemoved instead of being dropped.
-func TestOpenRecordsTempRemovalCount(t *testing.T) {
+// TestTornSegmentReopens is the crash test: a writer dies mid-append,
+// leaving its segment cut inside a frame. Reopening reads back every
+// whole frame and counts the torn bytes; the new handle's appends land in
+// its own segment, never behind the torn tail, and read back from a third
+// handle.
+func TestTornSegmentReopens(t *testing.T) {
 	dir := t.TempDir()
-	seed, err := Open(dir)
+	w, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed.Put("anchor", []byte(`{"x":1}`))
-	shard := filepath.Dir(recordPath(t, seed, "anchor"))
-	for i := 0; i < 3; i++ {
-		stale := filepath.Join(shard, fmt.Sprintf(".tmp-stale-%d", i))
-		if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		old := time.Now().Add(-2 * TempMaxAge)
-		if err := os.Chtimes(stale, old, old); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 5; i++ {
+		w.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf(`{"i":%d}`, i)))
 	}
-	fresh := filepath.Join(shard, ".tmp-fresh")
-	if err := os.WriteFile(fresh, []byte("partial"), 0o644); err != nil {
+	path, off, n := frameOf(t, w, "key-4")
+	w.Close() // the writer is gone: its lock with it, as at process death
+	cut := off + int64(n) - 5
+	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir)
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.TempsRemoved != 3 {
-		t.Fatalf("TempsRemoved = %d, want 3 (stats %+v)", st.TempsRemoved, st)
+	if st := r.Stats(); st.TornBytes != cut-off || st.Corrupt != 0 {
+		t.Fatalf("reopen stats %+v, want %d torn bytes and nothing corrupt", st, cut-off)
 	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatalf("fresh temp removed: %v", err)
+	for i := 0; i < 4; i++ {
+		want := fmt.Sprintf(`{"i":%d}`, i)
+		if got, ok := r.Get(fmt.Sprintf("key-%d", i)); !ok || string(got) != want {
+			t.Fatalf("whole frame key-%d: ok=%v payload=%s", i, ok, got)
+		}
+	}
+	if _, ok := r.Get("key-4"); ok {
+		t.Fatal("torn frame served")
+	}
+	r.Put("key-4", []byte(`{"i":4}`))
+	r.Put("key-5", []byte(`{"i":5}`))
+	if segs := segments(t, dir); len(segs) != 2 {
+		t.Fatalf("%d segment(s) after the new handle's appends, want 2", len(segs))
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != cut {
+		t.Fatalf("torn segment changed: %v, %v", info, err)
+	}
+	third, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		want := fmt.Sprintf(`{"i":%d}`, i)
+		if got, ok := third.Get(fmt.Sprintf("key-%d", i)); !ok || string(got) != want {
+			t.Fatalf("third handle key-%d: ok=%v payload=%s", i, ok, got)
+		}
 	}
 }
 
@@ -232,16 +290,27 @@ func TestSyncPutsCountsFsyncs(t *testing.T) {
 	if got, ok := s.Get("durable"); !ok || !bytes.Equal(got, []byte(`{"x":1}`)) {
 		t.Fatalf("sync-put round trip: ok=%v payload=%s", ok, got)
 	}
-	// One file fsync + one directory fsync per fresh put (directory sync may
-	// be unsupported on exotic filesystems; require at least the file's).
+	// The first put fsyncs the directory holding its new segment and the
+	// segment (directory sync may be unsupported on exotic filesystems;
+	// require at least the segment's); later ones only the segment.
 	if st := s.Stats(); st.Fsyncs < 1 || st.Fsyncs > 2 {
 		t.Fatalf("Fsyncs = %d after one sync put, want 1 or 2", st.Fsyncs)
 	}
+	before := s.Stats().Fsyncs
+	s.PutBatch(func(yield func(string, []byte) bool) {
+		_ = yield("b1", []byte(`1`)) && yield("b2", []byte(`2`))
+	})
+	if got := s.Stats().Fsyncs - before; got != 1 {
+		t.Fatalf("a batch of 2 cost %d fsyncs, want 1", got)
+	}
 }
 
-// scrubFixture builds a store containing every class Scrub distinguishes
-// and returns it with the planted keys.
-func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr string) {
+// scrubFixture builds a store containing every class Scrub distinguishes:
+// a finished writer's segment with a good record, a checksum-mismatched
+// one, a CRC-damaged one and a torn tail; a live writer's segment with a
+// good record and an append in flight; and legacy files, one valid v1 and
+// one garbled.
+func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr string, tail int64) {
 	t.Helper()
 	dir := t.TempDir()
 	var err error
@@ -251,20 +320,37 @@ func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr str
 	}
 	goodKey, v1Key, rotKey = "good", "legacy", "rot"
 	s.Put(goodKey, []byte(`{"x":1}`))
+	s.Put(rotKey, []byte(`{"x":3333}`))
+	s.Put("crc", []byte(`{"x":4}`))
 	writeV1Record(t, s, v1Key, []byte(`{"x":2}`))
 
-	// Checksum mismatch: valid v2 frame, payload altered in place.
-	s.Put(rotKey, []byte(`{"x":3333}`))
-	rotPath := recordPath(t, s, rotKey)
-	data, err := os.ReadFile(rotPath)
+	// Checksum mismatch: valid frame, payload altered in place.
+	path, off, n := frameOf(t, s, rotKey)
+	reframe(t, path, off, n, func(body []byte) { body[len(body)-3] = '4' })
+	// Corrupt: a flipped payload byte the frame CRC catches.
+	_, off, n = frameOf(t, s, "crc")
+	writeAt(t, path, off+int64(n)-2, []byte{'5'})
+	// A torn tail, then the writer goes.
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(rotPath, bytes.Replace(data, []byte("3333"), []byte("3433"), 1), 0o644); err != nil {
+	torn := frame.Append(nil, recordBody("torn", []byte(`{"x":5}`)))[:20]
+	writeAt(t, path, info.Size(), torn)
+	tail = int64(len(torn))
+	s.Close()
+
+	// A live writer with an append in flight: not the scrub's problem.
+	live, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	live.Put("live", []byte(`{"x":6}`))
+	t.Cleanup(func() { live.Close() })
+	livePath, off, n := frameOf(t, live, "live")
+	writeAt(t, livePath, off+int64(n), torn)
 
-	// Corrupt: a parse-proof file squatting at a plausible record address.
+	// Corrupt: a parse-proof legacy file squatting at a plausible address.
 	wrongAddr = filepath.Join(s.Root(), "ab")
 	if err := os.MkdirAll(wrongAddr, 0o755); err != nil {
 		t.Fatal(err)
@@ -273,35 +359,21 @@ func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr str
 	if err := os.WriteFile(wrongAddr, []byte("{ not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	// One orphaned temp (stale) and one in-flight temp (fresh).
-	shard := filepath.Dir(recordPath(t, s, goodKey))
-	stale := filepath.Join(shard, ".tmp-orphan")
-	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * TempMaxAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(shard, ".tmp-live"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return s, goodKey, v1Key, rotKey, wrongAddr
+	return s, goodKey, v1Key, rotKey, wrongAddr, tail
 }
 
 func TestScrubClassifies(t *testing.T) {
-	s, _, _, _, _ := scrubFixture(t)
+	s, _, _, _, _, tail := scrubFixture(t)
 	rep, err := s.Scrub(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ScrubReport{Scanned: 4, OK: 2, LegacyV1: 1, Corrupt: 1, ChecksumMismatch: 1, OrphanedTemps: 1}
+	want := ScrubReport{Segments: 2, Scanned: 6, OK: 3, LegacyV1: 1, Corrupt: 2, ChecksumMismatch: 1, TornTails: 1, TornBytes: tail}
 	if rep != want {
 		t.Fatalf("dry-run report %+v, want %+v", rep, want)
 	}
-	if rep.Bad() != 3 {
-		t.Fatalf("Bad() = %d, want 3", rep.Bad())
+	if rep.Bad() != 4 {
+		t.Fatalf("Bad() = %d, want 4", rep.Bad())
 	}
 	// Dry run mutates nothing: a second walk sees the same picture.
 	again, err := s.Scrub(false)
@@ -314,16 +386,17 @@ func TestScrubClassifies(t *testing.T) {
 }
 
 func TestScrubRepairQuarantines(t *testing.T) {
-	s, goodKey, v1Key, rotKey, wrongAddr := scrubFixture(t)
-	before := s.ApproxLen()
+	s, goodKey, v1Key, rotKey, wrongAddr, _ := scrubFixture(t)
 	rep, err := s.Scrub(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Quarantined != 2 || rep.TempsRemoved != 1 {
-		t.Fatalf("repair report %+v, want 2 quarantined + 1 temp removed", rep)
+	if rep.Quarantined != 3 || rep.Rewritten != 1 {
+		t.Fatalf("repair report %+v, want 3 quarantined and 1 segment rewritten", rep)
 	}
-	// Bad records are out of the read path but preserved for postmortem.
+	// Bad records are out of the read path but preserved for postmortem:
+	// the rewritten segment's bad frames and torn tail in one file, the
+	// legacy file in another.
 	if _, err := os.Stat(wrongAddr); !os.IsNotExist(err) {
 		t.Fatalf("corrupt record still at its address: %v", err)
 	}
@@ -336,22 +409,19 @@ func TestScrubRepairQuarantines(t *testing.T) {
 		t.Fatal("quarantined record served as a hit")
 	}
 	// Healthy records and the counter survive the repair.
-	if _, ok := s.Get(goodKey); !ok {
-		t.Fatal("good record lost to repair")
+	for _, key := range []string{goodKey, v1Key, "live"} {
+		if _, ok := s.Get(key); !ok {
+			t.Fatalf("record %q lost to repair", key)
+		}
 	}
-	if _, ok := s.Get(v1Key); !ok {
-		t.Fatal("legacy record lost to repair")
+	if got := s.ApproxLen(); got != 3 {
+		t.Fatalf("ApproxLen = %d after repair, want 3", got)
 	}
-	if got := s.ApproxLen(); got != before-2 {
-		t.Fatalf("ApproxLen = %d after quarantining 2, want %d", got, before-2)
+	if got := s.Len(); got != 3 {
+		t.Fatalf("Len = %d after repair, want 3", got)
 	}
-	// Len walks the real directories: the two healthy records remain and the
-	// quarantine directory is invisible to it.
-	if got := s.Len(); got != 2 {
-		t.Fatalf("Len = %d after repair, want 2", got)
-	}
-	// The store is now clean: only the fresh in-flight temp remains, and it
-	// is nobody's problem.
+	// The store is now clean: only the live writer's in-flight append
+	// remains, and it is nobody's problem.
 	clean, err := s.Scrub(false)
 	if err != nil {
 		t.Fatal(err)
@@ -359,13 +429,155 @@ func TestScrubRepairQuarantines(t *testing.T) {
 	if clean.Bad() != 0 {
 		t.Fatalf("store still dirty after repair: %+v", clean)
 	}
-	// A later Open must neither count quarantined records nor trip on them:
-	// its walk agrees with Len, quarantine excluded.
+	// A later Open must neither count quarantined records nor trip on
+	// them.
 	reopened, err := Open(s.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reopened.ApproxLen(); got != 2 {
-		t.Fatalf("reopened ApproxLen = %d, want 2 (quarantine leaked into the walk?)", got)
+	if got := reopened.ApproxLen(); got != 3 {
+		t.Fatalf("reopened ApproxLen = %d, want 3 (quarantine leaked into the scan?)", got)
+	}
+	if st := reopened.Stats(); st.Corrupt != 0 || st.TornBytes != 0 {
+		t.Fatalf("reopened handle met damage after repair: %+v", st)
+	}
+}
+
+// TestScrubRepairsOwnLiveSegment pins online repair (served's
+// /v1/admin/scrub?repair=1): the handle's own damaged segment is released
+// and rewritten, the handle keeps serving and appending, and a repair
+// that finds nothing to fix leaves its writer alone.
+func TestScrubRepairsOwnLiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("a", []byte(`{"x":1}`))
+	if rep, err := s.Scrub(true); err != nil || rep.Bad() != 0 || rep.Rewritten != 0 {
+		t.Fatalf("repair of a clean store: %+v, %v", rep, err)
+	}
+	s.Put("b", []byte(`{"x":2}`))
+	if n := len(segments(t, dir)); n != 1 {
+		t.Fatalf("a clean repair cost the writer its segment: %d segments", n)
+	}
+	path, off, n := frameOf(t, s, "b")
+	writeAt(t, path, off+int64(n)-2, []byte{'9'})
+
+	rep, err := s.Scrub(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 1 || rep.Quarantined != 1 || rep.Rewritten != 1 {
+		t.Fatalf("online repair report %+v, want 1 corrupt frame quarantined by 1 rewrite", rep)
+	}
+	if got, ok := s.Get("a"); !ok || string(got) != `{"x":1}` {
+		t.Fatalf("good record after online repair: ok=%v payload=%s", ok, got)
+	}
+	if _, ok := s.Get("b"); ok {
+		t.Fatal("quarantined record served")
+	}
+	s.Put("c", []byte(`{"x":3}`))
+	if got, ok := s.Get("c"); !ok || string(got) != `{"x":3}` {
+		t.Fatalf("Put after online repair: ok=%v payload=%s", ok, got)
+	}
+	if clean, err := s.Scrub(false); err != nil || clean.Bad() != 0 || clean.OK != 2 {
+		t.Fatalf("store after online repair: %+v, %v", clean, err)
+	}
+}
+
+// TestScrubRepairUnderLoad runs online repairs while writers and readers
+// share the handle: the repair swaps the handle's index and releases its
+// writer under their feet, and no read may see a wrong payload, no write
+// may fail, and every record written is readable afterwards.
+func TestScrubRepairUnderLoad(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("rotten", []byte(`{"x":1}`))
+	path, off, n := frameOf(t, s, "rotten")
+	writeAt(t, path, off+int64(n)-2, []byte{'9'})
+
+	const writers, keys = 4, 64
+	payload := func(k int) []byte { return []byte(fmt.Sprintf(`{"k":%d}`, k)) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				key := fmt.Sprintf("key-%d", k)
+				s.Put(key, payload(k))
+				if got, ok := s.Get(key); ok && !bytes.Equal(got, payload(k)) {
+					t.Errorf("%s read %s during repair", key, got)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Scrub(true); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	if st := s.Stats(); st.PutErrors != 0 {
+		t.Fatalf("%d puts failed during repair", st.PutErrors)
+	}
+	for k := 0; k < keys; k++ {
+		if got, ok := s.Get(fmt.Sprintf("key-%d", k)); !ok || !bytes.Equal(got, payload(k)) {
+			t.Fatalf("key-%d after repairs: ok=%v payload=%s", k, ok, got)
+		}
+	}
+	if rep, err := s.Scrub(false); err != nil || rep.Bad() != 0 {
+		t.Fatalf("store after repairs: %+v, %v", rep, err)
+	}
+}
+
+// TestLegacyV2RecordsReadBack pins the checksummed per-file records of
+// earlier releases: a v2 envelope whose payload matches its sum reads back
+// bit-identical, one whose payload no longer does is a corrupt miss, and
+// Scrub classifies both.
+func TestLegacyV2RecordsReadBack(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(key string, payload []byte, sum string) {
+		data, err := json.Marshal(envelope{V: Version, Key: key, Sum: sum, Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := recordPath(t, s, key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant("v2-good", []byte(`{"x":1}`), payloadSum([]byte(`{"x":1}`)))
+	plant("v2-rot", []byte(`{"x":2}`), payloadSum([]byte(`{"x":3}`)))
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.Get("v2-good"); !ok || string(got) != `{"x":1}` {
+		t.Fatalf("legacy v2 record: ok=%v payload=%s", ok, got)
+	}
+	if _, ok := r.Get("v2-rot"); ok {
+		t.Fatal("legacy v2 record with a stale sum served")
+	}
+	if st := r.Stats(); st.Corrupt != 1 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want 1 hit and 1 corrupt", st)
+	}
+	rep, err := r.Scrub(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != 2 || rep.OK != 1 || rep.ChecksumMismatch != 1 {
+		t.Fatalf("scrub of legacy v2 records: %+v", rep)
 	}
 }

@@ -3,8 +3,8 @@
 // endpoints, and the matching HTTP handler the coordinator mounts in front
 // of its local disk store. Together they let a sweep worker's persistent
 // tier live on another machine — every evaluation outcome and scenario
-// checkpoint a worker writes lands in the coordinator's content-addressed
-// store, and warm records answer over the wire instead of recomputing.
+// checkpoint a worker writes lands in the coordinator's store, and warm
+// records answer over the wire instead of recomputing.
 //
 // There is one read route and one write route. GET /v1/store/{key} reads
 // one record. PUT /v1/store/ writes a batch: an ordered JSON array of
@@ -20,13 +20,14 @@
 //   - Reads never fail the caller. A connection error, a non-200 status, a
 //     coordinator without a store (503), or a record the coordinator's disk
 //     store rejected as corrupt (404 — corruption is detected server-side
-//     by the versioned key-carrying envelope) all read as a miss.
-//   - Writes are best-effort and atomic per record. The server validates a
+//     by the frame's CRC, key and checksum checks) all read as a miss.
+//   - Writes are best-effort and whole per record. The server validates a
 //     batch whole — body and record-count caps, non-empty keys and
 //     payloads, per-payload cap — before writing anything, then stores its
-//     records in body order, each by the disk store's usual temp+rename
-//     write. Racing workers, which (evaluations being deterministic) carry
-//     identical payloads, can only race complete records.
+//     records in body order: a disk store appends the whole batch to its
+//     segment in one write. Racing workers, which (evaluations being
+//     deterministic) carry identical payloads, can only race complete
+//     records.
 //
 // On top of that contract sits the resilience layer (internal/resilience):
 // every Get and every batch PUT runs under a per-operation deadline (no
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"net/url"
 	"strings"
@@ -70,15 +72,16 @@ const pathPrefix = "/v1/store/"
 // this limit is a broken or hostile client.
 const maxPayload = 8 << 20
 
-// Batch limits. The server handles a batch by writing its records one at a
-// time, each a temp-file create, write and rename (plus an fsync with
-// -store-sync): measured at 0.1-1.4 ms a record on a 2-vCPU box with a
-// shared disk, so a request's server time grows with its record count and
+// Batch limits. A request's server time grows with its record count and
 // must stay well inside the client's per-attempt deadline
-// (resilience.DefaultOpTimeout, 5 s) or every attempt times out.
+// (resilience.DefaultOpTimeout, 5 s) or every attempt times out. A disk
+// store lands a batch as one segment append (plus one fsync with
+// -store-sync); a backend without batch writes stores record by record.
 //
 //   - maxBatchRecords caps the records in one request, at both ends: 256
-//     records cost the server at most ~0.4 s at the slowest rate measured.
+//     records cost the disk store one append of milliseconds, and stay
+//     well inside the deadline even written one at a time at a slow
+//     disk's ~1 ms a record.
 //     A worker's scenario writes ~50 (persist-sweep) to a few hundred
 //     records at default sizes, so it still goes out in one request; an
 //     exhaustive scenario at the job caps writes up to ~270,000, which a
@@ -392,12 +395,20 @@ func (c *Client) Resilience() ResilienceStats {
 // {"key", "payload"} records — and answers 204 once every record is
 // stored, or 400, having stored nothing, for a body that is not a
 // non-empty batch of at most maxBatchRecords valid records within the
-// byte caps. A batch stops between records once its request's context is
-// cancelled (the client has gone). A nil backend
+// byte caps. A backend with a PutBatch method (the disk store) takes the
+// whole batch in one call; on any other, a batch stops between records
+// once its request's context is cancelled (the client has gone). A nil
+// backend
 // (coordinator started without -store) answers 503 so workers degrade to
 // local recomputation instead of silently thinking records persisted.
 func Handler(be store.Backend) http.Handler {
 	return newHandler(be, caps{body: maxBatchBytes, payload: maxPayload, records: maxBatchRecords})
+}
+
+// batchPutter is a backend that lands a sequence of records with one
+// write, as store.Store does.
+type batchPutter interface {
+	PutBatch(recs iter.Seq2[string, []byte])
 }
 
 // caps are the server's batch limits: body bytes, bytes per payload and
@@ -435,6 +446,17 @@ func newHandler(be store.Backend, lim caps) http.Handler {
 		recs, err := decodeBatch(body, lim)
 		if err != nil {
 			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if bp, ok := be.(batchPutter); ok {
+			bp.PutBatch(func(yield func(string, []byte) bool) {
+				for _, rec := range recs {
+					if !yield(rec.Key, rec.Payload) {
+						return
+					}
+				}
+			})
+			w.WriteHeader(http.StatusNoContent)
 			return
 		}
 		for _, rec := range recs {

@@ -2,14 +2,13 @@ package httpstore
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/store"
 )
 
@@ -73,11 +72,31 @@ func TestRoundTripRealKeys(t *testing.T) {
 	}
 }
 
-// recordPath locates a key's file inside the coordinator's disk store.
-func recordPath(st *store.Store, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(st.Root(), h[:2], h+".json")
+// onlySegment returns the path and bytes of the coordinator store's one
+// segment file, which holds the one record a test wrote: one frame.
+func onlySegment(t *testing.T, st *store.Store) (string, []byte) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(st.Root(), "*.seg"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("store holds segments %v (err %v), want exactly 1", paths, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths[0], data
+}
+
+// reframe rewrites a segment's one frame with an edited body and a valid
+// CRC, so only the record-level checks can catch the edit. The body is
+// version | uvarint key length | key | sha256(payload) | payload.
+func reframe(t *testing.T, path string, data []byte, edit func(body []byte)) {
+	t.Helper()
+	edit(data[frame.HeaderLen:])
+	frame.Seal(data)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCorruptRecordReadsAsMissOverHTTP reruns the disk store's corruption
@@ -88,40 +107,40 @@ func recordPath(st *store.Store, key string) string {
 func TestCorruptRecordReadsAsMissOverHTTP(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, path, key string)
+		corrupt func(t *testing.T, st *store.Store)
 	}{
-		{"garbage", func(t *testing.T, path, key string) {
-			if err := os.WriteFile(path, []byte("\x00\xffnot json at all"), 0o644); err != nil {
+		{"garbage", func(t *testing.T, st *store.Store) {
+			path, data := onlySegment(t, st)
+			if err := os.WriteFile(path, bytes.Repeat([]byte("\x00\xff"), len(data)/2), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"truncated", func(t *testing.T, path, key string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		{"truncated", func(t *testing.T, st *store.Store) {
+			path, data := onlySegment(t, st)
+			if err := os.Truncate(path, int64(len(data)/2)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"empty", func(t *testing.T, path, key string) {
-			if err := os.WriteFile(path, nil, 0o644); err != nil {
+		{"empty", func(t *testing.T, st *store.Store) {
+			path, _ := onlySegment(t, st)
+			if err := os.Truncate(path, 0); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"version-mismatch", func(t *testing.T, path, key string) {
-			rec := fmt.Sprintf(`{"v":%d,"key":%q,"payload":{"x":1}}`, store.Version+1, key)
-			if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"version-mismatch", func(t *testing.T, st *store.Store) {
+			path, data := onlySegment(t, st)
+			reframe(t, path, data, func(body []byte) { body[0] = store.Version + 1 })
 		}},
-		{"key-mismatch", func(t *testing.T, path, key string) {
-			rec := fmt.Sprintf(`{"v":%d,"key":"some-other-key","payload":{"x":1}}`, store.Version)
-			if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"key-mismatch", func(t *testing.T, st *store.Store) {
+			path, data := onlySegment(t, st)
+			reframe(t, path, data, func(body []byte) {
+				keyLen := int(body[1]) // a one-byte uvarint for keys under 128 bytes
+				body[1+keyLen] ^= 0x01
+			})
 		}},
-		{"deleted", func(t *testing.T, path, key string) {
+		{"deleted", func(t *testing.T, st *store.Store) {
+			path, _ := onlySegment(t, st)
+			st.Close() // the store's descriptors go, so the file is really gone
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +151,7 @@ func TestCorruptRecordReadsAsMissOverHTTP(t *testing.T) {
 			cl, st := testBackend(t)
 			key := "o/deadbeef/victim-" + tc.name
 			cl.Put(key, []byte(`{"x":1}`))
-			tc.corrupt(t, recordPath(st, key), key)
+			tc.corrupt(t, st)
 			if data, ok := cl.Get(key); ok {
 				t.Fatalf("corrupt record served over HTTP as a hit: %s", data)
 			}

@@ -1,165 +1,243 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
+
+	"repro/internal/frame"
 )
 
-// ScrubReport classifies every file a Scrub walk visited. The read path
+// ScrubReport classifies every record a Scrub walk visited. The read path
 // already degrades all of these to misses one record at a time; Scrub
 // exists so an operator can learn the store's health in one pass — and,
 // with repair, restore it — instead of discovering rot as a slow stream of
 // recomputations.
 type ScrubReport struct {
-	Scanned          int `json:"scanned"`           // record files visited
-	OK               int `json:"ok"`                // valid records (v1 or checksum-verified v2)
-	LegacyV1         int `json:"legacy_v1"`         // subset of OK still in the pre-checksum envelope
-	Corrupt          int `json:"corrupt"`           // unparsable, bad version, or filed under the wrong address
-	ChecksumMismatch int `json:"checksum_mismatch"` // v2 payload no longer hashes to its sum
-	OrphanedTemps    int `json:"orphaned_temps"`    // .tmp-* older than TempMaxAge
-	Quarantined      int `json:"quarantined"`       // bad records moved aside (repair mode)
-	TempsRemoved     int `json:"temps_removed"`     // orphaned temps deleted (repair mode)
+	Segments         int   `json:"segments"`          // segment files visited
+	Scanned          int   `json:"scanned"`           // records visited: whole frames plus legacy record files
+	OK               int   `json:"ok"`                // valid records (checksum-verified, or legacy v1)
+	LegacyV1         int   `json:"legacy_v1"`         // subset of OK still in the pre-checksum legacy envelope
+	Corrupt          int   `json:"corrupt"`           // failed frame CRC, malformed or unknown-version record, or a legacy file under the wrong address
+	ChecksumMismatch int   `json:"checksum_mismatch"` // payload no longer hashes to its recorded sum
+	TornTails        int   `json:"torn_tails"`        // finished writers' segments that end inside a frame
+	TornBytes        int64 `json:"torn_bytes"`        // bytes in those torn tails
+	Quarantined      int   `json:"quarantined"`       // bad records moved aside (repair mode)
+	Rewritten        int   `json:"rewritten"`         // segments rewritten without their bad frames and torn tails (repair mode)
 }
 
-// Bad reports how many problems the walk found (quarantining or removing
-// them in repair mode does not make them un-found).
+// Bad reports how many problems the walk found (repairing them does not
+// make them un-found).
 func (r ScrubReport) Bad() int {
-	return r.Corrupt + r.ChecksumMismatch + r.OrphanedTemps
+	return r.Corrupt + r.ChecksumMismatch + r.TornTails
 }
 
 // String renders the report as a one-line operator summary.
 func (r ScrubReport) String() string {
-	s := fmt.Sprintf("scanned %d: %d ok (%d legacy v1), %d corrupt, %d checksum-mismatch, %d orphaned temp(s)",
-		r.Scanned, r.OK, r.LegacyV1, r.Corrupt, r.ChecksumMismatch, r.OrphanedTemps)
-	if r.Quarantined > 0 || r.TempsRemoved > 0 {
-		s += fmt.Sprintf("; repaired: %d quarantined, %d temp(s) removed", r.Quarantined, r.TempsRemoved)
+	s := fmt.Sprintf("scanned %d record(s) in %d segment(s): %d ok (%d legacy v1), %d corrupt, %d checksum-mismatch, %d torn tail(s) of %d byte(s)",
+		r.Scanned, r.Segments, r.OK, r.LegacyV1, r.Corrupt, r.ChecksumMismatch, r.TornTails, r.TornBytes)
+	if r.Quarantined > 0 || r.Rewritten > 0 {
+		s += fmt.Sprintf("; repaired: %d quarantined, %d segment(s) rewritten", r.Quarantined, r.Rewritten)
 	}
 	return s
 }
 
-// Scrub walks every record in the store and classifies it: ok (a valid v1
-// or checksum-verified v2 envelope under its correct content address),
-// corrupt (unparsable, unknown version, empty key, or filed under a name
-// that is not its key's hash), checksum-mismatch (a v2 payload whose bytes
-// no longer hash to the recorded sum), or an orphaned write-temporary older
-// than TempMaxAge. With repair, bad records are quarantined — moved to
-// <root>/quarantine/<shard>-<file>, out of the read path but preserved for
-// postmortem — and orphaned temps are deleted. Quarantining is always safe:
-// records are deterministic and recomputable, so the worst cost of a false
-// positive is one recomputation.
+// count files one record's verdict.
+func (r *ScrubReport) count(v verdict) {
+	switch v {
+	case recordOK:
+		r.OK++
+	case recordLegacy:
+		r.OK++
+		r.LegacyV1++
+	case recordCorrupt:
+		r.Corrupt++
+	case recordSumMismatch:
+		r.ChecksumMismatch++
+	}
+}
+
+// Scrub verifies every record in the store: every frame of every segment
+// (CRC, record layout, version, payload checksum) and every legacy record
+// file, and the tail of every segment whose writer has gone. With repair,
+// each damaged segment of a finished writer is rewritten without its bad
+// frames and torn tail, whose bytes are kept under
+// <root>/quarantine/<segment> for postmortem, and bad legacy files move to
+// <root>/quarantine/<shard>-<file>. A damaged segment of this handle's own
+// is released first (its next Put starts a new one) and repaired too;
+// segments other live handles still append to are reported but left
+// alone. Repairing is always safe: records are deterministic and
+// recomputable, so the worst cost of a false positive is one
+// recomputation.
 //
-// Scrub is an offline/admin operation (O(records), reads every file); the
-// serving path never calls it. It is safe to run against a live store:
-// every mutation is a whole-file rename or remove, exactly the granularity
-// concurrent readers already tolerate.
+// Scrub is an offline/admin operation (O(records), reads every frame); the
+// serving path never calls it. It is safe against a live store: a rewrite
+// lands under a new segment name before the old segment is removed, so a
+// concurrent reader finds every good record in one or the other.
 func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 	var rep ScrubReport
-	now := time.Now()
 	entries, err := os.ReadDir(s.root)
 	if err != nil {
 		return rep, fmt.Errorf("store: scrub: %w", err)
 	}
+	fr := readerPool.Get().(*frame.Reader)
+	defer readerPool.Put(fr)
 	for _, e := range entries {
-		if !e.IsDir() || e.Name() == quarantineDir {
-			continue
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, segmentExt) && !e.IsDir():
+			rep.Segments++
+			s.scrubSegment(name, fr, repair, &rep)
+		case e.IsDir() && isShardDir(name):
+			s.scrubLegacyShard(name, repair, &rep)
 		}
-		shard := filepath.Join(s.root, e.Name())
-		files, err := os.ReadDir(shard)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			name := f.Name()
-			path := filepath.Join(shard, name)
-			switch {
-			case strings.HasPrefix(name, ".tmp-"):
-				info, err := f.Info()
-				if err != nil || now.Sub(info.ModTime()) <= TempMaxAge {
-					continue // possibly a live writer's in-flight temp
-				}
-				rep.OrphanedTemps++
-				if repair && os.Remove(path) == nil {
-					rep.TempsRemoved++
-				}
-			case filepath.Ext(name) == ".json":
-				rep.Scanned++
-				verdict := classify(path, name)
-				switch verdict {
-				case recordOK:
-					rep.OK++
-				case recordLegacy:
-					rep.OK++
-					rep.LegacyV1++
-				case recordCorrupt:
-					rep.Corrupt++
-				case recordSumMismatch:
-					rep.ChecksumMismatch++
-				}
-				if repair && (verdict == recordCorrupt || verdict == recordSumMismatch) {
-					if s.quarantine(e.Name(), name) {
-						rep.Quarantined++
-					}
-				}
-			}
-		}
+	}
+	if rep.Rewritten > 0 || rep.Quarantined > 0 {
+		s.reindex()
 	}
 	return rep, nil
 }
 
-type recordVerdict int
-
-const (
-	recordOK recordVerdict = iota
-	recordLegacy
-	recordCorrupt
-	recordSumMismatch
-)
-
-// classify applies the full read-path validation to one record file, plus
-// the one check Get cannot make (it starts from a key): that the file lives
-// under its own key's content address.
-func classify(path, name string) recordVerdict {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return recordCorrupt
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key == "" {
-		return recordCorrupt
-	}
-	sum := sha256.Sum256([]byte(env.Key))
-	if name != hex.EncodeToString(sum[:])+".json" {
-		return recordCorrupt // moved or renamed into another record's address
-	}
-	switch env.V {
-	case legacyVersion:
-		return recordLegacy
-	case Version:
-		if payloadSum(env.Payload) != env.Sum {
-			return recordSumMismatch
-		}
-		return recordOK
-	default:
-		return recordCorrupt
+// releaseWriter closes the handle's own segment for appends; callers hold
+// wmu.
+func (s *Store) releaseWriter() {
+	if s.w != nil {
+		s.w.close()
+		s.w = nil
 	}
 }
 
-// quarantine moves one bad record out of the read path, keeping the shard
-// prefix in the new name so distinct shards cannot collide.
-func (s *Store) quarantine(shard, name string) bool {
+// releaseOwn releases the handle's own segment if it is the one at path,
+// and reports whether it was.
+func (s *Store) releaseOwn(path string) bool {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.w == nil || s.w.path != path {
+		return false
+	}
+	s.releaseWriter()
+	return true
+}
+
+// scrubSegment verifies one segment file and, with repair, rewrites it if
+// it is damaged and no other handle appends to it.
+func (s *Store) scrubSegment(name string, fr *frame.Reader, repair bool, rep *ScrubReport) {
+	path := filepath.Join(s.root, name)
+	f, err := os.Open(path)
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	live := !unlockedByWriters(f)
+	info, err := f.Stat()
+	if err != nil {
+		return
+	}
+	fr.Reset(f)
+	bad := 0
+	for {
+		body, err := fr.Next()
+		if err != nil && !errors.Is(err, frame.ErrChecksum) {
+			break
+		}
+		v := recordCorrupt
+		if err == nil {
+			v = verify(body)
+		}
+		rep.Scanned++
+		rep.count(v)
+		if v != recordOK {
+			bad++
+		}
+	}
+	tail := info.Size() - fr.Offset()
+	if live {
+		tail = 0 // possibly an append in flight
+	}
+	if tail > 0 {
+		rep.TornTails++
+		rep.TornBytes += tail
+	}
+	if !repair || bad == 0 && tail == 0 || live && !s.releaseOwn(path) {
+		return
+	}
+	quarantined, err := s.rewrite(path)
+	if err != nil {
+		if s.logf != nil {
+			s.logf("store: scrub: repairing %s: %v", path, err)
+		}
+		return
+	}
+	rep.Quarantined += quarantined
+	rep.Rewritten++
+}
+
+// rewrite replaces a damaged segment whose writer has gone: its good
+// frames go to a new segment, its bad frames and torn tail to quarantine,
+// and then the old file is removed. It returns how many bad frames it
+// quarantined. A crash part-way leaves both segments, which read the same.
+func (s *Store) rewrite(path string) (int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	var good, junk []byte
+	bad, off := 0, 0
+	for off < len(data) {
+		body, n, err := frame.Decode(data[off:], maxRecord)
+		if n == 0 {
+			break // the torn tail
+		}
+		if err == nil && verify(body) == recordOK {
+			good = append(good, data[off:off+n]...)
+		} else {
+			junk = append(junk, data[off:off+n]...)
+			bad++
+		}
+		off += n
+	}
+	junk = append(junk, data[off:]...)
+	if len(good) > 0 {
+		nf, _, err := createSegmentFile(s.root)
+		if err != nil {
+			return 0, err
+		}
+		_, werr := nf.Write(good)
+		serr := nf.Sync()
+		if cerr := nf.Close(); werr != nil || serr != nil || cerr != nil {
+			os.Remove(nf.Name())
+			return 0, fmt.Errorf("write: w=%v s=%v c=%v", werr, serr, cerr)
+		}
+	}
 	qdir := filepath.Join(s.root, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return false
+		return 0, err
 	}
-	if err := os.Rename(filepath.Join(s.root, shard, name), filepath.Join(qdir, shard+"-"+name)); err != nil {
-		return false
+	if err := os.WriteFile(filepath.Join(qdir, filepath.Base(path)), junk, 0o644); err != nil {
+		return 0, err
 	}
-	s.records.Add(-1)
-	return true
+	return bad, os.Remove(path)
+}
+
+// reindex rebuilds the handle's index from scratch after a repair replaced
+// segments. Callers must not hold wmu or refreshMu.
+func (s *Store) reindex() {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.releaseWriter() // its segment number is about to change
+	s.refreshMu.Lock()
+	defer s.refreshMu.Unlock()
+	fresh := newHandle(s.root, Options{})
+	s.mu.Lock()
+	old := s.segs
+	s.index, s.segs, s.known = fresh.index, fresh.segs, fresh.known
+	s.legacy.Store(fresh.legacy.Load())
+	s.legacyN.Store(fresh.legacyN.Load())
+	s.records.Store(fresh.records.Load())
+	s.mu.Unlock()
+	s.listed = fresh.listed
+	for _, g := range old {
+		g.close()
+	}
 }

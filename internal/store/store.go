@@ -1,69 +1,92 @@
 // Package store is the persistent result tier of the evaluation pipeline:
-// a content-addressed, disk-backed key/value store for the deterministic
-// evaluation records produced by the sweep engine (timing, full-design, and
-// joint cache-partition outcomes, plus per-scenario checkpoint records and
+// a disk-backed key/value store for the deterministic evaluation records
+// produced by the sweep engine (timing, full-design, and joint
+// cache-partition outcomes, plus per-scenario checkpoint records and
 // rendered tables).
 //
-// Every record is addressed by the same canonical string keys the in-memory
+// Records are addressed by the same canonical string keys the in-memory
 // evalcache layer uses (schedule and joint-point keys prefixed by an
-// evaluation-signature namespace, see internal/engine), hashed to a sharded
-// directory layout: root/<hh>/<sha256(key)>.json where hh is the first hash
-// byte. Records are versioned JSON envelopes carrying the full key, so a
-// hash collision, a stale schema, or a corrupt file is detected on read.
+// evaluation-signature namespace, see internal/engine).
+//
+// Layout. A store is a directory of append-only segment files,
+// root/<creation-time><random>.seg. Every Store handle appends to its own
+// segment, created at the handle's first Put and never written by anyone
+// else, so handles — goroutines of one process or separate processes
+// sharing the directory — never contend for a file. A segment is a
+// sequence of internal/frame frames, one record each:
+//
+//	frame  := lenLE32 | crc32c(body)LE32 | body
+//	body   := Version(1 byte) | uvarint(len(key)) | key | sha256(payload) | payload
+//
+// where payload is the caller's JSON in compact form. Open streams the
+// segments once into an in-memory index from a 64-bit key hash to the
+// frame's segment and offset, 16 bytes a record with no key strings. Get
+// reads that one frame with pread and checks its CRC, its key and its
+// payload checksum. A later frame for a key supersedes an earlier one.
+// Stores written by earlier releases — one JSON envelope per record under
+// root/<hh>/ — stay readable (see legacy.go); quarantine/ holds what
+// Scrub's repair moved aside.
 //
 // Key invariants:
 //
-//   - Reads never fail the caller: a missing, truncated, garbled,
+//   - Reads never fail the caller: a missing, torn, garbled,
 //     version-mismatched, or key-mismatched record reads as a miss and the
 //     caller recomputes. Corruption is counted (Stats.Corrupt), never
-//     served and never fatal.
-//   - Writes are atomic: records are written to a temp file in the target
-//     shard directory and renamed into place, so concurrent writers — even
-//     separate processes sharing one store directory — can only race
-//     whole records, and every evaluation is deterministic, so racing
-//     writers write identical payloads. A reader sees either a complete
-//     record or none.
+//     served and never fatal. A key whose index hash collides with another
+//     key's reads as a plain miss.
+//   - Writes are best-effort and whole: every Put reaches its segment with
+//     one write before it returns (no user-space buffer), so a handle
+//     opened later sees the record, and a crash can at most leave a torn
+//     frame at the end of the dying writer's segment — which readers stop
+//     at and count (Stats.TornBytes).
+//   - A handle reads records that other live handles appended after it
+//     opened: an index miss rescans the new tails of other writers'
+//     segments. A writer holds an exclusive flock on its segment, so a
+//     segment whose writer has gone is known to be final and is never
+//     rescanned. A registry file announces every new segment, so in a
+//     directory with one writer a miss costs one lseek of it.
 //   - The store is strictly a cache of recomputable results: deleting any
 //     file (or the whole root) is always safe.
 package store
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"iter"
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
+	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Version is the record-envelope schema version written by Put. v2 adds a
-// sha256 payload checksum so a bit-flip that still parses as JSON cannot be
-// served as a valid record. The v1 read path is retained — checksums were
-// additive, v1 payloads are otherwise identical — so store directories
-// written before the bump stay readable bit-for-bit instead of reading as
-// misses.
+// Version is the record schema version, the first byte of every segment
+// record. v2 records carry a sha256 payload checksum, so a bit-flip that
+// survives the frame CRC cannot be served as a valid record. Legacy
+// per-file stores carried it as the envelope's "v" field, where v1 had no
+// checksum.
 const (
 	Version       = 2
 	legacyVersion = 1
 )
 
-// quarantineDir is the shard-level directory Scrub's repair mode moves bad
-// records into. Its name can never collide with a shard directory (those
-// are two hex digits), and every walk skips it.
-const quarantineDir = "quarantine"
-
-// TempMaxAge is how old an orphaned write-temporary (.tmp-*) must be before
-// Open garbage-collects it. A temp file younger than this may belong to an
-// in-flight Put of a live process sharing the directory and is left alone;
-// an older one was leaked by a process that died between CreateTemp and
-// Rename and is safe to delete (the record it was carrying either landed
-// under its final name or will be recomputed).
-const TempMaxAge = time.Hour
+const (
+	// segmentExt names segment files.
+	segmentExt = ".seg"
+	// quarantineDir is where Scrub's repair keeps bad records' bytes. Every
+	// walk skips it.
+	quarantineDir = "quarantine"
+	// maxRecord caps one frame's body: far above any record (the HTTP plane
+	// caps payloads at 8 MiB), so a larger length is framing garbage.
+	maxRecord = 64 << 20
+	// registryName is the file every new segment's name is appended to
+	// before the segment gets its first record. Its length changes with
+	// every segment created, so one stat of it tells a reader whether the
+	// directory needs listing again — unlike the directory's modification
+	// time, which a coarse kernel clock may leave unchanged.
+	registryName = "segments"
+)
 
 // Backend is the pluggable store contract of the distributed sweep fabric:
 // a key/value byte store with best-effort writes, miss-on-any-failure
@@ -84,38 +107,21 @@ type Backend interface {
 	Stats() Stats
 }
 
-// envelope is the on-disk record frame. Payload is the caller's JSON in
-// compact form; Key lets Get reject hash collisions and files that were
-// moved or corrupted into another record's address; Sum (v2) is the hex
-// sha256 of the exact payload bytes, so Get can reject a payload whose bits
-// rotted but still parse as JSON. v1 envelopes have no Sum.
-type envelope struct {
-	V       int             `json:"v"`
-	Key     string          `json:"key"`
-	Sum     string          `json:"sum,omitempty"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// payloadSum is the v2 checksum: hex sha256 over the payload bytes exactly
-// as they sit inside the envelope (compact JSON).
-func payloadSum(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
-}
-
 // Stats counts store traffic. Hits+misses refer to Get calls; Corrupt
-// counts records that existed but were rejected (bad JSON, wrong version,
-// wrong key, checksum mismatch); PutErrors counts best-effort writes that
-// failed; TempsRemoved counts the orphaned write-temporaries Open's sweep
-// garbage-collected; Fsyncs counts the fsync calls of a SyncPuts store.
+// counts records that existed but were rejected (failed frame CRC, bad
+// version, wrong key, checksum mismatch), whether Get met them or the
+// segment scans did; PutErrors counts best-effort writes that failed;
+// TornBytes counts the bytes after the last whole frame of finished
+// writers' segments, seen by this handle's scans; Fsyncs counts the fsync
+// calls of a SyncPuts store.
 type Stats struct {
-	Gets         int64 `json:"gets"`
-	Hits         int64 `json:"hits"`
-	Puts         int64 `json:"puts"`
-	Corrupt      int64 `json:"corrupt"`
-	PutErrors    int64 `json:"put_errors"`
-	TempsRemoved int64 `json:"temps_removed"`
-	Fsyncs       int64 `json:"fsyncs"`
+	Gets      int64 `json:"gets"`
+	Hits      int64 `json:"hits"`
+	Puts      int64 `json:"puts"`
+	Corrupt   int64 `json:"corrupt"`
+	PutErrors int64 `json:"put_errors"`
+	TornBytes int64 `json:"torn_bytes"`
+	Fsyncs    int64 `json:"fsyncs"`
 }
 
 // Store is a disk-backed Backend (see Backend and
@@ -132,40 +138,68 @@ type Store struct {
 	puts      atomic.Int64
 	corrupt   atomic.Int64
 	putErrors atomic.Int64
-
-	tempsRemoved atomic.Int64
-	fsyncs       atomic.Int64
+	tornBytes atomic.Int64
+	fsyncs    atomic.Int64
 
 	// errLogged latches after the first logged put error so a read-only or
 	// full disk produces one diagnostic line per handle, not one per write.
 	errLogged atomic.Bool
 
-	// records approximates the number of record files on disk: seeded by
-	// Open's single startup walk, incremented by Puts that create a new
-	// file. Cross-process races and failed renames can drift it by a few
-	// records; it exists so observability endpoints never pay Len's
-	// O(records) walk on a hot path.
+	// records is the number of distinct keys indexed plus the legacy record
+	// files: kept current by every index change, so ApproxLen is O(1).
 	records atomic.Int64
+
+	// mu guards the index and the segment table.
+	mu    sync.RWMutex
+	index map[uint64]loc
+	segs  []*segment
+	known map[string]bool // segment file names in segs
+
+	// legacy reports legacy shard directories under root; legacyN counts
+	// their record files.
+	legacy  atomic.Bool
+	legacyN atomic.Int64
+
+	// refreshMu serializes listings and tail scans; refreshes counts the
+	// refreshes started, so a miss that raced a refresh begun after its
+	// lookup does not repeat it. listed is the registry's length at the
+	// last listing (-1: no registry); reg is the registry, opened at the
+	// first refresh.
+	refreshMu sync.Mutex
+	refreshes atomic.Uint64
+	listed    int64
+	reg       *os.File
+
+	// wmu serializes appends to the handle's own segment w (nil until the
+	// first Put, and again after Close); wseg is its number in segs and
+	// wend the end of its last whole frame.
+	wmu  sync.Mutex
+	w    *segment
+	wseg uint32
+	wend int64
 }
+
+// keySeed seeds the index hash. The index lives in one process, so the
+// hash need not be stable across processes.
+var keySeed = maphash.MakeSeed()
+
+func keyHash(key string) uint64 { return maphash.String(keySeed, key) }
 
 // Options tunes OpenWithOptions beyond the defaults Open uses.
 type Options struct {
-	// SyncPuts makes every Put fsync the record before renaming it into
-	// place (and fsync the shard directory after): a record visible under
-	// its final name survives power loss, at roughly one disk flush per
-	// write. Off by default — the store is a cache of recomputable results,
-	// and the atomic rename already guarantees no torn records; turn it on
-	// when recomputation is expensive enough that machine crashes must not
-	// shed warm state.
+	// SyncPuts makes every Put fsync its segment before returning (and the
+	// directory after creating the segment): a record a Put has returned
+	// from survives power loss, at roughly one disk flush per write. Off by
+	// default — the store is a cache of recomputable results and a torn
+	// tail costs only recomputation; turn it on when recomputation is
+	// expensive enough that machine crashes must not shed warm state.
 	SyncPuts bool
 }
 
 // Open creates (if necessary) and opens a store rooted at dir with default
-// options. Opening performs one maintenance walk over the shard
-// directories: it counts the existing records (seeding ApproxLen) and
-// sweeps write-temporaries older than TempMaxAge that a crashed writer
-// leaked between CreateTemp and Rename. Fresh temporaries — possibly an
-// in-flight Put of another live process — are left untouched.
+// options. Opening streams every segment once into the handle's index; it
+// holds no file descriptor afterwards — the handle opens one at its first
+// Put and one per segment at its first read of that segment.
 func Open(dir string) (*Store, error) {
 	return OpenWithOptions(dir, Options{})
 }
@@ -178,94 +212,60 @@ func OpenWithOptions(dir string, o Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{root: dir, syncPuts: o.SyncPuts, logf: log.Printf}
-	n, removed := s.sweep(time.Now())
-	s.records.Store(n)
-	s.tempsRemoved.Store(removed)
-	return s, nil
+	return newHandle(dir, o), nil
 }
 
-// sweep is Open's maintenance walk: it returns the record count and the
-// number of stale temporaries (older than TempMaxAge relative to now) it
-// removed. All I/O is best-effort — an unreadable directory or file simply
-// contributes nothing.
-func (s *Store) sweep(now time.Time) (records, removed int64) {
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return 0, 0
-	}
-	for _, e := range entries {
-		if !e.IsDir() || e.Name() == quarantineDir {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.root, e.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			switch {
-			case filepath.Ext(f.Name()) == ".json":
-				records++
-			case strings.HasPrefix(f.Name(), ".tmp-"):
-				info, err := f.Info()
-				if err != nil {
-					continue
-				}
-				if now.Sub(info.ModTime()) > TempMaxAge {
-					if os.Remove(filepath.Join(s.root, e.Name(), f.Name())) == nil {
-						removed++
-					}
-				}
-			}
-		}
-	}
-	return records, removed
+// newHandle returns a handle on dir whose index holds every segment's
+// records.
+func newHandle(dir string, o Options) *Store {
+	s := &Store{root: dir, syncPuts: o.SyncPuts, logf: log.Printf, index: make(map[uint64]loc), known: make(map[string]bool), listed: -2}
+	s.list(registryStat(dir))
+	return s
 }
 
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
 
-// path maps a key to its content address: shard directory named by the
-// first hash byte, file named by the full hash.
-func (s *Store) path(key string) (dir, file string) {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	dir = filepath.Join(s.root, h[:2])
-	return dir, filepath.Join(dir, h+".json")
+// lookup returns the indexed location of a key hash.
+func (s *Store) lookup(h uint64) (*segment, loc, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	l, ok := s.index[h]
+	if !ok {
+		return nil, l, false
+	}
+	return s.segs[l.seg()], l, true
 }
 
 // Get returns the payload stored under key. Any failure to produce a valid
-// record — absent file, unreadable file, malformed envelope, version or key
-// mismatch, payload checksum mismatch — reads as a miss; the caller
-// recomputes and may re-Put. Both envelope versions are served: v1 on
-// parse + key checks alone (it carries no checksum), v2 only when the
-// payload hashes to its recorded sum.
+// record — absent, torn or garbled frame, version or key mismatch, payload
+// checksum mismatch — reads as a miss; the caller recomputes and may
+// re-Put. A key the index lacks is looked up again after rescanning what
+// other writers appended since, then in the legacy files if the store has
+// any.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.gets.Add(1)
-	_, file := s.path(key)
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return nil, false // absent (or unreadable): plain miss
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != key {
-		s.corrupt.Add(1)
-		return nil, false
-	}
-	switch env.V {
-	case legacyVersion:
-		// Pre-checksum record: trust the frame checks, exactly as before.
-	case Version:
-		if payloadSum(env.Payload) != env.Sum {
-			s.corrupt.Add(1)
+	h := keyHash(key)
+	seen := s.refreshes.Load()
+	g, l, ok := s.lookup(h)
+	if !ok {
+		s.refresh(seen)
+		if g, l, ok = s.lookup(h); !ok {
+			if s.legacy.Load() {
+				return s.legacyGet(key)
+			}
 			return nil, false
 		}
-	default:
-		s.corrupt.Add(1)
-		return nil, false
 	}
-	s.hits.Add(1)
-	return env.Payload, true
+	payload, v := g.read(l, key, h)
+	switch v {
+	case recordOK:
+		s.hits.Add(1)
+		return payload, true
+	case recordCorrupt, recordSumMismatch:
+		s.corrupt.Add(1)
+	}
+	return nil, false
 }
 
 // putError counts one failed best-effort write, logging the first failure a
@@ -281,130 +281,190 @@ func (s *Store) putError(key string, err error) {
 // Put persists payload under key. Writes are best-effort: persistence
 // failures are counted in Stats.PutErrors (and the first one per handle is
 // logged) but never surfaced, because the store is an optimization layer
-// and the caller already holds the computed value. The write is atomic
-// (temp file + rename), so concurrent Puts of the same key — which,
-// evaluations being deterministic, carry identical payloads — cannot
-// interleave partial records.
+// and the caller already holds the computed value. The record reaches the
+// handle's segment in one write before Put returns.
 func (s *Store) Put(key string, payload []byte) {
 	s.puts.Add(1)
-	// Compact the payload first and checksum the compacted bytes: those are
-	// exactly the bytes the envelope embeds (the encoder below does not
-	// re-escape them) and exactly the bytes a future Get unmarshals and
-	// re-hashes. Hashing the caller's uncompacted form instead would make
-	// the checksum depend on formatting that is not stored.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, payload); err != nil {
-		s.putError(key, fmt.Errorf("payload not valid JSON: %w", err))
-		return
-	}
-	env := envelope{
-		V:       Version,
-		Key:     key,
-		Sum:     payloadSum(compact.Bytes()),
-		Payload: json.RawMessage(compact.Bytes()),
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	// No HTML escaping: Marshal would rewrite <, > and & inside the payload
-	// into \u-escapes, storing bytes that no longer hash to Sum.
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(env); err != nil {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	if err := appendRecord(buf, key, payload); err != nil {
 		s.putError(key, err)
 		return
 	}
-	dir, file := s.path(key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.putError(key, err)
+	recd := [1]pending{{key, keyHash(key), 0}}
+	s.commit(buf.Bytes(), recd[:])
+}
+
+// pending is one encoded record of a batch: its key, its hash, and where
+// its frame sits in the batch buffer.
+type pending struct {
+	key string
+	h   uint64
+	at  int64
+}
+
+// PutBatch persists a sequence of records like Put, in order, with one
+// write (and with SyncPuts one fsync) for the whole batch. A record whose
+// payload is not valid JSON is a put error and is skipped; the others
+// still land.
+func (s *Store) PutBatch(recs iter.Seq2[string, []byte]) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	var recd []pending
+	for key, payload := range recs {
+		s.puts.Add(1)
+		at := buf.Len()
+		if err := appendRecord(buf, key, payload); err != nil {
+			s.putError(key, err)
+			continue
+		}
+		recd = append(recd, pending{key, keyHash(key), int64(at)})
+	}
+	s.commit(buf.Bytes(), recd)
+}
+
+// commit appends the encoded records in b to the handle's segment and
+// indexes them.
+func (s *Store) commit(b []byte, recd []pending) {
+	if len(recd) == 0 {
 		return
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	off, err := s.appendLocked(b)
 	if err != nil {
-		s.putError(key, err)
-		return
-	}
-	_, werr := tmp.Write(buf.Bytes())
-	var serr error
-	if s.syncPuts && werr == nil {
-		// Flush record bytes before the rename publishes the name; the
-		// directory fsync after the rename makes the name itself durable.
-		serr = tmp.Sync()
-		if serr == nil {
-			s.fsyncs.Add(1)
+		for _, p := range recd {
+			s.putError(p.key, err)
 		}
-	}
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.putError(key, fmt.Errorf("write temp: w=%v s=%v c=%v", werr, serr, cerr))
 		return
 	}
-	// Overwrites keep the record count flat; only a rename that creates the
-	// file increments it. Two processes racing the same fresh key can both
-	// observe "new" and drift the approximation by one — acceptable for an
-	// observability counter, and they wrote identical records either way.
-	_, statErr := os.Stat(file)
-	created := os.IsNotExist(statErr)
-	if err := os.Rename(tmp.Name(), file); err != nil {
-		os.Remove(tmp.Name())
-		s.putError(key, err)
-		return
+	s.mu.Lock()
+	for _, p := range recd {
+		s.index[p.h] = locate(s.wseg, off+p.at)
 	}
-	if created {
-		s.records.Add(1)
-	}
-	if s.syncPuts {
-		if d, err := os.Open(dir); err == nil {
-			if d.Sync() == nil {
-				s.fsyncs.Add(1)
-			}
-			d.Close()
-		}
+	s.records.Store(int64(len(s.index)) + s.legacyN.Load())
+	s.mu.Unlock()
+}
+
+// bufPool recycles batch buffers, so a Put allocates none.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= 1<<20 { // let an outsized batch's buffer go
+		b.Reset()
+		bufPool.Put(b)
 	}
 }
 
-// ApproxLen returns the approximate number of records on disk: the count
-// seeded by Open's startup walk plus the file-creating Puts of this handle.
-// It is O(1), suitable for polling observability endpoints (/statsz);
-// writes by other processes after Open are not reflected. Len is the exact,
-// O(records) offline variant.
+// appendLocked writes one batch of frames at the end of the handle's
+// segment, creating the segment first if needed, and returns the batch's
+// offset. A failed write (or fsync) is cut back off, so the segment never
+// holds a partial frame in front of later whole ones. Callers hold wmu.
+func (s *Store) appendLocked(b []byte) (int64, error) {
+	if s.w != nil && s.wend+int64(len(b)) > 1<<offBits {
+		s.releaseWriter() // full: the index cannot address more of it
+	}
+	if s.w == nil {
+		if err := s.createSegment(); err != nil {
+			return 0, err
+		}
+	}
+	f := s.w.f.Load()
+	off := s.wend
+	_, err := f.WriteAt(b, off)
+	if err == nil && s.syncPuts {
+		if err = f.Sync(); err == nil {
+			s.fsyncs.Add(1)
+		}
+	}
+	if err != nil {
+		if f.Truncate(off) != nil {
+			s.releaseWriter() // cannot cut it back: the next Put starts a new segment
+		}
+		return 0, err
+	}
+	s.wend = off + int64(len(b))
+	return off, nil
+}
+
+// createSegment starts the handle's own segment. Callers hold wmu.
+func (s *Store) createSegment() error {
+	s.mu.RLock()
+	n := len(s.segs)
+	s.mu.RUnlock()
+	if n >= maxSegs {
+		return fmt.Errorf("store: %d segments, the most one handle can index", n)
+	}
+	f, path, err := createSegmentFile(s.root)
+	if err != nil {
+		return err
+	}
+	if s.syncPuts {
+		if syncDir(s.root) == nil {
+			s.fsyncs.Add(1)
+		}
+	}
+	// The handle indexes its own appends, so refreshes never rescan it.
+	g := &segment{path: path, sealed: true}
+	g.f.Store(f)
+	s.mu.Lock()
+	s.wseg = uint32(len(s.segs))
+	s.segs = append(s.segs, g)
+	s.known[filepath.Base(path)] = true
+	s.mu.Unlock()
+	s.w, s.wend = g, 0
+	return nil
+}
+
+// Close releases the handle's file descriptors, and with them its
+// segment's writer lock, so other handles know the segment is final. The
+// handle stays usable: a later read reopens what it reads, and a later
+// Put starts a new segment.
+func (s *Store) Close() error {
+	s.wmu.Lock()
+	s.releaseWriter()
+	s.wmu.Unlock()
+	s.refreshMu.Lock()
+	if s.reg != nil {
+		s.reg.Close()
+		s.reg = nil
+	}
+	s.refreshMu.Unlock()
+	s.mu.RLock()
+	segs := s.segs
+	s.mu.RUnlock()
+	var first error
+	for _, g := range segs {
+		if err := g.close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// ApproxLen returns the number of records the handle knows of: the
+// distinct keys in its index plus the legacy record files counted at
+// Open. It is O(1), suitable for polling observability endpoints
+// (/statsz); records other processes wrote since the handle's last
+// rescan are not reflected. Len is the exact, O(records) offline variant.
 func (s *Store) ApproxLen() int64 { return s.records.Load() }
 
-// Len walks the store and returns the exact number of record files on
-// disk. It is an offline helper (O(records), two directory levels): the
-// serving path must never call it — cmd/served polls ApproxLen instead, so
-// a warm store cannot turn /statsz into a self-inflicted directory scan.
+// Len scans the whole store afresh and returns its number of records
+// (distinct segment keys plus legacy record files). It is an offline
+// helper: the serving path polls ApproxLen instead.
 func (s *Store) Len() int {
-	n := 0
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return 0
-	}
-	for _, e := range entries {
-		if !e.IsDir() || e.Name() == quarantineDir {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.root, e.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if filepath.Ext(f.Name()) == ".json" {
-				n++
-			}
-		}
-	}
-	return n
+	return int(newHandle(s.root, Options{}).ApproxLen())
 }
 
 // Stats snapshots the traffic counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Gets:         s.gets.Load(),
-		Hits:         s.hits.Load(),
-		Puts:         s.puts.Load(),
-		Corrupt:      s.corrupt.Load(),
-		PutErrors:    s.putErrors.Load(),
-		TempsRemoved: s.tempsRemoved.Load(),
-		Fsyncs:       s.fsyncs.Load(),
+		Gets:      s.gets.Load(),
+		Hits:      s.hits.Load(),
+		Puts:      s.puts.Load(),
+		Corrupt:   s.corrupt.Load(),
+		PutErrors: s.putErrors.Load(),
+		TornBytes: s.tornBytes.Load(),
+		Fsyncs:    s.fsyncs.Load(),
 	}
 }

@@ -3,13 +3,17 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/frame"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -38,65 +42,149 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardedLayout(t *testing.T) {
+// segments lists a store's segment files, oldest first.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+segmentExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// recordBody is the frame body Put writes for key and compact payload.
+func recordBody(key string, payload []byte) []byte {
+	body := binary.AppendUvarint([]byte{Version}, uint64(len(key)))
+	body = append(body, key...)
+	sum := sha256.Sum256(payload)
+	body = append(body, sum[:]...)
+	return append(body, payload...)
+}
+
+// TestSegmentLayout pins the on-disk format: a handle's first Put creates
+// its own segment holding exactly the documented frame, and a second
+// handle's Put lands in a second segment that the first handle's records
+// never share.
+func TestSegmentLayout(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "layout-key"
-	s.Put(key, []byte(`1`))
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	want := filepath.Join(dir, h[:2], h+".json")
-	if _, err := os.Stat(want); err != nil {
-		t.Fatalf("record not at content address %s: %v", want, err)
+	if segs := segments(t, dir); len(segs) != 0 {
+		t.Fatalf("Open created segment(s) %v before any Put", segs)
+	}
+	s.Put("layout-key", []byte(`{"x": 1}`))
+	segs := segments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("one Put left %d segment(s), want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := frame.Append(nil, recordBody("layout-key", []byte(`{"x":1}`))); !bytes.Equal(data, want) {
+		t.Fatalf("segment bytes\n got %x\nwant %x", data, want)
+	}
+
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Put("other-key", []byte(`2`))
+	if got := segments(t, dir); len(got) != 2 || got[0] != segs[0] {
+		t.Fatalf("second handle's Put: segments %v, want %s plus a new one", got, segs[0])
+	}
+	if data2, _ := os.ReadFile(segs[0]); !bytes.Equal(data2, data) {
+		t.Fatal("second handle appended to the first handle's segment")
 	}
 }
 
-// recordPath locates the on-disk file of a key for corruption tests.
+// recordPath is a key's legacy per-file address, where stores of earlier
+// releases kept it.
 func recordPath(t *testing.T, s *Store, key string) string {
 	t.Helper()
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(s.Root(), h[:2], h+".json")
+	return s.legacyPath(key)
+}
+
+// frameOf returns the segment file, offset and length of the frame the
+// handle's index holds for key.
+func frameOf(t *testing.T, s *Store, key string) (string, int64, int) {
+	t.Helper()
+	g, l, ok := s.lookup(keyHash(key))
+	if !ok {
+		t.Fatalf("key %q is not indexed", key)
+	}
+	data, err := os.ReadFile(g.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.path, l.off(), frame.HeaderLen + int(binary.LittleEndian.Uint32(data[l.off():]))
+}
+
+// reframe rewrites the frame at off in place: mutate edits its body, and
+// the frame gets a valid CRC again, so only the record-level checks can
+// catch the change. The body must keep its length.
+func reframe(t *testing.T, path string, off int64, n int, mutate func(body []byte)) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, off); err != nil {
+		t.Fatal(err)
+	}
+	mutate(buf[frame.HeaderLen:])
+	frame.Seal(buf)
+	if _, err := f.WriteAt(buf, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeAt overwrites bytes of a file in place.
+func writeAt(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCorruptionReadsAsMiss(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, path, key string)
+		corrupt func(t *testing.T, path string, off int64, n int)
 	}{
-		{"garbage", func(t *testing.T, path, key string) {
-			if err := os.WriteFile(path, []byte("\x00\xffnot json at all"), 0o644); err != nil {
+		{"garbage", func(t *testing.T, path string, off int64, n int) {
+			writeAt(t, path, off, bytes.Repeat([]byte("\x00\xff"), n/2))
+		}},
+		{"truncated", func(t *testing.T, path string, off int64, n int) {
+			if err := os.Truncate(path, off+int64(n)/2); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"truncated", func(t *testing.T, path, key string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		{"empty", func(t *testing.T, path string, off int64, n int) {
+			if err := os.Truncate(path, 0); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"empty", func(t *testing.T, path, key string) {
-			if err := os.WriteFile(path, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"version-mismatch", func(t *testing.T, path string, off int64, n int) {
+			reframe(t, path, off, n, func(body []byte) { body[0] = Version + 1 })
 		}},
-		{"version-mismatch", func(t *testing.T, path, key string) {
-			rec := fmt.Sprintf(`{"v":%d,"key":%q,"payload":{"x":1}}`, Version+1, key)
-			if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"key-mismatch", func(t *testing.T, path, key string) {
-			rec := fmt.Sprintf(`{"v":%d,"key":"some-other-key","payload":{"x":1}}`, Version)
-			if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"key-mismatch", func(t *testing.T, path string, off int64, n int) {
+			// A valid record of another key, filed where the index expects
+			// this one.
+			reframe(t, path, off, n, func(body []byte) {
+				key, _, payload, _ := decodeRecord(body)
+				copy(body, recordBody(string(key[:len(key)-1])+"!", payload))
+			})
 		}},
 	}
 	for _, tc := range cases {
@@ -107,7 +195,8 @@ func TestCorruptionReadsAsMiss(t *testing.T) {
 			}
 			key := "victim-" + tc.name
 			s.Put(key, []byte(`{"x":1}`))
-			tc.corrupt(t, recordPath(t, s, key), key)
+			path, off, n := frameOf(t, s, key)
+			tc.corrupt(t, path, off, n)
 			if _, ok := s.Get(key); ok {
 				t.Fatal("corrupt record served as a hit")
 			}
@@ -121,6 +210,34 @@ func TestCorruptionReadsAsMiss(t *testing.T) {
 				t.Fatalf("re-Put did not heal the record: ok=%v payload=%s", ok, got)
 			}
 		})
+	}
+}
+
+// TestHashCollisionReadsAsPlainMiss pins the index's collision rule: a
+// frame holding another key whose index hash equals the wanted key's is
+// not this key's record — a plain miss, not corruption.
+func TestHashCollisionReadsAsPlainMiss(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("stored", []byte(`{"x":1}`))
+	_, l, _ := s.lookup(keyHash("stored"))
+	// Forge the collision: index "wanted" at the frame of "stored".
+	s.mu.Lock()
+	s.index[keyHash("wanted")] = l
+	s.mu.Unlock()
+	g, _, _ := s.lookup(keyHash("wanted"))
+	if _, v := g.read(l, "wanted", keyHash("stored")); v != recordMiss {
+		t.Fatalf("colliding key read as verdict %d, want a plain miss", v)
+	}
+	if _, ok := s.Get("wanted"); ok {
+		t.Fatal("another key's frame served as a hit")
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		// Without a real collision the hashes differ: the frame is filed
+		// under the wrong key, which is corruption.
+		t.Fatalf("Corrupt = %d for a misfiled frame, want 1", st.Corrupt)
 	}
 }
 
@@ -152,7 +269,12 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < keys; k++ {
 				// Deterministic evaluations: every writer of a key writes
-				// the same payload, like racing sweep shards would.
+				// the same payload, like racing sweep shards would. Odd keys
+				// are written by b's writers only, so a must find them in
+				// b's segment.
+				if k%2 == 1 && st == a {
+					continue
+				}
 				st.Put(fmt.Sprintf("key-%d", k), payload(k))
 				if data, ok := st.Get(fmt.Sprintf("key-%d", k)); ok {
 					if !bytes.Equal(data, payload(k)) {
@@ -169,67 +291,94 @@ func TestConcurrentWriters(t *testing.T) {
 			t.Fatalf("key-%d not intact after concurrent writers: ok=%v payload=%s", k, ok, data)
 		}
 	}
+	// A record another live handle appends after a's last rescan is found
+	// on a's next miss.
+	b.Put("late", []byte(`{"late":true}`))
+	if data, ok := a.Get("late"); !ok || !bytes.Equal(data, []byte(`{"late":true}`)) {
+		t.Fatalf("a missed b's later append: ok=%v payload=%s", ok, data)
+	}
 	if st := a.Stats(); st.Corrupt != 0 {
 		t.Fatalf("concurrent writers produced %d corrupt reads", st.Corrupt)
 	}
-	// No stray temp files left behind.
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+	// Nothing but the two writers' segments, each a sequence of whole
+	// frames to a clean end, and the registry announcing them.
+	segs := segments(t, dir)
+	if len(segs) != 2 {
+		t.Fatalf("store holds %d segments, want the 2 writers'", len(segs))
+	}
+	reg, err := os.ReadFile(filepath.Join(dir, registryName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := strings.Fields(string(reg))
+	sort.Strings(names)
+	if len(names) != 2 || names[0] != filepath.Base(segs[0]) || names[1] != filepath.Base(segs[1]) {
+		t.Fatalf("registry announces %q, want the segments %q", names, segs)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
+		t.Fatalf("store holds %d entries (err %v), want 2 segments and the registry", len(entries), err)
+	}
+	for _, path := range segs {
+		f, err := os.Open(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if !d.IsDir() && filepath.Ext(path) != ".json" {
-			t.Errorf("stray non-record file %s", path)
+		fr := frame.NewReader(f, maxRecord)
+		for {
+			_, err := fr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("segment %s: %v after %d bytes", path, err, fr.Offset())
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		f.Close()
 	}
 }
 
-// TestOpenSweepsStaleTemps pins the crash-leak repair: a temp file orphaned
-// by a writer that died between CreateTemp and Rename is removed by the
-// next Open once it ages past TempMaxAge, while a fresh temp — possibly an
-// in-flight Put of a live sibling process — survives, as do real records.
-func TestOpenSweepsStaleTemps(t *testing.T) {
+// TestOpenLeavesLiveTailAlone pins how a reader treats a segment whose
+// writer is still live: a half-written frame at its end is an append in
+// flight, not a torn tail — not counted, not skipped past — and once the
+// append completes, the next miss finds the record.
+func TestOpenLeavesLiveTailAlone(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	w, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("kept-key", []byte(`{"x":1}`))
-	shard := filepath.Dir(recordPath(t, s, "kept-key"))
+	w.Put("kept-key", []byte(`{"x":1}`))
+	seg := segments(t, dir)[0]
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The writer's next append, caught half-way.
+	next := frame.Append(nil, recordBody("inflight", []byte(`{"x":2}`)))
+	writeAt(t, seg, info.Size(), next[:len(next)/2])
 
-	stale := filepath.Join(shard, ".tmp-orphan")
-	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
+	r, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-2 * TempMaxAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
+	if st := r.Stats(); st.TornBytes != 0 || st.Corrupt != 0 {
+		t.Fatalf("live writer's in-flight append counted: %+v", st)
 	}
-	fresh := filepath.Join(shard, ".tmp-inflight")
-	if err := os.WriteFile(fresh, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, ok := r.Get("kept-key"); !ok {
+		t.Fatal("whole record before the in-flight append lost")
 	}
-
-	if _, err := Open(dir); err != nil {
-		t.Fatal(err)
+	if _, ok := r.Get("inflight"); ok {
+		t.Fatal("half-written record served")
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale temp survived Open: stat err %v", err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Errorf("fresh temp removed by Open: %v", err)
-	}
-	if _, err := os.Stat(recordPath(t, s, "kept-key")); err != nil {
-		t.Errorf("record removed by Open: %v", err)
+	writeAt(t, seg, info.Size()+int64(len(next)/2), next[len(next)/2:])
+	if got, ok := r.Get("inflight"); !ok || !bytes.Equal(got, []byte(`{"x":2}`)) {
+		t.Fatalf("completed append not found on the next miss: ok=%v payload=%s", ok, got)
 	}
 }
 
-// TestApproxLen pins the cheap record counter: seeded by Open's walk,
-// incremented only by file-creating Puts, flat across overwrites, and in
-// agreement with the exact Len for a single-writer store.
+// TestApproxLen pins the cheap record counter: seeded by Open's scan,
+// grown only by Puts of new keys, flat across overwrites, and in agreement
+// with the exact Len for a single-writer store.
 func TestApproxLen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -249,13 +398,47 @@ func TestApproxLen(t *testing.T) {
 	if exact := s.Len(); int64(exact) != s.ApproxLen() {
 		t.Fatalf("ApproxLen %d disagrees with Len %d", s.ApproxLen(), exact)
 	}
-	// A second handle on the same directory seeds from the startup walk.
+	// A second handle on the same directory seeds from its startup scan.
 	warm, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := warm.ApproxLen(); got != 5 {
 		t.Fatalf("warm ApproxLen = %d, want 5", got)
+	}
+}
+
+// TestCloseReleasesDescriptors pins Close: the writer lock goes with the
+// descriptors, so another handle sees the segment as final, and the
+// closed handle stays usable — reads reopen, and a Put starts a new
+// segment.
+func TestCloseReleasesDescriptors(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("a", []byte(`1`))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(segments(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unlockedByWriters(f) {
+		t.Fatal("segment still locked after Close")
+	}
+	f.Close()
+	if got, ok := s.Get("a"); !ok || string(got) != "1" {
+		t.Fatalf("Get after Close: ok=%v payload=%s", ok, got)
+	}
+	s.Put("b", []byte(`2`))
+	if got := len(segments(t, dir)); got != 2 {
+		t.Fatalf("Put after Close left %d segment(s), want 2", got)
+	}
+	if got, ok := s.Get("b"); !ok || string(got) != "2" {
+		t.Fatalf("Get of a Put after Close: ok=%v payload=%s", ok, got)
 	}
 }
 
