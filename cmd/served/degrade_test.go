@@ -122,14 +122,14 @@ func TestServedReadyz(t *testing.T) {
 	if code := getJSON(t, hs.URL+"/readyz", &first); code != http.StatusOK || !first.Ready {
 		t.Fatalf("store readyz: code %d body %+v", code, first)
 	}
-	lenAfterFirst := s.st.Len()
+	lenAfterFirst := freshLen(t, s.st)
 	if code := getJSON(t, hs.URL+"/readyz", &second); code != http.StatusOK || !second.Ready {
 		t.Fatalf("store readyz (2nd): code %d body %+v", code, second)
 	}
 	if second.Probe != first.Probe+1 {
 		t.Fatalf("probe sequence %d then %d; want consecutive", first.Probe, second.Probe)
 	}
-	if got := s.st.Len(); got != lenAfterFirst {
+	if got := freshLen(t, s.st); got != lenAfterFirst {
 		t.Fatalf("repeated probes grew the store: %d → %d records", lenAfterFirst, got)
 	}
 }

@@ -1,9 +1,8 @@
 // Package chaos is seeded-deterministic fault injection for the cluster
-// tests: a store.Backend wrapper and an HTTP middleware that fail, delay,
-// blackhole, or corrupt a configurable fraction of the traffic flowing
-// through them.
+// tests: an HTTP middleware that fails, delays, blackholes, or corrupts a
+// configurable fraction of the requests flowing through it.
 //
-// Both injectors draw every decision from one seeded stream, so a chaos
+// The middleware draws every decision from one seeded stream, so a chaos
 // run is a pure function of (seed, request order) — the cluster chaos
 // matrix can assert exact outcomes ("the sweep report is bit-identical to
 // the golden despite 30% store 500s") instead of flaky probabilistic ones,
@@ -11,39 +10,39 @@
 //
 // The injected faults mirror the real failure modes of the fabric's edges:
 //
-//   - Error: the remote answers but unhappily (HTTP 500 / a backend miss).
+//   - Error: the remote answers but unhappily (HTTP 500).
 //   - Latency: the remote is slow — retry budgets and deadlines must absorb it.
-//   - Blackhole: the connection dies without a response (middleware) or
-//     every op fails (backend) for the next N operations — what a partition
-//     or a dead coordinator looks like; this is what opens breakers.
+//   - Blackhole: the connection dies without a response for the next N
+//     requests — what a partition or a dead coordinator looks like; this is
+//     what opens breakers.
 //   - Corrupt: the payload arrives mangled — the store contract says it
 //     must read as a miss, never as a wrong record.
 package chaos
 
 import (
 	"math/rand"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/store"
+	"repro/internal/resilience"
 )
 
-// Config parameterizes an injector. The zero value injects nothing.
+// Config parameterizes a Middleware. The zero value injects nothing.
 type Config struct {
 	// Seed selects the deterministic fault stream (0 resolves to 1).
 	Seed int64
-	// ErrRate in [0, 1] is the fraction of operations that fail (HTTP 500
-	// from the middleware; a miss/dropped write from the backend).
+	// ErrRate in [0, 1] is the fraction of requests answered with a 500.
 	ErrRate float64
-	// CorruptRate in [0, 1] is the fraction of successful reads whose
-	// payload is mangled before delivery.
+	// CorruptRate in [0, 1] is the fraction of successful responses whose
+	// body is mangled before delivery.
 	CorruptRate float64
-	// Latency is added to every operation, before the fault decision.
+	// Latency is added to every request, before the fault decision.
 	Latency time.Duration
 }
 
-// Stats counts the faults an injector actually dealt.
+// Stats counts the faults a Middleware actually dealt.
 type Stats struct {
 	Ops         int64 `json:"ops"`
 	Errors      int64 `json:"errors"`
@@ -51,14 +50,23 @@ type Stats struct {
 	Blackholed  int64 `json:"blackholed"`
 }
 
-// injector is the shared seeded decision core of both fault surfaces.
-type injector struct {
-	cfg Config
+// Middleware wraps an http.Handler with seeded fault injection: per the
+// Config, requests are delayed, answered with a 500, or — while a
+// Blackhole budget is armed — aborted without any response (the client
+// sees a transport error, exactly like a partition or a process that died
+// mid-request). CorruptRate mangles response bodies of otherwise
+// successful requests, exercising client-side corruption detection.
+//
+// All methods are safe for concurrent use. The fault stream is consumed in
+// request-arrival order, so single-client tests are exactly reproducible.
+type Middleware struct {
+	next http.Handler
+	cfg  Config
 
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	blackhole atomic.Int64 // operations left to blackhole
+	blackhole atomic.Int64 // requests left to blackhole
 
 	ops         atomic.Int64
 	errors      atomic.Int64
@@ -66,125 +74,93 @@ type injector struct {
 	blackholed  atomic.Int64
 }
 
-func newInjector(cfg Config) *injector {
+// NewMiddleware wraps next with seeded fault injection.
+func NewMiddleware(next http.Handler, cfg Config) *Middleware {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	return &injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &Middleware{next: next, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
-// decide draws one operation's fate from the seeded stream. The two draws
+// decide draws one request's fate from the seeded stream. The two draws
 // happen unconditionally so the stream position depends only on the
-// operation index, not on the configured rates.
-func (in *injector) decide() (fail, corrupt, blackholed bool) {
-	in.ops.Add(1)
+// request index, not on the configured rates.
+func (m *Middleware) decide() (fail, corrupt, blackholed bool) {
+	m.ops.Add(1)
 	for {
-		n := in.blackhole.Load()
+		n := m.blackhole.Load()
 		if n <= 0 {
 			break
 		}
-		if in.blackhole.CompareAndSwap(n, n-1) {
-			in.blackholed.Add(1)
-			return true, false, true // blackholed ops don't consume the rng stream
+		if m.blackhole.CompareAndSwap(n, n-1) {
+			m.blackholed.Add(1)
+			return true, false, true // blackholed requests don't consume the rng stream
 		}
 	}
-	in.mu.Lock()
-	f, c := in.rng.Float64(), in.rng.Float64()
-	in.mu.Unlock()
-	fail = f < in.cfg.ErrRate
-	corrupt = c < in.cfg.CorruptRate
+	m.mu.Lock()
+	f, c := m.rng.Float64(), m.rng.Float64()
+	m.mu.Unlock()
+	fail = f < m.cfg.ErrRate
+	corrupt = c < m.cfg.CorruptRate
 	if fail {
-		in.errors.Add(1)
+		m.errors.Add(1)
 	}
 	return fail, corrupt, false
 }
 
-func (in *injector) delay() {
-	if in.cfg.Latency > 0 {
-		time.Sleep(in.cfg.Latency)
-	}
-}
-
-// Blackhole makes the next n operations fail unconditionally (connection
-// abort in the middleware, hard failure in the backend) — a seeded way to
-// stage "the coordinator just died" at an exact point in the schedule.
-func (in *injector) Blackhole(n int) { in.blackhole.Store(int64(n)) }
+// Blackhole makes the next n requests abort their connection — a seeded
+// way to stage "the coordinator just died" at an exact point in the
+// schedule.
+func (m *Middleware) Blackhole(n int) { m.blackhole.Store(int64(n)) }
 
 // Stats snapshots the injected-fault counters.
-func (in *injector) Stats() Stats {
+func (m *Middleware) Stats() Stats {
 	return Stats{
-		Ops:         in.ops.Load(),
-		Errors:      in.errors.Load(),
-		Corruptions: in.corruptions.Load(),
-		Blackholed:  in.blackholed.Load(),
+		Ops:         m.ops.Load(),
+		Errors:      m.errors.Load(),
+		Corruptions: m.corruptions.Load(),
+		Blackholed:  m.blackholed.Load(),
 	}
 }
 
-// mangle corrupts a payload copy without changing its length: the first
+func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if m.cfg.Latency > 0 {
+		time.Sleep(m.cfg.Latency)
+	}
+	fail, corrupt, blackholed := m.decide()
+	if fail {
+		if blackholed {
+			// Abort the connection without writing a response: net/http
+			// recognizes ErrAbortHandler and drops the connection, so the
+			// client observes EOF/reset — a transport error, not a status.
+			panic(http.ErrAbortHandler)
+		}
+		http.Error(w, "chaos: injected failure", http.StatusInternalServerError)
+		return
+	}
+	if !corrupt {
+		m.next.ServeHTTP(w, r)
+		return
+	}
+	// Serve the real response with its body mangled. Buffer it so the
+	// corruption flips a mid-payload byte regardless of how the inner
+	// handler chunked its writes.
+	var rec resilience.ResponseBuffer
+	m.next.ServeHTTP(&rec, r)
+	m.corruptions.Add(1)
+	mangle(rec.Bytes())
+	rec.Flush(w)
+}
+
+// mangle corrupts a body in place without changing its length: the first
 // byte is flipped — which reliably breaks JSON framing, a mid-string flip
 // could still parse — and so is a middle byte, for payloads whose parsers
 // skip leading garbage.
-func mangle(data []byte) []byte {
+func mangle(data []byte) {
 	if len(data) == 0 {
-		return data
+		return
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	out[0] ^= 0xff
-	out[len(out)/2] ^= 0xff
-	return out
+	data[0] ^= 0xff
+	data[len(data)/2] ^= 0xff
 }
-
-// Backend wraps a store.Backend with fault injection. Injected faults obey
-// the store contract — a failed or corrupted Get reads as a miss (the
-// mangled payload is still delivered when the underlying record was JSON,
-// exercising the caller's corruption detection), a failed Put is silently
-// dropped — so a chaos-wrapped backend is indistinguishable from flaky
-// hardware.
-type Backend struct {
-	inner store.Backend
-	*injector
-}
-
-// NewBackend wraps inner with seeded fault injection.
-func NewBackend(inner store.Backend, cfg Config) *Backend {
-	return &Backend{inner: inner, injector: newInjector(cfg)}
-}
-
-// Get injects latency, failure (miss), and payload corruption around the
-// inner Get.
-func (b *Backend) Get(key string) ([]byte, bool) {
-	b.delay()
-	fail, corrupt, _ := b.decide()
-	if fail {
-		return nil, false
-	}
-	data, ok := b.inner.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if corrupt {
-		b.corruptions.Add(1)
-		return mangle(data), true
-	}
-	return data, true
-}
-
-// Put injects latency and write-drop faults around the inner Put.
-func (b *Backend) Put(key string, payload []byte) {
-	b.delay()
-	if fail, _, _ := b.decide(); fail {
-		return // dropped: the record never lands
-	}
-	b.inner.Put(key, payload)
-}
-
-// Stats passes through the inner backend's traffic counters (the injector
-// keeps its own under Backend.Stats via the embedded injector — callers
-// wanting fault counts use ChaosStats).
-func (b *Backend) Stats() store.Stats { return b.inner.Stats() }
-
-// ChaosStats snapshots the injected-fault counters (named to avoid
-// colliding with the store.Backend Stats method).
-func (b *Backend) ChaosStats() Stats { return b.injector.Stats() }

@@ -11,7 +11,7 @@ import (
 // Crash points instrumented in the cluster binaries. A CrashPlan names one
 // of these and a hit count; the process dies (SIGKILL, no cleanup, no
 // deferred writes) the moment the named point is reached for the N-th time.
-// Together with the seeded fault injectors this turns "what if the process
+// Together with the seeded fault middleware this turns "what if the process
 // dies right here" from a flaky race into an exact, replayable schedule:
 // the crash-recovery matrix stages a coordinator death at a precise journal
 // offset and a worker death in the window between publishing its records

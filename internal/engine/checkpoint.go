@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 
@@ -314,11 +315,18 @@ func loadRecord(backend evalcache.Backend, key string) (*ResultRecord, bool) {
 }
 
 // saveRecord persists the checkpoint record (best-effort, like every store
-// write).
-func saveRecord(backend evalcache.Backend, key string, res *Result) {
+// write). With check set it first reads the key and writes nothing if the
+// store already holds these exact bytes: an append-only store would keep
+// the copy. A resumed run has just missed the key, so it passes false.
+func saveRecord(backend evalcache.Backend, key string, res *Result, check bool) {
 	data, err := json.Marshal(toRecord(res))
 	if err != nil {
 		return
+	}
+	if check {
+		if old, ok := backend.Get(key); ok && bytes.Equal(old, data) {
+			return
+		}
 	}
 	backend.Put(key, data)
 }

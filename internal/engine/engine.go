@@ -391,7 +391,7 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 	if rc.Store != nil {
-		saveRecord(rc.Store, ckptKey, res)
+		saveRecord(rc.Store, ckptKey, res, !rc.Resume)
 	}
 	return res, nil
 }

@@ -159,6 +159,53 @@ func TestSweepColdWarmResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWarmSweepAppendsNothing pins that a stored sweep run again without
+// Resume appends nothing once its checkpoints are in the store: every
+// outcome loads from disk, and a checkpoint the store already holds byte
+// for byte is not appended a second time. The first warm run still
+// rewrites each checkpoint once, because its record counts the disk hits
+// the cold run's could not; every run after it writes nothing, so none
+// creates a segment.
+func TestWarmSweepAppendsNothing(t *testing.T) {
+	scenarios := storeGrid(4)
+	dir := t.TempDir()
+	run := func() (*store.Store, []*Result) {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Sweep(Config{Workers: 2, Store: st}, scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, res
+	}
+	segments := func() int {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(segs)
+	}
+	_, cold := run()
+	st, warm := run()
+	mustEqual(t, "warm vs cold", warm, cold)
+	if s := st.Stats(); s.Puts != int64(len(scenarios)) {
+		t.Fatalf("first warm run wrote %d record(s), want its %d checkpoints", s.Puts, len(scenarios))
+	}
+	before := segments()
+	st, again := run()
+	mustEqual(t, "second warm vs cold", again, cold)
+	if s := st.Stats(); s.Puts != 0 {
+		t.Fatalf("second warm run wrote %d record(s), want none", s.Puts)
+	}
+	if after := segments(); after != before {
+		t.Fatalf("second warm run: %d segment(s) before, %d after", before, after)
+	}
+}
+
 func TestSweepShardsAssembleBitIdentical(t *testing.T) {
 	scenarios := storeGrid(5)
 	full, err := Sweep(Config{Workers: 1}, scenarios)

@@ -29,7 +29,7 @@ var clusterSpec = JobSpec{N: 6, Seed: 42, Exhaustive: true, Shards: 3}
 
 // coordinatorHandler is the coordinator wiring cmd/served mounts: the lease
 // protocol and the HTTP store endpoints over one shared disk store.
-func coordinatorHandler(m *Manager, st store.Backend) http.Handler {
+func coordinatorHandler(m *Manager, st httpstore.Store) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/shards/", Handler(m))
 	mux.Handle("/v1/store/", httpstore.Handler(st))

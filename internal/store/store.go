@@ -23,9 +23,10 @@
 // frame's segment and offset, 16 bytes a record with no key strings. Get
 // reads that one frame with pread and checks its CRC, its key and its
 // payload checksum. A later frame for a key supersedes an earlier one.
-// Stores written by earlier releases — one JSON envelope per record under
-// root/<hh>/ — stay readable (see legacy.go); quarantine/ holds what
-// Scrub's repair moved aside.
+// quarantine/ holds what Scrub's repair moved aside. Anything else under
+// root is ignored: the per-file <hh>/ directories of releases before
+// segments read as an empty store, so each of their records is recomputed
+// once, and they may be deleted.
 //
 // Key invariants:
 //
@@ -62,14 +63,9 @@ import (
 )
 
 // Version is the record schema version, the first byte of every segment
-// record. v2 records carry a sha256 payload checksum, so a bit-flip that
-// survives the frame CRC cannot be served as a valid record. Legacy
-// per-file stores carried it as the envelope's "v" field, where v1 had no
-// checksum.
-const (
-	Version       = 2
-	legacyVersion = 1
-)
+// record. Records carry a sha256 payload checksum, so a bit-flip that
+// survives the frame CRC cannot be served as a valid record.
+const Version = 2
 
 const (
 	// segmentExt names segment files.
@@ -88,25 +84,6 @@ const (
 	registryName = "segments"
 )
 
-// Backend is the pluggable store contract of the distributed sweep fabric:
-// a key/value byte store with best-effort writes, miss-on-any-failure
-// reads, and traffic counters. The disk Store implements it locally;
-// internal/store/httpstore implements it against a remote coordinator's
-// /v1/store/{key} endpoints, so a worker's persistent tier can live on
-// another machine. It is a superset of evalcache.Backend — any Backend
-// plugs directly into the two-tier evaluation caches and the engine's
-// checkpoint layer.
-type Backend interface {
-	// Get returns the payload stored under key. ok=false for any reason —
-	// absent, corrupt, unreachable — routes the caller to recomputation.
-	Get(key string) ([]byte, bool)
-	// Put persists payload under key, best-effort: failures are counted,
-	// never surfaced.
-	Put(key string, payload []byte)
-	// Stats snapshots the traffic counters.
-	Stats() Stats
-}
-
 // Stats counts store traffic. Hits+misses refer to Get calls; Corrupt
 // counts records that existed but were rejected (failed frame CRC, bad
 // version, wrong key, checksum mismatch), whether Get met them or the
@@ -124,10 +101,9 @@ type Stats struct {
 	Fsyncs    int64 `json:"fsyncs"`
 }
 
-// Store is a disk-backed Backend (see Backend and
-// internal/engine/evalcache.Backend). All methods are safe for concurrent
-// use by multiple goroutines and multiple processes sharing one root
-// directory.
+// Store is a disk-backed internal/engine/evalcache.Backend. All methods
+// are safe for concurrent use by multiple goroutines and multiple
+// processes sharing one root directory.
 type Store struct {
 	root     string
 	syncPuts bool
@@ -145,8 +121,8 @@ type Store struct {
 	// full disk produces one diagnostic line per handle, not one per write.
 	errLogged atomic.Bool
 
-	// records is the number of distinct keys indexed plus the legacy record
-	// files: kept current by every index change, so ApproxLen is O(1).
+	// records is the number of distinct keys indexed: kept current by
+	// every index change, so ApproxLen is O(1).
 	records atomic.Int64
 
 	// mu guards the index and the segment table.
@@ -154,11 +130,6 @@ type Store struct {
 	index map[uint64]loc
 	segs  []*segment
 	known map[string]bool // segment file names in segs
-
-	// legacy reports legacy shard directories under root; legacyN counts
-	// their record files.
-	legacy  atomic.Bool
-	legacyN atomic.Int64
 
 	// refreshMu serializes listings and tail scans; refreshes counts the
 	// refreshes started, so a miss that raced a refresh begun after its
@@ -241,8 +212,7 @@ func (s *Store) lookup(h uint64) (*segment, loc, bool) {
 // record — absent, torn or garbled frame, version or key mismatch, payload
 // checksum mismatch — reads as a miss; the caller recomputes and may
 // re-Put. A key the index lacks is looked up again after rescanning what
-// other writers appended since, then in the legacy files if the store has
-// any.
+// other writers appended since.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.gets.Add(1)
 	h := keyHash(key)
@@ -251,9 +221,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if !ok {
 		s.refresh(seen)
 		if g, l, ok = s.lookup(h); !ok {
-			if s.legacy.Load() {
-				return s.legacyGet(key)
-			}
 			return nil, false
 		}
 	}
@@ -342,7 +309,7 @@ func (s *Store) commit(b []byte, recd []pending) {
 	for _, p := range recd {
 		s.index[p.h] = locate(s.wseg, off+p.at)
 	}
-	s.records.Store(int64(len(s.index)) + s.legacyN.Load())
+	s.records.Store(int64(len(s.index)))
 	s.mu.Unlock()
 }
 
@@ -442,19 +409,11 @@ func (s *Store) Close() error {
 	return first
 }
 
-// ApproxLen returns the number of records the handle knows of: the
-// distinct keys in its index plus the legacy record files counted at
-// Open. It is O(1), suitable for polling observability endpoints
-// (/statsz); records other processes wrote since the handle's last
-// rescan are not reflected. Len is the exact, O(records) offline variant.
+// ApproxLen returns the number of distinct keys in the handle's index. It
+// is O(1), suitable for polling observability endpoints (/statsz);
+// records other processes wrote since the handle's last rescan are not
+// reflected, so a freshly opened handle gives the exact count.
 func (s *Store) ApproxLen() int64 { return s.records.Load() }
-
-// Len scans the whole store afresh and returns its number of records
-// (distinct segment keys plus legacy record files). It is an offline
-// helper: the serving path polls ApproxLen instead.
-func (s *Store) Len() int {
-	return int(newHandle(s.root, Options{}).ApproxLen())
-}
 
 // Stats snapshots the traffic counters.
 func (s *Store) Stats() Stats {
