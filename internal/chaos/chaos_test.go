@@ -9,25 +9,29 @@ import (
 	"testing"
 )
 
-// TestMiddlewareDeterministicFaultSchedule pins the seeded stream: two
-// identically seeded middlewares over identical traffic deal identical
-// faults, and a zero Config deals none.
-func TestMiddlewareDeterministicFaultSchedule(t *testing.T) {
+// statusSequence serves n identical GETs through a middleware built
+// from cfg over a backend handler that always answers 200, and returns
+// the status codes in order.
+func statusSequence(cfg Config, n int) []int {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`"v"`))
 	})
-	run := func(cfg Config) []int {
-		mw := NewMiddleware(inner, cfg)
-		codes := make([]int, 0, 40)
-		for i := 0; i < 40; i++ {
-			rec := httptest.NewRecorder()
-			mw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
-			codes = append(codes, rec.Code)
-		}
-		return codes
+	mw := NewMiddleware(inner, cfg)
+	codes := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		rec := httptest.NewRecorder()
+		mw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		codes = append(codes, rec.Code)
 	}
+	return codes
+}
+
+// TestBackendDeterministicFaultSchedule pins the seeded stream: two
+// identically seeded middlewares in front of identical backends deal
+// identical faults over identical traffic.
+func TestBackendDeterministicFaultSchedule(t *testing.T) {
 	cfg := Config{Seed: 99, ErrRate: 0.5}
-	a, b := run(cfg), run(cfg)
+	a, b := statusSequence(cfg, 40), statusSequence(cfg, 40)
 	failed := 0
 	for i := range a {
 		if a[i] != b[i] {
@@ -40,7 +44,12 @@ func TestMiddlewareDeterministicFaultSchedule(t *testing.T) {
 	if failed == 0 || failed == len(a) {
 		t.Fatalf("ErrRate 0.5 failed %d of %d requests", failed, len(a))
 	}
-	for i, code := range run(Config{}) {
+}
+
+// TestBackendZeroConfigIsTransparent: a middleware with a zero Config
+// deals no faults, so every request reaches the backend and succeeds.
+func TestBackendZeroConfigIsTransparent(t *testing.T) {
+	for i, code := range statusSequence(Config{}, 40) {
 		if code != http.StatusOK {
 			t.Fatalf("zero Config failed request %d with %d", i, code)
 		}
