@@ -1,18 +1,13 @@
 // Command ccsched runs the cache-aware control co-design case study of the
 // paper end to end: WCET analysis (Table I), schedule evaluation and
-// comparison (Table III), and optimal-schedule search (Section V).
+// comparison (Table III), and the exhaustive schedule search with its full
+// landscape (Section V). The hybrid search runs in cmd/schedsearch, the
+// multi-core placement co-design in cmd/partsearch -cores.
 //
 // Usage:
 //
-//	ccsched [-mode compare|hybrid|exhaustive|multicore|eval|wcet|timeline]
+//	ccsched [-mode compare|exhaustive|eval|wcet|timeline]
 //	        [-schedule m1,m2,m3] [-budget tiny|quick|paper|deep] [-maxm N]
-//	        [-cores N] [-bb]
-//
-// Mode multicore places the applications on -cores cores (each with a
-// private cache) and co-optimizes the placement with every core's
-// schedule, reporting the winning assignment against the single-core
-// optimum; -bb prunes the search with the branch-and-bound bound (the
-// optimum is pinned identical either way).
 package main
 
 import (
@@ -26,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/sched"
-	"repro/internal/search"
 	"repro/internal/wcet"
 )
 
@@ -46,12 +40,10 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ccsched", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	mode := fs.String("mode", "compare", "compare | hybrid | exhaustive | multicore | eval | wcet | timeline")
+	mode := fs.String("mode", "compare", "compare | exhaustive | eval | wcet | timeline")
 	scheduleFlag := fs.String("schedule", "3,2,3", "schedule m1,m2,... for -mode eval/timeline")
 	budget := fs.String("budget", "quick", "design budget: tiny | quick | paper | deep")
 	maxM := fs.Int("maxm", 12, "burst-length cap for exhaustive search")
-	cores := fs.Int("cores", 2, "core count for -mode multicore")
-	bb := fs.Bool("bb", false, "prune -mode multicore with branch-and-bound")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -109,52 +101,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		printComparison(stdout, rr, opt)
-	case "hybrid":
-		starts := []sched.Schedule{{4, 2, 2}, {1, 2, 1}}
-		res, err := fw.OptimizeHybrid(starts, search.Options{Tolerance: 0.01, MaxM: *maxM})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "\nHybrid search (paper Section V):")
-		for _, r := range res.Runs {
-			fmt.Fprintf(stdout, "  start %v -> best %v (P_all=%.4f) after %d schedule evaluations\n",
-				r.Start, r.Best, r.BestValue, r.Evaluations)
-			fmt.Fprintf(stdout, "    path: %v\n", r.Path)
-		}
-		fmt.Fprintf(stdout, "  overall best: %v with P_all = %.4f\n", res.Best, res.BestValue)
-	case "multicore":
-		var bound search.Bounder
-		if *bb {
-			weights := make([]float64, len(fw.Apps))
-			for i, a := range fw.Apps {
-				weights[i] = a.Weight
-			}
-			bound = search.TrivialBounder(weights)
-		}
-		single, err := fw.OptimizeExhaustive(*maxM)
-		if err != nil {
-			return err
-		}
-		cache := search.NewMulticoreCache(fw.MulticoreEvalFunc())
-		mc, _, err := search.MulticoreExact(cache, fw.PartTimings, *cores, *maxM, bound)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nMulti-core co-design on %d cores (placement x schedule, %d core points", *cores, mc.Evaluated)
-		if *bb {
-			fmt.Fprintf(stdout, ", %d placements + %d subtrees pruned", mc.AssignmentsPruned, mc.SubtreesPruned)
-		}
-		fmt.Fprintln(stdout, "):")
-		if !mc.FoundBest {
-			fmt.Fprintln(stdout, "  no feasible placement found")
-			return nil
-		}
-		fmt.Fprintf(stdout, "  placement %v: P_all = %.4f (single-core optimum %v: %.4f, %+.1f%%)\n",
-			mc.Assignment, mc.BestValue, single.Best, single.BestValue,
-			100*(mc.BestValue-single.BestValue)/single.BestValue)
-		for c, sol := range mc.PerCore {
-			fmt.Fprintf(stdout, "  core %d: apps %v  schedule %v  P = %.4f\n", c, sol.Apps, sol.Point, sol.Value)
-		}
 	case "exhaustive":
 		res, err := fw.OptimizeExhaustive(*maxM)
 		if err != nil {

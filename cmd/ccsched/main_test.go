@@ -119,11 +119,11 @@ func switchModes(t *testing.T) []string {
 	return modes
 }
 
-// TestHelpListsEveryMode is the regression for -h omitting multicore: the
-// -mode usage line must name every mode the dispatch switch accepts.
+// TestHelpListsEveryMode: the -mode usage line must name every mode the
+// dispatch switch accepts (compare, exhaustive, eval, wcet, timeline).
 func TestHelpListsEveryMode(t *testing.T) {
 	modes := switchModes(t)
-	if len(modes) < 7 {
+	if len(modes) < 5 {
 		t.Fatalf("found only %d modes in the switch: %v", len(modes), modes)
 	}
 	var sb strings.Builder
@@ -166,33 +166,5 @@ func TestRunExhaustiveMode(t *testing.T) {
 	}
 	if got := sb.String(); got != string(want) {
 		t.Errorf("-mode exhaustive output differs from the golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestRunMulticoreMode pins -mode multicore's whole report, with and
-// without -bb, byte for byte against the output recorded when the
-// co-design ran through the framework's own placement entry point.
-func TestRunMulticoreMode(t *testing.T) {
-	for _, tc := range []struct {
-		golden string
-		args   []string
-	}{
-		{"multicore_tiny_maxm2.golden", nil},
-		{"multicore_tiny_maxm2_bb.golden", []string{"-bb"}},
-	} {
-		t.Run(tc.golden, func(t *testing.T) {
-			var sb strings.Builder
-			args := append([]string{"-mode", "multicore", "-budget", "tiny", "-maxm", "2"}, tc.args...)
-			if err := run(args, &sb); err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile("testdata/" + tc.golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sb.String(); got != string(want) {
-				t.Errorf("%v output differs from the golden:\ngot:\n%s\nwant:\n%s", args, got, want)
-			}
-		})
 	}
 }

@@ -24,9 +24,10 @@
 // the per-core schedules are co-optimized. Table mode then prints
 // Table V — the multi-core optimum against the single-core joint optimum
 // and the uniform-split baseline; detail mode reports the winning
-// placement for one variant. -bb prunes the detail-mode searches with the
-// branch-and-bound bound (the optimum is pinned identical either way; the
-// table always uses it).
+// placement for one variant. -bb prunes the detail-mode searches of the
+// timing objective with the branch-and-bound bound (the optimum is pinned
+// identical either way; the table always uses it); the design objective
+// has no bound, so -bb leaves it unchanged.
 //
 // With -store DIR joint-point evaluations and per-platform checkpoint
 // records persist to a disk store (internal/store,
@@ -74,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel evaluators for the exhaustive pass (default: all cores)")
 	exhaustive := fs.Bool("exhaustive", false, "brute-force the joint box under -objective design (always on for timing)")
 	cores := fs.Int("cores", 1, "co-optimize app placement over this many cores (Table V with > 1)")
-	bb := fs.Bool("bb", false, "prune detail-mode searches with branch-and-bound")
+	bb := fs.Bool("bb", false, "prune detail-mode timing searches with branch-and-bound")
 	storeDir := fs.String("store", "", "persist evaluations and checkpoints to this directory")
 	resume := fs.Bool("resume", false, "load platform variants already checkpointed in -store")
 	if err := fs.Parse(args); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,30 @@ func TestRunDesignObjective(t *testing.T) {
 	}
 	if strings.Contains(out, "exhaustive joint baseline") {
 		t.Errorf("design mode without -exhaustive must not run the baseline:\n%s", out)
+	}
+}
+
+// TestRunMulticoreDesignGolden pins the design-objective placement
+// co-design on the paper cache (two cores, tiny budget, burst cap 2) byte
+// for byte: placement [0 1 0] at P_all 0.6431 over 24 core points, against
+// the single-core optimum (2, 1, 1) at 0.5404. -bb must not change a byte:
+// the design objective has no bound, so the flag leaves its exact passes
+// as they are.
+func TestRunMulticoreDesignGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/multicore_design_tiny_maxm2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-bb"}} {
+		args := append([]string{"-platform", "paper-128x1", "-objective", "design", "-budget", "tiny",
+			"-maxm", "2", "-cores", "2", "-exhaustive"}, extra...)
+		var sb strings.Builder
+		if err := run(args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := sb.String(); got != string(want) {
+			t.Errorf("%v output differs from the golden:\ngot:\n%s\nwant:\n%s", args, got, want)
+		}
 	}
 }
 

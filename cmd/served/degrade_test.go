@@ -3,6 +3,8 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -114,7 +116,29 @@ func TestServedReadyz(t *testing.T) {
 		t.Fatalf("memory-only readyz body %+v", memBody)
 	}
 
-	s, hs := testServer(t, t.TempDir())
+	dir := t.TempDir()
+	s, hs := testServer(t, dir)
+	s.st.Put("served/test/seed", []byte(`{"seed":1}`))
+	segBytes := func() int64 {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, seg := range segs {
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	bytesBefore, lenBefore := segBytes(), freshLen(t, s.st)
+	if bytesBefore == 0 {
+		t.Fatal("seed record left no segment bytes")
+	}
 	var first, second struct {
 		Ready bool  `json:"ready"`
 		Probe int64 `json:"probe"`
@@ -122,15 +146,28 @@ func TestServedReadyz(t *testing.T) {
 	if code := getJSON(t, hs.URL+"/readyz", &first); code != http.StatusOK || !first.Ready {
 		t.Fatalf("store readyz: code %d body %+v", code, first)
 	}
-	lenAfterFirst := freshLen(t, s.st)
 	if code := getJSON(t, hs.URL+"/readyz", &second); code != http.StatusOK || !second.Ready {
 		t.Fatalf("store readyz (2nd): code %d body %+v", code, second)
 	}
 	if second.Probe != first.Probe+1 {
 		t.Fatalf("probe sequence %d then %d; want consecutive", first.Probe, second.Probe)
 	}
-	if got := freshLen(t, s.st); got != lenAfterFirst {
-		t.Fatalf("repeated probes grew the store: %d → %d records", lenAfterFirst, got)
+	if got := segBytes(); got != bytesBefore {
+		t.Fatalf("repeated probes grew the segments: %d → %d bytes", bytesBefore, got)
+	}
+	if got := freshLen(t, s.st); got != lenBefore {
+		t.Fatalf("repeated probes grew the store: %d → %d records", lenBefore, got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.probe")); len(left) != 0 {
+		t.Fatalf("probes left files behind: %v", left)
+	}
+
+	// A store directory that is gone takes no writes: not ready.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if code := getJSON(t, hs.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz without a store directory: code %d, want 503", code)
 	}
 }
 

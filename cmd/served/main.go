@@ -40,7 +40,7 @@
 // of queueing unboundedly; with -request-timeout set, a compute request
 // that outlives the deadline answers 503 + Retry-After while the
 // computation finishes into the caches — the retried request lands warm.
-// /readyz proves the store round-trips a write (load balancers gate on
+// /readyz proves the store directory takes writes (load balancers gate on
 // it); /healthz stays pure liveness. Both shed and timeout counts are
 // exported on /statsz.
 //
@@ -412,16 +412,15 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// readyzProbeKey is the single store record /readyz rewrites on every
-// probe. One fixed key: the probe must prove writes land without growing
-// the store by one record per health check.
-const readyzProbeKey = "served/readyz/v1/probe"
-
 // handleReadyz is readiness, distinct from /healthz liveness: a
 // coordinator whose store stopped accepting writes (disk full, permissions
 // flipped, volume detached) is alive but must stop receiving cluster
-// traffic. The probe round-trips a fresh payload through the store —
-// sequence-numbered, so a stale read from a previous probe cannot pass.
+// traffic. The probe creates, writes, closes and removes a sequence-numbered
+// temp file in the store's directory, so it proves writes land there
+// without appending a record per health check. The name is not a *.seg, so
+// neither Open nor Scrub ever sees it. The probe does not fsync: it checks
+// that writes are accepted, not that they are durable, and stays cheap
+// enough to poll before a coordinator starts.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.st == nil {
 		// Memory-only mode has no store to fail; the service is as ready as
@@ -437,17 +436,21 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seq := s.probes.Add(1)
-	// Already-compact JSON: the store compacts payloads, so
-	// anything non-compact would come back byte-different and fail the
-	// comparison spuriously.
-	payload := fmt.Sprintf(`{"probe":%d}`, seq)
-	s.st.Put(readyzProbeKey, []byte(payload))
-	got, ok := s.st.Get(readyzProbeKey)
-	if !ok || string(got) != payload {
-		writeErr(w, http.StatusServiceUnavailable, "store write probe %d failed to round-trip", seq)
+	if err := writeProbe(s.st.Root(), seq); err != nil {
+		writeErr(w, http.StatusServiceUnavailable, "store write probe %d failed: %v", seq, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "store": true, "probe": seq})
+}
+
+// writeProbe writes probe seq to a temp file in dir and removes it again.
+func writeProbe(dir string, seq int64) error {
+	f, err := os.CreateTemp(dir, "readyz-*.probe")
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(f, `{"probe":%d}`, seq)
+	return errors.Join(err, f.Close(), os.Remove(f.Name()))
 }
 
 // compute wraps a compute handler with the degradation envelope:

@@ -14,7 +14,7 @@ import (
 // multicore runs the placement search over the framework's core points.
 func multicore(t *testing.T, fw *Framework, nCores, maxM int, bound search.Bounder) (co, uniform *search.MulticoreResult) {
 	t.Helper()
-	co, uniform, err := search.MulticoreExact(search.NewMulticoreCache(fw.MulticoreEvalFunc()), fw.PartTimings, nCores, maxM, bound)
+	co, uniform, err := search.MulticoreExact(search.NewTiered(fw.MulticoreEvalFunc(), nil, ""), fw.PartTimings, nCores, maxM, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestOptimizeMulticoreRejectsBadAssignment(t *testing.T) {
 	} {
 		evals := 0
 		eval := fw.MulticoreEvalFunc()
-		cache := search.NewMulticoreCache(func(p search.CorePoint) (search.Outcome, error) {
+		cache := search.NewTiered(func(p search.CorePoint) (search.Outcome, error) {
 			evals++
 			return eval(p)
-		})
+		}, nil, "")
 		if _, _, err := search.MulticoreExact(cache, fw.PartTimings, bad.nCores, bad.maxM, nil); err == nil {
 			t.Errorf("%d cores, maxM %d accepted", bad.nCores, bad.maxM)
 		}
@@ -157,6 +157,13 @@ func TestOptimizeMulticoreCoDesignInfeasible(t *testing.T) {
 	}
 }
 
+// weightBound bounds every application by its weight (P_i <= 1), the one
+// bound that is admissible for the design objective.
+type weightBound []float64
+
+func (b weightBound) AppAt(i, w, m int, minGap float64) float64 { return b[i] }
+func (b weightBound) AppBest(i, w int) float64                  { return b[i] }
+
 // TestOptimizeMulticoreCoDesign: on the design objective, the search with
 // the always-admissible weight bound and the one without agree bit for bit,
 // uniform baseline included.
@@ -170,7 +177,7 @@ func TestOptimizeMulticoreCoDesign(t *testing.T) {
 		weights[i] = a.Weight
 	}
 	ex, exUni := multicore(t, fw, 2, 2, nil)
-	bb, bbUni := multicore(t, fw, 2, 2, search.TrivialBounder(weights))
+	bb, bbUni := multicore(t, fw, 2, 2, weightBound(weights))
 	if !ex.FoundBest || !bb.FoundBest {
 		t.Fatalf("searches incomplete: ex %v bb %v", ex.FoundBest, bb.FoundBest)
 	}

@@ -15,7 +15,10 @@ import (
 // bit-identically without re-running the search. Objective values are
 // stored as IEEE-754 bit patterns (the *_bits fields) so a resumed run
 // renders exactly the digits the original run did; the plain float fields
-// exist for humans inspecting store files.
+// exist for humans inspecting store files. The record describes the
+// result, not the run that produced it: how many outcomes a run read from
+// disk is not persisted (a resumed result reports 0 disk hits), so a warm
+// run produces the cold run's bytes and appends no checkpoint again.
 //
 // A record is written only after its scenario completed successfully and
 // lands in the store atomically, so a killed sweep leaves either a
@@ -38,7 +41,6 @@ type ResultRecord struct {
 	Evaluated int   `json:"evaluated"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
-	DiskHits  int64 `json:"disk_hits,omitempty"`
 
 	Exhaustive *ExhaustiveRecord `json:"exhaustive,omitempty"`
 
@@ -183,7 +185,6 @@ func toRecord(res *Result) *ResultRecord {
 		Evaluated:     res.Evaluated,
 		Hits:          res.CacheStats.Hits,
 		Misses:        res.CacheStats.Misses,
-		DiskHits:      res.CacheStats.DiskHits,
 	}
 	if res.FoundBest {
 		rec.Best = []int(res.Best.Clone())
@@ -247,9 +248,8 @@ func fromRecord(scn Scenario, rec *ResultRecord) *Result {
 		Evaluated: rec.Evaluated,
 		Resumed:   true,
 		CacheStats: evalcache.Stats{
-			Hits:     rec.Hits,
-			Misses:   rec.Misses,
-			DiskHits: rec.DiskHits,
+			Hits:   rec.Hits,
+			Misses: rec.Misses,
 		},
 	}
 	if rec.FoundBest {

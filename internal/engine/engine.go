@@ -129,12 +129,12 @@ type Scenario struct {
 	// Result.MulticoreUniform).
 	Cores int
 
-	// BranchBound gives the exact passes of partitioned scenarios an
-	// admissible bound to cut with (the searcher is the same either way):
-	// identical optima (pinned bit for bit by internal/search and
-	// internal/exp), fewer evaluations. For ObjectiveTiming the tight
-	// TimingBounder is used; for ObjectiveDesign the objective-agnostic
-	// weight bound.
+	// BranchBound gives the exact passes of partitioned ObjectiveTiming
+	// scenarios the tight TimingBounder to cut with (the searcher is the
+	// same either way): identical optima (pinned bit for bit by
+	// internal/search and internal/exp), fewer evaluations. It does not
+	// change an ObjectiveDesign run, which has no bound, but it stays
+	// part of the checkpoint key.
 	BranchBound bool
 
 	// Arrival selects the burst release model. The zero value is the
@@ -432,17 +432,19 @@ func runSearch[P search.Point[P]](scn Scenario, res *Result, cache *search.Point
 // prefix no single-core key can produce.
 func runJoint(scn Scenario, res *Result, eval search.JointEvalFunc, starts []sched.Schedule, backend evalcache.Backend, ns string) error {
 	// The admissible bound behind every exact pass of this scenario, the
-	// placement search's uniform baseline included (none without
-	// Scenario.BranchBound): the tight timing closed form for
-	// ObjectiveTiming, the objective-agnostic weight bound (P_i <= 1) for
-	// ObjectiveDesign.
+	// placement search's uniform baseline included: the tight timing
+	// closed form for ObjectiveTiming with Scenario.BranchBound, none
+	// otherwise. The unbounded walk is the reference. The design objective
+	// has no bound worth its cost: the only generic one, P_i <= 1, gives
+	// every box the weight sum, so it cuts only under an incumbent at
+	// least that large, and then drops only points that at best tie the
+	// incumbent, which the strict ">" fold ignores. No optimum depends on
+	// it, and no design starting out of band reaches the weight sum.
+	// Without a bound, Workers > 1 also evaluates in 256-point chunks
+	// instead of the one-point serial chunks a bound forces.
 	var bounder search.Bounder
-	if scn.BranchBound {
-		if scn.Objective == ObjectiveTiming {
-			bounder = TimingBounder(res.PartTimings, res.Weights, scn.MaxM)
-		} else {
-			bounder = search.TrivialBounder(res.Weights)
-		}
+	if scn.BranchBound && scn.Objective == ObjectiveTiming {
+		bounder = TimingBounder(res.PartTimings, res.Weights, scn.MaxM)
 	}
 
 	jointStarts := JointStarts(res.PartTimings, starts)

@@ -44,25 +44,13 @@ import (
 //   - AppBest(i, w) >= AppAt(i, w, m, g) for every burst length m in the
 //     search box and every gap g >= 0.
 //
-// engine.TimingBounder implements the tight closed-form bound for
-// ObjectiveTiming; TrivialBounder is the objective-agnostic fallback.
+// engine.TimingBounder, the tight closed-form bound for ObjectiveTiming, is
+// the one implementation outside tests; engine.runJoint says why the design
+// objective runs unbounded.
 type Bounder interface {
 	AppAt(i, w, m int, minGap float64) float64
 	AppBest(i, w int) float64
 }
-
-// trivialBounder bounds every application by its weight: P_i <= 1 by
-// construction (performance cannot exceed the reference), so w_i is always
-// admissible. It prunes only boxes whose incumbent already reaches the
-// weight sum — essentially never — but it is valid for any objective.
-type trivialBounder struct{ weights []float64 }
-
-func (b trivialBounder) AppAt(i, w, m int, minGap float64) float64 { return b.weights[i] }
-func (b trivialBounder) AppBest(i, w int) float64                  { return b.weights[i] }
-
-// TrivialBounder returns the objective-agnostic admissible bound w_i * 1
-// per application (P_i <= 1 for every objective in this repo).
-func TrivialBounder(weights []float64) Bounder { return trivialBounder{weights} }
 
 // getter is a cache lookup of a joint point: JointCache.Get, or a wrapper
 // mapping the point into another cache's space (the schedule cache, and the

@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/engine/evalcache"
 	"repro/internal/sched"
 )
 
@@ -75,11 +74,6 @@ type CoreEvalFunc func(p CorePoint) (Outcome, error)
 // MulticoreCache memoizes core-point evaluations; see evalcache for
 // semantics.
 type MulticoreCache = PointCache[CorePoint]
-
-// NewMulticoreCache wraps eval in a sharded memoization cache.
-func NewMulticoreCache(eval CoreEvalFunc) *MulticoreCache {
-	return evalcache.NewCache(eval)
-}
 
 // CheckSubset reports whether idx is a valid core subset of n
 // applications: nonempty, strictly ascending, within [0, n).
