@@ -104,7 +104,7 @@ func BenchmarkSearchHybrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fw := benchFramework(b)
 		var err error
-		res, err = fw.OptimizeHybrid(exp.PaperStarts, search.Options{Tolerance: 0.01, MaxM: 6})
+		res, err = search.Hybrid(fw.EvalFunc(), fw.Timings, exp.PaperStarts, search.Options{Tolerance: 0.01, MaxM: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkSearchExhaustive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fw := benchFramework(b)
 		var err error
-		res, err = fw.OptimizeExhaustive(3)
+		res, err = search.Exhaustive(fw.EvalFunc(), fw.Timings, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,12 +210,12 @@ func BenchmarkAblationTolerance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fwA := benchFramework(b)
 		var err error
-		with, err = fwA.OptimizeHybrid([]sched.Schedule{{1, 1, 1}}, search.Options{Tolerance: 0.02, MaxM: 5})
+		with, err = search.Hybrid(fwA.EvalFunc(), fwA.Timings, []sched.Schedule{{1, 1, 1}}, search.Options{Tolerance: 0.02, MaxM: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
 		fwB := benchFramework(b)
-		without, err = fwB.OptimizeHybrid([]sched.Schedule{{1, 1, 1}}, search.Options{Tolerance: 0, MaxM: 5})
+		without, err = search.Hybrid(fwB.EvalFunc(), fwB.Timings, []sched.Schedule{{1, 1, 1}}, search.Options{Tolerance: 0, MaxM: 5})
 		if err != nil {
 			b.Fatal(err)
 		}

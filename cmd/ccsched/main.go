@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/sched"
+	"repro/internal/search"
 	"repro/internal/wcet"
 )
 
@@ -102,7 +103,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		printComparison(stdout, rr, opt)
 	case "exhaustive":
-		res, err := fw.OptimizeExhaustive(*maxM)
+		res, err := search.Exhaustive(fw.EvalFunc(), fw.Timings, *maxM)
 		if err != nil {
 			return err
 		}

@@ -80,13 +80,14 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	eval := fw.EvalFunc()
 	opt := search.Options{Tolerance: *tol, MaxM: *maxM}
 	var cache *search.Cache
 	if *sharedCache {
-		cache = fw.SearchCache()
+		cache = search.NewCache(eval)
 		opt.Cache = cache
 	}
-	hy, err := fw.OptimizeHybrid(starts, opt)
+	hy, err := search.Hybrid(eval, fw.Timings, starts, opt)
 	if err != nil {
 		return err
 	}
@@ -105,9 +106,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var ex *search.ExhaustiveResult
 	if cache != nil {
-		ex, err = fw.OptimizeExhaustiveParallel(*maxM, *workers, cache)
+		ex, err = search.ExhaustiveCached(cache, fw.Timings, *maxM, *workers)
 	} else {
-		ex, err = fw.OptimizeExhaustive(*maxM)
+		ex, err = search.Exhaustive(eval, fw.Timings, *maxM)
 	}
 	if err != nil {
 		return err

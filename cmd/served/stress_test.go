@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/parallel"
+	"repro/internal/search"
 )
 
 // TestSharedExecutorStress drives the three heaviest consumers of the
@@ -36,7 +37,7 @@ func TestSharedExecutorStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialEx, err := fw.OptimizeExhaustiveParallel(3, 1, nil)
+	serialEx, err := search.ExhaustiveCached(search.NewCache(fw.EvalFunc()), fw.Timings, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSharedExecutorStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := fw.OptimizeExhaustiveParallel(3, 8, nil)
+			got, err := search.ExhaustiveCached(search.NewCache(fw.EvalFunc()), fw.Timings, 3, 8)
 			if err != nil {
 				report("exhaustive: %v", err)
 				return

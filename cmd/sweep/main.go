@@ -12,7 +12,7 @@
 //	      [-platforms 1] [-exhaustive] [-csv]
 //	      [-jitter F] [-arrival-seed S] [-arrival-cycles K]
 //	      [-l2-lines N] [-l2-ways W] [-l2-hit C] [-l2-exclusive]
-//	      [-store DIR] [-store-sync] [-resume] [-shard K/N]
+//	      [-store DIR] [-store-sync] [-resume]
 //	      [-remote URL] [-shards N] [-remote-poll 500ms] [-remote-timeout 10m]
 //	      [-cpuprofile sweep.cpu] [-memprofile sweep.mem]
 //	sweep -scrub -store DIR [-scrub-repair]
@@ -34,18 +34,18 @@
 // persisted to a log-structured disk store (internal/store); re-running
 // the same sweep against a warm store skips re-executing evaluations, and
 // -resume additionally skips whole completed scenarios, so an interrupted
-// sweep picks up where it was killed. -shard K/N runs only the K-th of N
-// contiguous scenario ranges — independent processes sharing one -store
-// directory can split a grid, and a final -resume run assembles the full
-// table. All three paths print bit-identical reports.
+// sweep picks up where it was killed. All three paths print bit-identical
+// reports.
 //
 // With -remote URL the sweep runs on a cluster instead: the grid is
 // submitted as a job to a served coordinator (internal/fabric), its shards
 // (-shards N) are leased to worker processes publishing into the
 // coordinator's store, and once the job completes this command assembles
 // the results over the coordinator's HTTP store — printing the same report,
-// bit for bit, as a local run. -remote owns no local state, so it excludes
-// -store/-shard/-resume; progress goes to stderr, the report to stdout.
+// bit for bit, as a local run. This is the one way to split a grid across
+// processes: run served -store DIR and its workers on one box to share a
+// local directory. -remote owns no local state, so it excludes -store and
+// -resume; progress goes to stderr, the report to stdout.
 package main
 
 import (
@@ -105,7 +105,6 @@ func run(args []string, stdout io.Writer) error {
 	scrub := fs.Bool("scrub", false, "fsck the -store directory instead of sweeping; non-zero exit when bad records are found")
 	scrubRepair := fs.Bool("scrub-repair", false, "with -scrub: rewrite damaged segments without their bad records and torn tails, keeping those bytes under DIR/quarantine/")
 	resume := fs.Bool("resume", false, "skip scenarios already checkpointed in -store")
-	shard := fs.String("shard", "", "run only shard K/N of the scenario list (e.g. 0/4; requires -store to be useful)")
 	remote := fs.String("remote", "", "run the sweep on the cluster coordinated by this served URL")
 	shards := fs.Int("shards", 0, "shard count for the -remote job (0 = one shard)")
 	remotePoll := fs.Duration("remote-poll", 500*time.Millisecond, "status poll interval for -remote")
@@ -173,10 +172,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *remote != "" {
-		if *storeDir != "" || *resume || *shard != "" {
+		if *storeDir != "" || *resume {
 			// The coordinator owns the store in a remote run; mixing in local
 			// persistence flags would silently split results across stores.
-			return fmt.Errorf("sweep: -remote excludes -store, -resume, and -shard")
+			return fmt.Errorf("sweep: -remote excludes -store and -resume")
 		}
 		results, err := runRemote(*remote, spec, scenarios, *workers, *remotePoll, *remoteTimeout)
 		if err != nil {
@@ -202,19 +201,6 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Store = st
 	} else if *resume {
 		return fmt.Errorf("sweep: -resume requires -store")
-	}
-	if *shard != "" {
-		if cfg.Store == nil {
-			// Without a store the skipped scenarios' results would be
-			// unrecoverable — no process could ever assemble the grid.
-			return fmt.Errorf("sweep: -shard requires -store")
-		}
-		if _, err := fmt.Sscanf(*shard, "%d/%d", &cfg.ShardIndex, &cfg.ShardCount); err != nil {
-			return fmt.Errorf("sweep: -shard must look like K/N, got %q", *shard)
-		}
-		if cfg.ShardCount < 1 || cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
-			return fmt.Errorf("sweep: -shard %s out of range", *shard)
-		}
 	}
 
 	results, err := engine.Sweep(cfg, scenarios)
@@ -299,9 +285,6 @@ func writeCSV(w io.Writer, results []*engine.Result) error {
 		return err
 	}
 	for _, r := range results {
-		if r == nil {
-			continue // pending: owned by another shard, no record yet
-		}
 		if _, err := fmt.Fprintf(w, "%s,%d,%d,%q,%.6g,%v,%d,%d,%d,%.4f\n",
 			r.Name, r.Seed, r.AppCount, r.Best, r.BestValue, r.FoundBest,
 			r.Evaluated, r.CacheStats.Hits, r.CacheStats.Misses, r.CacheStats.HitRate()); err != nil {
@@ -316,16 +299,11 @@ func writeTable(w io.Writer, results []*engine.Result, platforms int) {
 		"name", "seed", "best", "P_all", "evals", "hits", "hit-rate")
 	var (
 		found      int
-		done       int
 		totalEvals int64
 		totalHits  int64
 		totalLooks int64
 	)
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		done++
 		best := "-"
 		if r.FoundBest {
 			best = r.Best.String()
@@ -338,11 +316,8 @@ func writeTable(w io.Writer, results []*engine.Result, platforms int) {
 		totalHits += r.CacheStats.Hits
 		totalLooks += r.CacheStats.Lookups()
 	}
-	if pending := len(results) - done; pending > 0 {
-		fmt.Fprintf(w, "... %d scenario(s) pending in other shards (re-run with -resume once they finish)\n", pending)
-	}
 	fmt.Fprintf(w, "\n%d/%d scenarios found a feasible schedule across %d platform variant(s)\n",
-		found, done, platforms)
+		found, len(results), platforms)
 	rate := 0.0
 	if totalLooks > 0 {
 		rate = float64(totalHits) / float64(totalLooks)

@@ -61,7 +61,7 @@ func TestRemoteSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, _ := engine.ShardRange(lease.Shard, lease.Shards, len(scenarios))
+	lo, _ := fabric.ShardRange(lease.Shard, lease.Shards, len(scenarios))
 	backend := httpstore.New(srv.URL, nil)
 	if _, err := engine.RunWith(scenarios[lo], engine.RunConfig{Store: backend, Resume: true}); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,6 @@ func TestRemoteFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-remote", "http://x", "-store", "dir"},
 		{"-remote", "http://x", "-resume"},
-		{"-remote", "http://x", "-shard", "0/2"},
 	} {
 		var sb noopWriter
 		if err := run(args, &sb); err == nil {

@@ -20,7 +20,8 @@ func sweepOut(t *testing.T, args ...string) string {
 // TestStoreColdWarmKillResumeGolden is the acceptance check of the
 // persistence layer at the CLI level: a sweep with -store renders the
 // golden table on a cold store, unchanged on a warm store, and unchanged
-// after a simulated kill (only one shard completed) followed by -resume.
+// after a simulated kill (only the grid's first half completed) followed
+// by -resume.
 func TestStoreColdWarmKillResumeGolden(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-n", "6", "-seed", "42", "-exhaustive", "-workers", "2"}
@@ -46,14 +47,13 @@ func TestStoreColdWarmKillResumeGolden(t *testing.T) {
 		t.Errorf("resumed output differs from cold:\n--- cold ---\n%s--- resumed ---\n%s", cold, resumed)
 	}
 
-	// Kill simulation: a fresh store receives only the first of two
-	// shards (the "process" died before the rest ran), then a -resume run
-	// finishes the remainder and must render the same table again.
+	// Kill simulation: a fresh store receives only the grid's first half
+	// (scenario i depends only on seed+i and i mod platforms, so -n 3 is
+	// exactly the first three scenarios of -n 6; the "process" died before
+	// the rest ran), then a -resume run finishes the remainder and must
+	// render the same table again.
 	killDir := t.TempDir()
-	partial := sweepOut(t, append([]string{"-store", killDir, "-shard", "0/2"}, base...)...)
-	if !strings.Contains(partial, "pending in other shards") {
-		t.Errorf("partial shard output missing pending note:\n%s", partial)
-	}
+	sweepOut(t, "-store", killDir, "-n", "3", "-seed", "42", "-exhaustive", "-workers", "2")
 	finished := sweepOut(t, append([]string{"-store", killDir, "-resume"}, base...)...)
 	if finished != cold {
 		t.Errorf("kill+resume output differs from cold:\n--- cold ---\n%s--- resumed ---\n%s", cold, finished)
@@ -77,15 +77,6 @@ func TestStoreFlagValidation(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-resume"}, &sb); err == nil {
 		t.Error("-resume without -store accepted")
-	}
-	if err := run([]string{"-shard", "0/2"}, &sb); err == nil {
-		t.Error("-shard without -store accepted (results would be unrecoverable)")
-	}
-	if err := run([]string{"-shard", "nonsense", "-store", t.TempDir()}, &sb); err == nil {
-		t.Error("malformed -shard accepted")
-	}
-	if err := run([]string{"-shard", "3/2", "-store", t.TempDir()}, &sb); err == nil {
-		t.Error("out-of-range -shard accepted")
 	}
 	if err := run([]string{"-platforms", "0"}, &sb); err == nil {
 		t.Error("-platforms 0 accepted")

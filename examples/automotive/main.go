@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Stage 2: hybrid search from the paper's two starting schedules.
-	hy, err := fw.OptimizeHybrid(exp.PaperStarts, search.Options{Tolerance: 0.01, MaxM: 10})
+	hy, err := search.Hybrid(fw.EvalFunc(), fw.Timings, exp.PaperStarts, search.Options{Tolerance: 0.01, MaxM: 10})
 	if err != nil {
 		log.Fatal(err)
 	}

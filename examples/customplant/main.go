@@ -19,6 +19,7 @@ import (
 	"repro/internal/lti"
 	"repro/internal/mat"
 	"repro/internal/program"
+	"repro/internal/search"
 	"repro/internal/wcet"
 )
 
@@ -75,7 +76,7 @@ func main() {
 		_ = i
 	}
 
-	res, err := fw.OptimizeExhaustive(*maxM)
+	res, err := search.Exhaustive(fw.EvalFunc(), fw.Timings, *maxM)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -269,39 +269,3 @@ func (f *Framework) EvalFunc() search.EvalFunc {
 func (f *Framework) JointEvalFunc() search.JointEvalFunc {
 	return func(j sched.JointSchedule) (search.Outcome, error) { return outcome(f.EvaluateJoint(j)) }
 }
-
-// OptimizeHybrid runs the paper's hybrid search from the given starts.
-func (f *Framework) OptimizeHybrid(starts []sched.Schedule, opt search.Options) (*search.HybridResult, error) {
-	return search.Hybrid(f.EvalFunc(), f.Timings, starts, opt)
-}
-
-// OptimizeExhaustive runs the brute-force baseline over the idle-feasible
-// box with burst lengths up to maxM.
-func (f *Framework) OptimizeExhaustive(maxM int) (*search.ExhaustiveResult, error) {
-	return search.Exhaustive(f.EvalFunc(), f.Timings, maxM)
-}
-
-// OptimizeExhaustiveParallel is OptimizeExhaustive over a bounded worker
-// pool, optionally sharing the given search-level cache with other
-// searches. Results are identical to the serial baseline. The pass must be
-// the cache's last reader (search.ExhaustiveCached): the cache does not
-// keep the schedules it evaluates, so a later Get of one would evaluate it
-// again.
-func (f *Framework) OptimizeExhaustiveParallel(maxM, workers int, cache *search.Cache) (*search.ExhaustiveResult, error) {
-	if cache == nil {
-		cache = f.SearchCache()
-	}
-	return search.ExhaustiveCached(cache, f.Timings, maxM, workers)
-}
-
-// SearchCache returns a fresh search-level memoization cache backed by this
-// framework's evaluator, for sharing across hybrid starts and exhaustive
-// sweeps (pass it via search.Options.Cache / OptimizeExhaustiveParallel).
-func (f *Framework) SearchCache() *search.Cache {
-	return search.NewCache(f.EvalFunc())
-}
-
-// CacheStats reports the framework-level evaluation cache effectiveness.
-func (f *Framework) CacheStats() evalcache.Stats {
-	return f.cache.Stats()
-}

@@ -175,7 +175,7 @@ func TestOptimizeHybridSmoke(t *testing.T) {
 		t.Skip("hybrid optimization is slow for -short")
 	}
 	fw := newTestFramework(t)
-	res, err := fw.OptimizeHybrid([]sched.Schedule{{1, 1, 1}}, search.Options{MaxM: 4, MaxSteps: 4})
+	res, err := search.Hybrid(fw.EvalFunc(), fw.Timings, []sched.Schedule{{1, 1, 1}}, search.Options{MaxM: 4, MaxSteps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestEvaluateJointPartitioned(t *testing.T) {
 }
 
 // The joint searchers run end to end on the framework evaluator, and the
-// shared subspace of the unbounded joint search matches OptimizeExhaustive bit
+// shared subspace of the unbounded joint search matches search.Exhaustive bit
 // for bit.
 func TestOptimizeJointExhaustiveSharedSubspace(t *testing.T) {
 	fw, err := New(apps.CaseStudy()[:2], wcet.PaperPlatform(), tinyOpts())
@@ -102,7 +102,7 @@ func TestOptimizeJointExhaustiveSharedSubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := fw.OptimizeExhaustive(3)
+	plain, err := search.Exhaustive(fw.EvalFunc(), fw.Timings, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,12 @@
 // Sweeps are optionally persistent and resumable (Config.Store/Resume,
 // internal/store): every evaluation cache gains a disk-backed second tier
 // keyed by a content hash of the scenario's evaluation space, and each
-// completed scenario checkpoints a summary record so a killed sweep — or a
-// grid split across processes by contiguous index shards
-// (Config.ShardIndex/ShardCount) — resumes bit-identically, skipping
-// finished work. Determinism extends across the store: cold-store,
-// warm-store, and resumed runs render identical reports.
+// completed scenario checkpoints a summary record so a killed sweep resumes
+// bit-identically, skipping finished work. Determinism extends across the
+// store: cold-store, warm-store, and resumed runs render identical reports.
+// Splitting one grid across processes is internal/fabric's job: its
+// coordinator leases contiguous index shards to workers that run this
+// package against the same store.
 //
 // Consumers: cmd/sweep drives randomized sweeps from the command line,
 // cmd/served serves them over HTTP, and internal/exp regenerates the
@@ -254,12 +255,6 @@ type RunConfig struct {
 	// Resume short-circuits the whole scenario when its checkpoint record
 	// exists in Store, returning the recorded summary bit-identically.
 	Resume bool
-
-	// loadOnly restricts the run to the resume check: build the taskset,
-	// load the checkpoint record if present, and return (nil, nil) instead
-	// of searching when it is absent. Sweep uses it to render scenarios
-	// that belong to other shards.
-	loadOnly bool
 }
 
 // Run executes one scenario fully in memory. It is deterministic: equal
@@ -351,7 +346,7 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 	if rc.Store != nil {
 		ns = evalNamespace(scn, res)
 		ckptKey = resultKey(scn, res, starts)
-		if rc.Resume || rc.loadOnly {
+		if rc.Resume {
 			if rec, ok := loadRecord(rc.Store, ckptKey); ok {
 				loaded := fromRecord(scn, rec)
 				loaded.Timings = res.Timings
@@ -362,9 +357,6 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 				return loaded, nil
 			}
 		}
-	}
-	if rc.loadOnly {
-		return nil, nil
 	}
 
 	var err error
@@ -501,20 +493,25 @@ func runMulticore(scn Scenario, res *Result, bounder search.Bounder, backend eva
 // shared-cache point, plus — when the platform has enough ways to partition
 // at all — a partitioned twin with an even way split (falling back to
 // round-robin under the even split when the twin's schedule is infeasible
-// at the partition's timings).
+// at the partition's timings). Every lifted point appears once: duplicate
+// schedule starts, and every infeasible twin falling back to the same
+// round-robin point, would otherwise spawn phantom zero-evaluation walks.
 func JointStarts(pt sched.PartitionTimings, starts []sched.Schedule) []sched.JointSchedule {
 	out := make([]sched.JointSchedule, 0, 2*len(starts))
+	seen := map[string]bool{}
+	add := func(j sched.JointSchedule) {
+		if !seen[j.Key()] {
+			seen[j.Key()] = true
+			out = append(out, j)
+		}
+	}
 	for _, m := range starts {
-		out = append(out, sched.SharedPoint(m))
+		add(sched.SharedPoint(m))
 	}
 	even := sched.EvenWays(pt.Apps(), pt.TotalWays())
 	if even == nil {
 		return out
 	}
-	// Dedupe the partitioned twins: duplicate schedule starts, and every
-	// infeasible twin falling back to the same round-robin point, would
-	// otherwise spawn phantom zero-evaluation walks.
-	seen := map[string]bool{}
 	for _, m := range starts {
 		j := sched.JointSchedule{M: m.Clone(), W: even.Clone()}
 		if ok, err := pt.Feasible(j); err != nil || !ok {
@@ -523,10 +520,7 @@ func JointStarts(pt sched.PartitionTimings, starts []sched.Schedule) []sched.Joi
 				continue
 			}
 		}
-		if !seen[j.Key()] {
-			seen[j.Key()] = true
-			out = append(out, j)
-		}
+		add(j)
 	}
 	return out
 }
@@ -542,32 +536,6 @@ type Config struct {
 	// Resume skips scenarios whose checkpoint record is already in Store,
 	// loading the recorded summary instead of recomputing it.
 	Resume bool
-	// ShardIndex/ShardCount split the scenario list by contiguous index
-	// range so independent processes can divide one grid: shard k of n
-	// runs scenarios [k*len/n, (k+1)*len/n). ShardCount <= 1 disables
-	// sharding. Scenarios outside this process's shard are loaded from
-	// Store when Resume is set and their record exists, and are returned
-	// as nil entries otherwise (pending: another shard owns them).
-	ShardIndex, ShardCount int
-}
-
-// shardRange returns this process's half-open scenario-index range.
-func (c Config) shardRange(n int) (lo, hi int) {
-	return ShardRange(c.ShardIndex, c.ShardCount, n)
-}
-
-// ShardRange returns the half-open scenario-index range [lo, hi) owned by
-// shard index of count over an n-scenario grid: the same contiguous split
-// Config.ShardIndex/ShardCount uses. It is exported so the distributed
-// fabric's lease workers (internal/fabric) carve a leased shard into
-// exactly the scenario range a local `-shard index/count` run would own —
-// the bit-identical shard-assembly guarantee extends to the cluster only
-// because both sides share this one function. count <= 1 means unsharded.
-func ShardRange(index, count, n int) (lo, hi int) {
-	if count <= 1 {
-		return 0, n
-	}
-	return index * n / count, (index + 1) * n / count
 }
 
 // Sweep runs every scenario over the process-wide concurrency governor
@@ -576,31 +544,18 @@ func ShardRange(index, count, n int) (lo, hi int) {
 // index-addressed slots, and the error reduction walks them in index order.
 // Because each scenario is deterministic and self-contained, the returned
 // slice is identical for any worker count and any governor load — and, with
-// a Store attached, across cold-store, warm-store, and resumed runs; the
-// first scenario error (in scenario order) aborts the sweep. Entries are
-// nil only for scenarios owned by another shard whose record is not (yet)
-// in the store.
+// a Store attached, across cold-store, warm-store, and resumed runs. It
+// returns a result for every scenario, or the first scenario error in
+// scenario order.
 func Sweep(cfg Config, scenarios []Scenario) ([]*Result, error) {
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if cfg.ShardCount > 1 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
-		return nil, fmt.Errorf("engine: shard index %d outside [0, %d)", cfg.ShardIndex, cfg.ShardCount)
-	}
-	lo, hi := cfg.shardRange(len(scenarios))
+	rc := RunConfig{Store: cfg.Store, Resume: cfg.Resume}
 	results := make([]*Result, len(scenarios))
 	errs := make([]error, len(scenarios))
 	parallel.Default().ForEach(len(scenarios), workers, func(i int) {
-		rc := RunConfig{Store: cfg.Store, Resume: cfg.Resume}
-		if i < lo || i >= hi {
-			// Another shard owns this scenario; render it from its record
-			// if one exists, else leave it pending.
-			if cfg.Store == nil {
-				return
-			}
-			rc.loadOnly = true
-		}
 		results[i], errs[i] = RunWith(scenarios[i], rc)
 	})
 	for _, err := range errs {

@@ -206,3 +206,31 @@ func TestJointStarts(t *testing.T) {
 		t.Errorf("single-way starts = %v", starts)
 	}
 }
+
+// TestPartitionedDuplicateStartsWalkOnce: a partitioned scenario whose
+// start list repeats a schedule walks each distinct lifted start once, its
+// shared-cache point and its partitioned twin alike; a repeated start would
+// otherwise add a phantom zero-evaluation walk and inflate the cache hits.
+func TestPartitionedDuplicateStartsWalkOnce(t *testing.T) {
+	res, err := Run(Scenario{
+		Name: "dups", Seed: 16, MaxM: 3, Apps: apps.CaseStudy(), Platform: fourWayPlatform(),
+		Partitioned: true, StartList: []sched.Schedule{{2, 2, 2}, {2, 2, 2}, {1, 1, 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	shared := 0
+	for _, run := range res.JointHybrid.Runs {
+		if seen[run.Start.Key()] {
+			t.Errorf("start %v walked twice", run.Start)
+		}
+		seen[run.Start.Key()] = true
+		if run.Start.Shared() {
+			shared++
+		}
+	}
+	if shared != 2 || len(res.JointHybrid.Runs) == shared {
+		t.Errorf("%d walks, %d of them shared, want one per distinct start: 2 shared plus their twins", len(res.JointHybrid.Runs), shared)
+	}
+}

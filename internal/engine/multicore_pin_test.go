@@ -92,14 +92,14 @@ func TestMulticoreDigestsPinned(t *testing.T) {
 		"a3c2s1bb":  {"ea738a5288c61ac65e757407cacc79bd8f88ceff290ec1f7f6429378d7aed000", "445bf975eaaf8214d73efdcad6ad48432a070a4368604e90e9508601c6826a6a"},
 		"a3c2s2":    {"c64d002c1514a470aa96b032f17aafcf097f95ff30cf1db0eb000cbeaf194d7f", "3f60546ef3afc622cc3db0dc70cc86f4a138698d726c64ad233cf34d7ff743f8"},
 		"a3c2s2bb":  {"fb60750630e9ef7e1057e2792acd756c43908a9f7d502d534d492a8e89f16f5b", "a7f8d8e8970d78dfe4cc7a4d7e50110965f372c6e32cfe0b9c39160ac7752566"},
-		"a3c2s3":    {"4a74d5608ab0d77da7cb9c010279399ccb59c0fe32cd966b8652bf3392324a4b", "f154ae0079e88180297449df05b6dc883f179d669bf9aec74dfd0780ee2e3006"},
-		"a3c2s3bb":  {"08e0d40645bd0b523a4ec1a51fcef44b29ca2adc91615cc1aa7c2fb47cd7491d", "445256ab3a9822992aa04ce8f83ff01f16e08d399a91e6a98f2a70facac34f08"},
+		"a3c2s3":    {"4a74d5608ab0d77da7cb9c010279399ccb59c0fe32cd966b8652bf3392324a4b", "92250d262e1b0e62afde44bb5e2cf5a204c15028fdfeba57bbd9d7d079e38bbe"},
+		"a3c2s3bb":  {"08e0d40645bd0b523a4ec1a51fcef44b29ca2adc91615cc1aa7c2fb47cd7491d", "19f601632d14a6473624b1fea7727f74dfc4d3c730d59e33fc6a15e9ab14a6d0"},
 		"a3c2s4":    {"de2f9e53d530463b9c31e5d39d75f30633601557b850d0c6a4d13a6439d6d3c0", "7258c272553eed6bf6d9894ca31f627747fd33fd6c56a864cf99f3da276c77d9"},
 		"a3c2s4bb":  {"473214a60984734d7b6521cba5361783b6129b06fefdfd9359dcae6e7bd9673a", "bce52c1d0caa34ad4151883defd5624d66796f6e3fc75a17bd4b5c2f1f931a39"},
 		"a3c2s5":    {"1922dec7e5ce4fcf6239b9b9c60624c3e18df3da6343c27d4bfa9ff343878dfa", "a77dc7d3fb3be25a7f027ee040b11ddda022b4b39cfba64539fa4a9af5cd6bbb"},
 		"a3c2s5bb":  {"cd825c319a07bd143bd563b8893074c0a0f83a48e9ab94bfc59c9dc23097e70c", "bffb8f676a54fa5a777ce927d36843e29f1ede878ff3a7ff3af90c00b07d2c56"},
-		"a3c2s6":    {"bd7b5b9f217f7f77e4cbae010e2757a71aed4da0483de09a46a36b792f7e9f2a", "0e6494343eeb723c84dca360d6e8bc94102170ebe1d98fe1d3cf7588c1ec6797"},
-		"a3c2s6bb":  {"7ea95e9a9a6cf339fc02a30712c94345654046e3109269d0a793bd35bdd69ee9", "c12b7e4c6035a2793eff95f9b888859489e290b0df4153dfdbc1b587c32b5972"},
+		"a3c2s6":    {"bd7b5b9f217f7f77e4cbae010e2757a71aed4da0483de09a46a36b792f7e9f2a", "6d54f3f37028bc1d51f0d12436a9e67450a2816db37e97c4bcd119ffab74c90d"},
+		"a3c2s6bb":  {"7ea95e9a9a6cf339fc02a30712c94345654046e3109269d0a793bd35bdd69ee9", "70c01b8a0643f7647b9537c9a0cab8cf73b4ab93997b9e7a2508292f7d65e5ce"},
 		"a3c2s7":    {"2d97d9af5aa84f52771232b5578b0189d5163087c8c72d89d87092f06386ccba", "70e016b1054b32238d24a1da560c4244aab91123f4004f6eac85807a620e834e"},
 		"a3c2s7bb":  {"0fc789ef996f3c7445c2652493239ff5a61721a96ff14fa4b16f0c2d9aa521ec", "f2ce2afb740636f414164183e50eb225016c8ac4b11ffea978a04a3d226682be"},
 		"a3c2s8":    {"4fd7706d9afb667e370f42be38283152930b1614ecde9cd0fc8ed4e0acf92b99", "ba0686c82237a16f2d190731a0040aeec1f35c46b2239f19c289dd4f8682407a"},
@@ -108,8 +108,8 @@ func TestMulticoreDigestsPinned(t *testing.T) {
 		"a3c2s9bb":  {"2b966758510f5bcae201cc42faaa26e1514a5a59442d03cf5ecc9808deb8dccc", "f322e55c392685cedf431062cd6cabd4ed5401cb8060a560e4fee2d3e15c4228"},
 		"a3c2s10":   {"bd79ef5e4ef878a042c566cc4754f05c6b1a67634acf2a5c7ddcee17dc545c3b", "d67ca89506bffe3221744fba7b4ca77be1743d37a9dff30f730096e2a189295b"},
 		"a3c2s10bb": {"2c6402785a17bb752509e4f968dd82e33422a6b44013b58f14dcc6c7e532a4d3", "036f9d0982b09be463a9ba66b31ea1660c07e76c91482205fc358d87984cc70f"},
-		"a3c2s11":   {"00cf926d3431aafddb9ab87c814afd58100323374cb3dcdd00543d71d238b15b", "3bc4af983c9c8e6c2c8cedce6cb4e1c4a000ac268fa70c300d6ed20eca899540"},
-		"a3c2s11bb": {"306815f6c726f190a68112f4471982cbf52d23e1ec26b3bed6ab774b019f8305", "d7016f92cd2edb151979c01a64f99850aee6d7501e65e222244e5476ec49e5fa"},
+		"a3c2s11":   {"00cf926d3431aafddb9ab87c814afd58100323374cb3dcdd00543d71d238b15b", "29f9bed3b2642a884e19da39f286bc1478f3006da2763e18cbb431e123779ee6"},
+		"a3c2s11bb": {"306815f6c726f190a68112f4471982cbf52d23e1ec26b3bed6ab774b019f8305", "c2886892d88d28383ee22e26c24fd37b0c154a55dcd68191ee33e55315c76a36"},
 		"a3c2s12":   {"9bae0103e3de004ee5b6a32c123e854df1d2ef82a8e43238b767146448dbf6da", "be2d98e878406e0ee93e8abbf25f24eff9ff3bbf44da2a4d34b6fca5cc9596a4"},
 		"a3c2s12bb": {"dea2d3f09a7e2c3d6b7b4179695bbe4560a3bbe45d14b5f9b078374617263e89", "43b70015111473bdb6a180657dc92ec8a4fe7bbf990641f6ed26a2762aa4220a"},
 		"a4c3s1":    {"8c8581e234b86623ce179a393c12cb7439c4fdacf91d86929c0c5d5ef51d0f06", "ff0c560e8a1443241f2edcb4eccf431e5630ad56ab01ff805f2b803f7afaefa4"},
@@ -167,10 +167,10 @@ func TestMulticoreDesignDigestsPinned(t *testing.T) {
 		t.Skip("design-objective placement searches are slow for -short")
 	}
 	want := map[string][2]string{
-		"paper-128x1":   {"e05d72625ef1ab0bd05d20180a248493b8b1f6d873dbb0379539786451e6c816", "d7108f2373549dcc2dc9f654afb25fa6560feb856a6a04a86d4be655fd059f24"},
-		"paper-128x1bb": {"e05d72625ef1ab0bd05d20180a248493b8b1f6d873dbb0379539786451e6c816", "d7108f2373549dcc2dc9f654afb25fa6560feb856a6a04a86d4be655fd059f24"},
-		"4way-256":      {"0e51bcede5c85cbffa569ed43e81c2f874b536244b111fbb3b9c41ee8b1a1aa8", "cfc3bb2be9bbfaf119a1a52a026039c4389156f2b1825c5e80c4d9d4f97a1b43"},
-		"4way-256bb":    {"0e51bcede5c85cbffa569ed43e81c2f874b536244b111fbb3b9c41ee8b1a1aa8", "cfc3bb2be9bbfaf119a1a52a026039c4389156f2b1825c5e80c4d9d4f97a1b43"},
+		"paper-128x1":   {"e05d72625ef1ab0bd05d20180a248493b8b1f6d873dbb0379539786451e6c816", "9b2161582899277cf14b31f1bd1d51cdeaf3a66223a1dcd9a269951fc485ee97"},
+		"paper-128x1bb": {"e05d72625ef1ab0bd05d20180a248493b8b1f6d873dbb0379539786451e6c816", "9b2161582899277cf14b31f1bd1d51cdeaf3a66223a1dcd9a269951fc485ee97"},
+		"4way-256":      {"0e51bcede5c85cbffa569ed43e81c2f874b536244b111fbb3b9c41ee8b1a1aa8", "beeb890ff8a871ad4af42741f73da0f658b99f96cfb7285dc9ad8a4faef445df"},
+		"4way-256bb":    {"0e51bcede5c85cbffa569ed43e81c2f874b536244b111fbb3b9c41ee8b1a1aa8", "beeb890ff8a871ad4af42741f73da0f658b99f96cfb7285dc9ad8a4faef445df"},
 	}
 	var scns []engine.Scenario
 	for _, p := range exp.PartitionPlatforms()[:2] {

@@ -20,15 +20,17 @@ import (
 // evalSchema stays at v1 across the multi-core extension: core-point keys
 // are a compatible extension of the key space (their "c[...]|" prefix can
 // never collide with schedule or joint keys), so single-core outcomes in
-// existing stores remain valid and shareable. resultSchema is at v2 because
+// existing stores remain valid and shareable. resultSchema went to v2 when
 // the Cores/BranchBound axes (and the Multicore record payload) joined the
-// checkpoint. placementSchema versions the placement records of Cores > 1
+// checkpoint, and is at v3 because partitioned scenarios stopped walking
+// duplicate shared-cache starts, which lowers their recorded cache hits.
+// placementSchema versions the placement records of Cores > 1
 // checkpoints alone, so single-core keys stay as they were: it is at v2
 // because the uniform baseline's counters (Evaluated, Feasible, Subsets,
 // SubtreesPruned, AssignmentsPruned) count a walk the bound cuts.
 const (
 	evalSchema      = "eval/v1"
-	resultSchema    = "result/v2"
+	resultSchema    = "result/v3"
 	placementSchema = "placement/v2"
 )
 

@@ -202,6 +202,10 @@ func TestWarmSweepAppendsNothing(t *testing.T) {
 	}
 }
 
+// TestSweepShardsAssembleBitIdentical: three processes, each with its own
+// store handle on one directory, sweep contiguous slices of one grid (the
+// way fabric workers run their leased ranges); a resume run then assembles
+// the whole grid from their records alone.
 func TestSweepShardsAssembleBitIdentical(t *testing.T) {
 	scenarios := storeGrid(5)
 	full, err := Sweep(Config{Workers: 1}, scenarios)
@@ -210,33 +214,18 @@ func TestSweepShardsAssembleBitIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// Three "processes" each run one contiguous shard.
-	covered := 0
-	for shard := 0; shard < 3; shard++ {
+	for _, r := range [][2]int{{0, 1}, {1, 3}, {3, 5}} {
 		st, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := Sweep(Config{Workers: 2, Store: st, ShardIndex: shard, ShardCount: 3}, scenarios)
+		part, err := Sweep(Config{Workers: 2, Store: st}, scenarios[r[0]:r[1]])
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{ShardIndex: shard, ShardCount: 3}
-		lo, hi := cfg.shardRange(len(scenarios))
-		for i, r := range part {
-			if i >= lo && i < hi {
-				if r == nil {
-					t.Fatalf("shard %d left own scenario %d nil", shard, i)
-				}
-				covered++
-			}
-		}
-	}
-	if covered != len(scenarios) {
-		t.Fatalf("shards covered %d scenarios, want %d", covered, len(scenarios))
+		mustEqual(t, fmt.Sprintf("shard %v vs full", r), part, full[r[0]:r[1]])
 	}
 
-	// A final resume assembles the whole grid from records alone.
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -246,27 +235,6 @@ func TestSweepShardsAssembleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqual(t, "assembled vs full", assembled, full)
-}
-
-func TestSweepShardLeavesOthersPending(t *testing.T) {
-	scenarios := storeGrid(4)
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := Sweep(Config{Store: st, ShardIndex: 0, ShardCount: 2}, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part[0] == nil || part[1] == nil {
-		t.Fatal("own shard scenarios missing")
-	}
-	if part[2] != nil || part[3] != nil {
-		t.Fatal("foreign shard scenarios were computed")
-	}
-	if _, err := Sweep(Config{Store: st, ShardIndex: 5, ShardCount: 2}, scenarios); err == nil {
-		t.Fatal("out-of-range shard index accepted")
-	}
 }
 
 // TestSweepResumeSkipsRecomputation pins the resume contract: after a

@@ -391,18 +391,18 @@ func TestScenarioKeysPinned(t *testing.T) {
 		ns, rk string
 	}{
 		{"plain", Scenario{Seed: 11, MaxM: 4},
-			"o/4bf07f7c2aef951e8d39853767e69ac5/", "r/7430d4b8def8d287725c233528432ac9"},
+			"o/4bf07f7c2aef951e8d39853767e69ac5/", "r/2eddcd217572391f58722df3e38b7690"},
 		{"sporadic", Scenario{Seed: 12, MaxM: 4,
 			Arrival: sched.Arrival{Model: sched.ArrivalSporadic, Jitter: 0.2, Seed: 3}},
-			"o/94495674cd6b8b47be7a271394c490c8/", "r/03b3ab3d3e1c98ec0c50e792d77a2144"},
+			"o/94495674cd6b8b47be7a271394c490c8/", "r/e292ea4ec0f3804f69c4b1d66e8c442b"},
 		{"partitioned", Scenario{Seed: 13, MaxM: 3, Platform: fourWayPlatform(), Partitioned: true},
-			"o/3b00dd0c162e9b3a767f2275dbd506d9/", "r/0cf5d0fed4fb97ff0a28b709f3b44cbb"},
+			"o/3b00dd0c162e9b3a767f2275dbd506d9/", "r/3cc6d2206b58ee8cc292012a4d1dc510"},
 		{"cores", Scenario{Seed: 14, MaxM: 3, Platform: fourWayPlatform(), Cores: 2},
-			"o/799bc9739139062b574a74ebb1557ed8/", "r/683856819397ccb6e129f09a76d7ee7c"},
+			"o/799bc9739139062b574a74ebb1557ed8/", "r/b7a71c74b7844efb2fe4cfcf411080ac"},
 		{"design", Scenario{Seed: 15, MaxM: 2, Starts: 1, Objective: ObjectiveDesign, Budget: tiny},
-			"o/cb6b0922182dad3dcdd2081f79a88715/", "r/8a11c80b4115e55f8a0321ebe2859b9e"},
+			"o/cb6b0922182dad3dcdd2081f79a88715/", "r/bdaca3dab432745a57a8185dd35e2f39"},
 		{"casestudy", Scenario{Seed: 16, MaxM: 3, Apps: apps.CaseStudy(), Platform: fourWayPlatform(), Partitioned: true},
-			"o/dfb36be1e02fed1b933e7c938427c017/", "r/dc11502a1de79b30547f5310c3a12bce"},
+			"o/dfb36be1e02fed1b933e7c938427c017/", "r/21d3ca5788daff2892b45c2d1e9354e7"},
 	}
 	for _, c := range cases {
 		rec := &keyRecorder{keys: map[string]bool{}}

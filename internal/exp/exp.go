@@ -334,9 +334,6 @@ func PartitionCaseStudyWith(maxM int, tolerance float64, cfg engine.Config) ([]P
 	}
 	rows := make([]PartitionRow, len(results))
 	for i, res := range results {
-		if res == nil {
-			return nil, fmt.Errorf("exp: partition case study %s pending in another shard", variants[i].Name)
-		}
 		ex := res.JointExhaustive
 		if ex == nil || !ex.FoundBest || !ex.FoundShared {
 			return nil, fmt.Errorf("exp: partition case study %s found no optimum", res.Name)
@@ -438,9 +435,6 @@ func MulticoreCaseStudyWith(maxM int, tolerance float64, cores int, cfg engine.C
 	}
 	rows := make([]MulticoreRow, len(results))
 	for i, res := range results {
-		if res == nil {
-			return nil, fmt.Errorf("exp: multicore case study %s pending in another shard", variants[i].Name)
-		}
 		ex, mc, uni := res.JointExhaustive, res.Multicore, res.MulticoreUniform
 		if ex == nil || !ex.FoundBest || mc == nil || !mc.FoundBest || uni == nil || !uni.FoundBest {
 			return nil, fmt.Errorf("exp: multicore case study %s found no optimum", res.Name)
@@ -586,9 +580,6 @@ func ScenarioDiversityCaseStudyWith(maxM int, tolerance float64, cfg engine.Conf
 	jitters := TableVIJitters()
 	rows := make([]TableVIRow, len(results))
 	for i, res := range results {
-		if res == nil {
-			return nil, fmt.Errorf("exp: scenario diversity %s pending in another shard", scenarios[i].Name)
-		}
 		ex := res.Exhaustive
 		if ex == nil || !ex.FoundBest {
 			return nil, fmt.Errorf("exp: scenario diversity %s found no optimum", res.Name)
@@ -632,12 +623,13 @@ type SearchStatsResult struct {
 // hybrid walks already evaluated is free for the exhaustive pass (per-run
 // counts still attribute each evaluation to the walk that executed it).
 func SearchStats(fw *core.Framework, maxM int, tolerance float64) (*SearchStatsResult, error) {
-	cache := fw.SearchCache()
-	hy, err := fw.OptimizeHybrid(PaperStarts, search.Options{Tolerance: tolerance, MaxM: maxM, Cache: cache})
+	eval := fw.EvalFunc()
+	cache := search.NewCache(eval)
+	hy, err := search.Hybrid(eval, fw.Timings, PaperStarts, search.Options{Tolerance: tolerance, MaxM: maxM, Cache: cache})
 	if err != nil {
 		return nil, err
 	}
-	ex, err := fw.OptimizeExhaustiveParallel(maxM, 1, cache)
+	ex, err := search.ExhaustiveCached(cache, fw.Timings, maxM, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -290,7 +290,7 @@ func TestClusterWorkerKilledMidShardHeals(t *testing.T) {
 	if err != nil || !ok || lease.Shard != 0 {
 		t.Fatalf("victim acquire: lease=%+v ok=%v err=%v", lease, ok, err)
 	}
-	lo, hi := engine.ShardRange(lease.Shard, lease.Shards, len(scenarios))
+	lo, hi := ShardRange(lease.Shard, lease.Shards, len(scenarios))
 	if hi-lo < 2 {
 		t.Fatalf("shard 0 spans [%d, %d); test needs at least 2 scenarios to die between", lo, hi)
 	}

@@ -1,7 +1,7 @@
-// Package fabric is the distributed sweep fabric: the coordination layer
-// that turns the single-process sharded sweep (engine.Config.ShardIndex/
-// ShardCount) into a coordinator/worker cluster. A coordinator (cmd/served)
-// registers sweep jobs, splits each into contiguous shard ranges, and
+// Package fabric is the distributed sweep fabric: the one way to split a
+// scenario grid (engine.Sweep's input) across processes. A coordinator
+// (cmd/served) registers sweep jobs, splits each into contiguous shard
+// ranges (ShardRange), and
 // leases shards to workers over a small HTTP protocol (/v1/shards/*);
 // workers (served -worker) run their leased range scenario by scenario,
 // publishing every evaluation outcome and per-scenario checkpoint into the
@@ -23,18 +23,19 @@
 //     correctness, which is why Complete is idempotent and accepted even
 //     from a worker whose lease was stolen (its records are already in the
 //     store).
-//   - The store is the only durable state. Lease state is in-memory: a
-//     coordinator restart forgets jobs, but re-submitting the same spec
-//     yields the same job ID (content-hashed) and every scenario already
-//     checkpointed resumes from the store instead of recomputing, so a
-//     restarted cluster heals forward. Workers treat coordinator downtime
-//     as a cold store plus retried polls.
+//   - The store is the only state results depend on. Lease state is
+//     in-memory: without a journal a coordinator restart forgets jobs, but
+//     re-submitting the same spec yields the same job ID (content-hashed)
+//     and every scenario already checkpointed resumes from the store
+//     instead of recomputing, so a restarted cluster heals forward. With
+//     a Journal, jobs and done shards survive the restart as well. Workers
+//     treat coordinator downtime as a cold store plus retried polls.
 //
 // Results are assembled by anyone with store access: a resume-mode sweep
 // (engine.Sweep with Resume and the shared store, e.g. cmd/sweep -remote)
 // loads every checkpoint and renders output bit-identical to a
-// single-process run — the cold ≡ warm ≡ kill+resume ≡ sharded guarantee
-// extended to ≡ distributed.
+// single-process run — the cold ≡ warm ≡ kill+resume guarantee extended
+// to ≡ distributed.
 package fabric
 
 import (
@@ -68,6 +69,19 @@ const (
 	MaxL2Lines       = 65536 // L2 overlay size
 	MaxL2Ways        = 64    // L2 overlay associativity
 )
+
+// ShardRange returns the half-open scenario-index range [lo, hi) owned by
+// shard index of count over an n-scenario grid: shard k of n runs
+// scenarios [k*n/count, (k+1)*n/count). The coordinator's status and the
+// worker's leased range both come from this one function, which is why a
+// cluster's shards tile the grid exactly. count <= 1 means unsharded: a
+// lease arrives over HTTP, so no count may divide by zero here.
+func ShardRange(index, count, n int) (lo, hi int) {
+	if count <= 1 {
+		return 0, n
+	}
+	return index * n / count, (index + 1) * n / count
+}
 
 // Lease TTL clamps: a worker may ask for any TTL, but the coordinator keeps
 // it inside sane bounds so a typo cannot pin a shard forever or thrash it.
@@ -614,7 +628,7 @@ func (m *Manager) status(id string, j *job) JobStatus {
 	now := m.now()
 	st := JobStatus{Job: id, Spec: j.spec, Shards: make([]ShardInfo, len(j.shards))}
 	for i, sl := range j.shards {
-		lo, hi := engine.ShardRange(i, len(j.shards), j.spec.N)
+		lo, hi := ShardRange(i, len(j.shards), j.spec.N)
 		info := ShardInfo{Index: i, Lo: lo, Hi: hi}
 		switch sl.state {
 		case shardPending:

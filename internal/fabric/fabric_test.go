@@ -76,6 +76,26 @@ func TestShardsClampedToScenarios(t *testing.T) {
 	}
 }
 
+// TestShardRangeTilesGrid: for every grid a job can be split into, the
+// shard ranges are non-empty, contiguous and disjoint, and cover [0, n).
+func TestShardRangeTilesGrid(t *testing.T) {
+	for n := 1; n <= 50; n++ {
+		for count := 1; count <= min(n, MaxShards); count++ {
+			next := 0
+			for i := 0; i < count; i++ {
+				lo, hi := ShardRange(i, count, n)
+				if lo != next || hi <= lo {
+					t.Fatalf("n=%d count=%d: shard %d is [%d, %d), want a non-empty range from %d", n, count, i, lo, hi, next)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d count=%d: shards end at %d", n, count, next)
+			}
+		}
+	}
+}
+
 func TestLeaseLifecycle(t *testing.T) {
 	m, clk := newTestManager()
 	id, _, _ := m.Submit(JobSpec{N: 6, Seed: 42, Shards: 3})

@@ -58,7 +58,7 @@ func TestJournaledCoordinatorCrashRestart(t *testing.T) {
 		t.Fatalf("acquire: lease=%+v ok=%v err=%v", lease, ok, err)
 	}
 	backend := httpstore.New(srvA.URL, nil)
-	lo, hi := engine.ShardRange(lease.Shard, lease.Shards, len(scenarios))
+	lo, hi := ShardRange(lease.Shard, lease.Shards, len(scenarios))
 	for i := lo; i < hi; i++ {
 		if _, err := engine.RunWith(scenarios[i], engine.RunConfig{Store: backend, Resume: true}); err != nil {
 			t.Fatal(err)

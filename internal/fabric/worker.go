@@ -255,7 +255,13 @@ func (w *Worker) runShard(ctx context.Context, cl *Client, backend *httpstore.Cl
 	if err != nil {
 		return 0, err
 	}
-	lo, hi := engine.ShardRange(lease.Shard, lease.Shards, len(scenarios))
+	// A lease arrives over HTTP: one naming a shard outside its job would
+	// index past the grid, outside runScenario's recover. The coordinator
+	// caps Shards at N, so every lease it issues passes.
+	if lease.Shard < 0 || lease.Shard >= lease.Shards || lease.Shards > len(scenarios) {
+		return 0, fmt.Errorf("fabric: lease shard %d/%d outside a %d-scenario job", lease.Shard, lease.Shards, len(scenarios))
+	}
+	lo, hi := ShardRange(lease.Shard, lease.Shards, len(scenarios))
 	w.logf("worker %s: leased %s shard %d/%d (scenarios [%d, %d))",
 		w.Name, lease.Job, lease.Shard, lease.Shards, lo, hi)
 

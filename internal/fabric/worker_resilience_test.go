@@ -2,10 +2,12 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -211,6 +213,88 @@ func TestWorkerAbandonsLostLease(t *testing.T) {
 		t.Fatalf("stats %+v: no lease recorded as lost despite 409 heartbeats", stats)
 	}
 	awaitComplete(t, cl, jobID, 5*time.Second)
+}
+
+// lockedLog is a Worker.Log safe for the heartbeat goroutine's writes.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestWorkerAbandonsBadLease: a lease naming a shard outside its job (as a
+// buggy or hostile coordinator could send) is logged and abandoned like any
+// failed shard. It must neither index past the grid and kill the worker,
+// nor complete the real shard without running it; the worker steals the
+// real lease back once it expires and runs all six scenarios.
+func TestWorkerAbandonsBadLease(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(*Lease)
+	}{
+		{"shard past count", func(l *Lease) { l.Shard, l.Shards = 5, 3 }},
+		{"negative shard", func(l *Lease) { l.Shard, l.Shards = -1, 3 }},
+		{"more shards than scenarios", func(l *Lease) { l.Shards = 7 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t)
+			var forged atomic.Bool
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /v1/shards/acquire", func(w http.ResponseWriter, r *http.Request) {
+				if !forged.CompareAndSwap(false, true) {
+					c.srv.Config.Handler.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				c.srv.Config.Handler.ServeHTTP(rec, r)
+				var lease Lease
+				if err := json.Unmarshal(rec.Body.Bytes(), &lease); err != nil {
+					t.Errorf("first acquire: %v (%d %q)", err, rec.Code, rec.Body)
+				}
+				tc.forge(&lease)
+				w.Header().Set("Content-Type", "application/json")
+				json.NewEncoder(w).Encode(lease)
+			})
+			mux.Handle("/", c.srv.Config.Handler)
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+
+			cl := NewClient(srv.URL, nil)
+			jobID, err := cl.Submit(JobSpec{N: 6, Seed: 42, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log lockedLog
+			w := &Worker{
+				Coordinator: srv.URL, Name: "misled", TTL: 150 * time.Millisecond,
+				Poll: 20 * time.Millisecond, Drain: true, Log: &log,
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			stats, err := w.Run(ctx)
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			if stats.Shards != 1 || stats.Scenarios != 6 {
+				t.Fatalf("stats %+v, want the one real shard completed with all 6 scenarios run", stats)
+			}
+			if !strings.Contains(log.String(), "outside a 6-scenario job") {
+				t.Fatalf("bad lease not logged:\n%s", log.String())
+			}
+			awaitComplete(t, cl, jobID, 5*time.Second)
+		})
+	}
 }
 
 // TestWorkerSurvivesScenarioPanic pins panic isolation: a scenario whose
