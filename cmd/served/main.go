@@ -18,6 +18,7 @@
 //	                                  (a fabric.JobSpec plus "workers", under the job caps)
 //	GET  /v1/table/{I|II|III|IV}      rendered paper tables (III/IV accept budget/maxm/tol)
 //	GET  /v1/store/{key}              one record of the persistent store (requires -store)
+//	GET  /v1/store/?dir=o/<hash>/     200 if a record lies in the directory, 204 if none (requires -store)
 //	PUT  /v1/store/                   a batch of up to 256 records, [{"key", "payload"}, ...] (requires -store)
 //	POST /v1/shards/...               distributed-sweep lease protocol (requires -store)
 //	GET/POST /v1/admin/scrub[?repair=1]  store fsck: classify bad records and torn tails (and quarantine them)

@@ -34,7 +34,9 @@ func TestRemoteSweepChaosGolden(t *testing.T) {
 
 	// Store plane: 30% seeded 500s, with a blackhole burst armed mid-sweep
 	// (once the workers have issued enough traffic to be inside their
-	// shards). Blackholed requests abort the connection without a response —
+	// shards: a scenario costs a worker about three store requests, a
+	// checkpoint read, a namespace probe and a batch write, so the 12th
+	// request lands inside the sweep's six scenarios). Blackholed requests abort the connection without a response —
 	// the coordinator has vanished, not erred — which is what drives worker
 	// store breakers open and exercises the degraded compute-without-
 	// checkpoints path.
@@ -42,7 +44,7 @@ func TestRemoteSweepChaosGolden(t *testing.T) {
 	var storeOps atomic.Int64
 	var armed atomic.Bool
 	storePlane := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if storeOps.Add(1) == 40 && armed.CompareAndSwap(false, true) {
+		if storeOps.Add(1) == 12 && armed.CompareAndSwap(false, true) {
 			storeMW.Blackhole(60)
 		}
 		storeMW.ServeHTTP(w, r)

@@ -342,7 +342,16 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 	// returns the recorded summary grafted onto the freshly built taskset
 	// (timings, weights, framework are deterministic and cheap relative to
 	// the search they replace).
+	//
+	// A namespace the backend says is empty gets caches over a write-only
+	// view of it. Within one run each key reaches the backend at most once
+	// (the caches memoize, and their key sets are disjoint), so every read
+	// skipped would have missed: the result, its DiskHits included, is the
+	// same, without the reads. Only a duplicate run writing the namespace
+	// concurrently could have served a hit, which then recomputes the same
+	// bits.
 	var ns, ckptKey string
+	backend := rc.Store
 	if rc.Store != nil {
 		ns = evalNamespace(scn, res)
 		ckptKey = resultKey(scn, res, starts)
@@ -357,11 +366,14 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 				return loaded, nil
 			}
 		}
+		if h, ok := rc.Store.(holder); ok && !h.Holds(ns) {
+			backend = writeOnly{rc.Store}
+		}
 	}
 
 	var err error
 	if scn.Partitioned {
-		err = runJoint(scn, res, jointEval, starts, rc.Store, ns)
+		err = runJoint(scn, res, jointEval, starts, backend, ns)
 	} else {
 		// One search-level cache spans the hybrid walks and the exhaustive
 		// pass. For ObjectiveDesign the framework underneath additionally
@@ -370,7 +382,7 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 		// schedule and is what provides deterministic per-walk evaluation
 		// attribution and the hit/miss statistics reported in Result. With a
 		// store attached it grows the persistent second tier.
-		cache := search.NewTiered(eval, rc.Store, ns)
+		cache := search.NewTiered(eval, backend, ns)
 		res.Hybrid, res.Exhaustive, res.Best, err = runSearch(scn, res, cache,
 			func(opt search.Options) (*search.HybridResult, error) {
 				return search.Hybrid(eval, res.Timings, starts, opt)
@@ -387,6 +399,19 @@ func RunWith(scn Scenario, rc RunConfig) (*Result, error) {
 	}
 	return res, nil
 }
+
+// holder is a Backend that can say whether any record lies in a key
+// directory (store.Store, httpstore.Client and httpstore.Batch); false must
+// be exact, true may be a guess.
+type holder interface {
+	Holds(dir string) bool
+}
+
+// writeOnly is the view of a Backend whose namespace holds nothing yet:
+// every Get misses without asking, every Put goes through.
+type writeOnly struct{ evalcache.Backend }
+
+func (writeOnly) Get(string) ([]byte, bool) { return nil, false }
 
 // runSearch is the one search arm of RunWith, for the schedule and the
 // joint space alike: the hybrid walks and (Scenario.Exhaustive) the exact

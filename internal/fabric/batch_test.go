@@ -209,6 +209,85 @@ func TestBatchedRunMatchesUnbuffered(t *testing.T) {
 	}
 }
 
+// outcomesOnly is a backend over a disk store that lands a run's
+// evaluation records but drops its checkpoint — what a worker killed
+// mid-scenario leaves once a full buffer has gone out — and logs the keys
+// it landed.
+type outcomesOnly struct {
+	st   *store.Store
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+func (o *outcomesOnly) Get(key string) ([]byte, bool) { return o.st.Get(key) }
+
+func (o *outcomesOnly) Put(key string, payload []byte) {
+	if strings.HasPrefix(key, "r/") {
+		return
+	}
+	o.mu.Lock()
+	o.keys[key] = true
+	o.mu.Unlock()
+	o.st.Put(key, payload)
+}
+
+// TestReleasedScenarioReadsHeldNamespace pins the namespace probe on both
+// of its answers. The first shard's scenarios left their evaluation
+// records in the coordinator's store but no checkpoint, as on a re-lease
+// after a kill: the worker finds those namespaces held, every one of their
+// records is a hit, and none is recomputed (a recomputed record would be
+// written back). The other scenarios' namespaces are empty: the worker
+// reads none of their records, so the only misses in the whole run are
+// the six checkpoint reads. The report stays bit-identical.
+func TestReleasedScenarioReadsHeldNamespace(t *testing.T) {
+	scenarios, want := baseline(t, clusterSpec)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := &outcomesOnly{st: st, keys: map[string]bool{}}
+	lo, hi := ShardRange(0, clusterSpec.Shards, clusterSpec.N)
+	for _, scn := range scenarios[lo:hi] {
+		if _, err := engine.RunWith(scn, engine.RunConfig{Store: half}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(half.keys) == 0 {
+		t.Fatal("the first shard wrote no evaluation records")
+	}
+	before := st.Stats()
+
+	rl := &requestLog{Store: st}
+	srv := httptest.NewServer(coordinatorHandler(NewManager(), rl))
+	defer srv.Close()
+	if _, err := NewClient(srv.URL, nil).Submit(clusterSpec); err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Coordinator: srv.URL, Name: "released", TTL: 2 * time.Second, Drain: true}
+	if stats, err := w.Run(context.Background()); err != nil || stats.Scenarios != clusterSpec.N {
+		t.Fatalf("worker: %v (stats %+v)", err, stats)
+	}
+	after := st.Stats()
+	hits, gets := after.Hits-before.Hits, after.Gets-before.Gets
+	if hits != int64(len(half.keys)) {
+		t.Fatalf("the coordinator served %d record hits, want the %d records left behind", hits, len(half.keys))
+	}
+	if misses := gets - hits; misses != int64(clusterSpec.N) {
+		t.Fatalf("%d reads missed, want only the %d checkpoint reads", misses, clusterSpec.N)
+	}
+	rl.mu.Lock()
+	for _, keys := range rl.reqs {
+		for _, k := range keys {
+			if half.keys[k] {
+				rl.mu.Unlock()
+				t.Fatalf("the worker recomputed %q, which the store held", k)
+			}
+		}
+	}
+	rl.mu.Unlock()
+	mustMatch(t, "re-leased worker vs single-process", assemble(t, srv.URL, scenarios), want)
+}
+
 // TestDrainWorkerNoThrottleAfterLastScenario pins that Throttle paces only
 // the gaps between scenarios: over one-scenario shards an hour-long
 // throttle never fires, so a drain worker completes every shard and

@@ -28,6 +28,14 @@ import (
 // each full buffer as it fills, so memory and each request's server time
 // stay bounded however large the scenario.
 //
+// Store reads are made only where a record can exist. After its checkpoint
+// read misses, a scenario asks the coordinator once whether its evaluation
+// namespace holds any record (httpstore.Client.Holds). A fresh scenario's
+// namespace is empty, so it runs without a single record read and still
+// writes every record back. A scenario re-leased after a worker died in
+// it finds its namespace held and reads it as before, so the records the
+// dead worker published are hits. Any probe failure reads as "held".
+//
 // A worker holds no durable state: killing it mid-shard loses nothing but
 // the lease TTL and the scenario in flight, its unpublished point records
 // included (they wait in the buffer until it fills or the scenario ends) —

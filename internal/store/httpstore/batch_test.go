@@ -39,6 +39,17 @@ func (b *memBackend) Put(key string, payload []byte) {
 	b.puts = append(b.puts, key)
 }
 
+func (b *memBackend) Holds(dir string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for key := range b.m {
+		if strings.HasPrefix(key, dir) && strings.LastIndexByte(key, '/') == len(dir)-1 {
+			return true
+		}
+	}
+	return false
+}
+
 func (b *memBackend) PutBatch(recs iter.Seq2[string, []byte]) {
 	for key, payload := range recs {
 		b.Put(key, payload)

@@ -6,14 +6,20 @@
 // scenario checkpoint a worker writes lands in the coordinator's store,
 // and warm records answer over the wire instead of recomputing.
 //
-// There is one read route and one write route. GET /v1/store/{key} reads
-// one record. PUT /v1/store/ writes a batch: an ordered JSON array of
-// {"key", "payload"} records. Client.Put is a batch of one; a Batch buffers
-// a unit of work's writes and publishes them in as few requests as the
-// per-request record cap allows (one for a typical worker scenario). The
-// empty key is never a record key, so the two routes cannot collide. A
-// client from before batching, which PUTs each record to its own key, gets
-// 405 on every write: coordinator and workers are upgraded together.
+// There is one read route, one probe and one write route. GET
+// /v1/store/{key} reads one record. GET /v1/store/?dir=<dir> asks whether
+// any record lies in a directory (a key prefix ending in '/', such as a
+// scenario's evaluation namespace): 200 when one does, 204 when none does.
+// A worker asks it once before a scenario reads its namespace, and skips
+// every read of a namespace that is empty. PUT /v1/store/ writes a batch:
+// an ordered JSON array of {"key", "payload"} records. Client.Put is a
+// batch of one; a Batch buffers a unit of work's writes and publishes them
+// in as few requests as the per-request record cap allows (one for a
+// typical worker scenario). The empty key is never a record key, so the
+// routes cannot collide. A client from before batching, which PUTs each
+// record to its own key, gets 405 on every write: coordinator and workers
+// are upgraded together. A coordinator from before the probe answers it
+// 404, which reads as "present": the worker then reads as it always did.
 //
 // The client preserves the store contract exactly:
 //
@@ -21,6 +27,9 @@
 //     coordinator without a store (503), or a record the coordinator's disk
 //     store rejected as corrupt (404 — corruption is detected server-side
 //     by the frame's CRC, key and checksum checks) all read as a miss.
+//   - The probe fails safe. Only a 204 reads as "absent"; a transport
+//     error, any other status, or an open breaker reads as "present", so a
+//     failed probe costs the reads it would have saved and never a hit.
 //   - Writes are best-effort and whole per record. The server validates a
 //     batch whole — body and record-count caps, non-empty keys and
 //     payloads, per-payload cap — before writing anything, then hands the
@@ -54,6 +63,7 @@ import (
 	"iter"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -187,6 +197,29 @@ func (c *Client) Get(key string) ([]byte, bool) {
 	return data, true
 }
 
+// Holds reports whether the coordinator's store may hold a record in
+// directory dir (a key prefix ending in '/'). Only a definite 204 reads as
+// false: every failure — transport error, 5xx after retries, an open
+// breaker, a 404 from a coordinator without the probe, a 400 for a
+// malformed dir — reads as true, so a caller that skips reads on false
+// never skips one that could hit.
+func (c *Client) Holds(dir string) bool {
+	absent := false
+	err := c.Do(http.MethodGet, pathPrefix+"?dir="+url.QueryEscape(dir), nil, func(resp *http.Response) error {
+		switch resp.StatusCode {
+		case http.StatusNoContent:
+			absent = true
+		case http.StatusOK, http.StatusNotFound:
+			// Present, or a coordinator that predates the probe: a healthy
+			// answer either way, not retried and not a breaker failure.
+		default:
+			return resilience.NewStatusError(resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		return nil
+	})
+	return err != nil || !absent
+}
+
 // Put uploads payload under key, best-effort: a batch of one (see
 // putBatch). Every failure is counted in Stats.PutErrors and swallowed,
 // exactly like a disk-store write error.
@@ -278,11 +311,12 @@ const framing = len(`,{"key":,"payload":}]`)
 // buffer. The buffer is bounded: the Put that fills it to maxBatchRecords
 // records or flushBytes of body publishes it before returning, so memory
 // and each request's server work stay bounded however many records the
-// unit writes. Requests leave in Put order. A Batch is an
-// evalcache.Backend and is safe for concurrent use.
+// unit writes. Requests leave in Put order, and every request but a
+// Flush's carries exactly one full buffer, however many goroutines Put at
+// once. A Batch is an evalcache.Backend and is safe for concurrent use.
 type Batch struct {
 	c       *Client
-	publish sync.Mutex // held across a Flush, so requests leave in Put order
+	publish sync.Mutex // held across a publish, so requests leave in Put order
 
 	mu   sync.Mutex
 	recs []record
@@ -315,23 +349,80 @@ func (b *Batch) Get(key string) ([]byte, bool) {
 	return b.c.Get(key)
 }
 
-// Put buffers payload under key, and publishes the buffer once it holds
-// maxBatchRecords records or flushBytes of body. The caller must not
+// Holds reports whether a record may lie in directory dir: one buffered
+// or being published, else (see Client.Holds) one on the coordinator.
+func (b *Batch) Holds(dir string) bool {
+	b.mu.Lock()
+	for key := range b.last {
+		if strings.HasPrefix(key, dir) && strings.LastIndexByte(key, '/') == len(dir)-1 {
+			b.mu.Unlock()
+			return true
+		}
+	}
+	b.mu.Unlock()
+	return b.c.Holds(dir)
+}
+
+// recordSize is a record's approximate share of a batch body.
+func recordSize(r record) int { return len(r.Key) + len(r.Payload) + framing }
+
+// Put buffers payload under key, and publishes one full buffer once it
+// holds maxBatchRecords records or flushBytes of body. The caller must not
 // modify payload afterwards.
 func (b *Batch) Put(key string, payload []byte) {
 	b.mu.Lock()
 	b.seq++
 	b.last[key] = buffered{payload, b.seq}
 	b.recs = append(b.recs, record{key, payload})
-	b.size += len(key) + len(payload) + framing
-	full := len(b.recs) >= maxBatchRecords || b.size >= flushBytes
+	b.size += recordSize(b.recs[len(b.recs)-1])
+	full := b.fullLocked() > 0
 	b.mu.Unlock()
 	if full {
-		b.Flush()
+		b.publishFull()
 	}
 }
 
-// Flush publishes the buffered records in Put order and empties the
+// fullLocked returns how many leading buffered records make one full
+// buffer — maxBatchRecords records, or fewer reaching flushBytes of body —
+// and 0 while the buffer is not full. Callers hold mu.
+func (b *Batch) fullLocked() int {
+	if len(b.recs) < maxBatchRecords && b.size < flushBytes {
+		return 0
+	}
+	size := 0
+	for i, r := range b.recs {
+		if size += recordSize(r); i+1 == maxBatchRecords || size >= flushBytes {
+			return i + 1
+		}
+	}
+	return len(b.recs)
+}
+
+// publishFull publishes exactly one full buffer, leaving the records Put
+// after it buffered; if a racing Put's publish has already emptied the
+// buffer below full, it publishes nothing. So concurrent Puts past one
+// buffer cannot make a request carry a full buffer plus a straggler,
+// which putBatch would cut into a full request and a one-record one.
+func (b *Batch) publishFull() {
+	b.publish.Lock()
+	defer b.publish.Unlock()
+	b.mu.Lock()
+	n := b.fullLocked()
+	if n == 0 {
+		b.mu.Unlock()
+		return
+	}
+	recs := b.recs[:n:n]
+	b.recs = slices.Clone(b.recs[n:])
+	for _, r := range recs {
+		b.size -= recordSize(r)
+	}
+	upto := b.seq - uint64(len(b.recs))
+	b.mu.Unlock()
+	b.send(recs, upto)
+}
+
+// Flush publishes every buffered record in Put order and empties the
 // buffer. Like Put, it is best-effort: failures land in the client's
 // Stats.PutErrors.
 func (b *Batch) Flush() {
@@ -341,6 +432,13 @@ func (b *Batch) Flush() {
 	recs, upto := b.recs, b.seq
 	b.recs, b.size = nil, 0
 	b.mu.Unlock()
+	b.send(recs, upto)
+}
+
+// send publishes recs, whose last Put had sequence number upto, and then
+// stops answering Gets from the buffer for every key whose latest Put is
+// among them. Callers hold publish.
+func (b *Batch) send(recs []record, upto uint64) {
 	if len(recs) == 0 {
 		return
 	}
@@ -387,17 +485,21 @@ func (c *Client) Resilience() ResilienceStats {
 	}
 }
 
-// Store is what Handler serves: a record store that reads one key and
-// lands a batch of records with one write, as *store.Store does.
+// Store is what Handler serves: a record store that reads one key, says
+// whether any record lies in a directory, and lands a batch of records with
+// one write, as *store.Store does.
 type Store interface {
 	Get(key string) ([]byte, bool)
+	Holds(dir string) bool
 	PutBatch(recs iter.Seq2[string, []byte])
 }
 
 // Handler serves st over the /v1/store/ routes the Client speaks:
 // GET /v1/store/{key} answers 200 with the raw payload or 404 for any miss
 // (including server-side corruption — the disk store already refuses to
-// serve bad records); PUT /v1/store/ takes a batch body — a JSON array of
+// serve bad records); GET /v1/store/?dir=<dir> answers 200 when st holds a
+// record in dir, 204 when it holds none, and 400 for a dir that is empty or
+// does not end in '/'; PUT /v1/store/ takes a batch body — a JSON array of
 // {"key", "payload"} records — and answers 204 once PutBatch has taken
 // every record, or 400, having stored nothing, for a body that is not a
 // non-empty batch of at most maxBatchRecords valid records within the
@@ -416,6 +518,22 @@ type caps struct{ body, payload, records int }
 // over-cap paths with small inputs).
 func newHandler(st Store, lim caps) http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+pathPrefix+"{$}", func(w http.ResponseWriter, r *http.Request) {
+		if st == nil {
+			http.Error(w, "no store configured", http.StatusServiceUnavailable)
+			return
+		}
+		dir := r.URL.Query().Get("dir")
+		if !strings.HasSuffix(dir, "/") {
+			http.Error(w, "dir must be a key prefix ending in '/'", http.StatusBadRequest)
+			return
+		}
+		if st.Holds(dir) {
+			w.WriteHeader(http.StatusOK)
+		} else {
+			w.WriteHeader(http.StatusNoContent)
+		}
+	})
 	mux.HandleFunc("GET "+pathPrefix+"{key...}", func(w http.ResponseWriter, r *http.Request) {
 		if st == nil {
 			http.Error(w, "no store configured", http.StatusServiceUnavailable)

@@ -223,7 +223,7 @@ func (s *Store) reindex() {
 	fresh := newHandle(s.root, Options{})
 	s.mu.Lock()
 	old := s.segs
-	s.index, s.segs, s.known = fresh.index, fresh.segs, fresh.known
+	s.index, s.dirs, s.segs, s.known = fresh.index, fresh.dirs, fresh.segs, fresh.known
 	s.records.Store(fresh.records.Load())
 	s.mu.Unlock()
 	s.listed = fresh.listed

@@ -389,15 +389,22 @@ func (s *Store) scan(i uint32, g *segment) {
 			l loc
 		}
 		n int
+		// dirs holds the hashes of the directories met since the last
+		// flush; recent makes that once per run of keys, not once per key.
+		dirs   []uint64
+		recent recentDirs
 	)
 	flush := func() {
 		s.mu.Lock()
 		for _, e := range found[:n] {
 			s.index[e.h] = e.l
 		}
+		for _, h := range dirs {
+			s.dirs[h] = struct{}{}
+		}
 		s.records.Store(int64(len(s.index)))
 		s.mu.Unlock()
-		n = 0
+		n, dirs = 0, dirs[:0]
 	}
 	for {
 		at := fr.Offset()
@@ -413,6 +420,9 @@ func (s *Store) scan(i uint32, g *segment) {
 				found[n].h = maphash.Bytes(keySeed, key)
 				found[n].l = locate(i, base+at)
 				n++
+				if d, fresh := recent.lookup(key); fresh {
+					dirs = append(dirs, maphash.Bytes(keySeed, d))
+				}
 				continue
 			}
 		} else if !errors.Is(err, frame.ErrChecksum) {
@@ -428,4 +438,33 @@ func (s *Store) scan(i uint32, g *segment) {
 	if n > 0 {
 		flush()
 	}
+}
+
+// recentDirs remembers the directories of the last few runs of keys a scan
+// met. A segment holds a scenario's records in one run, or a few runs
+// interleaved when concurrent scenarios share a handle, so most keys find
+// their directory here with a prefix compare, and only a run's first key
+// pays for the search for its last '/' and for hashing its directory.
+type recentDirs struct {
+	dirs [8][]byte
+	next int // the slot the next new directory takes
+}
+
+// lookup returns key's directory and fresh=true when it is none of the
+// recent ones, remembering it in place of the oldest; a key without '/'
+// lies in no directory and returns fresh=false.
+func (r *recentDirs) lookup(key []byte) (dir []byte, fresh bool) {
+	for k := 1; k <= len(r.dirs); k++ { // newest first
+		d := r.dirs[(r.next-k+len(r.dirs))%len(r.dirs)]
+		if len(d) > 0 && bytes.HasPrefix(key, d) && bytes.IndexByte(key[len(d):], '/') < 0 {
+			return d, false
+		}
+	}
+	dir = key[:bytes.LastIndexByte(key, '/')+1]
+	if len(dir) == 0 {
+		return nil, false
+	}
+	r.dirs[r.next] = append(r.dirs[r.next][:0], dir...)
+	r.next = (r.next + 1) % len(r.dirs)
+	return dir, true
 }

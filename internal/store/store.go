@@ -28,6 +28,21 @@
 // segments read as an empty store, so each of their records is recomputed
 // once, and they may be deleted.
 //
+// Directories. Beside the index the handle keeps a set of the hashes of
+// every indexed key's directory: the key's prefix up to and including its
+// last '/', so "o/<hash>/(3, 2, 3)" lies in "o/<hash>/" and a key without
+// '/' in none. Holds answers from it whether any record lies in a
+// directory, which lets a caller about to read a whole namespace skip
+// every read of one that is empty. A directory is hashed once per run of
+// keys that share it, also where a few runs interleave (concurrent
+// scenarios writing through one handle), so the set costs Open little: a
+// prefix compare for most keys. It holds one 8-byte hash per directory, one
+// per evaluation namespace: 24 to 36 bytes of Go map each, against an
+// index entry per record, and a namespace holds tens to thousands of
+// records. A false answer is exact for the handle: a miss rescans what
+// other writers appended, as Get does. A hash collision can only answer
+// true, which costs the caller the reads it would have made.
+//
 // Key invariants:
 //
 //   - Reads never fail the caller: a missing, torn, garbled,
@@ -58,6 +73,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -125,9 +141,10 @@ type Store struct {
 	// every index change, so ApproxLen is O(1).
 	records atomic.Int64
 
-	// mu guards the index and the segment table.
+	// mu guards the index, the directory set and the segment table.
 	mu    sync.RWMutex
 	index map[uint64]loc
+	dirs  map[uint64]struct{} // hashes of the indexed keys' directories
 	segs  []*segment
 	known map[string]bool // segment file names in segs
 
@@ -155,6 +172,10 @@ type Store struct {
 var keySeed = maphash.MakeSeed()
 
 func keyHash(key string) uint64 { return maphash.String(keySeed, key) }
+
+// dirOf is a key's directory: its prefix up to and including its last
+// '/', empty for a key without one.
+func dirOf(key string) string { return key[:strings.LastIndexByte(key, '/')+1] }
 
 // Options tunes OpenWithOptions beyond the defaults Open uses.
 type Options struct {
@@ -189,7 +210,7 @@ func OpenWithOptions(dir string, o Options) (*Store, error) {
 // newHandle returns a handle on dir whose index holds every segment's
 // records.
 func newHandle(dir string, o Options) *Store {
-	s := &Store{root: dir, syncPuts: o.SyncPuts, logf: log.Printf, index: make(map[uint64]loc), known: make(map[string]bool), listed: -2}
+	s := &Store{root: dir, syncPuts: o.SyncPuts, logf: log.Printf, index: make(map[uint64]loc), dirs: make(map[uint64]struct{}), known: make(map[string]bool), listed: -2}
 	s.list(registryStat(dir))
 	return s
 }
@@ -233,6 +254,28 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.corrupt.Add(1)
 	}
 	return nil, false
+}
+
+// Holds reports whether any record lies in directory dir (a key prefix
+// ending in '/', such as an evaluation namespace). A directory the handle
+// has not indexed is looked up again after rescanning what other writers
+// appended since, so false means no record in dir was readable by Get
+// either; true may be a hash collision.
+func (s *Store) Holds(dir string) bool {
+	h := keyHash(dir)
+	seen := s.refreshes.Load()
+	if s.holds(h) {
+		return true
+	}
+	s.refresh(seen)
+	return s.holds(h)
+}
+
+func (s *Store) holds(h uint64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.dirs[h]
+	return ok
 }
 
 // putError counts one failed best-effort write, logging the first failure a
@@ -306,8 +349,13 @@ func (s *Store) commit(b []byte, recd []pending) {
 		return
 	}
 	s.mu.Lock()
+	dir := ""
 	for _, p := range recd {
 		s.index[p.h] = locate(s.wseg, off+p.at)
+		if d := dirOf(p.key); d != "" && d != dir {
+			dir = d
+			s.dirs[keyHash(d)] = struct{}{}
+		}
 	}
 	s.records.Store(int64(len(s.index)))
 	s.mu.Unlock()

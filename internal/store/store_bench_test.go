@@ -79,3 +79,24 @@ func BenchmarkStoreOpen(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreOpenNamespaces times opening a warm store of 75
+// 100-record evaluation namespaces (7.5k records, as BenchmarkStoreOpen),
+// written two at a time with their records interleaved, as a two-worker
+// sweep writes them: what the directory set adds to Open.
+func BenchmarkStoreOpenNamespaces(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 7500; i++ {
+		ns, j := i/200*2+i%2, i%200/2
+		s.Put(fmt.Sprintf("o/%032x/(%d, %d, %d)", ns, j%7+1, j/7%7+1, j/49+1), benchPayload)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Open(s.Root()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -446,3 +446,77 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal("Open under a plain file succeeded")
 	}
 }
+
+// TestHoldsDirectories pins the directory set behind Holds: false on an
+// empty store, true for a directory once a record lies in it — after a
+// Put or a PutBatch, after a reopen (the scan path), after a rebuild of the
+// index, and for records another live handle appended since (the refresh
+// path). A key without '/' lies in no directory, and a directory holds only
+// the keys whose last '/' ends it.
+func TestHoldsDirectories(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ns = "o/3f9a2c71d04e8b65/"
+	if s.Holds(ns) || s.Holds("o/") || s.Holds("") {
+		t.Fatal("an empty store holds a directory")
+	}
+	payload := []byte(`{"x":1}`)
+	s.Put("point", payload)
+	if s.Holds("") || s.Holds("point") || s.Holds("point/") {
+		t.Fatal("a key without '/' added a directory")
+	}
+	s.Put(ns+"(3, 2, 3)", payload)
+	if !s.Holds(ns) {
+		t.Fatalf("Holds(%q) false after a Put into it", ns)
+	}
+	if s.Holds("o/") || s.Holds(ns[:len(ns)-1]) || s.Holds(ns+"(3, 2, 3)/") {
+		t.Fatal("Holds answers for a parent, a non-directory prefix or a key")
+	}
+	// Runs of keys that share a directory, interleaved — at the end more
+	// directories at once than a scan remembers: every run's directory is
+	// added, on commit and on scan alike.
+	keys := []string{"o/a/1", "o/a/2", "o/b/1", "o/a/3", "r/ckpt", "o/c/1"}
+	want := []string{ns, "o/a/", "o/b/", "o/c/", "r/"}
+	for i := 0; i < 24; i++ {
+		keys = append(keys, fmt.Sprintf("o/w%d/(%d)", i%12, i))
+		if i < 12 {
+			want = append(want, fmt.Sprintf("o/w%d/", i))
+		}
+	}
+	s.PutBatch(func(yield func(string, []byte) bool) {
+		for _, k := range keys {
+			if !yield(k, payload) {
+				return
+			}
+		}
+	})
+	check := func(name string, h *Store) {
+		t.Helper()
+		for _, d := range want {
+			if !h.Holds(d) {
+				t.Errorf("%s: Holds(%q) = false", name, d)
+			}
+		}
+		if h.Holds("o/d/") || h.Holds("") {
+			t.Errorf("%s: holds a directory no key lies in", name)
+		}
+	}
+	check("writer", s)
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", r)
+	s.reindex()
+	check("reindexed", s)
+
+	// Another live handle's appends are found by the miss's refresh.
+	s.Put("o/late/(1, 1, 1)", payload)
+	if !r.Holds("o/late/") {
+		t.Fatal("Holds missed a directory another live handle appended to")
+	}
+}
