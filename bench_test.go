@@ -23,6 +23,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/sched"
 	"repro/internal/search"
+	"repro/internal/store"
 	"repro/internal/wcet"
 )
 
@@ -381,6 +382,42 @@ func reportSweep(b *testing.B, results []*engine.Result) {
 	if lookups > 0 {
 		b.ReportMetric(100*float64(hits)/float64(lookups), "hit-rate-pct")
 	}
+}
+
+// BenchmarkStoredSweepWarm sweeps a timing grid (16 scenarios of the
+// persist-sweep workload's shape: four platform variants, exhaustive pass
+// on) serially over a warm disk store, without resume: every evaluation is
+// a read of the persistent tier, decoded from its outcome record, and the
+// cold sweep that fills the store runs before the timer starts.
+func BenchmarkStoredSweepWarm(b *testing.B) {
+	scns, err := engine.Grid{N: 16, Seed: 1, Platforms: 4, Exhaustive: true}.Scenarios()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := engine.Sweep(engine.Config{Workers: 1, Store: st}, scns); err != nil {
+		b.Fatal(err)
+	}
+	var results []*engine.Result
+	for b.Loop() {
+		results, err = engine.Sweep(engine.Config{Workers: 1, Store: st}, scns)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var diskHits, execs int64
+	for _, r := range results {
+		diskHits += r.CacheStats.DiskHits
+		execs += r.CacheStats.Executions()
+	}
+	if execs != 0 {
+		b.Fatalf("warm sweep executed %d evaluations", execs)
+	}
+	b.ReportMetric(float64(diskHits), "disk-hits")
 }
 
 // BenchmarkJointCaseStudy regenerates the partitioned case study (Table

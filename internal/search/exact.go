@@ -275,13 +275,23 @@ func (s *exactSearch) cutWays(k, used int) bool {
 	return s.cut(ub)
 }
 
-// schedDFS walks the regime's sched.FeasibleTree. Every node — including
-// the leaf — is first checked for the tree's infeasibility cut (which at
-// the leaf coincides with sched.IdleFeasible), then for the bound cut.
+// schedDFS walks the regime's sched.FeasibleTree below the prefix
+// Cur[0..d-1], which the caller has found feasible (the empty prefix
+// always is). Every node — including the leaf — is checked for the bound
+// cut; every child, before it is entered, for the tree's infeasibility cut
+// (which at the leaf coincides with sched.IdleFeasible).
+//
+// Once a child m >= 2 is infeasible, so is every later sibling, and the
+// loop ends there. For m >= 2 the assigned application d's longest period
+// is max(Ewc(1), Ewc(2) + gap) whatever m is (the m-2 middle periods
+// Ewc(2) never exceed the last), and its gap sums the other bursts, which
+// do not involve m. A larger m lengthens d's burst (Ewc(2) > 0), so every
+// other application's gap, and with it its longest period, only grows —
+// bitwise too, as in the tree's own cut. So whichever application broke
+// its budget at m still breaks it at m+1. The step from m = 1 to 2 is not
+// monotone: d's longest period drops from Ewc(1) + gap to
+// max(Ewc(1), Ewc(2) + gap), so an infeasible m = 1 ends nothing.
 func (s *exactSearch) schedDFS(d int) error {
-	if s.tree.PrefixInfeasible(d) {
-		return nil
-	}
 	coCut := s.coCut
 	if s.cutBound(d) {
 		return nil
@@ -293,6 +303,12 @@ func (s *exactSearch) schedDFS(d int) error {
 	}
 	for m := 1; m <= s.maxM; m++ {
 		s.tree.Cur[d] = m
+		if s.tree.PrefixInfeasible(d + 1) {
+			if m >= 2 {
+				break
+			}
+			continue
+		}
 		if err := s.schedDFS(d + 1); err != nil {
 			return err
 		}

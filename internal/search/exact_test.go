@@ -413,3 +413,100 @@ func TestExactVisitsJointBoxInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestExactSiblingCutKeepsFeasibleLeaves pins schedDFS's sibling cut — an
+// infeasible burst length m >= 2 ends its loop — against
+// sched.EnumerateFeasible, which walks every sibling: on random tasksets
+// with budgets tight enough that prefixes turn infeasible, and every
+// partition, the walk without a bound evaluates, regime by regime, exactly
+// the enumeration's feasible schedules, in order. The trials must give the
+// cut siblings to skip, and an infeasible m = 1 followed by a feasible
+// m = 2, which a cut from m = 1 on would lose.
+func TestExactSiblingCutKeepsFeasibleLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var skipped, revived int
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(4)
+		pt, _ := genTable(rng, n, 1+rng.Intn(5))
+		for i := range pt.Shared {
+			idle := pt.Shared[i].MaxIdle * (0.4 + 0.8*rng.Float64())
+			pt.Shared[i].MaxIdle = idle
+			for _, row := range pt.ByWays {
+				row[i].MaxIdle = idle
+			}
+		}
+		maxM := 2 + rng.Intn(5)
+		var got []sched.JointSchedule
+		get := func(j sched.JointSchedule) (Outcome, bool, error) {
+			got = append(got, j.Clone())
+			return Outcome{Pall: 1, Feasible: true}, true, nil
+		}
+		if _, err := exact(get, pt, nil, maxM, 1); err != nil {
+			t.Fatal(err)
+		}
+		var want []sched.JointSchedule
+		for _, w := range append([]sched.Ways{nil}, partitions(n, pt.TotalWays(), false)...) {
+			timings, err := pt.Timings(sched.JointSchedule{W: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feasible, err := sched.EnumerateFeasible(timings, maxM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range feasible {
+				want = append(want, sched.JointSchedule{M: m, W: w})
+			}
+			s, r := siblingCuts(t, timings, maxM)
+			skipped, revived = skipped+s, revived+r
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (maxM %d): evaluated %v, feasible box %v", trial, maxM, got, want)
+		}
+	}
+	if skipped == 0 || revived == 0 {
+		t.Fatalf("the trials cut %d siblings and revived %d prefixes at m = 2: the cut is not exercised", skipped, revived)
+	}
+}
+
+// siblingCuts walks timings' feasible tree over every sibling and counts
+// the siblings the cut skips (those after an infeasible m >= 2) and the
+// prefixes infeasible at m = 1 but feasible at m = 2.
+func siblingCuts(t *testing.T, timings []sched.AppTiming, maxM int) (skipped, revived int) {
+	t.Helper()
+	tree, err := sched.NewFeasibleTree(timings, maxM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(d int)
+	walk = func(d int) {
+		if d == len(timings) {
+			return
+		}
+		cut := false
+		for m := 1; m <= maxM; m++ {
+			tree.Cur[d] = m
+			infeasible := tree.PrefixInfeasible(d + 1)
+			switch {
+			case cut:
+				if !infeasible {
+					t.Fatalf("%v: feasible after an infeasible sibling m >= 2", tree.Cur[:d+1])
+				}
+				skipped++
+			case infeasible && m >= 2:
+				cut = true
+			case m == 2 && !infeasible:
+				tree.Cur[d] = 1
+				if tree.PrefixInfeasible(d + 1) {
+					revived++
+				}
+				tree.Cur[d] = 2
+			}
+			if !infeasible {
+				walk(d + 1)
+			}
+		}
+	}
+	walk(0)
+	return skipped, revived
+}

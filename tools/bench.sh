@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-}"
-pattern="${BENCH_PATTERN:-^(BenchmarkClosedLoopSimulation|BenchmarkDesignHolistic|BenchmarkCodesignBlock|BenchmarkSearchHybrid|BenchmarkJointCaseStudy|BenchmarkMulticoreCoDesign|BenchmarkSweepParallel|BenchmarkHybridSharedCache|BenchmarkWCETAnalysis|BenchmarkWCETAnalysisAllWays|BenchmarkSporadicEval|BenchmarkCacheSimulation|BenchmarkExpm)$}"
+pattern="${BENCH_PATTERN:-^(BenchmarkClosedLoopSimulation|BenchmarkDesignHolistic|BenchmarkCodesignBlock|BenchmarkSearchHybrid|BenchmarkJointCaseStudy|BenchmarkMulticoreCoDesign|BenchmarkSweepParallel|BenchmarkStoredSweepWarm|BenchmarkHybridSharedCache|BenchmarkWCETAnalysis|BenchmarkWCETAnalysisAllWays|BenchmarkSporadicEval|BenchmarkCacheSimulation|BenchmarkExpm)$}"
 out="${1:-}"
 
 args=(test -run '^$' -bench "$pattern" -benchmem -count "$count")
