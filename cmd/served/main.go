@@ -26,15 +26,16 @@
 // Usage:
 //
 //	served [-addr :8080] [-store DIR] [-budget tiny]              # coordinator
-//	       [-journal DIR] [-journal-fsync always] [-store-sync]   # durability
+//	       [-journal DIR] [-store-sync]                           # durability
 //	       [-max-queue N] [-request-timeout 30s]                  # degradation bounds
 //	served -worker -coordinator URL [-name ID] [-lease-ttl 10s]   # cluster worker
 //
 // With -journal the coordinator write-ahead logs job submissions and shard
-// completions; a restarted coordinator replays the journal and carries on —
-// workers re-acquire in-flight leases through TTL expiry, and no shard the
-// journal recorded as done is ever re-executed. /readyz (and the shard
-// protocol) answer 503 while replay is in progress.
+// completions, each once and fsynced before it is acknowledged; a
+// restarted coordinator replays the journal and carries on — workers
+// re-acquire in-flight leases through TTL expiry, and no shard the journal
+// recorded as done is ever re-executed. /readyz (and the shard protocol)
+// answer 503 while replay is in progress.
 //
 // Degradation: with -max-queue set, compute requests arriving while the
 // executor queue is deeper than N are shed with 429 + Retry-After instead
@@ -124,8 +125,6 @@ func run(args []string, stdout io.Writer) error {
 	maxQueue := fs.Int("max-queue", 0, "shed compute requests (429) when the executor queue exceeds this depth (0 = never shed)")
 	requestTimeout := fs.Duration("request-timeout", 0, "answer 503 when a compute request exceeds this deadline (0 = no deadline)")
 	journalDir := fs.String("journal", "", "journal coordinator state to this directory (requires -store); jobs and done shards survive restarts")
-	journalFsync := fs.String("journal-fsync", "always", "journal fsync policy: always | none")
-	journalCompact := fs.Int("journal-compact", 1024, "compact the journal after this many appends (0 = never)")
 	storeSync := fs.Bool("store-sync", false, "fsync the store segment after every write (records survive power loss)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -178,16 +177,7 @@ func run(args []string, stdout io.Writer) error {
 		if st == nil {
 			return fmt.Errorf("served: -journal requires -store (a journal without durable records recovers bookkeeping for results that no longer exist)")
 		}
-		var sync fabric.SyncPolicy
-		switch *journalFsync {
-		case "always":
-			sync = fabric.SyncAlways
-		case "none":
-			sync = fabric.SyncNever
-		default:
-			return fmt.Errorf("served: unknown -journal-fsync %q (want always | none)", *journalFsync)
-		}
-		j, err := fabric.OpenJournal(*journalDir, fabric.JournalOptions{Sync: sync, CompactEvery: int64(*journalCompact)})
+		j, err := fabric.OpenJournal(*journalDir)
 		if err != nil {
 			return err
 		}
@@ -562,26 +552,32 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.journal != nil {
-		js := s.journal.Stats()
-		jm := map[string]any{
-			"appends":          js.Appends,
-			"fsyncs":           js.Fsyncs,
-			"compactions":      js.Compactions,
-			"compact_errors":   js.CompactErrors,
-			"snapshot_records": js.SnapshotRecords,
-			"log_records":      js.LogRecords,
-			"torn_bytes":       js.TornBytes,
-			"replaying":        s.replaying.Load(),
-		}
+		js := journalStatus{JournalStats: s.journal.Stats(), Replaying: s.replaying.Load()}
 		if rs := s.recovered.Load(); rs != nil {
-			jm["recovered_jobs"] = rs.Jobs
-			jm["recovered_done_shards"] = rs.DoneShards
-			jm["replayed_records"] = rs.Records
-			jm["replay_skipped"] = rs.Skipped
+			js.replayStatus = &replayStatus{
+				RecoveredJobs: rs.Jobs, RecoveredDoneShards: rs.DoneShards,
+				ReplayedRecords: rs.Records, ReplaySkipped: rs.Skipped,
+			}
 		}
-		resp["journal"] = jm
+		resp["journal"] = js
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// journalStatus is /statsz's journal object: the journal's own counters
+// under their JSON names, whether replay is still running, and once it has
+// finished, what it recovered.
+type journalStatus struct {
+	fabric.JournalStats
+	Replaying bool `json:"replaying"`
+	*replayStatus
+}
+
+type replayStatus struct {
+	RecoveredJobs       int `json:"recovered_jobs"`
+	RecoveredDoneShards int `json:"recovered_done_shards"`
+	ReplayedRecords     int `json:"replayed_records"`
+	ReplaySkipped       int `json:"replay_skipped"`
 }
 
 // designRecord is the persistent (and in-memory) summary of one design

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -448,6 +451,54 @@ func TestServedStatszApproxRecords(t *testing.T) {
 	}
 	if stats.Shards == nil {
 		t.Fatal("statsz missing shards section on a coordinator")
+	}
+}
+
+// TestServedStatszJournalKeys pins the journal object of a -journal
+// server's /statsz: the journal's counters under fabric.JournalStats's
+// JSON names (bench/persist.go reads appends and fsyncs), whether replay
+// is running, and what replay recovered once it has finished.
+func TestServedStatszJournalKeys(t *testing.T) {
+	s, hs := testServer(t, t.TempDir())
+	j, err := fabric.OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	// The wiring run does for -journal: replaying until Recover returns.
+	s.journal = j
+	s.replaying.Store(true)
+	journal := func() map[string]any {
+		t.Helper()
+		var stats struct {
+			Journal map[string]any `json:"journal"`
+		}
+		if code := getJSON(t, hs.URL+"/statsz", &stats); code != http.StatusOK {
+			t.Fatal("statsz failed")
+		}
+		return stats.Journal
+	}
+	counters := []string{"appends", "fsyncs", "log_records", "replaying", "torn_bytes"}
+	if got := journal(); !slices.Equal(slices.Sorted(maps.Keys(got)), counters) || got["replaying"] != true {
+		t.Fatalf("journal object during replay: %v", got)
+	}
+
+	rs, err := s.shards.Recover(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.recovered.Store(&rs)
+	s.replaying.Store(false)
+	if _, _, err := s.shards.Submit(fabric.JobSpec{N: 2, Seed: 1, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := journal()
+	want := slices.Sorted(slices.Values(append(counters, "recovered_done_shards", "recovered_jobs", "replay_skipped", "replayed_records")))
+	if keys := slices.Sorted(maps.Keys(got)); !slices.Equal(keys, want) {
+		t.Fatalf("journal keys after replay %v, want %v", keys, want)
+	}
+	if got["appends"] != 1.0 || got["fsyncs"] != 1.0 || got["replaying"] != false {
+		t.Fatalf("journal object after one submit: %v", got)
 	}
 }
 

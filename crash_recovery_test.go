@@ -110,7 +110,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	// completion.
 	doneShards := map[int]bool{}
 	{
-		j, err := fabric.OpenJournal(journalDir, fabric.JournalOptions{})
+		j, err := fabric.OpenJournal(journalDir)
 		if err != nil {
 			t.Fatal(err)
 		}

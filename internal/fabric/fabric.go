@@ -28,8 +28,9 @@
 //     re-submitting the same spec yields the same job ID (content-hashed)
 //     and every scenario already checkpointed resumes from the store
 //     instead of recomputing, so a restarted cluster heals forward. With
-//     a Journal, jobs and done shards survive the restart as well. Workers
-//     treat coordinator downtime as a cold store plus retried polls.
+//     a Journal, which fsyncs each first-time Submit and Complete once,
+//     jobs and done shards survive the restart as well. Workers treat
+//     coordinator downtime as a cold store plus retried polls.
 //
 // Results are assembled by anyone with store access: a resume-mode sweep
 // (engine.Sweep with Resume and the shared store, e.g. cmd/sweep -remote)
@@ -378,7 +379,6 @@ func (m *Manager) Submit(spec JobSpec) (id string, created bool, err error) {
 		created: m.now(),
 		seq:     m.seq,
 	}
-	m.maybeCompactLocked()
 	return id, true, nil
 }
 
@@ -394,30 +394,6 @@ func (m *Manager) journalLocked(rec Record) error {
 	return nil
 }
 
-// maybeCompactLocked rewrites the journal's snapshot when its append budget
-// is spent: one submit record per job plus one complete per done shard, in
-// submission order — exactly the state replay must rebuild. Compaction
-// failure is deliberately swallowed (the counter records it): the log still
-// holds every record, so durability is unaffected, only log length.
-// Callers hold m.mu.
-func (m *Manager) maybeCompactLocked() {
-	if m.journal == nil || !m.journal.ShouldCompact() {
-		return
-	}
-	var recs []Record
-	for _, id := range m.scanOrder("") {
-		j := m.jobs[id]
-		spec := j.spec
-		recs = append(recs, Record{Op: OpSubmit, Spec: &spec})
-		for i := range j.shards {
-			if j.shards[i].state == shardDone {
-				recs = append(recs, Record{Op: OpComplete, Job: id, Shard: i})
-			}
-		}
-	}
-	m.journal.Compact(recs)
-}
-
 // RecoverStats summarizes one journal replay.
 type RecoverStats struct {
 	Records    int `json:"records"`     // journal records replayed
@@ -430,10 +406,12 @@ type RecoverStats struct {
 // for subsequent write-ahead logging. It must be called before the manager
 // serves traffic (typically on a NewManager; the readiness probe gates
 // /v1/shards until it returns). Replay is idempotent and forgiving the same
-// way the live operations are: a duplicate submit lands on the existing
-// job, a complete for an unknown job or out-of-range shard — possible only
-// if compaction dropped state a stale log re-asserts — is counted as
-// skipped rather than fatal.
+// way the live operations are. A record that repeats one already applied
+// is counted as skipped: the live Manager never journals a transition
+// twice, but an older coordinator that died between writing its snapshot
+// and truncating its log left both holding the same records. A complete
+// for an unknown job or an out-of-range shard, which no coordinator
+// writes, is skipped too rather than fatal.
 func (m *Manager) Recover(j *Journal) (RecoverStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -479,13 +457,6 @@ func (m *Manager) Recover(j *Journal) (RecoverStats, error) {
 	j.DropReplayed()
 	m.journal = j
 	return st, nil
-}
-
-// Journal returns the attached journal, nil for a volatile manager.
-func (m *Manager) Journal() *Journal {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.journal
 }
 
 func clampTTL(ttl time.Duration) time.Duration {
@@ -597,7 +568,6 @@ func (m *Manager) Complete(jobID string, shard int, worker string) error {
 		return err
 	}
 	j.shards[shard] = shardSlot{state: shardDone}
-	m.maybeCompactLocked()
 	return nil
 }
 

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // specVariant returns a distinct valid JobSpec per index, for journals that
@@ -44,7 +46,7 @@ func recordsEqual(a, b []Record) bool {
 
 func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
+	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(dir, JournalOptions{})
+	j2, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +72,14 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	if got := j2.Replayed(); !recordsEqual(got, recs) {
 		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, recs)
 	}
-	if st := j2.Stats(); st.LogRecords != 3 || st.SnapshotRecords != 0 || st.TornBytes != 0 {
+	if st := j2.Stats(); st.LogRecords != 3 || st.TornBytes != 0 {
 		t.Fatalf("replay stats %+v", st)
 	}
 }
 
 func TestJournalTornTailTruncatedAndWritable(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
+	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestJournalTornTailTruncatedAndWritable(t *testing.T) {
 			if err := os.WriteFile(logPath, append(append([]byte{}, whole...), tc.tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j2, err := OpenJournal(dir, JournalOptions{})
+			j2, err := OpenJournal(dir)
 			if err != nil {
 				t.Fatalf("torn tail failed open: %v", err)
 			}
@@ -123,7 +125,7 @@ func TestJournalTornTailTruncatedAndWritable(t *testing.T) {
 			extra := Record{Op: OpComplete, Job: spec.ID(), Shard: 0}
 			mustAppend(t, j2, extra)
 			j2.Close()
-			j3, err := OpenJournal(dir, JournalOptions{})
+			j3, err := OpenJournal(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,34 +144,102 @@ func TestJournalTornTailTruncatedAndWritable(t *testing.T) {
 
 func TestJournalSnapshotCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := specVariant(2)
-	mustAppend(t, j, Record{Op: OpSubmit, Spec: &spec})
-	if err := j.Compact([]Record{{Op: OpSubmit, Spec: &spec}}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	snapPath := filepath.Join(dir, "snapshot.log")
-	data, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := frameRecords(t, Record{Op: OpSubmit, Spec: &spec})
 	data[len(data)-2] ^= 0xff // flip a payload byte: crc must catch it
-	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.log"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(dir, JournalOptions{}); err == nil {
+	if _, err := OpenJournal(dir); err == nil {
 		t.Fatal("corrupt snapshot opened silently; base state would be lost")
 	}
 }
 
-func TestJournalCompactionPreservesState(t *testing.T) {
+// frameRecords renders recs as a journal file by hand: each record's JSON
+// in one internal/frame frame, as an older coordinator wrote its
+// snapshot.log.
+func frameRecords(t *testing.T, recs ...Record) []byte {
+	t.Helper()
+	var out []byte
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = frame.Append(out, payload)
+	}
+	return out
+}
+
+// TestJournalReplaysLegacySnapshot pins the upgrade path: a snapshot.log
+// an older coordinator compacted into, beside the journal.log it appended
+// to afterwards, replays the snapshot's records and then the log's, and a
+// Manager recovers both.
+func TestJournalReplaysLegacySnapshot(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{Sync: SyncNever, CompactEvery: 4})
+	a, b := specVariant(4).normalized(), specVariant(5).normalized()
+	snap := []Record{
+		{Op: OpSubmit, Spec: &a},
+		{Op: OpComplete, Job: a.ID(), Shard: 0},
+	}
+	log := []Record{
+		{Op: OpComplete, Job: a.ID(), Shard: 1},
+		{Op: OpSubmit, Spec: &b},
+		{Op: OpComplete, Job: b.ID(), Shard: 1},
+	}
+	snapPath := filepath.Join(dir, "snapshot.log")
+	if err := os.WriteFile(snapPath, frameRecords(t, snap...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), frameRecords(t, log...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if got, want := j.Replayed(), append(append([]Record{}, snap...), log...); !recordsEqual(got, want) {
+		t.Fatalf("replay order:\n got %+v\nwant %+v", got, want)
+	}
+	if st := j.Stats(); st.LogRecords != 3 || st.TornBytes != 0 {
+		t.Fatalf("replay stats %+v, want the 3 log records and no torn tail", st)
+	}
+	m := NewManager()
+	rst, err := m.Recover(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst.Records != 5 || rst.Jobs != 2 || rst.DoneShards != 3 || rst.Skipped != 0 {
+		t.Fatalf("recovered %+v, want 5 records, 2 jobs, 3 done shards", rst)
+	}
+	for _, tc := range []struct {
+		spec JobSpec
+		done int
+	}{{a, 2}, {b, 1}} {
+		if st, ok := m.Status(tc.spec.ID()); !ok || st.Done != tc.done {
+			t.Fatalf("job %s: ok=%v done=%d, want %d", tc.spec.ID(), ok, st.Done, tc.done)
+		}
+	}
+	// Appends after the upgrade land in the log; the snapshot stays as the
+	// older coordinator left it.
+	if err := m.Complete(b.ID(), 0, "w"); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(data, frameRecords(t, snap...)) {
+		t.Fatalf("snapshot.log changed after an append (err %v)", err)
+	}
+}
+
+// TestJournalAppendsEachTransitionOnce drives submits, duplicate submits
+// and retried completes through a journaled Manager: the journal appends
+// exactly one record per distinct transition, the log holds exactly those
+// records framed, and a reopened journal rebuilds the same jobs and done
+// shards. The log is already the smallest record sequence that rebuilds
+// the state, so there is nothing to compact.
+func TestJournalAppendsEachTransitionOnce(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,48 +247,72 @@ func TestJournalCompactionPreservesState(t *testing.T) {
 	if _, err := m.Recover(j); err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{N: 6, Seed: 7, Shards: 3}
-	id, created, err := m.Submit(spec)
-	if err != nil || !created {
-		t.Fatalf("submit: id=%s created=%v err=%v", id, created, err)
-	}
-	for shard := 0; shard < 3; shard++ {
-		if err := m.Complete(id, shard, "w"); err != nil {
+	rng := rand.New(rand.NewSource(35))
+	var submitted []JobSpec
+	var want []Record
+	done := map[Record]bool{}
+	completes := 0
+	for i := 0; i < 40; i++ {
+		spec := specVariant(rng.Intn(25)).normalized()
+		if _, created, err := m.Submit(spec); err != nil {
 			t.Fatal(err)
+		} else if created {
+			submitted = append(submitted, spec)
+			want = append(want, Record{Op: OpSubmit, Spec: &spec})
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			spec := submitted[rng.Intn(len(submitted))]
+			rec := Record{Op: OpComplete, Job: spec.ID(), Shard: rng.Intn(spec.Shards)}
+			if err := m.Complete(rec.Job, rec.Shard, "w"); err != nil {
+				t.Fatal(err)
+			}
+			completes++
+			if !done[rec] {
+				done[rec] = true
+				want = append(want, rec)
+			}
 		}
 	}
-	// 1 submit + 3 completes = 4 appends ≥ CompactEvery: the journal must
-	// have compacted (state now in the snapshot, log reset).
-	if st := j.Stats(); st.Compactions != 1 {
-		t.Fatalf("Compactions = %d after %d appends with CompactEvery=4, want 1", st.Compactions, st.Appends)
+	if len(submitted) == 40 || completes == len(done) {
+		t.Fatalf("40 submits made %d jobs and %d completes %d done shards: the drive needs a duplicate of each", len(submitted), completes, len(done))
 	}
-	j.Close()
+	if st := j.Stats(); st.Appends != int64(len(want)) || st.Fsyncs != st.Appends {
+		t.Fatalf("stats %+v, want %d appends with one fsync each", st, len(want))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if framed := frameRecords(t, want...); !bytes.Equal(data, framed) {
+		t.Fatalf("journal.log holds %d bytes, want the %d distinct transitions framed in %d", len(data), len(want), len(framed))
+	}
 
-	j2, err := OpenJournal(dir, JournalOptions{})
+	j2, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if st := j2.Stats(); st.SnapshotRecords != 4 || st.LogRecords != 0 {
-		t.Fatalf("post-compaction open: %+v, want 4 snapshot records + empty log", st)
-	}
 	m2 := NewManager()
 	rst, err := m2.Recover(j2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rst.Jobs != 1 || rst.DoneShards != 3 {
-		t.Fatalf("recovered %+v, want 1 job + 3 done shards", rst)
+	if rst.Jobs != len(submitted) || rst.DoneShards != len(done) || rst.Skipped != 0 {
+		t.Fatalf("recovered %+v, want %d jobs and %d done shards", rst, len(submitted), len(done))
 	}
-	jst, ok := m2.Status(id)
-	if !ok || !jst.Complete {
-		t.Fatalf("recovered job status: ok=%v %+v", ok, jst)
+	before, _ := json.Marshal(m.Jobs())
+	after, _ := json.Marshal(m2.Jobs())
+	if !bytes.Equal(before, after) {
+		t.Fatalf("recovered jobs differ:\n got %s\nwant %s", after, before)
 	}
 }
 
 func TestManagerJournalWriteAheadSemantics(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, JournalOptions{})
+	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +363,7 @@ func TestJournalReplayProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for trial := 0; trial < 40; trial++ {
 		dir := t.TempDir()
-		j, err := OpenJournal(dir, JournalOptions{Sync: SyncNever})
+		j, err := OpenJournal(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +393,7 @@ func TestJournalReplayProperty(t *testing.T) {
 		if err := os.WriteFile(logPath, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, err := OpenJournal(dir, JournalOptions{})
+		j2, err := OpenJournal(dir)
 		if err != nil {
 			t.Fatalf("trial %d: open torn journal: %v", trial, err)
 		}
@@ -325,7 +419,7 @@ func FuzzJournalReplay(f *testing.F) {
 			ops = ops[:32]
 		}
 		dir := t.TempDir()
-		j, err := OpenJournal(dir, JournalOptions{Sync: SyncNever})
+		j, err := OpenJournal(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +451,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(logPath, data[:at], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, err := OpenJournal(dir, JournalOptions{})
+		j2, err := OpenJournal(dir)
 		if err != nil {
 			t.Fatalf("open torn journal: %v", err)
 		}
@@ -382,45 +476,38 @@ func FuzzJournalReplay(f *testing.F) {
 
 // TestJournalRejectsEmptyDirAndBadDir pins Open's error paths.
 func TestJournalRejectsEmptyDirAndBadDir(t *testing.T) {
-	if _, err := OpenJournal("", JournalOptions{}); err == nil {
+	if _, err := OpenJournal(""); err == nil {
 		t.Fatal("empty journal dir accepted")
 	}
 	file := filepath.Join(t.TempDir(), "plain")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(filepath.Join(file, "sub"), JournalOptions{}); err == nil {
+	if _, err := OpenJournal(filepath.Join(file, "sub")); err == nil {
 		t.Fatal("journal dir under a plain file accepted")
 	}
 }
 
-// TestJournalSyncPolicies smoke-tests that both policies persist records
-// across clean close/reopen (only SyncAlways promises power-loss safety,
-// which a unit test cannot stage; process-death safety it can).
+// TestJournalSyncPolicies pins the journal's one durability mode: an
+// append costs exactly one fsync, and the record replays after a reopen.
 func TestJournalSyncPolicies(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
-		dir := t.TempDir()
-		j, err := OpenJournal(dir, JournalOptions{Sync: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := specVariant(3)
-		mustAppend(t, j, Record{Op: OpSubmit, Spec: &spec})
-		fsyncs := j.Stats().Fsyncs
-		if policy == SyncAlways && fsyncs != 1 {
-			t.Fatalf("SyncAlways: %d fsyncs after 1 append, want 1", fsyncs)
-		}
-		if policy == SyncNever && fsyncs != 0 {
-			t.Fatalf("SyncNever: %d fsyncs after 1 append, want 0", fsyncs)
-		}
-		j.Close()
-		j2, err := OpenJournal(dir, JournalOptions{Sync: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := j2.Replayed(); len(got) != 1 {
-			t.Fatalf("policy %v: %d record(s) replayed, want 1", policy, len(got))
-		}
-		j2.Close()
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specVariant(3)
+	mustAppend(t, j, Record{Op: OpSubmit, Spec: &spec})
+	if st := j.Stats(); st.Appends != 1 || st.Fsyncs != 1 {
+		t.Fatalf("stats after 1 append: %+v, want 1 append and 1 fsync", st)
+	}
+	j.Close()
+	j2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.Replayed(); !recordsEqual(got, []Record{{Op: OpSubmit, Spec: &spec}}) {
+		t.Fatalf("replayed %+v, want the one submit", got)
 	}
 }

@@ -16,9 +16,9 @@ import (
 // newJournaledCluster is newCluster with a journal-attached manager; the
 // journal directory outlives the server so a "restarted coordinator" can
 // reopen it.
-func newJournaledCluster(t *testing.T, st *store.Store, journalDir string) (*httptest.Server, *Manager) {
+func newJournaledCluster(t *testing.T, st *store.Store, journalDir string) (*httptest.Server, *Journal) {
 	t.Helper()
-	j, err := OpenJournal(journalDir, JournalOptions{})
+	j, err := OpenJournal(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func newJournaledCluster(t *testing.T, st *store.Store, journalDir string) (*htt
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(coordinatorHandler(m, st))
-	return srv, m
+	return srv, j
 }
 
 // TestJournaledCoordinatorCrashRestart is the in-process half of the
@@ -44,7 +44,7 @@ func TestJournaledCoordinatorCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA, mA := newJournaledCluster(t, st, journalDir)
+	srvA, jA := newJournaledCluster(t, st, journalDir)
 	clA := NewClient(srvA.URL, nil)
 	jobID, err := clA.Submit(clusterSpec)
 	if err != nil {
@@ -70,10 +70,10 @@ func TestJournaledCoordinatorCrashRestart(t *testing.T) {
 
 	// Crash: the server dies and the journal handle dies with it.
 	srvA.Close()
-	mA.Journal().Close()
+	jA.Close()
 
 	// The replacement recovers purely from the journal.
-	jB, err := OpenJournal(journalDir, JournalOptions{})
+	jB, err := OpenJournal(journalDir)
 	if err != nil {
 		t.Fatal(err)
 	}

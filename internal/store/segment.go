@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -42,32 +41,28 @@ func (l loc) seg() uint32 { return uint32(l >> offBits) }
 
 func (l loc) off() int64 { return int64(l & (1<<offBits - 1)) }
 
-// appendRecord appends the frame of one record to b; on error b is left
-// as it was.
+// appendRecord appends the frame of one record to b, checksumming and
+// storing the payload bytes as given: the bytes a future Get re-hashes and
+// serves. An empty payload, which decodeRecord cannot tell from a damaged
+// record, and a record over the cap are errors and leave b as it was.
 func appendRecord(b *bytes.Buffer, key string, payload []byte) error {
-	start := b.Len()
-	b.Grow(frame.HeaderLen + 1 + binary.MaxVarintLen64 + len(key) + sha256.Size + len(payload))
+	if len(payload) == 0 {
+		return errors.New("empty payload")
+	}
 	var head [frame.HeaderLen + 1 + binary.MaxVarintLen64]byte
 	head[frame.HeaderLen] = Version
 	n := frame.HeaderLen + 1 + binary.PutUvarint(head[frame.HeaderLen+1:], uint64(len(key)))
+	if size := n - frame.HeaderLen + len(key) + sha256.Size + len(payload); size > maxRecord {
+		return fmt.Errorf("record of %d bytes over the %d-byte cap", size, maxRecord)
+	}
+	start := b.Len()
+	b.Grow(n + len(key) + sha256.Size + len(payload))
 	b.Write(head[:n])
 	b.WriteString(key)
-	sumAt := b.Len()
-	b.Write(make([]byte, sha256.Size))
-	// Compact the payload and checksum the compacted bytes: exactly the
-	// bytes stored and exactly the bytes a future Get re-hashes.
-	if err := json.Compact(b, payload); err != nil {
-		b.Truncate(start)
-		return fmt.Errorf("payload not valid JSON: %w", err)
-	}
-	rec := b.Bytes()[start:]
-	if len(rec)-frame.HeaderLen > maxRecord {
-		b.Truncate(start)
-		return fmt.Errorf("record of %d bytes over the %d-byte cap", len(rec)-frame.HeaderLen, maxRecord)
-	}
-	sum := sha256.Sum256(b.Bytes()[sumAt+sha256.Size:])
-	copy(b.Bytes()[sumAt:], sum[:])
-	frame.Seal(rec)
+	sum := sha256.Sum256(payload)
+	b.Write(sum[:])
+	b.Write(payload)
+	frame.Seal(b.Bytes()[start:])
 	return nil
 }
 

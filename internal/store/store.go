@@ -18,15 +18,17 @@
 //	frame  := lenLE32 | crc32c(body)LE32 | body
 //	body   := Version(1 byte) | uvarint(len(key)) | key | sha256(payload) | payload
 //
-// where payload is the caller's JSON in compact form. Open streams the
-// segments once into an in-memory index from a 64-bit key hash to the
-// frame's segment and offset, 16 bytes a record with no key strings. Get
-// reads that one frame with pread and checks its CRC, its key and its
-// payload checksum. A later frame for a key supersedes an earlier one.
-// quarantine/ holds what Scrub's repair moved aside. Anything else under
-// root is ignored: the per-file <hh>/ directories of releases before
-// segments read as an empty store, so each of their records is recomputed
-// once, and they may be deleted.
+// where payload is the caller's bytes as given: the program writes compact
+// JSON, and JSON arriving over HTTP is checked at that edge
+// (internal/store/httpstore), so the store neither parses nor rewrites a
+// payload. Open streams the segments once into an in-memory index from a
+// 64-bit key hash to the frame's segment and offset, 16 bytes a record with
+// no key strings. Get reads that one frame with pread and checks its CRC,
+// its key and its payload checksum. A later frame for a key supersedes an
+// earlier one. quarantine/ holds what Scrub's repair moved aside. Anything
+// else under root is ignored: the per-file <hh>/ directories of releases
+// before segments read as an empty store, so each of their records is
+// recomputed once, and they may be deleted.
 //
 // Directories. Beside the index the handle keeps a set of the hashes of
 // every indexed key's directory: the key's prefix up to and including its
@@ -314,9 +316,9 @@ type pending struct {
 }
 
 // PutBatch persists a sequence of records like Put, in order, with one
-// write (and with SyncPuts one fsync) for the whole batch. A record whose
-// payload is not valid JSON is a put error and is skipped; the others
-// still land.
+// write (and with SyncPuts one fsync) for the whole batch. A record with
+// an empty payload or over the size cap is a put error and is skipped; the
+// others still land.
 func (s *Store) PutBatch(recs iter.Seq2[string, []byte]) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer putBuf(buf)

@@ -62,6 +62,34 @@ func recordBody(key string, payload []byte) []byte {
 	return append(body, payload...)
 }
 
+// TestPutRejectsEmptyPayload: the store stores payloads as given, but a
+// record needs at least one payload byte to read back, so an empty payload
+// is a put error that writes nothing rather than a frame every later Get
+// and Scrub would count as corrupt.
+func TestPutRejectsEmptyPayload(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("empty", nil)
+	s.PutBatch(func(yield func(string, []byte) bool) {
+		_ = yield("empty", []byte{}) && yield("kept", []byte(`1`))
+	})
+	if st := s.Stats(); st.PutErrors != 2 {
+		t.Fatalf("PutErrors = %d, want 2", st.PutErrors)
+	}
+	if _, ok := s.Get("empty"); ok {
+		t.Fatal("empty payload read back")
+	}
+	if got, ok := s.Get("kept"); !ok || string(got) != "1" {
+		t.Fatalf("the batch's other record: %q, %v", got, ok)
+	}
+	if st := s.Stats(); st.Corrupt != 0 {
+		t.Fatalf("%d corrupt record(s) after rejected puts", st.Corrupt)
+	}
+}
+
 // TestSegmentLayout pins the on-disk format: a handle's first Put creates
 // its own segment holding exactly the documented frame, and a second
 // handle's Put lands in a second segment that the first handle's records
@@ -84,7 +112,7 @@ func TestSegmentLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := frame.Append(nil, recordBody("layout-key", []byte(`{"x":1}`))); !bytes.Equal(data, want) {
+	if want := frame.Append(nil, recordBody("layout-key", []byte(`{"x": 1}`))); !bytes.Equal(data, want) {
 		t.Fatalf("segment bytes\n got %x\nwant %x", data, want)
 	}
 
